@@ -6,8 +6,10 @@ type result = {
   n_edits : int;
 }
 
-let annotate_with_traces ~machine ~options program traces =
-  if traces = [] then invalid_arg "Annotate.annotate_with_traces: no traces";
+(* What placement and the report both start from: the program without
+   its annotations, its labelled arrays on [machine], and the epoch
+   information of each trace. *)
+let assimilate ~machine program traces =
   let program = Lang.Ast.strip_annotations program in
   let info = Lang.Sema.check program in
   let layout =
@@ -20,6 +22,11 @@ let annotate_with_traces ~machine ~options program traces =
          ~block_size:machine.Wwt.Machine.block_size)
       traces
   in
+  (program, layout, einfos)
+
+let annotate_with_traces ~machine ~options program traces =
+  if traces = [] then invalid_arg "Annotate.annotate_with_traces: no traces";
+  let program, layout, einfos = assimilate ~machine program traces in
   let plan = Placement.plan_traces ~program ~layout ~machine ~einfos ~options in
   let annotated =
     Placement.assign_fresh_sids
@@ -36,6 +43,10 @@ let annotate_with_traces ~machine ~options program traces =
 
 let annotate_with_trace ~machine ~options program records =
   annotate_with_traces ~machine ~options program [ records ]
+
+let report_with_trace ~machine program records =
+  let _, layout, einfos = assimilate ~machine program [ records ] in
+  Report.build ~layout (List.hd einfos)
 
 let annotate_program ~machine ~options program =
   let outcome = Wwt.Run.collect_trace ~machine program in

@@ -28,6 +28,11 @@ val annotate_with_trace :
   Trace.Event.record list ->
   result
 
+val report_with_trace :
+  machine:Wwt.Machine.t -> Lang.Ast.program -> Trace.Event.record list -> Report.t
+(** The [report] of [annotate_with_trace] on the same program and trace,
+    built without planning or placing any annotation. *)
+
 val annotate_with_traces :
   machine:Wwt.Machine.t ->
   options:Placement.options ->

@@ -14,8 +14,14 @@ module Iset = Trace.Epoch.Iset
 
 type t
 
-val analyze : ?lock_aware:bool -> block_size:int -> Trace.Epoch.t -> t
-(** [lock_aware] (default [true]) suppresses race reports for access pairs
+val analyze_sorted :
+  ?lock_aware:bool -> block_size:int -> Trace.Event.miss array -> t
+(** The analysis of one epoch from its misses ordered by address
+    ({!Trace.Epoch.by_address}), in one pass over them. An address
+    without locked accesses is decided from node bitmasks in O(1); only
+    pairs of locked accesses are compared lockset by lockset.
+
+    [lock_aware] (default [true]) suppresses race reports for access pairs
     protected by a common lock (a lockset refinement the paper's
     lock-ignoring model does not have; the Section 5 restructured merge is
     the motivating case). False sharing is unaffected — locks do not stop

@@ -39,9 +39,7 @@ let for_epoch mode (info : Epoch_info.t) ~epoch ~node =
   | Performance ->
       let s_cur = Epoch_info.s_of cur in
       let s_next_self = Epoch_info.s_of next in
-      let sw_next_other =
-        Epoch_info.sw_any_node_except info ~epoch:(epoch + 1) ~node
-      in
+      let sw_next_other = Epoch_info.sw_others info ~epoch:(epoch + 1) ~node in
       (* "Finished with the location" means no use at all by this node in
          the next epoch: flushing data the node is about to read would
          turn its own hits into misses. *)

@@ -35,9 +35,7 @@ let term_sets mode (info : Epoch_info.t) ~epoch ~node =
       ]
   | Equations.Performance ->
       let s_next_self = Epoch_info.s_of next in
-      let sw_next_other =
-        Epoch_info.sw_any_node_except info ~epoch:(epoch + 1) ~node
-      in
+      let sw_next_other = Epoch_info.sw_others info ~epoch:(epoch + 1) ~node in
       [
         ( "co_x: read-before-write faults",
           Drfs.filter_not_drfs d (Iset.diff cur.Epoch_info.wf prev.Epoch_info.sw) );

@@ -159,6 +159,32 @@ let static_epochs (einfos : Epoch_info.t array) =
 
 (* ---- the planner ---- *)
 
+(* Membership in an address set of one labelled array, one bit per byte
+   of the array. [with_marks] sets the set's bits for the extent of a
+   call and clears the same bits after, so a use costs the set's size,
+   not the array's, and each lookup is O(1). *)
+type marks = { mbase : int; mbytes : int; bits : Bytes.t }
+
+let marks_of (e : Label.entry) =
+  let mbytes = e.Label.elems * e.Label.elem_size in
+  { mbase = e.Label.base; mbytes; bits = Bytes.make ((mbytes + 7) / 8) '\000' }
+
+let flip m on addr =
+  let o = addr - m.mbase in
+  let b = Char.code (Bytes.get m.bits (o lsr 3)) and bit = 1 lsl (o land 7) in
+  Bytes.set m.bits (o lsr 3) (Char.chr (if on then b lor bit else b land lnot bit))
+
+let marked m addr =
+  let o = addr - m.mbase in
+  o >= 0 && o < m.mbytes
+  && Char.code (Bytes.get m.bits (o lsr 3)) land (1 lsl (o land 7)) <> 0
+
+let with_marks m set f =
+  Iset.iter (flip m true) set;
+  Fun.protect
+    ~finally:(fun () -> Iset.iter (flip m false) set)
+    (fun () -> f (marked m))
+
 type ctx = {
   program : Ast.program;
   layout : Label.t;
@@ -175,6 +201,8 @@ type ctx = {
   pid_guards : (int, int list) Hashtbl.t;
       (* sid -> enclosing pid-dependent if headers *)
   guard_body : (int, Iset.t) Hashtbl.t;  (* guard sid -> contained sids *)
+  marks : (string, marks * marks) Hashtbl.t;
+      (* per labelled array, two membership bitsets, made on first use *)
   mutable edits : edit list;  (* reversed *)
   note_tbl : (int, string list) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;  (* dedup keys *)
@@ -386,21 +414,41 @@ let proj_set (a : Equations.annots) = function
   | `Co_s -> a.Equations.co_s
   | `Ci -> a.Equations.ci
 
-(* pcs in [misses] touching an address of [addrs]; for check-outs prefer
-   the read-miss pcs (a check-out-exclusive must precede the first read,
-   Section 4.1), falling back to all accessing pcs. *)
-let pcs_for_addrs ~misses ~addrs ~prefer_reads =
-  let all = ref [] and reads = ref [] in
-  List.iter
-    (fun (m : Trace.Event.miss) ->
-      if Iset.mem m.Trace.Event.addr addrs then begin
-        all := m.Trace.Event.pc :: !all;
-        if m.Trace.Event.kind = Trace.Event.Read_miss then
-          reads := m.Trace.Event.pc :: !reads
-      end)
-    misses;
-  let pick = if prefer_reads && !reads <> [] then !reads else !all in
-  List.sort_uniq compare pick
+(* Per-pc tallies over an array's misses: [seen] misses, and [hits] /
+   [hit_reads] of them passing the membership test in hand. *)
+type tally = {
+  mutable seen : int;
+  mutable hits : int;
+  mutable hit_reads : int;
+  mutable dominant : bool;
+}
+
+let tally_table () =
+  let table = Hashtbl.create 16 in
+  let tally pc =
+    match Hashtbl.find_opt table pc with
+    | Some c -> c
+    | None ->
+        let c = { seen = 0; hits = 0; hit_reads = 0; dominant = false } in
+        Hashtbl.add table pc c;
+        c
+  in
+  (table, tally)
+
+let hit (c : tally) (m : Trace.Event.miss) =
+  c.hits <- c.hits + 1;
+  if m.Trace.Event.kind = Trace.Event.Read_miss then
+    c.hit_reads <- c.hit_reads + 1
+
+(* Distinct pcs, ascending, with hits; for check-outs prefer the pcs of
+   read-miss hits (a check-out-exclusive must precede the first read,
+   Section 4.1), falling back to all hit pcs. *)
+let hit_pcs table ~prefer_reads =
+  let pick f =
+    Hashtbl.fold (fun pc c acc -> if f c then pc :: acc else acc) table []
+  in
+  let reads = if prefer_reads then pick (fun c -> c.hit_reads > 0) else [] in
+  List.sort compare (if reads <> [] then reads else pick (fun c -> c.hits > 0))
 
 let place_near_access ctx ~proj ~arr ~pcs ~note_of =
   let kind = kind_of_proj proj in
@@ -432,7 +480,7 @@ let place_near_access ctx ~proj ~arr ~pcs ~note_of =
 (* Static (affine) placement for one access site. Returns true when it
    succeeded, false to fall back to dynamic placement. *)
 let place_affine ctx ~proj ~arr ~pc ~start_anchor ~end_anchor ~anchor_sids
-    ~target_per_node ~covered ~budget_left =
+    ~target_per_node ~max_target_blocks ~covered ~budget_left =
   let kind = kind_of_proj proj in
   match Hashtbl.find_opt ctx.stmt_tbl pc with
   | None -> false
@@ -483,22 +531,7 @@ let place_affine ctx ~proj ~arr ~pc ~start_anchor ~end_anchor ~anchor_sids
               Some (lo, hi)
           | _ -> None
         in
-        (* The trace records roughly one miss per touched cache block, so
-           coverage is compared in blocks: count the distinct blocks of
-           the densest node's target set. *)
         let block_size = ctx.machine.Wwt.Machine.block_size in
-        let max_target_blocks =
-          Array.fold_left
-            (fun m set ->
-              let blocks =
-                Iset.fold
-                  (fun a acc ->
-                    Iset.add (Memsys.Block.of_addr ~block_size a) acc)
-                  set Iset.empty
-              in
-              max m (Iset.cardinal blocks))
-            0 target_per_node
-        in
         let elems_per_block = block_size / ctx.machine.Wwt.Machine.elem_size in
         (* A contiguous range that covers far more blocks than the node
            actually touches (a block-partitioned 2-D region flattened to a
@@ -705,6 +738,30 @@ let place_affine ctx ~proj ~arr ~pc ~start_anchor ~end_anchor ~anchor_sids
           true
         end)
 
+(* The membership bitsets of [entry], made on first use. *)
+let marks_for ctx (entry : Label.entry) =
+  match Hashtbl.find_opt ctx.marks entry.Label.name with
+  | Some m -> m
+  | None ->
+      let m = (marks_of entry, marks_of entry) in
+      Hashtbl.add ctx.marks entry.Label.name m;
+      m
+
+(* Dynamic epochs of every trace whose start (or end) barrier is [pc]. *)
+let anchored_dyns ctx ~at_end pc =
+  let acc = ref [] in
+  Array.iteri
+    (fun t einfo ->
+      Array.iteri
+        (fun d (e : Trace.Epoch.t) ->
+          let anchor =
+            if at_end then e.Trace.Epoch.end_pc else e.Trace.Epoch.start_pc
+          in
+          if anchor = pc then acc := (t, d) :: !acc)
+        einfo.Epoch_info.epochs)
+    ctx.einfos;
+  !acc
+
 let plan_epoch ctx (se : sepoch) =
   let nodes = ctx.nodes in
   let merged =
@@ -725,12 +782,6 @@ let plan_epoch ctx (se : sepoch) =
     List.fold_left (fun acc d -> Iset.union acc (Drfs.race d)) Iset.empty
       drfs_list
   in
-  let misses_all =
-    List.concat_map
-      (fun (t, d) ->
-        ctx.einfos.(t).Epoch_info.epochs.(d).Trace.Epoch.misses)
-      se.dyns
-  in
   let start_anchor =
     match fst se.key with Some pc -> After pc | None -> Proc_begin "main"
   in
@@ -740,10 +791,61 @@ let plan_epoch ctx (se : sepoch) =
   let anchor_sids =
     List.filter_map (fun k -> k) [ fst se.key; snd se.key ]
   in
+  (* The table anchors at a barrier statement that may close (or open)
+     other dynamic epochs too — it will execute on every one of them, so
+     it is only valid when the annotation sets of ALL the epochs sharing
+     that anchor mostly agree (FFT's stage barrier closes six epochs with
+     disjoint sets: drop; Ocean's sweep barrier closes identical ones:
+     keep). *)
+  let anchored_start = anchored_dyns ctx ~at_end:false (fst se.key)
+  and anchored_end = anchored_dyns ctx ~at_end:true (snd se.key) in
+  let elems_per_block =
+    ctx.machine.Wwt.Machine.block_size / ctx.machine.Wwt.Machine.elem_size
+  in
+  (* Prefetch candidates per node, (exclusive, shared): locations this
+     epoch uses that the previous epoch left elsewhere and no check-out
+     or DRFS location already covers. *)
+  let prefetch_sets =
+    if not ctx.options.prefetch then [||]
+    else
+      Array.init nodes (fun node ->
+          let union_over f =
+            List.fold_left
+              (fun acc (t, d) ->
+                let einfo = ctx.einfos.(t) in
+                let cur = Epoch_info.sets_at einfo ~epoch:d ~node in
+                let prev = Epoch_info.sets_at einfo ~epoch:(d - 1) ~node in
+                Iset.union acc (f cur prev))
+              Iset.empty se.dyns
+          in
+          let pf_x =
+            union_over (fun cur prev ->
+                Iset.diff
+                  (Iset.diff cur.Epoch_info.sw cur.Epoch_info.wf)
+                  prev.Epoch_info.sw)
+          in
+          let pf_s =
+            union_over (fun cur prev ->
+                Iset.diff cur.Epoch_info.sr prev.Epoch_info.sr)
+          in
+          let covered = merged.(node).Equations.co_x in
+          ( Iset.diff (Iset.diff pf_x drfs_all) covered,
+            Iset.diff (Iset.diff pf_s drfs_all) covered ))
+  in
   let budget_left = ref (budget_bytes ctx) in
   List.iter
     (fun (entry : Label.entry) ->
       let arr = entry.Label.name in
+      (* The static epoch's misses on [arr]: each dynamic epoch's slice
+         of its address-ordered index. *)
+      let iter_arr f =
+        let lo = entry.Label.base in
+        let hi = lo + (entry.Label.elems * entry.Label.elem_size) - 1 in
+        List.iter
+          (fun (t, d) -> Epoch_info.iter_range ctx.einfos.(t) ~epoch:d ~lo ~hi f)
+          se.dyns
+      in
+      let set_marks, racy_marks = marks_for ctx entry in
       List.iter
         (fun proj ->
           let per_node_addrs =
@@ -771,12 +873,18 @@ let plan_epoch ctx (se : sepoch) =
             let racy = Iset.inter union_addrs race_all in
             let near_addrs =
               if Iset.is_empty racy then Iset.empty
-              else begin
-                let pcs =
-                  pcs_for_addrs ~misses:misses_all ~addrs:racy
-                    ~prefer_reads:(proj <> `Ci)
-                in
-                let in_this_array a = Iset.mem a union_addrs in
+              else
+                with_marks set_marks union_addrs @@ fun in_this_array ->
+                with_marks racy_marks racy @@ fun is_racy ->
+                (* per pc: this array's misses, and the racy ones *)
+                let table, tally = tally_table () in
+                iter_arr (fun (m : Trace.Event.miss) ->
+                    if in_this_array m.Trace.Event.addr then begin
+                      let c = tally m.Trace.Event.pc in
+                      c.seen <- c.seen + 1;
+                      if is_racy m.Trace.Event.addr then hit c m
+                    end);
+                let pcs = hit_pcs table ~prefer_reads:(proj <> `Ci) in
                 let writes_array pc =
                   match Hashtbl.find_opt ctx.stmt_tbl pc with
                   | Some stmt ->
@@ -788,42 +896,25 @@ let plan_epoch ctx (se : sepoch) =
                     (fun pc ->
                       ((proj <> `Ci) || writes_array pc)
                       &&
-                      let tot = ref 0 and hot = ref 0 in
-                      List.iter
-                        (fun (m : Trace.Event.miss) ->
-                          if m.Trace.Event.pc = pc
-                             && in_this_array m.Trace.Event.addr
-                          then begin
-                            incr tot;
-                            if Iset.mem m.Trace.Event.addr racy then incr hot
-                          end)
-                        misses_all;
-                      !tot > 0 && 10 * !hot >= 7 * !tot)
+                      let c = tally pc in
+                      10 * c.hits >= 7 * c.seen)
                     pcs
                 in
                 if dominant_pcs = [] then Iset.empty
                 else begin
-                  let describe =
-                    if not (Iset.is_empty (Iset.inter racy race_all)) then
-                      "Data Race"
-                    else "False Sharing"
-                  in
                   place_near_access ctx ~proj ~arr ~pcs:dominant_pcs
-                    ~note_of:(if proj = `Ci then None else Some describe);
-                  List.fold_left
-                    (fun acc (m : Trace.Event.miss) ->
-                      let counts =
-                        (proj <> `Ci)
-                        || m.Trace.Event.kind <> Trace.Event.Read_miss
-                      in
-                      if counts
-                         && List.mem m.Trace.Event.pc dominant_pcs
-                         && Iset.mem m.Trace.Event.addr racy
-                      then Iset.add m.Trace.Event.addr acc
-                      else acc)
-                    Iset.empty misses_all
+                    ~note_of:(if proj = `Ci then None else Some "Data Race");
+                  List.iter (fun pc -> (tally pc).dominant <- true) dominant_pcs;
+                  let near = ref [] in
+                  iter_arr (fun (m : Trace.Event.miss) ->
+                      if
+                        ((proj <> `Ci)
+                        || m.Trace.Event.kind <> Trace.Event.Read_miss)
+                        && is_racy m.Trace.Event.addr
+                        && (tally m.Trace.Event.pc).dominant
+                      then near := m.Trace.Event.addr :: !near);
+                  Iset.of_list !near
                 end
-              end
             in
             (* Clean part (plus demoted racy addresses): boundary /
                loop-level cascade. *)
@@ -835,8 +926,12 @@ let plan_epoch ctx (se : sepoch) =
             in
             if not (Iset.is_empty clean_union) then begin
               let pcs =
-                pcs_for_addrs ~misses:misses_all ~addrs:clean_union
-                  ~prefer_reads:(proj <> `Ci)
+                with_marks set_marks clean_union @@ fun in_clean ->
+                let table, tally = tally_table () in
+                iter_arr (fun (m : Trace.Event.miss) ->
+                    if in_clean m.Trace.Event.addr then
+                      hit (tally m.Trace.Event.pc) m);
+                hit_pcs table ~prefer_reads:(proj <> `Ci)
               in
               (* Section 4.2: when an epoch spans procedures, Programmer
                  CICO places the annotations at the boundaries of the
@@ -853,6 +948,28 @@ let plan_epoch ctx (se : sepoch) =
                       (Proc_begin proc, Proc_end proc)
                   | _ -> (start_anchor, end_anchor)
               in
+              (* The trace records roughly one miss per touched cache
+                 block, so coverage is compared in blocks: count the
+                 distinct blocks of the densest node's target set. *)
+              let max_target_blocks =
+                Array.fold_left
+                  (fun m set ->
+                    (* ascending addresses: count block changes *)
+                    let last = ref (-1) and blocks = ref 0 in
+                    Iset.iter
+                      (fun a ->
+                        let b =
+                          Memsys.Block.of_addr
+                            ~block_size:ctx.machine.Wwt.Machine.block_size a
+                        in
+                        if b <> !last then begin
+                          last := b;
+                          incr blocks
+                        end)
+                      set;
+                    max m !blocks)
+                  0 clean_per_node
+              in
               (* Try the static affine path per access site; sites that
                  fail feed the dynamic residue. *)
               let covered =
@@ -864,8 +981,8 @@ let plan_epoch ctx (se : sepoch) =
                     not
                       (place_affine ctx ~proj ~arr ~pc ~start_anchor
                          ~end_anchor ~anchor_sids
-                         ~target_per_node:clean_per_node ~covered
-                         ~budget_left))
+                         ~target_per_node:clean_per_node ~max_target_blocks
+                         ~covered ~budget_left))
                   pcs
               in
               (* A table built from the union of the dynamic instances is
@@ -874,27 +991,6 @@ let plan_epoch ctx (se : sepoch) =
                  (LU's shrinking trailing matrix, FFT's stage-dependent
                  pairs) the union over-annotates every iteration, so that
                  node's rows are dropped. *)
-              (* The table anchors at a barrier statement that may close
-                 (or open) other dynamic epochs too — it will execute on
-                 every one of them, so it is only valid when the
-                 annotation sets of ALL the epochs sharing that anchor
-                 mostly agree (FFT's stage barrier closes six epochs with
-                 disjoint sets: drop; Ocean's sweep barrier closes
-                 identical ones: keep). *)
-              let anchored_dyns =
-                let same_anchor (e : Trace.Epoch.t) =
-                  if proj = `Ci then e.Trace.Epoch.end_pc = snd se.key
-                  else e.Trace.Epoch.start_pc = fst se.key
-                in
-                let acc = ref [] in
-                Array.iteri
-                  (fun t einfo ->
-                    Array.iteri
-                      (fun d e -> if same_anchor e then acc := (t, d) :: !acc)
-                      einfo.Epoch_info.epochs)
-                  ctx.einfos;
-                !acc
-              in
               let stationary node =
                 let sets =
                   List.filter_map
@@ -904,7 +1000,7 @@ let plan_epoch ctx (se : sepoch) =
                           (proj_set ctx.annots.(t).(d).(node) proj)
                       in
                       if Iset.is_empty set then None else Some set)
-                    anchored_dyns
+                    (if proj = `Ci then anchored_end else anchored_start)
                 in
                 match sets with
                 | [] | [ _ ] -> true
@@ -915,13 +1011,12 @@ let plan_epoch ctx (se : sepoch) =
               in
               if residue_pcs <> [] then begin
                 let residue_addr_set =
-                  (* addresses touched at the residue pcs *)
-                  List.fold_left
-                    (fun acc (m : Trace.Event.miss) ->
+                  (* addresses of this array touched at the residue pcs *)
+                  let acc = ref [] in
+                  iter_arr (fun (m : Trace.Event.miss) ->
                       if List.mem m.Trace.Event.pc residue_pcs then
-                        Iset.add m.Trace.Event.addr acc
-                      else acc)
-                    Iset.empty misses_all
+                        acc := m.Trace.Event.addr :: !acc);
+                  Iset.of_list !acc
                 in
                 let residue_per_node =
                   Array.map (fun s -> Iset.inter s residue_addr_set)
@@ -931,10 +1026,6 @@ let plan_epoch ctx (se : sepoch) =
                   Array.fold_left
                     (fun m s -> max m (Iset.cardinal s * entry.Label.elem_size))
                     0 residue_per_node
-                in
-                let elems_per_block =
-                  ctx.machine.Wwt.Machine.block_size
-                  / ctx.machine.Wwt.Machine.elem_size
                 in
                 let per_node node =
                   if not (stationary node) then []
@@ -965,30 +1056,6 @@ let plan_epoch ctx (se : sepoch) =
         [ `Co_x; `Co_s; `Ci ];
       (* Prefetch insertion at the epoch boundary. *)
       if ctx.options.prefetch then begin
-        let pf_sets node =
-          let union_over f =
-            List.fold_left
-              (fun acc (t, d) ->
-                let einfo = ctx.einfos.(t) in
-                let cur = Epoch_info.sets_at einfo ~epoch:d ~node in
-                let prev = Epoch_info.sets_at einfo ~epoch:(d - 1) ~node in
-                Iset.union acc (f cur prev))
-              Iset.empty se.dyns
-          in
-          let pf_x =
-            union_over (fun cur prev ->
-                Iset.diff
-                  (Iset.diff cur.Epoch_info.sw cur.Epoch_info.wf)
-                  prev.Epoch_info.sw)
-          in
-          let pf_s =
-            union_over (fun cur prev ->
-                Iset.diff cur.Epoch_info.sr prev.Epoch_info.sr)
-          in
-          let covered = merged.(node).Equations.co_x in
-          ( Iset.diff (Iset.diff pf_x drfs_all) covered,
-            Iset.diff (Iset.diff pf_s drfs_all) covered )
-        in
         let cap_ranges ranges =
           (* prefetches are speculative: they may only fill capacity the
              placed check-outs left unused *)
@@ -1007,11 +1074,8 @@ let plan_epoch ctx (se : sepoch) =
           in
           loop 0 [] ranges
         in
-        let elems_per_block =
-          ctx.machine.Wwt.Machine.block_size / ctx.machine.Wwt.Machine.elem_size
-        in
         let table_of pick node =
-          let x, s = pf_sets node in
+          let x, s = prefetch_sets.(node) in
           let set = if pick = `X then x else s in
           cap_ranges
             (Presentation.block_align_ranges ~elems_per_block
@@ -1088,6 +1152,7 @@ let plan_traces ~program ~layout ~machine ~einfos ~options =
       proc_tbl;
       pid_guards;
       guard_body;
+      marks = Hashtbl.create 8;
       edits = [];
       note_tbl = Hashtbl.create 32;
       seen = Hashtbl.create 256;

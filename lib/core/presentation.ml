@@ -34,13 +34,20 @@ let block_align_ranges ~elems_per_block ranges =
     in
     merge sorted
 
+(* The members of [set] in [\[lo, hi\]], by two splits: O(log n) plus
+   what is kept, not a filter over the whole set. *)
+let restrict ~lo ~hi set =
+  let _, _, from_lo = Iset.split (lo - 1) set in
+  let upto_hi, _, _ = Iset.split (hi + 1) from_lo in
+  upto_hi
+
 let addrs_in_array ~layout ~arr set =
   match Label.find_array layout arr with
   | None -> Iset.empty
   | Some e ->
-      let lo = e.Label.base
-      and hi = e.Label.base + (e.Label.elems * e.Label.elem_size) - 1 in
-      Iset.filter (fun a -> a >= lo && a <= hi) set
+      restrict ~lo:e.Label.base
+        ~hi:(e.Label.base + (e.Label.elems * e.Label.elem_size) - 1)
+        set
 
 let ranges_for_array ~layout ~arr set =
   match Label.find_array layout arr with
@@ -48,12 +55,11 @@ let ranges_for_array ~layout ~arr set =
   | Some e ->
       let elems =
         Iset.fold
-          (fun a acc ->
-            if a >= e.Label.base
-               && a < e.Label.base + (e.Label.elems * e.Label.elem_size)
-            then ((a - e.Label.base) / e.Label.elem_size) :: acc
-            else acc)
-          set []
+          (fun a acc -> ((a - e.Label.base) / e.Label.elem_size) :: acc)
+          (restrict ~lo:e.Label.base
+             ~hi:(e.Label.base + (e.Label.elems * e.Label.elem_size) - 1)
+             set)
+          []
       in
       coalesce elems
 

@@ -37,14 +37,7 @@ let build ~layout (einfo : Epoch_info.t) =
   in
   Array.iteri
     (fun epoch d ->
-      let e = einfo.Epoch_info.epochs.(epoch) in
-      let pcs_of addr =
-        List.filter_map
-          (fun (m : Trace.Event.miss) ->
-            if m.Trace.Event.addr = addr then Some m.Trace.Event.pc else None)
-          e.Trace.Epoch.misses
-        |> List.sort_uniq compare
-      in
+      let pcs_of = Epoch_info.pcs_of_addr einfo ~epoch in
       Iset.iter
         (fun addr -> note Data_race addr ~epoch ~pcs:(pcs_of addr))
         (Drfs.race d);

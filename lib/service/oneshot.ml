@@ -23,7 +23,9 @@ let trace_stats_report ~nodes records =
 let races_report ~nodes records =
   Races.render (Races.detect ~nodes (Trace.Buf.of_records records))
 
-let race_report (result : Cachier.Annotate.result) =
-  Cachier.Report.to_string result.Cachier.Annotate.report ^ "\n"
+let race_report ~machine program records =
+  Cachier.Report.to_string
+    (Cachier.Annotate.report_with_trace ~machine program records)
+  ^ "\n"
 
 let parse_report program = Lang.Pretty.program_to_string program

@@ -438,18 +438,16 @@ let race_stage t ~machine ~seed ~source ~poll =
     stage_key ~stage:"race_report" ~machine ~seed
       ~source_digest:(digest_hex source)
   in
-  text_tiers t ~key ~stage:"annotate"
+  text_tiers t ~key ~stage:"race_report"
     ~unwrap:(function Text p -> Some p | _ -> None)
     ~wrap:(fun payload _ -> Some (payload, String.length payload, Text payload))
     ~compute:(fun () ->
       let program = parsed_program t ~source ~seed in
       let records, _, _ = trace_stage t ~machine ~seed ~source ~poll in
-      let result =
-        Cachier.Annotate.annotate_with_trace
-          ~machine:(Protocol.to_machine machine)
-          ~options:Cachier.Placement.default_options program records
+      let payload =
+        Oneshot.race_report ~machine:(Protocol.to_machine machine) program
+          records
       in
-      let payload = Oneshot.race_report result in
       (payload, String.length payload, Text payload, payload, None))
 
 (* Stage: the sound streaming race detector over the collected trace.

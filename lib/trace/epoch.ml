@@ -2,9 +2,6 @@ module Iset = Set.Make (Int)
 
 type node_misses = { reads : Iset.t; writes : Iset.t; faults : Iset.t }
 
-let empty_misses =
-  { reads = Iset.empty; writes = Iset.empty; faults = Iset.empty }
-
 type t = {
   index : int;
   start_pc : int option;
@@ -15,20 +12,36 @@ type t = {
 
 let static_key e = (e.start_pc, e.end_pc)
 
+(* One address bucket per (node, kind), each turned into a set at once:
+   a sort per bucket, not a balanced-tree insert and record copy per
+   miss. *)
 let per_node_of_misses ~nodes misses =
-  let arr = Array.make nodes empty_misses in
+  let reads = Array.make nodes []
+  and writes = Array.make nodes []
+  and faults = Array.make nodes [] in
   List.iter
     (fun (m : Event.miss) ->
       if m.node < 0 || m.node >= nodes then
         failwith (Printf.sprintf "trace: node %d out of range" m.node);
-      let nm = arr.(m.node) in
-      arr.(m.node) <-
-        (match m.kind with
-        | Event.Read_miss -> { nm with reads = Iset.add m.addr nm.reads }
-        | Event.Write_miss -> { nm with writes = Iset.add m.addr nm.writes }
-        | Event.Write_fault -> { nm with faults = Iset.add m.addr nm.faults }))
+      let bucket =
+        match m.kind with
+        | Event.Read_miss -> reads
+        | Event.Write_miss -> writes
+        | Event.Write_fault -> faults
+      in
+      bucket.(m.node) <- m.addr :: bucket.(m.node))
     misses;
-  arr
+  Array.init nodes (fun n ->
+      {
+        reads = Iset.of_list reads.(n);
+        writes = Iset.of_list writes.(n);
+        faults = Iset.of_list faults.(n);
+      })
+
+let by_address misses =
+  let a = Array.of_list misses in
+  Array.stable_sort (fun (x : Event.miss) y -> Int.compare x.addr y.addr) a;
+  a
 
 let split ~nodes records =
   let labels = ref [] in
@@ -86,18 +99,3 @@ let split ~nodes records =
   flush_barriers ();
   if !current_misses <> [] then close_epoch ~end_pc:None;
   (List.rev !epochs, List.rev !labels)
-
-let touched_nodes e ~addr =
-  List.filter_map
-    (fun (m : Event.miss) ->
-      if m.addr = addr then
-        Some (m.node, m.kind = Event.Write_miss || m.kind = Event.Write_fault)
-      else None)
-    e.misses
-
-let pcs_for_addr e ~node ~addr =
-  List.sort_uniq compare
-    (List.filter_map
-       (fun (m : Event.miss) ->
-         if m.node = node && m.addr = addr then Some m.pc else None)
-       e.misses)

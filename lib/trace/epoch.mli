@@ -15,8 +15,6 @@ type node_misses = {
   faults : Iset.t;  (** addresses with shared-write faults *)
 }
 
-val empty_misses : node_misses
-
 type t = {
   index : int;  (** position in the trace, from 0 *)
   start_pc : int option;
@@ -35,9 +33,7 @@ val split : nodes:int -> Event.record list -> t list * (string * int * int) list
 (** [split ~nodes records] is the list of epochs plus the labelled shared
     regions found in the trace. @raise Failure on inconsistent barriers. *)
 
-val touched_nodes : t -> addr:int -> (int * bool) list
-(** Nodes that missed on [addr] in this epoch, paired with [true] when the
-    access was a write (miss or fault). *)
-
-val pcs_for_addr : t -> node:int -> addr:int -> int list
-(** Distinct pcs at which [node] missed on [addr] in this epoch. *)
+val by_address : Event.miss list -> Event.miss array
+(** The misses ordered by address, stably (misses on one address keep
+    their trace order): every address's misses, and every address
+    range's, form one contiguous run. *)

@@ -7,7 +7,9 @@ let epoch_of records =
   | [ e ], _ -> e
   | _ -> Alcotest.fail "expected one epoch"
 
-let analyze records = Cachier.Drfs.analyze ~block_size:32 (epoch_of records)
+let analyze records =
+  Cachier.Drfs.analyze_sorted ~block_size:32
+    (Trace.Epoch.by_address (epoch_of records).Trace.Epoch.misses)
 
 let set = Alcotest.testable
     (fun ppf s -> Fmt.(list ~sep:comma int) ppf (Iset.elements s))

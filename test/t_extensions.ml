@@ -106,38 +106,39 @@ let epoch_of records =
   | [ e ], _ -> e
   | _ -> Alcotest.fail "expected one epoch"
 
+let analyze ?lock_aware records =
+  Cachier.Drfs.analyze_sorted ?lock_aware ~block_size:32
+    (Trace.Epoch.by_address (epoch_of records).Trace.Epoch.misses)
+
 let test_common_lock_suppresses_race () =
   let d =
-    Cachier.Drfs.analyze ~block_size:32
-      (epoch_of
-         [
-           miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
-           miss ~held:[ 7 ] 1 2 0 Trace.Event.Write_miss;
-         ])
+    analyze
+      [
+        miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
+        miss ~held:[ 7 ] 1 2 0 Trace.Event.Write_miss;
+      ]
   in
   Alcotest.(check bool) "no race under a common lock" true
     (Trace.Epoch.Iset.is_empty (Cachier.Drfs.race d))
 
 let test_different_locks_still_race () =
   let d =
-    Cachier.Drfs.analyze ~block_size:32
-      (epoch_of
-         [
-           miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
-           miss ~held:[ 8 ] 1 2 0 Trace.Event.Write_miss;
-         ])
+    analyze
+      [
+        miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
+        miss ~held:[ 8 ] 1 2 0 Trace.Event.Write_miss;
+      ]
   in
   Alcotest.(check bool) "different locks do not protect" false
     (Trace.Epoch.Iset.is_empty (Cachier.Drfs.race d))
 
 let test_one_unlocked_access_races () =
   let d =
-    Cachier.Drfs.analyze ~block_size:32
-      (epoch_of
-         [
-           miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
-           miss 1 2 0 Trace.Event.Read_miss;
-         ])
+    analyze
+      [
+        miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
+        miss 1 2 0 Trace.Event.Read_miss;
+      ]
   in
   Alcotest.(check bool) "unlocked reader races with locked writer" false
     (Trace.Epoch.Iset.is_empty (Cachier.Drfs.race d))
@@ -149,20 +150,17 @@ let test_lock_aware_can_be_disabled () =
       miss ~held:[ 7 ] 1 2 0 Trace.Event.Write_miss;
     ]
   in
-  let d =
-    Cachier.Drfs.analyze ~lock_aware:false ~block_size:32 (epoch_of records)
-  in
+  let d = analyze ~lock_aware:false records in
   Alcotest.(check bool) "paper mode reports the pair" false
     (Trace.Epoch.Iset.is_empty (Cachier.Drfs.race d))
 
 let test_false_sharing_not_suppressed_by_locks () =
   let d =
-    Cachier.Drfs.analyze ~block_size:32
-      (epoch_of
-         [
-           miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
-           miss ~held:[ 7 ] 1 2 8 Trace.Event.Read_miss;
-         ])
+    analyze
+      [
+        miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
+        miss ~held:[ 7 ] 1 2 8 Trace.Event.Read_miss;
+      ]
   in
   Alcotest.(check bool) "locks do not stop block ping-pong" false
     (Trace.Epoch.Iset.is_empty (Cachier.Drfs.false_shared d))

@@ -448,6 +448,40 @@ let test_parse_and_race_and_trace_stats () =
       in
       Alcotest.(check bool) "second trace_stats hits" true (ok_cached ts2))
 
+let test_race_report_stage () =
+  with_server (fun server ->
+      let req = request (Protocol.Race_report { source = Bench "matmul" }) in
+      let m = Server.metrics server in
+      let counts () =
+        [
+          Metrics.hits m ~stage:"race_report";
+          Metrics.misses m ~stage:"race_report";
+          Metrics.hits m ~stage:"annotate";
+          Metrics.misses m ~stage:"annotate";
+        ]
+      in
+      let cold = Server.handle server req in
+      Alcotest.(check (list int))
+        "miss: race_report hits/misses, annotate hits/misses" [ 0; 1; 0; 0 ]
+        (counts ());
+      let warm = Server.handle server req in
+      Alcotest.(check bool) "repeat is cached" true (ok_cached warm);
+      Alcotest.(check string) "repeat byte-identical" (ok_payload cold)
+        (ok_payload warm);
+      Alcotest.(check (list int))
+        "hit: race_report hits/misses, annotate hits/misses" [ 1; 1; 0; 0 ]
+        (counts ());
+      (* the payload is the report a full annotation attaches *)
+      let bench = Benchmarks.Suite.find ~nodes:4 "matmul" in
+      let r =
+        Cachier.Annotate.annotate_source
+          ~machine:(Protocol.to_machine small_machine)
+          ~options:Cachier.Placement.default_options bench.Benchmarks.Suite.source
+      in
+      Alcotest.(check string) "payload = annotate's report"
+        (Cachier.Report.to_string r.Cachier.Annotate.report ^ "\n")
+        (ok_payload cold))
+
 let test_malformed_inline_trace () =
   with_server (fun server ->
       let r =
@@ -1042,6 +1076,8 @@ let suite =
       test_annotate_delta_errors;
     Alcotest.test_case "parse / race_report / trace_stats" `Quick
       test_parse_and_race_and_trace_stats;
+    Alcotest.test_case "race_report books its own stage" `Quick
+      test_race_report_stage;
     Alcotest.test_case "malformed inline trace" `Quick
       test_malformed_inline_trace;
     Alcotest.test_case "unknown benchmark" `Quick test_unknown_benchmark;

@@ -94,15 +94,6 @@ let test_epoch_incomplete_barrier_group () =
     (Failure "trace: barrier group has 1 records, expected 2") (fun () ->
       ignore (Epoch.split ~nodes:2 bad))
 
-let test_touched_nodes () =
-  let epochs, _ = Epoch.split ~nodes:2 sample in
-  let e0 = List.hd epochs in
-  Alcotest.(check (list (pair int bool))) "addr 8 written by node 1"
-    [ (1, true) ]
-    (Epoch.touched_nodes e0 ~addr:8);
-  Alcotest.(check (list int)) "pcs for node 0 addr 0" [ 10 ]
-    (Epoch.pcs_for_addr e0 ~node:0 ~addr:0)
-
 (* ---- packed buffer: streaming consumers ---- *)
 
 let lmiss node pc addr kind held = Event.Miss { node; pc; addr; kind; held }
@@ -204,7 +195,6 @@ let suite =
     Alcotest.test_case "inconsistent barriers" `Quick test_epoch_inconsistent_barriers;
     Alcotest.test_case "incomplete barrier group" `Quick
       test_epoch_incomplete_barrier_group;
-    Alcotest.test_case "touched_nodes / pcs_for_addr" `Quick test_touched_nodes;
     Alcotest.test_case "packed buffer of_records round trip" `Quick
       test_buf_of_records_round_trip;
     Alcotest.test_case "packed buffer iter_packed and interning" `Quick
