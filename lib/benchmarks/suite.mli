@@ -20,7 +20,10 @@ val names : string list
 
 val all : ?scale:float -> nodes:int -> unit -> t list
 (** The five benchmarks at their default scaled sizes. [scale] multiplies
-    the problem sizes (1.0 default; use with care, cost grows fast). *)
+    the problem sizes (1.0 default; use with care, cost grows fast).
+    @raise Invalid_argument if [nodes <= 0]. *)
 
 val find : ?scale:float -> nodes:int -> string -> t
-(** @raise Not_found for an unknown name. *)
+(** Builds only the named benchmark, equal to its element of [all].
+    @raise Not_found for an unknown name.
+    @raise Invalid_argument if [nodes <= 0]. *)

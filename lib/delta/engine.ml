@@ -97,13 +97,13 @@ let slice_epochs records =
   in
   go [] [] false records
 
-let compute_base ~dag ~machine ~options ?engine ~source program =
+let compute_base ~dag ~machine ~options ~source program =
   (* Mirrors the cold path (sema, trace-mode run, then the
      [Annotate.annotate_with_traces] internals) while capturing every
      intermediate artifact, in particular the placement plan. *)
   ignore (Lang.Sema.check program : Lang.Sema.info);
   seed_sema dag program;
-  let outcome = Wwt.Run.collect_trace ?engine ~machine program in
+  let outcome = Wwt.Run.collect_trace ~machine program in
   let records = outcome.Wwt.Interp.trace in
   let stripped = Lang.Ast.strip_annotations program in
   let info = Lang.Sema.check stripped in
@@ -144,20 +144,20 @@ let compute_base ~dag ~machine ~options ?engine ~source program =
     result;
   }
 
-let base_of ~dag ~machine ~options ?engine source =
+let base_of ~dag ~machine ~options source =
   let sd = source_digest source in
   let key = base_key sd (ctx_key ~machine ~options) in
   match Dag.find dag key with
   | Some (Dag.Base b) -> b
   | _ ->
       let program = parse_cached dag source sd in
-      let b = compute_base ~dag ~machine ~options ?engine ~source program in
+      let b = compute_base ~dag ~machine ~options ~source program in
       Dag.add dag key (Dag.Base b);
       b
 
-let annotate_delta ~dag ~machine ~options ?engine ~base:base_source span text =
+let annotate_delta ~dag ~machine ~options ~base:base_source span text =
   let edited = Splice.apply_edit base_source span text in
-  let b = base_of ~dag ~machine ~options ?engine base_source in
+  let b = base_of ~dag ~machine ~options base_source in
   let artifact = source_digest edited in
   if String.equal edited base_source then
     { result = b.Dag.result; reuse = Noop; artifact; edited_source = edited }
@@ -182,7 +182,7 @@ let annotate_delta ~dag ~machine ~options ?engine ~base:base_source span text =
         Dag.add dag (base_key artifact ctx) (Dag.Base nb);
         { result; reuse = Plan_reuse; artifact; edited_source = edited }
     | Taint.Broken why ->
-        let nb = compute_base ~dag ~machine ~options ?engine ~source:edited eprog in
+        let nb = compute_base ~dag ~machine ~options ~source:edited eprog in
         Dag.add dag (base_key artifact ctx) (Dag.Base nb);
         { result = nb.Dag.result; reuse = Resim why; artifact; edited_source = edited }
   end

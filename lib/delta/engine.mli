@@ -39,7 +39,6 @@ val base_of :
   dag:Dag.t ->
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
-  ?engine:Wwt.Run.engine ->
   string ->
   Dag.base
 (** Full pipeline for a source, cached in the DAG. Raises like the cold
@@ -49,7 +48,6 @@ val annotate_delta :
   dag:Dag.t ->
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
-  ?engine:Wwt.Run.engine ->
   base:string ->
   Splice.span ->
   string ->

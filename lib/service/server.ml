@@ -140,40 +140,6 @@ let parsed_program t ~source ~seed =
       Cache.put t.cache ~key ~size:(ast_size source) (Ast p);
       p
 
-(* Large-machine requests run on the quantum-synchronized parallel
-   engine: Par is bit-identical to Compiled (and transparently falls
-   back to it on programs it cannot replay), honours the same [?poll]
-   deadline hook, and cuts latency when cores are available. Small
-   machines stay sequential — there the recording pass is pure
-   overhead. Cache keys are engine-agnostic on purpose: both engines
-   produce the same artifact — and the engine's epoch-memo pool is
-   process-wide, so repeat workloads (the IDE edit-simulate loop the
-   stage cache exists for) skip most replay work even when a source
-   tweak misses the artifact cache.
-
-   Deployment knobs, read once per request so a restart is not needed:
-   CACHIER_PAR_THRESHOLD sets the node count at which requests go
-   parallel (0 = always, default 16); CACHIER_PAR_DOMAINS fixes the
-   domain count (0 or unset = recommended count capped at nodes). *)
-let par_node_threshold () =
-  match Sys.getenv_opt "CACHIER_PAR_THRESHOLD" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some v -> v
-    | None -> 16)
-  | None -> 16
-
-let engine_for (machine : Wwt.Machine.t) =
-  let nodes = machine.Wwt.Machine.nodes in
-  if nodes >= par_node_threshold () then
-    Wwt.Run.Par
-      (match Sys.getenv_opt "CACHIER_PAR_DOMAINS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some d when d > 0 -> d
-          | _ -> Wwt.Par.default_domains ~nodes)
-      | None -> Wwt.Par.default_domains ~nodes)
-  else Wwt.Run.Compiled
-
 (* The two-tier lookup for text-shaped artifacts: hot in-memory entry,
    then the disk store, then compute. A disk hit is promoted into the
    hot tier; a computed artifact is written through to both. *)
@@ -229,10 +195,7 @@ let trace_stage t ~machine ~seed ~source ~poll =
           Metrics.record_miss t.metrics ~stage:"trace";
           let program = parsed_program t ~source ~seed in
           let wm = Protocol.to_machine machine in
-          let outcome =
-            Wwt.Run.collect_trace ?poll ~engine:(engine_for wm) ~machine:wm
-              program
-          in
+          let outcome = Wwt.Run.collect_trace ?poll ~machine:wm program in
           let payload = Oneshot.simulate_report outcome in
           let records = outcome.Wwt.Interp.trace in
           Cache.put t.cache ~key ~size:(trace_size records payload)
@@ -258,8 +221,7 @@ let measure_stage t ~machine ~seed ~source ~annotations ~prefetch ~poll =
       let program = parsed_program t ~source ~seed in
       let wm = Protocol.to_machine machine in
       let outcome =
-        Wwt.Run.measure ?poll ~engine:(engine_for wm) ~machine:wm ~annotations
-          ~prefetch program
+        Wwt.Run.measure ?poll ~machine:wm ~annotations ~prefetch program
       in
       let payload = Oneshot.simulate_report outcome in
       (payload, String.length payload, Text payload, payload, None))
@@ -408,7 +370,7 @@ let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch =
         in
         let outcome =
           Delta.Engine.annotate_delta ~dag:t.dag ~machine:wm ~options
-            ~engine:(engine_for wm) ~base:base_source span text
+            ~base:base_source span text
         in
         let payload = Cachier.Annotate.to_source outcome.Delta.Engine.result in
         let summary = Oneshot.annotate_summary outcome.Delta.Engine.result in

@@ -74,10 +74,10 @@
      of the protocol state ({!Memsys.Protocol.state_digest}); the entry
      holds the protocol snapshot at epoch end, the statistics delta, the
      trace/output/memory effects and the barrier arrival order. A later
-     identical epoch — IDE-style repeat workloads through cachierd —
-     applies the recorded deltas and skips phase B entirely. Entries are
-     only materialised the second time a key is seen, so one-shot runs
-     pay just the digest. *)
+     identical epoch — a repeat run of the same program — applies the
+     recorded deltas and skips phase B entirely. Entries are only
+     materialised the second time a key is seen, so one-shot runs pay
+     just the digest. *)
 
 open Lang
 
@@ -86,7 +86,7 @@ exception Fallback of string
 
 (* ---- tuning knobs ----
    Optional arguments take precedence; environment variables set the
-   defaults so the service and benchmarks can steer the engine without
+   defaults so the CLIs and benchmarks can steer the engine without
    API changes. *)
 
 let env_flag name default =
@@ -122,8 +122,8 @@ let obs_pipelined_epochs = Obs.Registry.counter "par.pipelined_epochs"
 (* ---- epoch memoization pool ----
 
    Keyed by everything the replay of one epoch depends on; shared across
-   runs (and across service requests) under a mutex, scoped by a digest
-   of the (machine, program) pair so unrelated workloads never alias. *)
+   runs under a mutex, scoped by a digest of the (machine, program) pair
+   so unrelated workloads never alias. *)
 module Memo = struct
   type data = {
     d_snap : Memsys.Protocol.snapshot;  (* coherence state at epoch end *)

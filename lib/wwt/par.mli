@@ -51,8 +51,7 @@ val default_domains : nodes:int -> int
 
 val memo_clear : unit -> unit
 (** Empty the process-wide epoch-memo pool (all scopes). Tests use this
-    to get cold-versus-warm runs; the service may call it to bound
-    memory between unrelated workloads. *)
+    to get cold-versus-warm runs. *)
 
 val run :
   ?poll:(unit -> unit) ->

@@ -4,8 +4,8 @@
 Stdio: starts the server, issues the same simulate request twice, and
 checks that the second answer is a cache hit with a byte-identical
 payload and at least 10x lower latency, that the artifact cache warms
-the annotate path too, and that a shutdown request terminates the
-server gracefully.
+the annotate path too (on a 4-node and on a 16-node machine), and that
+a shutdown request terminates the server gracefully.
 
 Socket: starts the server with two event-loop listener shards on a
 Unix-domain socket, replays the same checks over a connection whose
@@ -34,13 +34,23 @@ REQUESTS = [
     {"id": 6, "op": "shutdown"},
 ]
 
+# The stdio run also repeats an annotate at 16 simulated nodes, so the
+# large-machine path is driven through the real binary.
+LARGE = [
+    {"id": 7, "op": "annotate", "bench": "matmul", "nodes": 16},
+    {"id": 8, "op": "annotate", "bench": "matmul", "nodes": 16},
+]
+
+PAIRS = [(1, 2, "simulate"), (3, 4, "annotate")]
+LARGE_PAIRS = [(7, 8, "annotate n16")]
+
 
 def fail(msg):
     print(f"FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
 
-def check_responses(by_id, requests, mode):
+def check_responses(by_id, requests, mode, pairs):
     for req in requests:
         if req["id"] not in by_id:
             fail(f"{mode}: no response for id {req['id']}")
@@ -48,7 +58,7 @@ def check_responses(by_id, requests, mode):
         if "error" in resp:
             fail(f"{mode}: id {rid}: {resp['error']}: {resp.get('message')}")
 
-    for cold_id, warm_id, op in [(1, 2, "simulate"), (3, 4, "annotate")]:
+    for cold_id, warm_id, op in pairs:
         cold, warm = by_id[cold_id], by_id[warm_id]
         if cold["cached"]:
             fail(f"{mode}: {op}: first request was already cached")
@@ -76,9 +86,10 @@ def smoke_stdio(server):
     # One worker: all requests arrive in one burst, and a single worker
     # drains them FIFO, so the repeated request deterministically finds
     # the artifact its predecessor cached.
+    requests = REQUESTS[:4] + LARGE + REQUESTS[4:]
     proc = subprocess.run(
         server + ["--workers", "1"],
-        input="".join(json.dumps(r) + "\n" for r in REQUESTS),
+        input="".join(json.dumps(r) + "\n" for r in requests),
         capture_output=True,
         text=True,
         timeout=300,
@@ -91,7 +102,7 @@ def smoke_stdio(server):
         if line.strip():
             resp = json.loads(line)
             by_id[resp["id"]] = resp
-    check_responses(by_id, REQUESTS, "stdio")
+    check_responses(by_id, requests, "stdio", PAIRS + LARGE_PAIRS)
     print("ok [stdio]: graceful shutdown (exit 0)")
 
 
@@ -149,7 +160,7 @@ def smoke_socket(server):
             read_until(2)
             send_chunked([REQUESTS[1], REQUESTS[3], REQUESTS[4]])
             read_until(5)
-        check_responses(by_id, REQUESTS[:-1], "socket")
+        check_responses(by_id, REQUESTS[:-1], "socket", PAIRS)
 
         # graceful SIGTERM: drain, remove the socket file, exit 0
         proc.send_signal(signal.SIGTERM)

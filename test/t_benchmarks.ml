@@ -23,10 +23,31 @@ let test_suite_names_and_find () =
   Alcotest.(check (list string)) "figure 6 order"
     [ "matmul"; "barnes"; "tomcatv"; "ocean"; "mp3d" ]
     Benchmarks.Suite.names;
-  let b = Benchmarks.Suite.find ~nodes:8 "ocean" in
-  Alcotest.(check string) "found" "ocean" b.Benchmarks.Suite.name;
-  Alcotest.check_raises "unknown" Not_found (fun () ->
-      ignore (Benchmarks.Suite.find ~nodes:8 "linpack"))
+  (* [find] builds one benchmark on its own; it must agree with [all] *)
+  List.iter
+    (fun nodes ->
+      let all = Benchmarks.Suite.all ~nodes () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "all in figure 6 order at %d nodes" nodes)
+        Benchmarks.Suite.names
+        (List.map (fun (b : Benchmarks.Suite.t) -> b.name) all);
+      List.iter
+        (fun (b : Benchmarks.Suite.t) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "find %s = all's %s at %d nodes" b.name b.name
+               nodes)
+            true
+            (Benchmarks.Suite.find ~nodes b.name = b))
+        all;
+      Alcotest.check_raises "unknown" Not_found (fun () ->
+          ignore (Benchmarks.Suite.find ~nodes "linpack")))
+    [ 4; 8; 16; 32 ];
+  List.iter
+    (fun name ->
+      Alcotest.check_raises (name ^ " at 0 nodes")
+        (Invalid_argument "Suite: nodes must be positive") (fun () ->
+          ignore (Benchmarks.Suite.find ~nodes:0 name)))
+    Benchmarks.Suite.names
 
 let test_suite_seeds_differ () =
   List.iter

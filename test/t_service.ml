@@ -8,6 +8,9 @@ open Service
 
 let small_machine = { Protocol.nodes = 4; cache_kb = 16; assoc = 4; block = 32; protocol = Memsys.Protocol_id.default }
 
+(* The byte-identity tests run on a small and a large machine. *)
+let machines = [ small_machine; { small_machine with Protocol.nodes = 16 } ]
+
 let request ?(id = 1) ?(machine = small_machine) ?seed ?deadline_ms op =
   { Protocol.id; machine; seed; deadline_ms; op }
 
@@ -188,24 +191,32 @@ let cli_annotate_output ~machine_config ~prefetch name =
 let test_simulate_byte_identity_and_cache () =
   with_server (fun server ->
       List.iter
-        (fun name ->
-          let req =
-            request
-              (Protocol.Simulate
-                 { source = Bench name; annotations = false; prefetch = false;
-                   trace = false })
-          in
-          let cold = Server.handle server req in
-          let warm = Server.handle server req in
-          let expected = cli_simulate_output ~machine_config:small_machine name in
-          Alcotest.(check string)
-            (name ^ ": payload = CLI stdout") expected (ok_payload cold);
-          Alcotest.(check string)
-            (name ^ ": warm payload identical") (ok_payload cold)
-            (ok_payload warm);
-          Alcotest.(check bool) (name ^ ": cold miss") false (ok_cached cold);
-          Alcotest.(check bool) (name ^ ": warm hit") true (ok_cached warm))
-        [ "matmul"; "mp3d" ])
+        (fun machine_config ->
+          List.iter
+            (fun name ->
+              let req =
+                request ~machine:machine_config
+                  (Protocol.Simulate
+                     { source = Bench name; annotations = false;
+                       prefetch = false; trace = false })
+              in
+              let cold = Server.handle server req in
+              let warm = Server.handle server req in
+              let expected = cli_simulate_output ~machine_config name in
+              let name =
+                Printf.sprintf "%s n%d" name machine_config.Protocol.nodes
+              in
+              Alcotest.(check string)
+                (name ^ ": payload = CLI stdout") expected (ok_payload cold);
+              Alcotest.(check string)
+                (name ^ ": warm payload identical") (ok_payload cold)
+                (ok_payload warm);
+              Alcotest.(check bool) (name ^ ": cold miss") false
+                (ok_cached cold);
+              Alcotest.(check bool) (name ^ ": warm hit") true
+                (ok_cached warm))
+            [ "matmul"; "mp3d" ])
+        machines)
 
 (* The protocol backend is part of every cache key: the same request
    under a different backend must miss (and compute different numbers),
@@ -240,33 +251,42 @@ let test_protocol_in_cache_key () =
 let test_annotate_byte_identity_and_cache () =
   with_server (fun server ->
       List.iter
-        (fun name ->
-          let req =
-            request
-              (Protocol.Annotate
-                 { source = Bench name; mode = Performance; prefetch = false })
-          in
-          let cold = Server.handle server req in
-          let warm = Server.handle server req in
-          let expected_out, expected_summary =
-            cli_annotate_output ~machine_config:small_machine ~prefetch:false
-              name
-          in
-          Alcotest.(check string)
-            (name ^ ": payload = cachier stdout") expected_out
-            (ok_payload cold);
-          Alcotest.(check string)
-            (name ^ ": warm byte-identical to cold") (ok_payload cold)
-            (ok_payload warm);
-          Alcotest.(check bool) (name ^ ": warm hit") true (ok_cached warm);
-          match (extra "report" cold, extra "report" warm) with
-          | Some (Json.String c), Some (Json.String w) ->
+        (fun machine_config ->
+          List.iter
+            (fun name ->
+              let req =
+                request ~machine:machine_config
+                  (Protocol.Annotate
+                     { source = Bench name; mode = Performance;
+                       prefetch = false })
+              in
+              let cold = Server.handle server req in
+              let warm = Server.handle server req in
+              let expected_out, expected_summary =
+                cli_annotate_output ~machine_config ~prefetch:false name
+              in
+              let name =
+                Printf.sprintf "%s n%d" name machine_config.Protocol.nodes
+              in
               Alcotest.(check string)
-                (name ^ ": report = cachier stderr") expected_summary c;
+                (name ^ ": payload = cachier stdout") expected_out
+                (ok_payload cold);
               Alcotest.(check string)
-                (name ^ ": warm report identical") c w
-          | _ -> Alcotest.fail "annotate response missing report")
-        [ "matmul"; "mp3d" ])
+                (name ^ ": warm byte-identical to cold") (ok_payload cold)
+                (ok_payload warm);
+              Alcotest.(check bool) (name ^ ": cold miss") false
+                (ok_cached cold);
+              Alcotest.(check bool) (name ^ ": warm hit") true
+                (ok_cached warm);
+              match (extra "report" cold, extra "report" warm) with
+              | Some (Json.String c), Some (Json.String w) ->
+                  Alcotest.(check string)
+                    (name ^ ": report = cachier stderr") expected_summary c;
+                  Alcotest.(check string)
+                    (name ^ ": warm report identical") c w
+              | _ -> Alcotest.fail "annotate response missing report")
+            [ "matmul"; "mp3d" ])
+        machines)
 
 (* annotate_delta: the incremental path must be byte-identical to a
    from-scratch annotate of the edited text, repeats must hit the delta
@@ -400,53 +420,64 @@ let test_annotate_delta_errors () =
 
 let test_parse_and_race_and_trace_stats () =
   with_server (fun server ->
-      let parse =
-        Server.handle server (request (Protocol.Parse { source = Bench "matmul" }))
-      in
-      let bench = Benchmarks.Suite.find ~nodes:4 "matmul" in
-      let program = Lang.Parser.parse bench.Benchmarks.Suite.source in
-      ignore (Lang.Sema.check program);
-      Alcotest.(check string) "parse payload is the pretty program"
-        (Oneshot.parse_report program) (ok_payload parse);
-      let race =
-        Server.handle server
-          (request (Protocol.Race_report { source = Bench "matmul" }))
-      in
-      Alcotest.(check bool) "race report non-empty" true
-        (String.length (ok_payload race) > 0);
-      let machine = Protocol.to_machine small_machine in
-      let outcome = Wwt.Run.collect_trace ~machine program in
-      (* the races op serves the exact simulate --races payload *)
-      let races =
-        Server.handle server (request (Protocol.Races { source = Bench "matmul" }))
-      in
-      Alcotest.(check string) "races payload = detector render"
-        (Oneshot.races_report ~nodes:4 outcome.Wwt.Interp.trace)
-        (ok_payload races);
-      let races2 =
-        Server.handle server (request (Protocol.Races { source = Bench "matmul" }))
-      in
-      Alcotest.(check bool) "second races request is cached" true
-        (ok_cached races2);
-      Alcotest.(check string) "cached races byte-identical"
-        (ok_payload races) (ok_payload races2);
-      let ts =
-        Server.handle server
-          (request
-             (Protocol.Trace_stats { source = Some (Bench "matmul");
-                                     trace_text = None }))
-      in
-      Alcotest.(check string) "trace_stats payload = CLI stdout"
-        (Oneshot.trace_stats_report ~nodes:4 outcome.Wwt.Interp.trace)
-        (ok_payload ts);
-      (* second trace-derived request reuses the cached trace *)
-      let ts2 =
-        Server.handle server
-          (request
-             (Protocol.Trace_stats { source = Some (Bench "matmul");
-                                     trace_text = None }))
-      in
-      Alcotest.(check bool) "second trace_stats hits" true (ok_cached ts2))
+      List.iter
+        (fun machine_config ->
+          let nodes = machine_config.Protocol.nodes in
+          let request = request ~machine:machine_config in
+          let what = Printf.sprintf "n%d: " nodes in
+          let parse =
+            Server.handle server
+              (request (Protocol.Parse { source = Bench "matmul" }))
+          in
+          let bench = Benchmarks.Suite.find ~nodes "matmul" in
+          let program = Lang.Parser.parse bench.Benchmarks.Suite.source in
+          ignore (Lang.Sema.check program);
+          Alcotest.(check string)
+            (what ^ "parse payload is the pretty program")
+            (Oneshot.parse_report program) (ok_payload parse);
+          let race =
+            Server.handle server
+              (request (Protocol.Race_report { source = Bench "matmul" }))
+          in
+          Alcotest.(check bool) (what ^ "race report non-empty") true
+            (String.length (ok_payload race) > 0);
+          let machine = Protocol.to_machine machine_config in
+          let outcome = Wwt.Run.collect_trace ~machine program in
+          (* the races op serves the exact simulate --races payload *)
+          let races =
+            Server.handle server
+              (request (Protocol.Races { source = Bench "matmul" }))
+          in
+          Alcotest.(check string) (what ^ "races payload = detector render")
+            (Oneshot.races_report ~nodes outcome.Wwt.Interp.trace)
+            (ok_payload races);
+          let races2 =
+            Server.handle server
+              (request (Protocol.Races { source = Bench "matmul" }))
+          in
+          Alcotest.(check bool) (what ^ "second races request is cached")
+            true (ok_cached races2);
+          Alcotest.(check string) (what ^ "cached races byte-identical")
+            (ok_payload races) (ok_payload races2);
+          let ts =
+            Server.handle server
+              (request
+                 (Protocol.Trace_stats { source = Some (Bench "matmul");
+                                         trace_text = None }))
+          in
+          Alcotest.(check string) (what ^ "trace_stats payload = CLI stdout")
+            (Oneshot.trace_stats_report ~nodes outcome.Wwt.Interp.trace)
+            (ok_payload ts);
+          (* second trace-derived request reuses the cached trace *)
+          let ts2 =
+            Server.handle server
+              (request
+                 (Protocol.Trace_stats { source = Some (Bench "matmul");
+                                         trace_text = None }))
+          in
+          Alcotest.(check bool) (what ^ "second trace_stats hits") true
+            (ok_cached ts2))
+        machines)
 
 let test_race_report_stage () =
   with_server (fun server ->
