@@ -6,7 +6,16 @@
     software, which sends the invalidations. For simulation we track the
     exact sharer set (as a bitmask over at most 62 nodes) so invalidation
     *counts* are exact, while the *cost* of the >1-sharer case is charged
-    as a software trap by the protocol engine. *)
+    as a software trap by the protocol engine.
+
+    {b Layout.} A base directory ({!create}) stores one int code per block
+    in a flat array indexed by block number ({!Block_table}): 0 is [Idle],
+    [mask lsl 1] is [Shared mask] and [(owner lsl 1) lor 1] is
+    [Exclusive owner]. Reads past the end of the array are [Idle]; the
+    array doubles on the first write past its end, so its size follows
+    the highest block the program touched. An {!overlay} shares its
+    base's array read-only and keeps its own writes in a sparse hash
+    table until {!commit} writes them into the array. *)
 
 type state =
   | Idle  (** no cached copies *)
@@ -44,19 +53,21 @@ val sharer_count : t -> int -> int
 val is_sharer : t -> int -> node:int -> bool
 
 val entries : t -> (int * state) list
-(** All non-[Idle] entries, in unspecified order. For an overlay this
-    merges the parent's entries with the overlay's writes. *)
+(** All non-[Idle] entries, in ascending block order. For an overlay this
+    merges the base's entries with the overlay's writes. *)
 
 val overlay : t -> t
 (** [overlay base] is an empty overlay directory: reads fall through to
-    [base], writes (including [Idle], which shadows the parent) land in
-    the overlay only. The parallel engine's shard replays run against
-    one overlay per shard so concurrent shards never mutate [base]'s
-    table; while any overlay is live, [base] must not be mutated. *)
+    [base], writes (including [Idle], which shadows the base) land in
+    the overlay's delta table only. The parallel engine's shard replays
+    run against one overlay per shard so concurrent shards never mutate
+    [base]'s array; while any overlay is live, [base] must not be
+    mutated. @raise Invalid_argument if [base] is itself an overlay. *)
 
 val commit : t -> unit
-(** [commit overlay] applies every overlay write to the parent (with the
-    usual [Idle]/[Shared 0] normalisation) and empties the overlay.
+(** [commit overlay] writes every overlay write into the base's array
+    (with the usual [Idle]/[Shared 0] normalisation) and empties the
+    overlay.
     @raise Invalid_argument on a non-overlay directory. *)
 
 val fold_state : t -> init:'a -> ('a -> int -> 'a) -> 'a
@@ -68,8 +79,10 @@ val popcount : int -> int
 (** Number of set bits (exposed for tests). *)
 
 val validate : t -> (int * string) option
-(** Structural well-formedness of the stored entries: sharer masks are
-    non-empty and name only nodes in range, exclusive owners are in range.
-    Returns [Some (block, reason)] for the first offending entry. This is
+(** Structural well-formedness of the stored entries: sharer masks name
+    only nodes in range, exclusive owners are in range (an empty sharer
+    mask cannot be stored; it reads back as [Idle]). Returns
+    [Some (block, reason)] for the first offending entry in ascending
+    block order. This is
     the directory half of the Dir1SW debug oracle; {!Protocol.check_invariants}
     adds the cross-checks against per-node cache state. *)
