@@ -28,7 +28,11 @@ type t = {
 
 let default_capacity () =
   match Sys.getenv_opt "CACHIER_DELTA_DAG" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 128)
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n > 0 -> n
+      | Some _ | None ->
+          invalid_arg "CACHIER_DELTA_DAG must be a positive integer")
   | None -> 128
 
 let create ?capacity () =

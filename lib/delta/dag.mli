@@ -29,7 +29,9 @@ type node =
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity: [CACHIER_DELTA_DAG] or 128 entries. *)
+(** Default capacity: [CACHIER_DELTA_DAG] or 128 entries.
+    @raise Invalid_argument if [CACHIER_DELTA_DAG] is set to anything
+    but a positive integer. *)
 
 val find : t -> string -> node option
 (** LRU-bumping lookup; counts a hit or miss for the key's kind (the

@@ -87,25 +87,31 @@ exception Fallback of string
 (* ---- tuning knobs ----
    Optional arguments take precedence; environment variables set the
    defaults so the CLIs and benchmarks can steer the engine without
-   API changes. *)
+   API changes. A value outside a knob's accepted set is refused with
+   [Invalid_argument], never replaced by the default. *)
 
 let env_flag name default =
   match Sys.getenv_opt name with
   | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ -> true
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | Some _ ->
+      invalid_arg
+        (Printf.sprintf "%s must be one of 0, false, no, off, 1, true, yes, on"
+           name)
   | None -> default
 
-let env_int name default =
+let env_count name default =
   match Sys.getenv_opt name with
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some v -> v
-      | None -> default)
+      | Some v when v >= 0 -> v
+      | Some _ | None ->
+          invalid_arg (Printf.sprintf "%s must be a non-negative integer" name))
   | None -> default
 
 let default_pipeline () = env_flag "CACHIER_PAR_PIPELINE" true
-let default_shards () = env_int "CACHIER_REPLAY_SHARDS" 0
-let default_memo () = env_int "CACHIER_REPLAY_MEMO" 64
+let default_shards () = env_count "CACHIER_REPLAY_SHARDS" 0
+let default_memo () = env_count "CACHIER_REPLAY_MEMO" 64
 
 (* Observability: classifier fallbacks, cumulative worker wait time, and
    the per-epoch routing decisions of the replay engine. All updates are

@@ -69,4 +69,8 @@ val run :
     and the replay loop; it may raise {!Sched.Cancelled} to abandon the
     run.
     @raise Interp.Runtime_error as the sequential engines do.
-    @raise Invalid_argument if [domains < 0]. *)
+    @raise Invalid_argument if [domains < 0], or if a knob the caller
+    left unset reads a malformed environment variable:
+    [CACHIER_PAR_PIPELINE] must be one of [0], [false], [no], [off],
+    [1], [true], [yes], [on]; [CACHIER_REPLAY_SHARDS] and
+    [CACHIER_REPLAY_MEMO] must be non-negative integers. *)

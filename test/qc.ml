@@ -1,4 +1,5 @@
-(* Shared qcheck-alcotest glue.
+(* Shared test glue: qcheck-alcotest wiring, plus a check that an
+   environment knob refuses malformed values.
 
    Every property suite runs from one fixed seed so `dune runtest` is
    deterministic; set CACHIER_QCHECK_SEED to explore other schedules or
@@ -7,6 +8,25 @@
    counterexample, so the reproduction recipe is always in the output. *)
 
 let default_seed = 20260806
+
+(* [refuses_env var bad ~valid ~msg f] sets [var] to each value in [bad]
+   and checks that [f] raises [Invalid_argument msg]; then it resets
+   [var] (there is no unsetenv) to its value before the test, or to
+   [valid], and checks that [f] succeeds. *)
+let refuses_env var bad ~valid ~msg f =
+  let reset = Option.value (Sys.getenv_opt var) ~default:valid in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var reset)
+    (fun () ->
+      List.iter
+        (fun v ->
+          Unix.putenv var v;
+          Alcotest.check_raises
+            (Printf.sprintf "%s=%S" var v)
+            (Invalid_argument msg)
+            (fun () -> ignore (f ())))
+        bad);
+  ignore (f ())
 
 let seed =
   match Sys.getenv_opt "CACHIER_QCHECK_SEED" with

@@ -396,4 +396,9 @@ let suite =
       test_sema_incremental_caches_procs;
     Alcotest.test_case "dag: lru bounds entries" `Quick
       test_dag_lru_bounds_entries;
+    Alcotest.test_case "dag: malformed CACHIER_DELTA_DAG refused" `Quick
+      (fun () ->
+        Qc.refuses_env "CACHIER_DELTA_DAG" [ "garbage"; "0"; "-3" ]
+          ~valid:"128" ~msg:"CACHIER_DELTA_DAG must be a positive integer"
+          Delta.Dag.create);
   ]

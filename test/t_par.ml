@@ -416,6 +416,25 @@ proc main() {
 }
 |}
 
+(* Malformed replay knobs are refused, naming the variable and its
+   accepted values, instead of silently becoming a default. *)
+let env_run () =
+  Wwt.Par.run ~domains:2 ~machine
+    (Lang.Parser.parse "shared A[8]; proc main() { A[pid] = pid; barrier; }")
+
+let refuses_pipeline () =
+  Qc.refuses_env "CACHIER_PAR_PIPELINE" [ "maybe"; ""; "2" ] ~valid:"1"
+    ~msg:"CACHIER_PAR_PIPELINE must be one of 0, false, no, off, 1, true, yes, on"
+    env_run
+
+let refuses_shards () =
+  Qc.refuses_env "CACHIER_REPLAY_SHARDS" [ "x"; "-2" ] ~valid:"0"
+    ~msg:"CACHIER_REPLAY_SHARDS must be a non-negative integer" env_run
+
+let refuses_memo () =
+  Qc.refuses_env "CACHIER_REPLAY_MEMO" [ "garbage"; "-1" ] ~valid:"64"
+    ~msg:"CACHIER_REPLAY_MEMO must be a non-negative integer" env_run
+
 let suite =
   [
     Alcotest.test_case "suite equivalence par (1/2/4 domains)" `Slow
@@ -439,4 +458,10 @@ let suite =
     Alcotest.test_case "finish vs barrier deadlocks identically" `Quick
       finish_vs_barrier_deadlock;
     Alcotest.test_case "zero-miss epochs" `Quick zero_miss_epochs;
+    Alcotest.test_case "malformed CACHIER_PAR_PIPELINE refused" `Quick
+      refuses_pipeline;
+    Alcotest.test_case "malformed CACHIER_REPLAY_SHARDS refused" `Quick
+      refuses_shards;
+    Alcotest.test_case "malformed CACHIER_REPLAY_MEMO refused" `Quick
+      refuses_memo;
   ]
