@@ -20,34 +20,43 @@
      CACHIER_BENCH_FAST    set to skip the Bechamel micro-benchmarks
      CACHIER_BENCH_JOBS    domains for the experiment fan-out (default:
                            Domain.recommended_domain_count)
-     CACHIER_BENCH_DOMAINS domains *inside* one simulation for the
-                           figure6-par experiment (default 4; 0 =
-                           auto-detect the recommended domain count);
-                           keep jobs x domains within the core count
      CACHIER_BENCH_ONLY    comma-separated experiment names; run just
                            those (bechamel still runs unless FAST)
      CACHIER_BENCH_JSON    where to write the machine-readable results
-                           (default BENCH_1.json) *)
+                           (default BENCH_1.json)
+
+   A malformed NODES, SCALE, JOBS or ONLY value is refused at startup,
+   before any experiment runs: one line on stderr names the variable and
+   what it accepts, and the harness exits 2. *)
+
+let refuse var accepted got =
+  Printf.eprintf "bench: %s must be %s (got %S)\n%!" var accepted got;
+  exit 2
 
 let nodes =
   match Sys.getenv_opt "CACHIER_BENCH_NODES" with
-  | Some s -> int_of_string s
   | None -> 8
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n >= 1 && n <= Memsys.Directory.max_nodes -> n
+      | _ ->
+          refuse "CACHIER_BENCH_NODES"
+            (Printf.sprintf "an integer in [1, %d]" Memsys.Directory.max_nodes)
+            s)
 
 let scale =
   match Sys.getenv_opt "CACHIER_BENCH_SCALE" with
-  | Some s -> float_of_string s
   | None -> 1.0
-
-let jobs = Wwt.Jobs.default_jobs ()
-
-let domains =
-  match Sys.getenv_opt "CACHIER_BENCH_DOMAINS" with
   | Some s -> (
-      match int_of_string s with
-      | 0 -> Wwt.Par.default_domains ~nodes  (* auto-detect *)
-      | d -> d)
-  | None -> 4
+      match float_of_string_opt s with
+      | Some f when Float.is_finite f && f > 0.0 -> f
+      | _ -> refuse "CACHIER_BENCH_SCALE" "a positive finite number" s)
+
+let jobs =
+  try Wwt.Jobs.default_jobs ()
+  with Invalid_argument _ ->
+    refuse Wwt.Jobs.env_var "a positive integer"
+      (Option.value ~default:"" (Sys.getenv_opt Wwt.Jobs.env_var))
 
 let machine = { Wwt.Machine.default with Wwt.Machine.nodes }
 
@@ -191,123 +200,14 @@ let proto_matrix buf =
      early merges; tomcatv is computation-bound and barely moves.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel engine: figure6 single-run wall clock, sequential vs Par   *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike the experiment fan-out above (many independent simulations,
-   one per domain), this measures ONE simulation spread across domains:
-   the latency story for interactive requests. Jobs are forced to 1
-   here so the two engines compete for the same cores. The outcomes
-   must be bit-identical — the whole point of the quantum-synchronized
-   design — so any divergence fails the run. *)
-let par_speedup = ref nan
-
-(* Per-phase breakdown of the Par runs (from the engine's Obs spans and
-   counters), reported as BENCH json so CI can see *where* replay time
-   goes — recording (phase_a), replay (phase_b), the parallel shard
-   simulation inside it, cumulative worker wait — and how often the
-   epoch routing took each path (memo hit / sharded / serial /
-   pipelined). *)
-let par_phases : (string * float) list ref = ref []
-
-let capture_par_phases ~counters_before =
-  let span_ms name =
-    match List.assoc_opt name (Obs.span_summary ()) with
-    | Some agg -> float_of_int agg.Obs.s_total_ns /. 1e6
-    | None -> 0.0
-  in
-  let counters = Obs.Registry.counters Obs.Registry.default in
-  let delta name =
-    let v = Option.value ~default:0 (List.assoc_opt name counters) in
-    let v0 = Option.value ~default:0 (List.assoc_opt name counters_before) in
-    float_of_int (v - v0)
-  in
-  let hits = delta "par.memo_hits" and misses = delta "par.memo_misses" in
-  par_phases :=
-    [
-      ("phase_a_ms", span_ms "par.phase_a");
-      ("phase_b_ms", span_ms "par.phase_b");
-      ("shard_sim_ms", span_ms "par.shard_sim");
-      ("worker_idle_ms", delta "par.worker_idle_ns" /. 1e6);
-      ("memo_hits", hits);
-      ("memo_misses", misses);
-      ( "memo_hit_rate",
-        if hits +. misses > 0.0 then hits /. (hits +. misses) else 0.0 );
-      ("shard_epochs", delta "par.shard_epochs");
-      ("serial_epochs", delta "par.serial_epochs");
-      ("pipelined_epochs", delta "par.pipelined_epochs");
-      ("fallbacks", delta "par.fallbacks");
-    ]
-
-(* Stdout sections must stay byte-identical across runs and jobs
-   settings, so only the deterministic parts (simulated cycles, outcome
-   equality) are buffered; the wall-clock table goes to stderr and the
-   aggregate speedup to the JSON [par_speedup] field. *)
-let figure6_par buf =
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let d = max 1 domains in
-  pr "one simulation, %d domains, jobs=1 — Par vs sequential compiled\n" d;
-  pr "%-9s %12s  outcome vs sequential\n" "benchmark" "cycles";
-  (* Collect the engine's span/counter breakdown for the JSON report;
-     Summary mode's stderr dump is suppressed by switching back to Off
-     (flush is then a no-op). Stdout determinism is unaffected. *)
-  let prev_mode = Obs.current_mode () in
-  let counters_before = Obs.Registry.counters Obs.Registry.default in
-  Obs.configure Obs.Summary;
-  Printf.eprintf "figure6-par wall clock (%d domains):\n" d;
-  Printf.eprintf "  %-9s %11s %11s %8s\n" "benchmark" "seq(ms)" "par(ms)"
-    "speedup";
-  let run engine prog =
-    let t0 = Unix.gettimeofday () in
-    let o =
-      Wwt.Run.measure ~engine ~machine ~annotations:false ~prefetch:false prog
-    in
-    (o, Unix.gettimeofday () -. t0)
-  in
-  let best engine prog =
-    (* two timed runs; the first also pays warmup (compile, page-in) *)
-    let o1, t1 = run engine prog in
-    let _o2, t2 = run engine prog in
-    (o1, min t1 t2)
-  in
-  let tot_seq = ref 0.0 and tot_par = ref 0.0 in
-  List.iter
-    (fun (b : Benchmarks.Suite.t) ->
-      let prog = parse b.Benchmarks.Suite.source in
-      let os, ts = best Wwt.Run.Compiled prog in
-      let op, tp = best (Wwt.Run.Par d) prog in
-      if
-        os.Wwt.Interp.time <> op.Wwt.Interp.time
-        || os.Wwt.Interp.stats <> op.Wwt.Interp.stats
-        || os.Wwt.Interp.shared <> op.Wwt.Interp.shared
-        || os.Wwt.Interp.output <> op.Wwt.Interp.output
-      then
-        failwith
-          (Printf.sprintf "figure6-par: %s: par outcome differs from sequential"
-             b.Benchmarks.Suite.name);
-      tot_seq := !tot_seq +. ts;
-      tot_par := !tot_par +. tp;
-      pr "%-9s %12d  bit-identical\n" b.Benchmarks.Suite.name
-        os.Wwt.Interp.time;
-      Printf.eprintf "  %-9s %11.1f %11.1f %7.2fx\n" b.Benchmarks.Suite.name
-        (ts *. 1e3) (tp *. 1e3) (ts /. tp))
-    (Benchmarks.Suite.all ~scale ~nodes ());
-  par_speedup := !tot_seq /. !tot_par;
-  capture_par_phases ~counters_before;
-  Obs.configure prev_mode;
-  Printf.eprintf "  aggregate: %.2fx\n%!" !par_speedup;
-  pr "aggregate wall-clock speedup: see stderr and the JSON par_speedup\n"
-
-(* ------------------------------------------------------------------ *)
 (* Incremental re-annotation: warm annotate_delta vs from-scratch      *)
 (* ------------------------------------------------------------------ *)
 
 (* The delta engine's headline number: a warm single-token edit served
    through the artifact DAG against a from-scratch parse + sema +
    annotate of the same edited source. Outputs must be byte-identical
-   (the whole point of the engine) or the run fails. As with
-   figure6-par, only deterministic facts go to stdout; the wall-clock
-   table goes to stderr and the aggregate to the JSON [delta_speedup]
+   (the whole point of the engine) or the run fails. Only deterministic
+   facts go to stdout; the wall-clock table goes to stderr and the aggregate to the JSON [delta_speedup]
    field, which CI gates with --min-delta-speedup. *)
 let delta_speedup = ref nan
 
@@ -858,11 +758,6 @@ let bechamel_suite buf =
                ignore
                  (Wwt.Run.measure ~engine:Wwt.Run.Compiled ~machine:m4
                     ~annotations:false ~prefetch:false prog)));
-        Test.make ~name:"perf-run-par"
-          (Staged.stage (fun () ->
-               ignore
-                 (Wwt.Run.measure ~engine:(Wwt.Run.Par 2) ~machine:m4
-                    ~annotations:false ~prefetch:false prog)));
         Test.make ~name:"compile-only"
           (Staged.stage (fun () -> Wwt.Compile.compile_only ~machine:m4 prog));
         (* The SiSd backend on the compiled engine, priced against the
@@ -973,8 +868,6 @@ let experiments : (string * string * (Buffer.t -> unit)) list =
     ("figure6", "E1/E6  Figure 6: normalised execution time", figure6);
     ("proto-matrix", "Protocol x annotation matrix: dir1sw / sisd / commute",
      proto_matrix);
-    ("figure6-par", "Parallel engine: figure6 wall clock, 1 run x N domains",
-     figure6_par);
     ("delta", "Incremental re-annotation: warm edits vs from-scratch",
      delta_incremental);
     ("sharing-profile", "E7  Degree of sharing", sharing_profile);
@@ -1019,23 +912,9 @@ let write_json ~path ~timings ~bechamel ~total =
   Printf.bprintf b "  \"jobs\": %d,\n" jobs;
   Printf.bprintf b "  \"nodes\": %d,\n" nodes;
   Printf.bprintf b "  \"scale\": %g,\n" scale;
-  Printf.bprintf b "  \"domains\": %d,\n" domains;
-  (if Float.is_nan !par_speedup then
-     Buffer.add_string b "  \"par_speedup\": null,\n"
-   else Printf.bprintf b "  \"par_speedup\": %.3f,\n" !par_speedup);
   (if Float.is_nan !delta_speedup then
      Buffer.add_string b "  \"delta_speedup\": null,\n"
    else Printf.bprintf b "  \"delta_speedup\": %.3f,\n" !delta_speedup);
-  (match !par_phases with
-  | [] -> ()
-  | phases ->
-      Buffer.add_string b "  \"par_phases\": {\n";
-      List.iteri
-        (fun i (name, v) ->
-          Printf.bprintf b "    \"%s\": %.4f%s\n" (json_escape name) v
-            (if i = List.length phases - 1 then "" else ","))
-        phases;
-      Buffer.add_string b "  },\n");
   (match !proto_matrix_rows with
   | [] -> ()
   | rows ->
@@ -1074,19 +953,24 @@ let write_json ~path ~timings ~bechamel ~total =
     (fun () -> Buffer.output_buffer oc b)
 
 let () =
+  let experiments =
+    match Sys.getenv_opt "CACHIER_BENCH_ONLY" with
+    | None -> experiments
+    | Some names ->
+        let known = List.map (fun (name, _, _) -> name) experiments in
+        let wanted = String.split_on_char ',' names in
+        if List.exists (fun name -> not (List.mem name known)) wanted then
+          refuse "CACHIER_BENCH_ONLY"
+            ("a comma-separated list of " ^ String.concat ", " known)
+            names;
+        List.filter (fun (name, _, _) -> List.mem name wanted) experiments
+  in
   Printf.printf
     "Cachier reproduction benchmark harness — %d simulated nodes, %d KB \
      4-way caches, 32-byte blocks, Dir1SW\n"
     nodes
     (machine.Wwt.Machine.cache_bytes / 1024);
   let t_start = Unix.gettimeofday () in
-  let experiments =
-    match Sys.getenv_opt "CACHIER_BENCH_ONLY" with
-    | None -> experiments
-    | Some names ->
-        let wanted = String.split_on_char ',' names in
-        List.filter (fun (name, _, _) -> List.mem name wanted) experiments
-  in
   let timings =
     List.map
       (fun (name, title, f) ->

@@ -83,29 +83,15 @@ let simulate_file machine engine annotations prefetch trace_mode races
   end;
   Buffer.contents buf
 
-let run files machine engine domains no_pipeline replay_shards replay_memo
-    annotations prefetch trace_mode races trace_out print_memory delta_from
-    jobs (_obs : Obs.mode) =
-  (* The replay knobs reach the engine through its environment defaults,
-     so the Run/Par plumbing stays engine-agnostic. *)
-  if no_pipeline then Unix.putenv "CACHIER_PAR_PIPELINE" "0";
-  (match replay_shards with
-  | Some s -> Unix.putenv "CACHIER_REPLAY_SHARDS" (string_of_int s)
-  | None -> ());
-  (match replay_memo with
-  | Some m -> Unix.putenv "CACHIER_REPLAY_MEMO" (string_of_int m)
-  | None -> ());
+let run files machine engine annotations prefetch trace_mode races trace_out
+    print_memory delta_from jobs (_obs : Obs.mode) =
   let engine =
     match engine with
     | "interp" -> Wwt.Run.Tree_walk
     | "compiled" -> Wwt.Run.Compiled
-    | "par" ->
-        (* 0 = auto-detect, resolved inside Par.run *)
-        Wwt.Run.Par (match domains with Some d -> d | None -> 0)
     | other ->
         prerr_endline
-          ("simulate: unknown engine " ^ other
-         ^ " (expected interp, compiled or par)");
+          ("simulate: unknown engine " ^ other ^ " (expected interp or compiled)");
         exit 2
   in
   let many = List.length files > 1 in
@@ -165,41 +151,15 @@ let jobs =
 let engine =
   Arg.(value & opt string "compiled"
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,interp) (tree walk), $(b,compiled) \
-                 (closure compiler, default) or $(b,par) (quantum-\
-                 synchronized parallel engine; results are bit-identical \
-                 to the sequential engines).")
-
-let domains =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Domains for $(b,--engine=par); $(b,0) (and the default) \
-               auto-detects the recommended domain count, capped at the \
-               node count. Combined with $(b,--jobs), keep jobs x domains \
-               within the core count.")
-
-let no_pipeline =
-  Arg.(value & flag & info [ "no-pipeline" ]
-         ~doc:"Disable the parallel engine's record/replay pipelining \
-               (sets $(b,CACHIER_PAR_PIPELINE=0)).")
-
-let replay_shards =
-  Arg.(value & opt (some int) None & info [ "replay-shards" ] ~docv:"N"
-         ~doc:"Cap the parallel engine's replay shards: $(b,0) one per \
-               domain (default), $(b,1) always serial (sets \
-               $(b,CACHIER_REPLAY_SHARDS)).")
-
-let replay_memo =
-  Arg.(value & opt (some int) None & info [ "replay-memo" ] ~docv:"N"
-         ~doc:"Epoch-memo pool capacity for the parallel engine, in \
-               epochs; $(b,0) disables memoization (sets \
-               $(b,CACHIER_REPLAY_MEMO); default 64).")
+           ~doc:"Execution engine: $(b,interp) (tree walk) or \
+                 $(b,compiled) (closure compiler, default). Results are \
+                 bit-identical.")
 
 let cmd =
   let doc = "simulate shared-memory programs on a Dir1SW machine" in
   Cmd.v
     (Cmd.info "simulate" ~doc)
-    Term.(const run $ files $ Service.Cli.machine_term $ engine $ domains
-          $ no_pipeline $ replay_shards $ replay_memo
+    Term.(const run $ files $ Service.Cli.machine_term $ engine
           $ annotations $ prefetch $ trace_mode $ races $ trace_out
           $ print_memory $ delta_from $ jobs $ Service.Cli.obs_term)
 

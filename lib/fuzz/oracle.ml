@@ -2,10 +2,10 @@
 
    Every generated program is pushed through:
 
-   1. engines       — the tree-walking, closure-compiling and parallel
-                      (2-domain quantum-synchronized) engines must agree
-                      exactly (time, stats, trace, output, memory)
-                      on the program and on its annotated variants;
+   1. engines       — the tree-walking and closure-compiling engines
+                      must agree exactly (time, stats, trace, output,
+                      memory) on the program and on its annotated
+                      variants;
    2. semantics     — annotating never changes results: the original, the
                       program with its random directives executed, and
                       the Performance- and Programmer-CICO annotated
@@ -276,12 +276,10 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
           (classify (fun () ->
                Wwt.Run.measure ~poll ~engine ~machine ~annotations ~prefetch prog))
       in
-      (* -- the program itself, all three engines, all three modes -- *)
+      (* -- the program itself, both engines, all three modes -- *)
       let runs_t0 = Obs.start () in
-      let par = Wwt.Run.Par 2 in
       let tw_tr = trace Wwt.Run.Tree_walk p in
       let co_tr = trace Wwt.Run.Compiled p in
-      let pa_tr = trace par p in
       (* Annotation and race visibility are defined over the reference
          directory protocol's miss log: Dir1SW surfaces every cross-node
          conflicting access as a fault, while SiSd's local write upgrades
@@ -299,10 +297,8 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
       in
       let tw_pf = measure Wwt.Run.Tree_walk ~annotations:false ~prefetch:false p in
       let co_pf = measure Wwt.Run.Compiled ~annotations:false ~prefetch:false p in
-      let pa_pf = measure par ~annotations:false ~prefetch:false p in
       let tw_pa = measure Wwt.Run.Tree_walk ~annotations:true ~prefetch:true p in
       let co_pa = measure Wwt.Run.Compiled ~annotations:true ~prefetch:true p in
-      let pa_pa = measure par ~annotations:true ~prefetch:true p in
       (* -- annotated variants (need a trace and an annotator that ran) -- *)
       let annotate options =
         match ref_tr with
@@ -326,8 +322,7 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                 [
                   ( label,
                     measure Wwt.Run.Tree_walk ~annotations:true ~prefetch:true prog,
-                    measure Wwt.Run.Compiled ~annotations:true ~prefetch:true prog,
-                    measure par ~annotations:true ~prefetch:true prog );
+                    measure Wwt.Run.Compiled ~annotations:true ~prefetch:true prog );
                 ]
             | _ -> [])
           [ ("Performance-annotated", perf_r); ("Programmer-annotated", prog_r) ]
@@ -412,25 +407,16 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                   | None -> (Pass, proven_racy)))
         | r -> (Skip ("trace collection: " ^ describe r), false)
       in
-      (* -- oracle 1: three-way engine equivalence. The tree-walk /
-         compiled pairs catch compiler bugs; the compiled / par pairs
-         catch record-replay bugs. Comparing both against compiled keeps
-         the failure messages pointed at the odd engine out. -- *)
+      (* -- oracle 1: engine equivalence. The tree walk is the
+         independent reference, so a mismatch points at a compiler bug. -- *)
       let engine_pairs =
         [
           ("trace mode", "tree-walk", tw_tr, "compiled", co_tr);
-          ("trace mode", "compiled", co_tr, "par", pa_tr);
           ("perf mode", "tree-walk", tw_pf, "compiled", co_pf);
-          ("perf mode", "compiled", co_pf, "par", pa_pf);
           ("perf mode with directives", "tree-walk", tw_pa, "compiled", co_pa);
-          ("perf mode with directives", "compiled", co_pa, "par", pa_pa);
         ]
-        @ List.concat_map
-            (fun (l, tw, co, pa) ->
-              [
-                (l ^ " perf mode", "tree-walk", tw, "compiled", co);
-                (l ^ " perf mode", "compiled", co, "par", pa);
-              ])
+        @ List.map
+            (fun (l, tw, co) -> (l ^ " perf mode", "tree-walk", tw, "compiled", co))
             annotated_runs
       in
       let engines =
@@ -467,7 +453,7 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
         | Done base ->
             let variants =
               (("program with its own directives executed", co_pa)
-              :: List.map (fun (l, _, co, _) -> (l, co)) annotated_runs)
+              :: List.map (fun (l, _, co) -> (l, co)) annotated_runs)
             in
             let annot_error =
               List.find_map
@@ -561,7 +547,7 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                 | None -> (
                     let annotated_stats =
                       List.find_map
-                        (fun (_, _, co, _) ->
+                        (fun (_, _, co) ->
                           match co with
                           | Done o -> Some o.Wwt.Interp.stats
                           | _ -> None)

@@ -41,6 +41,4 @@ let fold_right t f init =
   done;
   !acc
 
-let copy t = Array.copy t.a
-let restore t a = t.a <- Array.copy a
 let clear t = Array.fill t.a 0 (Array.length t.a) 0

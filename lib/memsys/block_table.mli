@@ -27,10 +27,4 @@ val fold_right : t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
 (** [fold_right t f init] folds over the non-zero entries in descending
     block order (so consing builds an ascending list). *)
 
-val copy : t -> int array
-(** The backing array, copied (a snapshot). *)
-
-val restore : t -> int array -> unit
-(** [restore t a] makes [t] a copy of the snapshot [a]. *)
-
 val clear : t -> unit

@@ -38,15 +38,21 @@ type t = {
   mutable resident : int;
 }
 
-let create ~size_bytes ~assoc ~block_size =
+let check_geometry ~size_bytes ~assoc ~block_size =
   if not (Block.is_power_of_two block_size) then
-    invalid_arg "Cache.create: block size must be a power of two";
-  if assoc <= 0 then invalid_arg "Cache.create: associativity must be positive";
-  if size_bytes <= 0 || size_bytes mod (assoc * block_size) <> 0 then
-    invalid_arg "Cache.create: size must be a multiple of assoc * block size";
+    Error "block size must be a power of two"
+  else if assoc <= 0 then Error "associativity must be positive"
+  else if size_bytes <= 0 || size_bytes mod (assoc * block_size) <> 0 then
+    Error "size must be a multiple of assoc * block size"
+  else if not (Block.is_power_of_two (size_bytes / (assoc * block_size))) then
+    Error "number of sets must be a power of two"
+  else Ok ()
+
+let create ~size_bytes ~assoc ~block_size =
+  (match check_geometry ~size_bytes ~assoc ~block_size with
+  | Ok () -> ()
+  | Error reason -> invalid_arg ("Cache.create: " ^ reason));
   let n_sets = size_bytes / (assoc * block_size) in
-  if not (Block.is_power_of_two n_sets) then
-    invalid_arg "Cache.create: number of sets must be a power of two";
   let ways = n_sets * assoc in
   {
     block_size;
@@ -204,85 +210,3 @@ let iter_blocks t f =
     let blk = tags.(i) in
     if blk <> absent then f blk
   done
-
-(* ---- snapshot / restore / canonical digest (epoch memoization) ---- *)
-
-type snapshot = {
-  s_tags : int array;
-  s_flags : int array;
-  s_ready : int array;
-  s_stamp : int array;
-  s_mru : int array;
-  s_tick : int;
-  s_resident : int;
-}
-
-let snapshot t =
-  {
-    s_tags = Array.copy t.tags;
-    s_flags = Array.copy t.flags;
-    s_ready = Array.copy t.ready;
-    s_stamp = Array.copy t.stamp;
-    s_mru = Array.copy t.mru;
-    s_tick = t.tick;
-    s_resident = t.resident;
-  }
-
-(* [time_offset] rebases the absolute [ready_at] stamps: a snapshot taken
-   at virtual time T restored at virtual time T' must shift every pending
-   arrival by T' - T so residual stalls replay identically. *)
-let restore t s ~time_offset =
-  let ways = Array.length t.tags in
-  Array.blit s.s_tags 0 t.tags 0 ways;
-  Array.blit s.s_flags 0 t.flags 0 ways;
-  Array.blit s.s_stamp 0 t.stamp 0 ways;
-  for i = 0 to ways - 1 do
-    t.ready.(i) <-
-      (if s.s_tags.(i) = absent then 0 else s.s_ready.(i) + time_offset)
-  done;
-  Array.blit s.s_mru 0 t.mru 0 (Array.length t.mru);
-  t.tick <- s.s_tick;
-  t.resident <- s.s_resident
-
-(* Canonical digest of the behaviourally relevant state at virtual time
-   [now]: per way — block, coherence state, dirty bit, residual stall
-   (ready_at clamped relative to [now]) and the way's LRU *rank* within
-   its set. Absolute [tick]/stamp/[ready_at] values and the MRU memo
-   are excluded: two caches that differ only in those respond identically
-   to every future access sequence, and the epoch memo must treat them as
-   equal. [f] folds over the canonical ints. *)
-let fold_state t ~now ~init f =
-  let acc = ref init in
-  let put v = acc := f !acc v in
-  let rank = Array.make t.n_assoc 0 in
-  for s = 0 to t.n_sets - 1 do
-    let base = s * t.n_assoc in
-    for i = 0 to t.n_assoc - 1 do
-      (* rank.(i) = number of resident ways in this set touched less
-         recently than way i (absent ways rank 0) *)
-      if t.tags.(base + i) = absent then rank.(i) <- -1
-      else begin
-        let r = ref 0 in
-        for j = 0 to t.n_assoc - 1 do
-          if
-            j <> i
-            && t.tags.(base + j) <> absent
-            && t.stamp.(base + j) < t.stamp.(base + i)
-          then incr r
-        done;
-        rank.(i) <- !r
-      end
-    done;
-    for i = 0 to t.n_assoc - 1 do
-      let w = base + i in
-      if t.tags.(w) = absent then put (-1)
-      else begin
-        put t.tags.(w);
-        put (if exclusive t w then 1 else 0);
-        put (if dirty t w then 1 else 0);
-        put (max 0 (t.ready.(w) - now));
-        put rank.(i)
-      end
-    done
-  done;
-  !acc

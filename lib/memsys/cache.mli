@@ -28,9 +28,15 @@ type line = {
 
 type t
 
+val check_geometry :
+  size_bytes:int -> assoc:int -> block_size:int -> (unit, string) result
+(** [Ok ()] if {!create} accepts the geometry: a power-of-two block size,
+    a positive associativity, and a size that splits into a power-of-two
+    number of sets of [assoc] blocks. Otherwise [Error reason]. *)
+
 val create : size_bytes:int -> assoc:int -> block_size:int -> t
 (** [create ~size_bytes ~assoc ~block_size] is an empty cache.
-    @raise Invalid_argument if the geometry is not a power-of-two split. *)
+    @raise Invalid_argument if {!check_geometry} refuses the geometry. *)
 
 val block_size : t -> int
 val sets : t -> int
@@ -106,27 +112,3 @@ val iter : t -> (line -> unit) -> unit
 val iter_blocks : t -> (int -> unit) -> unit
 (** [iter_blocks t f] calls [f blk] for every resident block in way
     order, without allocating. [f] may {!remove} the block it is given. *)
-
-(** {2 Snapshot, restore and canonical digest}
-
-    Support for the parallel engine's epoch memoization: a whole-cache
-    snapshot that can be restored at a different virtual time, and a
-    canonical fold over the behaviourally relevant state. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** Copies of the way arrays, the LRU clock and the occupancy count. *)
-
-val restore : t -> snapshot -> time_offset:int -> unit
-(** Overwrite [t] in place from a snapshot taken on a cache of the same
-    geometry. [time_offset] is added to every pending [ready_at] stamp so
-    a snapshot taken at virtual time T behaves identically when restored
-    at time T + offset. *)
-
-val fold_state : t -> now:int -> init:'a -> ('a -> int -> 'a) -> 'a
-(** Fold over a canonical encoding of the state at virtual time [now]:
-    per way — block, state, dirty, residual stall relative to [now], and
-    LRU rank within the set. Two caches that fold equally respond
-    identically to every future access sequence; absolute LRU ticks,
-    elapsed [ready_at] stamps and the probe memo are excluded. *)

@@ -14,54 +14,21 @@ let decode c =
   else if c land 1 = 0 then Shared (c lsr 1)
   else Exclusive (c lsr 1)
 
-(* A base directory keeps one code per block in a flat table. An overlay
-   ([writes = Some _]) shares its base's table read-only and records its
-   own writes in a sparse delta — including explicit Idle codes, which
-   shadow the base. The parallel engine's shard replays each run against
-   an overlay of the shared directory, so concurrent shards never mutate
-   the base; [commit] folds the deltas back at the epoch boundary. *)
-type t = {
-  n_nodes : int;
-  codes : Block_table.t;
-  writes : (int, int) Hashtbl.t option;
-}
+(* One code per block in a flat table. *)
+type t = { n_nodes : int; codes : Block_table.t }
 
 let max_nodes = 62
 
 let create ~nodes =
   if nodes <= 0 || nodes > max_nodes then
     invalid_arg "Directory.create: nodes must be in [1, 62]";
-  { n_nodes = nodes; codes = Block_table.create (); writes = None }
+  { n_nodes = nodes; codes = Block_table.create () }
 
 let nodes t = t.n_nodes
-
-let code t blk =
-  match t.writes with
-  | None -> Block_table.get t.codes blk
-  | Some w -> (
-      match Hashtbl.find_opt w blk with
-      | Some c -> c
-      | None -> Block_table.get t.codes blk)
-
-let set_code t blk c =
-  match t.writes with
-  | None -> Block_table.set t.codes blk c
-  | Some w -> Hashtbl.replace w blk c
-
+let code t blk = Block_table.get t.codes blk
+let set_code t blk c = Block_table.set t.codes blk c
 let get t blk = decode (code t blk)
 let set t blk st = set_code t blk (encode st)
-
-let overlay base =
-  if base.writes <> None then
-    invalid_arg "Directory.overlay: already an overlay";
-  { base with writes = Some (Hashtbl.create 64) }
-
-let commit t =
-  match t.writes with
-  | None -> invalid_arg "Directory.commit: not an overlay"
-  | Some w ->
-      Hashtbl.iter (fun blk c -> Block_table.set t.codes blk c) w;
-      Hashtbl.reset w
 
 let check_node t node =
   if node < 0 || node >= t.n_nodes then
@@ -99,38 +66,11 @@ let sharers t blk =
 let sharer_count t blk = popcount (mask_of (code t blk))
 let is_sharer t blk ~node = mask_of (code t blk) land (1 lsl node) <> 0
 
-(* Non-idle [(block, code)] pairs in ascending block order: the base
-   table's entries not shadowed by the overlay, plus the overlay's own
-   non-idle writes. *)
+(* Non-idle [(block, code)] pairs in ascending block order. *)
 let codes_asc t =
-  match t.writes with
-  | None ->
-      Block_table.fold_right t.codes (fun blk c acc -> (blk, c) :: acc) []
-  | Some w ->
-      let own =
-        Hashtbl.fold
-          (fun blk c acc -> if c <> 0 then (blk, c) :: acc else acc)
-          w []
-      in
-      let base =
-        Block_table.fold_right t.codes
-          (fun blk c acc -> if Hashtbl.mem w blk then acc else (blk, c) :: acc)
-          []
-      in
-      List.merge (fun (a, _) (b, _) -> compare a b) base
-        (List.sort (fun (a, _) (b, _) -> compare a b) own)
+  Block_table.fold_right t.codes (fun blk c acc -> (blk, c) :: acc) []
 
 let entries t = List.map (fun (blk, c) -> (blk, decode c)) (codes_asc t)
-
-(* Canonical fold for the epoch memo's state digest: non-idle entries in
-   ascending block order, each contributing (block, encoded state). *)
-let fold_state t ~init f =
-  List.fold_left
-    (fun acc (blk, c) ->
-      let acc = f acc blk in
-      if c land 1 = 0 then f acc ((c lsr 1) lsl 2)
-      else f acc (((c lsr 1) lsl 2) lor 1))
-    init (codes_asc t)
 
 (* Structural well-formedness of the stored entries themselves: sharer
    masks name only real nodes, exclusive owners are in range (an empty

@@ -13,9 +13,7 @@
     [mask lsl 1] is [Shared mask] and [(owner lsl 1) lor 1] is
     [Exclusive owner]. Reads past the end of the array are [Idle]; the
     array doubles on the first write past its end, so its size follows
-    the highest block the program touched. An {!overlay} shares its
-    base's array read-only and keeps its own writes in a sparse hash
-    table until {!commit} writes them into the array. *)
+    the highest block the program touched. *)
 
 type state =
   | Idle  (** no cached copies *)
@@ -24,8 +22,12 @@ type state =
 
 type t
 
+val max_nodes : int
+(** 62: a sharer set is a bitmask in one OCaml int. *)
+
 val create : nodes:int -> t
-(** A directory for a machine with [nodes] nodes (at most 62). *)
+(** A directory for a machine with [nodes] nodes, [1 <= nodes <=
+    max_nodes]. @raise Invalid_argument otherwise. *)
 
 val nodes : t -> int
 
@@ -53,27 +55,7 @@ val sharer_count : t -> int -> int
 val is_sharer : t -> int -> node:int -> bool
 
 val entries : t -> (int * state) list
-(** All non-[Idle] entries, in ascending block order. For an overlay this
-    merges the base's entries with the overlay's writes. *)
-
-val overlay : t -> t
-(** [overlay base] is an empty overlay directory: reads fall through to
-    [base], writes (including [Idle], which shadows the base) land in
-    the overlay's delta table only. The parallel engine's shard replays
-    run against one overlay per shard so concurrent shards never mutate
-    [base]'s array; while any overlay is live, [base] must not be
-    mutated. @raise Invalid_argument if [base] is itself an overlay. *)
-
-val commit : t -> unit
-(** [commit overlay] writes every overlay write into the base's array
-    (with the usual [Idle]/[Shared 0] normalisation) and empties the
-    overlay.
-    @raise Invalid_argument on a non-overlay directory. *)
-
-val fold_state : t -> init:'a -> ('a -> int -> 'a) -> 'a
-(** Fold over a canonical encoding of the directory (non-idle entries in
-    ascending block order) — the directory half of the epoch memo's
-    state digest. *)
+(** All non-[Idle] entries, in ascending block order. *)
 
 val popcount : int -> int
 (** Number of set bits (exposed for tests). *)

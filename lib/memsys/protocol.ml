@@ -27,9 +27,8 @@ let outcome_of_packed p =
 type t = {
   backend : Protocol_id.t;
       (* which protocol's transition rules this machine runs; the packed
-         access path, snapshot/restore, shard views and digests are shared
-         across backends, with the behavioural differences dispatched at
-         the transition level *)
+         access path is shared across backends, with the behavioural
+         differences dispatched at the transition level *)
   n_nodes : int;
   blk_size : int;
   blk_shift : int;  (* log2 block_size: addresses map to blocks by shift *)
@@ -37,9 +36,7 @@ type t = {
   dir : Directory.t;
   cost : Network.costs;
   stat : Stats.t;
-  (* Per-block node masks, one flat table each (indexed by block). On a
-     shard view these are the base's tables, read-only: the view's
-     writes land in its [delta]. *)
+  (* Per-block node masks, one flat table each (indexed by block). *)
   pf : Block_table.t;
       (* block -> nodes with an outstanding prefetch of it *)
   mutable pf_live : int;
@@ -58,27 +55,6 @@ type t = {
   mutable debug_checks : bool;
       (* run [check_invariants] after every protocol transition; off by
          default so the hot path pays one predictable branch *)
-  delta : delta option;
-      (* [Some _] marks a shard view: [dir] is an overlay of the base's
-         directory, [stat] is private, mask writes go to the delta's
-         tables, and [caches] is the base's own array (a shard only ever
-         touches the caches of the nodes it owns). The base must stay
-         frozen while views are live; [merge_shard] folds a view back
-         in. *)
-}
-
-(* A shard view's sparse writes over the base's mask tables. Reads fall
-   back to the base; writes replace locally (a zero mask is stored, so it
-   shadows the base's entry until merge). Pending prefetches are keyed
-   [blk * n_nodes + node]; [d_pf_del] tombstones base entries the view
-   consumed. *)
-and delta = {
-  base : t;
-  d_pf : (int, unit) Hashtbl.t;
-  d_pf_del : (int, unit) Hashtbl.t;
-  d_past : (int, int) Hashtbl.t;
-  d_co : (int, int) Hashtbl.t;
-  d_cm : (int, int) Hashtbl.t;
 }
 
 exception Invariant_violation of string
@@ -119,7 +95,6 @@ let create_u ?(backend = Protocol_id.Dir1sw) ~nodes ~cache_bytes ~assoc
     co = Block_table.create ();
     cm = Block_table.create ();
     debug_checks = false;
-    delta = None;
   }
 
 let create_b ~backend ~nodes ~cache_bytes ~assoc ~block_size ~costs =
@@ -174,8 +149,7 @@ let block_of_addr t addr =
    counter matches the table, masks name only real nodes, and every
    pending transaction still has its line resident — a pending entry
    whose line is gone is a stuck transition that [forget_prefetch]
-   should have cleared. The mask checks read the base's tables (a shard
-   view's own writes are audited after [merge_shard]). *)
+   should have cleared. *)
 let check_invariants t =
   let err = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !err = None then err := Some s) fmt in
@@ -266,7 +240,7 @@ let check_invariants t =
               blk node
         end
       done);
-  if t.delta = None && !pending <> t.pf_live then
+  if !pending <> t.pf_live then
     fail "pending-prefetch counter %d disagrees with table size %d" t.pf_live
       !pending;
   !err
@@ -283,92 +257,30 @@ let guard t v =
   end;
   v
 
-(* ---- per-block masks ----
-   On a base protocol ([delta = None]) each lookup is one read of a flat
-   table. On a shard view the pending-prefetch set is (base minus
-   [d_pf_del]) plus [d_pf], and a block's other masks are the view's own
-   if written, else the base's. *)
+(* ---- per-block masks: one read or write of a flat table each ---- *)
 
-(* A view's own write of a block's mask, else the base's. *)
-let view_find dtbl tbl blk =
-  match Hashtbl.find_opt dtbl blk with
-  | Some mask -> mask
-  | None -> Block_table.get tbl blk
+let co_find t blk = Block_table.get t.co blk
+let cm_find t blk = Block_table.get t.cm blk
+let co_set t blk mask = Block_table.set t.co blk mask
+let cm_set t blk mask = Block_table.set t.cm blk mask
 
-let ps_find t blk =
-  match t.delta with
-  | None -> Block_table.get t.past blk
-  | Some d -> view_find d.d_past t.past blk
-
-let co_find t blk =
-  match t.delta with
-  | None -> Block_table.get t.co blk
-  | Some d -> view_find d.d_co t.co blk
-
-let cm_find t blk =
-  match t.delta with
-  | None -> Block_table.get t.cm blk
-  | Some d -> view_find d.d_cm t.cm blk
-
-let co_set t blk mask =
-  match t.delta with
-  | None -> Block_table.set t.co blk mask
-  | Some d -> Hashtbl.replace d.d_co blk mask
-
-let cm_set t blk mask =
-  match t.delta with
-  | None -> Block_table.set t.cm blk mask
-  | Some d -> Hashtbl.replace d.d_cm blk mask
-
-(* OR [mask] into [blk]'s past holders. *)
-let note_past_mask t blk mask =
-  let mask = ps_find t blk lor mask in
-  match t.delta with
-  | None -> Block_table.set t.past blk mask
-  | Some d -> Hashtbl.replace d.d_past blk mask
-
-let note_past_sharer t ~node ~blk = note_past_mask t blk (1 lsl node)
-
-let pf_key t ~node ~blk = (blk * t.n_nodes) + node
-let pf_base t ~node ~blk = Block_table.get t.pf blk land (1 lsl node) <> 0
-
-let pf_mem t ~node ~blk =
-  match t.delta with
-  | None -> pf_base t ~node ~blk
-  | Some d ->
-      let key = pf_key t ~node ~blk in
-      Hashtbl.mem d.d_pf key
-      || (pf_base t ~node ~blk && not (Hashtbl.mem d.d_pf_del key))
+(* Add [node] to [blk]'s past holders. *)
+let note_past_sharer t ~node ~blk =
+  Block_table.set t.past blk (Block_table.get t.past blk lor (1 lsl node))
 
 (* Remove [node]'s pending prefetch of [blk]; true if there was one. *)
 let pf_remove t ~node ~blk =
-  match t.delta with
-  | None ->
-      let mask = Block_table.get t.pf blk and bit = 1 lsl node in
-      mask land bit <> 0
-      && begin
-           Block_table.set t.pf blk (mask land lnot bit);
-           true
-         end
-  | Some d ->
-      let key = pf_key t ~node ~blk in
-      if Hashtbl.mem d.d_pf key then begin
-        Hashtbl.remove d.d_pf key;
-        true
-      end
-      else if pf_base t ~node ~blk && not (Hashtbl.mem d.d_pf_del key)
-      then begin
-        Hashtbl.add d.d_pf_del key ();
-        true
-      end
-      else false
+  let mask = Block_table.get t.pf blk and bit = 1 lsl node in
+  mask land bit <> 0
+  && begin
+       Block_table.set t.pf blk (mask land lnot bit);
+       true
+     end
 
 let pf_add t ~node ~blk =
-  if not (pf_mem t ~node ~blk) then begin
-    (match t.delta with
-    | None ->
-        Block_table.set t.pf blk (Block_table.get t.pf blk lor (1 lsl node))
-    | Some d -> Hashtbl.replace d.d_pf (pf_key t ~node ~blk) ());
+  let mask = Block_table.get t.pf blk and bit = 1 lsl node in
+  if mask land bit = 0 then begin
+    Block_table.set t.pf blk (mask lor bit);
     t.pf_live <- t.pf_live + 1
   end
 
@@ -605,8 +517,7 @@ let fetch_exclusive_b t ~node ~blk ~now ~dirty =
    boundary — forces every holder to merge its accumulator back (one
    writeback plus a request/reply pair per holder). Merge costs are
    charged to the statistics only: the merge rides the barrier (or the
-   plain access's own miss), not the simulated critical path, which
-   keeps replayed latencies independent of merge order. *)
+   plain access's own miss), not the simulated critical path. *)
 
 let commute_merge t blk mask =
   let count = Directory.popcount mask in
@@ -917,7 +828,7 @@ let post_store_lat_u t ~node ~addr ~now =
        Cache.downgrade c i;
        let mask = ref (1 lsl node) in
        (* broadcast read-only copies to every past holder *)
-       let past = ps_find t blk in
+       let past = Block_table.get t.past blk in
        for recipient = 0 to t.n_nodes - 1 do
          if recipient <> node && past land (1 lsl recipient) <> 0 then begin
            t.stat.messages <- t.stat.messages + 1;
@@ -987,10 +898,9 @@ let flush_node t ~node =
    outstanding check-out (writing dirty data back first); Commute merges
    every surviving privatized accumulator. Both are charged to the
    statistics only — the work rides the barrier, whose cost the
-   scheduler already models. Engines call this on the base protocol
-   while releasing a barrier, before any trace-mode flush. *)
+   scheduler already models. Engines call this while releasing a
+   barrier, before any trace-mode flush. *)
 let epoch_boundary t =
-  if t.delta <> None then invalid_arg "Protocol.epoch_boundary: shard view";
   (match t.backend with
   | Protocol_id.Dir1sw -> ()
   | Protocol_id.Commute -> Block_table.iter t.cm (commute_merge t)
@@ -1033,153 +943,3 @@ let reset t =
   List.iter Block_table.clear [ t.pf; t.past; t.co; t.cm ];
   t.pf_live <- 0;
   Stats.reset t.stat
-
-(* ---- shard views (parallel epoch replay) ----
-
-   A view shares the base's cache array (the shard partition guarantees a
-   shard only drives transitions whose cache effects land on its own
-   nodes' caches) but gets an overlay directory, private counters, and
-   private pf/past-sharer deltas. Invariant checking is forced off on
-   views: [check_invariants] reads global state and the engine falls back
-   to serial replay whenever [debug_checks] is set on the base. *)
-
-(* Nodes a replayed transition on [blk] might reach: every cached copy
-   (the directory lists all residents — Dir1SW's stale-extra-sharers are
-   a superset, which is safe here) plus every past holder (the recipient
-   set of a post-store, and the only nodes an install can broadcast to).
-   Eviction side-effects stay inside this mask too: a victim block's
-   directory entry names its holder, so any shard touching the victim is
-   coupled to the evictor. *)
-let couple_mask t blk =
-  let d =
-    match Directory.get t.dir blk with
-    | Directory.Idle -> 0
-    | Directory.Shared mask -> mask
-    | Directory.Exclusive owner -> 1 lsl owner
-  in
-  (* Check-out pins (SiSd) and privatized accumulators (Commute) are
-     shared per-block masks merged by replacement: couple every holder so
-     the planner serializes any cross-shard contention on them. *)
-  d lor ps_find t blk lor co_find t blk lor cm_find t blk
-
-let shard_view t =
-  if t.delta <> None then invalid_arg "Protocol.shard_view: already a view";
-  {
-    t with
-    dir = Directory.overlay t.dir;
-    stat = Stats.create ~nodes:t.n_nodes;
-    debug_checks = false;
-    delta =
-      Some
-        {
-          base = t;
-          d_pf = Hashtbl.create 16;
-          d_pf_del = Hashtbl.create 16;
-          d_past = Hashtbl.create 16;
-          d_co = Hashtbl.create 16;
-          d_cm = Hashtbl.create 16;
-        };
-  }
-
-let merge_shard base view =
-  let d =
-    match view.delta with
-    | Some d when d.base == base -> d
-    | _ -> invalid_arg "Protocol.merge_shard: not a view of this protocol"
-  in
-  Directory.commit view.dir;
-  Stats.add base.stat view.stat;
-  Hashtbl.iter (fun blk mask -> note_past_mask base blk mask) d.d_past;
-  let node_blk key = (key mod base.n_nodes, key / base.n_nodes) in
-  Hashtbl.iter
-    (fun key () ->
-      let node, blk = node_blk key in
-      if pf_remove base ~node ~blk then base.pf_live <- base.pf_live - 1)
-    d.d_pf_del;
-  Hashtbl.iter
-    (fun key () ->
-      let node, blk = node_blk key in
-      pf_add base ~node ~blk)
-    d.d_pf;
-  (* co/cm masks merge by replacement: the planner coupled every holder
-     (see [couple_mask]), so at most one shard rewrote a given block's
-     mask. A zero written on the view means "cleared" on the base. *)
-  Hashtbl.iter (fun blk mask -> co_set base blk mask) d.d_co;
-  Hashtbl.iter (fun blk mask -> cm_set base blk mask) d.d_cm;
-  List.iter Hashtbl.reset [ d.d_past; d.d_co; d.d_cm ];
-  Hashtbl.reset d.d_pf_del;
-  Hashtbl.reset d.d_pf
-
-(* ---- snapshot / restore / canonical digest (epoch memoization) ---- *)
-
-type snapshot = {
-  sn_caches : Cache.snapshot array;
-  sn_dir : (int * Directory.state) list;
-  sn_pf : int array;
-  sn_pf_live : int;
-  sn_past : int array;
-  sn_co : int array;
-  sn_cm : int array;
-}
-
-let snapshot t =
-  if t.delta <> None then invalid_arg "Protocol.snapshot: shard view";
-  {
-    sn_caches = Array.map Cache.snapshot t.caches;
-    sn_dir = Directory.entries t.dir;
-    sn_pf = Block_table.copy t.pf;
-    sn_pf_live = t.pf_live;
-    sn_past = Block_table.copy t.past;
-    sn_co = Block_table.copy t.co;
-    sn_cm = Block_table.copy t.cm;
-  }
-
-(* Restore state captured at virtual time T at a new virtual time
-   T + [time_offset]; absolute [ready_at] stamps shift accordingly
-   (see [Cache.restore]). Stats are deliberately untouched: the memo
-   applies them as a {!Stats.diff} delta. *)
-let restore t s ~time_offset =
-  if t.delta <> None then invalid_arg "Protocol.restore: shard view";
-  Array.iteri
-    (fun i c -> Cache.restore c s.sn_caches.(i) ~time_offset)
-    t.caches;
-  List.iter
-    (fun (blk, _) -> Directory.set t.dir blk Directory.Idle)
-    (Directory.entries t.dir);
-  List.iter (fun (blk, st) -> Directory.set t.dir blk st) s.sn_dir;
-  Block_table.restore t.pf s.sn_pf;
-  t.pf_live <- s.sn_pf_live;
-  Block_table.restore t.past s.sn_past;
-  Block_table.restore t.co s.sn_co;
-  Block_table.restore t.cm s.sn_cm
-
-(* FNV-1a over the canonical machine state, relative to virtual time
-   [now] so two states reachable at different absolute times hash alike.
-   Two independent accumulators (different offset bases) drive the
-   collision probability for the epoch memo's key comparison well below
-   concern; the memo additionally compares the full event streams, so a
-   digest collision can only alias *incoming* protocol states. The
-   per-block masks contribute in ascending block order (pending
-   prefetches as [blk * nodes + node], ascending node within a block). *)
-let state_digest t ~now =
-  if t.delta <> None then invalid_arg "Protocol.state_digest: shard view";
-  let h1 = ref 0x4bf29ce484222325 and h2 = ref 0x04222325cbf29ce4 in
-  let prime = 0x100000001b3 in
-  let put v =
-    h1 := (!h1 lxor v) * prime;
-    h2 := (!h2 lxor (v + 0x9e3779b9)) * prime
-  in
-  put t.n_nodes;
-  put (Protocol_id.to_int t.backend);
-  Array.iter (fun c -> Cache.fold_state c ~now ~init:() (fun () v -> put v))
-    t.caches;
-  Directory.fold_state t.dir ~init:() (fun () v -> put v);
-  Block_table.iter t.past (fun blk mask -> put blk; put mask);
-  Block_table.iter t.pf (fun blk mask ->
-      for node = 0 to t.n_nodes - 1 do
-        if mask land (1 lsl node) <> 0 then put (pf_key t ~node ~blk)
-      done);
-  put t.pf_live;
-  Block_table.iter t.co (fun blk mask -> put (blk lxor 0x105d); put mask);
-  Block_table.iter t.cm (fun blk mask -> put (blk lxor 0x2c4e); put mask);
-  (!h1 land max_int, !h2 land max_int)

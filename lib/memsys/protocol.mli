@@ -164,8 +164,7 @@ val epoch_boundary : t -> unit
     [Dir1sw]. Under [Sisd], every node self-invalidates each resident
     line whose block has no outstanding check-out by that node, writing
     dirty data back first. Under [Commute], every surviving privatized
-    accumulator merges (deterministic block order). Runs on the base
-    protocol only. @raise Invalid_argument on a shard view. *)
+    accumulator merges (deterministic block order). *)
 
 (** {2 Protocol invariant oracle (debug hook)}
 
@@ -192,53 +191,3 @@ val debug_checks : t -> bool
 
 val reset : t -> unit
 (** Drop all cache and directory state and zero the statistics. *)
-
-(** {2 Shard views (parallel epoch replay)}
-
-    The parallel engine replays non-conflicting ownership shards of an
-    epoch concurrently. Each shard domain drives an ordinary [t] obtained
-    from {!shard_view}: it shares the base's cache array (the partition
-    guarantees a shard only triggers transitions touching its own nodes'
-    caches) but routes directory writes to an overlay, counters to a
-    private {!Stats.t}, and prefetch/past-sharer updates to private
-    delta tables, so concurrent shards never race on shared structures.
-    The base must not be mutated while views are live; {!merge_shard}
-    folds each view back in deterministically at the epoch boundary. *)
-
-val couple_mask : t -> int -> int
-(** [couple_mask t blk] is the bitmask of nodes whose caches a replayed
-    transition on [blk] could reach in the current state: the directory
-    entry's residents, the block's past holders (post-store recipients),
-    its check-out pinners (SiSd) and its privatized-accumulator holders
-    (Commute). The shard planner unions a block's toucher with this mask,
-    which keeps every transition's footprint inside one shard. *)
-
-val shard_view : t -> t
-(** A fresh view of [t]. @raise Invalid_argument if [t] is itself a view. *)
-
-val merge_shard : t -> t -> unit
-(** [merge_shard base view] commits the view's directory overlay, adds
-    its counters, ORs its past-sharer masks and applies its pending-
-    prefetch delta into [base], then empties the view.
-    @raise Invalid_argument if [view] is not a view of [base]. *)
-
-(** {2 Snapshot / digest (epoch memoization)} *)
-
-type snapshot
-(** Complete coherence state (caches, directory, prefetch and past-sharer
-    tables) — everything except statistics, which the memo re-applies as a
-    {!Stats.diff} delta. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> time_offset:int -> unit
-(** Restore a snapshot taken at virtual time [T] at time
-    [T + time_offset]; pending [ready_at] stamps are rebased so residual
-    prefetch stalls replay identically. Statistics are untouched. *)
-
-val state_digest : t -> now:int -> int * int
-(** Two independent FNV-1a digests of the canonical coherence state
-    relative to virtual time [now] (absolute LRU ticks and arrival times
-    are excluded — states that behave identically hash identically).
-    The backend id is folded in, so the same cache/directory state under
-    two different protocols never hashes alike. *)

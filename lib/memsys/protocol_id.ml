@@ -18,9 +18,6 @@ let of_string = function
   | "commute" -> Some Commute
   | _ -> None
 
-(* Stable small ints for digests and packed keys. *)
-let to_int = function Dir1sw -> 0 | Sisd -> 1 | Commute -> 2
-
 let describe = function
   | Dir1sw -> "Dir1SW directory protocol (Hill et al.)"
   | Sisd -> "self-invalidation / self-downgrade (SiSd)"

@@ -1,8 +1,8 @@
 (** Identity of a coherence-protocol backend.
 
     The simulator's memory system ({!Protocol}) implements several
-    protocols behind one seam; this enum names them wherever a
-    configuration, cache key or digest needs to say which one. *)
+    protocols in one module; this enum names them wherever a
+    configuration, cache key or trace header needs to say which one. *)
 
 type t =
   | Dir1sw  (** the paper's Dir1SW directory protocol *)
@@ -20,9 +20,6 @@ val to_string : t -> string
     ["commute"]. *)
 
 val of_string : string -> t option
-
-val to_int : t -> int
-(** Stable small integer for digests and packed keys. *)
 
 val describe : t -> string
 (** One-line human description. *)

@@ -82,97 +82,6 @@ let reset t =
   t.lock_acquires <- 0;
   Array.fill t.stall_cycles 0 (Array.length t.stall_cycles) 0
 
-(* Copy/diff/add form a little delta algebra used by the parallel
-   engine: shard replays accumulate into private Stats merged with [add],
-   and the epoch memo stores [diff after before] to re-apply on a hit. *)
-let copy t = { t with stall_cycles = Array.copy t.stall_cycles }
-
-let blit ~src ~dst =
-  dst.read_hits <- src.read_hits;
-  dst.write_hits <- src.write_hits;
-  dst.read_misses <- src.read_misses;
-  dst.write_misses <- src.write_misses;
-  dst.write_faults <- src.write_faults;
-  dst.invalidations <- src.invalidations;
-  dst.sw_traps <- src.sw_traps;
-  dst.writebacks <- src.writebacks;
-  dst.evictions <- src.evictions;
-  dst.check_outs_x <- src.check_outs_x;
-  dst.check_outs_s <- src.check_outs_s;
-  dst.check_ins <- src.check_ins;
-  dst.check_in_flushes <- src.check_in_flushes;
-  dst.prefetches <- src.prefetches;
-  dst.useful_prefetches <- src.useful_prefetches;
-  dst.post_stores <- src.post_stores;
-  dst.messages <- src.messages;
-  dst.shared_reads <- src.shared_reads;
-  dst.shared_writes <- src.shared_writes;
-  dst.private_reads <- src.private_reads;
-  dst.private_writes <- src.private_writes;
-  dst.barriers <- src.barriers;
-  dst.lock_acquires <- src.lock_acquires;
-  Array.blit src.stall_cycles 0 dst.stall_cycles 0
-    (Array.length dst.stall_cycles)
-
-let diff a b =
-  {
-    nodes = a.nodes;
-    read_hits = a.read_hits - b.read_hits;
-    write_hits = a.write_hits - b.write_hits;
-    read_misses = a.read_misses - b.read_misses;
-    write_misses = a.write_misses - b.write_misses;
-    write_faults = a.write_faults - b.write_faults;
-    invalidations = a.invalidations - b.invalidations;
-    sw_traps = a.sw_traps - b.sw_traps;
-    writebacks = a.writebacks - b.writebacks;
-    evictions = a.evictions - b.evictions;
-    check_outs_x = a.check_outs_x - b.check_outs_x;
-    check_outs_s = a.check_outs_s - b.check_outs_s;
-    check_ins = a.check_ins - b.check_ins;
-    check_in_flushes = a.check_in_flushes - b.check_in_flushes;
-    prefetches = a.prefetches - b.prefetches;
-    useful_prefetches = a.useful_prefetches - b.useful_prefetches;
-    post_stores = a.post_stores - b.post_stores;
-    messages = a.messages - b.messages;
-    shared_reads = a.shared_reads - b.shared_reads;
-    shared_writes = a.shared_writes - b.shared_writes;
-    private_reads = a.private_reads - b.private_reads;
-    private_writes = a.private_writes - b.private_writes;
-    barriers = a.barriers - b.barriers;
-    lock_acquires = a.lock_acquires - b.lock_acquires;
-    stall_cycles =
-      Array.init (Array.length a.stall_cycles) (fun i ->
-          a.stall_cycles.(i) - b.stall_cycles.(i));
-  }
-
-let add t d =
-  t.read_hits <- t.read_hits + d.read_hits;
-  t.write_hits <- t.write_hits + d.write_hits;
-  t.read_misses <- t.read_misses + d.read_misses;
-  t.write_misses <- t.write_misses + d.write_misses;
-  t.write_faults <- t.write_faults + d.write_faults;
-  t.invalidations <- t.invalidations + d.invalidations;
-  t.sw_traps <- t.sw_traps + d.sw_traps;
-  t.writebacks <- t.writebacks + d.writebacks;
-  t.evictions <- t.evictions + d.evictions;
-  t.check_outs_x <- t.check_outs_x + d.check_outs_x;
-  t.check_outs_s <- t.check_outs_s + d.check_outs_s;
-  t.check_ins <- t.check_ins + d.check_ins;
-  t.check_in_flushes <- t.check_in_flushes + d.check_in_flushes;
-  t.prefetches <- t.prefetches + d.prefetches;
-  t.useful_prefetches <- t.useful_prefetches + d.useful_prefetches;
-  t.post_stores <- t.post_stores + d.post_stores;
-  t.messages <- t.messages + d.messages;
-  t.shared_reads <- t.shared_reads + d.shared_reads;
-  t.shared_writes <- t.shared_writes + d.shared_writes;
-  t.private_reads <- t.private_reads + d.private_reads;
-  t.private_writes <- t.private_writes + d.private_writes;
-  t.barriers <- t.barriers + d.barriers;
-  t.lock_acquires <- t.lock_acquires + d.lock_acquires;
-  for i = 0 to Array.length t.stall_cycles - 1 do
-    t.stall_cycles.(i) <- t.stall_cycles.(i) + d.stall_cycles.(i)
-  done
-
 let add_stall t ~node c =
   if node < 0 || node >= t.nodes then invalid_arg "Stats.add_stall: bad node";
   t.stall_cycles.(node) <- t.stall_cycles.(node) + c

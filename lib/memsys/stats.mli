@@ -41,25 +41,6 @@ val reset : t -> unit
 val add_stall : t -> node:int -> int -> unit
 (** [add_stall t ~node c] accounts [c] memory-stall cycles to [node]. *)
 
-(** {2 Delta algebra}
-
-    The parallel engine treats counter sets as elements of a group:
-    shard replays accumulate into private counter sets merged with
-    {!add}, and the epoch memo stores [diff after before] to re-apply
-    the whole epoch's accounting on a cache hit. *)
-
-val copy : t -> t
-(** A deep copy (the stall array is duplicated). *)
-
-val blit : src:t -> dst:t -> unit
-(** Overwrite every counter of [dst] with [src]'s values in place. *)
-
-val diff : t -> t -> t
-(** [diff a b] is the field-wise difference [a - b]. *)
-
-val add : t -> t -> unit
-(** [add t d] adds every counter of [d] to [t] in place. *)
-
 val total_misses : t -> int
 (** Read misses + write misses (write faults are counted separately). *)
 

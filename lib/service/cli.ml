@@ -1,19 +1,32 @@
 open Cmdliner
 
+(* Machine sizes are refused at parse time, so a zero or negative value
+   is a usage error instead of an exception from deep in Memsys. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive \
+                                     integer" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let nodes_term =
-  Arg.(value & opt int Wwt.Machine.default.Wwt.Machine.nodes
+  Arg.(value & opt positive_int Wwt.Machine.default.Wwt.Machine.nodes
        & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of simulated processors.")
 
 let cache_kb =
-  Arg.(value & opt int (Wwt.Machine.default.Wwt.Machine.cache_bytes / 1024)
+  Arg.(value
+       & opt positive_int (Wwt.Machine.default.Wwt.Machine.cache_bytes / 1024)
        & info [ "cache-kb" ] ~docv:"KB" ~doc:"Per-node cache size in KB.")
 
 let assoc =
-  Arg.(value & opt int Wwt.Machine.default.Wwt.Machine.assoc
+  Arg.(value & opt positive_int Wwt.Machine.default.Wwt.Machine.assoc
        & info [ "assoc" ] ~doc:"Cache associativity.")
 
 let block =
-  Arg.(value & opt int Wwt.Machine.default.Wwt.Machine.block_size
+  Arg.(value & opt positive_int Wwt.Machine.default.Wwt.Machine.block_size
        & info [ "block" ] ~doc:"Cache block size in bytes.")
 
 let protocol_conv =
@@ -66,15 +79,35 @@ let obs_term =
   in
   Term.(const setup $ mode)
 
+(* A machine the memory system would refuse is a usage error naming the
+   flags; the rules themselves stay in [Memsys.Directory] and
+   [Memsys.Cache]. *)
 let machine_term =
   let build nodes cache_kb assoc block protocol =
-    {
-      Wwt.Machine.default with
-      Wwt.Machine.nodes;
-      cache_bytes = cache_kb * 1024;
-      assoc;
-      block_size = block;
-      protocol;
-    }
+    if nodes > Memsys.Directory.max_nodes then
+      Error
+        (Printf.sprintf "--nodes %d: at most %d nodes are supported" nodes
+           Memsys.Directory.max_nodes)
+    else
+      let cache_bytes = cache_kb * 1024 in
+      match
+        Memsys.Cache.check_geometry ~size_bytes:cache_bytes ~assoc
+          ~block_size:block
+      with
+      | Error reason ->
+          Error
+            (Printf.sprintf "--cache-kb %d, --assoc %d, --block %d: %s"
+               cache_kb assoc block reason)
+      | Ok () ->
+          Ok
+            {
+              Wwt.Machine.default with
+              Wwt.Machine.nodes;
+              cache_bytes;
+              assoc;
+              block_size = block;
+              protocol;
+            }
   in
-  Term.(const build $ nodes_term $ cache_kb $ assoc $ block $ protocol)
+  Term.term_result' ~usage:true
+    Term.(const build $ nodes_term $ cache_kb $ assoc $ block $ protocol)

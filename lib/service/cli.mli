@@ -7,10 +7,15 @@
 
 val machine_term : Wwt.Machine.t Cmdliner.Term.t
 (** [--nodes]/[-n] (8), [--cache-kb] (16), [--assoc] (4), [--block] (32)
-    over {!Wwt.Machine.default}. *)
+    over {!Wwt.Machine.default}. Each flag takes a positive integer. A
+    machine the memory system would refuse (more than
+    {!Memsys.Directory.max_nodes} nodes, or a cache geometry
+    {!Memsys.Cache.check_geometry} rejects) is a usage error naming the
+    flags. *)
 
 val nodes_term : int Cmdliner.Term.t
-(** Just [--nodes]/[-n], for tools that only need the node count. *)
+(** Just [--nodes]/[-n] (a positive integer), for tools that only need
+    the node count. *)
 
 val obs_term : Obs.mode Cmdliner.Term.t
 (** [--obs={off,summary,ndjson:PATH}] (default [off]). Evaluating the

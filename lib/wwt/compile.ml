@@ -25,10 +25,6 @@ type rt = {
   mutable base_now : int;  (* cached [Sched.now]; see Interp.nstate *)
   mutable held_locks : int list;
   mutable held_id : int;
-  reco : Record.t option;
-      (* [Some _] only under Par's recording phase, with [quantum = 0] so
-         every yield check reaches the recording branch; [None] keeps the
-         sequential paths bit-for-bit what they were *)
 }
 
 let elem_shift_of elem_size =
@@ -63,32 +59,15 @@ type cproc = { arity : int; nslots : int; mutable cbody : cstmt }
 (* ---- cost plumbing (identical to Interp) ---- *)
 
 let flush_pending r =
-  match r.reco with
-  | None ->
-      if r.pending > 0 then begin
-        Sched.advance r.pending;
-        r.base_now <- r.base_now + r.pending;
-        r.pending <- 0
-      end
-  | Some rc ->
-      Record.flush rc r.pending;
-      r.pending <- 0
+  if r.pending > 0 then begin
+    Sched.advance r.pending;
+    r.base_now <- r.base_now + r.pending;
+    r.pending <- 0
+  end
 
 let charge _g r = r.pending <- r.pending + r.lop
 
-let maybe_yield _g r =
-  if r.pending >= r.quantum then begin
-    match r.reco with
-    | None ->
-        if r.pending > 0 then begin
-          Sched.advance r.pending;
-          r.base_now <- r.base_now + r.pending;
-          r.pending <- 0
-        end
-    | Some rc ->
-        Record.ycheck rc r.pending;
-        r.pending <- 0
-  end
+let maybe_yield _g r = if r.pending >= r.quantum then flush_pending r
 
 let virtual_now r = r.base_now + r.pending
 
@@ -111,33 +90,17 @@ type array_ref =
   | Ashared of Label.entry
   | Aprivate of int * int  (* private id, element count *)
 
-(* What Par's replay needs to re-execute a recorded ANNOT event: the
-   array the directive targets and the protocol latency function. *)
-type annot_desc = {
-  a_entry : Label.entry;
-  a_directive : Memsys.Protocol.t -> node:int -> addr:int -> now:int -> int;
-}
-
 type cenv = {
   info : Sema.info;
   genv_layout : Label.t;
   consts : (string * Value.t) list;
   procs : (string, cproc) Hashtbl.t;
   private_ids : (string * int) list;
-  mutable annot_descs : annot_desc list;  (* reversed; id = position *)
-  mutable n_annots : int;
   (* per-proc, during compilation: *)
   slots : (string, int) Hashtbl.t;
   islots : (string, bool) Hashtbl.t;  (* slot is statically int-typed *)
   mutable next_slot : int;
 }
-
-let annot_table env =
-  let a = Array.of_list (List.rev env.annot_descs) in
-  assert (Array.length a = env.n_annots);
-  a
-
-let main_proc env = Hashtbl.find_opt env.procs "main"
 
 let array_ref env name =
   match Label.find_array env.genv_layout name with
@@ -246,24 +209,16 @@ let shared_read g r ~pc (entry : Label.entry) i =
     error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
       entry.Label.elems;
   let addr = entry.Label.base + (i * entry.Label.elem_size) in
-  match r.reco with
-  | None ->
-      let p =
-        Memsys.Protocol.read_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
-      in
-      record_miss g r ~pc ~addr p;
-      g.shared.(elem_index g addr)
-  | Some rc ->
-      let e = elem_index g addr in
-      Record.read rc r.pending ~pc ~addr;
-      r.pending <- 0;
-      Record.mark_read rc e;
-      g.shared.(e)
+  let p =
+    Memsys.Protocol.read_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
+  in
+  record_miss g r ~pc ~addr p;
+  g.shared.(elem_index g addr)
 
-(* Direct-run halves of a recognized commutative RMW ([A[i] = A[i] + e]);
-   only called when not recording. The rmw entry points are bit-identical
-   to read_p/write_p except under the Commute backend, where the access
-   lands in a privatized per-node copy. *)
+(* The two halves of a recognized commutative RMW ([A[i] = A[i] + e]).
+   The rmw entry points are bit-identical to read_p/write_p except under
+   the Commute backend, where the access lands in a privatized per-node
+   copy. *)
 let shared_read_rmw g r ~pc (entry : Label.entry) i =
   if i < 0 || i >= entry.Label.elems then
     error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
@@ -291,19 +246,11 @@ let shared_write g r ~pc (entry : Label.entry) i v =
     error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
       entry.Label.elems;
   let addr = entry.Label.base + (i * entry.Label.elem_size) in
-  match r.reco with
-  | None ->
-      let p =
-        Memsys.Protocol.write_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
-      in
-      record_miss g r ~pc ~addr p;
-      g.shared.(elem_index g addr) <- v
-  | Some rc ->
-      let e = elem_index g addr in
-      Record.write rc r.pending ~pc ~addr v;
-      r.pending <- 0;
-      Record.mark_write rc e;
-      g.shared.(e) <- v
+  let p =
+    Memsys.Protocol.write_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
+  in
+  record_miss g r ~pc ~addr p;
+  g.shared.(elem_index g addr) <- v
 
 (* ---- expression compilation ---- *)
 
@@ -377,15 +324,9 @@ and compile_expr_node env ~pc (e : Ast.expr) : cexpr =
             let i = cidx g r frame in
             if i < 0 || i >= size then
               error "index %d out of bounds for private array %s[%d]" i name size;
-            (match r.reco with
-            | None ->
-                let stats = Memsys.Protocol.stats g.proto in
-                stats.Memsys.Stats.private_reads <-
-                  stats.Memsys.Stats.private_reads + 1
-            | Some rc ->
-                (* the shared counter would race across domains; count
-                   per recorder and merge after replay *)
-                rc.Record.priv_reads <- rc.Record.priv_reads + 1);
+            let stats = Memsys.Protocol.stats g.proto in
+            stats.Memsys.Stats.private_reads <-
+              stats.Memsys.Stats.private_reads + 1;
             r.privates.(id).(i)
       | None -> fun _ _ _ -> error "subscript of non-array %S" name)
   | Ast.Ebinop (Ast.And, a, b) ->
@@ -644,10 +585,6 @@ let compile_annot env (kind : Ast.annot_kind) arr =
   let is_prefetch = kind = Ast.Prefetch_x || kind = Ast.Prefetch_s in
   match array_ref env arr with
   | Some (Ashared entry) ->
-      let id = env.n_annots in
-      env.n_annots <- id + 1;
-      env.annot_descs <-
-        { a_entry = entry; a_directive = directive } :: env.annot_descs;
       Some
         (fun g r (ranges : (int * int) list) ->
           match g.machine.Machine.annotations with
@@ -660,31 +597,22 @@ let compile_annot env (kind : Ast.annot_kind) arr =
                   (fun (lo_i, hi_i) ->
                     let lo_i = max 0 lo_i
                     and hi_i = min (entry.Label.elems - 1) hi_i in
-                    if lo_i <= hi_i then
-                      match r.reco with
-                      | Some rc ->
-                          (* directive latencies depend on protocol state;
-                             replay computes them at the true position *)
-                          Record.annot rc r.pending ~id ~lo:lo_i ~hi:hi_i;
-                          r.pending <- 0
-                      | None ->
-                          let lo_addr = entry.Label.base + (lo_i * elem_size) in
-                          let hi_addr =
-                            entry.Label.base + (hi_i * elem_size) + elem_size
-                            - 1
+                    if lo_i <= hi_i then begin
+                      let lo_addr = entry.Label.base + (lo_i * elem_size) in
+                      let hi_addr =
+                        entry.Label.base + (hi_i * elem_size) + elem_size - 1
+                      in
+                      List.iter
+                        (fun blk ->
+                          let addr = Memsys.Block.base_addr ~block_size blk in
+                          let lat =
+                            directive g.proto ~node:r.node ~addr
+                              ~now:(virtual_now r)
                           in
-                          List.iter
-                            (fun blk ->
-                              let addr =
-                                Memsys.Block.base_addr ~block_size blk
-                              in
-                              let lat =
-                                directive g.proto ~node:r.node ~addr
-                                  ~now:(virtual_now r)
-                              in
-                              r.pending <- r.pending + lat)
-                            (Memsys.Block.blocks_of_range ~block_size
-                               ~lo:lo_addr ~hi:hi_addr))
+                          r.pending <- r.pending + lat)
+                        (Memsys.Block.blocks_of_range ~block_size ~lo:lo_addr
+                           ~hi:hi_addr)
+                    end)
                   ranges)
   | Some (Aprivate _) | None -> None
 
@@ -721,57 +649,25 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             match e with
             | Ast.Ebinop (Ast.Add, Ast.Eindex (name2, idx2), rest)
               when name2 = name && idx2 = idx && simple_index idx ->
-                (* Read-modify-write accumulation (A[i] = A[i] + e).
-                   Sequentially this compiles exactly like the generic
-                   case (the closures below are only used when recording).
-                   Under recording it emits RMW events whose increment is
-                   re-applied to the *replay-time* value, so cross-node
-                   accumulations replay bit-identically without being
-                   flagged as conflicts. *)
+                (* Read-modify-write accumulation (A[i] = A[i] + e): the
+                   same charges, in the same order, as the generic
+                   [ce]/[shared_write] path. Only the protocol entry
+                   points differ (rmw-aware, so the Commute backend can
+                   privatize the accumulation). *)
                 let cidx_in = compile_index env ~pc idx in
                 let crest = compile_expr env ~pc rest in
-                fun g r frame -> (
-                  match r.reco with
-                  | None ->
-                      (* Same charges, in the same order, as the generic
-                         [ce]/[shared_write] path — only the protocol
-                         entry points differ (rmw-aware, so the Commute
-                         backend can privatize the accumulation). *)
-                      charge g r;  (* the Ebinop node *)
-                      charge g r;  (* the inner Eindex node *)
-                      let i1 = cidx_in g r frame in
-                      let va = shared_read_rmw g r ~pc entry i1 in
-                      let vb = crest g r frame in
-                      let v =
-                        try apply_binop Ast.Add va vb
-                        with Division_by_zero -> error "division by zero"
-                      in
-                      let i2 = cidx g r frame in
-                      shared_write_rmw g r ~pc entry i2 v
-                  | Some rc ->
-                      charge g r;  (* the Ebinop node, as in compile_expr *)
-                      charge g r;  (* the inner Eindex node *)
-                      let i1 = cidx_in g r frame in
-                      if i1 < 0 || i1 >= entry.Label.elems then
-                        error "index %d out of bounds for shared array %s[%d]"
-                          i1 entry.Label.name entry.Label.elems;
-                      let addr =
-                        entry.Label.base + (i1 * entry.Label.elem_size)
-                      in
-                      let el = elem_index g addr in
-                      Record.rmw_read rc r.pending ~pc ~addr;
-                      r.pending <- 0;
-                      Record.mark_rmw rc el;
-                      let vb = crest g r frame in
-                      let i2 = cidx g r frame in
-                      if i2 <> i1 then
-                        Record.fail_unsupported "unstable rmw index";
-                      Record.rmw_write rc r.pending ~pc ~addr vb;
-                      r.pending <- 0;
-                      (* provisional: the replay restores this element from
-                         the epoch snapshot and re-applies the recorded
-                         increments in true schedule order *)
-                      g.shared.(el) <- Value.add g.shared.(el) vb)
+                fun g r frame ->
+                  charge g r;  (* the Ebinop node *)
+                  charge g r;  (* the inner Eindex node *)
+                  let i1 = cidx_in g r frame in
+                  let va = shared_read_rmw g r ~pc entry i1 in
+                  let vb = crest g r frame in
+                  let v =
+                    try apply_binop Ast.Add va vb
+                    with Division_by_zero -> error "division by zero"
+                  in
+                  let i2 = cidx g r frame in
+                  shared_write_rmw g r ~pc entry i2 v
             | _ ->
                 fun g r frame ->
                   let v = ce g r frame in
@@ -784,12 +680,9 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
               if i < 0 || i >= size then
                 error "index %d out of bounds for private array %s[%d]" i name
                   size;
-              (match r.reco with
-              | None ->
-                  let stats = Memsys.Protocol.stats g.proto in
-                  stats.Memsys.Stats.private_writes <-
-                    stats.Memsys.Stats.private_writes + 1
-              | Some rc -> rc.Record.priv_writes <- rc.Record.priv_writes + 1);
+              let stats = Memsys.Protocol.stats g.proto in
+              stats.Memsys.Stats.private_writes <-
+                stats.Memsys.Stats.private_writes + 1;
               r.privates.(id).(i) <- v
         | None -> fun _ _ _ -> error "assignment to non-array %S" name)
     | Ast.Sif (cond, b1, b2) ->
@@ -850,19 +743,11 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
           while cc g r frame do
             cbody g r frame
           done
-    | Ast.Sbarrier -> (
+    | Ast.Sbarrier ->
         fun _ r _ ->
           flush_pending r;
-          match r.reco with
-          | None ->
-              Sched.barrier_sync ~pc;
-              r.base_now <- Sched.now ()
-          | Some rc ->
-              (* still performs the effect: Par's recording handler parks
-                 the continuation until the next epoch *)
-              Record.barrier rc r.pending ~pc;
-              r.pending <- 0;
-              Sched.barrier_sync ~pc)
+          Sched.barrier_sync ~pc;
+          r.base_now <- Sched.now ()
     | Ast.Scall (name, args) ->
         let call = compile_call env ~pc name args in
         fun g r frame -> ignore (call g r frame)
@@ -873,8 +758,6 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
     | Ast.Slock e ->
         let ce = compile_index env ~pc e in
         fun g r frame ->
-          if r.reco <> None then
-            Record.fail_unsupported "lock in recording mode";
           let l = ce g r frame in
           flush_pending r;
           Sched.lock_acquire l;
@@ -885,8 +768,6 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
     | Ast.Sunlock e ->
         let ce = compile_index env ~pc e in
         fun g r frame ->
-          if r.reco <> None then
-            Record.fail_unsupported "lock in recording mode";
           let l = ce g r frame in
           r.held_locks <- Interp.remove_lock l r.held_locks;
           if g.machine.Machine.collect_trace then
@@ -927,11 +808,7 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             Printf.sprintf "p%d: %s" r.node
               (String.concat " " (List.map Value.to_string values))
           in
-          match r.reco with
-          | None -> g.output_buf := line :: !(g.output_buf)
-          | Some rc ->
-              Record.print rc r.pending line;
-              r.pending <- 0
+          g.output_buf := line :: !(g.output_buf)
   in
   if is_annot then fun g r frame ->
     charge g r;
@@ -963,8 +840,6 @@ let compile ~machine program =
       slots = Hashtbl.create 16;
       islots = Hashtbl.create 16;
       next_slot = 0;
-      annot_descs = [];
-      n_annots = 0;
     }
   in
   (* declare every procedure first so calls resolve in any order *)
@@ -1054,7 +929,6 @@ let run ?poll ~machine program =
         base_now = 0;
         held_locks = [];
         held_id = Trace.Buf.empty_held;
-        reco = None;
       }
     in
     let frame = make_frame main.nslots in

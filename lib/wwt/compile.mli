@@ -12,15 +12,7 @@
     One intentional divergence: reading a scalar before assigning it is a
     [Runtime_error] in {!Interp} but yields the integer 0 here (slots are
     pre-initialised); programs that error are outside the equivalence
-    contract.
-
-    The compiled representation is additionally the substrate for the
-    parallel engine {!Par}: the exported runtime types below let Par run
-    the same compiled closures in {e recording mode} ([rt.reco = Some _],
-    [rt.quantum = 0]) on worker domains, then replay the recorded event
-    streams through the real memory system serially. Everything under
-    "Par plumbing" exists for that engine and is not a stable public
-    API. *)
+    contract. *)
 
 val run :
   ?poll:(unit -> unit) -> machine:Machine.t -> Lang.Ast.program ->
@@ -33,73 +25,3 @@ val run :
 val compile_only : machine:Machine.t -> Lang.Ast.program -> unit
 (** Run only the compilation pass (used by benchmarks of the tool). *)
 
-(** {1 Par plumbing} *)
-
-exception Returning of Lang.Value.t option
-(** Raised by compiled [return] statements; a driver running [cbody]
-    directly must catch it. *)
-
-type rt_global = {
-  machine : Machine.t;
-  layout : Lang.Label.t;
-  proto : Memsys.Protocol.t;
-  shared : Lang.Value.t array;
-  elem_shift : int;  (** log2 elem_size, or -1 if not a power of two *)
-  trace_buf : Trace.Buf.t;
-  output_buf : string list ref;
-}
-(** Simulation-wide runtime state, shared by all nodes. *)
-
-type rt = {
-  node : int;
-  privates : Lang.Value.t array array;
-  lop : int;
-  quantum : int;
-  mutable pending : int;
-  mutable base_now : int;
-  mutable held_locks : int list;
-  mutable held_id : int;
-  reco : Record.t option;
-      (** [Some _] only under Par's recording phase, with [quantum = 0] so
-          every yield check reaches the recording branch; [None] keeps the
-          sequential paths exactly what they were. *)
-}
-(** Per-node runtime state. *)
-
-type frame
-(** A procedure activation record (boxed and unboxed slots). *)
-
-val make_frame : int -> frame
-
-type cstmt = rt_global -> rt -> frame -> unit
-
-type cproc = { arity : int; nslots : int; mutable cbody : cstmt }
-
-type annot_desc = {
-  a_entry : Lang.Label.entry;
-  a_directive : Memsys.Protocol.t -> node:int -> addr:int -> now:int -> int;
-}
-(** What Par's replay needs to re-execute a recorded ANNOT event: the
-    array the directive targets and the protocol latency function. *)
-
-type cenv
-(** The compile-time environment, kept opaque apart from the accessors
-    below. *)
-
-val compile :
-  machine:Machine.t -> Lang.Ast.program -> Lang.Sema.info * Lang.Label.t * cenv
-(** Semantic check + closure compilation of every procedure.
-    @raise Interp.Runtime_error like {!run} for compile-time errors. *)
-
-val annot_table : cenv -> annot_desc array
-(** Annotation sites in registration order; a recorded ANNOT event's [id]
-    indexes this table. *)
-
-val main_proc : cenv -> cproc option
-
-val flush_pending : rt -> unit
-(** Advance the scheduler by the accumulated [pending] cycles (or, in
-    recording mode, emit a FLUSH event). *)
-
-val elem_shift_of : int -> int
-val elem_index : rt_global -> int -> int

@@ -14,10 +14,9 @@
       wants for a fiber that yields back at an unchanged clock;
     - two queues fed the same push/pop sequence pop identical streams.
 
-    Both the sequential scheduler ({!Sched.run}) and the parallel
-    engine's replay loop ({!Par.run}) key fibers by virtual time, where
+    The scheduler ({!Sched.run}) keys fibers by virtual time, where
     equal priorities are common (barrier releases wake all nodes at the
-    same clock). Their bit-identical interleaving — and hence the whole
+    same clock). Its deterministic interleaving — and hence the whole
     engine-equivalence story — rests on this tie-break rule, which is why
     it is specified this precisely and pinned by tests. *)
 

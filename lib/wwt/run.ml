@@ -1,10 +1,9 @@
-type engine = Tree_walk | Compiled | Par of int
+type engine = Tree_walk | Compiled
 
 let run_with ?poll engine ~machine program =
   match engine with
   | Tree_walk -> Interp.run ?poll ~machine program
   | Compiled -> Compile.run ?poll ~machine program
-  | Par domains -> Par.run ?poll ~domains ~machine program
 
 let collect_trace ?poll ?(engine = Compiled) ~machine program =
   let program = Lang.Ast.strip_annotations program in

@@ -1,12 +1,11 @@
 (** Convenience drivers for common simulation set-ups.
 
-    All three execution engines are available: the tree-walking {!Interp},
-    the closure-compiling {!Compile} and the quantum-synchronized parallel
-    {!Par} (with its domain count). They are equivalent (enforced by
-    differential tests); measurement runs default to the compiled
+    Both execution engines are available: the tree-walking {!Interp}
+    and the closure-compiling {!Compile}. They are equivalent (enforced
+    by differential tests); measurement runs default to the compiled
     engine. *)
 
-type engine = Tree_walk | Compiled | Par of int  (** domains *)
+type engine = Tree_walk | Compiled
 
 val run_with :
   ?poll:(unit -> unit) -> engine -> machine:Machine.t -> Lang.Ast.program ->

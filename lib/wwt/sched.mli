@@ -40,16 +40,6 @@ val run : ?poll:(unit -> unit) -> config -> (int -> unit) -> int
     the unfinished fibers are discarded, leaving no scheduler state
     behind — a fresh [run] on the same domain is unaffected. *)
 
-(** The scheduling effects themselves, exported as the engine seam: an
-    alternative engine (the parallel {!Par}) runs the same fiber bodies
-    under its own handler for these effects instead of {!run}'s. *)
-type _ Effect.t +=
-  | Now : int Effect.t
-  | Advance : int -> unit Effect.t
-  | Barrier_sync : int -> unit Effect.t
-  | Lock_acquire : int -> unit Effect.t
-  | Lock_release : int -> unit Effect.t
-
 (** Effects available inside fiber bodies: *)
 
 val now : unit -> int

@@ -122,6 +122,112 @@ let remove_lock_innermost () =
     (Wwt.Interp.remove_lock 9 [ 7; 3 ]);
   Alcotest.(check (list int)) "empty" [] (Wwt.Interp.remove_lock 1 [])
 
+(* ---- scheduling edge cases ----
+
+   Small programs aimed at the scheduler paths the suite benchmarks
+   rarely reach: both engines must agree on each in trace and perf
+   mode. *)
+
+let check_engines name ~machine src =
+  let prog = Lang.Parser.parse src in
+  check_same (name ^ "/trace")
+    (Wwt.Run.collect_trace ~engine:Wwt.Run.Tree_walk ~machine prog)
+    (Wwt.Run.collect_trace ~engine:Wwt.Run.Compiled ~machine prog);
+  check_same (name ^ "/perf")
+    (Wwt.Run.measure ~engine:Wwt.Run.Tree_walk ~machine ~annotations:false
+       ~prefetch:false prog)
+    (Wwt.Run.measure ~engine:Wwt.Run.Compiled ~machine ~annotations:false
+       ~prefetch:false prog)
+
+(* An epoch whose total work is far below the quantum: no node ever
+   yields mid-epoch, only at the barriers. *)
+let quantum_exceeds_epoch () =
+  let machine = { machine with Wwt.Machine.quantum = 1_000_000 } in
+  check_engines "huge-quantum" ~machine
+    {|const N = 32;
+shared A[N];
+proc main() {
+  A[pid] = pid * 2;
+  barrier;
+  A[pid + 4] = A[pid] + 1;
+  barrier;
+}
+|}
+
+(* Unequal work with no barrier: some nodes finish while others are
+   mid-quantum; the run ends when the last fiber drains. *)
+let finish_mid_quantum () =
+  check_engines "finish-mid-quantum" ~machine
+    {|const N = 64;
+shared A[N];
+private s[1];
+proc main() {
+  if (pid == 0) {
+    for i = 0 to 39 {
+      s[0] = s[0] + i;
+      A[i] = s[0];
+    }
+  }
+  if (pid == 2) {
+    A[60] = 7;
+  }
+  print(pid, A[pid]);
+}
+|}
+
+(* A node that exits while the rest wait at a barrier deadlocks the
+   scheduler; both engines must report the identical diagnostic. *)
+let finish_vs_barrier_deadlock () =
+  let prog =
+    Lang.Parser.parse
+      {|shared A[8];
+proc main() {
+  if (pid > 0) {
+    barrier;
+  }
+  A[pid] = 1;
+}
+|}
+  in
+  let message engine =
+    match
+      Wwt.Run.measure ~engine ~machine ~annotations:false ~prefetch:false prog
+    with
+    | _ -> Alcotest.fail "expected a deadlock"
+    | exception Wwt.Sched.Deadlock msg -> msg
+  in
+  Alcotest.(check string) "deadlock message"
+    (message Wwt.Run.Tree_walk) (message Wwt.Run.Compiled)
+
+(* Back-to-back barriers with no misses in between: the epochs are empty
+   apart from their barrier records, which the packed trace must keep as
+   distinct groups. *)
+let zero_miss_epochs () =
+  check_engines "zero-miss-epochs" ~machine
+    {|const N = 16;
+shared A[N];
+proc main() {
+  A[pid] = 1;
+  barrier;
+  barrier;
+  barrier;
+  A[pid + 8] = 2;
+  barrier;
+}
+|}
+
+(* Cross-node sharing inside one epoch: each node reads an element its
+   neighbour writes, so the values read depend on the interleaving, which
+   both engines must reproduce. *)
+let cross_node_conflict () =
+  check_engines "cross-node-conflict" ~machine
+    {|shared A[16];
+proc main() {
+  A[pid] = pid;
+  A[8 + pid] = A[(pid + 1) % 4] + 1;
+}
+|}
+
 let suite =
   [
     Alcotest.test_case "suite equivalence (both modes)" `Slow suite_equivalence;
@@ -131,4 +237,11 @@ let suite =
       sunlock_reentrant;
     Alcotest.test_case "remove_lock drops innermost occurrence" `Quick
       remove_lock_innermost;
+    Alcotest.test_case "quantum larger than epoch" `Quick quantum_exceeds_epoch;
+    Alcotest.test_case "nodes finishing mid-quantum" `Quick finish_mid_quantum;
+    Alcotest.test_case "finish vs barrier deadlocks identically" `Quick
+      finish_vs_barrier_deadlock;
+    Alcotest.test_case "zero-miss epochs" `Quick zero_miss_epochs;
+    Alcotest.test_case "cross-node conflict program" `Quick
+      cross_node_conflict;
   ]

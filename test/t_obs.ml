@@ -263,56 +263,6 @@ let test_disabled_path_allocates_nothing () =
   Alcotest.(check (float 0.0)) "disabled obs loop allocates zero words"
     baseline obs_loop
 
-(* ---- Par worker-idle accounting ----
-
-   par.worker_idle_ns must measure actual waiting only. Two bounds pin
-   the accounting down: a single-domain run has no workers, so the
-   counter must not move at all; and a multi-domain run can never log
-   more idleness than (workers x wall clock) — the bound the old
-   eager-stamp accounting violated once pipelining overlapped recording
-   with replay (an already-signalled round was charged as idle). *)
-let test_par_worker_idle_bounds () =
-  let prev = Obs.current_mode () in
-  Obs.configure Obs.Summary;
-  Fun.protect
-    ~finally:(fun () -> Obs.configure prev)
-    (fun () ->
-      let counter_value () =
-        Option.value ~default:0
-          (List.assoc_opt "par.worker_idle_ns"
-             (Obs.Registry.counters Obs.Registry.default))
-      in
-      let machine = { Wwt.Machine.default with Wwt.Machine.nodes = 4 } in
-      let prog =
-        Lang.Parser.parse
-          {|const N = 64;
-shared A[N];
-proc main() {
-  for i = 0 to 15 {
-    A[pid * 16 + i] = pid + i;
-  }
-  barrier;
-  for i = 0 to 15 {
-    A[pid * 16 + i] = A[pid * 16 + i] + 1;
-  }
-  barrier;
-}
-|}
-      in
-      let measure ~domains =
-        let idle0 = counter_value () in
-        let t0 = Obs.now_ns () in
-        ignore
-          (Wwt.Run.measure ~engine:(Wwt.Run.Par domains) ~machine
-             ~annotations:false ~prefetch:false prog);
-        (counter_value () - idle0, Obs.now_ns () - t0, domains - 1)
-      in
-      let idle1, _, _ = measure ~domains:1 in
-      Alcotest.(check int) "no workers => no idle" 0 idle1;
-      let idle2, wall2, workers2 = measure ~domains:2 in
-      Alcotest.(check bool) "idle bounded by workers x wall" true
-        (idle2 <= workers2 * wall2))
-
 (* ---- Metrics keeps its JSON shape on top of the registry ---- *)
 
 let test_metrics_json_shape () =
@@ -457,8 +407,6 @@ let suite =
     Alcotest.test_case "summary aggregates per span" `Quick test_span_summary;
     Alcotest.test_case "disabled path allocates nothing" `Quick
       test_disabled_path_allocates_nothing;
-    Alcotest.test_case "par worker-idle accounting bounds" `Quick
-      test_par_worker_idle_bounds;
     Alcotest.test_case "Metrics JSON shape is preserved" `Quick
       test_metrics_json_shape;
     Alcotest.test_case "simulate --obs=summary stdout identity (matmul)"

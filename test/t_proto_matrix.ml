@@ -2,7 +2,7 @@
    already holds under Dir1SW must hold under the SiSd and Commute
    backends too.
 
-   - engine equivalence: tree-walk, compiled and parallel engines are
+   - engine equivalence: the tree-walk and compiled engines are
      bit-identical under every backend, including a non-power-of-two
      3-node / 3-way cache geometry;
    - semantics preservation: a DRF program's per-node output and final
@@ -13,14 +13,9 @@
    - equation sanity: Performance CICO's annotation sets stay a subset
      of Programmer CICO's when the epoch info is built from a SiSd or
      Commute trace;
-   - snapshot/restore round-trips (qcheck): restoring a snapshot brings
-     [state_digest] back exactly, for random access sequences under
-     every backend;
-   - digests distinguish backends: the same access sequence on two
-     different backends never hashes alike;
-   - the three instance modules (Memsys.Dir1sw / Sisd / Commute) satisfy
-     the PROTOCOL signature as first-class modules, audit clean, and
-     report the backend they claim. *)
+   - conformance: a machine built by [Protocol.create_b] for each
+     backend reports that backend, audits clean after a mixed access
+     stream, and resets its counters. *)
 
 let backends = Memsys.Protocol_id.all
 
@@ -84,9 +79,9 @@ let proto_tag p = Memsys.Protocol_id.to_string p
 
 (* ---- engine equivalence under every backend ----
 
-   Dir1SW is excluded here only because t_engines and t_par already pin
-   all three engines against each other under it at full scale; this
-   test buys the same guarantee for the two new backends. *)
+   Dir1SW is excluded here only because t_engines already pins both
+   engines against each other under it at full scale; this test buys
+   the same guarantee for the two new backends. *)
 
 let engine_equivalence () =
   List.iter
@@ -109,13 +104,8 @@ let engine_equivalence () =
               in
               check_same (tag ^ "/tw-trace") seq_trace
                 (Wwt.Run.collect_trace ~engine:Wwt.Run.Tree_walk ~machine prog);
-              check_same (tag ^ "/par-trace") seq_trace
-                (Wwt.Run.collect_trace ~engine:(Wwt.Run.Par 2) ~machine prog);
               check_same (tag ^ "/tw-perf") seq_perf
                 (Wwt.Run.measure ~engine:Wwt.Run.Tree_walk ~machine
-                   ~annotations:false ~prefetch:false prog);
-              check_same (tag ^ "/par-perf") seq_perf
-                (Wwt.Run.measure ~engine:(Wwt.Run.Par 2) ~machine
                    ~annotations:false ~prefetch:false prog))
             (bench_programs ~nodes))
         geometries)
@@ -278,146 +268,21 @@ let equations_subset () =
         (bench_programs ~nodes:nodes))
     geometries
 
-(* ---- qcheck: snapshot/restore round-trips; digests differ ---- *)
+(* ---- conformance of every backend built through create_b ---- *)
 
-let qtest = Qc.qtest
-
-(* A random op stream over a tiny 3-node machine: plain reads/writes,
-   recognized-RMW halves, directives, flushes and epoch boundaries. *)
-type op =
-  | Read of int * int
-  | Write of int * int
-  | Rmw of int * int
-  | Co_x of int * int
-  | Co_s of int * int
-  | Ci of int * int
-  | Flush of int
-  | Boundary
-
-let op_gen =
-  QCheck.Gen.(
-    int_range 0 2 >>= fun node ->
-    int_range 0 255 >>= fun addr ->
-    frequency
-      [
-        (4, return (Read (node, addr)));
-        (4, return (Write (node, addr)));
-        (2, return (Rmw (node, addr)));
-        (1, return (Co_x (node, addr)));
-        (1, return (Co_s (node, addr)));
-        (1, return (Ci (node, addr)));
-        (1, return (Flush node));
-        (1, return Boundary);
-      ])
-
-let ops_print ops =
-  String.concat ";"
-    (List.map
-       (function
-         | Read (n, a) -> Printf.sprintf "r%d@%d" n a
-         | Write (n, a) -> Printf.sprintf "w%d@%d" n a
-         | Rmw (n, a) -> Printf.sprintf "m%d@%d" n a
-         | Co_x (n, a) -> Printf.sprintf "cx%d@%d" n a
-         | Co_s (n, a) -> Printf.sprintf "cs%d@%d" n a
-         | Ci (n, a) -> Printf.sprintf "ci%d@%d" n a
-         | Flush n -> Printf.sprintf "f%d" n
-         | Boundary -> "B")
-       ops)
-
-let ops_arb =
-  QCheck.make ~print:ops_print QCheck.Gen.(list_size (int_range 1 60) op_gen)
-
-let fresh backend =
-  Memsys.Protocol.create_b ~backend ~nodes:3 ~cache_bytes:256 ~assoc:2
-    ~block_size:32 ~costs:Memsys.Network.default
-
-let apply_op t now = function
-  | Read (node, addr) -> ignore (Memsys.Protocol.read_p t ~node ~addr ~now)
-  | Write (node, addr) -> ignore (Memsys.Protocol.write_p t ~node ~addr ~now)
-  | Rmw (node, addr) ->
-      ignore (Memsys.Protocol.read_rmw_p t ~node ~addr ~now);
-      ignore (Memsys.Protocol.write_rmw_p t ~node ~addr ~now)
-  | Co_x (node, addr) ->
-      ignore (Memsys.Protocol.check_out_x_lat t ~node ~addr ~now)
-  | Co_s (node, addr) ->
-      ignore (Memsys.Protocol.check_out_s_lat t ~node ~addr ~now)
-  | Ci (node, addr) -> ignore (Memsys.Protocol.check_in_lat t ~node ~addr ~now)
-  | Flush node -> Memsys.Protocol.flush_node t ~node
-  | Boundary -> Memsys.Protocol.epoch_boundary t
-
-let apply_ops t ops =
-  List.iteri (fun i op -> apply_op t (i * 7) op) ops
-
-let prop_snapshot_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"snapshot/restore round-trips the digest"
-    (QCheck.pair ops_arb ops_arb)
-    (fun (pre, post) ->
-      List.for_all
-        (fun backend ->
-          let t = fresh backend in
-          Memsys.Protocol.set_debug_checks t true;
-          apply_ops t pre;
-          let now = List.length pre * 7 in
-          let snap = Memsys.Protocol.snapshot t in
-          let d0 = Memsys.Protocol.state_digest t ~now in
-          List.iteri (fun i op -> apply_op t (now + (i * 7)) op) post;
-          Memsys.Protocol.restore t snap ~time_offset:0;
-          let d1 = Memsys.Protocol.state_digest t ~now in
-          if d0 <> d1 then
-            QCheck.Test.fail_reportf
-              "%s: digest %x/%x after restore, expected %x/%x"
-              (proto_tag backend) (fst d1) (snd d1) (fst d0) (snd d0)
-          else
-            match Memsys.Protocol.check_invariants t with
-            | None -> true
-            | Some m ->
-                QCheck.Test.fail_reportf "%s: restored state audits dirty: %s"
-                  (proto_tag backend) m)
-        backends)
-
-let prop_digest_separates_backends =
-  QCheck.Test.make ~count:200
-    ~name:"state_digest distinguishes backends on identical histories"
-    ops_arb
-    (fun ops ->
-      let digests =
-        List.map
-          (fun backend ->
-            let t = fresh backend in
-            apply_ops t ops;
-            (backend, Memsys.Protocol.state_digest t
-                        ~now:(List.length ops * 7)))
-          backends
-      in
-      List.for_all
-        (fun (b1, d1) ->
-          List.for_all
-            (fun (b2, d2) ->
-              if b1 <> b2 && d1 = d2 then
-                QCheck.Test.fail_reportf "%s and %s hash alike: %x/%x"
-                  (proto_tag b1) (proto_tag b2) (fst d1) (snd d1)
-              else true)
-            digests)
-        digests)
-
-(* ---- PROTOCOL signature conformance, as first-class modules ---- *)
-
-let instances : (module Memsys.Protocol_intf.PROTOCOL) list =
-  [ (module Memsys.Dir1sw); (module Memsys.Sisd); (module Memsys.Commute) ]
-
-let instance_conformance () =
+let backend_conformance () =
   List.iter
-    (fun (m : (module Memsys.Protocol_intf.PROTOCOL)) ->
-      let module P = (val m) in
+    (fun backend ->
+      let module P = Memsys.Protocol in
       let t =
-        P.create ~nodes:3 ~cache_bytes:768 ~assoc:3 ~block_size:32
+        P.create_b ~backend ~nodes:3 ~cache_bytes:768 ~assoc:3 ~block_size:32
           ~costs:Memsys.Network.default
       in
-      let tag = Memsys.Protocol_id.to_string P.id in
+      let tag = proto_tag backend in
       Alcotest.(check bool)
-        (tag ^ ": instance runs its declared backend")
+        (tag ^ ": machine runs the requested backend")
         true
-        (P.backend t = P.id);
+        (P.backend t = backend);
       P.set_debug_checks t true;
       for i = 0 to 63 do
         ignore (P.read_p t ~node:(i mod 3) ~addr:(i * 8) ~now:i);
@@ -429,20 +294,12 @@ let instance_conformance () =
       (match P.check_invariants t with
       | None -> ()
       | Some m -> Alcotest.failf "%s: audit failed: %s" tag m);
-      let snap = P.snapshot t in
-      let d0 = P.state_digest t ~now:64 in
-      ignore (P.write_p t ~node:0 ~addr:0 ~now:64);
-      P.restore t snap ~time_offset:0;
-      Alcotest.(check bool)
-        (tag ^ ": snapshot/restore round-trips")
-        true
-        (P.state_digest t ~now:64 = d0);
       P.reset t;
       Alcotest.(check int)
         (tag ^ ": reset zeroes the counters")
         0
         (P.stats t).Memsys.Stats.shared_reads)
-    instances
+    backends
 
 let suite =
   [
@@ -455,8 +312,6 @@ let suite =
     Alcotest.test_case "Performance subset of Programmer on every backend's \
                         trace"
       `Slow equations_subset;
-    qtest prop_snapshot_roundtrip;
-    qtest prop_digest_separates_backends;
-    Alcotest.test_case "instance modules satisfy PROTOCOL and audit clean"
-      `Quick instance_conformance;
+    Alcotest.test_case "every backend conforms and audits clean" `Quick
+      backend_conformance;
   ]
