@@ -1,12 +1,8 @@
-(** What remains of the parallel engine: its domain-count rule.
-
-    The quantum-synchronized record/replay engine that spread one
-    simulation over several domains lost to {!Compile} on every measured
-    host (EXPERIMENTS.md, "Parallel engine go/no-go") and was deleted.
-    Every simulation now runs on {!Interp} or {!Compile}. The perfbench
-    host description still reports this rule as
-    [par_domains_at_16_nodes]. *)
+(** The domain count one simulation of [nodes] nodes could use on this
+    host. No engine reads it: spreading one simulation over domains lost
+    to {!Compile} in every measured configuration (EXPERIMENTS.md,
+    "Parallel engine go/no-go"). The perfbench host description reports
+    it as [par_domains_at_16_nodes]. *)
 
 val default_domains : nodes:int -> int
-(** [min (Jobs.default_jobs ()) nodes], at least 1: the domains one
-    simulation of [nodes] nodes could use on this host. *)
+(** [min (Jobs.default_jobs ()) nodes], at least 1. *)

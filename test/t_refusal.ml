@@ -49,16 +49,12 @@ let check_contains what text sub =
   if not (contains text sub) then
     Alcotest.failf "%s: expected %S in:\n%s" what sub text
 
-(* Each case sets one variable to a bad value. A refusal that failed to
-   fire would run the harness, so FAST and a one-experiment ONLY keep
-   that failure quick; the JSON must not be written. *)
+(* Each case sets one variable to a bad value; the third field is the
+   start of what the diagnostic says the variable accepts. A refusal that
+   failed to fire would run the harness, so FAST and a one-experiment
+   ONLY keep that failure quick; the JSON must not be written. *)
 let bench_cases =
-  let known =
-    "a comma-separated list of figure6, proto-matrix, delta, \
-     sharing-profile, jacobi-cost, matmul-listings, restructuring, \
-     sensitivity, fig4, extensions, barnes-capacity, trap-cost, modes, \
-     directory, post-store, training-set"
-  in
+  let known = "a comma-separated list of figure6, proto-matrix, delta, " in
   [
     ("CACHIER_BENCH_NODES", "x", "an integer in [1, 62]");
     ("CACHIER_BENCH_NODES", "0", "an integer in [1, 62]");
@@ -105,8 +101,8 @@ let bench_refuses () =
             (what ^ ": one line on stderr")
             1
             (List.length (String.split_on_char '\n' (String.trim err)));
-          check_contains what err
-            (Printf.sprintf "%s must be %s (got %S)" var accepted value);
+          check_contains what err (var ^ " must be " ^ accepted);
+          check_contains what err (Printf.sprintf "(got %S)" value);
           Alcotest.(check bool)
             (what ^ ": no JSON written") false (Sys.file_exists json))
         bench_cases
