@@ -52,29 +52,5 @@ let join t key ~deliver =
             (fun i d -> d ~coalesced:(i > 0) result)
             waiters)
 
-let run t key f =
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let slot = ref None in
-  let deliver ~coalesced r =
-    Mutex.lock mu;
-    slot := Some (r, coalesced);
-    Condition.signal cond;
-    Mutex.unlock mu
-  in
-  match join t key ~deliver with
-  | `Leader complete ->
-      let r = try Ok (f ()) with e -> Error e in
-      complete r;
-      (r, false)
-  | `Joined ->
-      Mutex.lock mu;
-      while !slot = None do
-        Condition.wait cond mu
-      done;
-      Mutex.unlock mu;
-      let r, coalesced = Option.get !slot in
-      (r, coalesced)
-
 let in_flight t = locked t (fun () -> Hashtbl.length t.tbl)
 let coalesced_total t = locked t (fun () -> t.coalesced)

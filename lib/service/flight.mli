@@ -1,7 +1,7 @@
 (** Content-addressed single-flight request coalescing.
 
     A flight table maps a computation key (the hash of everything that
-    determines a request's result — see {!Server.flight_key}) to the one
+    determines a request's result — see {!Server}) to the one
     in-flight execution of that computation. The first arrival becomes
     the {e leader} and actually computes; every later arrival for the
     same key while the leader is in flight becomes a {e follower} and is
@@ -31,12 +31,6 @@ val join :
     and will be resolved by the leader's [complete]. A leader that
     cannot run the computation (e.g. the pool refused the job) must
     still call [complete (Error _)] so followers are not stranded. *)
-
-val run : 'a t -> string -> (unit -> 'a) -> ('a, exn) result * bool
-(** Synchronous convenience over {!join}: leaders compute [f ()] on the
-    calling thread; followers block until the leader completes. Returns
-    the shared result and whether this call was coalesced (a
-    follower). *)
 
 val in_flight : 'a t -> int
 (** Entries currently in flight (for tests and stats). *)

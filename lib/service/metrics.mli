@@ -2,9 +2,12 @@
 
     Counters: total requests, errors by kind, and per-stage cache
     hits/misses (stages are ["parse"], ["trace"], ["measure"],
-    ["annotate"], ["trace_stats"]). Latencies are recorded per operation
-    into power-of-two microsecond buckets ([<=1us, <=2us, ..., <=2^29us],
-    plus an overflow bucket), cheap enough to keep on for every request.
+    ["annotate"], ["delta"], ["races"], ["race_report"],
+    ["trace_stats"]). This is the service's one count: the server books
+    every answered request here and nowhere else. Latencies are recorded
+    per operation into power-of-two microsecond buckets ([<=1us, <=2us,
+    ..., <=2^29us], plus an overflow bucket), cheap enough to keep on for
+    every request.
 
     Built on {!Obs.Registry}: each [t] owns a private registry (so
     concurrent servers and tests stay isolated) with category-prefixed

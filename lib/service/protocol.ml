@@ -78,6 +78,16 @@ let error_kind_to_string = function
   | Overloaded -> "overloaded"
   | Internal -> "internal"
 
+exception Reject of error_kind * string
+
+let error_of_exn = function
+  | Reject (kind, message) -> (kind, message)
+  | Lang.Lexer.Error msg | Lang.Parser.Error msg | Lang.Sema.Error msg ->
+      (Parse_error, msg)
+  | Wwt.Interp.Runtime_error msg | Wwt.Sched.Deadlock msg -> (Runtime_error, msg)
+  | Wwt.Sched.Cancelled msg -> (Deadline_exceeded, msg)
+  | e -> (Internal, Printexc.to_string e)
+
 let error_kind_of_string = function
   | "bad_request" -> Some Bad_request
   | "unknown_benchmark" -> Some Unknown_benchmark

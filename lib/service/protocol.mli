@@ -89,6 +89,19 @@ type error_kind =
 
 val error_kind_to_string : error_kind -> string
 
+exception Reject of error_kind * string
+(** A request refused with a structured error by the server's own
+    checks (unknown benchmark, bad delta base, deadline passed before
+    execution, full queue). *)
+
+val error_of_exn : exn -> error_kind * string
+(** The one mapping from an exception to a structured error, shared by
+    the server's error responses and the CLIs' diagnostics. [Reject]
+    carries its own kind; a lexer, parser or sema error is
+    [Parse_error]; a runtime error or deadlock of the simulated program
+    is [Runtime_error]; a cancelled run is [Deadline_exceeded]; anything
+    else is [Internal], with the exception's text as the message. *)
+
 type response =
   | Ok_response of {
       id : int;

@@ -15,21 +15,13 @@ let default_config =
     queue_capacity = 64;
   }
 
-(* Global observability seams (the per-server [Metrics.t] remains the
-   protocol-visible stats source; these feed the process-wide --obs
-   pipeline). Updates are gated on [Obs.enabled]. *)
-let obs_requests = Obs.Registry.counter "service.requests"
-let obs_cache_hits = Obs.Registry.counter "service.cache_hits"
-let obs_cache_misses = Obs.Registry.counter "service.cache_misses"
-let obs_coalesced = Obs.Registry.counter "service.coalesced"
-
 (* Stage artifacts. ASTs are cached post-sema and treated as immutable by
    every consumer (the engines and the annotator copy before rewriting),
    so one cached program may serve concurrent requests. *)
 type artifact =
   | Ast of Lang.Ast.program
-  | Trace_art of { records : Trace.Event.record list; payload : string }
-  | Annotate_art of { payload : string; summary : string }
+  | Trace_art of (Trace.Event.record list * string)  (* records, report *)
+  | Annotate_art of (string * string)  (* annotated source, summary *)
   | Text of string
 
 type t = {
@@ -56,33 +48,130 @@ let create config =
   }
 
 let shutdown t = Wwt.Jobs.Pool.shutdown t.pool
-let cache_bytes t = Cache.size t.cache
-let cache_entries t = Cache.entries t.cache
-let cache_evictions t = Cache.evictions t.cache
 let metrics t = t.metrics
 let store t = t.store
-let dag t = t.dag
 
 (* ------------------------------------------------------------------ *)
-(* cache keys and sizes                                                *)
+(* cache keys                                                          *)
+
+(* The machine and seed part of every stage and flight key. *)
+let machine_seed_text (m : Protocol.machine_config) seed =
+  Printf.sprintf "n%d:c%d:a%d:b%d:p%s|%s" m.nodes m.cache_kb m.assoc m.block
+    (Memsys.Protocol_id.to_string m.protocol)
+    (match seed with Some s -> string_of_int s | None -> "-")
 
 let stage_key ~stage ~machine ~seed ~source_digest =
-  Printf.sprintf "%s|%s|n%d:c%d:a%d:b%d:p%s|%s" stage source_digest
-    machine.Protocol.nodes machine.Protocol.cache_kb machine.Protocol.assoc
-    machine.Protocol.block
-    (Memsys.Protocol_id.to_string machine.Protocol.protocol)
-    (match seed with Some s -> string_of_int s | None -> "-")
+  String.concat "|" [ stage; source_digest; machine_seed_text machine seed ]
 
 let digest_hex s = Digest.to_hex (Digest.string s)
 
-(* sizes are estimates: the cache budgets memory, it does not meter it *)
-let ast_size source = 64 + (8 * String.length source)
-let trace_size records payload = (48 * List.length records) + String.length payload
+let key_of ~stage ~machine ~seed text =
+  stage_key ~stage ~machine ~seed ~source_digest:(digest_hex text)
+
+let flag c on = if on then c else '-'
+
+let mode_tag = function
+  | Protocol.Performance -> "perf"
+  | Protocol.Programmer -> "prog"
+
+let mode_stage name ~mode ~prefetch =
+  Printf.sprintf "%s:%s:%c" name (mode_tag mode) (flag 'p' prefetch)
+
+(* ------------------------------------------------------------------ *)
+(* the tiered lookup                                                   *)
+
+(* How one kind of stage value lives in the two tiers: its hot-tier
+   artifact, its size estimate (the cache budgets memory, it does not
+   meter it) and its disk form. *)
+type 'a codec = {
+  of_art : artifact -> 'a option;
+  to_art : 'a -> artifact;
+  size : 'a -> int;
+  load : Store.t -> key:string -> 'a option;
+  save : Store.t -> key:string -> 'a -> unit;
+}
+
+(* parsed programs live in memory only *)
+let ast_codec source =
+  {
+    of_art = (function Ast p -> Some p | _ -> None);
+    to_art = (fun p -> Ast p);
+    size = (fun _ -> 64 + (8 * String.length source));
+    load = (fun _ ~key:_ -> None);
+    save = (fun _ ~key:_ _ -> ());
+  }
+
+(* in the [.trace] file format, which doubles as a trace_stats input *)
+let trace_codec =
+  {
+    of_art = (function Trace_art v -> Some v | _ -> None);
+    to_art = (fun v -> Trace_art v);
+    size =
+      (fun (records, payload) ->
+        (48 * List.length records) + String.length payload);
+    load = (fun s ~key -> Store.get_trace s ~key);
+    save =
+      (fun s ~key (records, payload) ->
+        Store.put_trace s ~key ~records ~payload);
+  }
+
+(* measure, races, race_report and trace_stats: one rendered report *)
+let text_codec =
+  {
+    of_art = (function Text p -> Some p | _ -> None);
+    to_art = (fun p -> Text p);
+    size = String.length;
+    load = (fun s ~key -> Option.map fst (Store.get_text s ~key));
+    save = (fun s ~key p -> Store.put_text s ~key p);
+  }
+
+(* annotate and annotate_delta. A disk entry that lost its summary is
+   recomputed rather than served degraded. *)
+let annotate_codec =
+  {
+    of_art = (function Annotate_art v -> Some v | _ -> None);
+    to_art = (fun v -> Annotate_art v);
+    size =
+      (fun (payload, summary) ->
+        String.length payload + String.length summary);
+    load =
+      (fun s ~key ->
+        match Store.get_text s ~key with
+        | Some (payload, Some summary) -> Some (payload, summary)
+        | _ -> None);
+    save =
+      (fun s ~key (payload, summary) -> Store.put_text s ~key ~summary payload);
+  }
+
+let write_through t codec ~key v =
+  Cache.put t.cache ~key ~size:(codec.size v) (codec.to_art v);
+  Option.iter (fun s -> codec.save s ~key v) t.store
+
+(* The one lookup every stage goes through: the hot tier, then the disk
+   store, then compute. A disk hit is promoted into the hot tier; a
+   computed value is written through to both. Returns the value and
+   whether a tier served it. *)
+let tiered t codec ~stage ~key compute =
+  match Option.bind (Cache.get t.cache key) codec.of_art with
+  | Some v ->
+      Metrics.record_hit t.metrics ~stage;
+      (v, true)
+  | None -> (
+      match Option.bind t.store (fun s -> codec.load s ~key) with
+      | Some v ->
+          Metrics.record_hit t.metrics ~stage;
+          Cache.put t.cache ~key ~size:(codec.size v) (codec.to_art v);
+          (v, true)
+      | None ->
+          Metrics.record_miss t.metrics ~stage;
+          let v = compute () in
+          write_through t codec ~key v;
+          (v, false))
 
 (* ------------------------------------------------------------------ *)
 (* request execution                                                   *)
 
-exception Reject of Protocol.error_kind * string
+let reject kind message = raise (Protocol.Reject (kind, message))
 
 let resolve_source ~nodes = function
   | Protocol.Text s -> s
@@ -90,12 +179,9 @@ let resolve_source ~nodes = function
       match Benchmarks.Suite.find ~nodes name with
       | b -> b.Benchmarks.Suite.source
       | exception Not_found ->
-          raise
-            (Reject
-               ( Protocol.Unknown_benchmark,
-                 Printf.sprintf "unknown benchmark %S (expected one of %s)"
-                   name
-                   (String.concat ", " Benchmarks.Suite.names) )))
+          reject Protocol.Unknown_benchmark
+            (Printf.sprintf "unknown benchmark %S (expected one of %s)" name
+               (String.concat ", " Benchmarks.Suite.names)))
 
 let make_poll ~received = function
   | None -> None
@@ -111,173 +197,81 @@ let make_poll ~received = function
 let check_deadline ~received = function
   | Some ms when Unix.gettimeofday () > received +. (float_of_int ms /. 1000.)
     ->
-      raise
-        (Reject
-           ( Protocol.Deadline_exceeded,
-             Printf.sprintf "deadline of %d ms exceeded before execution" ms ))
+      reject Protocol.Deadline_exceeded
+        (Printf.sprintf "deadline of %d ms exceeded before execution" ms)
   | _ -> ()
 
 (* Stage: parse (+ sema + optional reseed). Machine-independent, so the
    key carries only source digest and seed. *)
 let parsed_program t ~source ~seed =
   let key =
-    stage_key ~stage:"parse" ~machine:Protocol.default_machine ~seed
-      ~source_digest:(digest_hex source)
+    key_of ~stage:"parse" ~machine:Protocol.default_machine ~seed source
   in
-  match Cache.get t.cache key with
-  | Some (Ast p) ->
-      Metrics.record_hit t.metrics ~stage:"parse";
-      p
-  | _ ->
-      Metrics.record_miss t.metrics ~stage:"parse";
-      let p = Lang.Parser.parse source in
-      ignore (Lang.Sema.check p);
-      let p =
-        match seed with
-        | Some s -> Lang.Ast_util.set_const p "SEED" s
-        | None -> p
-      in
-      Cache.put t.cache ~key ~size:(ast_size source) (Ast p);
-      p
+  fst
+    (tiered t (ast_codec source) ~stage:"parse" ~key (fun () ->
+         let p = Lang.Parser.parse source in
+         ignore (Lang.Sema.check p);
+         match seed with
+         | Some s -> Lang.Ast_util.set_const p "SEED" s
+         | None -> p))
 
-(* The two-tier lookup for text-shaped artifacts: hot in-memory entry,
-   then the disk store, then compute. A disk hit is promoted into the
-   hot tier; a computed artifact is written through to both. *)
-let text_tiers t ~key ~stage ~wrap ~unwrap ~compute =
-  match Option.map unwrap (Cache.get t.cache key) with
-  | Some (Some v) ->
-      Metrics.record_hit t.metrics ~stage;
-      (v, true)
-  | _ -> (
-      let from_disk =
-        match t.store with
-        | Some s -> Store.get_text s ~key
-        | None -> None
-      in
-      match Option.bind from_disk (fun (payload, summary) -> wrap payload summary) with
-      | Some (v, size, art) ->
-          Metrics.record_hit t.metrics ~stage;
-          Cache.put t.cache ~key ~size art;
-          (v, true)
-      | None ->
-          Metrics.record_miss t.metrics ~stage;
-          let v, size, art, payload, summary = compute () in
-          Cache.put t.cache ~key ~size art;
-          (match t.store with
-          | Some s -> Store.put_text s ~key ?summary payload
-          | None -> ());
-          (v, false))
-
-(* Stage: trace-mode simulation (shared by simulate --trace, annotate,
-   race_report and trace_stats). Returns the artifact and whether it came
-   from the cache (memory or disk). *)
+(* Stage: trace-mode simulation, shared by simulate --trace, annotate,
+   race_report, races and trace_stats: the records and the simulation
+   report. *)
 let trace_stage t ~machine ~seed ~source ~poll =
-  let key =
-    stage_key ~stage:"trace" ~machine ~seed ~source_digest:(digest_hex source)
-  in
-  match Cache.get t.cache key with
-  | Some (Trace_art a) ->
-      Metrics.record_hit t.metrics ~stage:"trace";
-      (a.records, a.payload, true)
-  | _ -> (
-      let from_disk =
-        match t.store with
-        | Some s -> Store.get_trace s ~key
-        | None -> None
+  tiered t trace_codec ~stage:"trace"
+    ~key:(key_of ~stage:"trace" ~machine ~seed source)
+    (fun () ->
+      let program = parsed_program t ~source ~seed in
+      let outcome =
+        Wwt.Run.collect_trace ?poll ~machine:(Protocol.to_machine machine)
+          program
       in
-      match from_disk with
-      | Some (records, payload) ->
-          Metrics.record_hit t.metrics ~stage:"trace";
-          Cache.put t.cache ~key ~size:(trace_size records payload)
-            (Trace_art { records; payload });
-          (records, payload, true)
-      | None ->
-          Metrics.record_miss t.metrics ~stage:"trace";
-          let program = parsed_program t ~source ~seed in
-          let wm = Protocol.to_machine machine in
-          let outcome = Wwt.Run.collect_trace ?poll ~machine:wm program in
-          let payload = Oneshot.simulate_report outcome in
-          let records = outcome.Wwt.Interp.trace in
-          Cache.put t.cache ~key ~size:(trace_size records payload)
-            (Trace_art { records; payload });
-          (match t.store with
-          | Some s -> Store.put_trace s ~key ~records ~payload
-          | None -> ());
-          (records, payload, false))
+      (outcome.Wwt.Interp.trace, Oneshot.simulate_report outcome))
+
+let trace_records t ~machine ~seed ~source ~poll =
+  fst (fst (trace_stage t ~machine ~seed ~source ~poll))
 
 (* Stage: performance-mode simulation. *)
 let measure_stage t ~machine ~seed ~source ~annotations ~prefetch ~poll =
   let stage =
-    Printf.sprintf "measure:%c%c"
-      (if annotations then 'a' else '-')
-      (if prefetch then 'p' else '-')
+    Printf.sprintf "measure:%c%c" (flag 'a' annotations) (flag 'p' prefetch)
   in
-  let key = stage_key ~stage ~machine ~seed ~source_digest:(digest_hex source) in
-  text_tiers t ~key ~stage:"measure"
-    ~unwrap:(function Text p -> Some p | _ -> None)
-    ~wrap:(fun payload _summary ->
-      Some (payload, String.length payload, Text payload))
-    ~compute:(fun () ->
+  tiered t text_codec ~stage:"measure"
+    ~key:(key_of ~stage ~machine ~seed source)
+    (fun () ->
       let program = parsed_program t ~source ~seed in
-      let wm = Protocol.to_machine machine in
-      let outcome =
-        Wwt.Run.measure ?poll ~machine:wm ~annotations ~prefetch program
-      in
-      let payload = Oneshot.simulate_report outcome in
-      (payload, String.length payload, Text payload, payload, None))
+      Oneshot.simulate_report
+        (Wwt.Run.measure ?poll ~machine:(Protocol.to_machine machine)
+           ~annotations ~prefetch program))
 
-let mode_tag = function
-  | Protocol.Performance -> "perf"
-  | Protocol.Programmer -> "prog"
+let placement_options ~mode ~prefetch =
+  {
+    Cachier.Placement.default_options with
+    Cachier.Placement.mode =
+      (match mode with
+      | Protocol.Performance -> Cachier.Equations.Performance
+      | Protocol.Programmer -> Cachier.Equations.Programmer);
+    prefetch;
+  }
 
-let annotate_stage_name ~mode ~prefetch =
-  Printf.sprintf "annotate:%s:%c" (mode_tag mode) (if prefetch then 'p' else '-')
+let annotated result =
+  (Cachier.Annotate.to_source result, Oneshot.annotate_summary result)
 
 (* Stage: annotation. A hit skips parsing and simulation entirely; a miss
    reuses the cached trace when one exists. *)
 let annotate_stage t ~machine ~seed ~source ~mode ~prefetch ~poll =
-  let stage = annotate_stage_name ~mode ~prefetch in
-  let key = stage_key ~stage ~machine ~seed ~source_digest:(digest_hex source) in
-  let (payload, summary), cached =
-    text_tiers t ~key ~stage:"annotate"
-      ~unwrap:(function
-        | Annotate_art a -> Some (a.payload, a.summary)
-        | _ -> None)
-      ~wrap:(fun payload summary ->
-        match summary with
-        | Some summary ->
-            Some
-              ( (payload, summary),
-                String.length payload + String.length summary,
-                Annotate_art { payload; summary } )
-        | None -> None (* summary lost: recompute rather than degrade *))
-      ~compute:(fun () ->
-        let program = parsed_program t ~source ~seed in
-        let records, _, _ = trace_stage t ~machine ~seed ~source ~poll in
-        let options =
-          {
-            Cachier.Placement.default_options with
-            Cachier.Placement.mode =
-              (match mode with
-              | Protocol.Performance -> Cachier.Equations.Performance
-              | Protocol.Programmer -> Cachier.Equations.Programmer);
-            prefetch;
-          }
-        in
-        let result =
-          Cachier.Annotate.annotate_with_trace
-            ~machine:(Protocol.to_machine machine)
-            ~options program records
-        in
-        let payload = Cachier.Annotate.to_source result in
-        let summary = Oneshot.annotate_summary result in
-        ( (payload, summary),
-          String.length payload + String.length summary,
-          Annotate_art { payload; summary },
-          payload,
-          Some summary ))
-  in
-  (payload, summary, cached)
+  tiered t annotate_codec ~stage:"annotate"
+    ~key:
+      (key_of ~stage:(mode_stage "annotate" ~mode ~prefetch) ~machine ~seed
+         source)
+    (fun () ->
+      let program = parsed_program t ~source ~seed in
+      let records = trace_records t ~machine ~seed ~source ~poll in
+      annotated
+        (Cachier.Annotate.annotate_with_trace
+           ~machine:(Protocol.to_machine machine)
+           ~options:(placement_options ~mode ~prefetch) program records))
 
 (* ---- incremental re-annotation ---- *)
 
@@ -310,13 +304,11 @@ let resolve_base t id =
           ignore (Delta.Engine.register_source t.dag source);
           source
       | None ->
-          raise
-            (Reject
-               ( Protocol.Bad_request,
-                 Printf.sprintf
-                   "unknown base artifact %S (annotate a source first and \
-                    use the returned artifact id)"
-                   id )))
+          reject Protocol.Bad_request
+            (Printf.sprintf
+               "unknown base artifact %S (annotate a source first and use \
+                the returned artifact id)"
+               id))
 
 (* Stage: incremental re-annotation of a registered base. The result is
    keyed by the EDITED source's digest — a repeated edit is a pure hit —
@@ -325,170 +317,97 @@ let resolve_base t id =
    substitution is rejected: the delta prover reasons about the source
    text as written. *)
 let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch =
-  (match seed with
-  | Some _ ->
-      raise
-        (Reject
-           ( Protocol.Bad_request,
-             "annotate_delta does not support seed substitution; edit the \
-              SEED constant instead" ))
-  | None -> ());
+  if seed <> None then
+    reject Protocol.Bad_request
+      "annotate_delta does not support seed substitution; edit the SEED \
+       constant instead";
   let base_source = resolve_base t base in
   let edited =
     try Delta.Splice.apply_edit base_source span text
-    with Invalid_argument msg -> raise (Reject (Protocol.Bad_request, msg))
+    with Invalid_argument msg -> reject Protocol.Bad_request msg
   in
   let artifact = Delta.Engine.source_digest edited in
-  let stage =
-    Printf.sprintf "delta:%s:%c" (mode_tag mode) (if prefetch then 'p' else '-')
+  let key name =
+    stage_key ~stage:(mode_stage name ~mode ~prefetch) ~machine ~seed:None
+      ~source_digest:artifact
   in
-  let key = stage_key ~stage ~machine ~seed:None ~source_digest:artifact in
-  let (payload, summary, reuse), cached =
-    text_tiers t ~key ~stage:"delta"
-      ~unwrap:(function
-        | Annotate_art a -> Some (a.payload, a.summary, "cached")
-        | _ -> None)
-      ~wrap:(fun payload summary ->
-        match summary with
-        | Some summary ->
-            Some
-              ( (payload, summary, "cached"),
-                String.length payload + String.length summary,
-                Annotate_art { payload; summary } )
-        | None -> None)
-      ~compute:(fun () ->
-        let wm = Protocol.to_machine machine in
-        let options =
-          {
-            Cachier.Placement.default_options with
-            Cachier.Placement.mode =
-              (match mode with
-              | Protocol.Performance -> Cachier.Equations.Performance
-              | Protocol.Programmer -> Cachier.Equations.Programmer);
-            prefetch;
-          }
-        in
+  let reuse = ref "cached" in
+  let result, cached =
+    tiered t annotate_codec ~stage:"delta" ~key:(key "delta") (fun () ->
         let outcome =
-          Delta.Engine.annotate_delta ~dag:t.dag ~machine:wm ~options
-            ~base:base_source span text
+          Delta.Engine.annotate_delta ~dag:t.dag
+            ~machine:(Protocol.to_machine machine)
+            ~options:(placement_options ~mode ~prefetch) ~base:base_source span
+            text
         in
-        let payload = Cachier.Annotate.to_source outcome.Delta.Engine.result in
-        let summary = Oneshot.annotate_summary outcome.Delta.Engine.result in
-        let akey =
-          stage_key ~stage:(annotate_stage_name ~mode ~prefetch) ~machine
-            ~seed:None ~source_digest:artifact
-        in
-        Cache.put t.cache ~key:akey
-          ~size:(String.length payload + String.length summary)
-          (Annotate_art { payload; summary });
-        (match t.store with
-        | Some s -> Store.put_text s ~key:akey ~summary payload
-        | None -> ());
+        let result = annotated outcome.Delta.Engine.result in
+        write_through t annotate_codec ~key:(key "annotate") result;
         ignore (register_base t edited);
-        ( ( payload,
-            summary,
-            Delta.Engine.reuse_to_string outcome.Delta.Engine.reuse ),
-          String.length payload + String.length summary,
-          Annotate_art { payload; summary },
-          payload,
-          Some summary ))
+        reuse := Delta.Engine.reuse_to_string outcome.Delta.Engine.reuse;
+        result)
   in
-  (payload, summary, reuse, artifact, cached)
+  (result, !reuse, artifact, cached)
 
-let race_stage t ~machine ~seed ~source ~poll =
-  let key =
-    stage_key ~stage:"race_report" ~machine ~seed
-      ~source_digest:(digest_hex source)
-  in
-  text_tiers t ~key ~stage:"race_report"
-    ~unwrap:(function Text p -> Some p | _ -> None)
-    ~wrap:(fun payload _ -> Some (payload, String.length payload, Text payload))
-    ~compute:(fun () ->
+let race_report_stage t ~machine ~seed ~source ~poll =
+  tiered t text_codec ~stage:"race_report"
+    ~key:(key_of ~stage:"race_report" ~machine ~seed source)
+    (fun () ->
       let program = parsed_program t ~source ~seed in
-      let records, _, _ = trace_stage t ~machine ~seed ~source ~poll in
-      let payload =
-        Oneshot.race_report ~machine:(Protocol.to_machine machine) program
-          records
-      in
-      (payload, String.length payload, Text payload, payload, None))
+      Oneshot.race_report ~machine:(Protocol.to_machine machine) program
+        (trace_records t ~machine ~seed ~source ~poll))
 
 (* Stage: the sound streaming race detector over the collected trace.
    Reuses the cached trace artifact; the rendered report is itself a
    priced artifact in both tiers, so a warm hit never re-simulates. *)
 let races_stage t ~machine ~seed ~source ~poll =
-  let key =
-    stage_key ~stage:"races" ~machine ~seed ~source_digest:(digest_hex source)
-  in
-  text_tiers t ~key ~stage:"races"
-    ~unwrap:(function Text p -> Some p | _ -> None)
-    ~wrap:(fun payload _ -> Some (payload, String.length payload, Text payload))
-    ~compute:(fun () ->
-      let records, _, _ = trace_stage t ~machine ~seed ~source ~poll in
-      let payload =
-        Oneshot.races_report ~nodes:machine.Protocol.nodes records
-      in
-      (payload, String.length payload, Text payload, payload, None))
+  tiered t text_codec ~stage:"races"
+    ~key:(key_of ~stage:"races" ~machine ~seed source)
+    (fun () ->
+      Oneshot.races_report ~nodes:machine.Protocol.nodes
+        (trace_records t ~machine ~seed ~source ~poll))
 
 let trace_stats_stage t ~machine ~seed ~input ~poll =
-  let text_stage ~key compute =
-    text_tiers t ~key ~stage:"trace_stats"
-      ~unwrap:(function Text p -> Some p | _ -> None)
-      ~wrap:(fun payload _ ->
-        Some (payload, String.length payload, Text payload))
-      ~compute:(fun () ->
-        let payload = compute () in
-        (payload, String.length payload, Text payload, payload, None))
-  in
-  match input with
-  | `Trace_text text ->
-      let key =
-        stage_key ~stage:"trace_stats:inline" ~machine ~seed:None
-          ~source_digest:(digest_hex text)
-      in
-      text_stage ~key (fun () ->
-          let records =
+  let key, records =
+    match input with
+    | `Trace_text text ->
+        ( key_of ~stage:"trace_stats:inline" ~machine ~seed:None text,
+          fun () ->
             try Trace.Trace_file.of_string text
-            with Failure msg -> raise (Reject (Protocol.Parse_error, msg))
-          in
-          Oneshot.trace_stats_report ~nodes:machine.Protocol.nodes records)
-  | `Source source ->
-      let key =
-        stage_key ~stage:"trace_stats" ~machine ~seed
-          ~source_digest:(digest_hex source)
-      in
-      text_stage ~key (fun () ->
-          let records, _, _ = trace_stage t ~machine ~seed ~source ~poll in
-          Oneshot.trace_stats_report ~nodes:machine.Protocol.nodes records)
+            with Failure msg -> reject Protocol.Parse_error msg )
+    | `Source source ->
+        ( key_of ~stage:"trace_stats" ~machine ~seed source,
+          fun () -> trace_records t ~machine ~seed ~source ~poll )
+  in
+  tiered t text_codec ~stage:"trace_stats" ~key (fun () ->
+      Oneshot.trace_stats_report ~nodes:machine.Protocol.nodes (records ()))
 
 (* ------------------------------------------------------------------ *)
 (* the dispatcher                                                      *)
 
 let execute t (req : Protocol.request) ~poll =
   let nodes = req.machine.Protocol.nodes in
+  let machine = req.machine and seed = req.seed in
   match req.op with
   | Protocol.Parse { source } ->
       let source = resolve_source ~nodes source in
-      let program = parsed_program t ~source ~seed:req.seed in
-      (Oneshot.parse_report program, false, [])
+      (Oneshot.parse_report (parsed_program t ~source ~seed), false, [])
   | Protocol.Simulate { source; annotations; prefetch; trace } ->
       let source = resolve_source ~nodes source in
       let payload, cached =
         if trace then
-          let _, payload, cached =
-            trace_stage t ~machine:req.machine ~seed:req.seed ~source ~poll
+          let (_, payload), cached =
+            trace_stage t ~machine ~seed ~source ~poll
           in
           (payload, cached)
         else
-          measure_stage t ~machine:req.machine ~seed:req.seed ~source
-            ~annotations ~prefetch ~poll
+          measure_stage t ~machine ~seed ~source ~annotations ~prefetch ~poll
       in
       (payload, cached, [])
   | Protocol.Annotate { source; mode; prefetch } ->
       let source = resolve_source ~nodes source in
       let artifact = register_base t source in
-      let payload, summary, cached =
-        annotate_stage t ~machine:req.machine ~seed:req.seed ~source ~mode
-          ~prefetch ~poll
+      let (payload, summary), cached =
+        annotate_stage t ~machine ~seed ~source ~mode ~prefetch ~poll
       in
       ( payload,
         cached,
@@ -496,9 +415,9 @@ let execute t (req : Protocol.request) ~poll =
           ("report", Json.String summary); ("artifact", Json.String artifact);
         ] )
   | Protocol.Annotate_delta { base; start; len; text; mode; prefetch } ->
-      let payload, summary, reuse, artifact, cached =
-        delta_stage t ~machine:req.machine ~seed:req.seed ~base
-          ~span:{ Delta.Splice.start; len } ~text ~mode ~prefetch
+      let (payload, summary), reuse, artifact, cached =
+        delta_stage t ~machine ~seed ~base ~span:{ Delta.Splice.start; len }
+          ~text ~mode ~prefetch
       in
       ( payload,
         cached,
@@ -510,25 +429,22 @@ let execute t (req : Protocol.request) ~poll =
   | Protocol.Race_report { source } ->
       let source = resolve_source ~nodes source in
       let payload, cached =
-        race_stage t ~machine:req.machine ~seed:req.seed ~source ~poll
+        race_report_stage t ~machine ~seed ~source ~poll
       in
       (payload, cached, [])
   | Protocol.Races { source } ->
       let source = resolve_source ~nodes source in
-      let payload, cached =
-        races_stage t ~machine:req.machine ~seed:req.seed ~source ~poll
-      in
+      let payload, cached = races_stage t ~machine ~seed ~source ~poll in
       (payload, cached, [])
   | Protocol.Trace_stats { source; trace_text } ->
       let input =
         match (trace_text, source) with
         | Some text, _ -> `Trace_text text
         | None, Some s -> `Source (resolve_source ~nodes s)
-        | None, None ->
-            raise (Reject (Protocol.Bad_request, "missing trace input"))
+        | None, None -> reject Protocol.Bad_request "missing trace input"
       in
       let payload, cached =
-        trace_stats_stage t ~machine:req.machine ~seed:req.seed ~input ~poll
+        trace_stats_stage t ~machine ~seed ~input ~poll
       in
       (payload, cached, [])
   | Protocol.Stats ->
@@ -556,7 +472,7 @@ let execute t (req : Protocol.request) ~poll =
   | Protocol.Shutdown -> ("shutting down", false, [])
 
 (* ------------------------------------------------------------------ *)
-(* single-flight coalescing                                            *)
+(* the one request path                                                *)
 
 (* Everything that determines a work request's result, and nothing that
    does not (id, deadline): identical concurrent requests share one
@@ -566,46 +482,30 @@ let flight_key (req : Protocol.request) =
     | Protocol.Text s -> "t:" ^ digest_hex s
     | Protocol.Bench b -> "b:" ^ b
   in
-  let m = req.machine in
-  let base op rest =
-    Printf.sprintf "%s|n%d:c%d:a%d:b%d:p%s|%s|%s" op m.Protocol.nodes
-      m.Protocol.cache_kb m.Protocol.assoc m.Protocol.block
-      (Memsys.Protocol_id.to_string m.Protocol.protocol)
-      (match req.seed with Some s -> string_of_int s | None -> "-")
-      rest
+  let key op rest =
+    Some
+      (String.concat "|" [ op; machine_seed_text req.machine req.seed; rest ])
   in
   match req.op with
-  | Protocol.Parse { source } -> Some (base "parse" (src source))
+  | Protocol.Parse { source } -> key "parse" (src source)
   | Protocol.Simulate { source; annotations; prefetch; trace } ->
-      Some
-        (base "simulate"
-           (Printf.sprintf "%s:%B:%B:%B" (src source) annotations prefetch
-              trace))
+      key "simulate"
+        (Printf.sprintf "%s:%B:%B:%B" (src source) annotations prefetch trace)
   | Protocol.Annotate { source; mode; prefetch } ->
-      Some
-        (base "annotate"
-           (Printf.sprintf "%s:%s:%B" (src source)
-              (match mode with
-              | Protocol.Performance -> "perf"
-              | Protocol.Programmer -> "prog")
-              prefetch))
-  | Protocol.Annotate_delta { base = b; start; len; text; mode; prefetch } ->
-      Some
-        (base "annotate_delta"
-           (Printf.sprintf "%s:%d:%d:%s:%s:%B" b start len (digest_hex text)
-              (match mode with
-              | Protocol.Performance -> "perf"
-              | Protocol.Programmer -> "prog")
-              prefetch))
-  | Protocol.Race_report { source } -> Some (base "race_report" (src source))
-  | Protocol.Races { source } -> Some (base "races" (src source))
+      key "annotate"
+        (Printf.sprintf "%s:%s:%B" (src source) (mode_tag mode) prefetch)
+  | Protocol.Annotate_delta { base; start; len; text; mode; prefetch } ->
+      key "annotate_delta"
+        (Printf.sprintf "%s:%d:%d:%s:%s:%B" base start len (digest_hex text)
+           (mode_tag mode) prefetch)
+  | Protocol.Race_report { source } -> key "race_report" (src source)
+  | Protocol.Races { source } -> key "races" (src source)
   | Protocol.Trace_stats { source; trace_text } ->
-      Some
-        (base "trace_stats"
-           (match (trace_text, source) with
-           | Some text, _ -> "x:" ^ digest_hex text
-           | None, Some s -> src s
-           | None, None -> "-"))
+      key "trace_stats"
+        (match (trace_text, source) with
+        | Some text, _ -> "x:" ^ digest_hex text
+        | None, Some s -> src s
+        | None, None -> "-")
   | Protocol.Stats | Protocol.Ping | Protocol.Shutdown -> None
 
 (* A follower that inherited the leader's deadline cancellation retries
@@ -613,141 +513,151 @@ let flight_key (req : Protocol.request) =
    waiter with the leader's cancellation would defeat coalescing. *)
 let inherited_cancellation = function
   | Wwt.Sched.Cancelled _ -> true
-  | Reject (Protocol.Deadline_exceeded, _) -> true
+  | Protocol.Reject (Protocol.Deadline_exceeded, _) -> true
   | _ -> false
 
-(* raises; the computation a flight leader runs *)
-let run_request t (req : Protocol.request) ~received =
-  check_deadline ~received req.deadline_ms;
-  let poll = make_poll ~received req.deadline_ms in
-  execute t req ~poll
+let overloaded t =
+  Protocol.Reject
+    ( Protocol.Overloaded,
+      Printf.sprintf "submission queue full (capacity %d)"
+        t.config.queue_capacity )
 
-(* Map one computation result to one response, with the per-request
-   metrics and Obs bookkeeping. [t0]/[obs_t0] are the request's own
-   arrival stamps, so a coalesced follower reports its own latency. *)
-let finish_response t (req : Protocol.request) ~t0 ~obs_t0 ~coalesced result =
-  let finish resp =
-    (match resp with
-    | Protocol.Ok_response { op; elapsed_us; _ } ->
-        Metrics.record_request t.metrics ~op ~elapsed_us
-    | Protocol.Error_response { error; _ } ->
-        Metrics.record_request t.metrics ~op:(Protocol.op_name req.op)
-          ~elapsed_us:
-            (int_of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.));
-        Metrics.record_error t.metrics
-          ~kind:(Protocol.error_kind_to_string error));
-    if Obs.enabled () then begin
-      Obs.Counter.incr obs_requests;
-      if coalesced then Obs.Counter.incr obs_coalesced;
-      (match resp with
-      | Protocol.Ok_response { cached; _ } ->
-          Obs.Counter.incr (if cached then obs_cache_hits else obs_cache_misses)
-      | Protocol.Error_response _ -> ());
-      Obs.finish ("service." ^ Protocol.op_name req.op) obs_t0
-    end;
-    resp
-  in
-  let error kind message =
-    finish (Protocol.Error_response { id = req.id; error = kind; message })
-  in
+(* Map one computation result to one response and book it: the request
+   and its latency, the error kind, the coalesced count, and the
+   request's one [service.<op>] span. [t0] is the request's own arrival
+   stamp, so a coalesced or retried follower reports its own latency. *)
+let finish_response t (req : Protocol.request) ~t0 ~coalesced result =
+  let op = Protocol.op_name req.op in
+  let elapsed_us = (Obs.now_ns () - t0) / 1000 in
+  Metrics.record_request t.metrics ~op ~elapsed_us;
+  if coalesced then Metrics.record_coalesced t.metrics;
+  if Obs.enabled () then Obs.finish ("service." ^ op) t0;
   match result with
   | Ok (payload, cached, extra) ->
-      let elapsed_us =
-        int_of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.)
-      in
-      finish
-        (Protocol.Ok_response
-           {
-             id = req.id;
-             op = Protocol.op_name req.op;
-             cached = cached || coalesced;
-             elapsed_us;
-             payload;
-             extra;
-           })
-  | Error (Reject (kind, msg)) -> error kind msg
-  | Error (Lang.Parser.Error msg) -> error Protocol.Parse_error msg
-  | Error (Lang.Sema.Error msg) -> error Protocol.Parse_error msg
-  | Error (Wwt.Sched.Cancelled msg) -> error Protocol.Deadline_exceeded msg
-  | Error (Wwt.Interp.Runtime_error msg) -> error Protocol.Runtime_error msg
-  | Error (Wwt.Sched.Deadlock msg) -> error Protocol.Runtime_error msg
-  | Error e -> error Protocol.Internal (Printexc.to_string e)
+      Protocol.Ok_response
+        {
+          id = req.id;
+          op;
+          cached = cached || coalesced;
+          elapsed_us;
+          payload;
+          extra;
+        }
+  | Error e ->
+      let error, message = Protocol.error_of_exn e in
+      Metrics.record_error t.metrics
+        ~kind:(Protocol.error_kind_to_string error);
+      Protocol.Error_response { id = req.id; error; message }
 
-let handle ?received t (req : Protocol.request) =
+(* Every request goes through here once. Work ops join the flight table;
+   [lead job] runs a flight leader's [job] and answers false when it
+   cannot (the pool refused it). A follower that inherited its leader's
+   cancellation joins again, at most twice. [deliver] gets exactly one
+   response. *)
+let dispatch ?received t (req : Protocol.request) ~lead ~deliver =
+  let t0 = Obs.now_ns () in
   let received =
     match received with Some r -> r | None -> Unix.gettimeofday ()
   in
-  let t0 = Unix.gettimeofday () in
-  let obs_t0 = Obs.start () in
-  let compute () = run_request t req ~received in
-  let rec attempt tries =
-    match flight_key req with
-    | None -> ((try Ok (compute ()) with e -> Error e), false)
-    | Some key -> (
-        match Flight.run t.flight key compute with
-        | Error e, true when tries < 2 && inherited_cancellation e ->
-            attempt (tries + 1)
-        | r, coalesced -> (r, coalesced))
+  let run () =
+    try
+      check_deadline ~received req.deadline_ms;
+      Ok (execute t req ~poll:(make_poll ~received req.deadline_ms))
+    with e -> Error e
   in
-  let result, coalesced = attempt 0 in
-  if coalesced then Metrics.record_coalesced t.metrics;
-  finish_response t req ~t0 ~obs_t0 ~coalesced result
-
-(* The event-loop entry point: never blocks the caller. Cheap ops are
-   answered inline; work ops join the flight table, and only a flight
-   leader submits a pool job — 10k concurrent identical requests cost
-   one queue slot and one simulation. [deliver] may be called on the
-   calling thread (inline ops, overload) or on a worker domain. *)
-let handle_async ?received t (req : Protocol.request) ~deliver =
-  let received =
-    match received with Some r -> r | None -> Unix.gettimeofday ()
+  let finish ~coalesced result =
+    deliver (finish_response t req ~t0 ~coalesced result)
   in
   match flight_key req with
-  | None -> deliver (handle ~received t req)
+  | None -> finish ~coalesced:false (run ())
   | Some key ->
       let rec attempt tries =
-        let t0 = Unix.gettimeofday () in
-        let obs_t0 = Obs.start () in
-        let on_result ~coalesced result =
-          match result with
+        let on_result ~coalesced = function
           | Error e when coalesced && tries < 2 && inherited_cancellation e ->
               attempt (tries + 1)
-          | _ ->
-              if coalesced then Metrics.record_coalesced t.metrics;
-              deliver (finish_response t req ~t0 ~obs_t0 ~coalesced result)
+          | result -> finish ~coalesced result
         in
         match Flight.join t.flight key ~deliver:on_result with
         | `Joined -> ()
-        | `Leader complete -> (
-            match
-              Wwt.Jobs.Pool.submit t.pool (fun () ->
-                  complete
-                    (try Ok (run_request t req ~received) with e -> Error e))
-            with
-            | Some _ -> ()
-            | None ->
-                complete
-                  (Error
-                     (Reject
-                        ( Protocol.Overloaded,
-                          Printf.sprintf "submission queue full (capacity %d)"
-                            t.config.queue_capacity ))))
+        | `Leader complete ->
+            if not (lead (fun () -> complete (run ()))) then
+              complete (Error (overloaded t))
       in
       attempt 0
 
+(* Leader jobs, a retry's included, run on the calling thread: the
+   thread that completes a flight hands a retrying follower's job back
+   to that follower's own caller. *)
+let handle ?received t req =
+  let mu = Mutex.create () and wake = Condition.create () in
+  let inbox = Queue.create () in
+  let post f =
+    Mutex.protect mu (fun () ->
+        Queue.push f inbox;
+        Condition.signal wake)
+  in
+  let answer = ref None in
+  dispatch ?received t req
+    ~lead:(fun job ->
+      post job;
+      true)
+    ~deliver:(fun resp -> post (fun () -> answer := Some resp));
+  let rec wait () =
+    match !answer with
+    | Some resp -> resp
+    | None ->
+        let job =
+          Mutex.protect mu (fun () ->
+              while Queue.is_empty inbox do
+                Condition.wait wake mu
+              done;
+              Queue.pop inbox)
+        in
+        job ();
+        wait ()
+  in
+  wait ()
+
+let handle_async ?received t req ~deliver =
+  dispatch ?received t req ~deliver ~lead:(fun job ->
+      Option.is_some (Wwt.Jobs.Pool.submit t.pool job))
+
 (* ------------------------------------------------------------------ *)
-(* serving: blocking NDJSON loop (stdio)                               *)
+(* the front ends                                                      *)
+
+let response_line resp =
+  let buf = Buffer.create 1024 in
+  Protocol.write_response buf resp;
+  Buffer.contents buf
+
+(* The line handling both front ends share: a malformed line is answered
+   with [bad_request] and id 0, [ping] and [stats] are answered inline,
+   and a shutdown or a work request is returned for the front end to
+   place. *)
+let handle_line t line ~reply =
+  if String.trim line = "" then `Answered
+  else
+    match Protocol.read_request ~defaults:t.config.machine_defaults line with
+    | Error message ->
+        Metrics.record_error t.metrics ~kind:"bad_request";
+        reply
+          (Protocol.Error_response
+             { id = 0; error = Protocol.Bad_request; message });
+        `Answered
+    | Ok ({ op = Protocol.Shutdown; _ } as req) -> `Shutdown req
+    | Ok ({ op = Protocol.Stats | Protocol.Ping; _ } as req) ->
+        reply (handle t req);
+        `Answered
+    | Ok req -> `Work req
+
+(* ---- blocking NDJSON loop (stdio) ---- *)
 
 let serve t ic oc =
   let out_mu = Mutex.create () in
   let send resp =
-    let buf = Buffer.create 1024 in
-    Protocol.write_response buf resp;
-    Mutex.lock out_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock out_mu)
-      (fun () ->
-        Buffer.output_buffer oc buf;
+    let line = response_line resp in
+    Mutex.protect out_mu (fun () ->
+        output_string oc line;
         flush oc)
   in
   let pending = ref [] in
@@ -758,57 +668,34 @@ let serve t ic oc =
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> `Eof
-    | line when String.trim line = "" -> loop ()
     | line -> (
-        match
-          Protocol.read_request ~defaults:t.config.machine_defaults line
-        with
-        | Error msg ->
-            Metrics.record_error t.metrics ~kind:"bad_request";
-            send
-              (Protocol.Error_response
-                 { id = 0; error = Protocol.Bad_request; message = msg });
-            loop ()
-        | Ok req -> (
-            match req.Protocol.op with
-            | Protocol.Shutdown ->
-                (* answer only after every in-flight request has *)
-                drain ();
-                send (handle t req);
-                `Shutdown
-            | Protocol.Stats | Protocol.Ping ->
-                (* cheap and latency-sensitive: answer on the reader *)
-                send (handle t req);
-                loop ()
-            | _ -> (
-                let received = Unix.gettimeofday () in
-                match
-                  Wwt.Jobs.Pool.submit t.pool (fun () ->
-                      send (handle ~received t req))
-                with
-                | Some h ->
-                    pending := h :: !pending;
-                    loop ()
-                | None ->
-                    Metrics.record_error t.metrics ~kind:"overloaded";
-                    send
-                      (Protocol.Error_response
-                         {
-                           id = req.Protocol.id;
-                           error = Protocol.Overloaded;
-                           message =
-                             Printf.sprintf
-                               "submission queue full (capacity %d)"
-                               t.config.queue_capacity;
-                         });
-                    loop ())))
+        match handle_line t line ~reply:send with
+        | `Answered -> loop ()
+        | `Shutdown req ->
+            (* answer only after every in-flight request has *)
+            drain ();
+            send (handle t req);
+            `Shutdown
+        | `Work req ->
+            (* the request joins a flight only when its job runs, so one
+               queued behind an identical request finds its artifact *)
+            let received = Unix.gettimeofday () in
+            (match
+               Wwt.Jobs.Pool.submit t.pool (fun () ->
+                   send (handle ~received t req))
+             with
+            | Some h -> pending := h :: !pending
+            | None ->
+                send
+                  (finish_response t req ~t0:(Obs.now_ns ()) ~coalesced:false
+                     (Error (overloaded t))));
+            loop ())
   in
   let outcome = loop () in
   drain ();
   outcome
 
-(* ------------------------------------------------------------------ *)
-(* serving: sharded event-loop front end (Unix socket)                 *)
+(* ---- sharded event-loop front end (Unix socket) ---- *)
 
 type serve_options = {
   listeners : int;
@@ -818,11 +705,6 @@ type serve_options = {
 
 let default_serve_options =
   { listeners = 2; idle_timeout_s = 30.; drain_grace_s = 5. }
-
-let response_line resp =
-  let buf = Buffer.create 1024 in
-  Protocol.write_response buf resp;
-  Buffer.contents buf
 
 let serve_shards t ~path ?(options = default_serve_options) ?stop () =
   let stop = match stop with Some s -> s | None -> Atomic.make false in
@@ -839,35 +721,21 @@ let serve_shards t ~path ?(options = default_serve_options) ?stop () =
       let shard () =
         let loop = Aio.Loop.create () in
         let on_line conn line =
-          if String.trim line = "" then ()
-          else
-            match
-              Protocol.read_request ~defaults:t.config.machine_defaults line
-            with
-            | Error msg ->
-                Metrics.record_error t.metrics ~kind:"bad_request";
-                Aio.Loop.send conn
-                  (response_line
-                     (Protocol.Error_response
-                        { id = 0; error = Protocol.Bad_request; message = msg }))
-            | Ok req -> (
-                let received = Unix.gettimeofday () in
-                match req.Protocol.op with
-                | Protocol.Shutdown ->
-                    (* reply first, then trigger the drain: every loop
-                       stops accepting and finishes its in-flight work
-                       within the drain grace *)
-                    Aio.Loop.send conn (response_line (handle ~received t req));
-                    Atomic.set stop true
-                | Protocol.Stats | Protocol.Ping ->
-                    (* cheap and latency-sensitive: answer on the loop *)
-                    Aio.Loop.send conn (response_line (handle ~received t req))
-                | _ ->
-                    Aio.Loop.hold conn;
-                    handle_async ~received t req ~deliver:(fun resp ->
-                        Aio.Loop.post loop (fun () ->
-                            Aio.Loop.send conn (response_line resp);
-                            Aio.Loop.release conn)))
+          let reply resp = Aio.Loop.send conn (response_line resp) in
+          match handle_line t line ~reply with
+          | `Answered -> ()
+          | `Shutdown req ->
+              (* reply first, then trigger the drain: every loop stops
+                 accepting and finishes its in-flight work within the
+                 drain grace *)
+              reply (handle t req);
+              Atomic.set stop true
+          | `Work req ->
+              Aio.Loop.hold conn;
+              handle_async t req ~deliver:(fun resp ->
+                  Aio.Loop.post loop (fun () ->
+                      reply resp;
+                      Aio.Loop.release conn))
         in
         Aio.Loop.add_listener loop lsock ~on_accept:(fun fd ->
             ignore (Aio.Loop.add_conn loop fd ~on_line ()));
@@ -881,8 +749,3 @@ let serve_shards t ~path ?(options = default_serve_options) ?stop () =
       | n ->
           let shards = List.init n (fun _ -> Domain.spawn shard) in
           List.iter Domain.join shards)
-
-let serve_socket t ~path =
-  serve_shards t ~path
-    ~options:{ default_serve_options with listeners = 1 }
-    ()

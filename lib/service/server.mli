@@ -14,15 +14,41 @@
     [(source text, machine config, seed, stage)]: a [parse] hit returns
     the cached AST, a trace hit returns the packed trace and the
     simulation report, and an [annotate] hit returns the finished
-    response without simulating. With a [cache_dir], every
-    simulation-priced artifact (trace, measure, annotate, races,
-    trace_stats) is also written through to the {!Store}, whose index is
-    rebuilt on startup — warm state survives a restart.
+    response without simulating. Every stage goes through one lookup:
+    the hot tier, then the {!Store}, then compute and write through.
+    With a [cache_dir], every simulation-priced artifact (trace,
+    measure, annotate, annotate_delta, races, race_report, trace_stats)
+    is also written to the {!Store}, whose index is rebuilt on startup —
+    warm state survives a restart. Every [annotate] response registers
+    its source as a delta base in the incremental-annotation DAG
+    (returned in the [artifact] extra); [annotate_delta] resolves bases
+    against the DAG, falling back to the disk store's ["src|…"]
+    artifacts after a restart.
 
-    Identical concurrent work requests are single-flighted: followers
-    attach to the leader's in-flight computation and receive the same
-    result (marked [cached]), so a thundering herd of duplicates costs
-    one simulation. *)
+    {b One request path.} {!handle} and {!handle_async} are thin callers
+    of one dispatch. It stamps the request once, on arrival, with the
+    monotonic {!Obs.now_ns}, which times both [elapsed_us] and the span
+    (wall-clock time anchors deadlines only); joins the flight table, so identical concurrent work
+    requests share one execution (followers receive the leader's result,
+    marked [cached]); retries, at most twice, a follower that inherited
+    its leader's deadline cancellation; and books the response — request
+    count, latency, error kind, coalesced count and one [service.<op>]
+    span — in {!Metrics} and the {!Obs} pipeline. The callers differ
+    only in where a flight leader runs: {!handle} runs it on the calling
+    thread, {!handle_async} submits it to the pool, and a pool refusal is
+    the one [overloaded] error.
+
+    {b Front ends.} Both front ends share one line handler: a malformed
+    line is answered with [bad_request] and id 0, [ping] and [stats] are
+    answered inline, and [shutdown] is recognised; each front end keeps
+    only its transport and its shutdown order. The socket front end
+    ({!serve_shards}) dispatches work with {!handle_async}, so a request
+    coalesces on arrival. The stdio front end ({!serve}) submits each
+    work request to the pool as a {!handle} job, which joins the flight
+    table only when a worker runs it: a request queued behind an
+    identical one then finds the artifact its predecessor cached rather
+    than riding along with it, so a burst with one worker answers every
+    repeat from the cache. *)
 
 type config = {
   machine_defaults : Protocol.machine_config;
@@ -44,11 +70,12 @@ val create : config -> t
     a [cache_dir], indexes the existing on-disk artifacts. *)
 
 val handle : ?received:float -> t -> Protocol.request -> Protocol.response
-(** Execute one request synchronously on the calling domain, consulting
-    and filling both cache tiers and coalescing with any identical
-    in-flight request. [received] (a [Unix.gettimeofday] stamp) anchors
-    the request's deadline; it defaults to now. Never raises: failures
-    become [Error_response]s. *)
+(** Execute one request synchronously, consulting and filling both cache
+    tiers and coalescing with any identical in-flight request. A flight
+    this call leads, a retry's included, runs on the calling thread.
+    [received] (a [Unix.gettimeofday] stamp) anchors the request's
+    deadline; it defaults to now. Never raises: failures become
+    [Error_response]s. *)
 
 val handle_async :
   ?received:float ->
@@ -62,14 +89,15 @@ val handle_async :
     a pool slot. [deliver] is called exactly once — on the calling
     thread for inline answers and pool-refused ([overloaded]) requests,
     or on a worker domain otherwise — so callers that own an
-    {!Aio.Loop} must re-enter it via {!Aio.Loop.post}. *)
+    {!Aio.Loop} must re-enter it via {!Aio.Loop.post}. The reported
+    [elapsed_us] runs from this call, also for a follower that retried. *)
 
 val serve : t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]
 (** Blocking NDJSON loop over channels: read requests, fan them out on
-    the pool, write one response line per request (order follows
-    completion; correlate by [id]). Returns on end of input or on a
-    [shutdown] request — after every in-flight request has been
-    answered. *)
+    the pool as {!handle} jobs, write one response line per request
+    (order follows completion; correlate by [id]). Returns on end of
+    input or on a [shutdown] request — after every in-flight request has
+    been answered. *)
 
 type serve_options = {
   listeners : int;  (** listener-shard domains sharing the socket *)
@@ -99,33 +127,17 @@ val serve_shards :
     accepting, in-flight requests drain within [options.drain_grace_s],
     and the socket file is removed. *)
 
-val serve_socket : t -> path:string -> unit
-(** [serve_shards] with a single listener shard run on the calling
-    domain. *)
-
 val shutdown : t -> unit
 (** Drain and join the worker pool. *)
 
-(** Introspection (tests, [stats]): *)
+(** Introspection (tests): *)
 
-val cache_bytes : t -> int
-val cache_entries : t -> int
-val cache_evictions : t -> int
 val metrics : t -> Metrics.t
 val store : t -> Store.t option
-
-val dag : t -> Delta.Dag.t
-(** The incremental-annotation artifact DAG. Every [annotate] response
-    registers its source as a delta base (returned in the [artifact]
-    extra); [annotate_delta] resolves bases against the DAG, falling
-    back to the disk store's ["src|…"] artifacts after a restart. *)
 
 val stage_key :
   stage:string -> machine:Protocol.machine_config -> seed:int option ->
   source_digest:string -> string
-(** The cache key for one pipeline stage (exposed for tests). *)
-
-val flight_key : Protocol.request -> string option
-(** The single-flight coalescing key: everything that determines a work
-    request's result and nothing that does not (id, deadline). [None]
-    for cheap operations, which are never coalesced. *)
+(** The cache key for one pipeline stage. The {!Store} names its files
+    by this key's digest, so its bytes must not change: a cache
+    directory written by an earlier server must stay warm. *)

@@ -1,7 +1,8 @@
-(* Single-flight coalescing: the flight table in isolation, then the
-   acceptance property end-to-end — a 10k thundering herd of identical
-   requests costs exactly one simulation and every response is
-   byte-identical. *)
+(* Single-flight coalescing: the flight table in isolation, the server's
+   one request path (coalescing through [Server.handle], a follower's
+   retry through [Server.handle_async]), then the acceptance property
+   end-to-end — a 10k thundering herd of identical requests costs exactly
+   one simulation and every response is byte-identical. *)
 
 open Service
 
@@ -56,28 +57,6 @@ let test_error_propagates_to_followers () =
   match !seen with
   | Some (true, Error Exit) -> ()
   | _ -> Alcotest.fail "follower did not receive the leader's error"
-
-let test_run_coalesces_across_domains () =
-  let t = Flight.create () in
-  let computed = Atomic.make 0 in
-  let compute () =
-    Atomic.incr computed;
-    Unix.sleepf 0.15;
-    42
-  in
-  let worker () = Flight.run t "k" compute in
-  let domains = Array.init 3 (fun _ -> Domain.spawn worker) in
-  let results = Array.map Domain.join domains in
-  Array.iter
-    (fun (r, _) ->
-      Alcotest.(check bool) "shared result" true (r = Ok 42))
-    results;
-  (* the sleep makes same-flight overlap overwhelmingly likely, but the
-     only hard guarantee is per-flight single execution *)
-  let runs = Atomic.get computed in
-  let followers = Array.to_list results |> List.filter snd |> List.length in
-  Alcotest.(check int) "every run either led or followed" 3 (runs + followers);
-  Alcotest.(check bool) "computed at least once" true (runs >= 1)
 
 (* ---- the acceptance property: 10k duplicates, one simulation ---- *)
 
@@ -156,14 +135,122 @@ let test_10k_duplicates_one_simulation () =
         !cached_n;
       Alcotest.(check bool) "coalescing observed" true (Metrics.coalesced m > 0))
 
+(* ---- the server's one request path ---- *)
+
+let small_machine =
+  { Protocol.nodes = 4; cache_kb = 16; assoc = 4; block = 32;
+    protocol = Memsys.Protocol_id.default }
+
+let simulate_req ?(machine = small_machine) ?deadline_ms id source =
+  { Protocol.id; machine; seed = None; deadline_ms;
+    op = Protocol.Simulate
+           { source; annotations = false; prefetch = false; trace = false } }
+
+let with_server config f =
+  let server = Server.create config in
+  Fun.protect ~finally:(fun () -> Server.shutdown server) (fun () -> f server)
+
+(* Three domains send the same slow request through [Server.handle]. The
+   hot tier has no budget, so a request arriving after a flight completed
+   computes again instead of hitting: each request either led a flight
+   (one measure miss) or followed one. *)
+let test_handle_coalesces_across_domains () =
+  let config =
+    { Server.default_config with budget_bytes = 0; workers = 1;
+      machine_defaults = small_machine }
+  in
+  with_server config (fun server ->
+      let req =
+        simulate_req ~machine:{ small_machine with Protocol.nodes = 8 } 1
+          (Protocol.Bench "tomcatv")
+      in
+      let domains =
+        Array.init 3 (fun _ -> Domain.spawn (fun () -> Server.handle server req))
+      in
+      let payloads =
+        Array.map
+          (fun d ->
+            match Domain.join d with
+            | Protocol.Ok_response { payload; _ } -> payload
+            | Protocol.Error_response { message; _ } -> Alcotest.fail message)
+          domains
+      in
+      Array.iter
+        (fun p -> Alcotest.(check string) "shared result" payloads.(0) p)
+        payloads;
+      (* the slow simulation makes same-flight overlap overwhelmingly
+         likely, but the only hard guarantee is per-flight single
+         execution *)
+      let m = Server.metrics server in
+      let runs = Metrics.misses m ~stage:"measure" in
+      Alcotest.(check int) "every run either led or followed" 3
+        (runs + Metrics.coalesced m);
+      Alcotest.(check bool) "computed at least once" true (runs >= 1))
+
+(* A follower joins a leader whose deadline has already passed: it
+   retries, succeeds, and reports its latency from its own arrival. The
+   single worker is busy with a slower, different request, so the
+   follower joins while the leader is still queued. *)
+let test_follower_retry_keeps_its_arrival () =
+  let config =
+    { Server.default_config with workers = 1; machine_defaults = small_machine }
+  in
+  with_server config (fun server ->
+      let mu = Mutex.create () and cond = Condition.create () in
+      let got = Hashtbl.create 3 in
+      let deliver id resp =
+        Mutex.protect mu (fun () ->
+            Hashtbl.replace got id (resp, Obs.now_ns ());
+            Condition.broadcast cond)
+      in
+      let await id =
+        Mutex.protect mu (fun () ->
+            while not (Hashtbl.mem got id) do
+              Condition.wait cond mu
+            done;
+            Hashtbl.find got id)
+      in
+      let blocker =
+        simulate_req ~machine:{ small_machine with Protocol.nodes = 8 } 1
+          (Protocol.Bench "tomcatv")
+      in
+      Server.handle_async server blocker ~deliver:(deliver 1);
+      Server.handle_async server
+        ~received:(Unix.gettimeofday () -. 1.0)
+        (simulate_req ~deadline_ms:5 2 (Protocol.Text herd_source))
+        ~deliver:(deliver 2);
+      Server.handle_async server
+        (simulate_req 3 (Protocol.Text herd_source))
+        ~deliver:(deliver 3);
+      let arrived = Obs.now_ns () in
+      let leader, leader_done = await 2 in
+      (match leader with
+      | Protocol.Error_response { error = Protocol.Deadline_exceeded; _ } -> ()
+      | _ -> Alcotest.fail "the leader should miss its deadline");
+      (match fst (await 3) with
+      | Protocol.Ok_response { elapsed_us; _ } ->
+          (* the follower arrived before [arrived] and was answered after
+             its leader, so its latency covers at least that stretch *)
+          let floor_us = (leader_done - arrived) / 1000 in
+          if elapsed_us < floor_us then
+            Alcotest.failf
+              "follower reports %d us, but waited at least %d us for its \
+               leader"
+              elapsed_us floor_us
+      | Protocol.Error_response { message; _ } ->
+          Alcotest.failf "the follower should retry and succeed: %s" message);
+      ignore (await 1))
+
 let suite =
   [
     Alcotest.test_case "leader computes, followers share" `Quick
       test_leader_then_followers;
     Alcotest.test_case "errors propagate to followers" `Quick
       test_error_propagates_to_followers;
-    Alcotest.test_case "run coalesces across domains" `Quick
-      test_run_coalesces_across_domains;
+    Alcotest.test_case "handle coalesces across domains" `Quick
+      test_handle_coalesces_across_domains;
+    Alcotest.test_case "follower retry keeps its arrival" `Quick
+      test_follower_retry_keeps_its_arrival;
     Alcotest.test_case "10k duplicates cost one simulation" `Quick
       test_10k_duplicates_one_simulation;
   ]

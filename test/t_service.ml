@@ -872,6 +872,78 @@ let test_corrupt_races_report_degrades_to_miss () =
           Alcotest.(check string) "recomputed report byte-identical"
             (ok_payload cold) (ok_payload resp)))
 
+(* ---- store compatibility ---- *)
+
+(* The Store names its files by the digest of [Server.stage_key], so a
+   cache directory written by an earlier server stays warm only while
+   these bytes hold. Every stage name in use, for one machine and seed;
+   the persisted ones are also checked against the files a server
+   writes. *)
+let test_stage_keys_pinned () =
+  let key ?(seed = Some 7) stage =
+    Server.stage_key ~stage ~machine:small_machine ~seed ~source_digest:"d"
+  in
+  List.iter
+    (fun stage ->
+      Alcotest.(check string) stage
+        (stage ^ "|d|n4:c16:a4:b32:pdir1sw|7")
+        (key stage))
+    [
+      "parse"; "trace"; "measure:--"; "measure:a-"; "measure:-p";
+      "measure:ap"; "annotate:perf:-"; "annotate:perf:p"; "annotate:prog:-";
+      "annotate:prog:p"; "delta:perf:-"; "delta:perf:p"; "delta:prog:-";
+      "delta:prog:p"; "race_report"; "races"; "trace_stats";
+      "trace_stats:inline";
+    ];
+  Alcotest.(check string) "no seed" "delta:perf:-|d|n4:c16:a4:b32:pdir1sw|-"
+    (key ~seed:None "delta:perf:-");
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cachierd_keys_%d" (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f ->
+          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      with_server
+        ~config:{ memory_config with cache_dir = Some dir }
+        (fun server ->
+          let source = Protocol.Bench "matmul" in
+          List.iter
+            (fun op -> ignore (ok_payload (Server.handle server (request ~seed:7 op))))
+            [
+              Protocol.Simulate
+                { source; annotations = false; prefetch = false; trace = false };
+              Protocol.Simulate
+                { source; annotations = false; prefetch = false; trace = true };
+              Protocol.Annotate { source; mode = Performance; prefetch = false };
+              Protocol.Races { source };
+              Protocol.Race_report { source };
+              Protocol.Trace_stats { source = Some source; trace_text = None };
+            ]);
+      let digest =
+        Digest.to_hex
+          (Digest.string
+             (Benchmarks.Suite.find ~nodes:4 "matmul").Benchmarks.Suite.source)
+      in
+      List.iter
+        (fun (stage, ext) ->
+          let key = Printf.sprintf "%s|%s|n4:c16:a4:b32:pdir1sw|7" stage digest in
+          Alcotest.(check bool)
+            (stage ^ " artifact named by its pinned key")
+            true
+            (Sys.file_exists
+               (Filename.concat dir (Digest.to_hex (Digest.string key) ^ ext))))
+        [
+          ("measure:--", ".art"); ("trace", ".trace");
+          ("annotate:perf:-", ".art"); ("races", ".art");
+          ("race_report", ".art"); ("trace_stats", ".art");
+        ])
+
 (* ---- the sharded socket front end ---- *)
 
 let await ?(timeout = 10.0) pred =
@@ -962,13 +1034,13 @@ let test_shard_server_end_to_end () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           (* one request split at pathological byte boundaries, with a
-             pipelined ping in the same final chunk *)
+             pipelined ping and a malformed line in the same final chunk *)
           let line = sim_line ~id:7 in
           write_str fd (String.sub line 0 5);
           Unix.sleepf 0.05;
           write_str fd (String.sub line 5 (String.length line - 5));
-          write_str fd "\n{\"id\":8,\"op\":\"ping\"}\n";
-          let responses = read_json_lines fd 2 in
+          write_str fd "\n{\"id\":8,\"op\":\"ping\"}\nthis is not json\n";
+          let responses = read_json_lines fd 3 in
           let by_id id =
             match
               List.find_opt
@@ -984,6 +1056,9 @@ let test_shard_server_end_to_end () =
           Alcotest.(check (option string)) "pipelined ping answered"
             (Some "pong")
             Json.(to_string_opt (member "payload" (by_id 8)));
+          Alcotest.(check (option string)) "bad line -> bad_request"
+            (Some "bad_request")
+            Json.(to_string_opt (member "error" (by_id 0)));
           (* same request again: served from the artifact cache *)
           write_str fd (sim_line ~id:9 ^ "\n");
           match read_json_lines fd 1 with
@@ -1130,6 +1205,7 @@ let suite =
       test_corrupt_artifact_degrades_to_miss;
     Alcotest.test_case "corrupt races report degrades to miss" `Quick
       test_corrupt_races_report_degrades_to_miss;
+    Alcotest.test_case "stage keys are pinned" `Quick test_stage_keys_pinned;
     Alcotest.test_case "shards: end-to-end over the socket" `Quick
       test_shard_server_end_to_end;
     Alcotest.test_case "shards: concurrent connections" `Quick
