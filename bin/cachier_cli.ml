@@ -42,8 +42,8 @@ let run_delta ~machine ~options ~base_path src =
     (Delta.Engine.reuse_to_string outcome.Delta.Engine.reuse);
   0
 
-let run input machine mode prefetch trace_out show_trace_stats measure explain
-    train_seeds delta_from (_obs : Obs.mode) =
+let annotate input machine mode prefetch trace_out show_trace_stats measure
+    explain train_seeds delta_from =
   let nodes = machine.Wwt.Machine.nodes in
   let src = load_source input nodes in
   let program = Lang.Parser.parse src in
@@ -103,6 +103,20 @@ let run input machine mode prefetch trace_out show_trace_stats measure explain
       (100.0 *. float_of_int ann.Wwt.Interp.time /. float_of_int base.Wwt.Interp.time)
   end;
   0
+
+(* A program's own parse or runtime error is a one-line diagnostic. *)
+let run input machine mode prefetch trace_out show_trace_stats measure explain
+    train_seeds delta_from (_obs : Obs.mode) =
+  let file = match input with `File path -> path | `Bench name -> name in
+  match
+    Service.Cli.catch_program_error ~file (fun () ->
+        annotate input machine mode prefetch trace_out show_trace_stats
+          measure explain train_seeds delta_from)
+  with
+  | Ok code -> code
+  | Error line ->
+      prerr_endline ("cachier: " ^ line);
+      1
 
 open Cmdliner
 

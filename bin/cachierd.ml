@@ -1,7 +1,8 @@
 (* cachierd — the resident annotation service.
 
    Serves the operations of the one-shot tools (parse, simulate,
-   annotate, race_report, trace_stats) over newline-delimited JSON, on
+   annotate, annotate_delta, race_report, races, trace_stats) and the
+   service's own (stats, ping, shutdown) over newline-delimited JSON, on
    stdio or a Unix-domain socket, with a two-tier content-addressed
    artifact cache so repeated work is answered without re-simulating.
    The socket mode runs N event-loop listener shards over the shared
@@ -77,10 +78,16 @@ let socket =
          ~doc:"Serve on a Unix-domain socket bound at $(docv) instead of \
                stdio.")
 
+let defaults = Service.Server.default_config
+let serve_defaults = Service.Server.default_serve_options
+let ms seconds = int_of_float (seconds *. 1000.)
+
 let budget_mb =
-  Arg.(value & opt int 64 & info [ "cache-budget-mb" ] ~docv:"MB"
-         ~doc:"In-memory artifact-cache byte budget; least-recently-used \
-               entries are evicted beyond it.")
+  Arg.(value
+       & opt Service.Cli.positive_int (defaults.budget_bytes / (1024 * 1024))
+       & info [ "cache-budget-mb" ] ~docv:"MB"
+           ~doc:"In-memory artifact-cache byte budget; least-recently-used \
+                 entries are evicted beyond it.")
 
 let cache_dir =
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
@@ -88,28 +95,36 @@ let cache_dir =
                the cache is warm after a restart.")
 
 let workers =
-  Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
-         ~doc:"Worker domains executing requests.")
+  Arg.(value & opt Service.Cli.positive_int defaults.workers
+       & info [ "workers" ] ~docv:"N"
+           ~doc:"Worker domains executing requests.")
 
 let capacity =
-  Arg.(value & opt int 64 & info [ "queue-capacity" ] ~docv:"N"
-         ~doc:"Bounded submission queue; beyond it requests are refused \
-               with an $(b,overloaded) error.")
+  Arg.(value & opt Service.Cli.non_negative_int defaults.queue_capacity
+       & info [ "queue-capacity" ] ~docv:"N"
+           ~doc:"Bounded submission queue; beyond it requests are refused \
+                 with an $(b,overloaded) error (0 refuses every work \
+                 request).")
 
 let listeners =
-  Arg.(value & opt int 2 & info [ "listeners" ] ~docv:"N"
-         ~doc:"Event-loop listener shards sharing the socket (socket mode \
-               only).")
+  Arg.(value & opt Service.Cli.positive_int serve_defaults.listeners
+       & info [ "listeners" ] ~docv:"N"
+           ~doc:"Event-loop listener shards sharing the socket (socket mode \
+                 only).")
 
 let idle_timeout_ms =
-  Arg.(value & opt int 30_000 & info [ "idle-timeout-ms" ] ~docv:"MS"
-         ~doc:"Drop connections idle longer than $(docv) (socket mode \
-               only).")
+  Arg.(value
+       & opt Service.Cli.non_negative_int (ms serve_defaults.idle_timeout_s)
+       & info [ "idle-timeout-ms" ] ~docv:"MS"
+           ~doc:"Drop connections idle longer than $(docv) (socket mode \
+                 only).")
 
 let drain_ms =
-  Arg.(value & opt int 5_000 & info [ "drain-ms" ] ~docv:"MS"
-         ~doc:"On shutdown, bound the in-flight drain at $(docv) before \
-               closing remaining connections.")
+  Arg.(value
+       & opt Service.Cli.non_negative_int (ms serve_defaults.drain_grace_s)
+       & info [ "drain-ms" ] ~docv:"MS"
+           ~doc:"On shutdown, bound the in-flight drain at $(docv) before \
+                 closing remaining connections.")
 
 let cmd =
   let doc = "resident CICO annotation service with an artifact cache" in

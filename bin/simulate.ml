@@ -12,7 +12,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let simulate_file machine engine annotations prefetch trace_mode races
+let render_file machine engine annotations prefetch trace_mode races
     trace_out print_memory delta_from ~many file =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -83,8 +83,25 @@ let simulate_file machine engine annotations prefetch trace_mode races
   end;
   Buffer.contents buf
 
+(* A program's own parse or runtime error is a one-line diagnostic. *)
+let simulate_file machine engine annotations prefetch trace_mode races
+    trace_out print_memory delta_from ~many file =
+  Service.Cli.catch_program_error ~file (fun () ->
+      render_file machine engine annotations prefetch trace_mode races
+        trace_out print_memory delta_from ~many file)
+
 let run files machine engine annotations prefetch trace_mode races trace_out
     print_memory delta_from jobs (_obs : Obs.mode) =
+  (* refused at startup, as the bench harness does, even when --jobs
+     makes it moot *)
+  let env_jobs =
+    try Wwt.Jobs.default_jobs ()
+    with Invalid_argument _ ->
+      Printf.eprintf "simulate: %s must be a positive integer (got %S)\n%!"
+        Wwt.Jobs.env_var
+        (Option.value ~default:"" (Sys.getenv_opt Wwt.Jobs.env_var));
+      exit 2
+  in
   let engine =
     match engine with
     | "interp" -> Wwt.Run.Tree_walk
@@ -96,13 +113,18 @@ let run files machine engine annotations prefetch trace_mode races trace_out
   in
   let many = List.length files > 1 in
   let reports =
-    Wwt.Jobs.map ?jobs
+    Wwt.Jobs.map
+      ~jobs:(Option.value jobs ~default:env_jobs)
       (simulate_file machine engine annotations prefetch trace_mode races
          trace_out print_memory delta_from ~many)
       files
   in
-  List.iter print_string reports;
-  0
+  List.iter
+    (function
+      | Ok report -> print_string report
+      | Error line -> prerr_endline ("simulate: " ^ line))
+    reports;
+  if List.for_all Result.is_ok reports then 0 else 1
 
 open Cmdliner
 
@@ -143,7 +165,8 @@ let delta_from =
                full.")
 
 let jobs =
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
+  Arg.(value & opt (some Service.Cli.positive_int) None
+       & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Run up to $(docv) simulations concurrently on separate \
                domains (default: $(b,CACHIER_BENCH_JOBS) or the \
                recommended domain count).")

@@ -1,16 +1,32 @@
 open Cmdliner
 
-(* Machine sizes are refused at parse time, so a zero or negative value
-   is a usage error instead of an exception from deep in Memsys. *)
-let positive_int =
+(* Numeric flags are refused at parse time, so an out-of-range value is
+   a usage error naming the flag instead of an exception from deep in
+   Memsys or the server. *)
+let int_at_least least what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
+    | Some n when n >= least -> Ok n
     | _ ->
-        Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive \
-                                     integer" s))
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected a %s \
+                                     integer" s what))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "positive"
+let non_negative_int = int_at_least 0 "non-negative"
+
+let catch_program_error ~file f =
+  try Ok (f ())
+  with e -> (
+    let bt = Printexc.get_raw_backtrace () in
+    match Protocol.error_of_exn e with
+    | ((Protocol.Parse_error | Protocol.Runtime_error) as kind), message ->
+        Error
+          (Printf.sprintf "%s: %s: %s" file
+             (Protocol.error_kind_to_string kind)
+             message)
+    | _ -> Printexc.raise_with_backtrace e bt)
 
 let nodes_term =
   Arg.(value & opt positive_int Wwt.Machine.default.Wwt.Machine.nodes

@@ -23,3 +23,17 @@ val obs_term : Obs.mode Cmdliner.Term.t
     need to include it in their term expression; the returned mode is
     informational. Obs output goes to stderr or the NDJSON file, never
     stdout. *)
+
+val positive_int : int Cmdliner.Arg.conv
+(** An integer of at least 1; anything else is a usage error naming the
+    flag. *)
+
+val non_negative_int : int Cmdliner.Arg.conv
+(** An integer of at least 0, for counts and durations where 0 is
+    meaningful (a queue that refuses every submission, no drain grace). *)
+
+val catch_program_error : file:string -> (unit -> 'a) -> ('a, string) result
+(** Run [f]; a program's own failure — [parse_error] or [runtime_error]
+    by {!Protocol.error_of_exn}, the mapping the server answers with —
+    becomes [Error "FILE: KIND: MESSAGE"], a one-line diagnostic. Any
+    other exception escapes with its backtrace. *)

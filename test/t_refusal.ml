@@ -1,8 +1,11 @@
 (* Bad configuration is refused at the binaries' front door: a one-line
    diagnostic that names what was wrong, a distinct exit code, and no
-   work done. The bench harness checks its CACHIER_BENCH_* variables at
-   startup and exits 2; simulate's machine flags are usage errors (exit
-   124, like a malformed --protocol), and an unknown --engine exits 2. *)
+   work done. The bench harness and simulate check CACHIER_BENCH_* at
+   startup and exit 2; numeric flags of simulate and cachierd are usage
+   errors (exit 124, like a malformed --protocol), and an unknown
+   --engine exits 2. A program's own parse or runtime error is a one-line
+   diagnostic from simulate and cachier (exit 1), not an internal
+   error. *)
 
 (* dune runs the test binary in _build/default/test; fall back to the
    workspace-root path for manual `dune exec` runs *)
@@ -129,22 +132,101 @@ let simulate_cases =
     ("--engine par", 2, "unknown engine par (expected interp or compiled)");
   ]
 
+(* Runs [cmd], whose stdin is empty, and checks the exit code, the empty
+   stdout, the fragment on stderr and that no exception escaped. *)
+let check_refused what cmd ~code:want_code fragment =
+  let code, out, err = run (cmd ^ " </dev/null") in
+  Alcotest.(check int) (what ^ ": exit code") want_code code;
+  Alcotest.(check string) (what ^ ": nothing on stdout") "" out;
+  check_contains what err fragment;
+  if contains err "exception" then
+    Alcotest.failf "%s: an exception escaped:\n%s" what err
+
 let simulate_refuses () =
   match (exe "bin" "simulate.exe", T_obs.example "jacobi.sm") with
   | Some sim, Some src ->
       List.iter
-        (fun (args, want_code, fragment) ->
-          let code, out, err =
-            run
-              (Printf.sprintf "%s %s %s" (Filename.quote sim)
-                 (Filename.quote src) args)
-          in
-          Alcotest.(check int) (args ^ ": exit code") want_code code;
-          Alcotest.(check string) (args ^ ": nothing on stdout") "" out;
-          check_contains args err fragment;
-          if contains err "exception" then
-            Alcotest.failf "%s: an exception escaped:\n%s" args err)
-        simulate_cases
+        (fun (args, code, fragment) ->
+          check_refused args
+            (Printf.sprintf "%s %s %s" (Filename.quote sim)
+               (Filename.quote src) args)
+            ~code fragment)
+        (simulate_cases
+        @ [ ("-n 4 --jobs 0", 124, "option '--jobs': invalid value '0'") ]);
+      check_refused "CACHIER_BENCH_JOBS=x"
+        (Printf.sprintf "env CACHIER_BENCH_JOBS=x %s %s -n 4"
+           (Filename.quote sim) (Filename.quote src))
+        ~code:2
+        "simulate: CACHIER_BENCH_JOBS must be a positive integer (got \"x\")"
+  | _ -> Alcotest.skip ()
+
+(* cachierd would serve stdio if a refusal failed to fire; its stdin is
+   empty, so it would exit 0 at once *)
+let cachierd_cases =
+  [
+    ("--workers=-3", "option '--workers': invalid value '-3', expected a \
+                      positive integer");
+    ("--workers 0", "option '--workers': invalid value '0'");
+    ("--listeners 0", "option '--listeners': invalid value '0'");
+    ("--cache-budget-mb=-1", "option '--cache-budget-mb': invalid value \
+                              '-1'");
+    ("--cache-budget-mb 0", "option '--cache-budget-mb': invalid value '0'");
+    ("--queue-capacity=-1", "option '--queue-capacity': invalid value \
+                             '-1'");
+    ("--idle-timeout-ms=-1", "option '--idle-timeout-ms': invalid value \
+                              '-1'");
+    ("--drain-ms=-5", "option '--drain-ms': invalid value '-5'");
+  ]
+
+let cachierd_refuses () =
+  match exe "bin" "cachierd.exe" with
+  | None -> Alcotest.skip ()
+  | Some daemon ->
+      List.iter
+        (fun (args, fragment) ->
+          check_refused args
+            (Printf.sprintf "%s %s" (Filename.quote daemon) args)
+            ~code:124 fragment)
+        cachierd_cases
+
+(* A program's own failure: one stderr line naming the file, the kind
+   and the message, and exit 1. jacobi.sm is sized for 4 nodes and
+   indexes out of bounds at the default 8. *)
+let program_errors_are_diagnostics () =
+  match
+    ( exe "bin" "simulate.exe",
+      exe "bin" "cachier_cli.exe",
+      T_obs.example "jacobi.sm" )
+  with
+  | Some sim, Some cli, Some jacobi ->
+      let bad = Filename.temp_file "cachier_refusal" ".sm" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove bad)
+        (fun () ->
+          Out_channel.with_open_bin bad (fun oc ->
+              output_string oc "proc main() {\n  x = ;\n}\n");
+          List.iter
+            (fun (prefix, cmd, file, kind, message) ->
+              let what = Printf.sprintf "%s %s" prefix file in
+              let code, out, err =
+                run (Printf.sprintf "%s %s" cmd (Filename.quote file))
+              in
+              Alcotest.(check int) (what ^ ": exit code") 1 code;
+              Alcotest.(check string) (what ^ ": nothing on stdout") "" out;
+              Alcotest.(check string)
+                (what ^ ": one diagnostic line")
+                (Printf.sprintf "%s: %s: %s: %s\n" prefix file kind message)
+                err)
+            [
+              ( "simulate", Filename.quote sim, jacobi, "runtime_error",
+                "index 4096 out of bounds for shared array V[4096]" );
+              ( "cachier", Filename.quote cli ^ " -f", jacobi, "runtime_error",
+                "index 4096 out of bounds for shared array V[4096]" );
+              ( "simulate", Filename.quote sim, bad, "parse_error",
+                "line 2: expected expression, found ;" );
+              ( "cachier", Filename.quote cli ^ " -f", bad, "parse_error",
+                "line 2: expected expression, found ;" );
+            ])
   | _ -> Alcotest.skip ()
 
 let suite =
@@ -153,4 +235,8 @@ let suite =
       bench_refuses;
     Alcotest.test_case "simulate refuses bad machine flags" `Quick
       simulate_refuses;
+    Alcotest.test_case "cachierd refuses bad numeric flags" `Quick
+      cachierd_refuses;
+    Alcotest.test_case "program errors are diagnostics" `Quick
+      program_errors_are_diagnostics;
   ]
