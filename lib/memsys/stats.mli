@@ -29,7 +29,12 @@ type t = {
   mutable private_writes : int;
   mutable barriers : int;
   mutable lock_acquires : int;
-  stall_cycles : int array;  (** per-node cycles spent waiting on memory *)
+  stall_cycles : int array;
+      (** per-node cycles spent waiting on memory. Nothing writes it:
+          {!add_stall} has no caller outside its own test, so it stays
+          all zero. It is kept because the [golden] suite digests the
+          marshalled [t] of 40 simulate cells; removing the field would
+          change every one of those pinned digests. *)
 }
 
 val create : nodes:int -> t

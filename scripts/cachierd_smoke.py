@@ -13,6 +13,12 @@ writes are split at awkward byte boundaries (exercising the incremental
 framing), then sends SIGTERM and requires a graceful exit (code 0, the
 socket file removed).
 
+Errors, in both modes: with --queue-capacity 0 every work request is
+refused. A malformed line must get bad_request with id 0, a simulate
+request overloaded, and a following stats request must count one
+request and one error of each kind. Over the socket the requests go
+lock-step, so stats cannot be answered before the earlier bookings.
+
 Usage: cachierd_smoke.py [SERVER_BINARY...] [--stdio-only | --socket-only]
 """
 
@@ -182,6 +188,90 @@ def smoke_socket(server):
             os.unlink(path)
 
 
+ERROR_LINES = [
+    "this is not json",
+    json.dumps({"id": 1, "op": "simulate", "bench": "matmul", "nodes": 4}),
+    json.dumps({"id": 2, "op": "stats"}),
+    json.dumps({"id": 3, "op": "shutdown"}),
+]
+
+
+def check_error_booking(by_id, mode):
+    for rid, kind in ((0, "bad_request"), (1, "overloaded")):
+        if by_id.get(rid, {}).get("error") != kind:
+            fail(f"{mode}: expected {kind} with id {rid}, got {by_id.get(rid)}")
+    stats = by_id[2]["stats"]
+    errors = {"bad_request": 1, "overloaded": 1}
+    if stats["requests"] != 1 or stats["errors"] != errors:
+        fail(
+            f"{mode}: errors booked as requests={stats['requests']}, "
+            f"errors={stats['errors']}; expected requests=1, errors={errors}"
+        )
+    print(f"ok [{mode}]: bad line and overload booked (requests=1, {errors})")
+
+
+def smoke_errors_stdio(server):
+    proc = subprocess.run(
+        server + ["--queue-capacity", "0"],
+        input="".join(line + "\n" for line in ERROR_LINES),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    if proc.returncode != 0:
+        fail(f"stdio errors: server exited {proc.returncode}: {proc.stderr}")
+    by_id = {}
+    for line in proc.stdout.splitlines():
+        if line.strip():
+            resp = json.loads(line)
+            by_id[resp["id"]] = resp
+    check_error_booking(by_id, "stdio errors")
+
+
+def smoke_errors_socket(server):
+    path = os.path.join(
+        tempfile.gettempdir(), f"cachierd_smoke_err_{os.getpid()}.sock"
+    )
+    proc = subprocess.Popen(
+        server + ["--socket", path, "--queue-capacity", "0"],
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.time() + 30
+        while not os.path.exists(path):
+            if time.time() > deadline:
+                fail("socket errors: server never bound its socket")
+            if proc.poll() is not None:
+                fail(f"socket errors: server exited early: {proc.stderr.read()}")
+            time.sleep(0.05)
+        by_id = {}
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.connect(path)
+            sock.settimeout(60)
+            reader = sock.makefile("rb")
+            for line in ERROR_LINES:
+                sock.sendall((line + "\n").encode())
+                reply = reader.readline()
+                if not reply:
+                    fail("socket errors: server closed the connection early")
+                resp = json.loads(reply)
+                by_id[resp["id"]] = resp
+        check_error_booking(by_id, "socket errors")
+        try:
+            code = proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            fail("socket errors: server did not exit after shutdown")
+        if code != 0:
+            fail(f"socket errors: server exited {code} on shutdown")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if os.path.exists(path):
+            os.unlink(path)
+
+
 def main():
     args = sys.argv[1:]
     stdio_only = "--stdio-only" in args
@@ -191,8 +281,10 @@ def main():
 
     if not socket_only:
         smoke_stdio(server)
+        smoke_errors_stdio(server)
     if not stdio_only:
         smoke_socket(server)
+        smoke_errors_socket(server)
 
 
 if __name__ == "__main__":
