@@ -12,13 +12,17 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let parse_checked path =
+  let program = Lang.Parser.parse (read_file path) in
+  ignore (Lang.Sema.check program);
+  program
+
 let render_file machine engine annotations prefetch trace_mode races
     trace_out print_memory delta_from ~many file =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   if many then pr "--- %s ---\n" file;
-  let program = Lang.Parser.parse (read_file file) in
-  ignore (Lang.Sema.check program);
+  let program = parse_checked file in
   (* --delta-from: when the delta prover certifies that the whole
      outcome (output, time, statistics, trace) is identical to the base
      program's, simulate the base instead — its artifacts may be warm —
@@ -26,9 +30,7 @@ let render_file machine engine annotations prefetch trace_mode races
   let program =
     match delta_from with
     | None -> program
-    | Some base_path -> (
-        let base = Lang.Parser.parse (read_file base_path) in
-        ignore (Lang.Sema.check base);
+    | Some (base_path, base) -> (
         match Delta.Engine.prove_simulate ~base ~edited:program with
         | Ok () ->
             Printf.eprintf
@@ -101,6 +103,20 @@ let run files machine engine annotations prefetch trace_mode races trace_out
         Wwt.Jobs.env_var
         (Option.value ~default:"" (Sys.getenv_opt Wwt.Jobs.env_var));
       exit 2
+  in
+  (* parsed once for every input, so its own errors name it *)
+  let delta_from =
+    Option.map
+      (fun path ->
+        match
+          Service.Cli.catch_program_error ~file:path (fun () ->
+              parse_checked path)
+        with
+        | Ok base -> (path, base)
+        | Error line ->
+            prerr_endline ("simulate: " ^ line);
+            exit 1)
+      delta_from
   in
   let engine =
     match engine with

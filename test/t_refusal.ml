@@ -224,6 +224,11 @@ let program_errors_are_diagnostics () =
                 "index 4096 out of bounds for shared array V[4096]" );
               ( "simulate", Filename.quote sim, bad, "parse_error",
                 "line 2: expected expression, found ;" );
+              (* a broken delta base is named, not the input *)
+              ( "simulate",
+                Printf.sprintf "%s -n 4 %s --delta-from" (Filename.quote sim)
+                  (Filename.quote jacobi),
+                bad, "parse_error", "line 2: expected expression, found ;" );
               ( "cachier", Filename.quote cli ^ " -f", bad, "parse_error",
                 "line 2: expected expression, found ;" );
             ])
