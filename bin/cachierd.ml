@@ -116,8 +116,8 @@ let idle_timeout_ms =
   Arg.(value
        & opt Service.Cli.non_negative_int (ms serve_defaults.idle_timeout_s)
        & info [ "idle-timeout-ms" ] ~docv:"MS"
-           ~doc:"Drop connections idle longer than $(docv) (socket mode \
-                 only).")
+           ~doc:"Drop connections idle longer than $(docv); 0 keeps them \
+                 (socket mode only).")
 
 let drain_ms =
   Arg.(value

@@ -165,7 +165,8 @@ let test_handle_coalesces_across_domains () =
           (Protocol.Bench "tomcatv")
       in
       let domains =
-        Array.init 3 (fun _ -> Domain.spawn (fun () -> Server.handle server req))
+        Array.init 3 (fun _ ->
+            Domain.spawn (fun () -> Server.handle server req))
       in
       let payloads =
         Array.map

@@ -914,13 +914,17 @@ let test_stage_keys_pinned () =
         (fun server ->
           let source = Protocol.Bench "matmul" in
           List.iter
-            (fun op -> ignore (ok_payload (Server.handle server (request ~seed:7 op))))
+            (fun op ->
+              ignore (ok_payload (Server.handle server (request ~seed:7 op))))
             [
               Protocol.Simulate
-                { source; annotations = false; prefetch = false; trace = false };
+                { source; annotations = false; prefetch = false;
+                  trace = false };
               Protocol.Simulate
-                { source; annotations = false; prefetch = false; trace = true };
-              Protocol.Annotate { source; mode = Performance; prefetch = false };
+                { source; annotations = false; prefetch = false;
+                  trace = true };
+              Protocol.Annotate
+                { source; mode = Performance; prefetch = false };
               Protocol.Races { source };
               Protocol.Race_report { source };
               Protocol.Trace_stats { source = Some source; trace_text = None };
@@ -932,7 +936,9 @@ let test_stage_keys_pinned () =
       in
       List.iter
         (fun (stage, ext) ->
-          let key = Printf.sprintf "%s|%s|n4:c16:a4:b32:pdir1sw|7" stage digest in
+          let key =
+            Printf.sprintf "%s|%s|n4:c16:a4:b32:pdir1sw|7" stage digest
+          in
           Alcotest.(check bool)
             (stage ^ " artifact named by its pinned key")
             true
