@@ -171,9 +171,55 @@ let test_measure_golden () =
         want d)
     measure_golden
 
+(* Golden trace-mode outcomes: the five Figure 6 programs at 8 and 16
+   nodes through [Run.collect_trace], each digest covering the simulated
+   time, every Stats counter, the trace records and the printed output.
+   [Sched] and [Lang.Value] serve both engines, so the engine oracle
+   cannot see a change to either; these digests, the 40 perf cells above
+   and the paper-scale goldens pin the schedule itself. *)
+
+let trace_golden =
+  [
+    ("matmul", 8, "93fddbdc05da8ca56338de51bd6db95e");
+    ("barnes", 8, "f11eeed7165234e00fdc45262100458d");
+    ("tomcatv", 8, "7364404ac2ee2180f8f6b49a8b25800c");
+    ("ocean", 8, "f41c79fde385f9f8a1800fe72dc4dd1a");
+    ("mp3d", 8, "b2e3a7f1e88a2f05094c7d559fc47b7c");
+    ("matmul", 16, "62b3e2514922ee40b311fe22090ecd46");
+    ("barnes", 16, "03758035d358e0ce41c88ac3cb660a60");
+    ("tomcatv", 16, "4a201107f09aee7144ac78bb63ae0150");
+    ("ocean", 16, "750b0c0938417b8a1dd32edafa47b6a5");
+    ("mp3d", 16, "a19343638c6ab3530e456286afc15139");
+  ]
+
+let trace_digest ~name ~nodes =
+  let b = Benchmarks.Suite.find ~nodes name in
+  let machine = { Wwt.Machine.default with Wwt.Machine.nodes } in
+  let o =
+    Wwt.Run.collect_trace ~machine (Lang.Parser.parse b.Benchmarks.Suite.source)
+  in
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( o.Wwt.Interp.time,
+            o.Wwt.Interp.stats,
+            o.Wwt.Interp.trace,
+            o.Wwt.Interp.output )
+          [ Marshal.No_sharing ]))
+
+let test_trace_golden () =
+  List.iter
+    (fun (name, nodes, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s-%d trace" name nodes)
+        want (trace_digest ~name ~nodes))
+    trace_golden
+
 let suite =
   [
     Alcotest.test_case "suite x {8,16} x {perf, prog+pf} digests" `Slow test_golden;
     Alcotest.test_case "perf-mode matrix: 40 cells x (time, Stats) digests"
       `Slow test_measure_golden;
+    Alcotest.test_case "trace mode: suite x {8,16} x outcome digests" `Slow
+      test_trace_golden;
   ]
