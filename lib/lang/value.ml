@@ -7,14 +7,22 @@ let to_bool = function Vint 0 -> false | Vfloat 0.0 -> false | _ -> true
 let to_int = function Vint i -> i | Vfloat f -> int_of_float f
 let to_float = function Vint i -> float_of_int i | Vfloat f -> f
 
-let arith fi ff a b =
+(* Written out rather than shared through a higher-order helper, so each
+   is one direct call with no closure applications inside. *)
+let add a b =
   match (a, b) with
-  | Vint x, Vint y -> Vint (fi x y)
-  | _ -> Vfloat (ff (to_float a) (to_float b))
+  | Vint x, Vint y -> Vint (x + y)
+  | _ -> Vfloat (to_float a +. to_float b)
 
-let add = arith ( + ) ( +. )
-let sub = arith ( - ) ( -. )
-let mul = arith ( * ) ( *. )
+let sub a b =
+  match (a, b) with
+  | Vint x, Vint y -> Vint (x - y)
+  | _ -> Vfloat (to_float a -. to_float b)
+
+let mul a b =
+  match (a, b) with
+  | Vint x, Vint y -> Vint (x * y)
+  | _ -> Vfloat (to_float a *. to_float b)
 
 let div a b =
   match (a, b) with

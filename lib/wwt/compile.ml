@@ -6,17 +6,23 @@ exception Returning of Value.t option
 
 (* ---- runtime state (mirrors Interp's) ---- *)
 
-type rt_global = {
+(* One record per node, and the only argument of compiled code, so every
+   node calls its children at a known arity of one. The first fields are
+   the run's shared state (the same values in every node's record); [vals]
+   and [ints] are the running procedure's slots, which a call swaps for
+   the callee's and restores. Statically int-typed variables live unboxed
+   in [ints]; everything else is a boxed [Value.t] in [vals]. Which slots
+   are int is decided per procedure by [analyze_int_slots]; an int slot is
+   only ever written from expressions whose value is guaranteed
+   [Value.Vint], so the two representations never disagree. *)
+type rt = {
   machine : Machine.t;
-  layout : Label.t;
   proto : Memsys.Protocol.t;
+  stats : Memsys.Stats.t;  (* [Memsys.Protocol.stats proto] *)
   shared : Value.t array;
   elem_shift : int;  (* log2 elem_size, or -1 if not a power of two *)
   trace_buf : Trace.Buf.t;
   output_buf : string list ref;
-}
-
-type rt = {
   node : int;
   privates : Value.t array array;  (* indexed by compile-time private id *)
   lop : int;  (* cost of a local op, lifted out of the machine record *)
@@ -25,6 +31,8 @@ type rt = {
   mutable base_now : int;  (* cached [Sched.now]; see Interp.nstate *)
   mutable held_locks : int list;
   mutable held_id : int;
+  mutable vals : Value.t array;
+  mutable ints : int array;
 }
 
 let elem_shift_of elem_size =
@@ -34,27 +42,16 @@ let elem_shift_of elem_size =
   end
   else -1
 
-let elem_index g addr =
-  if g.elem_shift >= 0 then addr lsr g.elem_shift
-  else addr / g.machine.Machine.elem_size
+let elem_index r addr =
+  if r.elem_shift >= 0 then addr lsr r.elem_shift
+  else addr / r.machine.Machine.elem_size
 
-(* Statically int-typed variables live unboxed in [ints]; everything else
-   is a boxed [Value.t] in [vals]. Which slots are int is decided per
-   procedure by [analyze_int_slots]; an int slot is only ever written
-   from expressions whose value is guaranteed [Value.Vint], so the two
-   representations never disagree. *)
-type frame = { vals : Value.t array; ints : int array }
+type cexpr = rt -> Value.t
+type cint = rt -> int
+type cbool = rt -> bool
+type cstmt = rt -> unit
 
-let make_frame nslots =
-  { vals = Array.make (max 1 nslots) Value.zero;
-    ints = Array.make (max 1 nslots) 0 }
-
-type cexpr = rt_global -> rt -> frame -> Value.t
-type cint = rt_global -> rt -> frame -> int
-type cbool = rt_global -> rt -> frame -> bool
-type cstmt = rt_global -> rt -> frame -> unit
-
-type cproc = { arity : int; nslots : int; mutable cbody : cstmt }
+type cproc = { arity : int; mutable nslots : int; mutable cbody : cstmt }
 
 (* ---- cost plumbing (identical to Interp) ---- *)
 
@@ -65,21 +62,21 @@ let flush_pending r =
     r.pending <- 0
   end
 
-let charge _g r = r.pending <- r.pending + r.lop
+let charge r = r.pending <- r.pending + r.lop
 
-let maybe_yield _g r = if r.pending >= r.quantum then flush_pending r
+let maybe_yield r = if r.pending >= r.quantum then flush_pending r
 
 let virtual_now r = r.base_now + r.pending
 
-let record_miss g r ~pc ~addr packed =
+let record_miss r ~pc ~addr packed =
   let kind = Memsys.Protocol.packed_kind packed in
-  if kind <> Memsys.Protocol.no_miss && g.machine.Machine.collect_trace then begin
+  if kind <> Memsys.Protocol.no_miss && r.machine.Machine.collect_trace then begin
     let bkind =
       if kind = Memsys.Protocol.read_miss then Trace.Buf.kind_read
       else if kind = Memsys.Protocol.write_miss then Trace.Buf.kind_write
       else Trace.Buf.kind_fault
     in
-    Trace.Buf.add_miss g.trace_buf ~node:r.node ~pc ~addr ~kind:bkind
+    Trace.Buf.add_miss r.trace_buf ~node:r.node ~pc ~addr ~kind:bkind
       ~held:r.held_id
   end;
   r.pending <- r.pending + Memsys.Protocol.packed_latency packed
@@ -119,7 +116,7 @@ let slot_of env name =
       Hashtbl.add env.slots name i;
       i
 
-(* names assigned anywhere in the procedure become frame slots *)
+(* names assigned anywhere in the procedure become slots *)
 let collect_slots env (proc : Ast.proc) =
   Hashtbl.reset env.slots;
   env.next_slot <- 0;
@@ -138,7 +135,7 @@ let collect_slots env (proc : Ast.proc) =
 (* [true] only if the expression's runtime value is guaranteed to be
    [Value.Vint] under the current slot typing. Comparisons and boolean
    operators always produce ints; arithmetic does iff both operands do
-   (matching [Value.arith]'s promotion rule). *)
+   (matching [Value]'s promotion rule). *)
 let rec expr_is_int env (e : Ast.expr) =
   match e with
   | Ast.Eint _ -> true
@@ -204,371 +201,325 @@ let int_slot env name =
 
 (* ---- shared-memory accesses ---- *)
 
-let shared_read g r ~pc (entry : Label.entry) i =
+let shared_addr (entry : Label.entry) i =
   if i < 0 || i >= entry.Label.elems then
     error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
       entry.Label.elems;
-  let addr = entry.Label.base + (i * entry.Label.elem_size) in
+  entry.Label.base + (i * entry.Label.elem_size)
+
+let shared_read r ~pc entry i =
+  let addr = shared_addr entry i in
+  let p = Memsys.Protocol.read_p r.proto ~node:r.node ~addr ~now:(virtual_now r) in
+  record_miss r ~pc ~addr p;
+  r.shared.(elem_index r addr)
+
+let shared_write r ~pc entry i v =
+  let addr = shared_addr entry i in
   let p =
-    Memsys.Protocol.read_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
+    Memsys.Protocol.write_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
   in
-  record_miss g r ~pc ~addr p;
-  g.shared.(elem_index g addr)
+  record_miss r ~pc ~addr p;
+  r.shared.(elem_index r addr) <- v
 
 (* The two halves of a recognized commutative RMW ([A[i] = A[i] + e]).
    The rmw entry points are bit-identical to read_p/write_p except under
    the Commute backend, where the access lands in a privatized per-node
    copy. *)
-let shared_read_rmw g r ~pc (entry : Label.entry) i =
-  if i < 0 || i >= entry.Label.elems then
-    error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
-      entry.Label.elems;
-  let addr = entry.Label.base + (i * entry.Label.elem_size) in
+let shared_read_rmw r ~pc entry i =
+  let addr = shared_addr entry i in
   let p =
-    Memsys.Protocol.read_rmw_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
+    Memsys.Protocol.read_rmw_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
   in
-  record_miss g r ~pc ~addr p;
-  g.shared.(elem_index g addr)
+  record_miss r ~pc ~addr p;
+  r.shared.(elem_index r addr)
 
-let shared_write_rmw g r ~pc (entry : Label.entry) i v =
-  if i < 0 || i >= entry.Label.elems then
-    error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
-      entry.Label.elems;
-  let addr = entry.Label.base + (i * entry.Label.elem_size) in
+let shared_write_rmw r ~pc entry i v =
+  let addr = shared_addr entry i in
   let p =
-    Memsys.Protocol.write_rmw_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
+    Memsys.Protocol.write_rmw_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
   in
-  record_miss g r ~pc ~addr p;
-  g.shared.(elem_index g addr) <- v
+  record_miss r ~pc ~addr p;
+  r.shared.(elem_index r addr) <- v
 
-let shared_write g r ~pc (entry : Label.entry) i v =
-  if i < 0 || i >= entry.Label.elems then
-    error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
-      entry.Label.elems;
-  let addr = entry.Label.base + (i * entry.Label.elem_size) in
-  let p =
-    Memsys.Protocol.write_p g.proto ~node:r.node ~addr ~now:(virtual_now r)
-  in
-  record_miss g r ~pc ~addr p;
-  g.shared.(elem_index g addr) <- v
+let private_index name size i =
+  if i < 0 || i >= size then
+    error "index %d out of bounds for private array %s[%d]" i name size
 
 (* ---- expression compilation ---- *)
 
-let apply_binop op va vb =
-  match op with
-  | Ast.Add -> Value.add va vb
-  | Ast.Sub -> Value.sub va vb
-  | Ast.Mul -> Value.mul va vb
-  | Ast.Div -> Value.div va vb
-  | Ast.Mod -> Value.modulo va vb
-  | Ast.Lt -> Value.of_bool (Value.compare_num va vb < 0)
-  | Ast.Le -> Value.of_bool (Value.compare_num va vb <= 0)
-  | Ast.Gt -> Value.of_bool (Value.compare_num va vb > 0)
-  | Ast.Ge -> Value.of_bool (Value.compare_num va vb >= 0)
-  | Ast.Eq -> Value.of_bool (Value.equal va vb)
-  | Ast.Ne -> Value.of_bool (not (Value.equal va vb))
-  | Ast.And | Ast.Or -> assert false
-
-(* Int-typed expressions compile to unboxed [cint] closures; everything
-   else boxes as before. Charging is per AST node in evaluation order in
-   both variants, so simulated cycle counts cannot differ. *)
+(* Int-typed expressions compile to unboxed [cint] closures, conditions to
+   [cbool] closures; everything else boxes. Every operator is chosen here,
+   at compile time, so a node's closure runs no dispatch of its own.
+   Charging is per AST node, on entry, in evaluation order in every
+   variant, so simulated cycle counts cannot differ. *)
 let rec compile_expr env ~pc (e : Ast.expr) : cexpr =
-  match e with
-  | Ast.Eint _ | Ast.Efloat _ | Ast.Evar _ -> compile_expr_node env ~pc e
-  | _ when expr_is_int env e ->
-      (* box once at the root instead of at every leaf and interior node *)
-      let ci = compile_int env ~pc e in
-      fun g r frame -> Value.Vint (ci g r frame)
-  | _ -> compile_expr_node env ~pc e
-
-and compile_expr_node env ~pc (e : Ast.expr) : cexpr =
   match e with
   | Ast.Eint i ->
       let v = Value.Vint i in
-      fun g r _ -> charge g r; v
+      fun r -> charge r; v
   | Ast.Efloat f ->
       let v = Value.Vfloat f in
-      fun g r _ -> charge g r; v
+      fun r -> charge r; v
   | Ast.Evar name -> (
       match array_ref env name with
       | Some _ ->
           (* sema rejects this; defensive *)
-          fun _ _ _ -> error "array %S used without a subscript" name
+          fun _ -> error "array %S used without a subscript" name
       | None ->
           if Hashtbl.mem env.slots name then begin
             let i = Hashtbl.find env.slots name in
-            if int_slot env name then
-              fun g r frame -> charge g r; Value.Vint frame.ints.(i)
-            else fun g r frame -> charge g r; frame.vals.(i)
+            if int_slot env name then fun r -> charge r; Value.Vint r.ints.(i)
+            else fun r -> charge r; r.vals.(i)
           end
-          else if name = "pid" then fun g r _ -> charge g r; Value.Vint r.node
+          else if name = "pid" then fun r -> charge r; Value.Vint r.node
           else if name = "nprocs" then
-            fun g r _ ->
-              charge g r;
-              Value.Vint g.machine.Machine.nodes
+            fun r -> charge r; Value.Vint r.machine.Machine.nodes
           else (
             match List.assoc_opt name env.consts with
-            | Some v -> fun g r _ -> charge g r; v
-            | None -> fun _ _ _ -> error "undefined variable %S" name))
+            | Some v -> fun r -> charge r; v
+            | None -> fun _ -> error "undefined variable %S" name))
+  | _ when expr_is_int env e ->
+      (* box once at the root instead of at every leaf and interior node *)
+      let ci = compile_int env ~pc e in
+      fun r -> Value.Vint (ci r)
   | Ast.Eindex (name, idx) -> (
       let cidx = compile_index env ~pc idx in
       match array_ref env name with
       | Some (Ashared entry) ->
-          fun g r frame ->
-            charge g r;
-            let i = cidx g r frame in
-            shared_read g r ~pc entry i
+          fun r ->
+            charge r;
+            let i = cidx r in
+            shared_read r ~pc entry i
       | Some (Aprivate (id, size)) ->
-          fun g r frame ->
-            charge g r;
-            let i = cidx g r frame in
-            if i < 0 || i >= size then
-              error "index %d out of bounds for private array %s[%d]" i name size;
-            let stats = Memsys.Protocol.stats g.proto in
-            stats.Memsys.Stats.private_reads <-
-              stats.Memsys.Stats.private_reads + 1;
+          fun r ->
+            charge r;
+            let i = cidx r in
+            private_index name size i;
+            r.stats.Memsys.Stats.private_reads <-
+              r.stats.Memsys.Stats.private_reads + 1;
             r.privates.(id).(i)
-      | None -> fun _ _ _ -> error "subscript of non-array %S" name)
-  | Ast.Ebinop (Ast.And, a, b) ->
+      | None -> fun _ -> error "subscript of non-array %S" name)
+  | Ast.Ebinop (op, a, b) -> (
       let ca = compile_expr env ~pc a and cb = compile_expr env ~pc b in
-      fun g r frame ->
-        charge g r;
-        if Value.to_bool (ca g r frame) then
-          Value.of_bool (Value.to_bool (cb g r frame))
-        else Value.of_bool false
-  | Ast.Ebinop (Ast.Or, a, b) ->
-      let ca = compile_expr env ~pc a and cb = compile_expr env ~pc b in
-      fun g r frame ->
-        charge g r;
-        if Value.to_bool (ca g r frame) then Value.of_bool true
-        else Value.of_bool (Value.to_bool (cb g r frame))
-  | Ast.Ebinop (op, a, b) ->
-      let ca = compile_expr env ~pc a and cb = compile_expr env ~pc b in
-      fun g r frame ->
-        charge g r;
-        let va = ca g r frame in
-        let vb = cb g r frame in
-        (try apply_binop op va vb
-         with Division_by_zero -> error "division by zero")
+      match op with
+      | Ast.Add -> fun r -> charge r; let va = ca r in Value.add va (cb r)
+      | Ast.Sub -> fun r -> charge r; let va = ca r in Value.sub va (cb r)
+      | Ast.Mul -> fun r -> charge r; let va = ca r in Value.mul va (cb r)
+      | Ast.Div ->
+          fun r ->
+            charge r;
+            let va = ca r in
+            let vb = cb r in
+            (try Value.div va vb
+             with Division_by_zero -> error "division by zero")
+      | Ast.Mod ->
+          fun r ->
+            charge r;
+            let va = ca r in
+            let vb = cb r in
+            (try Value.modulo va vb
+             with Division_by_zero -> error "division by zero")
+      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And | Ast.Or
+        ->
+          assert false (* int-typed, compiled above *))
   | Ast.Eunop (Ast.Neg, a) ->
       let ca = compile_expr env ~pc a in
-      fun g r frame -> charge g r; Value.neg (ca g r frame)
-  | Ast.Eunop (Ast.Not, a) ->
-      let ca = compile_expr env ~pc a in
-      fun g r frame ->
-        charge g r;
-        Value.of_bool (not (Value.to_bool (ca g r frame)))
+      fun r -> charge r; Value.neg (ca r)
+  | Ast.Eunop (Ast.Not, _) -> assert false (* int-typed *)
   | Ast.Ecall (name, args) ->
       let call = compile_call env ~pc name args in
-      fun g r frame ->
-        charge g r;
-        call g r frame
+      fun r -> charge r; call r
 
 (* unboxed compilation; precondition: [expr_is_int env e] *)
 and compile_int env ~pc (e : Ast.expr) : cint =
   match e with
-  | Ast.Eint i -> fun g r _ -> charge g r; i
+  | Ast.Eint i -> fun r -> charge r; i
   | Ast.Evar name ->
       if Hashtbl.mem env.slots name then begin
         let i = Hashtbl.find env.slots name in
-        fun g r frame -> charge g r; frame.ints.(i)
+        fun r -> charge r; r.ints.(i)
       end
-      else if name = "pid" then fun g r _ -> charge g r; r.node
-      else if name = "nprocs" then
-        fun g r _ ->
-          charge g r;
-          g.machine.Machine.nodes
+      else if name = "pid" then fun r -> charge r; r.node
+      else if name = "nprocs" then fun r -> charge r; r.machine.Machine.nodes
       else (
         match List.assoc_opt name env.consts with
-        | Some (Value.Vint i) -> fun g r _ -> charge g r; i
+        | Some (Value.Vint i) -> fun r -> charge r; i
         | Some (Value.Vfloat _) | None -> assert false)
-  | Ast.Ebinop (Ast.And, a, b) ->
-      let ba = compile_bool env ~pc a and bb = compile_bool env ~pc b in
-      fun g r frame ->
-        charge g r;
-        if ba g r frame then if bb g r frame then 1 else 0 else 0
-  | Ast.Ebinop (Ast.Or, a, b) ->
-      let ba = compile_bool env ~pc a and bb = compile_bool env ~pc b in
-      fun g r frame ->
-        charge g r;
-        if ba g r frame then 1 else if bb g r frame then 1 else 0
   | Ast.Ebinop
-      ((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op, a, b) ->
+      ( ( Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And
+        | Ast.Or ),
+        _,
+        _ )
+  | Ast.Eunop (Ast.Not, _) ->
+      let cb = compile_bool env ~pc e in
+      fun r -> if cb r then 1 else 0
+  | Ast.Ebinop (Ast.Add, a, b) ->
+      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      fun r -> charge r; let x = ca r in x + cb r
+  | Ast.Ebinop (Ast.Sub, a, b) ->
+      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      fun r -> charge r; let x = ca r in x - cb r
+  | Ast.Ebinop (Ast.Mul, a, b) ->
+      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      fun r -> charge r; let x = ca r in x * cb r
+  | Ast.Ebinop (Ast.Div, a, b) ->
+      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      fun r ->
+        charge r;
+        let x = ca r in
+        let y = cb r in
+        if y = 0 then error "division by zero" else x / y
+  | Ast.Ebinop (Ast.Mod, a, b) ->
+      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      fun r ->
+        charge r;
+        let x = ca r in
+        let y = cb r in
+        if y = 0 then error "division by zero" else x mod y
+  | Ast.Eunop (Ast.Neg, a) ->
+      let ca = compile_int env ~pc a in
+      fun r -> charge r; -ca r
+  | Ast.Ecall ("int", [ a ]) ->
+      let ca = compile_expr env ~pc a in
+      fun r -> charge r; Value.to_int (ca r)
+  | Ast.Ecall ("abs", [ a ]) ->
+      let ca = compile_int env ~pc a in
+      fun r -> charge r; abs (ca r)
+  | Ast.Ecall ("min", [ a; b ]) ->
+      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      fun r ->
+        charge r;
+        let x = ca r in
+        let y = cb r in
+        if x <= y then x else y
+  | Ast.Ecall ("max", [ a; b ]) ->
+      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      fun r ->
+        charge r;
+        let x = ca r in
+        let y = cb r in
+        if x >= y then x else y
+  | Ast.Efloat _ | Ast.Eindex _ | Ast.Ecall _ -> assert false
+
+(* Conditions: comparisons and logic yield [bool] directly, so a loop or
+   branch test never boxes or goes through 0/1. *)
+and compile_bool env ~pc (e : Ast.expr) : cbool =
+  match e with
+  | Ast.Ebinop
+      (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b)
+    ->
       if expr_is_int env a && expr_is_int env b then begin
         let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
-        let cmp : int -> int -> bool =
-          match op with
-          | Ast.Lt -> ( < )
-          | Ast.Le -> ( <= )
-          | Ast.Gt -> ( > )
-          | Ast.Ge -> ( >= )
-          | Ast.Eq -> ( = )
-          | Ast.Ne -> ( <> )
-          | _ -> assert false
-        in
-        fun g r frame ->
-          charge g r;
-          let x = ca g r frame in
-          let y = cb g r frame in
-          if cmp x y then 1 else 0
+        match op with
+        | Ast.Lt -> fun r -> charge r; let x = ca r in x < cb r
+        | Ast.Le -> fun r -> charge r; let x = ca r in x <= cb r
+        | Ast.Gt -> fun r -> charge r; let x = ca r in x > cb r
+        | Ast.Ge -> fun r -> charge r; let x = ca r in x >= cb r
+        | Ast.Eq -> fun r -> charge r; let x = ca r in x = cb r
+        | _ -> fun r -> charge r; let x = ca r in x <> cb r
       end
       else begin
         let ca = compile_expr env ~pc a and cb = compile_expr env ~pc b in
-        let test : Value.t -> Value.t -> bool =
-          match op with
-          | Ast.Lt -> fun va vb -> Value.compare_num va vb < 0
-          | Ast.Le -> fun va vb -> Value.compare_num va vb <= 0
-          | Ast.Gt -> fun va vb -> Value.compare_num va vb > 0
-          | Ast.Ge -> fun va vb -> Value.compare_num va vb >= 0
-          | Ast.Eq -> Value.equal
-          | Ast.Ne -> fun va vb -> not (Value.equal va vb)
-          | _ -> assert false
-        in
-        fun g r frame ->
-          charge g r;
-          let va = ca g r frame in
-          let vb = cb g r frame in
-          if test va vb then 1 else 0
-      end
-  | Ast.Ebinop ((Ast.Add | Ast.Sub | Ast.Mul) as op, a, b) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
-      let f : int -> int -> int =
         match op with
-        | Ast.Add -> ( + )
-        | Ast.Sub -> ( - )
-        | Ast.Mul -> ( * )
-        | _ -> assert false
-      in
-      fun g r frame ->
-        charge g r;
-        let x = ca g r frame in
-        let y = cb g r frame in
-        f x y
-  | Ast.Ebinop ((Ast.Div | Ast.Mod) as op, a, b) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
-      let is_div = op = Ast.Div in
-      fun g r frame ->
-        charge g r;
-        let x = ca g r frame in
-        let y = cb g r frame in
-        if y = 0 then error "division by zero"
-        else if is_div then x / y
-        else x mod y
-  | Ast.Eunop (Ast.Neg, a) ->
-      let ca = compile_int env ~pc a in
-      fun g r frame ->
-        charge g r;
-        -ca g r frame
+        | Ast.Lt ->
+            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) < 0
+        | Ast.Le ->
+            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) <= 0
+        | Ast.Gt ->
+            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) > 0
+        | Ast.Ge ->
+            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) >= 0
+        | Ast.Eq -> fun r -> charge r; let va = ca r in Value.equal va (cb r)
+        | _ -> fun r -> charge r; let va = ca r in not (Value.equal va (cb r))
+      end
+  | Ast.Ebinop (Ast.And, a, b) ->
+      let ba = compile_bool env ~pc a and bb = compile_bool env ~pc b in
+      fun r -> charge r; ba r && bb r
+  | Ast.Ebinop (Ast.Or, a, b) ->
+      let ba = compile_bool env ~pc a and bb = compile_bool env ~pc b in
+      fun r -> charge r; ba r || bb r
   | Ast.Eunop (Ast.Not, a) ->
       let ba = compile_bool env ~pc a in
-      fun g r frame ->
-        charge g r;
-        if ba g r frame then 0 else 1
-  | Ast.Ecall ("int", [ a ]) ->
-      let ca = compile_expr env ~pc a in
-      fun g r frame ->
-        charge g r;
-        Value.to_int (ca g r frame)
-  | Ast.Ecall ("abs", [ a ]) ->
-      let ca = compile_int env ~pc a in
-      fun g r frame ->
-        charge g r;
-        abs (ca g r frame)
-  | Ast.Ecall (("min" | "max") as name, [ a; b ]) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
-      let is_min = name = "min" in
-      fun g r frame ->
-        charge g r;
-        let x = ca g r frame in
-        let y = cb g r frame in
-        if is_min then if x <= y then x else y else if x >= y then x else y
-  | Ast.Efloat _ | Ast.Eindex _ | Ast.Ecall _ -> assert false
-
-and compile_bool env ~pc (e : Ast.expr) : cbool =
-  if expr_is_int env e then begin
-    let ci = compile_int env ~pc e in
-    fun g r frame -> ci g r frame <> 0
-  end
-  else begin
-    let ce = compile_expr env ~pc e in
-    fun g r frame -> Value.to_bool (ce g r frame)
-  end
+      fun r -> charge r; not (ba r)
+  | _ when expr_is_int env e ->
+      let ci = compile_int env ~pc e in
+      fun r -> ci r <> 0
+  | _ ->
+      let ce = compile_expr env ~pc e in
+      fun r -> Value.to_bool (ce r)
 
 (* array subscripts: unboxed when int-typed, [Value.to_int] otherwise *)
 and compile_index env ~pc (e : Ast.expr) : cint =
   if expr_is_int env e then compile_int env ~pc e
   else begin
     let ce = compile_expr env ~pc e in
-    fun g r frame -> Value.to_int (ce g r frame)
+    fun r -> Value.to_int (ce r)
   end
 
 (* calls in statement position are not charged as an expression node *)
 and compile_call env ~pc name args : cexpr =
   let cargs = List.map (compile_expr env ~pc) args in
-  let eval2 g r frame =
-    match cargs with
-    | [ c1; c2 ] ->
-        let v1 = c1 g r frame in
-        let v2 = c2 g r frame in
-        (v1, v2)
-    | _ -> assert false
+  let unary f =
+    match cargs with [ c ] -> fun r -> f (c r) | _ -> assert false
   in
-  let eval1 g r frame =
-    match cargs with [ c ] -> c g r frame | _ -> assert false
-  in
-  match (name, List.length args) with
-  | "min", 2 ->
-      fun g r frame ->
-        let a, b = eval2 g r frame in
+  let to_float f = unary (fun v -> Value.Vfloat (f (Value.to_float v))) in
+  match (name, cargs) with
+  | "min", [ c1; c2 ] ->
+      fun r ->
+        let a = c1 r in
+        let b = c2 r in
         if Value.compare_num a b <= 0 then a else b
-  | "max", 2 ->
-      fun g r frame ->
-        let a, b = eval2 g r frame in
+  | "max", [ c1; c2 ] ->
+      fun r ->
+        let a = c1 r in
+        let b = c2 r in
         if Value.compare_num a b >= 0 then a else b
-  | "abs", 1 -> (
-      fun g r frame ->
-        match eval1 g r frame with
+  | "abs", [ _ ] ->
+      unary (function
         | Value.Vint i -> Value.Vint (abs i)
         | Value.Vfloat f -> Value.Vfloat (Float.abs f))
-  | "sqrt", 1 ->
-      fun g r frame -> Value.Vfloat (sqrt (Value.to_float (eval1 g r frame)))
-  | "sin", 1 ->
-      fun g r frame -> Value.Vfloat (sin (Value.to_float (eval1 g r frame)))
-  | "cos", 1 ->
-      fun g r frame -> Value.Vfloat (cos (Value.to_float (eval1 g r frame)))
-  | "floor", 1 ->
-      fun g r frame ->
-        Value.Vfloat (Float.floor (Value.to_float (eval1 g r frame)))
-  | "float", 1 ->
-      fun g r frame -> Value.Vfloat (Value.to_float (eval1 g r frame))
-  | "int", 1 ->
-      fun g r frame -> Value.Vint (Value.to_int (eval1 g r frame))
-  | "noise", 1 ->
-      fun g r frame -> Value.Vfloat (Interp.noise (Value.to_int (eval1 g r frame)))
-  | _ ->
-      let procs = env.procs in
-      fun g r frame ->
-        let rec eval_list = function
-          | [] -> []
-          | c :: rest ->
-              let v = c g r frame in
-              v :: eval_list rest
-        in
-        let values = eval_list cargs in
-        let cp =
-          match Hashtbl.find_opt procs name with
-          | Some cp -> cp
-          | None -> error "call of unknown procedure %S" name
-        in
-        if List.length values <> cp.arity then
-          error "procedure %S called with %d argument(s), expects %d" name
-            (List.length values) cp.arity;
-        let callee = make_frame cp.nslots in
-        List.iteri (fun i v -> callee.vals.(i) <- v) values;
-        (try
-           cp.cbody g r callee;
-           Value.zero
-         with Returning v -> Option.value ~default:Value.zero v)
+  | "sqrt", [ _ ] -> to_float sqrt
+  | "sin", [ _ ] -> to_float sin
+  | "cos", [ _ ] -> to_float cos
+  | "floor", [ _ ] -> to_float Float.floor
+  | "float", [ _ ] -> to_float Fun.id
+  | "int", [ _ ] -> unary (fun v -> Value.Vint (Value.to_int v))
+  | "noise", [ _ ] ->
+      unary (fun v -> Value.Vfloat (Interp.noise (Value.to_int v)))
+  | _ -> (
+      let cargs = Array.of_list cargs in
+      let nargs = Array.length cargs in
+      (* the callee is resolved here; [cbody] and [nslots] are read at
+         call time because a callee may be compiled after its caller *)
+      match Hashtbl.find_opt env.procs name with
+      | Some cp when cp.arity = nargs ->
+          fun r ->
+            let vals = Array.make (max 1 cp.nslots) Value.zero in
+            for i = 0 to nargs - 1 do
+              vals.(i) <- cargs.(i) r
+            done;
+            let caller_vals = r.vals and caller_ints = r.ints in
+            r.vals <- vals;
+            r.ints <- Array.make (max 1 cp.nslots) 0;
+            (match cp.cbody r with
+            | () ->
+                r.vals <- caller_vals;
+                r.ints <- caller_ints;
+                Value.zero
+            | exception Returning v ->
+                r.vals <- caller_vals;
+                r.ints <- caller_ints;
+                Option.value ~default:Value.zero v)
+      | found ->
+          (* sema rejects both; the arguments still run first, as in a
+             well-formed call *)
+          fun r ->
+            Array.iter (fun c -> ignore (c r)) cargs;
+            (match found with
+            | None -> error "call of unknown procedure %S" name
+            | Some cp ->
+                error "procedure %S called with %d argument(s), expects %d"
+                  name nargs cp.arity))
 
 (* ---- statement compilation ---- *)
 
@@ -586,13 +537,13 @@ let compile_annot env (kind : Ast.annot_kind) arr =
   match array_ref env arr with
   | Some (Ashared entry) ->
       Some
-        (fun g r (ranges : (int * int) list) ->
-          match g.machine.Machine.annotations with
+        (fun r (ranges : (int * int) list) ->
+          match r.machine.Machine.annotations with
           | Machine.Ignore_annotations -> ()
           | Machine.Execute_annotations ->
-              if not (is_prefetch && not g.machine.Machine.prefetch) then
+              if not (is_prefetch && not r.machine.Machine.prefetch) then
                 let elem_size = entry.Label.elem_size in
-                let block_size = g.machine.Machine.block_size in
+                let block_size = r.machine.Machine.block_size in
                 List.iter
                   (fun (lo_i, hi_i) ->
                     let lo_i = max 0 lo_i
@@ -606,7 +557,7 @@ let compile_annot env (kind : Ast.annot_kind) arr =
                         (fun blk ->
                           let addr = Memsys.Block.base_addr ~block_size blk in
                           let lat =
-                            directive g.proto ~node:r.node ~addr
+                            directive r.proto ~node:r.node ~addr
                               ~now:(virtual_now r)
                           in
                           r.pending <- r.pending + lat)
@@ -615,16 +566,6 @@ let compile_annot env (kind : Ast.annot_kind) arr =
                     end)
                   ranges)
   | Some (Aprivate _) | None -> None
-
-(* Index expressions that are side-effect-free and evaluate to the same
-   value twice in a row (no array loads, no calls): for these the RMW
-   fast path below may assume l-value index = r-value index. *)
-let rec simple_index (e : Ast.expr) =
-  match e with
-  | Ast.Eint _ | Ast.Efloat _ | Ast.Evar _ -> true
-  | Ast.Ebinop (_, a, b) -> simple_index a && simple_index b
-  | Ast.Eunop (_, a) -> simple_index a
-  | Ast.Eindex _ | Ast.Ecall _ -> false
 
 let rec compile_stmt env (s : Ast.stmt) : cstmt =
   let pc = s.Ast.sid in
@@ -635,61 +576,53 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
         let i = slot_of env name in
         if int_slot env name then begin
           let ci = compile_int env ~pc e in
-          fun g r frame -> frame.ints.(i) <- ci g r frame
+          fun r -> r.ints.(i) <- ci r
         end
         else begin
           let ce = compile_expr env ~pc e in
-          fun g r frame -> frame.vals.(i) <- ce g r frame
+          fun r -> r.vals.(i) <- ce r
         end
     | Ast.Sassign (Ast.Lindex (name, idx), e) -> (
-        let ce = compile_expr env ~pc e in
         let cidx = compile_index env ~pc idx in
-        match array_ref env name with
-        | Some (Ashared entry) -> (
-            match e with
-            | Ast.Ebinop (Ast.Add, Ast.Eindex (name2, idx2), rest)
-              when name2 = name && idx2 = idx && simple_index idx ->
-                (* Read-modify-write accumulation (A[i] = A[i] + e): the
-                   same charges, in the same order, as the generic
-                   [ce]/[shared_write] path. Only the protocol entry
-                   points differ (rmw-aware, so the Commute backend can
-                   privatize the accumulation). *)
-                let cidx_in = compile_index env ~pc idx in
-                let crest = compile_expr env ~pc rest in
-                fun g r frame ->
-                  charge g r;  (* the Ebinop node *)
-                  charge g r;  (* the inner Eindex node *)
-                  let i1 = cidx_in g r frame in
-                  let va = shared_read_rmw g r ~pc entry i1 in
-                  let vb = crest g r frame in
-                  let v =
-                    try apply_binop Ast.Add va vb
-                    with Division_by_zero -> error "division by zero"
-                  in
-                  let i2 = cidx g r frame in
-                  shared_write_rmw g r ~pc entry i2 v
-            | _ ->
-                fun g r frame ->
-                  let v = ce g r frame in
-                  let i = cidx g r frame in
-                  shared_write g r ~pc entry i v)
-        | Some (Aprivate (id, size)) ->
-            fun g r frame ->
-              let v = ce g r frame in
-              let i = cidx g r frame in
-              if i < 0 || i >= size then
-                error "index %d out of bounds for private array %s[%d]" i name
-                  size;
-              let stats = Memsys.Protocol.stats g.proto in
-              stats.Memsys.Stats.private_writes <-
-                stats.Memsys.Stats.private_writes + 1;
+        match (array_ref env name, e) with
+        | ( Some (Ashared entry),
+            Ast.Ebinop (Ast.Add, Ast.Eindex (name2, idx2), rest) )
+          when name2 = name && idx2 = idx && Interp.simple_index idx ->
+            (* Read-modify-write accumulation (A[i] = A[i] + e): the same
+               charges, in the same order, as the generic [shared_write]
+               path. Only the protocol entry points differ (rmw-aware, so
+               the Commute backend can privatize the accumulation). *)
+            let cidx_in = compile_index env ~pc idx in
+            let crest = compile_expr env ~pc rest in
+            fun r ->
+              charge r;  (* the Ebinop node *)
+              charge r;  (* the inner Eindex node *)
+              let i1 = cidx_in r in
+              let va = shared_read_rmw r ~pc entry i1 in
+              let vb = crest r in
+              let v = Value.add va vb in
+              let i2 = cidx r in
+              shared_write_rmw r ~pc entry i2 v
+        | Some (Ashared entry), _ ->
+            let ce = compile_expr env ~pc e in
+            fun r ->
+              let v = ce r in
+              let i = cidx r in
+              shared_write r ~pc entry i v
+        | Some (Aprivate (id, size)), _ ->
+            let ce = compile_expr env ~pc e in
+            fun r ->
+              let v = ce r in
+              let i = cidx r in
+              private_index name size i;
+              r.stats.Memsys.Stats.private_writes <-
+                r.stats.Memsys.Stats.private_writes + 1;
               r.privates.(id).(i) <- v
-        | None -> fun _ _ _ -> error "assignment to non-array %S" name)
+        | None, _ -> fun _ -> error "assignment to non-array %S" name)
     | Ast.Sif (cond, b1, b2) ->
         let cc = compile_bool env ~pc cond in
         let cb1 = compile_block env b1 and cb2 = compile_block env b2 in
-        fun g r frame ->
-          if cc g r frame then cb1 g r frame else cb2 g r frame
+        fun r -> if cc r then cb1 r else cb2 r
     | Ast.Sfor { var; from_; to_; step; body } ->
         let slot = slot_of env var in
         let cbody = compile_block env body in
@@ -701,15 +634,15 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
           let cfrom = compile_int env ~pc from_ in
           let cto = compile_int env ~pc to_ in
           let cstep = compile_int env ~pc step in
-          fun g r frame ->
-            let lo = cfrom g r frame in
-            let hi = cto g r frame in
-            let st = cstep g r frame in
+          fun r ->
+            let lo = cfrom r in
+            let hi = cto r in
+            let st = cstep r in
             if st = 0 then error "loop step is zero";
             let cur = ref lo in
             while if st > 0 then !cur <= hi else !cur >= hi do
-              frame.ints.(slot) <- !cur;
-              cbody g r frame;
+              r.ints.(slot) <- !cur;
+              cbody r;
               r.pending <- r.pending + 1;
               cur := !cur + st
             done
@@ -718,10 +651,10 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
           let cfrom = compile_expr env ~pc from_ in
           let cto = compile_expr env ~pc to_ in
           let cstep = compile_expr env ~pc step in
-          fun g r frame ->
-            let lo = cfrom g r frame in
-            let hi = cto g r frame in
-            let st = cstep g r frame in
+          fun r ->
+            let lo = cfrom r in
+            let hi = cto r in
+            let st = cstep r in
             let stf = Value.to_float st in
             if stf = 0.0 then error "loop step is zero";
             let continues v =
@@ -730,8 +663,8 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             in
             let cur = ref lo in
             while continues !cur do
-              frame.vals.(slot) <- !cur;
-              cbody g r frame;
+              r.vals.(slot) <- !cur;
+              cbody r;
               r.pending <- r.pending + 1;
               cur := Value.add !cur st
             done
@@ -739,39 +672,39 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
     | Ast.Swhile (cond, body) ->
         let cc = compile_bool env ~pc cond in
         let cbody = compile_block env body in
-        fun g r frame ->
-          while cc g r frame do
-            cbody g r frame
+        fun r ->
+          while cc r do
+            cbody r
           done
     | Ast.Sbarrier ->
-        fun _ r _ ->
+        fun r ->
           flush_pending r;
           Sched.barrier_sync ~pc;
           r.base_now <- Sched.now ()
     | Ast.Scall (name, args) ->
         let call = compile_call env ~pc name args in
-        fun g r frame -> ignore (call g r frame)
-    | Ast.Sreturn None -> fun _ _ _ -> raise (Returning None)
+        fun r -> ignore (call r)
+    | Ast.Sreturn None -> fun _ -> raise (Returning None)
     | Ast.Sreturn (Some e) ->
         let ce = compile_expr env ~pc e in
-        fun g r frame -> raise (Returning (Some (ce g r frame)))
+        fun r -> raise (Returning (Some (ce r)))
     | Ast.Slock e ->
         let ce = compile_index env ~pc e in
-        fun g r frame ->
-          let l = ce g r frame in
+        fun r ->
+          let l = ce r in
           flush_pending r;
           Sched.lock_acquire l;
           r.base_now <- Sched.now ();
           r.held_locks <- l :: r.held_locks;
-          if g.machine.Machine.collect_trace then
-            r.held_id <- Trace.Buf.intern_held g.trace_buf r.held_locks
+          if r.machine.Machine.collect_trace then
+            r.held_id <- Trace.Buf.intern_held r.trace_buf r.held_locks
     | Ast.Sunlock e ->
         let ce = compile_index env ~pc e in
-        fun g r frame ->
-          let l = ce g r frame in
+        fun r ->
+          let l = ce r in
           r.held_locks <- Interp.remove_lock l r.held_locks;
-          if g.machine.Machine.collect_trace then
-            r.held_id <- Trace.Buf.intern_held g.trace_buf r.held_locks;
+          if r.machine.Machine.collect_trace then
+            r.held_id <- Trace.Buf.intern_held r.trace_buf r.held_locks;
           flush_pending r;
           Sched.lock_release l;
           r.base_now <- Sched.now ()
@@ -780,27 +713,27 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
         let chi = compile_index env ~pc hi in
         match compile_annot env kind arr with
         | Some exec ->
-            fun g r frame ->
-              let lo_i = clo g r frame in
-              let hi_i = chi g r frame in
-              exec g r [ (lo_i, hi_i) ]
-        | None -> fun _ _ _ -> error "annotation on unknown shared array %S" arr)
+            fun r ->
+              let lo_i = clo r in
+              let hi_i = chi r in
+              exec r [ (lo_i, hi_i) ]
+        | None -> fun _ -> error "annotation on unknown shared array %S" arr)
     | Ast.Sannot_table { akind; aarr; aranges } -> (
         match compile_annot env akind aarr with
         | Some exec ->
-            fun g r _ ->
+            fun r ->
               let ranges =
                 if r.node < Array.length aranges then aranges.(r.node) else []
               in
-              exec g r ranges
-        | None -> fun _ _ _ -> error "annotation on unknown shared array %S" aarr)
+              exec r ranges
+        | None -> fun _ -> error "annotation on unknown shared array %S" aarr)
     | Ast.Sprint args ->
         let cargs = List.map (compile_expr env ~pc) args in
-        fun g r frame ->
+        fun r ->
           let rec eval_list = function
             | [] -> []
             | c :: rest ->
-                let v = c g r frame in
+                let v = c r in
                 v :: eval_list rest
           in
           let values = eval_list cargs in
@@ -808,19 +741,21 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             Printf.sprintf "p%d: %s" r.node
               (String.concat " " (List.map Value.to_string values))
           in
-          g.output_buf := line :: !(g.output_buf)
+          r.output_buf := line :: !(r.output_buf)
   in
-  if is_annot then fun g r frame ->
-    charge g r;
-    body g r frame
-  else fun g r frame ->
-    charge g r;
-    maybe_yield g r;
-    body g r frame
+  if is_annot then fun r -> charge r; body r
+  else fun r -> charge r; maybe_yield r; body r
 
+(* a chain of closures, so running a block allocates nothing *)
 and compile_block env block =
-  let stmts = List.map (compile_stmt env) block in
-  fun g r frame -> List.iter (fun st -> st g r frame) stmts
+  let rec chain = function
+    | [] -> fun _ -> ()
+    | [ s ] -> s
+    | s :: rest ->
+        let k = chain rest in
+        fun r -> s r; k r
+  in
+  chain (List.map (compile_stmt env) block)
 
 (* ---- program compilation and execution ---- *)
 
@@ -846,11 +781,7 @@ let compile ~machine program =
   List.iter
     (fun (p : Ast.proc) ->
       Hashtbl.replace env.procs p.Ast.pname
-        {
-          arity = List.length p.Ast.params;
-          nslots = 0;
-          cbody = (fun _ _ _ -> ());
-        })
+        { arity = List.length p.Ast.params; nslots = 0; cbody = (fun _ -> ()) })
     program.Ast.procs;
   List.iter
     (fun (p : Ast.proc) ->
@@ -859,7 +790,7 @@ let compile ~machine program =
       let cbody = compile_block env p.Ast.body in
       let cp = Hashtbl.find env.procs p.Ast.pname in
       cp.cbody <- cbody;
-      Hashtbl.replace env.procs p.Ast.pname { cp with nslots = env.next_slot })
+      cp.nslots <- env.next_slot)
     program.Ast.procs;
   (info, layout, env)
 
@@ -877,20 +808,12 @@ let run ?poll ~machine program =
     (Label.total_bytes layout + machine.Machine.elem_size - 1)
     / machine.Machine.elem_size
   in
-  let g =
-    {
-      machine;
-      layout;
-      proto;
-      shared = Array.make (max 1 total_elems) Value.zero;
-      elem_shift = elem_shift_of machine.Machine.elem_size;
-      trace_buf = Trace.Buf.create ();
-      output_buf = ref [];
-    }
-  in
+  let shared = Array.make (max 1 total_elems) Value.zero in
+  let trace_buf = Trace.Buf.create () in
+  let output_buf = ref [] in
   if machine.Machine.collect_trace then
     List.iter
-      (fun (name, lo, hi) -> Trace.Buf.add_label g.trace_buf ~name ~lo ~hi)
+      (fun (name, lo, hi) -> Trace.Buf.add_label trace_buf ~name ~lo ~hi)
       (Label.to_label_records layout);
   let stats = Memsys.Protocol.stats proto in
   let on_barrier ~vt ~arrivals =
@@ -903,8 +826,7 @@ let run ?poll ~machine program =
     Memsys.Protocol.sample_occupancy proto;
     if machine.Machine.collect_trace then
       List.iter
-        (fun (node, bpc) ->
-          Trace.Buf.add_barrier g.trace_buf ~node ~pc:bpc ~vt)
+        (fun (node, bpc) -> Trace.Buf.add_barrier trace_buf ~node ~pc:bpc ~vt)
         arrivals
   in
   let on_lock_acquire ~node:_ ~lock:_ =
@@ -918,6 +840,13 @@ let run ?poll ~machine program =
   let body node =
     let r =
       {
+        machine;
+        proto;
+        stats;
+        shared;
+        elem_shift = elem_shift_of machine.Machine.elem_size;
+        trace_buf;
+        output_buf;
         node;
         privates =
           Array.of_list
@@ -929,10 +858,11 @@ let run ?poll ~machine program =
         base_now = 0;
         held_locks = [];
         held_id = Trace.Buf.empty_held;
+        vals = Array.make (max 1 main.nslots) Value.zero;
+        ints = Array.make (max 1 main.nslots) 0;
       }
     in
-    let frame = make_frame main.nslots in
-    (try main.cbody g r frame with Returning _ -> ());
+    (try main.cbody r with Returning _ -> ());
     flush_pending r
   in
   let engine_t0 = Obs.start () in
@@ -951,9 +881,9 @@ let run ?poll ~machine program =
   {
     Interp.time;
     stats;
-    trace = Trace.Buf.to_records g.trace_buf;
-    output = List.rev !(g.output_buf);
-    shared = g.shared;
+    trace = Trace.Buf.to_records trace_buf;
+    output = List.rev !output_buf;
+    shared;
     layout;
     info;
   }

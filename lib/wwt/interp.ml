@@ -136,8 +136,7 @@ let shared_write_rmw g n ~pc entry i v =
 
 (* Side-effect-free index expressions that evaluate to the same value
    twice in a row; the RMW fast path may assume l-value index = r-value
-   index for these. Kept in sync with [Compile.simple_index] (Compile
-   depends on this module, so the shared definition lives twice). *)
+   index for these. *)
 let rec simple_index (e : Ast.expr) =
   match e with
   | Ast.Eint _ | Ast.Efloat _ | Ast.Evar _ -> true

@@ -39,3 +39,10 @@ val remove_lock : int -> int list -> int list
 (** Remove the innermost occurrence (only) of a lock from a held-lock
     list, preserving outer holds of a reentrantly-acquired lock. Shared
     with {!Compile} so both engines age lock-sets identically. *)
+
+val simple_index : Lang.Ast.expr -> bool
+(** [true] for index expressions without array loads or calls, which
+    evaluate to the same value twice in a row: the read-modify-write form
+    [A[i] = A[i] + e] takes its rmw-aware protocol entry points only for
+    these. Shared with {!Compile} so both engines recognise the same
+    accumulations. *)
