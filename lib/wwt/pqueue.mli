@@ -1,4 +1,6 @@
-(** A mutable binary min-heap keyed by integer priority.
+(** A mutable binary min-heap of integer payloads keyed by integer
+    priority, stored flat in one [int array]: pushing and popping
+    allocate nothing except when the array grows.
 
     {b Tie-break specification.} Entries with equal priority are returned
     in insertion (FIFO) order. "Insertion order" is the global order of
@@ -14,24 +16,26 @@
       wants for a fiber that yields back at an unchanged clock;
     - two queues fed the same push/pop sequence pop identical streams.
 
-    The scheduler ({!Sched.run}) keys fibers by virtual time, where
+    The scheduler ({!Sched.run}) keys node numbers by virtual time, where
     equal priorities are common (barrier releases wake all nodes at the
     same clock). Its deterministic interleaving — and hence the whole
     engine-equivalence story — rests on this tie-break rule, which is why
     it is specified this precisely and pinned by tests. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
 
-val push : 'a t -> prio:int -> 'a -> unit
+val push : t -> prio:int -> int -> unit
 (** Insert an entry. Equal-priority entries pop in push order. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the entry with the smallest [(prio, seq)] — the
-    minimum priority, oldest push first. *)
+val min_prio : t -> int
+(** Priority of the entry the next {!pop} returns; [max_int] when the
+    queue is empty. *)
 
-val peek_prio : 'a t -> int option
-(** Priority of the entry the next {!pop} would return. *)
+val pop : t -> int
+(** Remove the entry with the smallest [(prio, seq)] — the minimum
+    priority, oldest push first — and return its payload.
+    @raise Invalid_argument if the queue is empty. *)

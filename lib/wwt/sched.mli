@@ -1,15 +1,27 @@
 (** Effects-based discrete-event scheduler for simulated processors.
 
     Each simulated node runs as an OCaml 5 fiber. A fiber advances its own
-    virtual clock by performing {!advance}; the scheduler then resumes
-    whichever fiber has the smallest clock, giving a deterministic
-    discrete-event interleaving. Barriers synchronise all nodes: when the
-    last fiber arrives, every clock is set to the maximum plus the barrier
-    cost and the [on_barrier] hook runs (the interpreter uses it to flush
-    caches and emit trace records). Queued locks hand over FIFO; locks are
+    virtual clock with {!advance}; the scheduler then resumes whichever
+    fiber has the smallest clock, giving a deterministic discrete-event
+    interleaving. Barriers synchronise all nodes: when the last fiber
+    arrives, every clock is set to the maximum plus the barrier cost and
+    the [on_barrier] hook runs (the interpreter uses it to flush caches
+    and emit trace records). Queued locks hand over FIFO; locks are
     reentrant — the holder may nest re-acquires (each counted by
     [on_lock_acquire] but paying no transfer) and the lock hands over only
-    when the outermost hold is released. *)
+    when the outermost hold is released.
+
+    The running simulation's state lives in domain-local storage: {!run}
+    installs it and restores the previous one (normally none) when it
+    returns or raises, so runs on different domains are independent, and
+    the calls below read and update that state directly. {!now} never
+    suspends. {!advance} suspends only when some parked fiber's clock is
+    at or before the new clock, or after 500 consecutive advances that did
+    not (so that {!run}'s [poll] keeps its cadence); ties park, so the
+    schedule is the one a suspension on every advance would produce. A
+    suspended node keeps its one continuation in a per-node slot and its
+    (clock, push order) in a flat {!Pqueue}: apart from the runtime's own
+    continuation record, nothing is allocated per park or resume. *)
 
 exception Deadlock of string
 (** Raised when no fiber can make progress (e.g. a node exits without
@@ -40,14 +52,16 @@ val run : ?poll:(unit -> unit) -> config -> (int -> unit) -> int
     the unfinished fibers are discarded, leaving no scheduler state
     behind — a fresh [run] on the same domain is unaffected. *)
 
-(** Effects available inside fiber bodies: *)
+(** Calls available inside fiber bodies. Outside {!run} each raises
+    [Invalid_argument]. *)
 
 val now : unit -> int
 (** Current virtual time of the calling fiber. *)
 
 val advance : int -> unit
-(** Advance the calling fiber's clock by the given number of cycles and
-    yield to the scheduler. *)
+(** Advance the calling fiber's clock by the given number of cycles,
+    yielding to the scheduler if another fiber is due first (see above).
+    @raise Invalid_argument on a negative count. *)
 
 val barrier_sync : pc:int -> unit
 (** Block until every node reaches a barrier. *)

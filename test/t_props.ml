@@ -403,9 +403,12 @@ let prop_pqueue_sorted =
       let q = Wwt.Pqueue.create () in
       List.iter (fun p -> Wwt.Pqueue.push q ~prio:p p) prios;
       let rec drain acc =
-        match Wwt.Pqueue.pop q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
+        if Wwt.Pqueue.is_empty q then List.rev acc
+        else begin
+          let p = Wwt.Pqueue.min_prio q in
+          ignore (Wwt.Pqueue.pop q);
+          drain (p :: acc)
+        end
       in
       let out = drain [] in
       out = List.sort compare prios)

@@ -112,6 +112,75 @@ let test_determinism () =
   in
   Alcotest.(check bool) "two runs identical" true (run () = run ())
 
+(* A lone fiber never finds another fiber due first, so only the bound on
+   consecutive direct advances brings it back to the scheduler loop,
+   where [poll] runs (sched.mli). A raising poll abandons the run and
+   leaves nothing installed on the domain. *)
+let test_lone_fiber_polls () =
+  let steps = ref 0 in
+  let body _ =
+    for _ = 1 to 1_000_000 do
+      incr steps;
+      Wwt.Sched.advance 1
+    done
+  in
+  let cfg = config ~nodes:1 () in
+  let undisturbed = Wwt.Sched.run cfg body in
+  Alcotest.(check int) "undisturbed final time" 1_000_000 undisturbed;
+  let polls = ref 0 in
+  ignore (Wwt.Sched.run ~poll:(fun () -> incr polls) cfg body);
+  Alcotest.(check bool) "poll reached" true (!polls > 0);
+  steps := 0;
+  Alcotest.check_raises "a raising poll abandons the run"
+    (Wwt.Sched.Cancelled "deadline") (fun () ->
+      ignore
+        (Wwt.Sched.run
+           ~poll:(fun () -> raise (Wwt.Sched.Cancelled "deadline"))
+           cfg body));
+  Alcotest.(check bool) "abandoned early" true (!steps < 1_000_000);
+  Alcotest.check_raises "no run left installed"
+    (Invalid_argument "Sched.now: not inside Sched.run") (fun () ->
+      ignore (Wwt.Sched.now ()));
+  Alcotest.(check int) "a fresh run is unaffected" undisturbed
+    (Wwt.Sched.run cfg body)
+
+(* The run's state is domain-local: trace runs of the five programs on
+   both engines, three at a time on separate domains, must produce the
+   outcomes they produce one after another. *)
+let test_concurrent_runs () =
+  let machine = { Wwt.Machine.default with Wwt.Machine.nodes = 8 } in
+  let cases =
+    List.concat_map
+      (fun name ->
+        let b = Benchmarks.Suite.find ~nodes:8 name in
+        let p = Lang.Parser.parse b.Benchmarks.Suite.source in
+        [ (name, Wwt.Run.Compiled, p); (name, Wwt.Run.Tree_walk, p) ])
+      Benchmarks.Suite.names
+  in
+  let digest (_, engine, p) =
+    let o = Wwt.Run.collect_trace ~engine ~machine p in
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            ( o.Wwt.Interp.time,
+              o.Wwt.Interp.stats,
+              o.Wwt.Interp.trace,
+              o.Wwt.Interp.output )
+            [ Marshal.No_sharing ]))
+  in
+  let sequential = List.map digest cases in
+  let concurrent = Wwt.Jobs.map ~jobs:3 digest cases in
+  List.iter2
+    (fun ((name, engine, _), want) got ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s on %s" name
+           (match engine with
+           | Wwt.Run.Compiled -> "compiled"
+           | Wwt.Run.Tree_walk -> "tree walk"))
+        want got)
+    (List.combine cases sequential)
+    concurrent
+
 let suite =
   [
     Alcotest.test_case "advance accumulates" `Quick test_advance_accumulates;
@@ -122,4 +191,7 @@ let suite =
     Alcotest.test_case "lock mutual exclusion" `Quick test_lock_mutual_exclusion;
     Alcotest.test_case "release without hold" `Quick test_lock_release_without_hold;
     Alcotest.test_case "deterministic schedule" `Quick test_determinism;
+    Alcotest.test_case "lone fiber reaches poll" `Quick test_lone_fiber_polls;
+    Alcotest.test_case "concurrent runs match sequential" `Slow
+      test_concurrent_runs;
   ]
