@@ -14,12 +14,7 @@ let read_file path =
 let load_source input nodes =
   match input with
   | `File path -> read_file path
-  | `Bench name -> (
-      match Benchmarks.Suite.find ~nodes name with
-      | b -> b.Benchmarks.Suite.source
-      | exception Not_found ->
-          Fmt.failwith "unknown benchmark %S (expected one of %s)" name
-            (String.concat ", " Benchmarks.Suite.names))
+  | `Bench name -> (Benchmarks.Suite.find ~nodes name).Benchmarks.Suite.source
 
 (* Annotate via the incremental engine: run the base pipeline once, diff
    the two sources into a span edit, and serve it from the artifact DAG.
@@ -126,8 +121,10 @@ let input =
            ~doc:"Source file to annotate.")
   in
   let bench =
-    Arg.(value & opt (some string) None & info [ "b"; "benchmark" ] ~docv:"NAME"
-           ~doc:"Annotate a built-in benchmark (matmul, barnes, tomcatv, ocean, mp3d).")
+    let names = List.map (fun n -> (n, n)) Benchmarks.Suite.names in
+    Arg.(value & opt (some (enum names)) None & info [ "b"; "benchmark" ]
+           ~docv:"NAME"
+           ~doc:("Annotate a built-in benchmark: " ^ doc_alts_enum names ^ "."))
   in
   let combine file bench =
     match (file, bench) with

@@ -1,11 +1,11 @@
 (* Bad configuration is refused at the binaries' front door: a one-line
    diagnostic that names what was wrong, a distinct exit code, and no
    work done. The bench harness and simulate check CACHIER_BENCH_* at
-   startup and exit 2; numeric flags of simulate and cachierd are usage
-   errors (exit 124, like a malformed --protocol), and an unknown
-   --engine exits 2. A program's own parse or runtime error is a one-line
-   diagnostic from simulate and cachier (exit 1), not an internal
-   error. *)
+   startup and exit 2; numeric flags of simulate and cachierd and
+   cachier's --benchmark are usage errors (exit 124, like a malformed
+   --protocol), and an unknown --engine exits 2. A program's own parse or
+   runtime error is a one-line diagnostic from simulate and cachier
+   (exit 1), not an internal error. *)
 
 (* dune runs the test binary in _build/default/test; fall back to the
    workspace-root path for manual `dune exec` runs *)
@@ -189,6 +189,20 @@ let cachierd_refuses () =
             ~code:124 fragment)
         cachierd_cases
 
+(* An unknown --benchmark is a usage error naming the flag and listing
+   the suite, like a malformed --protocol. *)
+let cachier_refuses_unknown_benchmark () =
+  match exe "bin" "cachier_cli.exe" with
+  | None -> Alcotest.skip ()
+  | Some cli ->
+      let cmd = Filename.quote cli ^ " --benchmark nosuch" in
+      check_refused "--benchmark nosuch" cmd ~code:124
+        "option '--benchmark': invalid value 'nosuch', expected one of";
+      let _, _, err = run (cmd ^ " </dev/null") in
+      List.iter
+        (fun name -> check_contains "--benchmark nosuch" err ("'" ^ name ^ "'"))
+        Benchmarks.Suite.names
+
 (* A program's own failure: one stderr line naming the file, the kind
    and the message, and exit 1. jacobi.sm is sized for 4 nodes and
    indexes out of bounds at the default 8. *)
@@ -242,6 +256,8 @@ let suite =
       simulate_refuses;
     Alcotest.test_case "cachierd refuses bad numeric flags" `Quick
       cachierd_refuses;
+    Alcotest.test_case "cachier refuses an unknown benchmark" `Quick
+      cachier_refuses_unknown_benchmark;
     Alcotest.test_case "program errors are diagnostics" `Quick
       program_errors_are_diagnostics;
   ]
