@@ -26,6 +26,7 @@ type state = {
   ready : Pqueue.t;  (* nodes keyed by clock; ties pop in push order *)
   mutable conts : (unit, unit) Effect.Deep.continuation array;
       (* each node's parked continuation; [||] until the first suspension *)
+  parked : bool array;  (* the node's slot holds a continuation to resume *)
   mutable current : int;  (* the node whose fiber is running *)
   mutable direct : int;  (* advances that did not park since the last pop *)
   mutable finished : int;
@@ -138,6 +139,21 @@ let lock_release l =
            (Printf.sprintf "node %d releases lock %d it does not hold" node l)));
   park st
 
+exception Abandoned
+
+(* A run that ends early (a raising [poll], a deadlock, an exception out of
+   a fiber) leaves fibers parked. A continuation that is never resumed
+   keeps its fiber stack for good, so unwind each one instead. *)
+let abandon st =
+  Array.iteri
+    (fun node parked ->
+      if parked then begin
+        st.parked.(node) <- false;
+        st.current <- node;
+        try Effect.Deep.discontinue st.conts.(node) Abandoned with _ -> ()
+      end)
+    st.parked
+
 let run ?poll cfg body =
   let st =
     {
@@ -145,6 +161,7 @@ let run ?poll cfg body =
       clock = Array.make cfg.nodes 0;
       ready = Pqueue.create ();
       conts = [||];
+      parked = Array.make cfg.nodes false;
       current = 0;
       direct = 0;
       finished = 0;
@@ -160,7 +177,8 @@ let run ?poll cfg body =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         if Array.length st.conts = 0 then st.conts <- Array.make cfg.nodes k
-        else st.conts.(st.current) <- k)
+        else st.conts.(st.current) <- k;
+        st.parked.(st.current) <- true)
   in
   let handler =
     {
@@ -175,7 +193,10 @@ let run ?poll cfg body =
   in
   let outer = Domain.DLS.get current_run in
   Domain.DLS.set current_run (Some st);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_run outer)
+  Fun.protect
+    ~finally:(fun () ->
+      abandon st;
+      Domain.DLS.set current_run outer)
   @@ fun () ->
   (* Start every fiber: each suspends before its body runs, so its slot
      holds a continuation from the outset. All start at time 0 and run
@@ -191,8 +212,8 @@ let run ?poll cfg body =
   done;
   (* Cancellation polls run between fiber resumptions, where no fiber is
      mid-step: an exception raised by [poll] propagates out of [run]
-     directly, abandoning the parked continuations to the GC. Polling
-     every pop would put a call on the hot path, so decimate. *)
+     directly, after [abandon] unwinds the parked fibers. Polling every
+     pop would put a call on the hot path, so decimate. *)
   let poll_countdown = ref 256 in
   let run_t0 = Obs.start () in
   while not (Pqueue.is_empty st.ready) do
@@ -207,6 +228,7 @@ let run ?poll cfg body =
     | None -> ());
     st.direct <- 0;
     st.current <- node;
+    st.parked.(node) <- false;
     Effect.Deep.continue st.conts.(node) ()
   done;
   Obs.finish "sched.run" run_t0;

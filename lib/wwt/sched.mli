@@ -48,9 +48,12 @@ val run : ?poll:(unit -> unit) -> config -> (int -> unit) -> int
 
     [poll], when given, is called periodically from the scheduler loop,
     between fiber resumptions. It may raise (conventionally {!Cancelled})
-    to abandon the whole run: the exception propagates out of [run] and
-    the unfinished fibers are discarded, leaving no scheduler state
-    behind — a fresh [run] on the same domain is unaffected. *)
+    to abandon the whole run: the exception propagates out of [run], and
+    first every unfinished fiber is unwound by an exception raised at the
+    point where it waits, so it frees its stack and runs its own
+    [Fun.protect] finalisers. The same happens when [run] raises
+    {!Deadlock} or an exception escapes a fiber. No scheduler state is
+    left behind — a fresh [run] on the same domain is unaffected. *)
 
 (** Calls available inside fiber bodies. Outside {!run} each raises
     [Invalid_argument]. *)

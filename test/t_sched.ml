@@ -144,6 +144,34 @@ let test_lone_fiber_polls () =
   Alcotest.(check int) "a fresh run is unaffected" undisturbed
     (Wwt.Sched.run cfg body)
 
+(* A run that ends early unwinds its parked fibers, so each frees its
+   stack and runs its finalisers: a continuation that is never resumed
+   would keep its stack for good. *)
+let test_abandoned_fibers_unwind () =
+  let unwound = ref 0 in
+  let guarded f = Fun.protect ~finally:(fun () -> incr unwound) f in
+  Alcotest.check_raises "cancelled" (Wwt.Sched.Cancelled "deadline")
+    (fun () ->
+      ignore
+        (Wwt.Sched.run
+           ~poll:(fun () -> raise (Wwt.Sched.Cancelled "deadline"))
+           (config ~nodes:4 ())
+           (fun _ ->
+             guarded (fun () ->
+                 while true do
+                   Wwt.Sched.advance 64
+                 done))));
+  Alcotest.(check int) "every cancelled fiber unwound" 4 !unwound;
+  unwound := 0;
+  Alcotest.check_raises "deadlock"
+    (Wwt.Sched.Deadlock
+       "1 of 2 nodes finished; 1 parked at a barrier, 0 waiting on locks")
+    (fun () ->
+      ignore
+        (Wwt.Sched.run (config ()) (fun node ->
+             guarded (fun () -> if node = 0 then Wwt.Sched.barrier_sync ~pc:1))));
+  Alcotest.(check int) "the finished and the deadlocked fiber" 2 !unwound
+
 (* The run's state is domain-local: trace runs of the five programs on
    both engines, three at a time on separate domains, must produce the
    outcomes they produce one after another. *)
@@ -192,6 +220,8 @@ let suite =
     Alcotest.test_case "release without hold" `Quick test_lock_release_without_hold;
     Alcotest.test_case "deterministic schedule" `Quick test_determinism;
     Alcotest.test_case "lone fiber reaches poll" `Quick test_lone_fiber_polls;
+    Alcotest.test_case "abandoned fibers unwind" `Quick
+      test_abandoned_fibers_unwind;
     Alcotest.test_case "concurrent runs match sequential" `Slow
       test_concurrent_runs;
   ]
