@@ -209,7 +209,9 @@ let shared_addr (entry : Label.entry) i =
 
 let shared_read r ~pc entry i =
   let addr = shared_addr entry i in
-  let p = Memsys.Protocol.read_p r.proto ~node:r.node ~addr ~now:(virtual_now r) in
+  let p =
+    Memsys.Protocol.read_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
+  in
   record_miss r ~pc ~addr p;
   r.shared.(elem_index r addr)
 
@@ -241,7 +243,7 @@ let shared_write_rmw r ~pc entry i v =
   record_miss r ~pc ~addr p;
   r.shared.(elem_index r addr) <- v
 
-let private_index name size i =
+let check_private_index name size i =
   if i < 0 || i >= size then
     error "index %d out of bounds for private array %s[%d]" i name size
 
@@ -294,7 +296,7 @@ let rec compile_expr env ~pc (e : Ast.expr) : cexpr =
           fun r ->
             charge r;
             let i = cidx r in
-            private_index name size i;
+            check_private_index name size i;
             r.stats.Memsys.Stats.private_reads <-
               r.stats.Memsys.Stats.private_reads + 1;
             r.privates.(id).(i)
@@ -614,7 +616,7 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             fun r ->
               let v = ce r in
               let i = cidx r in
-              private_index name size i;
+              check_private_index name size i;
               r.stats.Memsys.Stats.private_writes <-
                 r.stats.Memsys.Stats.private_writes + 1;
               r.privates.(id).(i) <- v

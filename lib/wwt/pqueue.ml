@@ -54,14 +54,18 @@ let pop t =
   t.size <- n;
   if n > 0 then begin
     (* sift the last entry down from the root *)
-    let prio = h.(3 * n) and seq = h.((3 * n) + 1) and value = h.((3 * n) + 2) in
+    let prio = h.(3 * n)
+    and seq = h.((3 * n) + 1)
+    and value = h.((3 * n) + 2) in
     let i = ref 0 and placed = ref false in
     while not !placed do
       let l = (2 * !i) + 1 in
       if l >= n then placed := true
       else begin
-        let c = if l + 1 < n && before h (l + 1) h.(3 * l) h.((3 * l) + 1)
-          then l + 1 else l in
+        let c =
+          if l + 1 < n && before h (l + 1) h.(3 * l) h.((3 * l) + 1) then l + 1
+          else l
+        in
         if before h c prio seq then begin
           move h ~src:c ~dst:!i;
           i := c

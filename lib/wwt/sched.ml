@@ -136,7 +136,8 @@ let lock_release l =
   | Some _ | None ->
       raise
         (Deadlock
-           (Printf.sprintf "node %d releases lock %d it does not hold" node l)));
+           (Printf.sprintf "node %d releases lock %d it does not hold" node
+              l)));
   park st
 
 exception Abandoned
@@ -187,7 +188,9 @@ let run ?poll cfg body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Suspend -> (on_suspend : ((a, unit) Effect.Deep.continuation -> unit) option)
+          | Suspend ->
+              (on_suspend
+                : ((a, unit) Effect.Deep.continuation -> unit) option)
           | _ -> None);
     }
   in

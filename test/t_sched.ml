@@ -169,7 +169,8 @@ let test_abandoned_fibers_unwind () =
     (fun () ->
       ignore
         (Wwt.Sched.run (config ()) (fun node ->
-             guarded (fun () -> if node = 0 then Wwt.Sched.barrier_sync ~pc:1))));
+             guarded (fun () ->
+                 if node = 0 then Wwt.Sched.barrier_sync ~pc:1))));
   Alcotest.(check int) "the finished and the deadlocked fiber" 2 !unwound
 
 (* The run's state is domain-local: trace runs of the five programs on
