@@ -14,6 +14,9 @@ val to_int : t -> int
 val to_float : t -> float
 
 val add : t -> t -> t
+(** [add], [sub] and [mul] are each one direct match: the compiled engine
+    calls them once per boxed arithmetic node. *)
+
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t

@@ -1,10 +1,15 @@
 (** A closure-compiling execution engine, drop-in equivalent to the
     tree-walking {!Interp}.
 
-    Programs are compiled once — variables resolve to frame slots, arrays
-    to their layout entries, constants are baked in — and then executed
-    several times faster than the tree walk, which matters when sweeping
-    benchmark configurations. The cost model, scheduling points and
+    Programs are compiled once — variables resolve to slots, arrays to
+    their layout entries, constants are baked in, each operator and each
+    callee is chosen — and then executed several times faster than the
+    tree walk, which matters when sweeping benchmark configurations. Every
+    compiled node is a one-argument closure over a per-node runtime record
+    (the run's machine, protocol, statistics, memory and trace buffer,
+    plus the running procedure's slot arrays, which a call swaps and
+    restores), so nodes call each other at a known arity; int-typed
+    expressions run unboxed and conditions yield [bool]s. The cost model, scheduling points and
     protocol interactions replicate {!Interp} exactly; the test suite
     checks that both engines produce identical simulated times, statistics,
     traces and final memory on every benchmark (differential testing).
