@@ -192,12 +192,7 @@ let trace_golden =
     ("mp3d", 16, "a19343638c6ab3530e456286afc15139");
   ]
 
-let trace_digest ~name ~nodes =
-  let b = Benchmarks.Suite.find ~nodes name in
-  let machine = { Wwt.Machine.default with Wwt.Machine.nodes } in
-  let o =
-    Wwt.Run.collect_trace ~machine (Lang.Parser.parse b.Benchmarks.Suite.source)
-  in
+let outcome_digest (o : Wwt.Interp.outcome) =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
@@ -206,6 +201,13 @@ let trace_digest ~name ~nodes =
             o.Wwt.Interp.trace,
             o.Wwt.Interp.output )
           [ Marshal.No_sharing ]))
+
+let trace_digest ~name ~nodes =
+  let b = Benchmarks.Suite.find ~nodes name in
+  let machine = { Wwt.Machine.default with Wwt.Machine.nodes } in
+  outcome_digest
+    (Wwt.Run.collect_trace ~machine
+       (Lang.Parser.parse b.Benchmarks.Suite.source))
 
 let test_trace_golden () =
   List.iter

@@ -187,15 +187,7 @@ let test_concurrent_runs () =
       Benchmarks.Suite.names
   in
   let digest (_, engine, p) =
-    let o = Wwt.Run.collect_trace ~engine ~machine p in
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string
-            ( o.Wwt.Interp.time,
-              o.Wwt.Interp.stats,
-              o.Wwt.Interp.trace,
-              o.Wwt.Interp.output )
-            [ Marshal.No_sharing ]))
+    T_golden.outcome_digest (Wwt.Run.collect_trace ~engine ~machine p)
   in
   let sequential = List.map digest cases in
   let concurrent = Wwt.Jobs.map ~jobs:3 digest cases in
