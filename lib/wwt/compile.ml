@@ -70,7 +70,8 @@ let virtual_now r = r.base_now + r.pending
 
 let record_miss r ~pc ~addr packed =
   let kind = Memsys.Protocol.packed_kind packed in
-  if kind <> Memsys.Protocol.no_miss && r.machine.Machine.collect_trace then begin
+  if kind <> Memsys.Protocol.no_miss && r.machine.Machine.collect_trace
+  then begin
     let bkind =
       if kind = Memsys.Protocol.read_miss then Trace.Buf.kind_read
       else if kind = Memsys.Protocol.write_miss then Trace.Buf.kind_write

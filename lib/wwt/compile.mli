@@ -9,10 +9,11 @@
     (the run's machine, protocol, statistics, memory and trace buffer,
     plus the running procedure's slot arrays, which a call swaps and
     restores), so nodes call each other at a known arity; int-typed
-    expressions run unboxed and conditions yield [bool]s. The cost model, scheduling points and
-    protocol interactions replicate {!Interp} exactly; the test suite
-    checks that both engines produce identical simulated times, statistics,
-    traces and final memory on every benchmark (differential testing).
+    expressions run unboxed and conditions yield [bool]s. The cost model,
+    scheduling points and protocol interactions replicate {!Interp}
+    exactly; the test suite checks that both engines produce identical
+    simulated times, statistics, traces and final memory on every
+    benchmark (differential testing).
 
     One intentional divergence: reading a scalar before assigning it is a
     [Runtime_error] in {!Interp} but yields the integer 0 here (slots are
