@@ -217,6 +217,75 @@ let test_trace_golden () =
         want (trace_digest ~name ~nodes))
     trace_golden
 
+(* Golden race payloads: [Oneshot.races_report] (the bytes [simulate
+   --races], [trace_stats --races] and the daemon's [races] op serve) for
+   the five Figure 6 programs at 8 and 16 nodes and for every labelled
+   program under test/corpus_races/ at 4 nodes. [Races.verdict_equal]
+   skips [promoted], so only these digests pin the whole payload. *)
+
+let races_golden =
+  [
+    ("matmul", 8, "4598d8f37b6b832af96c7166149c4592");
+    ("barnes", 8, "4b6198dd8bde403fb8787206c2e02b67");
+    ("tomcatv", 8, "009175b48211c7c3fd5792371121d62b");
+    ("ocean", 8, "b4ced79c284e7b4c77cf9af1450d8994");
+    ("mp3d", 8, "787d07a9f34c8161fe1a438aa5301145");
+    ("matmul", 16, "6af550fca62b88c40204e03683ab8a33");
+    ("barnes", 16, "cea95da008b5880c1b29cf576e4dde93");
+    ("tomcatv", 16, "aaccd765114d2772e079c951e5dc7153");
+    ("ocean", 16, "57c613b1b0b6564cb1bb2fc0c8968a48");
+    ("mp3d", 16, "8e03ffa9636761790086f53821baa854");
+  ]
+
+let races_corpus_golden =
+  [
+    ("barrier_groups.sm", "ccc6adce0dab541838be023fe093df1b");
+    ("fs_not_race.sm", "147b4f08e944646131d1fe543eb3eb87");
+    ("late_race.sm", "c1dadab9f33a4ff496acd8707accb978");
+    ("lock_disjoint.sm", "803d5cf5bb32ed57c7539f3ac14d9444");
+    ("lock_protected.sm", "75bd35595fbf278d3e760d967d695e5a");
+    ("mp3d_scatter.sm", "142b438eae91c3fc89c70e596d2157c6");
+    ("nested_lock.sm", "75bd35595fbf278d3e760d967d695e5a");
+    ("own_chunk.sm", "dd124930342ad6fa09e26cf1dc7c40e7");
+    ("partial_lock.sm", "9df7a3c8ea8281ea5cd40c77559431e9");
+    ("read_only.sm", "dd124930342ad6fa09e26cf1dc7c40e7");
+    ("rw_across_epochs.sm", "ee1c09c7a782420ac920a9ac7182345a");
+    ("rw_unsync.sm", "0bdde168a785c8da6e8de1befaed31d4");
+    ("single_node.sm", "b52266038fe38cb24125ee42c02ab4b5");
+    ("ww_unsync.sm", "f6136615dccd2c9378b4b53f8b9c5102");
+  ]
+
+let races_digest ~nodes program =
+  let machine = { Wwt.Machine.default with Wwt.Machine.nodes } in
+  Digest.to_hex
+    (Digest.string
+       (Service.Oneshot.races_report ~nodes
+          (Wwt.Run.collect_trace ~machine program).Wwt.Interp.trace))
+
+let test_races_golden () =
+  List.iter
+    (fun (name, nodes, want) ->
+      let b = Benchmarks.Suite.find ~nodes name in
+      let program = Lang.Parser.parse b.Benchmarks.Suite.source in
+      Alcotest.(check string)
+        (Printf.sprintf "%s-%d races" name nodes)
+        want
+        (races_digest ~nodes program))
+    races_golden
+
+let test_races_corpus_golden () =
+  List.iter
+    (fun (file, want) ->
+      let ic = open_in_bin (Filename.concat "corpus_races" file) in
+      let source =
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      Alcotest.(check string) (file ^ " races") want
+        (races_digest ~nodes:4 (Lang.Parser.parse source)))
+    races_corpus_golden
+
 let suite =
   [
     Alcotest.test_case "suite x {8,16} x {perf, prog+pf} digests" `Slow test_golden;
@@ -224,4 +293,8 @@ let suite =
       `Slow test_measure_golden;
     Alcotest.test_case "trace mode: suite x {8,16} x outcome digests" `Slow
       test_trace_golden;
+    Alcotest.test_case "races payloads: suite x {8,16} digests" `Slow
+      test_races_golden;
+    Alcotest.test_case "races payloads: corpus_races at 4 nodes digests"
+      `Quick test_races_corpus_golden;
   ]
