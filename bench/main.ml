@@ -775,16 +775,15 @@ let bechamel_suite buf =
                 ignore
                   (Wwt.Run.measure ~engine:Wwt.Run.Compiled ~machine:msisd
                      ~annotations:false ~prefetch:false prog)));
-        (* The streaming race detector folded over the prepacked trace.
-           Detection is opt-in (--races), so the off cost is zero by
-           construction; this row prices the on cost, which must stay a
-           small fraction of trace-run (the simulate work it rides on) —
-           CI pins the row's existence with --require and the generic
-           25% regression gate holds its trajectory. *)
+        (* The streaming race detector folded over the trace-run's record
+           list, as every --races surface calls it. Detection is opt-in
+           (--races), so the off cost is zero by construction; this row
+           prices the on cost, which must stay a small fraction of
+           trace-run (the simulate work it rides on) — CI pins the row's
+           existence with --require and the generic 25% regression gate
+           holds its trajectory. *)
         Test.make ~name:"races-overhead"
-          (Staged.stage
-             (let packed = Trace.Buf.of_records trace in
-              fun () -> ignore (Races.detect ~nodes:4 packed)));
+          (Staged.stage (fun () -> ignore (Races.detect ~nodes:4 trace)));
         (* One warm incremental re-annotation: a fresh single-token edit
            against an already-built base, served by the taint prover and
            the cached placement plan. The counter makes every run a new

@@ -22,9 +22,9 @@
                       Programmer CICO's for every epoch and node, and the
                       Section 2/5 cost-model closed forms are
                       non-negative;
-   6. races         — the streaming race detector (Races.detect, packed
-                      representation) agrees with the naive decompressed
-                      reference (Races.naive); a DRF-by-construction
+   6. races         — the streaming race detector (Races.detect) agrees
+                      with the naive reference (Races.naive) on the
+                      reference trace's records; a DRF-by-construction
                       program (~expect_race_free) is proven race-free;
                       and every race the detector finds is classified
                       DRFS-unsafe by the paper's per-epoch predicate in
@@ -284,7 +284,7 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
          directory protocol's miss log: Dir1SW surfaces every cross-node
          conflicting access as a fault, while SiSd's local write upgrades
          and Commute's privatized accumulations legitimately hide
-         conflicts from the packed trace (that invisibility is why
+         conflicts from the trace (that invisibility is why
          self-invalidation protocols require DRF in the first place). The
          rotated backend still governs every execution, measurement and
          invariant audit below. *)
@@ -332,21 +332,21 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
          oracle 2 consults the trusted (naive) verdict: a racy program's
          per-node results are legitimately timing-dependent, so the
          semantics oracle must not treat their drift as a counterexample.
-         Three checks: (a) the streaming detector over the re-packed
-         trace agrees with the naive decompressed reference; (b) a
-         program the generator promises is DRF-by-construction is proven
-         race-free; (c) every detected race is classified DRFS-unsafe by
-         the paper's per-epoch predicate for that epoch — by the
-         Equations construction that confines racy data to the
-         conservative filter_drfs annotations, so a proven-racy program
-         never receives semantics-changing Performance annotations. -- *)
+         Three checks: (a) the streaming detector agrees with the naive
+         reference on the trace's records; (b) a program the generator
+         promises is DRF-by-construction is proven race-free; (c) every
+         detected race is classified DRFS-unsafe by the paper's per-epoch
+         predicate for that epoch — by the Equations construction that
+         confines racy data to the conservative filter_drfs annotations,
+         so a proven-racy program never receives semantics-changing
+         Performance annotations. -- *)
       let races, proven_racy =
         Obs.span "fuzz.oracle.races" @@ fun () ->
         match ref_tr with
         | Done tr -> (
             let records = tr.Wwt.Interp.trace in
             match
-              ( Races.detect_records ~nodes records,
+              ( Races.detect ~nodes records,
                 Races.naive ~nodes records )
             with
             | exception e ->

@@ -1,20 +1,20 @@
-(* Streaming race detection over the packed miss log.
+(* Streaming race detection over the miss-record list.
 
-   One fold over [Trace.Buf]'s flat words. Per-address state is stamped
-   with the epoch it belongs to: a barrier group is the clock join, and
-   instead of scanning tables at each barrier we reset a state lazily the
-   next time its address is touched in a later epoch. Within an epoch a
-   state starts on the single-owner fast path (one node, conflict checks
+   One fold over the records. Per-address state is stamped with the
+   epoch it belongs to: a barrier group is the clock join, and instead
+   of scanning tables at each barrier we reset a state lazily the next
+   time its address is touched in a later epoch. Within an epoch a state
+   starts on the single-owner fast path (one node, conflict checks
    impossible) and promotes to the full shape list only when a second
-   node arrives — the SmartTrack ordering of cheap cases first. Lock-set
-   disjointness is decided on interned ids and memoised per pair, so the
-   per-access cost never re-walks lock lists that the trace writer
-   already interned.
+   node arrives — the SmartTrack ordering of cheap cases first. Each
+   lock-set is interned by value once per call, so shapes compare
+   lock-sets as ids and disjointness is memoised per id pair instead of
+   re-walking lock lists on every access.
 
-   [naive] is the deliberately boring reference: decompress, split into
-   epochs with [Trace.Epoch.split], compare every access pair per
-   address. The two implementations share the report type and nothing
-   else; the fuzzer's sixth oracle holds them equal. *)
+   [naive] is the deliberately boring reference: split into epochs with
+   [Trace.Epoch.split], compare every access pair per address. The two
+   implementations share the report type and nothing else; the fuzzer's
+   sixth oracle holds them equal. *)
 
 module Hooks = struct
   let break_lock_intersection = ref false
@@ -46,11 +46,21 @@ let verdict_equal a b =
   && a.racy_addrs = b.racy_addrs && a.races = b.races
 
 (* A shape is one distinct way an address was touched this epoch:
-   (node, write?, interned lock-set id), pc of the first such access.
-   Kept in first-occurrence order so the first conflicting shape found is
-   the chronologically first racing partner — the naive reference finds
-   the same pair by scanning raw accesses in order. *)
-type shape = { s_node : int; s_write : bool; s_held : int; s_pc : int }
+   (node, write?, interned lock-set id), pc of the first such access and
+   the lock-set itself for the report. Kept in first-occurrence order so
+   the first conflicting shape found is the chronologically first racing
+   partner — the naive reference finds the same pair by scanning raw
+   accesses in order. *)
+type shape = {
+  s_node : int;
+  s_write : bool;
+  s_held : int;
+  s_locks : int list;
+  s_pc : int;
+}
+
+let shape ~node ~write ~held ~locks ~pc =
+  { s_node = node; s_write = write; s_held = held; s_locks = locks; s_pc = pc }
 
 type state = {
   mutable st_epoch : int;
@@ -62,25 +72,35 @@ type state = {
   mutable raced : bool;  (* sticky across epochs: first race reported *)
 }
 
-let detect ~nodes buf =
+let detect ~nodes records =
   if nodes <= 0 then invalid_arg "Races.detect: nodes must be positive";
   let states : (int, state) Hashtbl.t = Hashtbl.create 256 in
-  (* lock-set disjointness memo, keyed on interned id pair *)
+  (* lock-sets interned by value; id 0 is the empty set *)
+  let held_ids : (int list, int) Hashtbl.t = Hashtbl.create 16 in
+  let intern = function
+    | [] -> 0
+    | locks -> (
+        match Hashtbl.find_opt held_ids locks with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length held_ids + 1 in
+            Hashtbl.add held_ids locks id;
+            id)
+  in
+  (* lock-set disjointness memo, keyed on the interned id pair *)
   let disjoint_memo : (int, bool) Hashtbl.t = Hashtbl.create 64 in
   let break_locks = !Hooks.break_lock_intersection in
   let break_epochs = !Hooks.break_epoch_boundary in
-  let disjoint h1 h2 =
+  let disjoint (s : shape) ~held ~locks =
     if break_locks then true
-    else if h1 = Trace.Buf.empty_held || h2 = Trace.Buf.empty_held then true
-    else if h1 = h2 then false
+    else if s.s_held = 0 || held = 0 then true
+    else if s.s_held = held then false
     else
-      let key = (h1 * Trace.Buf.n_held buf) + h2 in
+      let key = (s.s_held lsl 30) lor held in
       match Hashtbl.find_opt disjoint_memo key with
       | Some d -> d
       | None ->
-          let l1 = Trace.Buf.held_list buf h1
-          and l2 = Trace.Buf.held_list buf h2 in
-          let d = not (List.exists (fun l -> List.mem l l2) l1) in
+          let d = not (List.exists (fun l -> List.mem l locks) s.s_locks) in
           Hashtbl.add disjoint_memo key d;
           d
   in
@@ -101,7 +121,7 @@ let detect ~nodes buf =
         (Printf.sprintf "trace: barrier group has %d records, expected %d"
            !pending nodes)
   in
-  let on_barrier ~node:_ ~pc ~vt =
+  let on_barrier ~pc ~vt =
     if !pending = 0 then begin
       pending_vt := vt;
       pending_bpc := pc;
@@ -119,16 +139,17 @@ let detect ~nodes buf =
       end
     end
   in
-  let conflict (s : shape) ~node ~write ~held =
-    s.s_node <> node && (s.s_write || write) && disjoint s.s_held held
+  let conflict (s : shape) ~node ~write ~held ~locks =
+    s.s_node <> node && (s.s_write || write) && disjoint s ~held ~locks
   in
-  let on_miss ~node ~pc ~addr ~kind ~held =
+  let on_miss { Trace.Event.node; pc; addr; kind; held = locks } =
     require_no_partial_group ();
     if node < 0 || node >= nodes then
       failwith (Printf.sprintf "trace: node %d out of range" node);
     incr accesses;
     misses_since_flush := true;
-    let write = kind <> Trace.Buf.kind_read in
+    let write = kind <> Trace.Event.Read_miss in
+    let held = intern locks in
     let st =
       match Hashtbl.find_opt states addr with
       | Some st -> st
@@ -152,7 +173,7 @@ let detect ~nodes buf =
          before us, so the state restarts on the fast path *)
       st.st_epoch <- !cur_epoch;
       st.owner <- node;
-      st.shapes <- [ { s_node = node; s_write = write; s_held = held; s_pc = pc } ];
+      st.shapes <- [ shape ~node ~write ~held ~locks ~pc ];
       st.last_node <- node;
       st.last_write <- write;
       st.last_held <- held
@@ -169,12 +190,9 @@ let detect ~nodes buf =
         incr promoted
       end;
       let rec check = function
-        | [] ->
-            st.shapes <-
-              st.shapes
-              @ [ { s_node = node; s_write = write; s_held = held; s_pc = pc } ]
+        | [] -> st.shapes <- st.shapes @ [ shape ~node ~write ~held ~locks ~pc ]
         | s :: rest ->
-            if conflict s ~node ~write ~held then begin
+            if conflict s ~node ~write ~held ~locks then begin
               st.raced <- true;
               races_rev :=
                 {
@@ -185,14 +203,14 @@ let detect ~nodes buf =
                       a_node = s.s_node;
                       a_pc = s.s_pc;
                       a_write = s.s_write;
-                      a_locks = Trace.Buf.held_list buf s.s_held;
+                      a_locks = s.s_locks;
                     };
                   r_second =
                     {
                       a_node = node;
                       a_pc = pc;
                       a_write = write;
-                      a_locks = Trace.Buf.held_list buf held;
+                      a_locks = locks;
                     };
                 }
                 :: !races_rev
@@ -208,16 +226,17 @@ let detect ~nodes buf =
             (List.exists
                (fun s -> s.s_node = node && s.s_write = write && s.s_held = held)
                st.shapes)
-        then
-          st.shapes <-
-            st.shapes
-            @ [ { s_node = node; s_write = write; s_held = held; s_pc = pc } ]
+        then st.shapes <- st.shapes @ [ shape ~node ~write ~held ~locks ~pc ]
       end
       else check st.shapes
     end
   in
-  Trace.Buf.iter_packed buf ~miss:on_miss ~barrier:on_barrier
-    ~label:(fun ~name:_ ~lo:_ ~hi:_ -> ());
+  List.iter
+    (function
+      | Trace.Event.Miss m -> on_miss m
+      | Trace.Event.Barrier b -> on_barrier ~pc:b.bpc ~vt:b.vt
+      | Trace.Event.Label _ -> ())
+    records;
   require_no_partial_group ();
   if !misses_since_flush then incr epochs_closed;
   let races = List.rev !races_rev in
@@ -231,11 +250,8 @@ let detect ~nodes buf =
     races;
   }
 
-let detect_records ~nodes records =
-  detect ~nodes (Trace.Buf.of_records records)
-
 (* ------------------------------------------------------------------ *)
-(* Naive reference: decompressed records, Trace.Epoch.split, pairwise. *)
+(* Naive reference: Trace.Epoch.split, then pairwise per address. *)
 
 let naive_disjoint l1 l2 = not (List.exists (fun l -> List.mem l l2) l1)
 

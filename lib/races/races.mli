@@ -1,12 +1,12 @@
-(** Streaming race detection over the packed miss log.
+(** Streaming race detection over the miss trace.
 
     The paper's DRFS predicate ({!Cachier.Drfs}) consults one epoch at a
     time to pick annotation sites; it is a heuristic, not a proof. This
     module is the complementary sound analysis: it folds once over the
-    packed {!Trace.Buf} representation — interned lock-sets compared by
-    id, no [Event.record] decompression — and reports every address with
-    two same-epoch accesses from different nodes, at least one a write,
-    with no common lock held. Under the trace-mode memory system (caches
+    {!Trace.Event.record} list the engines produce (the same records the
+    annotator reads) and reports every address with two same-epoch
+    accesses from different nodes, at least one a write, with no common
+    lock held. Under the trace-mode memory system (caches
     flushed at barriers, so each node's first access per epoch always
     misses) that condition is both necessary and sufficient for a data
     race in the simulated execution.
@@ -16,11 +16,12 @@
     place, never scanned), and a single-owner fast path covers the
     common unshared case; only on a second node does the state promote
     to the full access-shape representation that the conflict check
-    scans. Lock-set disjointness is memoised per interned id pair.
+    scans. Each lock-set is interned by value once per call, so shapes
+    compare lock-sets as ids and disjointness is memoised per id pair.
 
-    {!naive} is an independent reference implementation over the
-    decompressed record list via {!Trace.Epoch.split}; the fuzzer's
-    sixth oracle and the qcheck battery hold the two equal. *)
+    {!naive} is an independent reference implementation over the same
+    records via {!Trace.Epoch.split}; the fuzzer's sixth oracle and the
+    qcheck battery hold the two equal. *)
 
 type access = {
   a_node : int;
@@ -57,19 +58,17 @@ val verdict_equal : report -> report -> bool
     This is the relation the fuzzer's differential oracle enforces
     between {!detect} and {!naive}. *)
 
-val detect : nodes:int -> Trace.Buf.t -> report
-(** Single pass over the packed buffer. Mirrors {!Trace.Epoch.split}'s
-    validation: @raise Failure on short/oversized or inconsistent
-    barrier groups and on out-of-range miss nodes. *)
-
-val detect_records : nodes:int -> Trace.Event.record list -> report
-(** [detect] after re-packing a decoded record list (offline traces). *)
+val detect : nodes:int -> Trace.Event.record list -> report
+(** Single pass over the records, from an engine run or a loaded trace
+    file. Mirrors {!Trace.Epoch.split}'s validation: @raise Failure on
+    short/oversized or inconsistent barrier groups and on out-of-range
+    miss nodes. *)
 
 val naive : nodes:int -> Trace.Event.record list -> report
 (** Reference detector: {!Trace.Epoch.split} then per-epoch, per-address
-    pairwise checks on the decompressed records. Shares no code with
-    {!detect} past the type definitions and ignores {!Hooks}. Equal to
-    [detect_records] on every trace — that equality is fuzzed. *)
+    pairwise checks on the records. Shares no code with {!detect} past
+    the type definitions and ignores {!Hooks}. Equal to [detect] on
+    every trace — that equality is fuzzed. *)
 
 val to_human : report -> string
 (** Multi-line report: verdict line ("race verdict: racy" or

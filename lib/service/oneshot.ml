@@ -21,7 +21,7 @@ let trace_stats_report ~nodes records =
   Trace.Summary.to_string summary ^ "\n" ^ tail
 
 let races_report ~nodes records =
-  Races.render (Races.detect ~nodes (Trace.Buf.of_records records))
+  Races.render (Races.detect ~nodes records)
 
 let race_report ~machine program records =
   Cachier.Report.to_string

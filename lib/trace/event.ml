@@ -8,11 +8,6 @@ type record =
   | Barrier of barrier
   | Label of { name : string; lo : int; hi : int }
 
-let miss_kind_of_protocol = function
-  | Memsys.Protocol.Read_miss -> Read_miss
-  | Memsys.Protocol.Write_miss -> Write_miss
-  | Memsys.Protocol.Write_fault -> Write_fault
-
 let pp_miss_kind ppf k =
   Format.pp_print_string ppf
     (match k with

@@ -31,8 +31,6 @@ type record =
   | Label of { name : string; lo : int; hi : int }
       (** a labelled shared region: byte range [\[lo, hi\]] *)
 
-val miss_kind_of_protocol : Memsys.Protocol.miss_kind -> miss_kind
-
 val pp_miss_kind : Format.formatter -> miss_kind -> unit
 val pp : Format.formatter -> record -> unit
 

@@ -21,7 +21,7 @@ type rt = {
   stats : Memsys.Stats.t;  (* [Memsys.Protocol.stats proto] *)
   shared : Value.t array;
   elem_shift : int;  (* log2 elem_size, or -1 if not a power of two *)
-  trace_buf : Trace.Buf.t;
+  trace_rev : Trace.Event.record list ref;  (* newest first *)
   output_buf : string list ref;
   node : int;
   privates : Value.t array array;  (* indexed by compile-time private id *)
@@ -30,7 +30,6 @@ type rt = {
   mutable pending : int;
   mutable base_now : int;  (* cached [Sched.now]; see Interp.nstate *)
   mutable held_locks : int list;
-  mutable held_id : int;
   mutable vals : Value.t array;
   mutable ints : int array;
 }
@@ -72,13 +71,14 @@ let record_miss r ~pc ~addr packed =
   let kind = Memsys.Protocol.packed_kind packed in
   if kind <> Memsys.Protocol.no_miss && r.machine.Machine.collect_trace
   then begin
-    let bkind =
-      if kind = Memsys.Protocol.read_miss then Trace.Buf.kind_read
-      else if kind = Memsys.Protocol.write_miss then Trace.Buf.kind_write
-      else Trace.Buf.kind_fault
+    let kind =
+      if kind = Memsys.Protocol.read_miss then Trace.Event.Read_miss
+      else if kind = Memsys.Protocol.write_miss then Trace.Event.Write_miss
+      else Trace.Event.Write_fault
     in
-    Trace.Buf.add_miss r.trace_buf ~node:r.node ~pc ~addr ~kind:bkind
-      ~held:r.held_id
+    r.trace_rev :=
+      Trace.Event.Miss { node = r.node; pc; addr; kind; held = r.held_locks }
+      :: !(r.trace_rev)
   end;
   r.pending <- r.pending + Memsys.Protocol.packed_latency packed
 
@@ -698,16 +698,12 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
           flush_pending r;
           Sched.lock_acquire l;
           r.base_now <- Sched.now ();
-          r.held_locks <- l :: r.held_locks;
-          if r.machine.Machine.collect_trace then
-            r.held_id <- Trace.Buf.intern_held r.trace_buf r.held_locks
+          r.held_locks <- l :: r.held_locks
     | Ast.Sunlock e ->
         let ce = compile_index env ~pc e in
         fun r ->
           let l = ce r in
           r.held_locks <- Interp.remove_lock l r.held_locks;
-          if r.machine.Machine.collect_trace then
-            r.held_id <- Trace.Buf.intern_held r.trace_buf r.held_locks;
           flush_pending r;
           Sched.lock_release l;
           r.base_now <- Sched.now ()
@@ -812,11 +808,12 @@ let run ?poll ~machine program =
     / machine.Machine.elem_size
   in
   let shared = Array.make (max 1 total_elems) Value.zero in
-  let trace_buf = Trace.Buf.create () in
+  let trace_rev = ref [] in
   let output_buf = ref [] in
   if machine.Machine.collect_trace then
     List.iter
-      (fun (name, lo, hi) -> Trace.Buf.add_label trace_buf ~name ~lo ~hi)
+      (fun (name, lo, hi) ->
+        trace_rev := Trace.Event.Label { name; lo; hi } :: !trace_rev)
       (Label.to_label_records layout);
   let stats = Memsys.Protocol.stats proto in
   let on_barrier ~vt ~arrivals =
@@ -829,7 +826,8 @@ let run ?poll ~machine program =
     Memsys.Protocol.sample_occupancy proto;
     if machine.Machine.collect_trace then
       List.iter
-        (fun (node, bpc) -> Trace.Buf.add_barrier trace_buf ~node ~pc:bpc ~vt)
+        (fun (bnode, bpc) ->
+          trace_rev := Trace.Event.Barrier { bnode; bpc; vt } :: !trace_rev)
         arrivals
   in
   let on_lock_acquire ~node:_ ~lock:_ =
@@ -848,7 +846,7 @@ let run ?poll ~machine program =
         stats;
         shared;
         elem_shift = elem_shift_of machine.Machine.elem_size;
-        trace_buf;
+        trace_rev;
         output_buf;
         node;
         privates =
@@ -860,7 +858,6 @@ let run ?poll ~machine program =
         pending = 0;
         base_now = 0;
         held_locks = [];
-        held_id = Trace.Buf.empty_held;
         vals = Array.make (max 1 main.nslots) Value.zero;
         ints = Array.make (max 1 main.nslots) 0;
       }
@@ -884,7 +881,7 @@ let run ?poll ~machine program =
   {
     Interp.time;
     stats;
-    trace = Trace.Buf.to_records trace_buf;
+    trace = List.rev !trace_rev;
     output = List.rev !output_buf;
     shared;
     layout;

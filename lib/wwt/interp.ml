@@ -31,7 +31,7 @@ type gstate = {
   layout : Label.t;
   proto : Memsys.Protocol.t;
   shared : Value.t array;
-  trace_buf : Trace.Buf.t;  (* packed miss log *)
+  trace_rev : Trace.Event.record list ref;  (* newest first *)
   output_buf : string list ref;  (* reversed *)
   consts : (string, Value.t) Hashtbl.t;
   procs : (string, Ast.proc) Hashtbl.t;
@@ -46,8 +46,6 @@ type nstate = {
                               the per-access virtual time needs no effect
                               perform *)
   mutable held_locks : int list;  (* innermost first *)
-  mutable held_id : int;  (* interned id of [held_locks] in the trace
-                             buffer; maintained only when tracing *)
 }
 
 (* Remove the innermost occurrence of [l] only, so a nested re-acquire of
@@ -82,13 +80,14 @@ let virtual_now n = n.base_now + n.pending
 let record_miss g n ~pc ~addr packed =
   let kind = Memsys.Protocol.packed_kind packed in
   if kind <> Memsys.Protocol.no_miss && g.machine.Machine.collect_trace then begin
-    let bkind =
-      if kind = Memsys.Protocol.read_miss then Trace.Buf.kind_read
-      else if kind = Memsys.Protocol.write_miss then Trace.Buf.kind_write
-      else Trace.Buf.kind_fault
+    let kind =
+      if kind = Memsys.Protocol.read_miss then Trace.Event.Read_miss
+      else if kind = Memsys.Protocol.write_miss then Trace.Event.Write_miss
+      else Trace.Event.Write_fault
     in
-    Trace.Buf.add_miss g.trace_buf ~node:n.node ~pc ~addr ~kind:bkind
-      ~held:n.held_id
+    g.trace_rev :=
+      Trace.Event.Miss { node = n.node; pc; addr; kind; held = n.held_locks }
+      :: !(g.trace_rev)
   end;
   local_cost g n (Memsys.Protocol.packed_latency packed)
 
@@ -374,14 +373,10 @@ and exec_stmt g n frame (s : Ast.stmt) =
       flush_pending n;
       Sched.lock_acquire l;
       n.base_now <- Sched.now ();
-      n.held_locks <- l :: n.held_locks;
-      if g.machine.Machine.collect_trace then
-        n.held_id <- Trace.Buf.intern_held g.trace_buf n.held_locks
+      n.held_locks <- l :: n.held_locks
   | Ast.Sunlock e ->
       let l = Value.to_int (eval g n frame ~pc e) in
       n.held_locks <- remove_lock l n.held_locks;
-      if g.machine.Machine.collect_trace then
-        n.held_id <- Trace.Buf.intern_held g.trace_buf n.held_locks;
       flush_pending n;
       Sched.lock_release l;
       n.base_now <- Sched.now ()
@@ -477,7 +472,7 @@ let run ?poll ~machine program =
       layout;
       proto;
       shared = Array.make (max 1 total_elems) Value.zero;
-      trace_buf = Trace.Buf.create ();
+      trace_rev = ref [];
       output_buf = ref [];
       consts = Hashtbl.create 16;
       procs = Hashtbl.create 16;
@@ -487,7 +482,8 @@ let run ?poll ~machine program =
   List.iter (fun (p : Ast.proc) -> Hashtbl.replace g.procs p.pname p) program.Ast.procs;
   if machine.Machine.collect_trace then
     List.iter
-      (fun (name, lo, hi) -> Trace.Buf.add_label g.trace_buf ~name ~lo ~hi)
+      (fun (name, lo, hi) ->
+        g.trace_rev := Trace.Event.Label { name; lo; hi } :: !(g.trace_rev))
       (Label.to_label_records layout);
   let stats = Memsys.Protocol.stats proto in
   let on_barrier ~vt ~arrivals =
@@ -500,7 +496,9 @@ let run ?poll ~machine program =
     Memsys.Protocol.sample_occupancy proto;
     if machine.Machine.collect_trace then
       List.iter
-        (fun (node, pc) -> Trace.Buf.add_barrier g.trace_buf ~node ~pc ~vt)
+        (fun (bnode, bpc) ->
+          g.trace_rev :=
+            Trace.Event.Barrier { bnode; bpc; vt } :: !(g.trace_rev))
         arrivals
   in
   let on_lock_acquire ~node:_ ~lock:_ =
@@ -519,7 +517,6 @@ let run ?poll ~machine program =
         pending = 0;
         base_now = 0;
         held_locks = [];
-        held_id = Trace.Buf.empty_held;
       }
     in
     List.iter
@@ -545,7 +542,7 @@ let run ?poll ~machine program =
   {
     time;
     stats;
-    trace = Trace.Buf.to_records g.trace_buf;
+    trace = List.rev !(g.trace_rev);
     output = List.rev !(g.output_buf);
     shared = g.shared;
     layout;

@@ -360,40 +360,6 @@ let prop_trace_round_trip =
     (fun records ->
       Trace.Trace_file.of_string (Trace.Trace_file.to_string records) = records)
 
-(* ---- packed buffer ---- *)
-
-let prop_buf_round_trip =
-  QCheck.Test.make ~count:250 ~name:"packed buffer of_records round trip"
-    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 0 60) record_gen))
-    (fun records ->
-      Trace.Buf.to_records (Trace.Buf.of_records records) = records)
-
-(* iter_packed must present exactly the records of the buffer, in order,
-   with held ids that decode to the original lock lists — the contract
-   the streaming race detector folds over. *)
-let prop_iter_packed_agrees =
-  QCheck.Test.make ~count:250 ~name:"iter_packed sees exactly to_records"
-    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 0 60) record_gen))
-    (fun records ->
-      let buf = Trace.Buf.of_records records in
-      let out = ref [] in
-      Trace.Buf.iter_packed buf
-        ~miss:(fun ~node ~pc ~addr ~kind ~held ->
-          let kind =
-            if kind = Trace.Buf.kind_read then Trace.Event.Read_miss
-            else if kind = Trace.Buf.kind_write then Trace.Event.Write_miss
-            else Trace.Event.Write_fault
-          in
-          out :=
-            Trace.Event.Miss
-              { node; pc; addr; kind; held = Trace.Buf.held_list buf held }
-            :: !out)
-        ~barrier:(fun ~node ~pc ~vt ->
-          out := Trace.Event.Barrier { bnode = node; bpc = pc; vt } :: !out)
-        ~label:(fun ~name ~lo ~hi ->
-          out := Trace.Event.Label { name; lo; hi } :: !out);
-      List.rev !out = records)
-
 (* ---- pqueue ---- *)
 
 let prop_pqueue_sorted =
@@ -429,7 +395,5 @@ let suite =
       prop_coalesce_maximal;
       prop_block_align_covers;
       prop_trace_round_trip;
-      prop_buf_round_trip;
-      prop_iter_packed_agrees;
       prop_pqueue_sorted;
     ]

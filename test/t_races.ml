@@ -45,13 +45,15 @@ let corpus_nonempty () =
     (List.length corpus_files >= 12)
 
 (* One corpus program: detector verdict matches the label, streaming
-   agrees with the naive reference, and the CI-greppable verdict line
-   says the same thing. *)
+   agrees with the naive reference, the CI-greppable verdict line says
+   the same thing, and the trace read back from its file form gives the
+   same report, [promoted] included. A loaded trace's lock lists are
+   fresh allocations, where an engine's misses share each node's list. *)
 let check_corpus_file file () =
   let source = read_file (Filename.concat corpus_dir file) in
   let expected = label_of source in
   let records = trace_of source in
-  let streaming = Races.detect_records ~nodes records in
+  let streaming = Races.detect ~nodes records in
   let reference = Races.naive ~nodes records in
   Alcotest.(check bool)
     (file ^ ": streaming verdict matches label")
@@ -63,7 +65,14 @@ let check_corpus_file file () =
   Alcotest.(check string)
     (file ^ ": verdict line")
     (if expected then "race verdict: racy" else "race verdict: race-free")
-    (Races.verdict_line streaming)
+    (Races.verdict_line streaming);
+  let loaded =
+    Trace.Trace_file.of_string (Trace.Trace_file.to_string records)
+  in
+  Alcotest.(check bool)
+    (file ^ ": loaded trace gives the same report")
+    true
+    (Races.detect ~nodes loaded = streaming)
 
 (* --- hand-built traces ------------------------------------------------- *)
 
@@ -74,7 +83,7 @@ let barrier bnode bpc vt = Trace.Event.Barrier { bnode; bpc; vt }
 let full_barrier bpc vt = List.init nodes (fun n -> barrier n bpc vt)
 
 let both_impls records =
-  (Races.detect_records ~nodes records, Races.naive ~nodes records)
+  (Races.detect ~nodes records, Races.naive ~nodes records)
 
 let check_agree name records =
   let s, n = both_impls records in
@@ -194,7 +203,7 @@ let partial_barrier_rejected () =
   Alcotest.check_raises "short group at end"
     (Failure "trace: barrier group has 2 records, expected 4") (fun () ->
       ignore
-        (Races.detect_records ~nodes [ barrier 0 20 100; barrier 1 20 100 ]))
+        (Races.detect ~nodes [ barrier 0 20 100; barrier 1 20 100 ]))
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -208,7 +217,7 @@ let render_shape () =
       miss 1 20 64 Trace.Event.Read_miss;
     ]
   in
-  let r = Races.detect_records ~nodes records in
+  let r = Races.detect ~nodes records in
   let rendered = Races.render r in
   Alcotest.(check bool) "verdict line present" true
     (contains ~sub:"race verdict: racy" rendered);
@@ -267,7 +276,7 @@ let hook_flips_verdict hook file () =
     ~finally:(fun () -> hook := false)
     (fun () ->
       hook := true;
-      let streaming = Races.detect_records ~nodes records in
+      let streaming = Races.detect ~nodes records in
       let reference = Races.naive ~nodes records in
       Alcotest.(check bool)
         (file ^ ": broken detector disagrees with naive")
@@ -288,7 +297,7 @@ let prop_streaming_eq_naive =
        (fun prog ->
          let records = (Wwt.Run.collect_trace ~machine prog).Wwt.Interp.trace in
          Races.verdict_equal
-           (Races.detect_records ~nodes records)
+           (Races.detect ~nodes records)
            (Races.naive ~nodes records)))
 
 let suite =

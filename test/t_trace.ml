@@ -94,58 +94,10 @@ let test_epoch_incomplete_barrier_group () =
     (Failure "trace: barrier group has 1 records, expected 2") (fun () ->
       ignore (Epoch.split ~nodes:2 bad))
 
-(* ---- packed buffer: streaming consumers ---- *)
-
-let lmiss node pc addr kind held = Event.Miss { node; pc; addr; kind; held }
-
-let sample_held =
-  [
-    lmiss 0 10 0 Event.Write_miss [ 1 ];
-    lmiss 1 11 8 Event.Read_miss [ 3; 1 ];
-    lmiss 0 12 0 Event.Write_fault [ 1 ];
-    barrier 0 20 100;
-    barrier 1 20 100;
-    lmiss 1 30 16 Event.Read_miss [];
-  ]
-
-let test_buf_of_records_round_trip () =
-  List.iter
-    (fun rs ->
-      let back = Buf.to_records (Buf.of_records rs) in
-      Alcotest.(check int) "same length" (List.length rs) (List.length back);
-      List.iter2
-        (fun a b -> Alcotest.(check bool) "record equal" true (Event.equal a b))
-        rs back)
-    [ sample; sample_held; [] ]
-
-let test_buf_iter_packed () =
-  let buf = Buf.of_records sample_held in
-  let barriers = ref 0 and held_ids = ref [] in
-  Buf.iter_packed buf
-    ~miss:(fun ~node:_ ~pc:_ ~addr:_ ~kind:_ ~held ->
-      held_ids := held :: !held_ids)
-    ~barrier:(fun ~node:_ ~pc:_ ~vt:_ -> incr barriers)
-    ~label:(fun ~name:_ ~lo:_ ~hi:_ -> ());
-  Alcotest.(check int) "two barriers" 2 !barriers;
-  (match List.rev !held_ids with
-  | [ a; b; c; d ] ->
-      Alcotest.(check bool) "same lock-set interned once" true (a = c);
-      Alcotest.(check (list int)) "held decodes innermost-first" [ 1 ]
-        (Buf.held_list buf a);
-      Alcotest.(check (list int)) "nested held decodes" [ 3; 1 ]
-        (Buf.held_list buf b);
-      Alcotest.(check int) "empty set is id 0" 0 d
-  | ids -> Alcotest.failf "expected four misses, saw %d" (List.length ids));
-  (* empty set + [1] + [3;1]: three interned sets *)
-  Alcotest.(check int) "three interned sets" 3 (Buf.n_held buf);
-  Alcotest.check_raises "unknown id rejected"
-    (Invalid_argument "Trace.Buf.held_list: unknown id 99") (fun () ->
-      ignore (Buf.held_list buf 99))
-
-(* Lock-set interning straight off a real trace on the non-power-of-two
-   machine (768 B, 3-way): the nested-lock program holds {3,1} and {3,2}
-   at its B misses, and the packed buffer must round-trip them. *)
-let test_buf_interning_non_pow2_geometry () =
+(* Lock-sets straight off a real trace on the non-power-of-two machine
+   (768 B, 3-way): the nested-lock program holds {3,1} and {3,2} at its
+   B misses, and the engine must record both in the misses' [held]. *)
+let test_held_non_pow2_geometry () =
   let machine =
     {
       Wwt.Machine.default with
@@ -168,20 +120,14 @@ let test_buf_interning_non_pow2_geometry () =
      }\n"
   in
   let records = (Wwt.Run.source_trace ~machine source).Wwt.Interp.trace in
-  let buf = Buf.of_records records in
-  let back = Buf.to_records buf in
-  List.iter2
-    (fun a b -> Alcotest.(check bool) "record equal" true (Event.equal a b))
-    records back;
-  let seen = ref [] in
-  Buf.iter_packed buf
-    ~miss:(fun ~node:_ ~pc:_ ~addr:_ ~kind:_ ~held ->
-      let locks = List.sort compare (Buf.held_list buf held) in
-      if not (List.mem locks !seen) then seen := locks :: !seen)
-    ~barrier:(fun ~node:_ ~pc:_ ~vt:_ -> ())
-    ~label:(fun ~name:_ ~lo:_ ~hi:_ -> ());
-  Alcotest.(check bool) "lock-set {1,3} seen" true (List.mem [ 1; 3 ] !seen);
-  Alcotest.(check bool) "lock-set {2,3} seen" true (List.mem [ 2; 3 ] !seen)
+  let seen =
+    List.filter_map
+      (function
+        | Event.Miss m -> Some (List.sort compare m.Event.held) | _ -> None)
+      records
+  in
+  Alcotest.(check bool) "lock-set {1,3} seen" true (List.mem [ 1; 3 ] seen);
+  Alcotest.(check bool) "lock-set {2,3} seen" true (List.mem [ 2; 3 ] seen)
 
 let suite =
   [
@@ -195,10 +141,6 @@ let suite =
     Alcotest.test_case "inconsistent barriers" `Quick test_epoch_inconsistent_barriers;
     Alcotest.test_case "incomplete barrier group" `Quick
       test_epoch_incomplete_barrier_group;
-    Alcotest.test_case "packed buffer of_records round trip" `Quick
-      test_buf_of_records_round_trip;
-    Alcotest.test_case "packed buffer iter_packed and interning" `Quick
-      test_buf_iter_packed;
     Alcotest.test_case "interning on the non-power-of-two machine" `Quick
-      test_buf_interning_non_pow2_geometry;
+      test_held_non_pow2_geometry;
   ]
