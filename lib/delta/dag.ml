@@ -1,11 +1,6 @@
 type base = {
-  source : string;
   program : Lang.Ast.program;
-  stripped : Lang.Ast.program;
   info : Lang.Sema.info;
-  records : Trace.Event.record list;
-  epochs : Trace.Event.record list list;
-  layout : Lang.Label.t;
   plan : Cachier.Placement.plan;
   result : Cachier.Annotate.result;
 }

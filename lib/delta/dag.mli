@@ -1,21 +1,16 @@
 (** Content-addressed artifact DAG for the delta engine.
 
     Nodes are keyed ["kind|digest…"] strings and hold pipeline artifacts:
-    parsed programs, per-procedure sema verdicts, and full {!base}
-    pipeline snapshots (trace, epoch slices, placement plan, annotate
-    result). An LRU bound (entry count, [CACHIER_DELTA_DAG] env override,
-    default 128) keeps the resident set small; per-kind hit/miss counters
-    feed the service metrics. All operations are thread-safe. *)
+    parsed programs, per-procedure sema verdicts, and {!base} snapshots
+    of what an edit against a source needs (its parse, sema info,
+    placement plan and annotate result). An LRU bound (entry count,
+    [CACHIER_DELTA_DAG] env override, default 128) keeps the resident set
+    small; per-kind hit/miss counters feed the service metrics. All
+    operations are thread-safe. *)
 
 type base = {
-  source : string;
-  program : Lang.Ast.program;  (** parse of [source], original sids *)
-  stripped : Lang.Ast.program;  (** annotation-stripped, same sids *)
-  info : Lang.Sema.info;
-  records : Trace.Event.record list;  (** the collected miss trace *)
-  epochs : Trace.Event.record list list;
-      (** [records] sliced per epoch, in epoch order *)
-  layout : Lang.Label.t;
+  program : Lang.Ast.program;  (** parse of the source, original sids *)
+  info : Lang.Sema.info;  (** sema of the annotation-stripped program *)
   plan : Cachier.Placement.plan;
   result : Cachier.Annotate.result;
 }

@@ -84,27 +84,13 @@ let sema_incremental dag (b : Dag.base) (eprog : Lang.Ast.program) =
   end
   else ignore (Lang.Sema.check eprog : Lang.Sema.info)
 
-(* A trace is per-epoch groups separated by runs of Barrier records. *)
-let slice_epochs records =
-  let rec go acc cur in_barrier = function
-    | [] -> List.rev (match cur with [] -> acc | _ -> List.rev cur :: acc)
-    | r :: rest ->
-        let is_b =
-          match r with Trace.Event.Barrier _ -> true | _ -> false
-        in
-        if in_barrier && not is_b then go (List.rev cur :: acc) [ r ] false rest
-        else go acc (r :: cur) is_b rest
-  in
-  go [] [] false records
-
-let compute_base ~dag ~machine ~options ~source program =
+let compute_base ~dag ~machine ~options program =
   (* Mirrors the cold path (sema, trace-mode run, then the
-     [Annotate.annotate_with_traces] internals) while capturing every
-     intermediate artifact, in particular the placement plan. *)
+     [Annotate.annotate_with_traces] internals) while keeping the
+     placement plan, which the plan-reuse path re-applies. *)
   ignore (Lang.Sema.check program : Lang.Sema.info);
   seed_sema dag program;
-  let outcome = Wwt.Run.collect_trace ~machine program in
-  let records = outcome.Wwt.Interp.trace in
+  let records = (Wwt.Run.collect_trace ~machine program).Wwt.Interp.trace in
   let stripped = Lang.Ast.strip_annotations program in
   let info = Lang.Sema.check stripped in
   let layout =
@@ -132,17 +118,7 @@ let compute_base ~dag ~machine ~options ~source program =
       n_edits = List.length plan.Cachier.Placement.edits;
     }
   in
-  {
-    Dag.source;
-    program;
-    stripped;
-    info;
-    records;
-    epochs = slice_epochs records;
-    layout;
-    plan;
-    result;
-  }
+  { Dag.program; info; plan; result }
 
 let base_of ~dag ~machine ~options source =
   let sd = source_digest source in
@@ -151,7 +127,7 @@ let base_of ~dag ~machine ~options source =
   | Some (Dag.Base b) -> b
   | _ ->
       let program = parse_cached dag source sd in
-      let b = compute_base ~dag ~machine ~options ~source program in
+      let b = compute_base ~dag ~machine ~options program in
       Dag.add dag key (Dag.Base b);
       b
 
@@ -175,14 +151,12 @@ let annotate_delta ~dag ~machine ~options ~base:base_source span text =
                b.Dag.plan.Cachier.Placement.edits)
         in
         let result = { b.Dag.result with Cachier.Annotate.annotated } in
-        let nb =
-          { b with Dag.source = edited; program = eprog; stripped; result }
-        in
+        let nb = { b with Dag.program = eprog; result } in
         (* chain: further edits against the edited source stay warm *)
         Dag.add dag (base_key artifact ctx) (Dag.Base nb);
         { result; reuse = Plan_reuse; artifact; edited_source = edited }
     | Taint.Broken why ->
-        let nb = compute_base ~dag ~machine ~options ~source:edited eprog in
+        let nb = compute_base ~dag ~machine ~options eprog in
         Dag.add dag (base_key artifact ctx) (Dag.Base nb);
         { result = nb.Dag.result; reuse = Resim why; artifact; edited_source = edited }
   end

@@ -2,8 +2,9 @@
 
     [base_of] runs (or recalls from the {!Dag}) the full pipeline for a
     source text — parse, sema, trace-mode simulation, epoch assimilation,
-    placement — keeping every intermediate artifact. [annotate_delta]
-    then serves a span edit against that base:
+    placement — keeping what an edit needs: the parse, the sema info,
+    the placement plan and the result. [annotate_delta] then serves a
+    span edit against that base:
 
     - digest-identical edit → the cached result, untouched ([Noop]);
     - edit provably trace-preserving ({!Taint}) → splice the edited
