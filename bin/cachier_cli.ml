@@ -45,7 +45,6 @@ let annotate input machine mode prefetch trace_out show_trace_stats measure
   ignore (Lang.Sema.check program);
   let options =
     {
-      Cachier.Placement.default_options with
       Cachier.Placement.mode =
         (match mode with
         | `Performance -> Cachier.Equations.Performance

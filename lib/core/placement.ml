@@ -11,14 +11,12 @@ type anchor =
 
 type edit = { anchor : anchor; stmt : Ast.stmt }
 
-type options = {
-  mode : Equations.mode;
-  prefetch : bool;
-  capacity_fraction : float;
-}
+type options = { mode : Equations.mode; prefetch : bool }
 
-let default_options =
-  { mode = Equations.Performance; prefetch = false; capacity_fraction = 0.5 }
+let default_options = { mode = Equations.Performance; prefetch = false }
+
+(* The fraction of the cache an epoch-boundary placement may pin. *)
+let capacity_fraction = 0.5
 
 type plan = { edits : edit list; notes : (int * string) list }
 
@@ -210,8 +208,7 @@ type ctx = {
 
 let budget_bytes ctx =
   int_of_float
-    (ctx.options.capacity_fraction
-    *. float_of_int ctx.machine.Wwt.Machine.cache_bytes)
+    (capacity_fraction *. float_of_int ctx.machine.Wwt.Machine.cache_bytes)
 
 let add_edit ctx ~key anchor stmt =
   if Hashtbl.mem ctx.seen key then false

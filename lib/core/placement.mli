@@ -32,12 +32,11 @@ type edit = { anchor : anchor; stmt : Lang.Ast.stmt }
 type options = {
   mode : Equations.mode;
   prefetch : bool;  (** also insert prefetch annotations (Section 6) *)
-  capacity_fraction : float;
-      (** fraction of the cache an epoch-boundary placement may pin *)
 }
 
 val default_options : options
-(** Performance mode, no prefetch, capacity fraction 0.5. *)
+(** Performance mode, no prefetch. An epoch-boundary placement may pin
+    at most half the cache. *)
 
 type plan = {
   edits : edit list;

@@ -165,14 +165,12 @@ let perf_options =
   {
     Cachier.Placement.mode = Cachier.Equations.Performance;
     prefetch = true;
-    capacity_fraction = 0.5;
   }
 
 let prog_options =
   {
     Cachier.Placement.mode = Cachier.Equations.Programmer;
     prefetch = false;
-    capacity_fraction = 0.5;
   }
 
 let subset_mismatch einfo =

@@ -247,7 +247,6 @@ let measure_stage t ~machine ~seed ~source ~annotations ~prefetch ~poll =
 
 let placement_options ~mode ~prefetch =
   {
-    Cachier.Placement.default_options with
     Cachier.Placement.mode =
       (match mode with
       | Protocol.Performance -> Cachier.Equations.Performance

@@ -55,10 +55,7 @@ let annotated_suite_equivalence () =
       in
       List.iter
         (fun (mname, mode, prefetch) ->
-          let options =
-            { Cachier.Placement.default_options with
-              Cachier.Placement.mode; prefetch }
-          in
+          let options = { Cachier.Placement.mode; prefetch } in
           let annotated =
             (Cachier.Annotate.annotate_with_trace ~machine ~options prog trace)
               .Cachier.Annotate.annotated

@@ -9,11 +9,7 @@
 let perf = Cachier.Placement.default_options
 
 let prog_pf =
-  {
-    Cachier.Placement.default_options with
-    Cachier.Placement.mode = Cachier.Equations.Programmer;
-    prefetch = true;
-  }
+  { Cachier.Placement.mode = Cachier.Equations.Programmer; prefetch = true }
 
 let golden =
   [

@@ -178,8 +178,7 @@ let cli_annotate_output ~machine_config ~prefetch name =
   let program = Lang.Parser.parse bench.Benchmarks.Suite.source in
   ignore (Lang.Sema.check program);
   let options =
-    { Cachier.Placement.default_options with
-      mode = Cachier.Equations.Performance; prefetch }
+    { Cachier.Placement.mode = Cachier.Equations.Performance; prefetch }
   in
   let trace_outcome = Wwt.Run.collect_trace ~machine program in
   let result =
