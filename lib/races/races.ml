@@ -6,10 +6,10 @@
    time its address is touched in a later epoch. Within an epoch a state
    starts on the single-owner fast path (one node, conflict checks
    impossible) and promotes to the full shape list only when a second
-   node arrives — the SmartTrack ordering of cheap cases first. Each
-   lock-set is interned by value once per call, so shapes compare
-   lock-sets as ids and disjointness is memoised per id pair instead of
-   re-walking lock lists on every access.
+   node arrives — the SmartTrack ordering of cheap cases first.
+   Lock-sets are interned by value in a per-call table, so shapes
+   compare lock-sets as ids and disjointness is memoised per id pair
+   instead of re-walking lock lists on every access.
 
    [naive] is the deliberately boring reference: split into epochs with
    [Trace.Epoch.split], compare every access pair per address. The two

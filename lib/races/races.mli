@@ -16,7 +16,7 @@
     place, never scanned), and a single-owner fast path covers the
     common unshared case; only on a second node does the state promote
     to the full access-shape representation that the conflict check
-    scans. Each lock-set is interned by value once per call, so shapes
+    scans. Lock-sets are interned by value in a per-call table, so shapes
     compare lock-sets as ids and disjointness is memoised per id pair.
 
     {!naive} is an independent reference implementation over the same
