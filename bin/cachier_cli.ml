@@ -16,23 +16,27 @@ let load_source input nodes =
   | `File path -> read_file path
   | `Bench name -> (Benchmarks.Suite.find ~nodes name).Benchmarks.Suite.source
 
-(* Annotate via the incremental engine: run the base pipeline once, diff
-   the two sources into a span edit, and serve it from the artifact DAG.
-   Output is byte-identical to a from-scratch run on the edited file
-   (the delta-smoke CI step compares the two). *)
+(* Annotate via the incremental engine: build the base file's base once,
+   diff the two sources into a span edit, and serve it against that
+   base. Output is byte-identical to a from-scratch run on the edited
+   file (the delta-smoke CI step compares the two). *)
 let run_delta ~machine ~options ~base_path src =
   let base_src = read_file base_path in
-  let dag = Delta.Dag.create () in
+  let base =
+    Delta.Engine.base_of ~machine ~options (Lang.Parser.parse base_src)
+  in
   let span, text =
     match Delta.Splice.diff_span base_src src with
     | Some (span, text) -> (span, text)
     | None -> ({ Delta.Splice.start = 0; len = 0 }, "")
   in
   let outcome =
-    Delta.Engine.annotate_delta ~dag ~machine ~options ~base:base_src span text
+    Delta.Engine.annotate_delta ~machine ~options ~base ~source:base_src span
+      text
   in
-  print_string (Cachier.Annotate.to_source outcome.Delta.Engine.result);
-  prerr_string (Service.Oneshot.annotate_summary outcome.Delta.Engine.result);
+  let result = outcome.Delta.Engine.base.Delta.Engine.result in
+  print_string (Cachier.Annotate.to_source result);
+  prerr_string (Service.Oneshot.annotate_summary result);
   Fmt.epr "delta: %s@."
     (Delta.Engine.reuse_to_string outcome.Delta.Engine.reuse);
   0

@@ -1,8 +1,8 @@
 (* cachierd — the resident annotation service.
 
    Serves the operations of the one-shot tools (parse, simulate,
-   annotate, annotate_delta, race_report, races, trace_stats) and the
-   service's own (stats, ping, shutdown) over newline-delimited JSON, on
+   annotate, annotate_delta, races, trace_stats) and the service's own
+   (stats, ping, shutdown) over newline-delimited JSON, on
    stdio or a Unix-domain socket, with a two-tier content-addressed
    artifact cache so repeated work is answered without re-simulating.
    The socket mode runs N event-loop listener shards over the shared

@@ -6,10 +6,10 @@ type result = {
   n_edits : int;
 }
 
-(* What placement and the report both start from: the program without
-   its annotations, its labelled arrays on [machine], and the epoch
-   information of each trace. *)
-let assimilate ~machine program traces =
+(* The whole pipeline after the trace runs: strip the annotations,
+   assimilate each trace into epoch information, plan placement over all
+   of them and apply the plan. Returns the result and the plan. *)
+let planned ~machine ~options program traces =
   let program = Lang.Ast.strip_annotations program in
   let info = Lang.Sema.check program in
   let layout =
@@ -22,31 +22,30 @@ let assimilate ~machine program traces =
          ~block_size:machine.Wwt.Machine.block_size)
       traces
   in
-  (program, layout, einfos)
-
-let annotate_with_traces ~machine ~options program traces =
-  if traces = [] then invalid_arg "Annotate.annotate_with_traces: no traces";
-  let program, layout, einfos = assimilate ~machine program traces in
   let plan = Placement.plan_traces ~program ~layout ~machine ~einfos ~options in
   let annotated =
     Placement.assign_fresh_sids
       (Placement.apply_edits program plan.Placement.edits)
   in
   let einfo = List.hd einfos in
-  {
-    annotated;
-    report = Report.build ~layout einfo;
-    notes = plan.Placement.notes;
-    einfo;
-    n_edits = List.length plan.Placement.edits;
-  }
+  ( {
+      annotated;
+      report = Report.build ~layout einfo;
+      notes = plan.Placement.notes;
+      einfo;
+      n_edits = List.length plan.Placement.edits;
+    },
+    plan )
+
+let annotate_with_traces ~machine ~options program traces =
+  if traces = [] then invalid_arg "Annotate.annotate_with_traces: no traces";
+  fst (planned ~machine ~options program traces)
+
+let annotate_and_plan ~machine ~options program records =
+  planned ~machine ~options program [ records ]
 
 let annotate_with_trace ~machine ~options program records =
-  annotate_with_traces ~machine ~options program [ records ]
-
-let report_with_trace ~machine program records =
-  let _, layout, einfos = assimilate ~machine program [ records ] in
-  Report.build ~layout (List.hd einfos)
+  fst (annotate_and_plan ~machine ~options program records)
 
 let annotate_program ~machine ~options program =
   let outcome = Wwt.Run.collect_trace ~machine program in

@@ -9,14 +9,13 @@ let distinct_pair xs ys = xs <> 0 && ys <> 0 && not (xs = ys && popcount xs = 1)
 
 (* A pair of accesses races when it involves two nodes, at least one
    write, and no common lock protects both (the paper ignores locks; the
-   lockset check is our refinement, enabled by default and exact for the
-   trace's within-epoch view). *)
+   lockset check is our refinement, exact for the trace's within-epoch
+   view). *)
 let pair_races (n1, w1, l1) (n2, w2, l2) =
   n1 <> n2 && (w1 || w2)
   && not (List.exists (fun l -> List.mem l l2) l1)
 
-let analyze_sorted ?(lock_aware = true) ~block_size
-    (by_addr : Trace.Event.miss array) =
+let analyze_sorted ~block_size (by_addr : Trace.Event.miss array) =
   let n = Array.length by_addr in
   let races = ref [] and fs = ref [] in
   (* Address [a] is falsely shared iff there is an access pair (x on a,
@@ -65,8 +64,7 @@ let analyze_sorted ?(lock_aware = true) ~block_size
     let races_on =
       !writers <> 0
       && popcount !nodes >= 2
-      && ((not lock_aware)
-         || !free_writers <> 0
+      && (!free_writers <> 0
          || distinct_pair !writers !free
          ||
          let rec any = function

@@ -1,33 +1,43 @@
 (** The incremental re-annotation engine.
 
-    [base_of] runs (or recalls from the {!Dag}) the full pipeline for a
-    source text — parse, sema, trace-mode simulation, epoch assimilation,
-    placement — keeping what an edit needs: the parse, the sema info,
-    the placement plan and the result. [annotate_delta] then serves a
-    span edit against that base:
+    A {!base} is what an edit against a source needs: the source's
+    parse, its sema info, the placement plan and the annotate result.
+    [base_of] builds one through {!Cachier.Annotate.annotate_and_plan}.
+    [annotate_delta] then serves a span edit against a base and returns
+    the edited source's base, so the next edit can start from it:
 
-    - digest-identical edit → the cached result, untouched ([Noop]);
+    - digest-identical edit → the base itself ([Noop]);
     - edit provably trace-preserving ({!Taint}) → splice the edited
-      procedure into the cached AST ({!Splice}), re-check only changed
-      procedures (digest-keyed [Sema_ok] nodes), and re-apply the cached
-      placement plan to the edited AST ([Plan_reuse]) — microseconds
-      instead of a full simulation, byte-identical output by
-      construction;
+      procedure into the base's AST ({!Splice}), re-check only the
+      procedures whose digest differs from the base's, and re-apply the
+      base's placement plan to the edited AST ([Plan_reuse]) —
+      microseconds instead of a full simulation, byte-identical output
+      by construction. The edited base is {e chained}: it shares the
+      plan and epoch info of its parent and adds only two ASTs;
     - anything else → full re-annotation of the edited source ([Resim]),
-      which also installs a fresh base so subsequent edits are warm
-      again.
+      whose base is computed from scratch.
 
-    All outputs are byte-identical to a from-scratch
+    The engine keeps no state: the caller holds the bases (cachierd in
+    its hot tier, the CLI, the bench harness and the fuzzer in a local
+    variable). All outputs are byte-identical to a from-scratch
     {!Cachier.Annotate.annotate_program} of the edited source (enforced
     by the delta fuzzer oracle and the delta-smoke CI step). *)
 
+type base = {
+  program : Lang.Ast.program;  (** parse of the source, original sids *)
+  info : Lang.Sema.info;  (** sema of the source *)
+  plan : Cachier.Placement.plan;
+  result : Cachier.Annotate.result;
+}
+
 type reuse =
-  | Noop  (** digest-identical edit: pure cache hit *)
-  | Plan_reuse  (** trace proven unchanged; cached plan re-applied *)
+  | Noop  (** digest-identical edit: the base's result *)
+  | Plan_reuse  (** trace proven unchanged; the base's plan re-applied *)
   | Resim of string  (** fallback with the prover's reason *)
 
 type outcome = {
-  result : Cachier.Annotate.result;
+  base : base;
+      (** the edited source's base; its [result] is the annotation *)
   reuse : reuse;
   artifact : string;  (** hex digest of the edited source *)
   edited_source : string;
@@ -37,25 +47,28 @@ val source_digest : string -> string
 (** Hex digest of a source text — the service's artifact id. *)
 
 val base_of :
-  dag:Dag.t ->
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
-  string ->
-  Dag.base
-(** Full pipeline for a source, cached in the DAG. Raises like the cold
-    path on invalid programs. *)
+  ?trace:Trace.Event.record list ->
+  Lang.Ast.program ->
+  base
+(** The full pipeline for a parsed source: sema, the trace-mode run
+    (skipped when [trace], the program's trace on [machine], is given)
+    and {!Cachier.Annotate.annotate_and_plan}. Raises like the cold path
+    on invalid programs. *)
 
 val annotate_delta :
-  dag:Dag.t ->
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
-  base:string ->
+  base:base ->
+  source:string ->
   Splice.span ->
   string ->
   outcome
-(** [annotate_delta ~base span text] annotates [apply_edit base span
-    text]. Raises like the cold path when the edited program is
-    invalid. *)
+(** [annotate_delta ~base ~source span text] annotates [apply_edit
+    source span text], where [base] is [source]'s base on the same
+    [machine] and [options]. Raises like the cold path when the edited
+    program is invalid. *)
 
 val prove_simulate :
   base:Lang.Ast.program -> edited:Lang.Ast.program -> (unit, string) result
@@ -64,8 +77,3 @@ val prove_simulate :
     memory statistics, trace — is provably identical to the base run. *)
 
 val reuse_to_string : reuse -> string
-
-val register_source : Dag.t -> string -> string
-(** Remember a source under its digest; returns the digest. *)
-
-val find_source : Dag.t -> string -> string option

@@ -603,10 +603,13 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                 in
                 let incr_ =
                   attempt (fun () ->
-                      let dag = Delta.Dag.create () in
-                      (Delta.Engine.annotate_delta ~dag ~machine
-                         ~options:perf_options ~base:source span text)
-                        .Delta.Engine.result)
+                      let base =
+                        Delta.Engine.base_of ~machine ~options:perf_options
+                          (Lang.Parser.parse source)
+                      in
+                      (Delta.Engine.annotate_delta ~machine
+                         ~options:perf_options ~base ~source span text)
+                        .Delta.Engine.base.Delta.Engine.result)
                 in
                 match (cold, incr_) with
                 | Ok c, Ok d ->

@@ -60,8 +60,8 @@ let set_const program name v =
   }
 
 (* Content digests, ignoring statement ids: two subtrees that pretty-print
-   identically get the same digest. The delta engine's artifact DAG keys
-   sema results and cached pipeline stages on these. *)
+   identically get the same digest. The delta engine compares procedure
+   digests to re-check only the procedures an edit changed. *)
 let rec strip_sids_stmt (s : Ast.stmt) =
   let node =
     match s.Ast.node with

@@ -23,8 +23,9 @@ val barrier_sids : Ast.program -> int list
 
 val proc_digest : Ast.proc -> string
 (** Content hash of a procedure (name, params, body), ignoring statement
-    ids: two procedures that pretty-print identically share a digest. Used
-    by the delta engine's artifact DAG. *)
+    ids: two procedures that pretty-print identically share a digest. The
+    delta engine re-checks only the procedures whose digest an edit
+    changed. *)
 
 val decl_digest : Ast.decl -> string
 (** Content hash of a top-level declaration. *)

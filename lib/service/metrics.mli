@@ -2,9 +2,10 @@
 
     Counters: total requests, errors by kind, and per-stage cache
     hits/misses (stages are ["parse"], ["trace"], ["measure"],
-    ["annotate"], ["delta"], ["races"], ["race_report"],
-    ["trace_stats"]). This is the service's one count: the server books
-    every answered request here and nowhere else. Latencies are recorded
+    ["annotate"], ["delta"], ["src"] (delta base sources), ["base"]
+    (delta bases), ["races"] and ["trace_stats"]). This is the service's
+    one count: the server books every answered request and every cache
+    lookup here and nowhere else. Latencies are recorded
     per operation into power-of-two microsecond buckets ([<=1us, <=2us,
     ..., <=2^29us], plus an overflow bucket), cheap enough to keep on for
     every request.

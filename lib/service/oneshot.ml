@@ -23,9 +23,4 @@ let trace_stats_report ~nodes records =
 let races_report ~nodes records =
   Races.render (Races.detect ~nodes records)
 
-let race_report ~machine program records =
-  Cachier.Report.to_string
-    (Cachier.Annotate.report_with_trace ~machine program records)
-  ^ "\n"
-
 let parse_report program = Lang.Pretty.program_to_string program

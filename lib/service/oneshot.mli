@@ -18,11 +18,6 @@ val trace_stats_report : nodes:int -> Trace.Event.record list -> string
 (** Everything [trace_stats] prints on stdout: the summary and the
     hottest-region line. *)
 
-val race_report :
-  machine:Wwt.Machine.t -> Lang.Ast.program -> Trace.Event.record list -> string
-(** The race / false-sharing report on its own, newline-terminated
-    ({!Cachier.Annotate.report_with_trace}). *)
-
 val races_report : nodes:int -> Trace.Event.record list -> string
 (** The sound streaming race-detector report ({!Races.render}): human
     block plus one JSON line. Shared by [simulate --races],

@@ -45,7 +45,6 @@ type op =
       mode : mode;
       prefetch : bool;
     }
-  | Race_report of { source : source }
   | Races of { source : source }
   | Trace_stats of { source : source option; trace_text : string option }
   | Stats
@@ -114,7 +113,6 @@ let op_name = function
   | Simulate _ -> "simulate"
   | Annotate _ -> "annotate"
   | Annotate_delta _ -> "annotate_delta"
-  | Race_report _ -> "race_report"
   | Races _ -> "races"
   | Trace_stats _ -> "trace_stats"
   | Stats -> "stats"
@@ -156,7 +154,6 @@ let op_fields = function
         ("mode", Json.String (mode_to_string mode));
         ("prefetch", Json.Bool prefetch);
       ]
-  | Race_report { source } -> source_fields source
   | Races { source } -> source_fields source
   | Trace_stats { source; trace_text } ->
       (match source with Some s -> source_fields s | None -> [])
@@ -340,9 +337,6 @@ let op_of j =
           if start < 0 then Error "\"start\" must be non-negative"
           else if len < 0 then Error "\"len\" must be non-negative"
           else Ok (Annotate_delta { base; start; len; text; mode; prefetch })
-      | "race_report" ->
-          let* source = source_of j in
-          Ok (Race_report { source })
       | "races" ->
           let* source = source_of j in
           Ok (Races { source })

@@ -56,8 +56,6 @@ type op =
           source. The response's [extra] carries [artifact] (the edited
           source's id, usable as a new base) and [reuse]
           ([noop] / [plan-reuse] / [resim: <why>]) *)
-  | Race_report of { source : source }
-      (** payload is the race / false-sharing report *)
   | Races of { source : source }
       (** run the sound streaming race detector ({!Races.detect}) on the
           program's collected trace; payload as printed by

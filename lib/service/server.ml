@@ -17,12 +17,14 @@ let default_config =
 
 (* Stage artifacts. ASTs are cached post-sema and treated as immutable by
    every consumer (the engines and the annotator copy before rewriting),
-   so one cached program may serve concurrent requests. *)
+   so one cached program may serve concurrent requests; so are delta
+   bases, which the delta engine only reads. *)
 type artifact =
   | Ast of Lang.Ast.program
   | Trace_art of (Trace.Event.record list * string)  (* records, report *)
   | Annotate_art of (string * string)  (* annotated source, summary *)
   | Text of string
+  | Base of Delta.Engine.base
 
 type t = {
   config : config;
@@ -31,7 +33,6 @@ type t = {
   flight : (string * bool * (string * Json.t) list) Flight.t;
   metrics : Metrics.t;
   pool : Wwt.Jobs.Pool.t;
-  dag : Delta.Dag.t;  (* incremental-annotation artifact DAG *)
 }
 
 let create config =
@@ -44,7 +45,6 @@ let create config =
     pool =
       Wwt.Jobs.Pool.create ~workers:(max 1 config.workers)
         ~capacity:config.queue_capacity ();
-    dag = Delta.Dag.create ();
   }
 
 let shutdown t = Wwt.Jobs.Pool.shutdown t.pool
@@ -91,15 +91,23 @@ type 'a codec = {
   save : Store.t -> key:string -> 'a -> unit;
 }
 
+let ast_bytes source = 64 + (8 * String.length source)
+
 (* parsed programs live in memory only *)
 let ast_codec source =
   {
     of_art = (function Ast p -> Some p | _ -> None);
     to_art = (fun p -> Ast p);
-    size = (fun _ -> 64 + (8 * String.length source));
+    size = (fun _ -> ast_bytes source);
     load = (fun _ ~key:_ -> None);
     save = (fun _ ~key:_ _ -> ());
   }
+
+(* What one resident trace record costs: a list cell, the [Miss] box and
+   the miss record (the lock lists are shared). [Obj.reachable_words] of
+   the records of the matmul-8, mp3d-16, ocean-16 and tomcatv-8 traces
+   gave 87.0 to 87.9 bytes per record on 64-bit OCaml 5.1. *)
+let trace_record_bytes = 88
 
 (* in the [.trace] file format, which doubles as a trace_stats input *)
 let trace_codec =
@@ -108,14 +116,15 @@ let trace_codec =
     to_art = (fun v -> Trace_art v);
     size =
       (fun (records, payload) ->
-        (48 * List.length records) + String.length payload);
+        (trace_record_bytes * List.length records) + String.length payload);
     load = (fun s ~key -> Store.get_trace s ~key);
     save =
       (fun s ~key (records, payload) ->
         Store.put_trace s ~key ~records ~payload);
   }
 
-(* measure, races, race_report and trace_stats: one rendered report *)
+(* measure, races and trace_stats: one rendered report; also the sources
+   of delta bases *)
 let text_codec =
   {
     of_art = (function Text p -> Some p | _ -> None);
@@ -142,6 +151,28 @@ let annotate_codec =
     save =
       (fun s ~key (payload, summary) -> Store.put_text s ~key ~summary payload);
   }
+
+(* Delta bases live in memory only. A computed base is charged like the
+   trace it was built from: its epoch info, most of it, holds every miss
+   of that trace. A chained base (a plan-reuse edit's) shares its
+   parent's plan and epoch info, so only its two new ASTs are charged. *)
+let base_codec size =
+  {
+    of_art = (function Base b -> Some b | _ -> None);
+    to_art = (fun b -> Base b);
+    size;
+    load = (fun _ ~key:_ -> None);
+    save = (fun _ ~key:_ _ -> ());
+  }
+
+let computed_base =
+  base_codec (fun b ->
+      Array.fold_left
+        (fun n (ix : Cachier.Epoch_info.index) ->
+          n + (trace_record_bytes * Array.length ix.Cachier.Epoch_info.by_addr))
+        0 b.Delta.Engine.result.Cachier.Annotate.einfo.Cachier.Epoch_info.index)
+
+let chained_base source = base_codec (fun _ -> 2 * ast_bytes source)
 
 let write_through t codec ~key v =
   Cache.put t.cache ~key ~size:(codec.size v) (codec.to_art v);
@@ -216,7 +247,7 @@ let parsed_program t ~source ~seed =
          | None -> p))
 
 (* Stage: trace-mode simulation, shared by simulate --trace, annotate,
-   race_report, races and trace_stats: the records and the simulation
+   delta bases, races and trace_stats: the records and the simulation
    report. *)
 let trace_stage t ~machine ~seed ~source ~poll =
   tiered t trace_codec ~stage:"trace"
@@ -274,86 +305,79 @@ let annotate_stage t ~machine ~seed ~source ~mode ~prefetch ~poll =
 
 (* ---- incremental re-annotation ---- *)
 
-(* Every annotated source becomes a delta base: remembered in the DAG
-   under its digest and, with a disk tier, persisted as an ["src|…"]
-   text artifact so bases survive a restart (the DAG itself is
-   LRU-bounded and process-local). *)
-let register_base t source =
-  let id = Delta.Engine.source_digest source in
-  (match Delta.Engine.find_source t.dag id with
-  | Some _ -> ()
-  | None ->
-      ignore (Delta.Engine.register_source t.dag source);
-      (match t.store with
-      | Some s -> Store.put_text s ~key:("src|" ^ id) source
-      | None -> ()));
-  id
+(* Stage: the source of a delta base, a text artifact under ["src|<id>"].
+   Every annotated source is one, so with a disk tier a base survives a
+   restart. [compute] runs when neither tier has it. *)
+let base_source t id compute =
+  fst (tiered t text_codec ~stage:"src" ~key:("src|" ^ id) compute)
 
-let resolve_base t id =
-  match Delta.Engine.find_source t.dag id with
-  | Some source -> source
-  | None -> (
-      let from_store =
-        match t.store with
-        | Some s -> Option.map fst (Store.get_text s ~key:("src|" ^ id))
-        | None -> None
-      in
-      match from_store with
-      | Some source ->
-          ignore (Delta.Engine.register_source t.dag source);
-          source
-      | None ->
-          reject Protocol.Bad_request
-            (Printf.sprintf
-               "unknown base artifact %S (annotate a source first and use \
-                the returned artifact id)"
-               id))
+let delta_key name ~machine ~mode ~prefetch id =
+  stage_key ~stage:(mode_stage name ~mode ~prefetch) ~machine ~seed:None
+    ~source_digest:id
 
-(* Stage: incremental re-annotation of a registered base. The result is
-   keyed by the EDITED source's digest — a repeated edit is a pure hit —
-   and written through to the plain annotate key as well, so a later
-   [annotate] of the edited text hits without simulating. Seed
-   substitution is rejected: the delta prover reasons about the source
-   text as written. *)
-let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch =
+(* Stage: the delta base of a source, built from the cached parse and
+   trace. *)
+let base_stage t ~machine ~mode ~prefetch ~poll ~id source =
+  fst
+    (tiered t computed_base ~stage:"base"
+       ~key:(delta_key "base" ~machine ~mode ~prefetch id)
+       (fun () ->
+         Delta.Engine.base_of ~machine:(Protocol.to_machine machine)
+           ~options:(placement_options ~mode ~prefetch)
+           ~trace:(trace_records t ~machine ~seed:None ~source ~poll)
+           (parsed_program t ~source ~seed:None)))
+
+(* Stage: incremental re-annotation of a known base. The result is keyed
+   by the EDITED source's digest — a repeated edit is a pure hit — and
+   written through to the plain annotate key as well, so a later
+   [annotate] of the edited text hits without simulating. The edited
+   source and its base are cached too, so an edit of the edit starts
+   warm. Seed substitution is rejected: the delta prover reasons about
+   the source text as written. *)
+let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
   if seed <> None then
     reject Protocol.Bad_request
       "annotate_delta does not support seed substitution; edit the SEED \
        constant instead";
-  let base_source = resolve_base t base in
+  let source =
+    base_source t base (fun () ->
+        reject Protocol.Bad_request
+          (Printf.sprintf
+             "unknown base artifact %S (annotate a source first and use the \
+              returned artifact id)"
+             base))
+  in
   let edited =
-    try Delta.Splice.apply_edit base_source span text
+    try Delta.Splice.apply_edit source span text
     with Invalid_argument msg -> reject Protocol.Bad_request msg
   in
   let artifact = Delta.Engine.source_digest edited in
-  let key name =
-    stage_key ~stage:(mode_stage name ~mode ~prefetch) ~machine ~seed:None
-      ~source_digest:artifact
-  in
+  let key name = delta_key name ~machine ~mode ~prefetch artifact in
   let reuse = ref "cached" in
   let result, cached =
     tiered t annotate_codec ~stage:"delta" ~key:(key "delta") (fun () ->
         let outcome =
-          Delta.Engine.annotate_delta ~dag:t.dag
-            ~machine:(Protocol.to_machine machine)
-            ~options:(placement_options ~mode ~prefetch) ~base:base_source span
-            text
+          Delta.Engine.annotate_delta ~machine:(Protocol.to_machine machine)
+            ~options:(placement_options ~mode ~prefetch)
+            ~base:
+              (base_stage t ~machine ~mode ~prefetch ~poll ~id:base source)
+            ~source span text
         in
-        let result = annotated outcome.Delta.Engine.result in
+        let base = outcome.Delta.Engine.base in
+        let result = annotated base.Delta.Engine.result in
         write_through t annotate_codec ~key:(key "annotate") result;
-        ignore (register_base t edited);
+        let remember codec =
+          write_through t text_codec ~key:("src|" ^ artifact) edited;
+          write_through t codec ~key:(key "base") base
+        in
+        (match outcome.Delta.Engine.reuse with
+        | Delta.Engine.Noop -> ()
+        | Delta.Engine.Plan_reuse -> remember (chained_base edited)
+        | Delta.Engine.Resim _ -> remember computed_base);
         reuse := Delta.Engine.reuse_to_string outcome.Delta.Engine.reuse;
         result)
   in
   (result, !reuse, artifact, cached)
-
-let race_report_stage t ~machine ~seed ~source ~poll =
-  tiered t text_codec ~stage:"race_report"
-    ~key:(key_of ~stage:"race_report" ~machine ~seed source)
-    (fun () ->
-      let program = parsed_program t ~source ~seed in
-      Oneshot.race_report ~machine:(Protocol.to_machine machine) program
-        (trace_records t ~machine ~seed ~source ~poll))
 
 (* Stage: the sound streaming race detector over the collected trace.
    Reuses the cached trace artifact; the rendered report is itself a
@@ -404,7 +428,8 @@ let execute t (req : Protocol.request) ~poll =
       (payload, cached, [])
   | Protocol.Annotate { source; mode; prefetch } ->
       let source = resolve_source ~nodes source in
-      let artifact = register_base t source in
+      let artifact = Delta.Engine.source_digest source in
+      ignore (base_source t artifact (fun () -> source));
       let (payload, summary), cached =
         annotate_stage t ~machine ~seed ~source ~mode ~prefetch ~poll
       in
@@ -416,7 +441,7 @@ let execute t (req : Protocol.request) ~poll =
   | Protocol.Annotate_delta { base; start; len; text; mode; prefetch } ->
       let (payload, summary), reuse, artifact, cached =
         delta_stage t ~machine ~seed ~base ~span:{ Delta.Splice.start; len }
-          ~text ~mode ~prefetch
+          ~text ~mode ~prefetch ~poll
       in
       ( payload,
         cached,
@@ -425,12 +450,6 @@ let execute t (req : Protocol.request) ~poll =
           ("artifact", Json.String artifact);
           ("reuse", Json.String reuse);
         ] )
-  | Protocol.Race_report { source } ->
-      let source = resolve_source ~nodes source in
-      let payload, cached =
-        race_report_stage t ~machine ~seed ~source ~poll
-      in
-      (payload, cached, [])
   | Protocol.Races { source } ->
       let source = resolve_source ~nodes source in
       let payload, cached = races_stage t ~machine ~seed ~source ~poll in
@@ -453,18 +472,6 @@ let execute t (req : Protocol.request) ~poll =
           ~cache_bytes:(Cache.size t.cache)
           ~cache_entries:(Cache.entries t.cache)
           ?store:t.store ()
-      in
-      let delta_dag =
-        Json.Obj
-          (List.map
-             (fun (kind, (h, m)) ->
-               (kind, Json.Obj [ ("hits", Json.Int h); ("misses", Json.Int m) ]))
-             (Delta.Dag.stats t.dag))
-      in
-      let stats =
-        match stats with
-        | Json.Obj fields -> Json.Obj (fields @ [ ("delta_dag", delta_dag) ])
-        | j -> j
       in
       ("", false, [ ("stats", stats) ])
   | Protocol.Ping -> ("pong", false, [])
@@ -497,7 +504,6 @@ let flight_key (req : Protocol.request) =
       key "annotate_delta"
         (Printf.sprintf "%s:%d:%d:%s:%s:%B" base start len (digest_hex text)
            (mode_tag mode) prefetch)
-  | Protocol.Race_report { source } -> key "race_report" (src source)
   | Protocol.Races { source } -> key "races" (src source)
   | Protocol.Trace_stats { source; trace_text } ->
       key "trace_stats"

@@ -12,18 +12,24 @@
 
     Stage artifacts are keyed by stable hashes of
     [(source text, machine config, seed, stage)]: a [parse] hit returns
-    the cached AST, a trace hit returns the packed trace and the
+    the cached AST, a trace hit returns the trace records and the
     simulation report, and an [annotate] hit returns the finished
     response without simulating. Every stage goes through one lookup:
     the hot tier, then the {!Store}, then compute and write through.
     With a [cache_dir], every simulation-priced artifact (trace,
-    measure, annotate, annotate_delta, races, race_report, trace_stats)
-    is also written to the {!Store}, whose index is rebuilt on startup —
-    warm state survives a restart. Every [annotate] response registers
-    its source as a delta base in the incremental-annotation DAG
-    (returned in the [artifact] extra); [annotate_delta] resolves bases
-    against the DAG, falling back to the disk store's ["src|…"]
-    artifacts after a restart.
+    measure, annotate, annotate_delta, races, trace_stats) is also
+    written to the {!Store}, whose index is rebuilt on startup — warm
+    state survives a restart.
+
+    {b Delta bases.} Every [annotate] response names its source's digest
+    in the [artifact] extra, and the source is kept as a text artifact
+    under ["src|<digest>"] in both tiers. [annotate_delta] looks the
+    base's source up there, then its {!Delta.Engine.base} (stage
+    ["base"], a memory-only artifact built from the cached parse and
+    trace), and caches the edited source and its base the same way, so
+    an edit of the edit starts warm. A computed base is charged like its
+    trace; a chained base, which shares its parent's plan and epoch
+    info, is charged only for its two new ASTs.
 
     {b One request path.} {!handle} and {!handle_async} are thin callers
     of one dispatch. It stamps the request once, on arrival, with the

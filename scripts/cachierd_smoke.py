@@ -13,6 +13,12 @@ writes are split at awkward byte boundaries (exercising the incremental
 framing), then sends SIGTERM and requires a graceful exit (code 0, the
 socket file removed).
 
+Delta, in both modes: an examples/programs file is annotated as inline
+text, which makes it a delta base whose artifact id is the MD5 hex of
+the text. The edit CI's Delta smoke makes (appending a comment) then
+goes twice as annotate_delta: the first must report plan-reuse, the
+second must be a cache hit with an identical payload.
+
 Errors, in both modes: with --queue-capacity 0 every work request is
 refused. A malformed line must get bad_request with id 0, a simulate
 request overloaded, and a following stats request must count one
@@ -22,6 +28,7 @@ lock-step, so stats cannot be answered before the earlier bookings.
 Usage: cachierd_smoke.py [SERVER_BINARY...] [--stdio-only | --socket-only]
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -49,6 +56,36 @@ LARGE = [
 
 PAIRS = [(1, 2, "simulate"), (3, 4, "annotate")]
 LARGE_PAIRS = [(7, 8, "annotate n16")]
+
+# The delta base; the examples are written for a 4-node grid.
+DELTA_PROGRAM = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "..",
+    "examples",
+    "programs",
+    "jacobi.sm",
+)
+DELTA_EDIT = "\n// delta-smoke edit\n"
+DELTA_ID = 9
+
+
+def delta_requests():
+    """The base annotate, then the same appended-comment edit twice."""
+    with open(DELTA_PROGRAM, "rb") as f:
+        raw = f.read()
+    edit = {
+        "op": "annotate_delta",
+        "base": hashlib.md5(raw).hexdigest(),
+        "start": len(raw),
+        "len": 0,
+        "text": DELTA_EDIT,
+        "nodes": 4,
+    }
+    return [
+        {"id": DELTA_ID, "op": "annotate", "source": raw.decode(), "nodes": 4},
+        dict(edit, id=DELTA_ID + 1),
+        dict(edit, id=DELTA_ID + 2),
+    ]
 
 
 def fail(msg):
@@ -88,11 +125,34 @@ def check_responses(by_id, requests, mode, pairs):
     print(f"ok [{mode}]: stats well-formed (requests={stats['requests']})")
 
 
+def check_delta(by_id, requests, mode):
+    base, first, repeat = (by_id[r["id"]] for r in requests)
+    for resp in (base, first, repeat):
+        if "error" in resp:
+            fail(f"{mode}: delta id {resp['id']}: {resp['error']}: "
+                 f"{resp.get('message')}")
+    if base.get("artifact") != requests[1]["base"]:
+        fail(f"{mode}: annotate artifact {base.get('artifact')!r} is not "
+             f"the MD5 hex of the text ({requests[1]['base']})")
+    if first.get("reuse") != "plan-reuse":
+        fail(f"{mode}: annotate_delta reuse {first.get('reuse')!r}, "
+             "expected 'plan-reuse'")
+    if first["cached"]:
+        fail(f"{mode}: first annotate_delta was already cached")
+    if not repeat["cached"]:
+        fail(f"{mode}: repeated annotate_delta missed the cache")
+    if repeat["payload"] != first["payload"]:
+        fail(f"{mode}: repeated annotate_delta payload differs")
+    print(f"ok [{mode}]: annotate_delta plan-reuse, repeat cached and "
+          "identical")
+
+
 def smoke_stdio(server):
     # One worker: all requests arrive in one burst, and a single worker
     # drains them FIFO, so the repeated request deterministically finds
     # the artifact its predecessor cached.
-    requests = REQUESTS[:4] + LARGE + REQUESTS[4:]
+    delta = delta_requests()
+    requests = REQUESTS[:4] + LARGE + delta + REQUESTS[4:]
     proc = subprocess.run(
         server + ["--workers", "1"],
         input="".join(json.dumps(r) + "\n" for r in requests),
@@ -109,6 +169,7 @@ def smoke_stdio(server):
             resp = json.loads(line)
             by_id[resp["id"]] = resp
     check_responses(by_id, requests, "stdio", PAIRS + LARGE_PAIRS)
+    check_delta(by_id, delta, "stdio")
     print("ok [stdio]: graceful shutdown (exit 0)")
 
 
@@ -166,7 +227,14 @@ def smoke_socket(server):
             read_until(2)
             send_chunked([REQUESTS[1], REQUESTS[3], REQUESTS[4]])
             read_until(5)
+            # the delta requests go lock-step: each needs the artifact
+            # the one before it cached
+            delta = delta_requests()
+            for i, req in enumerate(delta):
+                send_chunked([req])
+                read_until(6 + i)
         check_responses(by_id, REQUESTS[:-1], "socket", PAIRS)
+        check_delta(by_id, delta, "socket")
 
         # graceful SIGTERM: drain, remove the socket file, exit 0
         proc.send_signal(signal.SIGTERM)

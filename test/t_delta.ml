@@ -209,23 +209,29 @@ let first_safe_edit src =
   in
   pick (Delta.Splice.int_literals src)
 
+let base_of src = Delta.Engine.base_of ~machine ~options:opts (Parser.parse src)
+
+let delta ?base src span text =
+  let base = match base with Some b -> b | None -> base_of src in
+  Delta.Engine.annotate_delta ~machine ~options:opts ~base ~source:src span text
+
+let result_of (o : Delta.Engine.outcome) =
+  o.Delta.Engine.base.Delta.Engine.result
+
 let test_noop_edit_pure_hit () =
-  let dag = Delta.Dag.create () in
   let src = Benchmarks.Matmul.source ~n:8 ~nodes:4 () in
-  let span = { Delta.Splice.start = 0; len = 0 } in
-  let o = Delta.Engine.annotate_delta ~dag ~machine ~options:opts ~base:src span "" in
+  let base = base_of src in
+  let o = delta ~base src { Delta.Splice.start = 0; len = 0 } "" in
   Alcotest.(check bool) "noop" true (o.Delta.Engine.reuse = Delta.Engine.Noop);
+  Alcotest.(check bool) "the base itself" true (o.Delta.Engine.base == base);
   Alcotest.(check string) "same artifact" (Delta.Engine.source_digest src)
     o.Delta.Engine.artifact
 
 let test_shared_decl_edit_resimulates () =
-  let dag = Delta.Dag.create () in
   let src = "shared A[8]; proc main() { A[pid] = pid; barrier; }" in
   let start = String.index src '8' in
   let span = { Delta.Splice.start; len = 1 } in
-  let o =
-    Delta.Engine.annotate_delta ~dag ~machine ~options:opts ~base:src span "16"
-  in
+  let o = delta src span "16" in
   (match o.Delta.Engine.reuse with
   | Delta.Engine.Resim _ -> ()
   | r ->
@@ -238,37 +244,30 @@ let test_shared_decl_edit_resimulates () =
   in
   Alcotest.(check string) "byte-identical source"
     (Cachier.Annotate.to_source cold)
-    (Cachier.Annotate.to_source o.Delta.Engine.result)
+    (Cachier.Annotate.to_source (result_of o))
 
 let check_outcome_matches_cold name (o : Delta.Engine.outcome)
     (cold : Cachier.Annotate.result) =
   Alcotest.(check string)
     (name ^ ": annotated source")
     (Cachier.Annotate.to_source cold)
-    (Cachier.Annotate.to_source o.Delta.Engine.result);
+    (Cachier.Annotate.to_source (result_of o));
   Alcotest.(check string)
     (name ^ ": summary")
     (Service.Oneshot.annotate_summary cold)
-    (Service.Oneshot.annotate_summary o.Delta.Engine.result)
+    (Service.Oneshot.annotate_summary (result_of o))
 
 let test_warm_delta_byte_identical_all_benchmarks () =
-  let dag = Delta.Dag.create () in
   List.iter
     (fun (name, src) ->
       match first_safe_edit src with
       | None -> Alcotest.fail (name ^ ": no safe single-token edit found")
       | Some (span, text, _edited, cold) ->
-          (* warm the base, then serve the edit *)
-          ignore (Delta.Engine.base_of ~dag ~machine ~options:opts src);
-          let o =
-            Delta.Engine.annotate_delta ~dag ~machine ~options:opts ~base:src
-              span text
-          in
-          check_outcome_matches_cold name o cold)
+          (* build the base, then serve the edit against it *)
+          check_outcome_matches_cold name (delta src span text) cold)
     (bench_sources ())
 
 let test_plan_reuse_on_simple_edit () =
-  let dag = Delta.Dag.create () in
   let src = Benchmarks.Matmul.source ~n:8 ~nodes:4 () in
   (* matmul's seed constant-style scalar assignments live in main; an
      rhs literal tweak that feeds only values must take plan reuse.
@@ -291,10 +290,7 @@ let test_plan_reuse_on_simple_edit () =
   match proven with
   | None -> () (* nothing provable in this program: fine, covered elsewhere *)
   | Some (span, v) ->
-      let o =
-        Delta.Engine.annotate_delta ~dag ~machine ~options:opts ~base:src span
-          (string_of_int (v + 1))
-      in
+      let o = delta src span (string_of_int (v + 1)) in
       (match o.Delta.Engine.reuse with
       | Delta.Engine.Plan_reuse -> ()
       | r ->
@@ -307,56 +303,56 @@ let test_plan_reuse_on_simple_edit () =
       check_outcome_matches_cold "matmul" o cold
 
 let test_chained_edits_stay_warm () =
-  let dag = Delta.Dag.create () in
   let src = "proc main() { x = 3; barrier; y = 5; barrier; }" in
   let start = String.index src '3' in
-  let o1 =
-    Delta.Engine.annotate_delta ~dag ~machine ~options:opts ~base:src
-      { Delta.Splice.start; len = 1 } "7"
-  in
+  let b0 = base_of src in
+  let o1 = delta ~base:b0 src { Delta.Splice.start; len = 1 } "7" in
   Alcotest.(check bool) "first edit proven" true
     (o1.Delta.Engine.reuse = Delta.Engine.Plan_reuse);
-  (* the second edit uses the first edit's output as its base *)
+  (* the second edit uses the first edit's output and base *)
   let src2 = o1.Delta.Engine.edited_source in
   let start2 = String.index src2 '5' in
   let o2 =
-    Delta.Engine.annotate_delta ~dag ~machine ~options:opts ~base:src2
+    delta ~base:o1.Delta.Engine.base src2
       { Delta.Splice.start = start2; len = 1 } "9"
   in
   Alcotest.(check bool) "second edit proven" true
     (o2.Delta.Engine.reuse = Delta.Engine.Plan_reuse);
-  (* and the chained base came from the dag, not a re-simulation *)
-  let stats = Delta.Dag.stats dag in
-  let base_hits = match List.assoc_opt "base" stats with Some (h, _) -> h | None -> 0 in
-  Alcotest.(check bool) "base node reused" true (base_hits >= 1)
-
-let test_dag_lru_bounds_entries () =
-  let dag = Delta.Dag.create ~capacity:4 () in
-  for i = 0 to 19 do
-    Delta.Dag.add dag (Printf.sprintf "src|%d" i) (Delta.Dag.Source (string_of_int i))
-  done;
-  Alcotest.(check bool) "bounded" true (Delta.Dag.entries dag <= 4);
-  (* most recently added survives *)
-  Alcotest.(check bool) "mru survives" true
-    (Delta.Dag.find dag "src|19" <> None)
-
-let test_sema_incremental_caches_procs () =
-  let dag = Delta.Dag.create () in
-  let src = "proc f() { x = 1; } proc main() { f(); barrier; }" in
-  ignore (Delta.Engine.base_of ~dag ~machine ~options:opts src);
-  let start = String.index src '1' in
-  let o =
-    Delta.Engine.annotate_delta ~dag ~machine ~options:opts ~base:src
-      { Delta.Splice.start; len = 1 } "2"
+  (* and neither edit re-simulated: every base in the chain shares the
+     first one's plan and epoch info *)
+  let b2 = o2.Delta.Engine.base in
+  Alcotest.(check bool) "plan shared" true
+    (b2.Delta.Engine.plan == b0.Delta.Engine.plan);
+  Alcotest.(check bool) "epoch info shared" true
+    (b2.Delta.Engine.result.Cachier.Annotate.einfo
+    == b0.Delta.Engine.result.Cachier.Annotate.einfo);
+  let cold =
+    Cachier.Annotate.annotate_source ~machine ~options:opts
+      o2.Delta.Engine.edited_source
   in
+  check_outcome_matches_cold "chained" o2 cold
+
+(* The base's procedure digests stand for its sema verdicts: only a
+   procedure whose digest differs from the base's is re-checked. A base
+   whose sema info has lost the shared array that only [main] uses shows
+   it: an edit of [f] passes, an edit of [main] is re-checked and
+   fails. *)
+let test_sema_incremental_caches_procs () =
+  let src =
+    "shared A[8]; proc f() { x = 1; } proc main() { f(); A[pid] = 2; barrier; }"
+  in
+  let base = base_of src in
+  let base =
+    { base with
+      Delta.Engine.info = { base.Delta.Engine.info with Sema.shared = [] } }
+  in
+  let at c = { Delta.Splice.start = String.index src c; len = 1 } in
+  let o = delta ~base src (at '1') "3" in
   Alcotest.(check bool) "proven" true
     (o.Delta.Engine.reuse = Delta.Engine.Plan_reuse);
-  (* main was untouched: its sema verdict must have been a cache hit *)
-  let hits = match List.assoc_opt "sema" (Delta.Dag.stats dag) with
-    | Some (h, _) -> h
-    | None -> 0
-  in
-  Alcotest.(check bool) "sema hit for untouched proc" true (hits >= 1)
+  match delta ~base src (at '2') "4" with
+  | _ -> Alcotest.fail "the edited main was not re-checked"
+  | exception Sema.Error _ -> ()
 
 let suite =
   [
@@ -394,11 +390,4 @@ let suite =
       test_chained_edits_stay_warm;
     Alcotest.test_case "engine: untouched procs hit the sema cache" `Quick
       test_sema_incremental_caches_procs;
-    Alcotest.test_case "dag: lru bounds entries" `Quick
-      test_dag_lru_bounds_entries;
-    Alcotest.test_case "dag: malformed CACHIER_DELTA_DAG refused" `Quick
-      (fun () ->
-        Qc.refuses_env "CACHIER_DELTA_DAG" [ "garbage"; "0"; "-3" ]
-          ~valid:"128" ~msg:"CACHIER_DELTA_DAG must be a positive integer"
-          Delta.Dag.create);
   ]

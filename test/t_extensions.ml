@@ -106,8 +106,8 @@ let epoch_of records =
   | [ e ], _ -> e
   | _ -> Alcotest.fail "expected one epoch"
 
-let analyze ?lock_aware records =
-  Cachier.Drfs.analyze_sorted ?lock_aware ~block_size:32
+let analyze records =
+  Cachier.Drfs.analyze_sorted ~block_size:32
     (Trace.Epoch.by_address (epoch_of records).Trace.Epoch.misses)
 
 let test_common_lock_suppresses_race () =
@@ -141,17 +141,6 @@ let test_one_unlocked_access_races () =
       ]
   in
   Alcotest.(check bool) "unlocked reader races with locked writer" false
-    (Trace.Epoch.Iset.is_empty (Cachier.Drfs.race d))
-
-let test_lock_aware_can_be_disabled () =
-  let records =
-    [
-      miss ~held:[ 7 ] 0 1 0 Trace.Event.Write_miss;
-      miss ~held:[ 7 ] 1 2 0 Trace.Event.Write_miss;
-    ]
-  in
-  let d = analyze ~lock_aware:false records in
-  Alcotest.(check bool) "paper mode reports the pair" false
     (Trace.Epoch.Iset.is_empty (Cachier.Drfs.race d))
 
 let test_false_sharing_not_suppressed_by_locks () =
@@ -273,8 +262,6 @@ let suite =
     Alcotest.test_case "different locks still race" `Quick
       test_different_locks_still_race;
     Alcotest.test_case "unlocked access races" `Quick test_one_unlocked_access_races;
-    Alcotest.test_case "lock awareness can be disabled" `Quick
-      test_lock_aware_can_be_disabled;
     Alcotest.test_case "locks do not stop false sharing" `Quick
       test_false_sharing_not_suppressed_by_locks;
     Alcotest.test_case "interp records held locks" `Quick

@@ -76,7 +76,7 @@ let ref_sw_others info ~epoch ~node =
   !acc
 
 (* The hash-table, all-pairs DRFS analysis the index replaced. *)
-let ref_drfs ~lock_aware ~block_size misses =
+let ref_drfs ~block_size misses =
   let per_addr = Hashtbl.create 64 in
   List.iter
     (fun (m : Trace.Event.miss) ->
@@ -100,8 +100,7 @@ let ref_drfs ~lock_aware ~block_size misses =
   let races =
     Hashtbl.fold
       (fun addr (nodes, writers, accesses) acc ->
-        if writers <> 0 && popcount nodes >= 2
-           && ((not lock_aware) || any accesses)
+        if writers <> 0 && popcount nodes >= 2 && any accesses
         then Iset.add addr acc
         else acc)
       per_addr Iset.empty
@@ -169,20 +168,15 @@ let prop_drfs =
     (fun tr ->
       with_info tr (fun info e ->
           let misses = misses_of info e in
-          List.for_all
-            (fun lock_aware ->
-              let races, fs = ref_drfs ~lock_aware ~block_size:32 misses in
-              let d =
-                Cachier.Drfs.analyze_sorted ~lock_aware ~block_size:32
-                  (Trace.Epoch.by_address misses)
-              in
-              Iset.equal races (Cachier.Drfs.race d)
-              && Iset.equal fs (Cachier.Drfs.false_shared d)
-              && (not lock_aware
-                 || Iset.equal
-                      (Iset.union races fs)
-                      (Cachier.Drfs.drfs_set info.Cachier.Epoch_info.drfs.(e))))
-            [ true; false ]))
+          let races, fs = ref_drfs ~block_size:32 misses in
+          let d =
+            Cachier.Drfs.analyze_sorted ~block_size:32
+              (Trace.Epoch.by_address misses)
+          in
+          Iset.equal races (Cachier.Drfs.race d)
+          && Iset.equal fs (Cachier.Drfs.false_shared d)
+          && Iset.equal (Iset.union races fs)
+               (Cachier.Drfs.drfs_set info.Cachier.Epoch_info.drfs.(e))))
 
 (* Counts per pc of the misses with an address in [lo, hi]. *)
 let pc_counts visit =

@@ -94,7 +94,6 @@ let test_request_roundtrip () =
       request ~id:7 Protocol.Ping;
       request ~id:8 Protocol.Shutdown;
       request ~id:9 (Protocol.Parse { source = Bench "mp3d" });
-      request ~id:10 (Protocol.Race_report { source = Bench "matmul" });
       request ~id:11 (Protocol.Races { source = Bench "mp3d" });
       request ~id:12
         (Protocol.Annotate_delta
@@ -417,6 +416,100 @@ let test_annotate_delta_errors () =
       Alcotest.(check string) "seed substitution rejected" "bad_request"
         (error_kind seeded))
 
+let annotate_text ?(mode = Protocol.Performance) source =
+  request (Protocol.Annotate { source = Text source; mode; prefetch = false })
+
+let artifact_of resp =
+  match extra "artifact" resp with
+  | Some (Json.String a) -> a
+  | _ -> Alcotest.fail "response missing artifact id"
+
+let delta_at ~base source c text =
+  request
+    (Protocol.Annotate_delta
+       { base; start = String.index source c; len = 1; text;
+         mode = Performance; prefetch = false })
+
+let cold_annotate source =
+  with_server (fun fresh ->
+      ok_payload (Server.handle fresh (annotate_text source)))
+
+let edit_at source c text =
+  Delta.Splice.apply_edit source
+    { Delta.Splice.start = String.index source c; len = 1 }
+    text
+
+(* An edit of an edit starts from the first edit's cached base: the
+   second edit reuses the plan, and the base stage books one computed
+   base and one hit in the stats. *)
+let test_annotate_delta_chains () =
+  with_server (fun server ->
+      let source = "proc main() { x = 3; barrier; y = 5; barrier; }" in
+      let a0 = artifact_of (Server.handle server (annotate_text source)) in
+      let d1 = Server.handle server (delta_at ~base:a0 source '3' "7") in
+      let source1 = edit_at source '3' "7" in
+      let d2 =
+        Server.handle server (delta_at ~base:(artifact_of d1) source1 '5' "9")
+      in
+      List.iter
+        (fun (name, d) ->
+          Alcotest.(check (option string)) (name ^ " reuse")
+            (Some "plan-reuse")
+            (Option.bind (extra "reuse" d) Json.to_string_opt))
+        [ ("first edit", d1); ("edit of the edit", d2) ];
+      Alcotest.(check string) "chained payload = cold annotate"
+        (cold_annotate (edit_at source1 '5' "9"))
+        (ok_payload d2);
+      let stats =
+        match extra "stats" (Server.handle server (request Protocol.Stats)) with
+        | Some s -> s
+        | None -> Alcotest.fail "stats response missing stats"
+      in
+      let count section =
+        Json.to_int_opt (Json.member "base" (Json.member section stats))
+      in
+      Alcotest.(check (pair (option int) (option int)))
+        "base stage: one hit, one computed" (Some 1, Some 1)
+        (count "hits", count "misses");
+      Alcotest.(check bool) "no delta_dag section" true
+        (Json.member "delta_dag" stats = Json.Null))
+
+(* The hot tier charges a cached trace about what its records cost
+   resident. A trace request caches the parse and the trace; a parse
+   request caches the same parse alone. *)
+let test_trace_charge_is_resident_size () =
+  let source = Protocol.Bench "matmul" in
+  let cache_bytes op =
+    with_server (fun server ->
+        let payload = ok_payload (Server.handle server (request op)) in
+        match extra "stats" (Server.handle server (request Protocol.Stats)) with
+        | Some stats -> (
+            match Json.to_int_opt (Json.member "cache_bytes" stats) with
+            | Some n -> (n, payload)
+            | None -> Alcotest.fail "stats missing cache_bytes")
+        | None -> Alcotest.fail "stats response missing stats")
+  in
+  let with_trace, payload =
+    cache_bytes
+      (Protocol.Simulate
+         { source; annotations = false; prefetch = false; trace = true })
+  in
+  let parse_only, _ = cache_bytes (Protocol.Parse { source }) in
+  let charged = with_trace - parse_only - String.length payload in
+  let program =
+    Lang.Parser.parse (Benchmarks.Suite.find ~nodes:4 "matmul").source
+  in
+  let records =
+    (Wwt.Run.collect_trace ~machine:(Protocol.to_machine small_machine)
+       program)
+      .Wwt.Interp.trace
+  in
+  let resident = (Sys.word_size / 8) * Obj.reachable_words (Obj.repr records) in
+  let ratio = float_of_int charged /. float_of_int resident in
+  if ratio < 0.8 || ratio > 1.2 then
+    Alcotest.failf "trace charged %d B, resident %d B (ratio %.2f)" charged
+      resident ratio
+
 let test_parse_and_race_and_trace_stats () =
   with_server (fun server ->
       List.iter
@@ -434,12 +527,16 @@ let test_parse_and_race_and_trace_stats () =
           Alcotest.(check string)
             (what ^ "parse payload is the pretty program")
             (Oneshot.parse_report program) (ok_payload parse);
-          let race =
-            Server.handle server
-              (request (Protocol.Race_report { source = Bench "matmul" }))
-          in
-          Alcotest.(check bool) (what ^ "race report non-empty") true
-            (String.length (ok_payload race) > 0);
+          (* the race report rides in annotate's [report]; its own op is
+             gone and refused like any unknown op *)
+          (match
+             Protocol.read_request
+               {|{"id":1,"op":"race_report","bench":"matmul"}|}
+           with
+          | Error msg ->
+              Alcotest.(check string) (what ^ "race_report refused")
+                {|unknown op "race_report"|} msg
+          | Ok _ -> Alcotest.fail "race_report accepted");
           let machine = Protocol.to_machine machine_config in
           let outcome = Wwt.Run.collect_trace ~machine program in
           (* the races op serves the exact simulate --races payload *)
@@ -477,40 +574,6 @@ let test_parse_and_race_and_trace_stats () =
           Alcotest.(check bool) (what ^ "second trace_stats hits") true
             (ok_cached ts2))
         machines)
-
-let test_race_report_stage () =
-  with_server (fun server ->
-      let req = request (Protocol.Race_report { source = Bench "matmul" }) in
-      let m = Server.metrics server in
-      let counts () =
-        [
-          Metrics.hits m ~stage:"race_report";
-          Metrics.misses m ~stage:"race_report";
-          Metrics.hits m ~stage:"annotate";
-          Metrics.misses m ~stage:"annotate";
-        ]
-      in
-      let cold = Server.handle server req in
-      Alcotest.(check (list int))
-        "miss: race_report hits/misses, annotate hits/misses" [ 0; 1; 0; 0 ]
-        (counts ());
-      let warm = Server.handle server req in
-      Alcotest.(check bool) "repeat is cached" true (ok_cached warm);
-      Alcotest.(check string) "repeat byte-identical" (ok_payload cold)
-        (ok_payload warm);
-      Alcotest.(check (list int))
-        "hit: race_report hits/misses, annotate hits/misses" [ 1; 1; 0; 0 ]
-        (counts ());
-      (* the payload is the report a full annotation attaches *)
-      let bench = Benchmarks.Suite.find ~nodes:4 "matmul" in
-      let r =
-        Cachier.Annotate.annotate_source
-          ~machine:(Protocol.to_machine small_machine)
-          ~options:Cachier.Placement.default_options bench.Benchmarks.Suite.source
-      in
-      Alcotest.(check string) "payload = annotate's report"
-        (Cachier.Report.to_string r.Cachier.Annotate.report ^ "\n")
-        (ok_payload cold))
 
 let test_malformed_inline_trace () =
   with_server (fun server ->
@@ -769,8 +832,6 @@ let test_two_tier_restart_all_stages () =
               (Protocol.Annotate
                  { source = Bench "matmul"; mode = Performance;
                    prefetch = false }) );
-          ( "race_report",
-            request (Protocol.Race_report { source = Bench "matmul" }) );
           ("races", request (Protocol.Races { source = Bench "matmul" }));
           ( "trace_stats",
             request
@@ -808,6 +869,39 @@ let test_two_tier_restart_all_stages () =
           match Server.store server with
           | Some s ->
               Alcotest.(check bool) "disk hits recorded" true (Store.hits s > 0)
+          | None -> Alcotest.fail "server has no store"))
+
+(* A base annotated before a restart is resolved from the disk tier
+   after it: its source is a ["src|<id>"] text artifact there, and the
+   edit's payload is a cold annotate's. *)
+let test_delta_base_survives_restart () =
+  with_cache_dir (fun dir ->
+      let config = { memory_config with cache_dir = Some dir } in
+      let source = (Benchmarks.Suite.find ~nodes:4 "matmul").source in
+      let artifact =
+        with_server ~config (fun server ->
+            artifact_of (Server.handle server (annotate_text source)))
+      in
+      Alcotest.(check string) "artifact is the source digest"
+        (Digest.to_hex (Digest.string source)) artifact;
+      let span, v = List.hd (Delta.Splice.int_literals source) in
+      let text = string_of_int (v + 1) in
+      with_server ~config (fun server ->
+          let resp =
+            Server.handle server
+              (request
+                 (Protocol.Annotate_delta
+                    { base = artifact; start = span.Delta.Splice.start;
+                      len = span.Delta.Splice.len; text; mode = Performance;
+                      prefetch = false }))
+          in
+          Alcotest.(check string) "payload = cold annotate of the edit"
+            (cold_annotate (Delta.Splice.apply_edit source span text))
+            (ok_payload resp);
+          Alcotest.(check int) "base source served by the disk tier" 1
+            (Metrics.hits (Server.metrics server) ~stage:"src");
+          match Server.store server with
+          | Some s -> Alcotest.(check bool) "disk hit" true (Store.hits s > 0)
           | None -> Alcotest.fail "server has no store"))
 
 let test_corrupt_artifact_degrades_to_miss () =
@@ -891,7 +985,8 @@ let test_stage_keys_pinned () =
       "parse"; "trace"; "measure:--"; "measure:a-"; "measure:-p";
       "measure:ap"; "annotate:perf:-"; "annotate:perf:p"; "annotate:prog:-";
       "annotate:prog:p"; "delta:perf:-"; "delta:perf:p"; "delta:prog:-";
-      "delta:prog:p"; "race_report"; "races"; "trace_stats";
+      "delta:prog:p"; "base:perf:-"; "base:perf:p"; "base:prog:-";
+      "base:prog:p"; "races"; "trace_stats";
       "trace_stats:inline";
     ];
   Alcotest.(check string) "no seed" "delta:perf:-|d|n4:c16:a4:b32:pdir1sw|-"
@@ -925,7 +1020,6 @@ let test_stage_keys_pinned () =
               Protocol.Annotate
                 { source; mode = Performance; prefetch = false };
               Protocol.Races { source };
-              Protocol.Race_report { source };
               Protocol.Trace_stats { source = Some source; trace_text = None };
             ]);
       let digest =
@@ -946,8 +1040,13 @@ let test_stage_keys_pinned () =
         [
           ("measure:--", ".art"); ("trace", ".trace");
           ("annotate:perf:-", ".art"); ("races", ".art");
-          ("race_report", ".art"); ("trace_stats", ".art");
-        ])
+          ("trace_stats", ".art");
+        ];
+      (* the annotated source, a delta base, under its own key *)
+      Alcotest.(check bool) "base source named by src|<digest>" true
+        (Sys.file_exists
+           (Filename.concat dir
+              (Digest.to_hex (Digest.string ("src|" ^ digest)) ^ ".art"))))
 
 (* ---- the sharded socket front end ---- *)
 
@@ -1185,10 +1284,12 @@ let suite =
       test_annotate_delta_byte_identity_and_cache;
     Alcotest.test_case "annotate_delta rejects bad requests" `Quick
       test_annotate_delta_errors;
+    Alcotest.test_case "annotate_delta chains edits warm" `Quick
+      test_annotate_delta_chains;
+    Alcotest.test_case "a cached trace is charged its resident size" `Quick
+      test_trace_charge_is_resident_size;
     Alcotest.test_case "parse / race_report / trace_stats" `Quick
       test_parse_and_race_and_trace_stats;
-    Alcotest.test_case "race_report books its own stage" `Quick
-      test_race_report_stage;
     Alcotest.test_case "malformed inline trace" `Quick
       test_malformed_inline_trace;
     Alcotest.test_case "unknown benchmark" `Quick test_unknown_benchmark;
@@ -1206,6 +1307,8 @@ let suite =
       test_trace_persistence_across_restart;
     Alcotest.test_case "two-tier: all stages survive a restart" `Quick
       test_two_tier_restart_all_stages;
+    Alcotest.test_case "a delta base survives a restart" `Quick
+      test_delta_base_survives_restart;
     Alcotest.test_case "corrupt artifact degrades to miss" `Quick
       test_corrupt_artifact_degrades_to_miss;
     Alcotest.test_case "corrupt races report degrades to miss" `Quick
