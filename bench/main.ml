@@ -204,7 +204,7 @@ let proto_matrix buf =
 (* ------------------------------------------------------------------ *)
 
 (* The delta engine's headline number: a warm single-token edit served
-   against the source's held base, against a from-scratch parse + sema +
+   from the source's held base, against a from-scratch parse + sema +
    annotate of the same edited source. Outputs must be byte-identical
    (the whole point of the engine) or the run fails. Only deterministic
    facts go to stdout; the wall-clock table goes to stderr and the aggregate to the JSON [delta_speedup]
@@ -231,7 +231,7 @@ let delta_edit_spans source =
 let delta_incremental buf =
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr
-    "warm single-token edits served against a held base, against a\n\
+    "warm single-token edits served from a held base, against a\n\
      from-scratch parse + sema + annotate of the same edited source\n";
   pr "%-9s %7s  reuse        output vs from-scratch\n" "benchmark" "edits";
   Printf.eprintf "delta-incremental wall clock (mean of 5 distinct edits):\n";

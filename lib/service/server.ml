@@ -363,12 +363,12 @@ let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
               (base_stage t ~machine ~mode ~prefetch ~poll ~id:base source)
             ~source span text
         in
-        let base = outcome.Delta.Engine.base in
-        let result = annotated base.Delta.Engine.result in
+        let edited_base = outcome.Delta.Engine.base in
+        let result = annotated edited_base.Delta.Engine.result in
         write_through t annotate_codec ~key:(key "annotate") result;
         let remember codec =
           write_through t text_codec ~key:("src|" ^ artifact) edited;
-          write_through t codec ~key:(key "base") base
+          write_through t codec ~key:(key "base") edited_base
         in
         (match outcome.Delta.Engine.reuse with
         | Delta.Engine.Noop -> ()
