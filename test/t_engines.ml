@@ -225,6 +225,161 @@ proc main() {
 }
 |}
 
+(* ---- value typing edge cases ----
+
+   Programs aimed at the paths where a value's representation matters:
+   private elements nobody wrote (the int 0, which mixes into float
+   arithmetic), signed zeros, NaN, float remainders, calls and indices
+   inside float expressions, and a scalar holding both ints and floats.
+   Both engines must agree, and node 0 must print [expected]. NaN stays
+   out of shared memory: [check_same] compares memory with [=]. *)
+
+let check_prints name src expected =
+  check_engines name ~machine src;
+  let o =
+    Wwt.Run.measure ~machine ~annotations:false ~prefetch:false
+      (Lang.Parser.parse src)
+  in
+  Alcotest.(check (list string)) (name ^ ": node 0 prints") expected
+    (List.filter (fun l -> String.sub l 0 3 = "p0:") o.Wwt.Interp.output)
+
+(* Both engines must stop with the same runtime error. *)
+let check_error name src expected =
+  let prog = Lang.Parser.parse src in
+  let message engine =
+    match
+      Wwt.Run.measure ~engine ~machine ~annotations:false ~prefetch:false prog
+    with
+    | _ -> Alcotest.failf "%s: expected a runtime error" name
+    | exception Wwt.Interp.Runtime_error msg -> msg
+  in
+  Alcotest.(check string) (name ^ ": tree walk") expected
+    (message Wwt.Run.Tree_walk);
+  Alcotest.(check string) (name ^ ": compiled") expected
+    (message Wwt.Run.Compiled)
+
+let unwritten_private_int_context () =
+  check_prints "unwritten-int-context"
+    {|private P[8];
+proc main() {
+  P[0] = 1.5;
+  x = P[3] + 1;
+  if (pid == 0) { print(x / 2, x, P[0] + P[3]); }
+}
+|}
+    [ "p0: 0 1 1.5" ]
+
+let unwritten_private_divisor () =
+  check_error "unwritten-divisor"
+    {|private P[8];
+proc main() {
+  P[0] = 2.5;
+  x = 1 / P[7];
+}
+|}
+    "division by zero"
+
+let signed_zeros () =
+  check_prints "signed-zeros"
+    {|private P[8];
+proc main() {
+  P[1] = 0.5;
+  z = P[0] * 0.0 * -1.0;
+  w = -P[5];
+  u = P[0] - P[5];
+  if (pid == 0) { print(z, w, u, P[0] * -1.0, 0.0 * -1.0 + P[0]); }
+}
+|}
+    [ "p0: -0 0 0 -0 0" ]
+
+let nan_ordering () =
+  (* NaN's sign and payload differ between platforms, so only orderings
+     are printed: [compare] puts NaN below every float *)
+  check_prints "nan-ordering"
+    {|private P[8];
+proc main() {
+  P[1] = 4.0;
+  n = P[0] % 0.0;
+  m = sqrt(-1.0);
+  if (pid == 0) {
+    print(n < 1.0, 1.0 < n, n == n, n < m, m < n, n < -1000000.0);
+    print(min(n, 2.0) == n, min(2.0, n) == n, max(n, 2.0), max(2.0, n));
+    print(min(P[1], P[0]), max(P[1], P[0]), min(P[0], P[1] - 4.0));
+  }
+}
+|}
+    [ "p0: 1 0 1 0 0 1"; "p0: 1 1 2 2"; "p0: 0 4 0" ]
+
+let float_remainder () =
+  check_prints "float-remainder"
+    {|private P[8];
+proc main() {
+  P[2] = 7.5;
+  r = P[2] % 2.0;
+  s = P[2] % P[3];
+  if (pid == 0) { print(r, s < -1000000.0, P[2] % 2, -P[2] % 2.0); }
+}
+|}
+    [ "p0: 1.5 1 1.5 -1.5" ]
+
+let unwritten_remainder () =
+  check_error "unwritten-remainder"
+    {|private P[8];
+proc main() {
+  P[0] = 1.0;
+  r = P[6] % P[7];
+}
+|}
+    "division by zero"
+
+let call_in_float_expression () =
+  check_prints "call-in-float-expression"
+    {|private P[8];
+proc twice(a) {
+  t = a * 2.0 + 0.25;
+  return t;
+}
+proc main() {
+  P[1] = 1.5;
+  s = P[1] * 3.0 + twice(P[1] + 1.0) * 0.5;
+  q = sqrt(twice(P[1]) + twice(P[0]) * P[1]);
+  if (pid == 0) { print(s, q, twice(P[2]) - P[1]); }
+}
+|}
+    [ "p0: 7.125 1.90394 -1.25" ]
+
+let float_index_and_noise () =
+  check_prints "float-index-and-noise"
+    {|shared A[16];
+private P[8];
+proc main() {
+  P[0] = 1.75;
+  A[pid * 4 + int(P[0] * 2.0)] = P[0] + 1.0;
+  barrier;
+  v = A[int(P[0] * 2.0 - 0.5)] + noise(int(P[0] * 100.0));
+  P[int(P[0])] = v;
+  if (pid == 0) { print(v, P[1], noise(int(P[0] * 100.0) + pid)); }
+}
+|}
+    [ "p0: 3.20134 3.20134 0.451337" ]
+
+let mixed_slot () =
+  check_prints "mixed-slot"
+    {|private P[8];
+proc main() {
+  v = 1;
+  w = v + 2;
+  v = v + 0.5;
+  P[0] = v;
+  P[1] = 3;
+  for k = 0 to 2 {
+    v = v * 2;
+  }
+  if (pid == 0) { print(v, w, P[0] + P[1], P[1] / 2); }
+}
+|}
+    [ "p0: 12 3 4.5 1" ]
+
 let suite =
   [
     Alcotest.test_case "suite equivalence (both modes)" `Slow suite_equivalence;
@@ -241,4 +396,19 @@ let suite =
     Alcotest.test_case "zero-miss epochs" `Quick zero_miss_epochs;
     Alcotest.test_case "cross-node conflict program" `Quick
       cross_node_conflict;
+    Alcotest.test_case "unwritten private element in int context" `Quick
+      unwritten_private_int_context;
+    Alcotest.test_case "unwritten private element as divisor" `Quick
+      unwritten_private_divisor;
+    Alcotest.test_case "signed zeros" `Quick signed_zeros;
+    Alcotest.test_case "NaN through comparisons and min/max" `Quick
+      nan_ordering;
+    Alcotest.test_case "float remainder" `Quick float_remainder;
+    Alcotest.test_case "remainder of unwritten elements" `Quick
+      unwritten_remainder;
+    Alcotest.test_case "call inside a float expression" `Quick
+      call_in_float_expression;
+    Alcotest.test_case "float index and noise argument" `Quick
+      float_index_and_noise;
+    Alcotest.test_case "slot assigned ints and floats" `Quick mixed_slot;
   ]
