@@ -97,6 +97,7 @@ type cenv = {
   (* per-proc, during compilation: *)
   slots : (string, int) Hashtbl.t;
   islots : (string, bool) Hashtbl.t;  (* slot is statically int-typed *)
+  unproven : (int * string, unit) Hashtbl.t;  (* see [unproven_reads] *)
   mutable next_slot : int;
 }
 
@@ -130,6 +131,54 @@ let collect_slots env (proc : Ast.proc) =
       | Ast.Sfor { var; _ } -> ignore (slot_of env var)
       | _ -> ())
     probe
+
+(* ---- definite assignment ---- *)
+
+module Names = Set.Make (String)
+
+(* The slot reads that may run before any write to the slot, as
+   (statement id, name) pairs. A statement evaluates all its own
+   expressions before its own write, so whether a read is proven depends
+   only on its statement. A loop body may run zero times and a branch
+   may not be taken, so neither proves anything after it. Only these
+   reads check at run time, and only their slots can be unassigned. *)
+let unproven_reads env (proc : Ast.proc) =
+  Hashtbl.reset env.unproven;
+  let rec reads pc set (e : Ast.expr) =
+    match e with
+    | Ast.Evar name ->
+        if Hashtbl.mem env.slots name && not (Names.mem name set) then
+          Hashtbl.replace env.unproven (pc, name) ()
+    | Ast.Eint _ | Ast.Efloat _ -> ()
+    | Ast.Eindex (_, a) | Ast.Eunop (_, a) -> reads pc set a
+    | Ast.Ebinop (_, a, b) -> reads pc set a; reads pc set b
+    | Ast.Ecall (_, args) -> List.iter (reads pc set) args
+  in
+  let rec stmt set (s : Ast.stmt) =
+    let r = reads s.Ast.sid set in
+    match s.Ast.node with
+    | Ast.Sassign (Ast.Lvar x, e) -> r e; Names.add x set
+    | Ast.Sassign (Ast.Lindex (_, i), e) -> r e; r i; set
+    | Ast.Sif (c, b1, b2) -> r c; Names.inter (block set b1) (block set b2)
+    | Ast.Sfor { var; from_; to_; step; body } ->
+        r from_; r to_; r step;
+        ignore (block (Names.add var set) body);
+        set
+    | Ast.Swhile (c, body) -> r c; ignore (block set body); set
+    | Ast.Scall (_, args) | Ast.Sprint args -> List.iter r args; set
+    | Ast.Sreturn e -> Option.iter r e; set
+    | Ast.Slock e | Ast.Sunlock e -> r e; set
+    | Ast.Sannot (_, { lo; hi; _ }) -> r lo; r hi; set
+    | Ast.Sbarrier | Ast.Sannot_table _ -> set
+  and block set b = List.fold_left stmt set b in
+  ignore (block (Names.of_list proc.Ast.params) proc.Ast.body)
+
+let maybe_unassigned env name =
+  Hashtbl.fold (fun (_, n) () acc -> acc || n = name) env.unproven false
+
+(* A boxed slot holds [unassigned] until its first write; the block is
+   allocated here so no other value is physically equal to it. *)
+let unassigned = Value.Vint (Sys.opaque_identity 0)
 
 (* ---- static int typing ---- *)
 
@@ -168,10 +217,15 @@ let rec expr_is_int env (e : Ast.expr) =
 
 (* A slot is int-typed iff every write to it (assignment or loop header)
    is an int-typed expression. Demotions can cascade, so iterate to a
-   fixed point; params arrive as boxed values and stay non-int. *)
+   fixed point; params arrive as boxed values and stay non-int, and a
+   slot that may be read unassigned stays boxed so it can hold
+   [unassigned]. *)
 let analyze_int_slots env (proc : Ast.proc) =
   Hashtbl.reset env.islots;
-  Hashtbl.iter (fun name _ -> Hashtbl.replace env.islots name true) env.slots;
+  Hashtbl.iter
+    (fun name _ ->
+      Hashtbl.replace env.islots name (not (maybe_unassigned env name)))
+    env.slots;
   List.iter (fun p -> Hashtbl.replace env.islots p false) proc.Ast.params;
   let probe = { Ast.decls = []; procs = [ proc ] } in
   let changed = ref true in
@@ -272,6 +326,20 @@ let rec compile_expr env ~pc (e : Ast.expr) : cexpr =
           if Hashtbl.mem env.slots name then begin
             let i = Hashtbl.find env.slots name in
             if int_slot env name then fun r -> charge r; Value.Vint r.ints.(i)
+            else if Hashtbl.mem env.unproven (pc, name) then begin
+              (* unassigned, the name means what it means outside the
+                 procedure: a constant a loop variable shadows, or
+                 nothing, as in [Interp.lookup_var] *)
+              let outside =
+                match List.assoc_opt name env.consts with
+                | Some v -> fun () -> v
+                | None -> fun () -> error "undefined variable %S" name
+              in
+              fun r ->
+                charge r;
+                let v = r.vals.(i) in
+                if v == unassigned then outside () else v
+            end
             else fun r -> charge r; r.vals.(i)
           end
           else if name = "pid" then fun r -> charge r; Value.Vint r.node
@@ -497,7 +565,7 @@ and compile_call env ~pc name args : cexpr =
       match Hashtbl.find_opt env.procs name with
       | Some cp when cp.arity = nargs ->
           fun r ->
-            let vals = Array.make (max 1 cp.nslots) Value.zero in
+            let vals = Array.make (max 1 cp.nslots) unassigned in
             for i = 0 to nargs - 1 do
               vals.(i) <- cargs.(i) r
             done;
@@ -773,6 +841,7 @@ let compile ~machine program =
       private_ids = List.mapi (fun i (name, _) -> (name, i)) info.Sema.privates;
       slots = Hashtbl.create 16;
       islots = Hashtbl.create 16;
+      unproven = Hashtbl.create 16;
       next_slot = 0;
     }
   in
@@ -785,6 +854,7 @@ let compile ~machine program =
   List.iter
     (fun (p : Ast.proc) ->
       collect_slots env p;
+      unproven_reads env p;
       analyze_int_slots env p;
       let cbody = compile_block env p.Ast.body in
       let cp = Hashtbl.find env.procs p.Ast.pname in
@@ -858,7 +928,7 @@ let run ?poll ~machine program =
         pending = 0;
         base_now = 0;
         held_locks = [];
-        vals = Array.make (max 1 main.nslots) Value.zero;
+        vals = Array.make (max 1 main.nslots) unassigned;
         ints = Array.make (max 1 main.nslots) 0;
       }
     in

@@ -15,18 +15,18 @@
     simulated times, statistics, traces and final memory on every
     benchmark (differential testing).
 
-    One intentional divergence: reading a scalar before assigning it is a
-    [Runtime_error] in {!Interp} but yields the integer 0 here (slots are
-    pre-initialised); programs that error are outside the equivalence
-    contract. *)
+    Reading a scalar before assigning it is the same [Runtime_error] as in
+    {!Interp}, raised at the same read. A definite-assignment pass proves
+    most reads come after a write; only the others check at run time. *)
 
 val run :
   ?poll:(unit -> unit) -> machine:Machine.t -> Lang.Ast.program ->
   Interp.outcome
 (** Compile and execute; the result type is shared with {!Interp}.
     [poll] is forwarded to {!Sched.run} (periodic cancellation hook).
-    @raise Interp.Runtime_error on out-of-bounds accesses, division by
-    zero, zero loop steps or unknown calls, like the tree walk. *)
+    @raise Interp.Runtime_error on out-of-bounds accesses, undefined
+    variables, division by zero, zero loop steps or unknown calls, like
+    the tree walk. *)
 
 val compile_only : machine:Machine.t -> Lang.Ast.program -> unit
 (** Run only the compilation pass (used by benchmarks of the tool). *)

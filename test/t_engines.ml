@@ -380,6 +380,52 @@ proc main() {
 |}
     [ "p0: 12 3 4.5 1" ]
 
+(* ---- unassigned scalars ----
+
+   Reading a scalar before any write is a runtime error in both engines,
+   raised at the same read; a read that only comes after a write in time
+   (a later iteration) is not. *)
+
+let unassigned_after_untaken_branch () =
+  check_error "unassigned-after-branch"
+    {|shared A[16];
+proc main() {
+  if (pid > 100) { x = 1; }
+  y = x + 1;
+  print(y);
+}
+|}
+    {|undefined variable "x"|}
+
+let unassigned_in_while_body () =
+  check_error "unassigned-in-while"
+    {|proc main() {
+  k = 0;
+  while (k < 2) {
+    w = k + v;
+    v = k;
+    k = k + 1;
+  }
+}
+|}
+    {|undefined variable "v"|}
+
+let assigned_in_earlier_iteration () =
+  check_prints "assigned-in-earlier-iteration"
+    {|const N = 7;
+proc main() {
+  k = 0;
+  while (k < 3) {
+    if (k > 0) { print(v, N); }
+    v = k * 1.5;
+    k = k + 1;
+  }
+  for N = 0 to 1 { }
+  print(N);
+}
+|}
+    [ "p0: 0 7"; "p0: 1.5 7"; "p0: 1" ]
+
 let suite =
   [
     Alcotest.test_case "suite equivalence (both modes)" `Slow suite_equivalence;
@@ -411,4 +457,10 @@ let suite =
     Alcotest.test_case "float index and noise argument" `Quick
       float_index_and_noise;
     Alcotest.test_case "slot assigned ints and floats" `Quick mixed_slot;
+    Alcotest.test_case "unassigned read after an untaken branch" `Quick
+      unassigned_after_untaken_branch;
+    Alcotest.test_case "unassigned read in a while body" `Quick
+      unassigned_in_while_body;
+    Alcotest.test_case "read assigned in an earlier iteration" `Quick
+      assigned_in_earlier_iteration;
   ]
