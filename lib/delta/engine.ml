@@ -24,12 +24,12 @@ let reuse_to_string = function
   | Plan_reuse -> "plan-reuse"
   | Resim why -> "resim: " ^ why
 
-let base_of ~machine ~options ?trace program =
+let base_of ?poll ~machine ~options ?trace program =
   let info = Lang.Sema.check program in
   let records =
     match trace with
     | Some records -> records
-    | None -> (Wwt.Run.collect_trace ~machine program).Wwt.Interp.trace
+    | None -> (Wwt.Run.collect_trace ?poll ~machine program).Wwt.Interp.trace
   in
   let result, plan =
     Cachier.Annotate.annotate_and_plan ~machine ~options program records
@@ -54,7 +54,7 @@ let sema_incremental b (eprog : Lang.Ast.program) =
       procs eprog.Lang.Ast.procs
   else ignore (Lang.Sema.check eprog : Lang.Sema.info)
 
-let annotate_delta ~machine ~options ~base:b ~source span text =
+let annotate_delta ?poll ~machine ~options ~base:b ~source span text =
   let edited = Splice.apply_edit source span text in
   let artifact = source_digest edited in
   if String.equal edited source then
@@ -82,7 +82,7 @@ let annotate_delta ~machine ~options ~base:b ~source span text =
         }
     | Taint.Broken why ->
         {
-          base = base_of ~machine ~options eprog;
+          base = base_of ?poll ~machine ~options eprog;
           reuse = Resim why;
           artifact;
           edited_source = edited;

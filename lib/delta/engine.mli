@@ -47,6 +47,7 @@ val source_digest : string -> string
 (** Hex digest of a source text — the service's artifact id. *)
 
 val base_of :
+  ?poll:(unit -> unit) ->
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
   ?trace:Trace.Event.record list ->
@@ -55,9 +56,11 @@ val base_of :
 (** The full pipeline for a parsed source: sema, the trace-mode run
     (skipped when [trace], the program's trace on [machine], is given)
     and {!Cachier.Annotate.annotate_and_plan}. Raises like the cold path
-    on invalid programs. *)
+    on invalid programs. [poll] is the trace run's cancellation hook
+    ({!Wwt.Sched.run}). *)
 
 val annotate_delta :
+  ?poll:(unit -> unit) ->
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
   base:base ->
@@ -68,7 +71,8 @@ val annotate_delta :
 (** [annotate_delta ~base ~source span text] annotates [apply_edit
     source span text], where [base] is [source]'s base on the same
     [machine] and [options]. Raises like the cold path when the edited
-    program is invalid. *)
+    program is invalid. A [Resim] passes [poll] to its trace run, so a
+    deadline can cancel it. *)
 
 val prove_simulate :
   base:Lang.Ast.program -> edited:Lang.Ast.program -> (unit, string) result

@@ -357,7 +357,8 @@ let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
   let result, cached =
     tiered t annotate_codec ~stage:"delta" ~key:(key "delta") (fun () ->
         let outcome =
-          Delta.Engine.annotate_delta ~machine:(Protocol.to_machine machine)
+          Delta.Engine.annotate_delta ?poll
+            ~machine:(Protocol.to_machine machine)
             ~options:(placement_options ~mode ~prefetch)
             ~base:
               (base_stage t ~machine ~mode ~prefetch ~poll ~id:base source)

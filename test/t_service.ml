@@ -669,6 +669,40 @@ let test_deadline_cancels_running_simulation () =
       Alcotest.(check bool) "still serving" true
         (String.length (ok_payload ok) > 0))
 
+(* A delta whose edit breaks the taint proof re-simulates the edited
+   source; that trace run answers to the request's deadline like any
+   other. Editing the size constant of a 400000-iteration loop at 4 nodes
+   breaks the proof, and its re-simulation takes far longer than 20 ms
+   (about 130 ms on a 2-vCPU host). *)
+let test_deadline_cancels_delta_resim () =
+  with_server (fun server ->
+      let source =
+        "const N = 400000;\nshared A[64];\nproc main() {\n\
+        \  for i = 0 to N - 1 {\n    A[pid * 16 + i % 16] = i;\n  }\n\
+        \  barrier;\n}\n"
+      in
+      let base = artifact_of (Server.handle server (annotate_text source)) in
+      let edit ?deadline_ms () =
+        request ?deadline_ms
+          (Protocol.Annotate_delta
+             { base; start = String.index source '4'; len = 6;
+               text = "400001"; mode = Performance; prefetch = false })
+      in
+      Alcotest.(check string) "resim cancelled" "deadline_exceeded"
+        (error_kind (Server.handle server (edit ~deadline_ms:20 ())));
+      let ok = Server.handle server (edit ()) in
+      Alcotest.(check string) "same edit without a deadline"
+        (cold_annotate
+           (Delta.Splice.apply_edit source
+              { Delta.Splice.start = String.index source '4'; len = 6 }
+              "400001"))
+        (ok_payload ok);
+      match extra "reuse" ok with
+      | Some (Json.String r) ->
+          Alcotest.(check string) "re-simulated" "resim"
+            (String.sub r 0 (min 5 (String.length r)))
+      | _ -> Alcotest.fail "delta response missing reuse extra")
+
 (* ---- the NDJSON loop: overload and shutdown ---- *)
 
 let serve_lines ~config lines =
@@ -1299,6 +1333,8 @@ let suite =
       test_deadline_exceeded_leaves_pool_serving;
     Alcotest.test_case "deadline cancels a running simulation" `Quick
       test_deadline_cancels_running_simulation;
+    Alcotest.test_case "deadline cancels a delta re-simulation" `Quick
+      test_deadline_cancels_delta_resim;
     Alcotest.test_case "serve: overload is a structured error" `Quick
       test_serve_overload_structured_error;
     Alcotest.test_case "serve: shutdown drains, bad lines answered" `Quick
