@@ -8,13 +8,19 @@ exception Returning of Value.t option
 
 (* One record per node, and the only argument of compiled code, so every
    node calls its children at a known arity of one. The first fields are
-   the run's shared state (the same values in every node's record); [vals]
-   and [ints] are the running procedure's slots, which a call swaps for
-   the callee's and restores. Statically int-typed variables live unboxed
-   in [ints]; everything else is a boxed [Value.t] in [vals]. Which slots
-   are int is decided per procedure by [analyze_int_slots]; an int slot is
-   only ever written from expressions whose value is guaranteed
-   [Value.Vint], so the two representations never disagree. *)
+   the run's shared state (the same values in every node's record); [vals],
+   [ints] and [floats] are the running procedure's frame, which a call
+   swaps for the callee's and restores.
+
+   Every value has one of four static types ([ty]), fixed at compile time
+   by [type_program], and lives where its type says: an int unboxed in
+   [ints]; a float, or the int 0 of a never-written private element
+   ([fz_zero]), unboxed in [floats]; anything else as a [Value.t] in
+   [vals]. [floats] also holds the float registers that float expressions
+   compute in, after the float slots. A private array whose every store
+   is float-typed lives unboxed in [fprivates], any other in [privates].
+   A value is boxed only where it leaves the engine: shared memory,
+   [print], call arguments and returns, and a read in a boxed context. *)
 type rt = {
   machine : Machine.t;
   proto : Memsys.Protocol.t;
@@ -24,7 +30,8 @@ type rt = {
   trace_rev : Trace.Event.record list ref;  (* newest first *)
   output_buf : string list ref;
   node : int;
-  privates : Value.t array array;  (* indexed by compile-time private id *)
+  privates : Value.t array array;  (* boxed private arrays, by id *)
+  fprivates : float array array;  (* float private arrays, by id *)
   lop : int;  (* cost of a local op, lifted out of the machine record *)
   quantum : int;
   mutable pending : int;
@@ -32,6 +39,7 @@ type rt = {
   mutable held_locks : int list;
   mutable vals : Value.t array;
   mutable ints : int array;
+  mutable floats : float array;
 }
 
 let elem_shift_of elem_size =
@@ -45,12 +53,21 @@ let elem_index r addr =
   if r.elem_shift >= 0 then addr lsr r.elem_shift
   else addr / r.machine.Machine.elem_size
 
+(* A float expression writes its result into its register
+   [r.floats.(d)] instead of returning it: without flambda, a closure
+   that returned a float would box it. *)
 type cexpr = rt -> Value.t
 type cint = rt -> int
 type cbool = rt -> bool
+type cfloat = rt -> unit
 type cstmt = rt -> unit
 
-type cproc = { arity : int; mutable nslots : int; mutable cbody : cstmt }
+type cproc = {
+  arity : int;
+  mutable nslots : int;
+  mutable nfloats : int;  (* float slots and registers *)
+  mutable cbody : cstmt;
+}
 
 (* ---- cost plumbing (identical to Interp) ---- *)
 
@@ -82,55 +99,118 @@ let record_miss r ~pc ~addr packed =
   end;
   r.pending <- r.pending + Memsys.Protocol.packed_latency packed
 
+(* ---- the float-or-zero encoding ---- *)
+
+(* A private element nobody wrote is [Vint 0], not a float, and mixes
+   into arithmetic as an int ([P[3] + 1] is the int 1). In float storage
+   it is this signalling NaN. No float operation produces a signalling
+   NaN, and loads, stores and [Float.abs] keep its bits. *)
+let fz_zero_bits = 0x7FF4_0000_0000_0000L
+let fz_zero = Int64.float_of_bits fz_zero_bits
+
+let[@inline] is_fz_zero (x : float) =
+  x <> x && Int64.equal (Int64.bits_of_float x) fz_zero_bits
+
+(* [Value.to_float] of an encoded value *)
+let[@inline] num (x : float) = if is_fz_zero x then 0.0 else x
+
+let box_fz x = if is_fz_zero x then Value.zero else Value.Vfloat x
+
+let unbox_fz = function
+  | Value.Vfloat f -> f
+  | Value.Vint _ -> fz_zero
+
+(* The slow halves of [Value.add]/[sub]/[mul] on two encoded values, for
+   when either is a NaN: the int 0 only if both are. *)
+let fz_add x y =
+  if is_fz_zero x && is_fz_zero y then fz_zero else num x +. num y
+
+let fz_sub x y =
+  if is_fz_zero x && is_fz_zero y then fz_zero else num x -. num y
+
+let fz_mul x y =
+  if is_fz_zero x && is_fz_zero y then fz_zero else num x *. num y
+
+(* ---- static types ---- *)
+
+(* What a value is guaranteed to be at run time. [Tnone] is where the
+   typing pass starts a slot: no write has given it a value yet. *)
+type ty =
+  | Tnone
+  | Tint  (* always [Vint] *)
+  | Tfloat  (* always [Vfloat] *)
+  | Tfz  (* [Vfloat], or the [Vint 0] of a never-written private element *)
+  | Tbox  (* anything *)
+
+let join a b =
+  match (a, b) with
+  | Tnone, t | t, Tnone -> t
+  | Tint, Tint -> Tint
+  | Tfloat, Tfloat -> Tfloat
+  | (Tfloat | Tfz), (Tfloat | Tfz) -> Tfz
+  | _ -> Tbox
+
+(* Values live unboxed in float storage when their type is one of these
+   ([Tnone] is never read, see [type_program]). *)
+let floaty = function Tnone | Tfloat | Tfz -> true | Tint | Tbox -> false
+
+(* [Value]'s promotion rule: int op int is an int, anything with a float
+   operand a float. A zero divisor stops the run whatever its type, so a
+   never-written divisor yields a float or nothing. *)
+let arith (op : Ast.binop) a b =
+  match (op, a, b) with
+  | _, Tnone, _ | _, _, Tnone -> Tnone
+  | _, Tint, Tint -> Tint
+  | _, Tfloat, _ | (Ast.Add | Ast.Sub | Ast.Mul | Ast.Mod), _, Tfloat -> Tfloat
+  | Ast.Div, _, (Tfloat | Tfz) -> Tfloat
+  | (Ast.Add | Ast.Sub | Ast.Mul), Tfz, Tfz -> Tfz
+  | _ -> Tbox
+
+(* a loop variable holds [from], then repeatedly itself plus [step] *)
+let loop_var_type from step =
+  let rec go t =
+    let t' = join t (arith Ast.Add t step) in
+    if t' = t then t else go t'
+  in
+  go from
+
 (* ---- compile-time environment ---- *)
 
 type array_ref =
   | Ashared of Label.entry
-  | Aprivate of int * int  (* private id, element count *)
+  | Aboxed of int * int  (* id in [privates], element count *)
+  | Afloat of int * int  (* id in [fprivates], element count *)
+
+(* One procedure's frame: slot indices (params first), their types, and
+   the reads that may find a slot unassigned. *)
+type frame = {
+  slots : (string, int) Hashtbl.t;
+  types : (string, ty) Hashtbl.t;
+  unproven : (int * string, unit) Hashtbl.t;  (* see [unproven_reads] *)
+  mutable nregs : int;  (* float registers, after the slots in [floats] *)
+}
 
 type cenv = {
-  info : Sema.info;
   genv_layout : Label.t;
   consts : (string * Value.t) list;
   procs : (string, cproc) Hashtbl.t;
-  private_ids : (string * int) list;
-  (* per-proc, during compilation: *)
-  slots : (string, int) Hashtbl.t;
-  islots : (string, bool) Hashtbl.t;  (* slot is statically int-typed *)
-  unproven : (int * string, unit) Hashtbl.t;  (* see [unproven_reads] *)
-  mutable next_slot : int;
+  float_privates : (string, unit) Hashtbl.t;
+  mutable private_refs : (string * array_ref) list;
+  mutable cur : frame;  (* the procedure being typed or compiled *)
 }
 
 let array_ref env name =
   match Label.find_array env.genv_layout name with
   | Some e -> Some (Ashared e)
-  | None -> (
-      match List.assoc_opt name env.private_ids with
-      | Some id -> Some (Aprivate (id, List.assoc name env.info.Sema.privates))
-      | None -> None)
+  | None -> List.assoc_opt name env.private_refs
 
-let slot_of env name =
-  match Hashtbl.find_opt env.slots name with
-  | Some i -> i
-  | None ->
-      let i = env.next_slot in
-      env.next_slot <- i + 1;
-      Hashtbl.add env.slots name i;
-      i
+let slot env name = Hashtbl.find_opt env.cur.slots name
+let slot_type env name = Hashtbl.find env.cur.types name
 
-(* names assigned anywhere in the procedure become slots *)
-let collect_slots env (proc : Ast.proc) =
-  Hashtbl.reset env.slots;
-  env.next_slot <- 0;
-  List.iter (fun p -> ignore (slot_of env p)) proc.Ast.params;
-  let probe = { Ast.decls = []; procs = [ proc ] } in
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.node with
-      | Ast.Sassign (Ast.Lvar name, _) -> ignore (slot_of env name)
-      | Ast.Sfor { var; _ } -> ignore (slot_of env var)
-      | _ -> ())
-    probe
+(* registers sit after the slots; note that register [d] is used *)
+let reg env d =
+  let n = d - Hashtbl.length env.cur.slots + 1 in
+  if n > env.cur.nregs then env.cur.nregs <- n
 
 (* ---- definite assignment ---- *)
 
@@ -142,13 +222,12 @@ module Names = Set.Make (String)
    only on its statement. A loop body may run zero times and a branch
    may not be taken, so neither proves anything after it. Only these
    reads check at run time, and only their slots can be unassigned. *)
-let unproven_reads env (proc : Ast.proc) =
-  Hashtbl.reset env.unproven;
+let unproven_reads (f : frame) (proc : Ast.proc) =
   let rec reads pc set (e : Ast.expr) =
     match e with
     | Ast.Evar name ->
-        if Hashtbl.mem env.slots name && not (Names.mem name set) then
-          Hashtbl.replace env.unproven (pc, name) ()
+        if Hashtbl.mem f.slots name && not (Names.mem name set) then
+          Hashtbl.replace f.unproven (pc, name) ()
     | Ast.Eint _ | Ast.Efloat _ -> ()
     | Ast.Eindex (_, a) | Ast.Eunop (_, a) -> reads pc set a
     | Ast.Ebinop (_, a, b) -> reads pc set a; reads pc set b
@@ -173,86 +252,119 @@ let unproven_reads env (proc : Ast.proc) =
   and block set b = List.fold_left stmt set b in
   ignore (block (Names.of_list proc.Ast.params) proc.Ast.body)
 
-let maybe_unassigned env name =
-  Hashtbl.fold (fun (_, n) () acc -> acc || n = name) env.unproven false
-
 (* A boxed slot holds [unassigned] until its first write; the block is
    allocated here so no other value is physically equal to it. *)
 let unassigned = Value.Vint (Sys.opaque_identity 0)
 
-(* ---- static int typing ---- *)
+(* ---- the typing pass ---- *)
 
-(* [true] only if the expression's runtime value is guaranteed to be
-   [Value.Vint] under the current slot typing. Comparisons and boolean
-   operators always produce ints; arithmetic does iff both operands do
-   (matching [Value]'s promotion rule). *)
-let rec expr_is_int env (e : Ast.expr) =
+let rec type_of env (e : Ast.expr) =
   match e with
-  | Ast.Eint _ -> true
-  | Ast.Efloat _ -> false
+  | Ast.Eint _ -> Tint
+  | Ast.Efloat _ -> Tfloat
   | Ast.Evar name -> (
-      match array_ref env name with
-      | Some _ -> false
-      | None ->
-          if Hashtbl.mem env.slots name then
-            Option.value ~default:false (Hashtbl.find_opt env.islots name)
-          else if name = "pid" || name = "nprocs" then true
-          else (
-            match List.assoc_opt name env.consts with
-            | Some (Value.Vint _) -> true
-            | Some (Value.Vfloat _) | None -> false))
-  | Ast.Eindex _ -> false  (* array elements are not statically typed *)
-  | Ast.Ebinop ((Ast.And | Ast.Or), _, _) -> true
-  | Ast.Ebinop ((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne), _, _)
-    -> true
-  | Ast.Ebinop ((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod), a, b) ->
-      expr_is_int env a && expr_is_int env b
-  | Ast.Eunop (Ast.Neg, a) -> expr_is_int env a
-  | Ast.Eunop (Ast.Not, _) -> true
-  | Ast.Ecall ("int", [ _ ]) -> true
-  | Ast.Ecall ("abs", [ a ]) -> expr_is_int env a
-  | Ast.Ecall (("min" | "max"), [ a; b ]) ->
-      expr_is_int env a && expr_is_int env b
-  | Ast.Ecall _ -> false
+      match Hashtbl.find_opt env.cur.types name with
+      | Some t -> t
+      | None when name = "pid" || name = "nprocs" -> Tint
+      | None -> (
+          match List.assoc_opt name env.consts with
+          | Some (Value.Vint _) -> Tint
+          | Some (Value.Vfloat _) -> Tfloat
+          | None -> Tbox))
+  | Ast.Eindex (name, _) ->
+      if Hashtbl.mem env.float_privates name then Tfz else Tbox
+  | Ast.Ebinop
+      ( ( Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And
+        | Ast.Or ),
+        _,
+        _ )
+  | Ast.Eunop (Ast.Not, _)
+  | Ast.Ecall ("int", [ _ ]) ->
+      Tint
+  | Ast.Ebinop (op, a, b) -> arith op (type_of env a) (type_of env b)
+  | Ast.Eunop (Ast.Neg, a) | Ast.Ecall ("abs", [ a ]) -> type_of env a
+  | Ast.Ecall (("sqrt" | "sin" | "cos" | "floor" | "float" | "noise"), [ _ ])
+    ->
+      Tfloat
+  | Ast.Ecall (("min" | "max"), [ a; b ]) -> (
+      match (type_of env a, type_of env b) with
+      | Tnone, _ | _, Tnone -> Tnone
+      | ta, tb -> join ta tb)
+  | Ast.Ecall _ -> Tbox
 
-(* A slot is int-typed iff every write to it (assignment or loop header)
-   is an int-typed expression. Demotions can cascade, so iterate to a
-   fixed point; params arrive as boxed values and stay non-int, and a
-   slot that may be read unassigned stays boxed so it can hold
-   [unassigned]. *)
-let analyze_int_slots env (proc : Ast.proc) =
-  Hashtbl.reset env.islots;
-  Hashtbl.iter
-    (fun name _ ->
-      Hashtbl.replace env.islots name (not (maybe_unassigned env name)))
-    env.slots;
-  List.iter (fun p -> Hashtbl.replace env.islots p false) proc.Ast.params;
-  let probe = { Ast.decls = []; procs = [ proc ] } in
+(* Names assigned anywhere in a procedure become its slots. Params arrive
+   boxed, and a slot that may be read unassigned is boxed so it can hold
+   [unassigned]; every other slot starts at [Tnone]. *)
+let frame_of (proc : Ast.proc) =
+  let f =
+    {
+      slots = Hashtbl.create 16;
+      types = Hashtbl.create 16;
+      unproven = Hashtbl.create 8;
+      nregs = 0;
+    }
+  in
+  let add name =
+    if not (Hashtbl.mem f.slots name) then
+      Hashtbl.add f.slots name (Hashtbl.length f.slots)
+  in
+  List.iter add proc.Ast.params;
+  Ast.iter_stmts
+    (fun s ->
+      match s.Ast.node with
+      | Ast.Sassign (Ast.Lvar name, _) | Ast.Sfor { var = name; _ } -> add name
+      | _ -> ())
+    { Ast.decls = []; procs = [ proc ] };
+  unproven_reads f proc;
+  Hashtbl.iter (fun name _ -> Hashtbl.replace f.types name Tnone) f.slots;
+  List.iter (fun p -> Hashtbl.replace f.types p Tbox) proc.Ast.params;
+  Hashtbl.iter (fun (_, name) () -> Hashtbl.replace f.types name Tbox)
+    f.unproven;
+  f
+
+(* The one typing pass. A slot's type is the [join] of every write to
+   it; a private array stays unboxed until a store that is not
+   float-typed. Both only move up, so iterating to a fixed point
+   terminates. Private arrays outlive a procedure, so the pass covers the
+   whole program. A slot left at [Tnone] is only ever written by
+   expressions that never complete (each reads such a slot), so none of
+   its reads runs. *)
+let type_program env (program : Ast.program) =
+  let frames = List.map (fun p -> (p, frame_of p)) program.Ast.procs in
   let changed = ref true in
   while !changed do
     changed := false;
-    Ast.iter_stmts
-      (fun s ->
-        let demote name is_int =
-          if (not is_int)
-             && Option.value ~default:false (Hashtbl.find_opt env.islots name)
-          then begin
-            Hashtbl.replace env.islots name false;
+    List.iter
+      (fun ((p : Ast.proc), f) ->
+        env.cur <- f;
+        let widen name t =
+          let old = Hashtbl.find f.types name in
+          let t = join old t in
+          if t <> old then begin
+            Hashtbl.replace f.types name t;
             changed := true
           end
         in
-        match s.Ast.node with
-        | Ast.Sassign (Ast.Lvar name, e) -> demote name (expr_is_int env e)
-        | Ast.Sfor { var; from_; to_; step; _ } ->
-            demote var
-              (expr_is_int env from_ && expr_is_int env to_
-              && expr_is_int env step)
-        | _ -> ())
-      probe
-  done
-
-let int_slot env name =
-  Option.value ~default:false (Hashtbl.find_opt env.islots name)
+        Ast.iter_stmts
+          (fun s ->
+            match s.Ast.node with
+            | Ast.Sassign (Ast.Lvar x, e) -> widen x (type_of env e)
+            | Ast.Sfor { var; from_; step; _ } ->
+                widen var
+                  (loop_var_type (type_of env from_) (type_of env step))
+            | Ast.Sassign (Ast.Lindex (a, _), e) ->
+                if
+                  Hashtbl.mem env.float_privates a
+                  && not (floaty (type_of env e))
+                then begin
+                  Hashtbl.remove env.float_privates a;
+                  changed := true
+                end
+            | _ -> ())
+          { Ast.decls = []; procs = [ p ] })
+      frames
+  done;
+  frames
 
 (* ---- shared-memory accesses ---- *)
 
@@ -302,14 +414,60 @@ let check_private_index name size i =
   if i < 0 || i >= size then
     error "index %d out of bounds for private array %s[%d]" i name size
 
-(* ---- expression compilation ---- *)
+let count_private_read r =
+  r.stats.Memsys.Stats.private_reads <- r.stats.Memsys.Stats.private_reads + 1
 
-(* Int-typed expressions compile to unboxed [cint] closures, conditions to
-   [cbool] closures; everything else boxes. Every operator is chosen here,
-   at compile time, so a node's closure runs no dispatch of its own.
-   Charging is per AST node, on entry, in evaluation order in every
-   variant, so simulated cycle counts cannot differ. *)
-let rec compile_expr env ~pc (e : Ast.expr) : cexpr =
+let count_private_write r =
+  r.stats.Memsys.Stats.private_writes <-
+    r.stats.Memsys.Stats.private_writes + 1
+
+(* ---- expression compilation ----
+
+   Each expression compiles by its static type: an int to a [cint], a
+   float to a [cfloat] writing register [d] (registers above [d] are its
+   scratch), a condition to a [cbool], anything else to a boxing
+   [cexpr]. Every operator is chosen here, at compile time, so a node's
+   closure runs no dispatch of its own. Charging is per AST node, on
+   entry, in evaluation order in every variant, so simulated cycle counts
+   cannot differ. *)
+
+(* A boxed read of a variable. *)
+let compile_var env ~pc name : cexpr =
+  match array_ref env name with
+  | Some _ ->
+      (* sema rejects this; defensive *)
+      fun _ -> error "array %S used without a subscript" name
+  | None -> (
+      (* what the name means outside the procedure, as in
+         [Interp.lookup_var]: a constant (which a loop variable may
+         shadow), or nothing *)
+      let outside () =
+        match List.assoc_opt name env.consts with
+        | Some v -> v
+        | None -> error "undefined variable %S" name
+      in
+      match slot env name with
+      | Some i -> (
+          match slot_type env name with
+          | Tint -> fun r -> charge r; Value.Vint r.ints.(i)
+          | Tfloat -> fun r -> charge r; Value.Vfloat r.floats.(i)
+          | Tfz -> fun r -> charge r; box_fz r.floats.(i)
+          | Tnone | Tbox ->
+              if Hashtbl.mem env.cur.unproven (pc, name) then fun r ->
+                charge r;
+                let v = r.vals.(i) in
+                if v == unassigned then outside () else v
+              else fun r -> charge r; r.vals.(i))
+      | None ->
+          if name = "pid" then fun r -> charge r; Value.Vint r.node
+          else if name = "nprocs" then
+            fun r -> charge r; Value.Vint r.machine.Machine.nodes
+          else (
+            match List.assoc_opt name env.consts with
+            | Some v -> fun r -> charge r; v
+            | None -> fun _ -> error "undefined variable %S" name))
+
+let rec compile_expr env ~pc ~d (e : Ast.expr) : cexpr =
   match e with
   | Ast.Eint i ->
       let v = Value.Vint i in
@@ -317,61 +475,43 @@ let rec compile_expr env ~pc (e : Ast.expr) : cexpr =
   | Ast.Efloat f ->
       let v = Value.Vfloat f in
       fun r -> charge r; v
-  | Ast.Evar name -> (
-      match array_ref env name with
-      | Some _ ->
-          (* sema rejects this; defensive *)
-          fun _ -> error "array %S used without a subscript" name
-      | None ->
-          if Hashtbl.mem env.slots name then begin
-            let i = Hashtbl.find env.slots name in
-            if int_slot env name then fun r -> charge r; Value.Vint r.ints.(i)
-            else if Hashtbl.mem env.unproven (pc, name) then begin
-              (* unassigned, the name means what it means outside the
-                 procedure: a constant a loop variable shadows, or
-                 nothing, as in [Interp.lookup_var] *)
-              let outside =
-                match List.assoc_opt name env.consts with
-                | Some v -> fun () -> v
-                | None -> fun () -> error "undefined variable %S" name
-              in
-              fun r ->
-                charge r;
-                let v = r.vals.(i) in
-                if v == unassigned then outside () else v
-            end
-            else fun r -> charge r; r.vals.(i)
-          end
-          else if name = "pid" then fun r -> charge r; Value.Vint r.node
-          else if name = "nprocs" then
-            fun r -> charge r; Value.Vint r.machine.Machine.nodes
-          else (
-            match List.assoc_opt name env.consts with
-            | Some v -> fun r -> charge r; v
-            | None -> fun _ -> error "undefined variable %S" name))
-  | _ when expr_is_int env e ->
-      (* box once at the root instead of at every leaf and interior node *)
-      let ci = compile_int env ~pc e in
-      fun r -> Value.Vint (ci r)
+  | Ast.Evar name -> compile_var env ~pc name
+  | _ -> (
+      (* typed trees box once, at the root *)
+      match type_of env e with
+      | Tint ->
+          let ci = compile_int env ~pc ~d e in
+          fun r -> Value.Vint (ci r)
+      | Tfloat ->
+          let cf = compile_float env ~pc ~d ~num:true e in
+          fun r -> cf r; Value.Vfloat r.floats.(d)
+      | Tfz ->
+          let cf = compile_float env ~pc ~d ~num:false e in
+          fun r -> cf r; box_fz r.floats.(d)
+      | Tnone | Tbox -> compile_boxed env ~pc ~d e)
+
+(* the [Value] operations, for trees no static type covers *)
+and compile_boxed env ~pc ~d (e : Ast.expr) : cexpr =
+  match e with
   | Ast.Eindex (name, idx) -> (
-      let cidx = compile_index env ~pc idx in
+      let cidx = compile_index env ~pc ~d idx in
       match array_ref env name with
       | Some (Ashared entry) ->
           fun r ->
             charge r;
             let i = cidx r in
             shared_read r ~pc entry i
-      | Some (Aprivate (id, size)) ->
+      | Some (Aboxed (id, size)) ->
           fun r ->
             charge r;
             let i = cidx r in
             check_private_index name size i;
-            r.stats.Memsys.Stats.private_reads <-
-              r.stats.Memsys.Stats.private_reads + 1;
+            count_private_read r;
             r.privates.(id).(i)
+      | Some (Afloat _) -> assert false (* [Tfz] *)
       | None -> fun _ -> error "subscript of non-array %S" name)
   | Ast.Ebinop (op, a, b) -> (
-      let ca = compile_expr env ~pc a and cb = compile_expr env ~pc b in
+      let ca = compile_expr env ~pc ~d a and cb = compile_expr env ~pc ~d b in
       match op with
       | Ast.Add -> fun r -> charge r; let va = ca r in Value.add va (cb r)
       | Ast.Sub -> fun r -> charge r; let va = ca r in Value.sub va (cb r)
@@ -392,79 +532,101 @@ let rec compile_expr env ~pc (e : Ast.expr) : cexpr =
              with Division_by_zero -> error "division by zero")
       | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And | Ast.Or
         ->
-          assert false (* int-typed, compiled above *))
+          assert false (* [Tint] *))
   | Ast.Eunop (Ast.Neg, a) ->
-      let ca = compile_expr env ~pc a in
+      let ca = compile_expr env ~pc ~d a in
       fun r -> charge r; Value.neg (ca r)
-  | Ast.Eunop (Ast.Not, _) -> assert false (* int-typed *)
+  | Ast.Ecall ("min", [ a; b ]) ->
+      let ca = compile_expr env ~pc ~d a and cb = compile_expr env ~pc ~d b in
+      fun r ->
+        charge r;
+        let va = ca r in
+        let vb = cb r in
+        if Value.compare_num va vb <= 0 then va else vb
+  | Ast.Ecall ("max", [ a; b ]) ->
+      let ca = compile_expr env ~pc ~d a and cb = compile_expr env ~pc ~d b in
+      fun r ->
+        charge r;
+        let va = ca r in
+        let vb = cb r in
+        if Value.compare_num va vb >= 0 then va else vb
+  | Ast.Ecall ("abs", [ a ]) -> (
+      let ca = compile_expr env ~pc ~d a in
+      fun r ->
+        charge r;
+        match ca r with
+        | Value.Vint i -> Value.Vint (abs i)
+        | Value.Vfloat f -> Value.Vfloat (Float.abs f))
   | Ast.Ecall (name, args) ->
-      let call = compile_call env ~pc name args in
+      let call = compile_call env ~pc ~d name args in
       fun r -> charge r; call r
+  | Ast.Eint _ | Ast.Efloat _ | Ast.Evar _ | Ast.Eunop (Ast.Not, _) ->
+      assert false (* [compile_expr] *)
 
-(* unboxed compilation; precondition: [expr_is_int env e] *)
-and compile_int env ~pc (e : Ast.expr) : cint =
+(* precondition: [type_of env e = Tint] *)
+and compile_int env ~pc ~d (e : Ast.expr) : cint =
   match e with
   | Ast.Eint i -> fun r -> charge r; i
-  | Ast.Evar name ->
-      if Hashtbl.mem env.slots name then begin
-        let i = Hashtbl.find env.slots name in
-        fun r -> charge r; r.ints.(i)
-      end
-      else if name = "pid" then fun r -> charge r; r.node
-      else if name = "nprocs" then fun r -> charge r; r.machine.Machine.nodes
-      else (
-        match List.assoc_opt name env.consts with
-        | Some (Value.Vint i) -> fun r -> charge r; i
-        | Some (Value.Vfloat _) | None -> assert false)
+  | Ast.Evar name -> (
+      match slot env name with
+      | Some i -> fun r -> charge r; r.ints.(i)
+      | None ->
+          if name = "pid" then fun r -> charge r; r.node
+          else if name = "nprocs" then
+            fun r -> charge r; r.machine.Machine.nodes
+          else (
+            match List.assoc_opt name env.consts with
+            | Some (Value.Vint i) -> fun r -> charge r; i
+            | Some (Value.Vfloat _) | None -> assert false))
   | Ast.Ebinop
       ( ( Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And
         | Ast.Or ),
         _,
         _ )
   | Ast.Eunop (Ast.Not, _) ->
-      let cb = compile_bool env ~pc e in
+      let cb = compile_bool env ~pc ~d e in
       fun r -> if cb r then 1 else 0
   | Ast.Ebinop (Ast.Add, a, b) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
       fun r -> charge r; let x = ca r in x + cb r
   | Ast.Ebinop (Ast.Sub, a, b) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
       fun r -> charge r; let x = ca r in x - cb r
   | Ast.Ebinop (Ast.Mul, a, b) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
       fun r -> charge r; let x = ca r in x * cb r
   | Ast.Ebinop (Ast.Div, a, b) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
       fun r ->
         charge r;
         let x = ca r in
         let y = cb r in
         if y = 0 then error "division by zero" else x / y
   | Ast.Ebinop (Ast.Mod, a, b) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
       fun r ->
         charge r;
         let x = ca r in
         let y = cb r in
         if y = 0 then error "division by zero" else x mod y
   | Ast.Eunop (Ast.Neg, a) ->
-      let ca = compile_int env ~pc a in
+      let ca = compile_int env ~pc ~d a in
       fun r -> charge r; -ca r
   | Ast.Ecall ("int", [ a ]) ->
-      let ca = compile_expr env ~pc a in
-      fun r -> charge r; Value.to_int (ca r)
+      let ca = compile_index env ~pc ~d a in
+      fun r -> charge r; ca r
   | Ast.Ecall ("abs", [ a ]) ->
-      let ca = compile_int env ~pc a in
+      let ca = compile_int env ~pc ~d a in
       fun r -> charge r; abs (ca r)
   | Ast.Ecall ("min", [ a; b ]) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
       fun r ->
         charge r;
         let x = ca r in
         let y = cb r in
         if x <= y then x else y
   | Ast.Ecall ("max", [ a; b ]) ->
-      let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
+      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
       fun r ->
         charge r;
         let x = ca r in
@@ -472,125 +634,294 @@ and compile_int env ~pc (e : Ast.expr) : cint =
         if x >= y then x else y
   | Ast.Efloat _ | Ast.Eindex _ | Ast.Ecall _ -> assert false
 
+(* Precondition: [type_of env e] is [Tfloat] or [Tfz]. Writes the value
+   into register [d], encoded (see [fz_zero]) or, with [~num:true], as
+   [Value.to_float] of it. *)
+and compile_float env ~pc ~d ~num:as_num (e : Ast.expr) : cfloat =
+  reg env d;
+  match e with
+  | Ast.Efloat f -> fun r -> charge r; r.floats.(d) <- f
+  | Ast.Evar name -> (
+      match slot env name with
+      | Some i ->
+          if as_num && slot_type env name = Tfz then
+            fun r -> charge r; r.floats.(d) <- num r.floats.(i)
+          else fun r -> charge r; r.floats.(d) <- r.floats.(i)
+      | None -> (
+          match List.assoc_opt name env.consts with
+          | Some (Value.Vfloat f) -> fun r -> charge r; r.floats.(d) <- f
+          | Some (Value.Vint _) | None -> assert false))
+  | Ast.Eindex (name, idx) -> (
+      let cidx = compile_index env ~pc ~d idx in
+      match array_ref env name with
+      | Some (Afloat (id, size)) ->
+          if as_num then fun r ->
+            charge r;
+            let i = cidx r in
+            check_private_index name size i;
+            count_private_read r;
+            r.floats.(d) <- num r.fprivates.(id).(i)
+          else fun r ->
+            charge r;
+            let i = cidx r in
+            check_private_index name size i;
+            count_private_read r;
+            r.floats.(d) <- r.fprivates.(id).(i)
+      | Some (Ashared _ | Aboxed _) | None -> assert false)
+  | Ast.Ebinop (op, a, b) -> (
+      (* both operands of a [Tfz] node are [Tfz]; as numbers, the node is
+         plain float arithmetic *)
+      let tfz = type_of env e = Tfz in
+      let operand ~d x =
+        if tfz then compile_float env ~pc ~d ~num:as_num x
+        else compile_num env ~pc ~d x
+      in
+      let ca = operand ~d a and cb = operand ~d:(d + 1) b in
+      match op with
+      | Ast.Add when tfz && not as_num ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            let x = fl.(d) and y = fl.(d + 1) in
+            fl.(d) <- (if x = x && y = y then x +. y else fz_add x y)
+      | Ast.Sub when tfz && not as_num ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            let x = fl.(d) and y = fl.(d + 1) in
+            fl.(d) <- (if x = x && y = y then x -. y else fz_sub x y)
+      | Ast.Mul when tfz && not as_num ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            let x = fl.(d) and y = fl.(d + 1) in
+            fl.(d) <- (if x = x && y = y then x *. y else fz_mul x y)
+      | Ast.Add ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            fl.(d) <- fl.(d) +. fl.(d + 1)
+      | Ast.Sub ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            fl.(d) <- fl.(d) -. fl.(d + 1)
+      | Ast.Mul ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            fl.(d) <- fl.(d) *. fl.(d + 1)
+      | Ast.Div ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            let y = fl.(d + 1) in
+            if y = 0.0 then error "division by zero";
+            fl.(d) <- fl.(d) /. y
+      | Ast.Mod ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            fl.(d) <- Float.rem fl.(d) fl.(d + 1)
+      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And | Ast.Or
+        ->
+          assert false (* [Tint] *))
+  | Ast.Eunop (Ast.Neg, a) ->
+      if type_of env a = Tfz then begin
+        (* [-(Vint 0)] is the int 0, whose number is +0, not -0 *)
+        let ca = compile_float env ~pc ~d ~num:false a in
+        let zero = if as_num then 0.0 else fz_zero in
+        fun r ->
+          charge r; ca r;
+          let fl = r.floats in
+          let x = fl.(d) in
+          fl.(d) <- (if is_fz_zero x then zero else -.x)
+      end
+      else begin
+        let ca = compile_float env ~pc ~d ~num:true a in
+        fun r -> charge r; ca r; let fl = r.floats in fl.(d) <- -.fl.(d)
+      end
+  | Ast.Ecall ("abs", [ a ]) ->
+      (* [Float.abs] clears the sign bit only, and [fz_zero]'s is clear *)
+      let ca = compile_float env ~pc ~d ~num:as_num a in
+      fun r ->
+        charge r; ca r;
+        let fl = r.floats in
+        fl.(d) <- Float.abs fl.(d)
+  | Ast.Ecall (("sqrt" | "sin" | "cos" | "floor" | "float") as f, [ a ]) -> (
+      let ca = compile_num env ~pc ~d a in
+      match f with
+      | "sqrt" ->
+          fun r -> charge r; ca r; let fl = r.floats in fl.(d) <- sqrt fl.(d)
+      | "sin" ->
+          fun r -> charge r; ca r; let fl = r.floats in fl.(d) <- sin fl.(d)
+      | "cos" ->
+          fun r -> charge r; ca r; let fl = r.floats in fl.(d) <- cos fl.(d)
+      | "floor" ->
+          fun r ->
+            charge r; ca r;
+            let fl = r.floats in
+            fl.(d) <- Float.floor fl.(d)
+      | _ -> fun r -> charge r; ca r)
+  | Ast.Ecall ("noise", [ a ]) ->
+      let ca = compile_index env ~pc ~d a in
+      fun r -> charge r; r.floats.(d) <- Interp.noise (ca r)
+  | Ast.Ecall ((("min" | "max") as f), [ a; b ]) -> (
+      (* [Value.compare_num] on the numbers; the result keeps its
+         encoding *)
+      let ca = compile_float env ~pc ~d ~num:as_num a
+      and cb = compile_float env ~pc ~d:(d + 1) ~num:as_num b in
+      match f with
+      | "min" ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            let x = fl.(d) and y = fl.(d + 1) in
+            if Float.compare (num x) (num y) > 0 then fl.(d) <- y
+      | _ ->
+          fun r ->
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            let x = fl.(d) and y = fl.(d + 1) in
+            if Float.compare (num x) (num y) < 0 then fl.(d) <- y)
+  | Ast.Eint _ | Ast.Eunop (Ast.Not, _) | Ast.Ecall _ -> assert false
+
+(* [Value.to_float] of any expression into register [d] *)
+and compile_num env ~pc ~d (e : Ast.expr) : cfloat =
+  reg env d;
+  match type_of env e with
+  | Tint ->
+      let ci = compile_int env ~pc ~d e in
+      fun r -> r.floats.(d) <- float_of_int (ci r)
+  | Tfloat | Tfz -> compile_float env ~pc ~d ~num:true e
+  | Tnone | Tbox ->
+      let ce = compile_expr env ~pc ~d e in
+      fun r -> r.floats.(d) <- Value.to_float (ce r)
+
+(* the encoding of an expression stored in float storage; a [Tnone] one
+   never completes, so its boxed value's encoding never matters *)
+and compile_fz env ~pc ~d (e : Ast.expr) : cfloat =
+  match type_of env e with
+  | Tfloat | Tfz -> compile_float env ~pc ~d ~num:false e
+  | Tnone | Tint | Tbox ->
+      reg env d;
+      let ce = compile_expr env ~pc ~d e in
+      fun r -> r.floats.(d) <- unbox_fz (ce r)
+
 (* Conditions: comparisons and logic yield [bool] directly, so a loop or
    branch test never boxes or goes through 0/1. *)
-and compile_bool env ~pc (e : Ast.expr) : cbool =
+and compile_bool env ~pc ~d (e : Ast.expr) : cbool =
   match e with
   | Ast.Ebinop
       (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b)
-    ->
-      if expr_is_int env a && expr_is_int env b then begin
-        let ca = compile_int env ~pc a and cb = compile_int env ~pc b in
-        match op with
-        | Ast.Lt -> fun r -> charge r; let x = ca r in x < cb r
-        | Ast.Le -> fun r -> charge r; let x = ca r in x <= cb r
-        | Ast.Gt -> fun r -> charge r; let x = ca r in x > cb r
-        | Ast.Ge -> fun r -> charge r; let x = ca r in x >= cb r
-        | Ast.Eq -> fun r -> charge r; let x = ca r in x = cb r
-        | _ -> fun r -> charge r; let x = ca r in x <> cb r
-      end
-      else begin
-        let ca = compile_expr env ~pc a and cb = compile_expr env ~pc b in
-        match op with
-        | Ast.Lt ->
-            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) < 0
-        | Ast.Le ->
-            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) <= 0
-        | Ast.Gt ->
-            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) > 0
-        | Ast.Ge ->
-            fun r -> charge r; let va = ca r in Value.compare_num va (cb r) >= 0
-        | Ast.Eq -> fun r -> charge r; let va = ca r in Value.equal va (cb r)
-        | _ -> fun r -> charge r; let va = ca r in not (Value.equal va (cb r))
-      end
+    -> (
+      match (type_of env a, type_of env b) with
+      | Tint, Tint -> (
+          let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
+          match op with
+          | Ast.Lt -> fun r -> charge r; let x = ca r in x < cb r
+          | Ast.Le -> fun r -> charge r; let x = ca r in x <= cb r
+          | Ast.Gt -> fun r -> charge r; let x = ca r in x > cb r
+          | Ast.Ge -> fun r -> charge r; let x = ca r in x >= cb r
+          | Ast.Eq -> fun r -> charge r; let x = ca r in x = cb r
+          | _ -> fun r -> charge r; let x = ca r in x <> cb r)
+      | ta, tb -> (
+          (* [Value.compare_num]: if not both are ints, on the numbers *)
+          let cmp =
+            let numeric t = t = Tint || t = Tfloat || t = Tfz in
+            if numeric ta && numeric tb then begin
+              let ca = compile_num env ~pc ~d a
+              and cb = compile_num env ~pc ~d:(d + 1) b in
+              fun r ->
+                charge r; ca r; cb r;
+                let fl = r.floats in
+                Float.compare fl.(d) fl.(d + 1)
+            end
+            else begin
+              let ca = compile_expr env ~pc ~d a
+              and cb = compile_expr env ~pc ~d b in
+              fun r -> charge r; let va = ca r in Value.compare_num va (cb r)
+            end
+          in
+          match op with
+          | Ast.Lt -> fun r -> cmp r < 0
+          | Ast.Le -> fun r -> cmp r <= 0
+          | Ast.Gt -> fun r -> cmp r > 0
+          | Ast.Ge -> fun r -> cmp r >= 0
+          | Ast.Eq -> fun r -> cmp r = 0
+          | _ -> fun r -> cmp r <> 0))
   | Ast.Ebinop (Ast.And, a, b) ->
-      let ba = compile_bool env ~pc a and bb = compile_bool env ~pc b in
+      let ba = compile_bool env ~pc ~d a and bb = compile_bool env ~pc ~d b in
       fun r -> charge r; ba r && bb r
   | Ast.Ebinop (Ast.Or, a, b) ->
-      let ba = compile_bool env ~pc a and bb = compile_bool env ~pc b in
+      let ba = compile_bool env ~pc ~d a and bb = compile_bool env ~pc ~d b in
       fun r -> charge r; ba r || bb r
   | Ast.Eunop (Ast.Not, a) ->
-      let ba = compile_bool env ~pc a in
+      let ba = compile_bool env ~pc ~d a in
       fun r -> charge r; not (ba r)
-  | _ when expr_is_int env e ->
-      let ci = compile_int env ~pc e in
-      fun r -> ci r <> 0
-  | _ ->
-      let ce = compile_expr env ~pc e in
-      fun r -> Value.to_bool (ce r)
-
-(* array subscripts: unboxed when int-typed, [Value.to_int] otherwise *)
-and compile_index env ~pc (e : Ast.expr) : cint =
-  if expr_is_int env e then compile_int env ~pc e
-  else begin
-    let ce = compile_expr env ~pc e in
-    fun r -> Value.to_int (ce r)
-  end
-
-(* calls in statement position are not charged as an expression node *)
-and compile_call env ~pc name args : cexpr =
-  let cargs = List.map (compile_expr env ~pc) args in
-  let unary f =
-    match cargs with [ c ] -> fun r -> f (c r) | _ -> assert false
-  in
-  let to_float f = unary (fun v -> Value.Vfloat (f (Value.to_float v))) in
-  match (name, cargs) with
-  | "min", [ c1; c2 ] ->
-      fun r ->
-        let a = c1 r in
-        let b = c2 r in
-        if Value.compare_num a b <= 0 then a else b
-  | "max", [ c1; c2 ] ->
-      fun r ->
-        let a = c1 r in
-        let b = c2 r in
-        if Value.compare_num a b >= 0 then a else b
-  | "abs", [ _ ] ->
-      unary (function
-        | Value.Vint i -> Value.Vint (abs i)
-        | Value.Vfloat f -> Value.Vfloat (Float.abs f))
-  | "sqrt", [ _ ] -> to_float sqrt
-  | "sin", [ _ ] -> to_float sin
-  | "cos", [ _ ] -> to_float cos
-  | "floor", [ _ ] -> to_float Float.floor
-  | "float", [ _ ] -> to_float Fun.id
-  | "int", [ _ ] -> unary (fun v -> Value.Vint (Value.to_int v))
-  | "noise", [ _ ] ->
-      unary (fun v -> Value.Vfloat (Interp.noise (Value.to_int v)))
   | _ -> (
-      let cargs = Array.of_list cargs in
-      let nargs = Array.length cargs in
-      (* the callee is resolved here; [cbody] and [nslots] are read at
-         call time because a callee may be compiled after its caller *)
-      match Hashtbl.find_opt env.procs name with
-      | Some cp when cp.arity = nargs ->
-          fun r ->
-            let vals = Array.make (max 1 cp.nslots) unassigned in
-            for i = 0 to nargs - 1 do
-              vals.(i) <- cargs.(i) r
-            done;
-            let caller_vals = r.vals and caller_ints = r.ints in
-            r.vals <- vals;
-            r.ints <- Array.make (max 1 cp.nslots) 0;
-            (match cp.cbody r with
-            | () ->
-                r.vals <- caller_vals;
-                r.ints <- caller_ints;
-                Value.zero
-            | exception Returning v ->
-                r.vals <- caller_vals;
-                r.ints <- caller_ints;
-                Option.value ~default:Value.zero v)
-      | found ->
-          (* sema rejects both; the arguments still run first, as in a
-             well-formed call *)
-          fun r ->
-            Array.iter (fun c -> ignore (c r)) cargs;
-            (match found with
-            | None -> error "call of unknown procedure %S" name
-            | Some cp ->
-                error "procedure %S called with %d argument(s), expects %d"
-                  name nargs cp.arity))
+      match type_of env e with
+      | Tint ->
+          let ci = compile_int env ~pc ~d e in
+          fun r -> ci r <> 0
+      | Tfloat | Tfz ->
+          (* [Value.to_bool]: -0 is false, NaN true *)
+          let cf = compile_num env ~pc ~d e in
+          fun r -> cf r; r.floats.(d) <> 0.0
+      | Tnone | Tbox ->
+          let ce = compile_expr env ~pc ~d e in
+          fun r -> Value.to_bool (ce r))
+
+(* [Value.to_int] of any expression: subscripts, lock ids, [int] *)
+and compile_index env ~pc ~d (e : Ast.expr) : cint =
+  match type_of env e with
+  | Tint -> compile_int env ~pc ~d e
+  | Tfloat | Tfz ->
+      let cf = compile_num env ~pc ~d e in
+      fun r -> cf r; int_of_float r.floats.(d)
+  | Tnone | Tbox ->
+      let ce = compile_expr env ~pc ~d e in
+      fun r -> Value.to_int (ce r)
+
+(* A user procedure call; arguments and the result are boxed. Calls in
+   statement position are not charged as an expression node. *)
+and compile_call env ~pc ~d name args : cexpr =
+  let cargs = Array.of_list (List.map (compile_expr env ~pc ~d) args) in
+  let nargs = Array.length cargs in
+  (* the callee is resolved here; its frame sizes and [cbody] are read
+     at call time because a callee may be compiled after its caller *)
+  match Hashtbl.find_opt env.procs name with
+  | Some cp when cp.arity = nargs ->
+      fun r ->
+        let vals = Array.make (max 1 cp.nslots) unassigned in
+        for i = 0 to nargs - 1 do
+          vals.(i) <- cargs.(i) r
+        done;
+        let caller_vals = r.vals
+        and caller_ints = r.ints
+        and caller_floats = r.floats in
+        r.vals <- vals;
+        r.ints <- Array.make (max 1 cp.nslots) 0;
+        r.floats <- Array.make (max 1 cp.nfloats) 0.0;
+        let restore () =
+          r.vals <- caller_vals;
+          r.ints <- caller_ints;
+          r.floats <- caller_floats
+        in
+        (match cp.cbody r with
+        | () -> restore (); Value.zero
+        | exception Returning v ->
+            restore (); Option.value ~default:Value.zero v)
+  | found ->
+      (* sema rejects both; the arguments still run first, as in a
+         well-formed call *)
+      fun r ->
+        Array.iter (fun c -> ignore (c r)) cargs;
+        (match found with
+        | None -> error "call of unknown procedure %S" name
+        | Some cp ->
+            error "procedure %S called with %d argument(s), expects %d" name
+              nargs cp.arity)
 
 (* ---- statement compilation ---- *)
 
@@ -636,25 +967,36 @@ let compile_annot env (kind : Ast.annot_kind) arr =
                            ~hi:hi_addr)
                     end)
                   ranges)
-  | Some (Aprivate _) | None -> None
+  | Some (Aboxed _ | Afloat _) | None -> None
+
+(* a boxed value into a slot of any type; the typing guarantees it fits *)
+let store_boxed env name : rt -> Value.t -> unit =
+  let i = Hashtbl.find env.cur.slots name in
+  match slot_type env name with
+  | Tint -> fun r v -> r.ints.(i) <- Value.to_int v
+  | Tfloat | Tfz -> fun r v -> r.floats.(i) <- unbox_fz v
+  | Tnone | Tbox -> fun r v -> r.vals.(i) <- v
 
 let rec compile_stmt env (s : Ast.stmt) : cstmt =
   let pc = s.Ast.sid in
+  (* the first register; a statement holds none across its end *)
+  let d = Hashtbl.length env.cur.slots in
   let is_annot = Ast.is_annotation s in
   let body : cstmt =
     match s.Ast.node with
-    | Ast.Sassign (Ast.Lvar name, e) ->
-        let i = slot_of env name in
-        if int_slot env name then begin
-          let ci = compile_int env ~pc e in
-          fun r -> r.ints.(i) <- ci r
-        end
-        else begin
-          let ce = compile_expr env ~pc e in
-          fun r -> r.vals.(i) <- ce r
-        end
+    | Ast.Sassign (Ast.Lvar name, e) -> (
+        let i = Hashtbl.find env.cur.slots name in
+        match slot_type env name with
+        | Tint ->
+            let ci = compile_int env ~pc ~d e in
+            fun r -> r.ints.(i) <- ci r
+        | Tfloat | Tfz ->
+            let cf = compile_fz env ~pc ~d e in
+            fun r -> cf r; let fl = r.floats in fl.(i) <- fl.(d)
+        | Tnone | Tbox ->
+            let ce = compile_expr env ~pc ~d e in
+            fun r -> r.vals.(i) <- ce r)
     | Ast.Sassign (Ast.Lindex (name, idx), e) -> (
-        let cidx = compile_index env ~pc idx in
         match (array_ref env name, e) with
         | ( Some (Ashared entry),
             Ast.Ebinop (Ast.Add, Ast.Eindex (name2, idx2), rest) )
@@ -663,8 +1005,9 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
                charges, in the same order, as the generic [shared_write]
                path. Only the protocol entry points differ (rmw-aware, so
                the Commute backend can privatize the accumulation). *)
-            let cidx_in = compile_index env ~pc idx in
-            let crest = compile_expr env ~pc rest in
+            let cidx = compile_index env ~pc ~d idx in
+            let cidx_in = compile_index env ~pc ~d idx in
+            let crest = compile_expr env ~pc ~d rest in
             fun r ->
               charge r;  (* the Ebinop node *)
               charge r;  (* the inner Eindex node *)
@@ -675,36 +1018,51 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
               let i2 = cidx r in
               shared_write_rmw r ~pc entry i2 v
         | Some (Ashared entry), _ ->
-            let ce = compile_expr env ~pc e in
+            let cidx = compile_index env ~pc ~d idx in
+            let ce = compile_expr env ~pc ~d e in
             fun r ->
               let v = ce r in
               let i = cidx r in
               shared_write r ~pc entry i v
-        | Some (Aprivate (id, size)), _ ->
-            let ce = compile_expr env ~pc e in
+        | Some (Aboxed (id, size)), _ ->
+            let cidx = compile_index env ~pc ~d idx in
+            let ce = compile_expr env ~pc ~d e in
             fun r ->
               let v = ce r in
               let i = cidx r in
               check_private_index name size i;
-              r.stats.Memsys.Stats.private_writes <-
-                r.stats.Memsys.Stats.private_writes + 1;
+              count_private_write r;
               r.privates.(id).(i) <- v
+        | Some (Afloat (id, size)), _ ->
+            (* the value waits in register [d] while the index runs *)
+            let cf = compile_fz env ~pc ~d e in
+            let cidx = compile_index env ~pc ~d:(d + 1) idx in
+            fun r ->
+              cf r;
+              let i = cidx r in
+              check_private_index name size i;
+              count_private_write r;
+              r.fprivates.(id).(i) <- r.floats.(d)
         | None, _ -> fun _ -> error "assignment to non-array %S" name)
     | Ast.Sif (cond, b1, b2) ->
-        let cc = compile_bool env ~pc cond in
+        let cc = compile_bool env ~pc ~d cond in
         let cb1 = compile_block env b1 and cb2 = compile_block env b2 in
         fun r -> if cc r then cb1 r else cb2 r
     | Ast.Sfor { var; from_; to_; step; body } ->
-        let slot = slot_of env var in
         let cbody = compile_block env body in
         if
-          int_slot env var && expr_is_int env from_ && expr_is_int env to_
-          && expr_is_int env step
+          List.for_all
+            (fun t -> t = Tint)
+            [
+              slot_type env var; type_of env from_; type_of env to_;
+              type_of env step;
+            ]
         then begin
           (* the allocation-free common case: unboxed counter and bounds *)
-          let cfrom = compile_int env ~pc from_ in
-          let cto = compile_int env ~pc to_ in
-          let cstep = compile_int env ~pc step in
+          let slot = Hashtbl.find env.cur.slots var in
+          let cfrom = compile_int env ~pc ~d from_ in
+          let cto = compile_int env ~pc ~d to_ in
+          let cstep = compile_int env ~pc ~d step in
           fun r ->
             let lo = cfrom r in
             let hi = cto r in
@@ -719,9 +1077,10 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             done
         end
         else begin
-          let cfrom = compile_expr env ~pc from_ in
-          let cto = compile_expr env ~pc to_ in
-          let cstep = compile_expr env ~pc step in
+          let store = store_boxed env var in
+          let cfrom = compile_expr env ~pc ~d from_ in
+          let cto = compile_expr env ~pc ~d to_ in
+          let cstep = compile_expr env ~pc ~d step in
           fun r ->
             let lo = cfrom r in
             let hi = cto r in
@@ -734,14 +1093,14 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             in
             let cur = ref lo in
             while continues !cur do
-              r.vals.(slot) <- !cur;
+              store r !cur;
               cbody r;
               r.pending <- r.pending + 1;
               cur := Value.add !cur st
             done
         end
     | Ast.Swhile (cond, body) ->
-        let cc = compile_bool env ~pc cond in
+        let cc = compile_bool env ~pc ~d cond in
         let cbody = compile_block env body in
         fun r ->
           while cc r do
@@ -752,15 +1111,20 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
           flush_pending r;
           Sched.barrier_sync ~pc;
           r.base_now <- Sched.now ()
+    | Ast.Scall (name, args) when List.mem_assoc name Sema.intrinsics ->
+        (* an intrinsic cannot fail, so only its arguments' effects
+           remain *)
+        let cargs = List.map (compile_expr env ~pc ~d) args in
+        fun r -> List.iter (fun c -> ignore (c r)) cargs
     | Ast.Scall (name, args) ->
-        let call = compile_call env ~pc name args in
+        let call = compile_call env ~pc ~d name args in
         fun r -> ignore (call r)
     | Ast.Sreturn None -> fun _ -> raise (Returning None)
     | Ast.Sreturn (Some e) ->
-        let ce = compile_expr env ~pc e in
+        let ce = compile_expr env ~pc ~d e in
         fun r -> raise (Returning (Some (ce r)))
     | Ast.Slock e ->
-        let ce = compile_index env ~pc e in
+        let ce = compile_index env ~pc ~d e in
         fun r ->
           let l = ce r in
           flush_pending r;
@@ -768,7 +1132,7 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
           r.base_now <- Sched.now ();
           r.held_locks <- l :: r.held_locks
     | Ast.Sunlock e ->
-        let ce = compile_index env ~pc e in
+        let ce = compile_index env ~pc ~d e in
         fun r ->
           let l = ce r in
           r.held_locks <- Interp.remove_lock l r.held_locks;
@@ -776,8 +1140,8 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
           Sched.lock_release l;
           r.base_now <- Sched.now ()
     | Ast.Sannot (kind, { arr; lo; hi }) -> (
-        let clo = compile_index env ~pc lo in
-        let chi = compile_index env ~pc hi in
+        let clo = compile_index env ~pc ~d lo in
+        let chi = compile_index env ~pc ~d hi in
         match compile_annot env kind arr with
         | Some exec ->
             fun r ->
@@ -795,7 +1159,7 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
               exec r ranges
         | None -> fun _ -> error "annotation on unknown shared array %S" aarr)
     | Ast.Sprint args ->
-        let cargs = List.map (compile_expr env ~pc) args in
+        let cargs = List.map (compile_expr env ~pc ~d) args in
         fun r ->
           let rec eval_list = function
             | [] -> []
@@ -832,39 +1196,53 @@ let compile ~machine program =
     Label.layout ~block_size:machine.Machine.block_size
       ~elem_size:machine.Machine.elem_size info
   in
+  let float_privates = Hashtbl.create 8 in
+  List.iter
+    (fun (name, _) -> Hashtbl.replace float_privates name ())
+    info.Sema.privates;
   let env =
     {
-      info;
       genv_layout = layout;
       consts = info.Sema.consts;
       procs = Hashtbl.create 16;
-      private_ids = List.mapi (fun i (name, _) -> (name, i)) info.Sema.privates;
-      slots = Hashtbl.create 16;
-      islots = Hashtbl.create 16;
-      unproven = Hashtbl.create 16;
-      next_slot = 0;
+      float_privates;
+      private_refs = [];
+      cur = frame_of { Ast.pname = ""; params = []; body = [] };
     }
   in
+  let frames = type_program env program in
+  let boxed, floats =
+    List.partition
+      (fun (name, _) -> not (Hashtbl.mem float_privates name))
+      info.Sema.privates
+  in
+  env.private_refs <-
+    List.mapi (fun id (name, n) -> (name, Aboxed (id, n))) boxed
+    @ List.mapi (fun id (name, n) -> (name, Afloat (id, n))) floats;
   (* declare every procedure first so calls resolve in any order *)
   List.iter
     (fun (p : Ast.proc) ->
       Hashtbl.replace env.procs p.Ast.pname
-        { arity = List.length p.Ast.params; nslots = 0; cbody = (fun _ -> ()) })
+        {
+          arity = List.length p.Ast.params;
+          nslots = 0;
+          nfloats = 0;
+          cbody = (fun _ -> ());
+        })
     program.Ast.procs;
   List.iter
-    (fun (p : Ast.proc) ->
-      collect_slots env p;
-      unproven_reads env p;
-      analyze_int_slots env p;
+    (fun ((p : Ast.proc), f) ->
+      env.cur <- f;
       let cbody = compile_block env p.Ast.body in
       let cp = Hashtbl.find env.procs p.Ast.pname in
       cp.cbody <- cbody;
-      cp.nslots <- env.next_slot)
-    program.Ast.procs;
-  (info, layout, env)
+      cp.nslots <- Hashtbl.length f.slots;
+      cp.nfloats <- cp.nslots + f.nregs)
+    frames;
+  (info, layout, env, boxed, floats)
 
 let run ?poll ~machine program =
-  let info, layout, env = compile ~machine program in
+  let info, layout, env, boxed, floats = compile ~machine program in
   let proto =
     Memsys.Protocol.create_b ~backend:machine.Machine.protocol
       ~nodes:machine.Machine.nodes ~cache_bytes:machine.Machine.cache_bytes
@@ -921,8 +1299,10 @@ let run ?poll ~machine program =
         node;
         privates =
           Array.of_list
-            (List.map (fun (_, elems) -> Array.make elems Value.zero)
-               info.Sema.privates);
+            (List.map (fun (_, elems) -> Array.make elems Value.zero) boxed);
+        fprivates =
+          Array.of_list
+            (List.map (fun (_, elems) -> Array.make elems fz_zero) floats);
         lop = machine.Machine.costs.Memsys.Network.local_op;
         quantum = machine.Machine.quantum;
         pending = 0;
@@ -930,6 +1310,7 @@ let run ?poll ~machine program =
         held_locks = [];
         vals = Array.make (max 1 main.nslots) unassigned;
         ints = Array.make (max 1 main.nslots) 0;
+        floats = Array.make (max 1 main.nfloats) 0.0;
       }
     in
     (try main.cbody r with Returning _ -> ());

@@ -8,8 +8,14 @@
     compiled node is a one-argument closure over a per-node runtime record
     (the run's machine, protocol, statistics, memory and trace buffer,
     plus the running procedure's slot arrays, which a call swaps and
-    restores), so nodes call each other at a known arity; int-typed
-    expressions run unboxed and conditions yield [bool]s. The cost model,
+    restores), so nodes call each other at a known arity. A whole-program
+    typing pass gives every expression, slot and private array one of
+    four types (int, float, float-or-the-int-0-of-a-never-written-element,
+    boxed): ints and floats run unboxed, float expressions in per-frame
+    registers, float-only private arrays live in [float array]s, and a
+    value is boxed only where it leaves the engine (shared memory,
+    [print], calls, boxed contexts); conditions yield [bool]s. The cost
+    model,
     scheduling points and protocol interactions replicate {!Interp}
     exactly; the test suite checks that both engines produce identical
     simulated times, statistics, traces and final memory on every
