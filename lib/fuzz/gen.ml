@@ -120,7 +120,7 @@ let free_program st =
 
 type config = {
   shared_elems : int;  (** elements in each of the shared arrays A and B *)
-  private_elems : int;  (** elements in the private array P *)
+  private_elems : int;  (** elements in each of the private arrays P and Q *)
   max_segments : int;  (** barrier-delimited phases per program *)
   max_stmts : int;  (** statements per segment *)
   max_depth : int;  (** expression depth *)
@@ -162,6 +162,11 @@ let own_index payload =
 let any_index payload = Ast.(Ebinop (Mod, wrap_abs payload, Evar "N"))
 let priv_index cfg payload = Ast.(Ebinop (Mod, wrap_abs payload, Eint cfg.private_elems))
 
+(* Float-only scalars: the prelude gives each a float literal, and after
+   that only [float_store] writes them, as it alone writes Q. *)
+let float_names = [| "f"; "g" |]
+let float_lit st = Ast.Efloat (float_of_int (int_range 1 40 st) /. 4.0)
+
 let rec vexpr cfg sharing ~depth st =
   if depth <= 0 then leaf st
   else
@@ -182,15 +187,48 @@ let rec vexpr cfg sharing ~depth st =
         Ast.Ecall (f, [ sub st ])
     | 8 -> Ast.Ecall ("sqrt", [ wrap_abs (sub st) ])
     | 9 | 10 -> shared_read cfg sharing ~depth st
+    | 11 -> fexpr cfg sharing ~depth:(depth - 1) st
     | _ -> leaf st
 
 and leaf st =
-  match Random.State.int st 6 with
+  match Random.State.int st 7 with
   | 0 -> Ast.Eint (int_range 0 20 st)
   | 1 -> Ast.Efloat (float_of_int (int_range 0 40 st) /. 4.0)
   | 2 | 3 -> Ast.Evar (oneof var_names st)
   | 4 -> Ast.Evar "pid"
-  | _ -> Ast.Evar "nprocs"
+  | 5 -> Ast.Evar "nprocs"
+  | _ -> Ast.Evar (oneof float_names st)
+
+(* Float-typed trees: every node is a float, or the int 0 of an element
+   of Q nobody wrote, whatever the operands hold at run time. They are
+   all that is ever written to the float-only scalars and to Q, so a
+   typing engine keeps those unboxed. Divisors are non-zero literals. *)
+and fexpr cfg sharing ~depth st =
+  if depth <= 0 then fleaf cfg st
+  else
+    let sub st = fexpr cfg sharing ~depth:(depth - 1) st in
+    match Random.State.int st 10 with
+    | 0 | 1 | 2 ->
+        Ast.Ebinop (oneof Ast.[| Add; Sub; Mul |] st, sub st, sub st)
+    | 3 -> Ast.Ebinop (oneof Ast.[| Div; Mod |] st, sub st, float_lit st)
+    | 4 -> Ast.Eunop (Ast.Neg, sub st)
+    | 5 -> Ast.Ecall (oneof [| "min"; "max"; "min" |] st, [ sub st; sub st ])
+    | 6 -> Ast.Ecall (oneof [| "abs"; "floor" |] st, [ sub st ])
+    | 7 -> Ast.Ecall ("sqrt", [ wrap_abs (sub st) ])
+    | 8 ->
+        (* an int or mixed tree as a float, or through [noise] *)
+        let v = vexpr cfg sharing ~depth:(depth - 1) st in
+        Ast.Ecall (oneof [| "float"; "noise" |] st, [ v ])
+    | _ -> fleaf cfg st
+
+and fleaf cfg st =
+  match Random.State.int st 4 with
+  | 0 -> float_lit st
+  | 1 -> Ast.Evar (oneof float_names st)
+  | 2 -> Ast.Eindex ("Q", priv_index cfg (vexpr cfg No_shared ~depth:1 st))
+  | _ ->
+      (* a float expression as a subscript *)
+      Ast.Eindex ("Q", priv_index cfg (fexpr cfg No_shared ~depth:1 st))
 
 and shared_read cfg sharing ~depth st =
   match sharing with
@@ -224,10 +262,22 @@ let sharing_of = function
 
 (* One logical statement; the while pattern expands to two (counter init +
    loop) so the loop always terminates. *)
+(* A float tree clamped to [-64, 64] by [min]/[max], whose ordering
+   puts NaN below every float: repeated products in loops would otherwise
+   overflow, and an infinity or NaN subscript is out of bounds. *)
+let float_store cfg sharing ~depth st =
+  let lim = Ast.Efloat 64.0 in
+  Ast.Ecall
+    ( "min",
+      [
+        Ast.Ecall ("max", [ fexpr cfg sharing ~depth st; Ast.Eunop (Ast.Neg, lim) ]);
+        lim;
+      ] )
+
 let rec stmt1 cfg kind ~sdepth st =
   let sharing = sharing_of kind in
   let depth = cfg.max_depth in
-  match Random.State.int st 10 with
+  match Random.State.int st 11 with
   | 0 | 1 ->
       [ mk (Ast.Sassign (Ast.Lvar (oneof var_names st), vexpr cfg sharing ~depth st)) ]
   | 2 ->
@@ -271,6 +321,14 @@ let rec stmt1 cfg kind ~sdepth st =
                body;
              });
       ]
+  | 9 ->
+      let target =
+        if Random.State.bool st then Ast.Lvar (oneof float_names st)
+        else
+          Ast.Lindex
+            ("Q", priv_index cfg (vexpr cfg sharing ~depth:(depth - 1) st))
+      in
+      [ mk (Ast.Sassign (target, float_store cfg sharing ~depth st)) ]
   | 8 when sdepth > 0 ->
       (* while loops always step a dedicated counter the rest of the
          grammar never touches, so they terminate *)
@@ -359,8 +417,9 @@ let segment cfg st =
   body @ [ mk Ast.Sbarrier ]
 
 (* Every scalar the grammar can read is assigned before the first segment,
-   so no run trips over an undefined variable. *)
-let prelude =
+   so no run trips over an undefined variable; the float-only ones get a
+   float literal. *)
+let prelude st =
   [
     mk Ast.(Sassign (Lvar "x", Evar "pid"));
     mk Ast.(Sassign (Lvar "y", Eint 1));
@@ -368,10 +427,14 @@ let prelude =
     mk Ast.(Sassign (Lvar "acc", Eint 0));
     mk Ast.(Sassign (Lvar "tmp", Eint 2));
   ]
+  @ List.map
+      (fun f -> mk (Ast.Sassign (Ast.Lvar f, float_lit st)))
+      (Array.to_list float_names)
 
 let spmd ?(config = default_config) st =
   let cfg = config in
   let nsegs = int_range 1 cfg.max_segments st in
+  let prelude = prelude st in
   let body = prelude @ List.concat (List.init nsegs (fun _ -> segment cfg st)) in
   Ast.renumber
     {
@@ -381,6 +444,7 @@ let spmd ?(config = default_config) st =
           Ast.Dshared ("A", Ast.Evar "N");
           Ast.Dshared ("B", Ast.Evar "N");
           Ast.Dprivate ("P", Ast.Eint cfg.private_elems);
+          Ast.Dprivate ("Q", Ast.Eint cfg.private_elems);
         ];
       procs = [ { Ast.pname = "main"; params = []; body } ];
     }

@@ -34,7 +34,7 @@ val free_program : Lang.Ast.program t
 
 type config = {
   shared_elems : int;  (** elements in each of the shared arrays A and B *)
-  private_elems : int;  (** elements in the private array P *)
+  private_elems : int;  (** elements in each of the private arrays P and Q *)
   max_segments : int;  (** barrier-delimited phases per program *)
   max_stmts : int;  (** statements per segment *)
   max_depth : int;  (** expression depth *)
