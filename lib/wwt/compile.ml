@@ -122,13 +122,13 @@ let unbox_fz = function
 
 (* The slow halves of [Value.add]/[sub]/[mul] on two encoded values, for
    when either is a NaN: the int 0 only if both are. *)
-let fz_add x y =
+let[@inline] fz_add x y =
   if is_fz_zero x && is_fz_zero y then fz_zero else num x +. num y
 
-let fz_sub x y =
+let[@inline] fz_sub x y =
   if is_fz_zero x && is_fz_zero y then fz_zero else num x -. num y
 
-let fz_mul x y =
+let[@inline] fz_mul x y =
   if is_fz_zero x && is_fz_zero y then fz_zero else num x *. num y
 
 (* ---- static types ---- *)
@@ -612,9 +612,18 @@ and compile_int env ~pc ~d (e : Ast.expr) : cint =
   | Ast.Eunop (Ast.Neg, a) ->
       let ca = compile_int env ~pc ~d a in
       fun r -> charge r; -ca r
-  | Ast.Ecall ("int", [ a ]) ->
-      let ca = compile_index env ~pc ~d a in
-      fun r -> charge r; ca r
+  | Ast.Ecall ("int", [ a ]) -> (
+      (* [compile_index], with the call node's charge in front *)
+      match type_of env a with
+      | Tint ->
+          let ca = compile_int env ~pc ~d a in
+          fun r -> charge r; ca r
+      | Tfloat | Tfz ->
+          let cf = compile_num env ~pc ~d a in
+          fun r -> charge r; cf r; int_of_float r.floats.(d)
+      | Tnone | Tbox ->
+          let ce = compile_expr env ~pc ~d a in
+          fun r -> charge r; Value.to_int (ce r))
   | Ast.Ecall ("abs", [ a ]) ->
       let ca = compile_int env ~pc ~d a in
       fun r -> charge r; abs (ca r)
@@ -825,23 +834,14 @@ and compile_bool env ~pc ~d (e : Ast.expr) : cbool =
           | Ast.Ge -> fun r -> charge r; let x = ca r in x >= cb r
           | Ast.Eq -> fun r -> charge r; let x = ca r in x = cb r
           | _ -> fun r -> charge r; let x = ca r in x <> cb r)
-      | ta, tb -> (
-          (* [Value.compare_num]: if not both are ints, on the numbers *)
-          let cmp =
-            let numeric t = t = Tint || t = Tfloat || t = Tfz in
-            if numeric ta && numeric tb then begin
-              let ca = compile_num env ~pc ~d a
-              and cb = compile_num env ~pc ~d:(d + 1) b in
-              fun r ->
-                charge r; ca r; cb r;
-                let fl = r.floats in
-                Float.compare fl.(d) fl.(d + 1)
-            end
-            else begin
-              let ca = compile_expr env ~pc ~d a
-              and cb = compile_expr env ~pc ~d b in
-              fun r -> charge r; let va = ca r in Value.compare_num va (cb r)
-            end
+      | (Tint | Tfloat | Tfz), (Tint | Tfloat | Tfz) -> (
+          (* not both ints: [Value.compare_num] compares the numbers *)
+          let ca = compile_num env ~pc ~d a
+          and cb = compile_num env ~pc ~d:(d + 1) b in
+          let cmp r =
+            charge r; ca r; cb r;
+            let fl = r.floats in
+            Float.compare fl.(d) fl.(d + 1)
           in
           match op with
           | Ast.Lt -> fun r -> cmp r < 0
@@ -849,7 +849,23 @@ and compile_bool env ~pc ~d (e : Ast.expr) : cbool =
           | Ast.Gt -> fun r -> cmp r > 0
           | Ast.Ge -> fun r -> cmp r >= 0
           | Ast.Eq -> fun r -> cmp r = 0
-          | _ -> fun r -> cmp r <> 0))
+          | _ -> fun r -> cmp r <> 0)
+      | _ -> (
+          let ca = compile_expr env ~pc ~d a and cb = compile_expr env ~pc ~d b in
+          match op with
+          | Ast.Lt ->
+              fun r -> charge r; let va = ca r in Value.compare_num va (cb r) < 0
+          | Ast.Le ->
+              fun r ->
+                charge r; let va = ca r in Value.compare_num va (cb r) <= 0
+          | Ast.Gt ->
+              fun r -> charge r; let va = ca r in Value.compare_num va (cb r) > 0
+          | Ast.Ge ->
+              fun r ->
+                charge r; let va = ca r in Value.compare_num va (cb r) >= 0
+          | Ast.Eq -> fun r -> charge r; let va = ca r in Value.equal va (cb r)
+          | _ ->
+              fun r -> charge r; let va = ca r in not (Value.equal va (cb r))))
   | Ast.Ebinop (Ast.And, a, b) ->
       let ba = compile_bool env ~pc ~d a and bb = compile_bool env ~pc ~d b in
       fun r -> charge r; ba r && bb r
