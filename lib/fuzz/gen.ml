@@ -212,7 +212,7 @@ and fexpr cfg sharing ~depth st =
         Ast.Ebinop (oneof Ast.[| Add; Sub; Mul |] st, sub st, sub st)
     | 3 -> Ast.Ebinop (oneof Ast.[| Div; Mod |] st, sub st, float_lit st)
     | 4 -> Ast.Eunop (Ast.Neg, sub st)
-    | 5 -> Ast.Ecall (oneof [| "min"; "max"; "min" |] st, [ sub st; sub st ])
+    | 5 -> Ast.Ecall (oneof [| "min"; "max" |] st, [ sub st; sub st ])
     | 6 -> Ast.Ecall (oneof [| "abs"; "floor" |] st, [ sub st ])
     | 7 -> Ast.Ecall ("sqrt", [ wrap_abs (sub st) ])
     | 8 ->
