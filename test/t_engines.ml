@@ -225,6 +225,50 @@ proc main() {
 }
 |}
 
+(* ---- private loops ----
+
+   Loops over private data, scalars and intrinsics only, with no barrier
+   to line the nodes up afterwards, so the nodes reach the shared
+   operations after them at different times. *)
+
+(* examples/programs/ragged.sm: the order of its printed lines, of its
+   stores and of its lock hand-overs is the scheduler's *)
+let ragged_private_loops () =
+  check_engines "ragged" ~machine
+    (T_obs.read_file (Option.get (T_obs.example "ragged.sm")))
+
+(* Node 1 divides by zero later in simulated time than node 0 indexes
+   out of bounds, so node 0's error is the run's. *)
+let error_in_private_loop () =
+  let prog =
+    Lang.Parser.parse
+      {|shared A[64];
+private X[16];
+proc main() {
+  if (pid == 0) {
+    for k = 0 to 20 {
+      X[k % 16] = X[k % 16] + k * 0.5;
+    }
+    A[1000] = X[3];
+  }
+  if (pid == 1) {
+    for k = 0 to 99 {
+      X[k % 16] = X[k % 16] + 1.0 / (60 - k);
+    }
+  }
+}
+|}
+  in
+  List.iter
+    (fun (ename, engine) ->
+      Alcotest.check_raises ename
+        (Wwt.Interp.Runtime_error
+           "index 1000 out of bounds for shared array A[64]") (fun () ->
+          ignore
+            (Wwt.Run.measure ~engine ~machine ~annotations:false
+               ~prefetch:false prog)))
+    [ ("tree walk", Wwt.Run.Tree_walk); ("compiled", Wwt.Run.Compiled) ]
+
 (* ---- value typing edge cases ----
 
    Programs aimed at the paths where a value's representation matters:
@@ -442,6 +486,9 @@ let suite =
     Alcotest.test_case "zero-miss epochs" `Quick zero_miss_epochs;
     Alcotest.test_case "cross-node conflict program" `Quick
       cross_node_conflict;
+    Alcotest.test_case "ragged private loops" `Quick ragged_private_loops;
+    Alcotest.test_case "error inside a private loop" `Quick
+      error_in_private_loop;
     Alcotest.test_case "unwritten private element in int context" `Quick
       unwritten_private_int_context;
     Alcotest.test_case "unwritten private element as divisor" `Quick
