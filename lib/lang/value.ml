@@ -45,8 +45,11 @@ let compare_num a b =
 
 let equal a b = compare_num a b = 0
 
+(* A NaN's sign bit and payload are the host's ([%g] prints [-nan] for
+   x86-64's default NaN, [nan] for ARM's), so every NaN prints [nan]. *)
 let pp ppf = function
   | Vint i -> Format.pp_print_int ppf i
+  | Vfloat f when Float.is_nan f -> Format.pp_print_string ppf "nan"
   | Vfloat f -> Format.fprintf ppf "%g" f
 
 let to_string v = Format.asprintf "%a" pp v

@@ -32,4 +32,7 @@ val equal : t -> t -> bool
 (** Numeric equality ([Vint 2 = Vfloat 2.0]). *)
 
 val pp : Format.formatter -> t -> unit
+(** An int in decimal, a float with [%g]; every NaN prints [nan], so the
+    output does not depend on the host's NaN sign. *)
+
 val to_string : t -> string

@@ -337,8 +337,7 @@ proc main() {
     [ "p0: -0 0 0 -0 0" ]
 
 let nan_ordering () =
-  (* NaN's sign and payload differ between platforms, so only orderings
-     are printed: [compare] puts NaN below every float *)
+  (* [compare] puts NaN below every float *)
   check_prints "nan-ordering"
     {|private P[8];
 proc main() {
@@ -353,6 +352,18 @@ proc main() {
 }
 |}
     [ "p0: 1 0 1 0 0 1"; "p0: 1 1 2 2"; "p0: 0 4 0" ]
+
+(* [P[0] % 0.0] is x86-64's default NaN, whose sign bit is set *)
+let nan_prints_the_same () =
+  check_prints "nan-print"
+    {|private P[8];
+proc main() {
+  x = P[0] % 0.0;
+  y = 7.5 % 0.0;
+  if (pid == 0) { print(x, y); }
+}
+|}
+    [ "p0: nan nan" ]
 
 let float_remainder () =
   check_prints "float-remainder"
@@ -496,6 +507,8 @@ let suite =
     Alcotest.test_case "signed zeros" `Quick signed_zeros;
     Alcotest.test_case "NaN through comparisons and min/max" `Quick
       nan_ordering;
+    Alcotest.test_case "NaN prints without its sign" `Quick
+      nan_prints_the_same;
     Alcotest.test_case "float remainder" `Quick float_remainder;
     Alcotest.test_case "remainder of unwritten elements" `Quick
       unwritten_remainder;
