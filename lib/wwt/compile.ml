@@ -36,6 +36,9 @@ type rt = {
   quantum : int;
   mutable pending : int;
   mutable base_now : int;  (* cached [Sched.now]; see Interp.nstate *)
+  mutable ahead : bool;
+      (* the node may be running ahead of the scheduler: set from
+         [Sched.advance_ahead], cleared by [catch_up] *)
   mutable held_locks : int list;
   mutable vals : Value.t array;
   mutable ints : int array;
@@ -81,6 +84,24 @@ let flush_pending r =
 let charge r = r.pending <- r.pending + r.lop
 
 let maybe_yield r = if r.pending >= r.quantum then flush_pending r
+
+(* The yield point of a statement in a private loop (see [private_stmt]):
+   where [flush_pending] would park, the node runs on ahead of the
+   scheduler instead. *)
+let maybe_yield_ahead r =
+  if r.pending >= r.quantum && r.pending > 0 then begin
+    r.ahead <- Sched.advance_ahead r.pending;
+    r.base_now <- r.base_now + r.pending;
+    r.pending <- 0
+  end
+
+(* Before an operation another node can see: shared memory, an
+   annotation directive, [print]'s output, a barrier or a lock. *)
+let[@inline] catch_up r =
+  if r.ahead then begin
+    Sched.sync ();
+    r.ahead <- false
+  end
 
 let virtual_now r = r.base_now + r.pending
 
@@ -375,6 +396,7 @@ let shared_addr (entry : Label.entry) i =
   entry.Label.base + (i * entry.Label.elem_size)
 
 let shared_read r ~pc entry i =
+  catch_up r;
   let addr = shared_addr entry i in
   let p =
     Memsys.Protocol.read_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
@@ -383,6 +405,7 @@ let shared_read r ~pc entry i =
   r.shared.(elem_index r addr)
 
 let shared_write r ~pc entry i v =
+  catch_up r;
   let addr = shared_addr entry i in
   let p =
     Memsys.Protocol.write_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
@@ -395,6 +418,7 @@ let shared_write r ~pc entry i v =
    the Commute backend, where the access lands in a privatized per-node
    copy. *)
 let shared_read_rmw r ~pc entry i =
+  catch_up r;
   let addr = shared_addr entry i in
   let p =
     Memsys.Protocol.read_rmw_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
@@ -403,6 +427,7 @@ let shared_read_rmw r ~pc entry i =
   r.shared.(elem_index r addr)
 
 let shared_write_rmw r ~pc entry i v =
+  catch_up r;
   let addr = shared_addr entry i in
   let p =
     Memsys.Protocol.write_rmw_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
@@ -956,6 +981,7 @@ let compile_annot env (kind : Ast.annot_kind) arr =
   | Some (Ashared entry) ->
       Some
         (fun r (ranges : (int * int) list) ->
+          catch_up r;
           match r.machine.Machine.annotations with
           | Machine.Ignore_annotations -> ()
           | Machine.Execute_annotations ->
@@ -993,7 +1019,50 @@ let store_boxed env name : rt -> Value.t -> unit =
   | Tfloat | Tfz -> fun r v -> r.floats.(i) <- unbox_fz v
   | Tnone | Tbox -> fun r v -> r.vals.(i) <- v
 
-let rec compile_stmt env (s : Ast.stmt) : cstmt =
+(* ---- private loops ----
+
+   Code is private when no other node can see what it does: no
+   shared-array access, annotation, [print], barrier, lock, unlock or
+   user-procedure call; intrinsics, scalars and private arrays only. The
+   statements inside a private loop yield with [maybe_yield_ahead], so
+   the node runs on ahead of the scheduler until it catches up before an
+   operation another node can see. Nothing else runs ahead: a node that
+   caught up right after it went ahead would pay for both. *)
+
+let private_array env name =
+  match array_ref env name with
+  | Some (Aboxed _ | Afloat _) -> true
+  | Some (Ashared _) | None -> false
+
+let rec private_expr env (e : Ast.expr) =
+  match e with
+  | Ast.Eint _ | Ast.Efloat _ | Ast.Evar _ -> true
+  | Ast.Eindex (name, i) -> private_array env name && private_expr env i
+  | Ast.Eunop (_, a) -> private_expr env a
+  | Ast.Ebinop (_, a, b) -> private_expr env a && private_expr env b
+  | Ast.Ecall (name, args) ->
+      List.mem_assoc name Sema.intrinsics
+      && List.for_all (private_expr env) args
+
+let rec private_stmt env (s : Ast.stmt) =
+  let pe = private_expr env and pb = List.for_all (private_stmt env) in
+  match s.Ast.node with
+  | Ast.Sassign (Ast.Lvar _, e) -> pe e
+  | Ast.Sassign (Ast.Lindex (name, i), e) ->
+      private_array env name && pe i && pe e
+  | Ast.Sif (c, b1, b2) -> pe c && pb b1 && pb b2
+  | Ast.Sfor { from_; to_; step; body; _ } ->
+      pe from_ && pe to_ && pe step && pb body
+  | Ast.Swhile (c, body) -> pe c && pb body
+  | Ast.Scall (name, args) ->
+      List.mem_assoc name Sema.intrinsics && List.for_all pe args
+  | Ast.Sreturn e -> Option.fold ~none:true ~some:pe e
+  | Ast.Sprint _ | Ast.Sbarrier | Ast.Slock _ | Ast.Sunlock _ | Ast.Sannot _
+  | Ast.Sannot_table _ ->
+      false
+
+(* [ahead]: the statement is inside a private loop *)
+let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
   let pc = s.Ast.sid in
   (* the first register; a statement holds none across its end *)
   let d = Hashtbl.length env.cur.slots in
@@ -1062,10 +1131,13 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
         | None, _ -> fun _ -> error "assignment to non-array %S" name)
     | Ast.Sif (cond, b1, b2) ->
         let cc = compile_bool env ~pc ~d cond in
-        let cb1 = compile_block env b1 and cb2 = compile_block env b2 in
+        let cb1 = compile_block env ~ahead b1
+        and cb2 = compile_block env ~ahead b2 in
         fun r -> if cc r then cb1 r else cb2 r
     | Ast.Sfor { var; from_; to_; step; body } ->
-        let cbody = compile_block env body in
+        let cbody =
+          compile_block env ~ahead:(ahead || private_stmt env s) body
+        in
         if
           List.for_all
             (fun t -> t = Tint)
@@ -1117,13 +1189,16 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
         end
     | Ast.Swhile (cond, body) ->
         let cc = compile_bool env ~pc ~d cond in
-        let cbody = compile_block env body in
+        let cbody =
+          compile_block env ~ahead:(ahead || private_stmt env s) body
+        in
         fun r ->
           while cc r do
             cbody r
           done
     | Ast.Sbarrier ->
         fun r ->
+          catch_up r;
           flush_pending r;
           Sched.barrier_sync ~pc;
           r.base_now <- Sched.now ()
@@ -1143,6 +1218,7 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
         let ce = compile_index env ~pc ~d e in
         fun r ->
           let l = ce r in
+          catch_up r;
           flush_pending r;
           Sched.lock_acquire l;
           r.base_now <- Sched.now ();
@@ -1152,6 +1228,7 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
         fun r ->
           let l = ce r in
           r.held_locks <- Interp.remove_lock l r.held_locks;
+          catch_up r;
           flush_pending r;
           Sched.lock_release l;
           r.base_now <- Sched.now ()
@@ -1188,13 +1265,15 @@ let rec compile_stmt env (s : Ast.stmt) : cstmt =
             Printf.sprintf "p%d: %s" r.node
               (String.concat " " (List.map Value.to_string values))
           in
+          catch_up r;
           r.output_buf := line :: !(r.output_buf)
   in
   if is_annot then fun r -> charge r; body r
+  else if ahead then fun r -> charge r; maybe_yield_ahead r; body r
   else fun r -> charge r; maybe_yield r; body r
 
 (* a chain of closures, so running a block allocates nothing *)
-and compile_block env block =
+and compile_block env ~ahead block =
   let rec chain = function
     | [] -> fun _ -> ()
     | [ s ] -> s
@@ -1202,7 +1281,7 @@ and compile_block env block =
         let k = chain rest in
         fun r -> s r; k r
   in
-  chain (List.map (compile_stmt env) block)
+  chain (List.map (compile_stmt env ~ahead) block)
 
 (* ---- program compilation and execution ---- *)
 
@@ -1249,7 +1328,7 @@ let compile ~machine program =
   List.iter
     (fun ((p : Ast.proc), f) ->
       env.cur <- f;
-      let cbody = compile_block env p.Ast.body in
+      let cbody = compile_block env ~ahead:false p.Ast.body in
       let cp = Hashtbl.find env.procs p.Ast.pname in
       cp.cbody <- cbody;
       cp.nslots <- Hashtbl.length f.slots;
@@ -1323,6 +1402,7 @@ let run ?poll ~machine program =
         quantum = machine.Machine.quantum;
         pending = 0;
         base_now = 0;
+        ahead = false;
         held_locks = [];
         vals = Array.make (max 1 main.nslots) unassigned;
         ints = Array.make (max 1 main.nslots) 0;

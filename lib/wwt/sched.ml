@@ -20,6 +20,10 @@ type config = {
    itself before it performs it. *)
 type _ Effect.t += Suspend : unit Effect.t
 
+(* Advances a node may record while it runs ahead (see [advance_ahead])
+   before its fiber waits for the scheduler loop to replay them. *)
+let record_cap = 64
+
 type state = {
   cfg : config;
   clock : int array;
@@ -29,6 +33,14 @@ type state = {
   parked : bool array;  (* the node's slot holds a continuation to resume *)
   mutable current : int;  (* the node whose fiber is running *)
   mutable direct : int;  (* advances that did not park since the last pop *)
+  ahead : bool array;
+      (* the node is queued while its fiber runs on, or waits with
+         records to replay *)
+  mutable recs : int array;
+      (* [record_cap] per node: the clock each recorded advance reached;
+         [||] until the first node runs ahead *)
+  nrecs : int array;  (* records written since the node went ahead *)
+  replayed : int array;  (* of those, records the scheduler has replayed *)
   mutable finished : int;
   mutable barrier_waiters : (int * int) list;  (* (node, pc), newest first *)
   (* Locks are reentrant: (owner, recursion depth) per lock plus FIFO
@@ -54,6 +66,26 @@ let park st =
   Pqueue.push st.ready ~prio:st.clock.(st.current) st.current;
   Effect.perform Suspend
 
+(* The park rule, for a node whose advance reached clock [c]. When every
+   queued node is strictly later, parking would pop this one straight
+   back (pops have no side effects of their own), so it keeps running.
+   Ties must park: equal priorities pop FIFO. Every 500 direct
+   continuations force a trip through the scheduler loop, where [poll]
+   runs. [advance], [advance_ahead] and [replay] all decide by it. *)
+let[@inline] must_park st c =
+  Pqueue.min_prio st.ready <= c || st.direct > 500
+
+(* An ahead node's entry is queued at or before its clock, so every
+   advance it makes would park: record the clock reached instead. *)
+let record st node c =
+  let k = st.nrecs.(node) in
+  st.recs.((node * record_cap) + k) <- c;
+  st.nrecs.(node) <- k + 1
+
+(* Wait until the scheduler loop has replayed every recorded advance;
+   the node's place in the queue is already held. *)
+let catch_up st = if st.ahead.(st.current) then Effect.perform Suspend
+
 let now () =
   let st = state "Sched.now" in
   st.clock.(st.current)
@@ -61,15 +93,68 @@ let now () =
 let advance n =
   if n < 0 then invalid_arg "Sched.advance: negative cycle count";
   let st = state "Sched.advance" in
-  let c = st.clock.(st.current) + n in
-  st.clock.(st.current) <- c;
-  (* When every parked fiber is strictly later, parking would pop this
-     one straight back (pops have no side effects of their own), so keep
-     running. Ties must park: equal priorities pop FIFO. Every 500 direct
-     continuations force a trip through the scheduler loop, where [poll]
-     runs. *)
-  if Pqueue.min_prio st.ready <= c || st.direct > 500 then park st
+  let node = st.current in
+  let c = st.clock.(node) + n in
+  st.clock.(node) <- c;
+  if must_park st c then begin
+    if st.ahead.(node) then record st node c
+    else Pqueue.push st.ready ~prio:c node;
+    Effect.perform Suspend
+  end
   else st.direct <- st.direct + 1
+
+let advance_ahead n =
+  if n < 0 then invalid_arg "Sched.advance_ahead: negative cycle count";
+  let st = state "Sched.advance_ahead" in
+  let node = st.current in
+  let c = st.clock.(node) + n in
+  st.clock.(node) <- c;
+  if st.ahead.(node) then begin
+    record st node c;
+    if st.nrecs.(node) < record_cap then true
+    else begin
+      Effect.perform Suspend;
+      false
+    end
+  end
+  else if must_park st c then begin
+    Pqueue.push st.ready ~prio:c node;
+    if Array.length st.recs = 0 then
+      st.recs <- Array.make (st.cfg.nodes * record_cap) 0;
+    st.ahead.(node) <- true;
+    true
+  end
+  else begin
+    st.direct <- st.direct + 1;
+    false
+  end
+
+let sync () = catch_up (state "Sched.sync")
+
+(* Replay a popped ahead node's records, from the [i]th, through the park
+   rule, as its advances would have run had it parked: the first record
+   that parks queues the node again, and the scheduler loop carries on.
+   True when no record is left, so the fiber may resume. (Top level, so
+   a replay allocates no closure.) *)
+let rec replay st node i =
+  if i = st.nrecs.(node) then begin
+    st.ahead.(node) <- false;
+    st.nrecs.(node) <- 0;
+    st.replayed.(node) <- 0;
+    true
+  end
+  else begin
+    let c = st.recs.((node * record_cap) + i) in
+    if must_park st c then begin
+      Pqueue.push st.ready ~prio:c node;
+      st.replayed.(node) <- i + 1;
+      false
+    end
+    else begin
+      st.direct <- st.direct + 1;
+      replay st node (i + 1)
+    end
+  end
 
 let release_barrier st =
   let cfg = st.cfg in
@@ -85,12 +170,14 @@ let release_barrier st =
 
 let barrier_sync ~pc =
   let st = state "Sched.barrier_sync" in
+  catch_up st;
   st.barrier_waiters <- (st.current, pc) :: st.barrier_waiters;
   if List.length st.barrier_waiters = st.cfg.nodes then release_barrier st;
   Effect.perform Suspend
 
 let lock_acquire l =
   let st = state "Sched.lock_acquire" in
+  catch_up st;
   let node = st.current in
   match Hashtbl.find_opt st.lock_state l with
   | Some (owner, depth) when owner = node ->
@@ -117,6 +204,7 @@ let lock_acquire l =
 
 let lock_release l =
   let st = state "Sched.lock_release" in
+  catch_up st;
   let node = st.current in
   (match Hashtbl.find_opt st.lock_state l with
   | Some (owner, depth) when owner = node ->
@@ -165,6 +253,10 @@ let run ?poll cfg body =
       parked = Array.make cfg.nodes false;
       current = 0;
       direct = 0;
+      ahead = Array.make cfg.nodes false;
+      recs = [||];
+      nrecs = Array.make cfg.nodes 0;
+      replayed = Array.make cfg.nodes 0;
       finished = 0;
       barrier_waiters = [];
       lock_state = Hashtbl.create 8;
@@ -203,13 +295,21 @@ let run ?poll cfg body =
   @@ fun () ->
   (* Start every fiber: each suspends before its body runs, so its slot
      holds a continuation from the outset. All start at time 0 and run
-     in node order. *)
+     in node order. A body that ends or raises while ahead is caught up
+     first, so its end, and its error, come at its logical time; an
+     abandoned fiber just unwinds. *)
   for node = 0 to cfg.nodes - 1 do
     st.current <- node;
     Effect.Deep.match_with
       (fun () ->
         Effect.perform Suspend;
-        body node)
+        match body node with
+        | () -> catch_up st
+        | exception Abandoned -> raise Abandoned
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            catch_up st;
+            Printexc.raise_with_backtrace e bt)
       () handler;
     Pqueue.push st.ready ~prio:0 node
   done;
@@ -231,8 +331,10 @@ let run ?poll cfg body =
     | None -> ());
     st.direct <- 0;
     st.current <- node;
-    st.parked.(node) <- false;
-    Effect.Deep.continue st.conts.(node) ()
+    if (not st.ahead.(node)) || replay st node st.replayed.(node) then begin
+      st.parked.(node) <- false;
+      Effect.Deep.continue st.conts.(node) ()
+    end
   done;
   Obs.finish "sched.run" run_t0;
   (* The tail region after the last barrier is an epoch too. *)

@@ -21,7 +21,29 @@
     schedule is the one a suspension on every advance would produce. A
     suspended node keeps its one continuation in a per-node slot and its
     (clock, push order) in a flat {!Pqueue}: apart from the runtime's own
-    continuation record, nothing is allocated per park or resume. *)
+    continuation record, nothing is allocated per park or resume.
+
+    {b Running ahead.} Code that no other node can observe need not give
+    up its fiber where {!advance} would park. {!advance_ahead} queues the
+    node exactly as that park would and returns, and the node runs on
+    {e ahead} of the scheduler: each further advance only records the
+    clock it reaches, up to a fixed number of records. When the
+    scheduler loop pops an ahead node, it applies the records one by one
+    through the same park rule, queueing the node again wherever a park
+    would have happened, and resumes the fiber only once none is left.
+    So every push, pop, sequence number, clock and [poll] call is the
+    one a run with {!advance} alone makes; only fiber switches are saved.
+
+    While a node runs ahead, it must not do anything another node can
+    observe: touch memory or state other nodes share, or emit output
+    whose order matters. Before such an operation the caller calls
+    {!sync}, which waits until the node is caught up. {!barrier_sync},
+    {!lock_acquire} and {!lock_release} catch up themselves, and {!run}
+    catches a fiber up before its body's end takes effect and before an
+    exception from its body propagates, so a runtime error surfaces at
+    its logical time. A full record buffer also waits for the catch-up,
+    so a private loop that never ends still returns to the scheduler
+    loop, and [poll] and deadlines keep working. *)
 
 exception Deadlock of string
 (** Raised when no fiber can make progress (e.g. a node exits without
@@ -59,15 +81,30 @@ val run : ?poll:(unit -> unit) -> config -> (int -> unit) -> int
     [Invalid_argument]. *)
 
 val now : unit -> int
-(** Current virtual time of the calling fiber. *)
+(** The calling fiber's logical clock: the sum of its advances, including
+    those it recorded while running ahead. *)
 
 val advance : int -> unit
 (** Advance the calling fiber's clock by the given number of cycles,
     yielding to the scheduler if another fiber is due first (see above).
+    A fiber that runs ahead records the advance and waits until it is
+    caught up.
     @raise Invalid_argument on a negative count. *)
 
+val advance_ahead : int -> bool
+(** [advance], except that where [advance] would suspend, the node stays
+    queued and keeps running ahead (see above). Returns whether it is now
+    ahead; [false] after it waited for a full record buffer to be
+    replayed.
+    @raise Invalid_argument on a negative count. *)
+
+val sync : unit -> unit
+(** Wait until the calling fiber is caught up; at once when it is not
+    ahead. *)
+
 val barrier_sync : pc:int -> unit
-(** Block until every node reaches a barrier. *)
+(** Block until every node reaches a barrier. Like the lock calls below,
+    it first catches the fiber up. *)
 
 val lock_acquire : int -> unit
 val lock_release : int -> unit

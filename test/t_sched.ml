@@ -144,9 +144,42 @@ let test_lone_fiber_polls () =
   Alcotest.(check int) "a fresh run is unaffected" undisturbed
     (Wwt.Sched.run cfg body)
 
+(* Running ahead replays the parks of [advance], so a lone fiber comes
+   back to the scheduler loop, where [poll] runs, exactly as often. *)
+let test_lone_fiber_ahead_polls () =
+  let cfg = config ~nodes:1 () in
+  let run step =
+    let polls = ref 0 in
+    let final =
+      Wwt.Sched.run ~poll:(fun () -> incr polls) cfg (fun _ ->
+          for _ = 1 to 1_000_000 do
+            step 1
+          done)
+    in
+    (final, !polls)
+  in
+  let plain = run Wwt.Sched.advance in
+  Alcotest.(check (pair int int)) "final time and polls as with advance" plain
+    (run (fun n -> ignore (Wwt.Sched.advance_ahead n)));
+  Alcotest.(check bool) "poll reached" true (snd plain > 0);
+  let steps = ref 0 in
+  Alcotest.check_raises "a raising poll cancels a fiber running ahead"
+    (Wwt.Sched.Cancelled "deadline") (fun () ->
+      ignore
+        (Wwt.Sched.run
+           ~poll:(fun () -> raise (Wwt.Sched.Cancelled "deadline"))
+           cfg
+           (fun _ ->
+             for _ = 1 to 1_000_000 do
+               incr steps;
+               ignore (Wwt.Sched.advance_ahead 1)
+             done)));
+  Alcotest.(check bool) "abandoned early" true (!steps < 1_000_000)
+
 (* A run that ends early unwinds its parked fibers, so each frees its
    stack and runs its finalisers: a continuation that is never resumed
-   would keep its stack for good. *)
+   would keep its stack for good. That includes a fiber that waits,
+   ahead of the scheduler, for its records to be replayed. *)
 let test_abandoned_fibers_unwind () =
   let unwound = ref 0 in
   let guarded f = Fun.protect ~finally:(fun () -> incr unwound) f in
@@ -171,7 +204,141 @@ let test_abandoned_fibers_unwind () =
         (Wwt.Sched.run (config ()) (fun node ->
              guarded (fun () ->
                  if node = 0 then Wwt.Sched.barrier_sync ~pc:1))));
-  Alcotest.(check int) "the finished and the deadlocked fiber" 2 !unwound
+  Alcotest.(check int) "the finished and the deadlocked fiber" 2 !unwound;
+  unwound := 0;
+  Alcotest.check_raises "cancelled while ahead" (Wwt.Sched.Cancelled "deadline")
+    (fun () ->
+      ignore
+        (Wwt.Sched.run
+           ~poll:(fun () -> raise (Wwt.Sched.Cancelled "deadline"))
+           (config ~nodes:4 ())
+           (fun _ ->
+             guarded (fun () ->
+                 while true do
+                   ignore (Wwt.Sched.advance_ahead 64)
+                 done))));
+  Alcotest.(check int) "every fiber unwound" 4 !unwound;
+  (* node 0 raises ahead of the scheduler, at a later logical time than
+     node 1 does: node 1's error is the run's, and node 0, still waiting
+     to be caught up, unwinds *)
+  unwound := 0;
+  Alcotest.check_raises "the earlier error" (Failure "early") (fun () ->
+      ignore
+        (Wwt.Sched.run (config ()) (fun node ->
+             guarded (fun () ->
+                 if node = 0 then begin
+                   for _ = 1 to 10 do
+                     ignore (Wwt.Sched.advance_ahead 100)
+                   done;
+                   failwith "late"
+                 end
+                 else begin
+                   Wwt.Sched.advance 150;
+                   failwith "early"
+                 end))));
+  Alcotest.(check int) "both fibers unwound" 2 !unwound
+
+(* ---- running ahead against advance ----
+
+   Random per-node scripts, split into segments by barriers, of plain
+   advances, run-ahead advances, logged clock reads (after catching up)
+   and lock-guarded runs of those. Made plain, every run-ahead advance is
+   an [advance]; both runs must log the same events in the same order and
+   end at the same time. *)
+
+type step =
+  | Plain of int
+  | Ahead of int
+  | Log
+  | Locked of int * step list  (* no barrier or nested lock inside *)
+
+let rec pp_step = function
+  | Plain n -> Printf.sprintf "P%d" n
+  | Ahead n -> Printf.sprintf "A%d" n
+  | Log -> "L"
+  | Locked (l, steps) ->
+      Printf.sprintf "lock%d[%s]" l (String.concat " " (List.map pp_step steps))
+
+let pp_scripts scripts =
+  String.concat "\n"
+    (List.mapi
+       (fun node segments ->
+         Printf.sprintf "node %d: %s" node
+           (String.concat " | "
+              (List.map
+                 (fun seg -> String.concat " " (List.map pp_step seg))
+                 segments)))
+       scripts)
+
+let scripts_gen =
+  let open QCheck.Gen in
+  let cycles = int_range 0 80 in
+  let simple =
+    frequency
+      [
+        (4, map (fun n -> Plain n) cycles);
+        (8, map (fun n -> Ahead n) cycles);
+        (2, return Log);
+      ]
+  in
+  let step =
+    frequency
+      [
+        (14, simple);
+        ( 1,
+          map2
+            (fun l steps -> Locked (l, steps))
+            (int_range 1 2)
+            (list_size (int_range 0 6) simple) );
+      ]
+  in
+  int_range 1 4 >>= fun nodes ->
+  int_range 1 3 >>= fun segments ->
+  list_repeat nodes
+    (list_repeat segments (list_size (int_range 0 120) step))
+
+let run_scripts ~plain scripts =
+  let log = ref [] in
+  let note e = log := e :: !log in
+  let cfg =
+    {
+      (config ~nodes:(List.length scripts)
+         ~on_barrier:(fun ~vt ~arrivals:_ -> note ("barrier", vt, 0))
+         ())
+      with
+      Wwt.Sched.on_lock_acquire =
+        (fun ~node ~lock -> note ("lock", node, lock));
+    }
+  in
+  let rec step node = function
+    | Plain n -> Wwt.Sched.advance n
+    | Ahead n ->
+        if plain then Wwt.Sched.advance n
+        else ignore (Wwt.Sched.advance_ahead n)
+    | Log ->
+        Wwt.Sched.sync ();
+        note ("now", node, Wwt.Sched.now ())
+    | Locked (l, steps) ->
+        Wwt.Sched.lock_acquire l;
+        List.iter (step node) steps;
+        Wwt.Sched.lock_release l
+  in
+  let final =
+    Wwt.Sched.run cfg (fun node ->
+        List.iteri
+          (fun i seg ->
+            if i > 0 then Wwt.Sched.barrier_sync ~pc:i;
+            List.iter (step node) seg)
+          (List.nth scripts node))
+  in
+  (List.rev !log, final)
+
+let prop_ahead_replays_advance =
+  QCheck.Test.make ~count:300
+    ~name:"running ahead logs and ends as advance does"
+    (QCheck.make ~print:pp_scripts scripts_gen)
+    (fun scripts ->
+      run_scripts ~plain:false scripts = run_scripts ~plain:true scripts)
 
 (* The run's state is domain-local: trace runs of the five programs on
    both engines, three at a time on separate domains, must produce the
@@ -213,8 +380,11 @@ let suite =
     Alcotest.test_case "release without hold" `Quick test_lock_release_without_hold;
     Alcotest.test_case "deterministic schedule" `Quick test_determinism;
     Alcotest.test_case "lone fiber reaches poll" `Quick test_lone_fiber_polls;
+    Alcotest.test_case "lone fiber running ahead reaches poll" `Quick
+      test_lone_fiber_ahead_polls;
     Alcotest.test_case "abandoned fibers unwind" `Quick
       test_abandoned_fibers_unwind;
+    Qc.qtest prop_ahead_replays_advance;
     Alcotest.test_case "concurrent runs match sequential" `Slow
       test_concurrent_runs;
   ]
