@@ -395,6 +395,79 @@ let lock_group cfg st =
     ]
   else group
 
+(* A private-only loop: 16-64 iterations over P, Q and the scalars,
+   long enough to cross several scheduling quanta, so a node runs far
+   ahead of the others in a loop no other node can observe. Subscripts
+   come from the counter [k], and every value written stays finite and
+   bounded: the float-only scalars and Q through [float_store], P by
+   halving, and the scalar [acc] modulo a literal. *)
+let private_loop cfg st =
+  let k = Ast.Evar "k" in
+  let at st =
+    priv_index cfg
+      Ast.(Ebinop (Add, Ebinop (Mul, k, Eint (int_range 1 5 st)), Eint (int_range 0 15 st)))
+  in
+  let value st = vexpr cfg No_shared ~depth:(cfg.max_depth - 1) st in
+  let stmt st =
+    match Random.State.int st 4 with
+    | 0 ->
+        let target =
+          if Random.State.bool st then Ast.Lvar (oneof float_names st)
+          else Ast.Lindex ("Q", at st)
+        in
+        mk (Ast.Sassign (target, float_store cfg No_shared ~depth:cfg.max_depth st))
+    | 1 ->
+        mk
+          Ast.(
+            Sassign
+              ( Lindex ("P", at st),
+                Ebinop (Add, Ebinop (Mul, Eindex ("P", at st), Efloat 0.5), value st) ))
+    | 2 ->
+        mk
+          Ast.(
+            Sassign
+              (Lvar "acc", Ebinop (Mod, Ebinop (Add, Evar "acc", value st), Eint 997)))
+    | _ ->
+        mk
+          (Ast.Sif
+             ( vexpr cfg No_shared ~depth:1 st,
+               [ mk (Ast.Sassign (Ast.Lindex ("Q", at st), float_store cfg No_shared ~depth:1 st)) ],
+               [] ))
+  in
+  mk
+    (Ast.Sfor
+       {
+         Ast.var = "k";
+         from_ = Ast.Eint 0;
+         to_ = Ast.Eint (int_range 15 63 st);
+         step = Ast.Eint 1;
+         body = List.init (int_range 1 3 st) (fun _ -> stmt st);
+       })
+
+(* What follows a private loop in its segment: maybe a print of private
+   values, then an access another node can see, as the segment's
+   discipline allows (a locked segment's lock groups come next anyway). *)
+let after_private_loop cfg kind st =
+  let print =
+    if Random.State.bool st then
+      [ mk (Ast.Sprint [ Ast.Evar "acc"; Ast.Evar (oneof float_names st) ]) ]
+    else []
+  in
+  let depth = cfg.max_depth - 1 in
+  let shared =
+    match kind with
+    | `Local ->
+        let idx = own_index (vexpr cfg Own_chunk ~depth st) in
+        [ mk (Ast.Sassign (Ast.Lindex ("A", idx), vexpr cfg Own_chunk ~depth st)) ]
+    | `Read_only ->
+        [ mk (Ast.Sassign (Ast.Lvar (oneof var_names st), shared_read cfg Any_shared ~depth st)) ]
+    | `Racy ->
+        let idx = any_index (vexpr cfg Any_shared ~depth st) in
+        [ mk (Ast.Sassign (Ast.Lindex (oneof array_names st, idx), vexpr cfg Any_shared ~depth st)) ]
+    | `Locked -> []
+  in
+  print @ shared
+
 let segment cfg st =
   let kind =
     (* the racy branch draws first so a racy=false configuration consumes
@@ -406,6 +479,11 @@ let segment cfg st =
       | 5 | 6 | 7 -> `Read_only
       | _ -> `Locked
   in
+  let lead =
+    if Random.State.int st 3 = 0 then
+      private_loop cfg st :: after_private_loop cfg kind st
+    else []
+  in
   let body =
     match kind with
     | `Locked ->
@@ -414,7 +492,7 @@ let segment cfg st =
     | (`Local | `Read_only | `Racy) as k ->
         block cfg k ~sdepth:2 ~n:(int_range 1 cfg.max_stmts st) st
   in
-  body @ [ mk Ast.Sbarrier ]
+  lead @ body @ [ mk Ast.Sbarrier ]
 
 (* Every scalar the grammar can read is assigned before the first segment,
    so no run trips over an undefined variable; the float-only ones get a

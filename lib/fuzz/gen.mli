@@ -30,7 +30,11 @@ val free_program : Lang.Ast.program t
     without writing it, or accumulate integer contributions into [B]
     under a common lock. DRF is what makes the fuzzer's oracles sound —
     annotations and engine choice change {e timing}, and only DRF
-    programs are value-deterministic under timing changes. *)
+    programs are value-deterministic under timing changes.
+
+    A segment may open with a private-only loop of 16–64 iterations over
+    [P], [Q] and the scalars, followed by shared statements, so the nodes
+    reach those statements far apart in simulated time. *)
 
 type config = {
   shared_elems : int;  (** elements in each of the shared arrays A and B *)
