@@ -36,8 +36,9 @@
 
     While a node runs ahead, it must not do anything another node can
     observe: touch memory or state other nodes share, or emit output
-    whose order matters. Before such an operation the caller calls
-    {!sync}, which waits until the node is caught up. {!barrier_sync},
+    whose order matters (in the engines: a shared-memory access, an
+    annotation directive, a printed line). Before such an operation the
+    caller calls {!sync}, which waits until the node is caught up. {!barrier_sync},
     {!lock_acquire} and {!lock_release} catch up themselves, and {!run}
     catches a fiber up before its body's end takes effect and before an
     exception from its body propagates, so a runtime error surfaces at

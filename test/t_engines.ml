@@ -237,6 +237,53 @@ let ragged_private_loops () =
   check_engines "ragged" ~machine
     (T_obs.read_file (Option.get (T_obs.example "ragged.sm")))
 
+(* A store, an accumulation, a load and directives, each straight after
+   a private loop whose length reverses the nodes' order: every node must
+   wait for the others' earlier accesses to the same block before its
+   own. *)
+let shared_access_after_private_loop () =
+  check_engines "shared-after-private-loop" ~machine
+    {|shared A[16];
+private X[8];
+proc main() {
+  for k = 0 to 90 - 20 * pid {
+    X[k % 8] = X[k % 8] + k;
+  }
+  A[pid] = X[1] + pid;
+  for k = 0 to 30 + 20 * pid {
+    X[k % 8] = X[k % 8] * 0.5 + k;
+  }
+  A[pid + 4] = A[pid + 4] + X[2];
+  for k = 0 to 90 - 20 * pid {
+    X[k % 8] = X[k % 8] + 1.0;
+  }
+  y = A[(pid + 1) % 4] + A[4 + (pid + 1) % 4];
+  print(y);
+}
+|};
+  (* the same for executed directives *)
+  let prog =
+    Lang.Parser.parse
+      {|shared A[16];
+private X[8];
+proc main() {
+  for k = 0 to 90 - 20 * pid {
+    X[k % 8] = X[k % 8] + k;
+  }
+  check_out_x A[0 .. 3];
+  for k = 0 to 30 + 20 * pid {
+    X[k % 8] = X[k % 8] * 0.5 + k;
+  }
+  check_in A[0 .. 3];
+}
+|}
+  in
+  check_same "directive-after-private-loop"
+    (Wwt.Run.measure ~engine:Wwt.Run.Tree_walk ~machine ~annotations:true
+       ~prefetch:false prog)
+    (Wwt.Run.measure ~engine:Wwt.Run.Compiled ~machine ~annotations:true
+       ~prefetch:false prog)
+
 (* Node 1 divides by zero later in simulated time than node 0 indexes
    out of bounds, so node 0's error is the run's. *)
 let error_in_private_loop () =
@@ -498,6 +545,9 @@ let suite =
     Alcotest.test_case "cross-node conflict program" `Quick
       cross_node_conflict;
     Alcotest.test_case "ragged private loops" `Quick ragged_private_loops;
+    Alcotest.test_case "shared access and directive after a private loop"
+      `Quick
+      shared_access_after_private_loop;
     Alcotest.test_case "error inside a private loop" `Quick
       error_in_private_loop;
     Alcotest.test_case "unwritten private element in int context" `Quick
