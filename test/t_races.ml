@@ -199,6 +199,51 @@ let racy_addrs_sorted () =
   | [] -> Alcotest.fail "expected races");
   Alcotest.(check int) "one race per racy addr" 3 (List.length r.Races.races)
 
+(* [promoted] counts an address once in an epoch when a second node
+   reaches it there, unless the address raced in an earlier epoch. *)
+let check_promoted name records want =
+  let r = check_agree name records in
+  Alcotest.(check int) (name ^ ": promoted") want r.Races.promoted
+
+let promoted_second_node () =
+  check_promoted "second node"
+    [
+      miss 0 10 64 Trace.Event.Read_miss;
+      miss 1 20 64 Trace.Event.Read_miss;
+      miss 2 30 64 Trace.Event.Read_miss;
+      miss 1 40 64 Trace.Event.Read_miss;
+    ]
+    1
+
+let promoted_each_epoch () =
+  check_promoted "shared again"
+    ([ miss 0 10 64 Trace.Event.Read_miss; miss 1 20 64 Trace.Event.Read_miss ]
+    @ full_barrier 30 100
+    @ [ miss 2 40 64 Trace.Event.Read_miss; miss 3 50 64 Trace.Event.Read_miss ]
+    )
+    2
+
+let promoted_not_after_race () =
+  check_promoted "raced earlier"
+    ([
+       miss 0 10 64 Trace.Event.Write_miss; miss 1 20 64 Trace.Event.Write_miss;
+     ]
+    @ full_barrier 30 100
+    @ [ miss 0 40 64 Trace.Event.Read_miss; miss 1 50 64 Trace.Event.Read_miss ]
+    )
+    1
+
+let promoted_not_sole_node () =
+  check_promoted "sole node"
+    [
+      miss 0 10 64 Trace.Event.Read_miss;
+      miss 0 11 64 Trace.Event.Write_miss;
+      miss ~held:[ 1 ] 0 12 64 Trace.Event.Write_miss;
+      miss 0 13 64 Trace.Event.Read_miss;
+      miss 0 14 64 Trace.Event.Write_miss;
+    ]
+    0
+
 let partial_barrier_rejected () =
   Alcotest.check_raises "short group at end"
     (Failure "trace: barrier group has 2 records, expected 4") (fun () ->
@@ -321,6 +366,14 @@ let suite =
         write_fault_is_write;
       Alcotest.test_case "racy addrs sorted, races in stream order" `Quick
         racy_addrs_sorted;
+      Alcotest.test_case "promoted: a second node counts once" `Quick
+        promoted_second_node;
+      Alcotest.test_case "promoted: counts again in a later epoch" `Quick
+        promoted_each_epoch;
+      Alcotest.test_case "promoted: not after an earlier race" `Quick
+        promoted_not_after_race;
+      Alcotest.test_case "promoted: a sole node counts nothing" `Quick
+        promoted_not_sole_node;
       Alcotest.test_case "partial barrier group rejected" `Quick
         partial_barrier_rejected;
       Alcotest.test_case "render shape" `Quick render_shape;
