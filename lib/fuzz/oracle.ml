@@ -22,9 +22,9 @@
                       Programmer CICO's for every epoch and node, and the
                       Section 2/5 cost-model closed forms are
                       non-negative;
-   6. races         — the streaming race detector (Races.detect) agrees
-                      with the naive reference (Races.naive) on the
-                      reference trace's records; a DRF-by-construction
+   6. races         — the streaming race detector (Races.detect) reports
+                      exactly what the naive reference (Races.naive)
+                      reports on the reference trace's records; a DRF-by-construction
                       program (~expect_race_free) is proven race-free;
                       and every race the detector finds is classified
                       DRFS-unsafe by the paper's per-epoch predicate in
@@ -351,16 +351,17 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                 (Fail ("race detector raised " ^ Printexc.to_string e), false)
             | streaming, reference ->
                 let proven_racy = Races.racy reference in
-                if not (Races.verdict_equal streaming reference) then
+                if streaming <> reference then
                   ( Fail
                       (Printf.sprintf
                          "streaming detector disagrees with the naive \
                           reference (streaming: %d racy addrs over %d \
-                          epochs; reference: %d racy addrs over %d epochs)"
+                          epochs, %d promoted; reference: %d racy addrs \
+                          over %d epochs, %d promoted)"
                          (List.length streaming.Races.racy_addrs)
-                         streaming.Races.epochs
+                         streaming.Races.epochs streaming.Races.promoted
                          (List.length reference.Races.racy_addrs)
-                         reference.Races.epochs),
+                         reference.Races.epochs reference.Races.promoted),
                     proven_racy )
                 else if expect_race_free && Races.racy streaming then
                   let r = List.hd streaming.Races.races in

@@ -11,17 +11,19 @@
     misses) that condition is both necessary and sufficient for a data
     race in the simulated execution.
 
-    The detector is SmartTrack-shaped: per-address state is stamped with
-    its epoch (a barrier is the clock join — stale state is reset in
-    place, never scanned), and a single-owner fast path covers the
-    common unshared case; only on a second node does the state promote
-    to the full access-shape representation that the conflict check
-    scans. Lock-sets are interned by value in a per-call table, so shapes
-    compare lock-sets as ids and disjointness is memoised per id pair.
+    The detector keeps one plain record per address: the epoch it was
+    last touched in, the node that alone has touched it this epoch, its
+    distinct accesses this epoch by (node, write, lock-set) in
+    first-occurrence order with the pc of each first occurrence, and
+    whether it has raced. A barrier group is the clock join: a record
+    stamped with an earlier epoch restarts the next time its address is
+    touched, so nothing is scanned at a barrier. Each access is checked
+    against the address's distinct accesses in order, and the first
+    conflict found is the address's race.
 
     {!naive} is an independent reference implementation over the same
-    records via {!Trace.Epoch.split}; the fuzzer's sixth oracle and the
-    qcheck battery hold the two equal. *)
+    records via {!Trace.Epoch.split}. The tests, the qcheck battery and
+    the fuzzer's sixth oracle hold the two reports equal with [=]. *)
 
 type access = {
   a_node : int;
@@ -43,7 +45,9 @@ type report = {
   accesses : int;  (** miss records folded *)
   distinct_addrs : int;  (** addresses carrying per-address state *)
   promoted : int;
-      (** (address, epoch) states that left the single-owner fast path *)
+      (** (address, epoch) pairs in which a second node reached the
+          address, not counting the epochs after the address's first
+          race *)
   racy_addrs : int list;  (** sorted ascending *)
   races : race list;
       (** first racy pair per racy address, in stream discovery order —
@@ -51,12 +55,6 @@ type report = {
 }
 
 val racy : report -> bool
-
-val verdict_equal : report -> report -> bool
-(** Equality on every field except [promoted] (fast-path telemetry whose
-    exact count is an implementation detail of the streaming detector).
-    This is the relation the fuzzer's differential oracle enforces
-    between {!detect} and {!naive}. *)
 
 val detect : nodes:int -> Trace.Event.record list -> report
 (** Single pass over the records, from an engine run or a loaded trace
@@ -66,9 +64,11 @@ val detect : nodes:int -> Trace.Event.record list -> report
 
 val naive : nodes:int -> Trace.Event.record list -> report
 (** Reference detector: {!Trace.Epoch.split} then per-epoch, per-address
-    pairwise checks on the records. Shares no code with {!detect} past
-    the type definitions and ignores {!Hooks}. Equal to [detect] on
-    every trace — that equality is fuzzed. *)
+    pairwise checks on the records, with [promoted] counted per epoch
+    from the addresses two nodes touched there. Shares no code with
+    {!detect} past the type definitions and ignores {!Hooks}. Its report
+    equals [detect]'s as a value on every trace; that equality is
+    fuzzed. *)
 
 val to_human : report -> string
 (** Multi-line report: verdict line ("race verdict: racy" or

@@ -216,8 +216,9 @@ let test_trace_golden () =
 (* Golden race payloads: [Oneshot.races_report] (the bytes [simulate
    --races], [trace_stats --races] and the daemon's [races] op serve) for
    the five Figure 6 programs at 8 and 16 nodes and for every labelled
-   program under test/corpus_races/ at 4 nodes. [Races.verdict_equal]
-   skips [promoted], so only these digests pin the whole payload. *)
+   program under test/corpus_races/ at 4 nodes. t_races holds
+   [Races.detect] and [Races.naive] to equal reports; these digests pin
+   the bytes every surface serves. *)
 
 let races_golden =
   [
