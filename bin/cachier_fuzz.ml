@@ -3,14 +3,14 @@
    Generates well-formed SPMD programs and checks seven oracles on each:
    engine equivalence, semantics preservation under annotation,
    annotation idempotence, protocol invariants, equation / cost-model
-   sanity, race-detector soundness (streaming vs naive,
-   DRF-by-construction programs proven race-free, detected races
-   classified DRFS-unsafe), and delta re-annotation. --protocols rotates
-   the coherence backend: every program runs the whole battery once per
-   listed backend, with per-protocol counterexample corpora. Failures
-   are shrunk and saved to a corpus directory
-   as .cico files that replay deterministically (--replay), and can be
-   shrunk further offline (--minimise).
+   sanity, race-detector soundness (streaming report equal to the naive
+   one, DRF-by-construction programs proven race-free, the DRFS
+   predicate and the detector agreeing both ways), and delta
+   re-annotation. --protocols rotates the coherence backend: every
+   program runs the whole battery once per listed backend, with
+   per-protocol counterexample corpora. Failures are shrunk and saved to
+   a corpus directory as .cico files that replay deterministically
+   (--replay), and can be shrunk further offline (--minimise).
 
    Exit status: 0 when every oracle passed on every program, 1 when a
    counterexample was found, 2 on usage errors. *)

@@ -8,7 +8,20 @@
 
     [DRFS] is the union predicate used by the annotation equations; the
     [filter_*] functions are the paper's DRFS/FS set functions and their
-    complements. *)
+    complements.
+
+    {b Agreement with the streaming race detector.} Over the epochs of a
+    trace, {!race} marks exactly the addresses [Races.detect] reports
+    racy, each first in the epoch of its reported race, and both count
+    the same epochs. The fuzzer's races oracle and a [t_races] case over
+    the race corpus and the Figure 6 programs check this both ways.
+    Both passes stay. The equations need every epoch's race set, while
+    the detector stops at an address's first race and knows nothing of
+    false sharing; and deriving this set from the streaming pass would
+    add that whole pass to every annotation, where this module's
+    per-epoch pass reuses the address order {!Epoch_info} has already
+    built and costs less on every Figure 6 trace (EXPERIMENTS.md, "One
+    plain streaming race detector"). *)
 
 module Iset = Trace.Epoch.Iset
 

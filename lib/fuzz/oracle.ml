@@ -24,13 +24,14 @@
                       non-negative;
    6. races         — the streaming race detector (Races.detect) reports
                       exactly what the naive reference (Races.naive)
-                      reports on the reference trace's records; a DRF-by-construction
-                      program (~expect_race_free) is proven race-free;
-                      and every race the detector finds is classified
-                      DRFS-unsafe by the paper's per-epoch predicate in
-                      that epoch, so Performance mode only ever hands
-                      racy data the conservative filter_drfs annotations
-                      — i.e. a proven-racy program never receives
+                      reports on the reference trace's records; a
+                      DRF-by-construction program (~expect_race_free) is
+                      proven race-free; and the paper's per-epoch DRFS
+                      predicate marks exactly the detector's racy
+                      addresses, each first in the epoch of its reported
+                      race, so Performance mode only ever hands racy data
+                      the conservative filter_drfs annotations — i.e. a
+                      proven-racy program never receives
                       semantics-changing Performance annotations;
    7. delta         — a deterministic single-token edit served by the
                       incremental engine (Delta.Engine.annotate_delta)
@@ -232,6 +233,56 @@ let cost_model_mismatch ~machine (annotated_stats : Memsys.Stats.t option) =
                  stats.Memsys.Stats.check_ins)
           else None)
 
+(* Oracle 6's agreement between the paper's per-epoch DRFS predicate
+   and the streaming detector, in both directions: both count the same
+   epochs, and the addresses [Drfs.race] marks in some epoch are exactly
+   the detector's racy addresses, each first marked in the epoch of its
+   reported race. *)
+let drfs_mismatch (einfo : Cachier.Epoch_info.t) (report : Races.report) =
+  let first = Hashtbl.create 16 in
+  Array.iteri
+    (fun e d ->
+      Cachier.Drfs.Iset.iter
+        (fun a -> if not (Hashtbl.mem first a) then Hashtbl.add first a e)
+        (Cachier.Drfs.race d))
+    einfo.Cachier.Epoch_info.drfs;
+  let disagrees (r : Races.race) =
+    Hashtbl.find_opt first r.Races.r_addr <> Some r.Races.r_epoch
+  in
+  if Cachier.Epoch_info.n_epochs einfo <> report.Races.epochs then
+    Some
+      (Printf.sprintf "the DRFS pass sees %d epochs, the race detector %d"
+         (Cachier.Epoch_info.n_epochs einfo)
+         report.Races.epochs)
+  else
+    match List.find_opt disagrees report.Races.races with
+    | Some r -> (
+        match Hashtbl.find_opt first r.Races.r_addr with
+        | Some e when e < r.Races.r_epoch ->
+            Some
+              (Printf.sprintf
+                 "addr %d first races in epoch %d by the DRFS predicate but \
+                  in epoch %d by the race detector"
+                 r.Races.r_addr e r.Races.r_epoch)
+        | _ ->
+            Some
+              (Printf.sprintf
+                 "addr %d races in epoch %d but the DRFS predicate calls it \
+                  race-free there — Performance mode would annotate racy \
+                  data"
+                 r.Races.r_addr r.Races.r_epoch))
+    | None ->
+        Hashtbl.fold
+          (fun a e found ->
+            if found = None && not (List.mem a report.Races.racy_addrs) then
+              Some
+                (Printf.sprintf
+                   "the DRFS predicate calls addr %d racy in epoch %d but the \
+                    race detector finds no race on it"
+                   a e)
+            else found)
+          first None
+
 let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
     (p : Lang.Ast.program) : report =
   let machine = { machine with Wwt.Machine.debug_protocol = true } in
@@ -330,11 +381,12 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
          oracle 2 consults the trusted (naive) verdict: a racy program's
          per-node results are legitimately timing-dependent, so the
          semantics oracle must not treat their drift as a counterexample.
-         Three checks: (a) the streaming detector agrees with the naive
-         reference on the trace's records; (b) a program the generator
-         promises is DRF-by-construction is proven race-free; (c) every
-         detected race is classified DRFS-unsafe by the paper's per-epoch
-         predicate for that epoch — by the Equations construction that
+         Three checks: (a) the streaming detector's report equals the
+         naive reference's on the trace's records; (b) a program the
+         generator promises is DRF-by-construction is proven race-free;
+         (c) the paper's per-epoch DRFS predicate and the detector agree
+         both ways ([drfs_mismatch]). In particular every detected race
+         is DRFS-unsafe in its epoch — by the Equations construction that
          confines racy data to the conservative filter_drfs annotations,
          so a proven-racy program never receives semantics-changing
          Performance annotations. -- *)
@@ -376,34 +428,16 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                          r.Races.r_second.Races.a_pc),
                     proven_racy )
                 else
-                  let drfs_miss =
-                    match
-                      Cachier.Epoch_info.build ~nodes
-                        ~block_size:machine.Wwt.Machine.block_size records
-                    with
-                    | einfo ->
-                        List.find_opt
-                          (fun (r : Races.race) ->
-                            r.Races.r_epoch
-                            < Array.length einfo.Cachier.Epoch_info.drfs
-                            && not
-                                 (Cachier.Drfs.in_race
-                                    einfo.Cachier.Epoch_info.drfs.(r.Races
-                                                                   .r_epoch)
-                                    r.Races.r_addr))
-                          streaming.Races.races
-                    | exception _ -> None (* oracle 5 reports this *)
-                  in
-                  (match drfs_miss with
-                  | Some r ->
-                      ( Fail
-                          (Printf.sprintf
-                             "addr %d races in epoch %d but the DRFS \
-                              predicate calls it race-free there — \
-                              Performance mode would annotate racy data"
-                             r.Races.r_addr r.Races.r_epoch),
-                        proven_racy )
-                  | None -> (Pass, proven_racy)))
+                  match
+                    Cachier.Epoch_info.build ~nodes
+                      ~block_size:machine.Wwt.Machine.block_size records
+                  with
+                  | exception _ ->
+                      (Pass, proven_racy) (* oracle 5 reports this *)
+                  | einfo -> (
+                      match drfs_mismatch einfo streaming with
+                      | Some m -> (Fail m, proven_racy)
+                      | None -> (Pass, proven_racy)))
         | r -> (Skip ("trace collection: " ^ describe r), false)
       in
       (* -- oracle 1: engine equivalence. The tree walk is the

@@ -16,14 +16,16 @@
     {- [equations] — Performance CICO's sets are a subset of Programmer
        CICO's for every epoch and node, and the cost-model closed forms
        are non-negative;}
-    {- [races] — the streaming race detector over the packed trace
-       ({!Races.detect}) agrees with the naive decompressed reference
-       ({!Races.naive}); a DRF-by-construction program is proven
-       race-free when the caller promises one ([~expect_race_free]); and
-       every detected race is classified DRFS-unsafe by the paper's
-       per-epoch predicate in its epoch, which confines racy data to the
-       conservative annotations — a proven-racy program never receives
-       semantics-changing Performance CICO;}
+    {- [races] — the streaming race detector over the trace's records
+       ({!Races.detect}) returns the same report, as a value, as the
+       naive reference ({!Races.naive}); a DRF-by-construction program is
+       proven race-free when the caller promises one
+       ([~expect_race_free]); and the paper's per-epoch DRFS predicate
+       ({!Cachier.Drfs.race}) agrees with the detector both ways: the
+       same epoch count, and exactly the detector's racy addresses, each
+       first marked in the epoch of its reported race. That confines
+       racy data to the conservative annotations — a proven-racy program
+       never receives semantics-changing Performance CICO;}
     {- [delta] — a deterministic single-token edit of the program served
        by the incremental engine ({!Delta.Engine.annotate_delta}) yields
        byte-identical annotated source, an equal report and equal epoch

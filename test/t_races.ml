@@ -1,12 +1,14 @@
 (* The race-detection battery.
 
-   Three layers of evidence that the streaming detector is sound:
+   Four layers of evidence that the streaming detector is sound:
 
    - a labelled corpus under test/corpus_races/ — each program carries a
      "// races: racy|race-free" header and the detector must reproduce
      every verdict (and report exactly what the naive reference does);
    - hand-built traces hitting the detector's edges directly (empty
      trace, lock-set intersection, epoch boundaries, trailing misses);
+   - agreement with the paper's per-epoch DRFS predicate (Cachier.Drfs)
+     on the corpus and the Figure 6 programs;
    - mutation tests: with a detector deliberately broken through
      Races.Hooks, a short fuzzing campaign must find and shrink a
      counterexample — proving the sixth oracle actually guards the
@@ -269,6 +271,52 @@ let render_shape () =
   Alcotest.(check bool) "newline-terminated" true
     (String.length rendered > 0 && rendered.[String.length rendered - 1] = '\n')
 
+(* --- agreement with the paper's DRFS predicate ------------------------- *)
+
+(* Drfs and the streaming detector agree both ways on one trace: the same
+   epoch count, and the addresses [Cachier.Drfs.race] marks, each with
+   the first epoch it marks them in, are the detector's races. *)
+let check_drfs_agrees name ~nodes records =
+  let einfo =
+    Cachier.Epoch_info.build ~nodes
+      ~block_size:Wwt.Machine.default.Wwt.Machine.block_size records
+  in
+  let r = Races.detect ~nodes records in
+  let first = Hashtbl.create 16 in
+  Array.iteri
+    (fun e d ->
+      Cachier.Drfs.Iset.iter
+        (fun a -> if not (Hashtbl.mem first a) then Hashtbl.add first a e)
+        (Cachier.Drfs.race d))
+    einfo.Cachier.Epoch_info.drfs;
+  Alcotest.(check int)
+    (name ^ ": epochs") r.Races.epochs
+    (Cachier.Epoch_info.n_epochs einfo);
+  Alcotest.(check (list (pair int int)))
+    (name ^ ": racy addresses and their first racy epoch")
+    (List.sort compare
+       (List.map (fun x -> (x.Races.r_addr, x.Races.r_epoch)) r.Races.races))
+    (List.sort compare (Hashtbl.fold (fun a e acc -> (a, e) :: acc) first []))
+
+let drfs_agreement () =
+  List.iter
+    (fun file ->
+      check_drfs_agrees file ~nodes
+        (trace_of (read_file (Filename.concat corpus_dir file))))
+    corpus_files;
+  List.iter
+    (fun nodes ->
+      let machine = { Wwt.Machine.default with Wwt.Machine.nodes } in
+      List.iter
+        (fun name ->
+          let b = Benchmarks.Suite.find ~nodes name in
+          let prog = Lang.Parser.parse b.Benchmarks.Suite.source in
+          check_drfs_agrees
+            (Printf.sprintf "%s-%d" name nodes)
+            ~nodes (Wwt.Run.collect_trace ~machine prog).Wwt.Interp.trace)
+        Benchmarks.Suite.names)
+    [ 8; 16 ]
+
 (* --- mutation tests ---------------------------------------------------- *)
 
 (* With a hook-broken detector, a short deterministic campaign must find
@@ -372,6 +420,8 @@ let suite =
       Alcotest.test_case "partial barrier group rejected" `Quick
         partial_barrier_rejected;
       Alcotest.test_case "render shape" `Quick render_shape;
+      Alcotest.test_case "Drfs and the detector agree both ways" `Quick
+        drfs_agreement;
       Alcotest.test_case "broken lock intersection flips lock_protected"
         `Quick
         (hook_flips_verdict Races.Hooks.break_lock_intersection
