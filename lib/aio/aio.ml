@@ -211,10 +211,6 @@ module Loop = struct
     c.holds <- max 0 (c.holds - 1);
     maybe_drop_after_eof c
 
-  let close_conn c =
-    flush_out c.owner c;
-    drop c.owner c
-
   let handle_readable t c =
     match Unix.read c.fd t.scratch 0 (Bytes.length t.scratch) with
     | 0 ->

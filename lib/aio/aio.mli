@@ -82,9 +82,6 @@ module Loop : sig
 
   val release : conn -> unit
 
-  val close_conn : conn -> unit
-  (** Flush what can be written immediately, then close and unregister. *)
-
   val conn_count : t -> int
 
   val stop_accepting : t -> unit

@@ -13,8 +13,6 @@ let coalesce ints =
   in
   loop [] None sorted
 
-let coalesce_set set = coalesce (Iset.elements set)
-
 let block_align_ranges ~elems_per_block ranges =
   if elems_per_block <= 1 then ranges
   else

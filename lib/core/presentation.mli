@@ -12,8 +12,6 @@ module Iset = Trace.Epoch.Iset
 val coalesce : int list -> (int * int) list
 (** Maximal runs of consecutive integers, sorted; duplicates collapse. *)
 
-val coalesce_set : Iset.t -> (int * int) list
-
 val block_align_ranges :
   elems_per_block:int -> (int * int) list -> (int * int) list
 (** Round every element range out to cache-block boundaries and merge the

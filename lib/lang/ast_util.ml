@@ -81,16 +81,6 @@ let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 let proc_digest (p : Ast.proc) =
   digest_of (p.Ast.pname, p.Ast.params, List.map strip_sids_stmt p.Ast.body)
 
-let decl_digest (d : Ast.decl) = digest_of d
-
-let program_digest (p : Ast.program) =
-  digest_of
-    ( p.Ast.decls,
-      List.map
-        (fun (pr : Ast.proc) ->
-          (pr.Ast.pname, pr.Ast.params, List.map strip_sids_stmt pr.Ast.body))
-        p.Ast.procs )
-
 let barrier_sids program =
   List.rev
     (Ast.fold_stmts

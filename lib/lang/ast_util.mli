@@ -27,12 +27,6 @@ val proc_digest : Ast.proc -> string
     delta engine re-checks only the procedures whose digest an edit
     changed. *)
 
-val decl_digest : Ast.decl -> string
-(** Content hash of a top-level declaration. *)
-
-val program_digest : Ast.program -> string
-(** Content hash of the whole program, ignoring statement ids. *)
-
 val set_const : Ast.program -> string -> int -> Ast.program
 (** [set_const p name v] replaces the value of constant declaration
     [name] (used to re-run an annotated program on a different input data

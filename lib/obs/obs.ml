@@ -191,7 +191,6 @@ let st =
   }
 
 let enabled () = st.on [@@inline]
-let current_mode () = st.mode
 
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 

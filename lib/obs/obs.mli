@@ -44,8 +44,6 @@ val configure : mode -> unit
     NDJSON file, and registers an [at_exit] {!flush} (once). May be
     called again to reconfigure; the previous NDJSON sink is closed. *)
 
-val current_mode : unit -> mode
-
 val enabled : unit -> bool
 (** True in [Summary] and [Ndjson] modes, until {!flush}. Hot-path call
     sites branch on this before touching the pipeline. *)

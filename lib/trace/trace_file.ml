@@ -22,18 +22,6 @@ let save ?protocol path records =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string ?protocol records))
 
-let protocol_of_string s =
-  let rec scan = function
-    | [] -> Memsys.Protocol_id.default
-    | line :: rest -> (
-        match String.split_on_char ' ' (String.trim line) with
-        | [ "#"; "protocol"; p ] ->
-            Option.value ~default:Memsys.Protocol_id.default
-              (Memsys.Protocol_id.of_string p)
-        | _ -> scan rest)
-  in
-  scan (String.split_on_char '\n' s)
-
 let kind_of_string lineno = function
   | "R" -> Event.Read_miss
   | "W" -> Event.Write_miss

@@ -7,8 +7,7 @@
     - lines beginning with [#] are comments and are ignored.
 
     Traces priced by a non-default coherence backend are stamped with a
-    leading ["# protocol <id>"] comment (pass [?protocol] when writing);
-    {!protocol_of_string} recovers it. *)
+    leading ["# protocol <id>"] comment (pass [?protocol] when writing). *)
 
 val to_buffer : ?protocol:Memsys.Protocol_id.t -> Buffer.t -> Event.record list -> unit
 val to_string : ?protocol:Memsys.Protocol_id.t -> Event.record list -> string
@@ -18,11 +17,6 @@ val save : ?protocol:Memsys.Protocol_id.t -> string -> Event.record list -> unit
 
 val of_string : string -> Event.record list
 (** Parse a trace. @raise Failure on a malformed line, with its number. *)
-
-val protocol_of_string : string -> Memsys.Protocol_id.t
-(** The backend a serialized trace was priced under: the first
-    ["# protocol <id>"] stamp, or {!Memsys.Protocol_id.default} when
-    unstamped (every pre-seam trace). *)
 
 val load : string -> Event.record list
 (** [load path] parses the trace stored at [path]. *)
