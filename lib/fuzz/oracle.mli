@@ -57,6 +57,13 @@ val names : string list
 val to_list : report -> (string * verdict) list
 val first_failure : report -> (string * string) option
 
+val drfs_mismatch : Cachier.Epoch_info.t -> Races.report -> string option
+(** The [races] oracle's two-way check of {!Cachier.Drfs} against the
+    detector's report on the same trace: [None] when both count the same
+    epochs and the addresses {!Cachier.Drfs.race} marks in some epoch are
+    exactly the report's racy addresses, each first marked in the epoch
+    of its reported race; otherwise the first disagreement. *)
+
 val run_all :
   ?budget_s:float ->
   ?expect_race_free:bool ->

@@ -273,30 +273,17 @@ let render_shape () =
 
 (* --- agreement with the paper's DRFS predicate ------------------------- *)
 
-(* Drfs and the streaming detector agree both ways on one trace: the same
-   epoch count, and the addresses [Cachier.Drfs.race] marks, each with
-   the first epoch it marks them in, are the detector's races. *)
+(* The sixth oracle's two-way check of Drfs against the streaming
+   detector, on one trace. *)
 let check_drfs_agrees name ~nodes records =
   let einfo =
     Cachier.Epoch_info.build ~nodes
       ~block_size:Wwt.Machine.default.Wwt.Machine.block_size records
   in
-  let r = Races.detect ~nodes records in
-  let first = Hashtbl.create 16 in
-  Array.iteri
-    (fun e d ->
-      Cachier.Drfs.Iset.iter
-        (fun a -> if not (Hashtbl.mem first a) then Hashtbl.add first a e)
-        (Cachier.Drfs.race d))
-    einfo.Cachier.Epoch_info.drfs;
-  Alcotest.(check int)
-    (name ^ ": epochs") r.Races.epochs
-    (Cachier.Epoch_info.n_epochs einfo);
-  Alcotest.(check (list (pair int int)))
-    (name ^ ": racy addresses and their first racy epoch")
-    (List.sort compare
-       (List.map (fun x -> (x.Races.r_addr, x.Races.r_epoch)) r.Races.races))
-    (List.sort compare (Hashtbl.fold (fun a e acc -> (a, e) :: acc) first []))
+  Alcotest.(check (option string))
+    (name ^ ": Drfs agrees with the detector")
+    None
+    (Fuzz.Oracle.drfs_mismatch einfo (Races.detect ~nodes records))
 
 let drfs_agreement () =
   List.iter
