@@ -239,49 +239,37 @@ let cost_model_mismatch ~machine (annotated_stats : Memsys.Stats.t option) =
    the detector's racy addresses, each first marked in the epoch of its
    reported race. *)
 let drfs_mismatch (einfo : Cachier.Epoch_info.t) (report : Races.report) =
-  let first = Hashtbl.create 16 in
+  (* address -> the first epoch it is racy in, by each analysis *)
+  let drfs = Hashtbl.create 16 and detected = Hashtbl.create 16 in
   Array.iteri
     (fun e d ->
       Cachier.Drfs.Iset.iter
-        (fun a -> if not (Hashtbl.mem first a) then Hashtbl.add first a e)
+        (fun a -> if not (Hashtbl.mem drfs a) then Hashtbl.add drfs a e)
         (Cachier.Drfs.race d))
     einfo.Cachier.Epoch_info.drfs;
-  let disagrees (r : Races.race) =
-    Hashtbl.find_opt first r.Races.r_addr <> Some r.Races.r_epoch
+  List.iter
+    (fun (r : Races.race) ->
+      Hashtbl.replace detected r.Races.r_addr r.Races.r_epoch)
+    report.Races.races;
+  let first_epoch tbl a =
+    match Hashtbl.find_opt tbl a with
+    | Some e -> Printf.sprintf "epoch %d" e
+    | None -> "no epoch"
   in
+  let differs a = Hashtbl.find_opt drfs a <> Hashtbl.find_opt detected a in
   if Cachier.Epoch_info.n_epochs einfo <> report.Races.epochs then
     Some
       (Printf.sprintf "the DRFS pass sees %d epochs, the race detector %d"
          (Cachier.Epoch_info.n_epochs einfo)
          report.Races.epochs)
   else
-    match List.find_opt disagrees report.Races.races with
-    | Some r -> (
-        match Hashtbl.find_opt first r.Races.r_addr with
-        | Some e when e < r.Races.r_epoch ->
-            Some
-              (Printf.sprintf
-                 "addr %d first races in epoch %d by the DRFS predicate but \
-                  in epoch %d by the race detector"
-                 r.Races.r_addr e r.Races.r_epoch)
-        | _ ->
-            Some
-              (Printf.sprintf
-                 "addr %d races in epoch %d but the DRFS predicate calls it \
-                  race-free there — Performance mode would annotate racy \
-                  data"
-                 r.Races.r_addr r.Races.r_epoch))
-    | None ->
-        Hashtbl.fold
-          (fun a e found ->
-            if found = None && not (List.mem a report.Races.racy_addrs) then
-              Some
-                (Printf.sprintf
-                   "the DRFS predicate calls addr %d racy in epoch %d but the \
-                    race detector finds no race on it"
-                   a e)
-            else found)
-          first None
+    List.find_opt differs
+      (report.Races.racy_addrs @ List.of_seq (Hashtbl.to_seq_keys drfs))
+    |> Option.map (fun a ->
+           Printf.sprintf
+             "addr %d first races in %s by the DRFS predicate but in %s by \
+              the race detector"
+             a (first_epoch drfs a) (first_epoch detected a))
 
 let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
     (p : Lang.Ast.program) : report =
