@@ -15,13 +15,13 @@
     racy, each first in the epoch of its reported race, and both count
     the same epochs. The fuzzer's races oracle and a [t_races] case over
     the race corpus and the Figure 6 programs check this both ways.
-    Both passes stay. The equations need every epoch's race set, while
-    the detector stops at an address's first race and knows nothing of
-    false sharing; and deriving this set from the streaming pass would
-    add that whole pass to every annotation, where this module's
-    per-epoch pass reuses the address order {!Epoch_info} has already
-    built and costs less on every Figure 6 trace (EXPERIMENTS.md, "One
-    plain streaming race detector"). *)
+    Both passes stay. The equations need every epoch's race set and the
+    false-sharing set, while the detector stops at an address's first
+    race and has no notion of blocks. Deriving this set from the
+    streaming pass would also cost more: on most Figure 6 traces the
+    streaming pass costs several times this module's per-epoch pass
+    over the address order {!Epoch_info} has already built
+    (EXPERIMENTS.md, "One plain streaming race detector"). *)
 
 module Iset = Trace.Epoch.Iset
 
