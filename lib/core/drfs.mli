@@ -29,9 +29,12 @@ type t
 
 val analyze_sorted : block_size:int -> Trace.Event.miss array -> t
 (** The analysis of one epoch from its misses ordered by address
-    ({!Trace.Epoch.by_address}), in one pass over them. An address
-    without locked accesses is decided from node bitmasks in O(1); only
-    pairs of locked accesses are compared lockset by lockset.
+    ({!Trace.Epoch.by_address}), in one pass over them and one over its
+    distinct addresses. An address without locked accesses is decided
+    from node bitmasks in O(1); only pairs of locked accesses are
+    compared lockset by lockset. Both scans run in ascending address
+    order, so the race and false-sharing sets are filled in order, with
+    no sort.
 
     An access pair protected by a common lock is not a race (a lockset
     refinement the paper's lock-ignoring model does not have; the

@@ -6,15 +6,13 @@ let empty_sets = { sw = Iset.empty; sr = Iset.empty; wf = Iset.empty }
 
 let s_of ns = Iset.union ns.sw ns.sr
 
-type index = { by_addr : Trace.Event.miss array; sw_others : Iset.t array }
-
 type t = {
   nodes : int;
   block_size : int;
   epochs : Trace.Epoch.t array;
   sets : node_sets array array;
   drfs : Drfs.t array;
-  index : index array;
+  sw_others : Iset.t array array;
   labels : (string * int * int) list;
 }
 
@@ -30,7 +28,7 @@ let sets_of_epoch (e : Trace.Epoch.t) node =
   }
 
 (* [others.(n)] = ⋃ SW over every node but [n], from a prefix union
-   (nodes below [n]) and a suffix union (nodes above): 3·nodes unions
+   (nodes below [n]) and a suffix union (nodes above): 3·nodes merges
    per epoch. *)
 let sw_others_of (sets : node_sets array) =
   let n = Array.length sets in
@@ -50,20 +48,15 @@ let build ~nodes ~block_size records =
   let epochs, labels = Trace.Epoch.split ~nodes records in
   let epochs = Array.of_list epochs in
   let sets =
+    Array.map (fun e -> Array.init nodes (fun node -> sets_of_epoch e node)) epochs
+  in
+  let drfs =
     Array.map
-      (fun e -> Array.init nodes (fun node -> sets_of_epoch e node))
+      (fun e -> Drfs.analyze_sorted ~block_size e.Trace.Epoch.by_addr)
       epochs
   in
-  let by_addr =
-    Array.map (fun e -> Trace.Epoch.by_address e.Trace.Epoch.misses) epochs
-  in
-  let drfs = Array.map (Drfs.analyze_sorted ~block_size) by_addr in
-  let index =
-    Array.mapi
-      (fun i by_addr -> { by_addr; sw_others = sw_others_of sets.(i) })
-      by_addr
-  in
-  { nodes; block_size; epochs; sets; drfs; index; labels }
+  let sw_others = Array.map sw_others_of sets in
+  { nodes; block_size; epochs; sets; drfs; sw_others; labels }
 
 let n_epochs t = Array.length t.epochs
 
@@ -73,7 +66,7 @@ let sets_at t ~epoch ~node =
   if in_range t epoch then t.sets.(epoch).(node) else empty_sets
 
 let sw_others t ~epoch ~node =
-  if in_range t epoch then t.index.(epoch).sw_others.(node) else Iset.empty
+  if in_range t epoch then t.sw_others.(epoch).(node) else Iset.empty
 
 (* First position in [a] whose address is >= [addr]. *)
 let lower_bound (a : Trace.Event.miss array) addr =
@@ -85,7 +78,7 @@ let lower_bound (a : Trace.Event.miss array) addr =
   !lo
 
 let iter_range t ~epoch ~lo ~hi f =
-  let a = t.index.(epoch).by_addr in
+  let a = t.epochs.(epoch).Trace.Epoch.by_addr in
   let n = Array.length a in
   let i = ref (lower_bound a lo) in
   while !i < n && a.(!i).Trace.Event.addr <= hi do

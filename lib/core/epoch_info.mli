@@ -8,14 +8,20 @@
 
     plus the per-epoch DRFS analysis and a miss index.
 
+    Every set is a {!Trace.Epoch.Iset.t}, a sorted int array, so the
+    Section 4.1 equations over them are linear merges.
+
     {b The miss index.} Every later pass — the equations, placement,
     the race report, the explanation — asks the same few questions of
     an epoch's misses: which pcs touched this address, which misses
-    fall in this array, what did every other node write. [build]
-    answers them once per dynamic epoch, so each pass stays linear in
-    the misses it actually looks at. The rule for consumers: never
-    rescan [epochs.(i).misses] per address, per pc, per node or per
-    array; go through {!iter_range}, {!pcs_of_addr} and {!sw_others}. *)
+    fall in this array, what did every other node write. The epoch's
+    misses in address order ({!Trace.Epoch.t.by_addr}, sorted once when
+    the trace is split) answer the first two by binary search, and
+    [build] computes the third once per dynamic epoch, so each pass
+    stays linear in the misses it actually looks at. The rule for
+    consumers: never rescan [epochs.(i).misses] per address, per pc,
+    per node or per array; go through {!iter_range}, {!pcs_of_addr} and
+    {!sw_others}. *)
 
 module Iset = Trace.Epoch.Iset
 
@@ -28,23 +34,17 @@ type node_sets = {
 val s_of : node_sets -> Iset.t
 (** [Sᵢ = SWᵢ ∪ SRᵢ]. *)
 
-type index = {
-  by_addr : Trace.Event.miss array;
-      (** the epoch's misses ordered by address
-          ({!Trace.Epoch.by_address}): an address's misses, and a
-          labelled array's, are one contiguous run *)
-  sw_others : Iset.t array;
-      (** per node: the union of every {e other} node's SW set, from
-          prefix and suffix unions over the nodes *)
-}
-
 type t = {
   nodes : int;
   block_size : int;
   epochs : Trace.Epoch.t array;
   sets : node_sets array array;  (** [sets.(epoch).(node)] *)
-  drfs : Drfs.t array;  (** per epoch, computed from [index.(epoch).by_addr] *)
-  index : index array;  (** per epoch *)
+  drfs : Drfs.t array;
+      (** per epoch, computed from the epoch's [by_addr] in one pass *)
+  sw_others : Iset.t array array;
+      (** [sw_others.(epoch).(node)]: the union of every {e other}
+          node's SW set, from prefix and suffix unions over the nodes
+          (3·nodes merges per epoch) *)
   labels : (string * int * int) list;  (** labelled shared regions *)
 }
 

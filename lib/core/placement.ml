@@ -420,14 +420,16 @@ type tally = {
   mutable dominant : bool;
 }
 
+module Pc_table = Hashtbl.Make (Int)
+
 let tally_table () =
-  let table = Hashtbl.create 16 in
+  let table = Pc_table.create 16 in
   let tally pc =
-    match Hashtbl.find_opt table pc with
+    match Pc_table.find_opt table pc with
     | Some c -> c
     | None ->
         let c = { seen = 0; hits = 0; hit_reads = 0; dominant = false } in
-        Hashtbl.add table pc c;
+        Pc_table.add table pc c;
         c
   in
   (table, tally)
@@ -442,10 +444,11 @@ let hit (c : tally) (m : Trace.Event.miss) =
    Section 4.1), falling back to all hit pcs. *)
 let hit_pcs table ~prefer_reads =
   let pick f =
-    Hashtbl.fold (fun pc c acc -> if f c then pc :: acc else acc) table []
+    Pc_table.fold (fun pc c acc -> if f c then pc :: acc else acc) table []
   in
   let reads = if prefer_reads then pick (fun c -> c.hit_reads > 0) else [] in
-  List.sort compare (if reads <> [] then reads else pick (fun c -> c.hits > 0))
+  List.sort Int.compare
+    (if reads <> [] then reads else pick (fun c -> c.hits > 0))
 
 let place_near_access ctx ~proj ~arr ~pcs ~note_of =
   let kind = kind_of_proj proj in
@@ -1107,7 +1110,7 @@ let plan_traces ~program ~layout ~machine ~einfos ~options =
      hoisted across it (they would make every node claim the owner's
      data). *)
   let pid_guards = Hashtbl.create 64 in
-  let guard_body = Hashtbl.create 16 in
+  let guard_sids = Hashtbl.create 16 in
   let is_pid_cond cond = List.mem "pid" (Presentation.free_vars cond) in
   let rec scan_block active block = List.iter (scan_stmt active) block
   and scan_stmt active (st : Ast.stmt) =
@@ -1115,10 +1118,8 @@ let plan_traces ~program ~layout ~machine ~einfos ~options =
       Hashtbl.replace pid_guards st.Ast.sid active;
       List.iter
         (fun g ->
-          let prev =
-            Option.value ~default:Iset.empty (Hashtbl.find_opt guard_body g)
-          in
-          Hashtbl.replace guard_body g (Iset.add st.Ast.sid prev))
+          let prev = Option.value ~default:[] (Hashtbl.find_opt guard_sids g) in
+          Hashtbl.replace guard_sids g (st.Ast.sid :: prev))
         active
     end;
     match st.Ast.node with
@@ -1134,6 +1135,10 @@ let plan_traces ~program ~layout ~machine ~einfos ~options =
         ()
   in
   List.iter (fun (p : Ast.proc) -> scan_block [] p.Ast.body) program.Ast.procs;
+  let guard_body = Hashtbl.create (Hashtbl.length guard_sids) in
+  Hashtbl.iter
+    (fun g sids -> Hashtbl.replace guard_body g (Iset.of_list sids))
+    guard_sids;
   let ctx =
     {
       program;

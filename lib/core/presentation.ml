@@ -32,20 +32,17 @@ let block_align_ranges ~elems_per_block ranges =
     in
     merge sorted
 
-(* The members of [set] in [\[lo, hi\]], by two splits: O(log n) plus
-   what is kept, not a filter over the whole set. *)
-let restrict ~lo ~hi set =
-  let _, _, from_lo = Iset.split (lo - 1) set in
-  let upto_hi, _, _ = Iset.split (hi + 1) from_lo in
-  upto_hi
+(* The members of [set] inside the array's bytes: a slice found by
+   binary search, not a filter over the whole set. *)
+let restrict (e : Label.entry) set =
+  Iset.range ~lo:e.Label.base
+    ~hi:(e.Label.base + (e.Label.elems * e.Label.elem_size) - 1)
+    set
 
 let addrs_in_array ~layout ~arr set =
   match Label.find_array layout arr with
   | None -> Iset.empty
-  | Some e ->
-      restrict ~lo:e.Label.base
-        ~hi:(e.Label.base + (e.Label.elems * e.Label.elem_size) - 1)
-        set
+  | Some e -> restrict e set
 
 let ranges_for_array ~layout ~arr set =
   match Label.find_array layout arr with
@@ -54,10 +51,7 @@ let ranges_for_array ~layout ~arr set =
       let elems =
         Iset.fold
           (fun a acc -> ((a - e.Label.base) / e.Label.elem_size) :: acc)
-          (restrict ~lo:e.Label.base
-             ~hi:(e.Label.base + (e.Label.elems * e.Label.elem_size) - 1)
-             set)
-          []
+          (restrict e set) []
       in
       coalesce elems
 

@@ -25,6 +25,8 @@ val ranges_for_array :
     outside [arr] are ignored). *)
 
 val addrs_in_array : layout:Lang.Label.t -> arr:string -> Iset.t -> Iset.t
+(** The members of the set inside [arr]'s bytes: one {!Iset.range}
+    slice, found by binary search (empty when [arr] is not labelled). *)
 
 (** {2 Affine subscript analysis} *)
 

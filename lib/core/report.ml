@@ -13,8 +13,9 @@ type item = {
 type t = { items : item list }
 
 let build ~layout (einfo : Epoch_info.t) =
-  (* Accumulate (kind, arr) -> addr set, epoch set, pc set. *)
-  let acc : (kind * string, Iset.t ref * Iset.t ref * Iset.t ref) Hashtbl.t =
+  (* Accumulate (kind, arr) -> addresses, epochs and pcs as lists, each
+     turned into a set once at the end. *)
+  let acc : (kind * string, int list ref * int list ref * int list ref) Hashtbl.t =
     Hashtbl.create 16
   in
   let note kind addr ~epoch ~pcs =
@@ -23,17 +24,17 @@ let build ~layout (einfo : Epoch_info.t) =
       | Some (name, _) -> name
       | None -> "<unlabelled>"
     in
-    let addrs, epochs, pc_set =
+    let addrs, epochs, pc_list =
       match Hashtbl.find_opt acc (kind, arr) with
       | Some cell -> cell
       | None ->
-          let cell = (ref Iset.empty, ref Iset.empty, ref Iset.empty) in
+          let cell = (ref [], ref [], ref []) in
           Hashtbl.add acc (kind, arr) cell;
           cell
     in
-    addrs := Iset.add addr !addrs;
-    epochs := Iset.add epoch !epochs;
-    List.iter (fun pc -> pc_set := Iset.add pc !pc_set) pcs
+    addrs := addr :: !addrs;
+    epochs := epoch :: !epochs;
+    pc_list := List.rev_append pcs !pc_list
   in
   Array.iteri
     (fun epoch d ->
@@ -51,9 +52,10 @@ let build ~layout (einfo : Epoch_info.t) =
         {
           kind;
           arr;
-          ranges = Presentation.ranges_for_array ~layout ~arr !addrs;
-          epochs = Iset.elements !epochs;
-          pcs = Iset.elements !pcs;
+          ranges =
+            Presentation.ranges_for_array ~layout ~arr (Iset.of_list !addrs);
+          epochs = Iset.elements (Iset.of_list !epochs);
+          pcs = Iset.elements (Iset.of_list !pcs);
         }
         :: items)
       acc []

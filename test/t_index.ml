@@ -209,6 +209,96 @@ let prop_slices =
           && pc_counts (fun f -> List.iter f sliced)
              = pc_counts (fun f -> List.iter (fun m -> if inside m then f m) misses)))
 
+(* ---- the address order and the per-node sets over the whole int range ---- *)
+
+(* Addresses that collide (a small range), far apart ones (the whole int
+   range) and the extremes. *)
+let wide_addr =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range (-16) 16);
+        (3, int);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+      ])
+
+let wide_epochs_gen =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun nodes ->
+    list_size (int_range 1 3)
+      (list_size (int_range 0 300)
+         (map
+            (fun (node, pc, addr, kind) ->
+              {
+                Trace.Event.node;
+                pc;
+                addr;
+                kind =
+                  (match kind with
+                  | 0 -> Trace.Event.Read_miss
+                  | 1 -> Trace.Event.Write_miss
+                  | _ -> Trace.Event.Write_fault);
+                held = [];
+              })
+            (quad (int_bound (nodes - 1)) (int_bound 11) wide_addr (int_bound 2))))
+    >|= fun epochs -> (nodes, epochs))
+
+let arb_wide = QCheck.make ~print:print_trace wide_epochs_gen
+
+let prop_by_address_wide =
+  QCheck.Test.make ~count:300
+    ~name:"address order over the whole int range = List.stable_sort"
+    arb_wide (fun (_, epochs) ->
+      List.for_all
+        (fun misses ->
+          Array.to_list (Trace.Epoch.by_address misses)
+          = List.stable_sort
+              (fun (x : Trace.Event.miss) y -> compare x.addr y.addr)
+              misses)
+        epochs)
+
+(* The derivation the sorted pass replaced: a list per (node, kind)
+   bucket, each made a set by [of_list]. *)
+let ref_per_node ~nodes misses =
+  let reads = Array.make nodes []
+  and writes = Array.make nodes []
+  and faults = Array.make nodes [] in
+  List.iter
+    (fun (m : Trace.Event.miss) ->
+      let bucket =
+        match m.kind with
+        | Trace.Event.Read_miss -> reads
+        | Trace.Event.Write_miss -> writes
+        | Trace.Event.Write_fault -> faults
+      in
+      bucket.(m.node) <- m.addr :: bucket.(m.node))
+    misses;
+  Array.init nodes (fun n ->
+      {
+        Trace.Epoch.reads = Iset.of_list reads.(n);
+        writes = Iset.of_list writes.(n);
+        faults = Iset.of_list faults.(n);
+      })
+
+let prop_per_node_wide =
+  QCheck.Test.make ~count:300
+    ~name:"per-node reads, writes and faults = a list per bucket"
+    arb_wide (fun tr ->
+      let nodes, _ = tr in
+      let epochs, _ = Trace.Epoch.split ~nodes (records_of tr) in
+      List.for_all
+        (fun (e : Trace.Epoch.t) ->
+          e.Trace.Epoch.per_node = ref_per_node ~nodes e.Trace.Epoch.misses
+          && e.Trace.Epoch.by_addr = Trace.Epoch.by_address e.Trace.Epoch.misses)
+        epochs)
+
 let suite =
   List.map Qc.qtest
-    [ prop_pcs_of_addr; prop_sw_others; prop_drfs; prop_slices ]
+    [
+      prop_pcs_of_addr;
+      prop_sw_others;
+      prop_drfs;
+      prop_slices;
+      prop_by_address_wide;
+      prop_per_node_wide;
+    ]

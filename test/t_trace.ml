@@ -73,6 +73,58 @@ let test_epoch_per_node_sets () =
   Alcotest.(check (list int)) "node 1 writes" [ 8 ]
     (Epoch.Iset.elements n1.Epoch.writes)
 
+(* One epoch with the extreme addresses the loader accepts: the address
+   order and the per-node sets hold over the whole int range, for the
+   records in memory and for the same records read back from a trace
+   file. *)
+let test_epoch_extreme_addresses () =
+  let records =
+    [
+      miss 1 10 max_int Event.Write_miss;
+      miss 0 11 0 Event.Read_miss;
+      miss 0 12 min_int Event.Write_fault;
+      miss 1 13 (-8) Event.Read_miss;
+      miss 0 14 max_int Event.Read_miss;
+      miss 1 15 min_int Event.Read_miss;
+      miss 0 16 0 Event.Read_miss;
+      barrier 0 20 1;
+      barrier 1 20 1;
+    ]
+  in
+  let check how records =
+    match Epoch.split ~nodes:2 records with
+    | [ e ], _ ->
+        let sorted = Array.to_list e.Epoch.by_addr in
+        Alcotest.(check (list (pair int int)))
+          (how ^ ": address order, trace order within an address")
+          [
+            (min_int, 12); (min_int, 15); (-8, 13); (0, 11); (0, 16);
+            (max_int, 10); (max_int, 14);
+          ]
+          (List.map (fun (m : Event.miss) -> (m.Event.addr, m.Event.pc)) sorted);
+        Alcotest.(check bool) (how ^ ": by_address of the misses") true
+          (Epoch.by_address e.Epoch.misses = e.Epoch.by_addr);
+        let n0 = e.Epoch.per_node.(0) and n1 = e.Epoch.per_node.(1) in
+        let elements = Epoch.Iset.elements in
+        Alcotest.(check (list int)) (how ^ ": node 0 reads") [ 0; max_int ]
+          (elements n0.Epoch.reads);
+        Alcotest.(check (list int)) (how ^ ": node 0 writes") []
+          (elements n0.Epoch.writes);
+        Alcotest.(check (list int)) (how ^ ": node 0 faults") [ min_int ]
+          (elements n0.Epoch.faults);
+        Alcotest.(check (list int)) (how ^ ": node 1 reads") [ min_int; -8 ]
+          (elements n1.Epoch.reads);
+        Alcotest.(check (list int)) (how ^ ": node 1 writes") [ max_int ]
+          (elements n1.Epoch.writes);
+        Alcotest.(check (list int)) (how ^ ": node 1 faults") []
+          (elements n1.Epoch.faults)
+    | epochs, _ ->
+        Alcotest.failf "%s: expected one epoch, got %d" how (List.length epochs)
+  in
+  check "in memory" records;
+  check "through a trace file"
+    (Trace_file.of_string (Trace_file.to_string records))
+
 let test_epoch_final_open () =
   (* misses after the last barrier form a final epoch with end_pc None *)
   let records = sample @ [ miss 0 50 24 Event.Read_miss ] in
@@ -137,6 +189,8 @@ let suite =
     Alcotest.test_case "file save/load" `Quick test_file_io;
     Alcotest.test_case "epoch split" `Quick test_epoch_split;
     Alcotest.test_case "per-node miss sets" `Quick test_epoch_per_node_sets;
+    Alcotest.test_case "extreme addresses in one epoch" `Quick
+      test_epoch_extreme_addresses;
     Alcotest.test_case "final open epoch" `Quick test_epoch_final_open;
     Alcotest.test_case "inconsistent barriers" `Quick test_epoch_inconsistent_barriers;
     Alcotest.test_case "incomplete barrier group" `Quick
