@@ -152,10 +152,11 @@ let annotate_codec =
       (fun s ~key (payload, summary) -> Store.put_text s ~key ~summary payload);
   }
 
-(* Delta bases live in memory only. A computed base is charged like the
-   trace it was built from: its epoch info, most of it, holds every miss
-   of that trace. A chained base (a plan-reuse edit's) shares its
-   parent's plan and epoch info, so only its two new ASTs are charged. *)
+(* Delta bases live in memory only. A computed base is charged what
+   its epoch info holds, which is nearly all of its resident size; its
+   parse is a separate artifact. A chained base (a plan-reuse edit's)
+   shares its parent's plan and epoch info, so only its two new ASTs are
+   charged. *)
 let base_codec size =
   {
     of_art = (function Base b -> Some b | _ -> None);
@@ -165,12 +166,69 @@ let base_codec size =
     save = (fun _ ~key:_ _ -> ());
   }
 
-let computed_base =
-  base_codec (fun b ->
-      Array.fold_left
-        (fun n (ix : Cachier.Epoch_info.index) ->
-          n + (trace_record_bytes * Array.length ix.Cachier.Epoch_info.by_addr))
-        0 b.Delta.Engine.result.Cachier.Annotate.einfo.Cachier.Epoch_info.index)
+(* The words of an epoch info, counted field by field: per miss, its
+   record (a header and 5 fields), its cell in the epoch's trace-order
+   list and its slot in the address-ordered array; per set, a header and
+   its members, once however many fields share the array (an [SW] that
+   is the node's writes, or the other nodes' [SW] when only one node
+   writes); per node and per epoch, the records, slots and headers that
+   hold them. *)
+let miss_words = 6 + 3 + 1
+
+(* the node's [per_node], [sets] and [sw_others] slots, its [node_misses]
+   and its [node_sets] record *)
+let node_words = 3 + 4 + 4
+
+(* the epoch's slot and record, its pc box (an epoch shares the other
+   with its neighbour), its array and row headers, and its DRFS slot and
+   record *)
+let epoch_words = 1 + 7 + 2 + 4 + 1 + 4
+
+let einfo_words (einfo : Cachier.Epoch_info.t) =
+  let module Iset = Trace.Epoch.Iset in
+  let words = ref 0 in
+  let set s =
+    let n = Iset.cardinal s in
+    if n > 0 then words := !words + n + 1
+  in
+  let set_unless counted s = if not (List.exists (( == ) s) counted) then set s in
+  Array.iteri
+    (fun e (epoch : Trace.Epoch.t) ->
+      words :=
+        !words + epoch_words
+        + (miss_words * Array.length epoch.Trace.Epoch.by_addr);
+      let sets = einfo.Cachier.Epoch_info.sets.(e) in
+      Array.iteri
+        (fun node (nm : Trace.Epoch.node_misses) ->
+          let ns = sets.(node) in
+          words := !words + node_words;
+          set nm.Trace.Epoch.reads;
+          set nm.Trace.Epoch.writes;
+          set nm.Trace.Epoch.faults;
+          set_unless [ nm.Trace.Epoch.writes; nm.Trace.Epoch.faults ]
+            ns.Cachier.Epoch_info.sw;
+          set_unless [ nm.Trace.Epoch.reads ] ns.Cachier.Epoch_info.sr)
+        epoch.Trace.Epoch.per_node;
+      let d = einfo.Cachier.Epoch_info.drfs.(e) in
+      set (Cachier.Drfs.race d);
+      set (Cachier.Drfs.false_shared d);
+      set_unless [ Cachier.Drfs.race d; Cachier.Drfs.false_shared d ]
+        (Cachier.Drfs.drfs_set d);
+      ignore
+        (Array.fold_left
+           (fun counted others ->
+             set_unless counted others;
+             others :: counted)
+           (Array.to_list (Array.map (fun ns -> ns.Cachier.Epoch_info.sw) sets))
+           einfo.Cachier.Epoch_info.sw_others.(e)))
+    einfo.Cachier.Epoch_info.epochs;
+  !words
+
+let computed_base_bytes (b : Delta.Engine.base) =
+  (Sys.word_size / 8)
+  * einfo_words b.Delta.Engine.result.Cachier.Annotate.einfo
+
+let computed_base = base_codec computed_base_bytes
 
 let chained_base source = base_codec (fun _ -> 2 * ast_bytes source)
 

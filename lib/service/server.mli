@@ -27,9 +27,10 @@
     base's source up there, then its {!Delta.Engine.base} (stage
     ["base"], a memory-only artifact built from the cached parse and
     trace), and caches the edited source and its base the same way, so
-    an edit of the edit starts warm. A computed base is charged like its
-    trace; a chained base, which shares its parent's plan and epoch
-    info, is charged only for its two new ASTs.
+    an edit of the edit starts warm. A computed base is charged what its
+    epoch info holds ({!computed_base_bytes}); a chained base, which
+    shares its parent's plan and epoch info, is charged only for its two
+    new ASTs.
 
     {b One request path.} {!handle} and {!handle_async} are thin callers
     of one dispatch. It stamps the request once, on arrival, with the
@@ -147,3 +148,9 @@ val stage_key :
 (** The cache key for one pipeline stage. The {!Store} names its files
     by this key's digest, so its bytes must not change: a cache
     directory written by an earlier server must stay warm. *)
+
+val computed_base_bytes : Delta.Engine.base -> int
+(** What the hot tier charges for a computed delta base: every miss
+    record of its epoch info, with its list cell and its slot in the
+    address-ordered array, plus every set array the epoch info holds.
+    A chained base is charged only its two new ASTs. *)

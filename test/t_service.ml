@@ -510,6 +510,34 @@ let test_trace_charge_is_resident_size () =
     Alcotest.failf "trace charged %d B, resident %d B (ratio %.2f)" charged
       resident ratio
 
+(* The hot tier charges a computed delta base about what it holds
+   resident, less its parse (the parse is an artifact of its own): on
+   the five Figure 6 programs at 8 and 16 nodes. *)
+let test_computed_base_charge_is_resident_size () =
+  List.iter
+    (fun prog ->
+      List.iter
+        (fun nodes ->
+          let machine =
+            Protocol.to_machine { small_machine with Protocol.nodes }
+          in
+          let program =
+            Lang.Parser.parse (Benchmarks.Suite.find ~nodes prog).source
+          in
+          let base =
+            Delta.Engine.base_of ~machine
+              ~options:Cachier.Placement.default_options program
+          in
+          let bytes v = (Sys.word_size / 8) * Obj.reachable_words (Obj.repr v) in
+          let resident = bytes base - bytes base.Delta.Engine.program in
+          let charged = Server.computed_base_bytes base in
+          let ratio = float_of_int charged /. float_of_int resident in
+          if ratio < 0.8 || ratio > 1.2 then
+            Alcotest.failf "%s-%d: base charged %d B, resident %d B (ratio %.2f)"
+              prog nodes charged resident ratio)
+        [ 8; 16 ])
+    Benchmarks.Suite.names
+
 let test_parse_and_race_and_trace_stats () =
   with_server (fun server ->
       List.iter
@@ -1322,6 +1350,8 @@ let suite =
       test_annotate_delta_chains;
     Alcotest.test_case "a cached trace is charged its resident size" `Quick
       test_trace_charge_is_resident_size;
+    Alcotest.test_case "a computed delta base is charged its resident size"
+      `Quick test_computed_base_charge_is_resident_size;
     Alcotest.test_case "parse / race_report / trace_stats" `Quick
       test_parse_and_race_and_trace_stats;
     Alcotest.test_case "malformed inline trace" `Quick
