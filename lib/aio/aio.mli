@@ -84,10 +84,6 @@ module Loop : sig
 
   val conn_count : t -> int
 
-  val stop_accepting : t -> unit
-  (** Drop all listeners from this loop's interest set (their
-      descriptors are left open — the owner closes them). *)
-
   val run :
     t ->
     ?tick:(unit -> unit) ->

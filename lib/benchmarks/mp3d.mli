@@ -24,5 +24,4 @@ val hand_source :
     never checked in at all (neglected). *)
 
 val default_particles : int
-val default_cells : int
 val default_t : int

@@ -20,5 +20,4 @@ val hand_source :
     after the force phase, own slices checked out exclusive for the
     update. *)
 
-val default_molecules : int
 val default_t : int

@@ -19,13 +19,12 @@ type entry = {
 }
 
 val render : entry -> string
-val filename : entry -> string
-(** Content-derived name, [<oracle>-<protocol>-<hash>.cico], so
-    re-finding the same shrunk counterexample overwrites rather than
-    accumulates, and each backend keeps its own corpus. *)
 
 val save : dir:string -> entry -> string
-(** Write the entry (creating [dir] if needed); returns the path. *)
+(** Write the entry (creating [dir] if needed) under a content-derived
+    name, [<oracle>-<protocol>-<hash>.cico], so re-finding the same
+    shrunk counterexample overwrites rather than accumulates and each
+    backend keeps its own corpus; returns the path. *)
 
 val load : string -> entry
 val load_dir : string -> (string * entry) list

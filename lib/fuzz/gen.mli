@@ -10,16 +10,12 @@ type 'a t = Random.State.t -> 'a
 val int_range : int -> int -> int t
 (** [int_range lo hi] draws uniformly from the inclusive range. *)
 
-val oneof : 'a array -> 'a t
-
 (** {2 Free-form generators}
 
     Unconstrained ASTs for the printer / parser / sema round-trip
     properties. Most of them fail to run (out-of-bounds indices,
     undefined scalars), which is the point: they probe the front end. *)
 
-val free_expr : Lang.Ast.expr t
-val free_stmt : Lang.Ast.stmt t
 val free_program : Lang.Ast.program t
 
 (** {2 Well-formed SPMD programs}

@@ -86,4 +86,3 @@ val run_all :
     in the miss log (SiSd and Commute hide conflicts by design). *)
 
 val pp : Format.formatter -> report -> unit
-val pp_verdict : Format.formatter -> verdict -> unit

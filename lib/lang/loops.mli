@@ -12,11 +12,9 @@ type loop = {
   body_sids : int list;  (** all sids strictly inside the loop *)
 }
 
-val of_proc : Ast.proc -> loop list
-(** Loops in pre-order (outer before inner). *)
-
 val of_program : Ast.program -> loop list
-(** Loops of every procedure, in program order. *)
+(** Loops of every procedure, in program order; within a procedure in
+    pre-order (outer before inner). *)
 
 val containing : loop list -> int -> loop list
 (** Loops whose body contains the statement, outermost first. *)

@@ -246,7 +246,6 @@ let check_invariants t =
   !err
 
 let set_debug_checks t on = t.debug_checks <- on
-let debug_checks t = t.debug_checks
 
 (* Every public transition funnels its result through [guard]. *)
 let guard t v =

@@ -52,7 +52,7 @@ type outcome = {
     [(latency lsl 2) lor kind], so a simulated access that hits in the
     cache allocates nothing. Decode with {!packed_latency} /
     {!packed_kind}; the kind codes are {!no_miss}, {!read_miss},
-    {!write_miss}, {!write_fault}. *)
+    {!write_miss} and 3, a write fault. *)
 
 val no_miss : int  (** 0 *)
 
@@ -60,12 +60,8 @@ val read_miss : int  (** 1 *)
 
 val write_miss : int  (** 2 *)
 
-val write_fault : int  (** 3 *)
-
 val packed_latency : int -> int
 val packed_kind : int -> int
-
-val outcome_of_packed : int -> outcome
 
 type t
 
@@ -87,8 +83,6 @@ val stats : t -> Stats.t
 val directory : t -> Directory.t
 val cache : t -> node:int -> Cache.t
 val costs : t -> Network.costs
-
-val block_of_addr : t -> int -> int
 
 val read_p : t -> node:int -> addr:int -> now:int -> int
 (** A shared-data load by [node] at virtual time [now]; packed outcome.
@@ -186,8 +180,6 @@ val check_invariants : t -> string option
 
 val set_debug_checks : t -> bool -> unit
 (** Enable or disable the per-transition audit. *)
-
-val debug_checks : t -> bool
 
 val reset : t -> unit
 (** Drop all cache and directory state and zero the statistics. *)

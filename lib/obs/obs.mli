@@ -142,6 +142,5 @@ module Registry : sig
   val counters : t -> (string * int) list
   (** Sorted by name; likewise below. *)
 
-  val gauges : t -> (string * int) list
   val histograms : t -> (string * Histogram.snapshot) list
 end

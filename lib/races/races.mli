@@ -70,16 +70,14 @@ val naive : nodes:int -> Trace.Event.record list -> report
     equals [detect]'s as a value on every trace; that equality is
     fuzzed. *)
 
-val to_human : report -> string
-(** Multi-line report: verdict line ("race verdict: racy" or
-    "race verdict: race-free"), counters, and the first racy pair with
-    its epoch and held lock-sets. *)
-
 val to_json : report -> string
 (** One JSON line, newline-terminated. *)
 
 val render : report -> string
-(** [to_human ^ to_json] — the canonical payload shared byte-for-byte by
+(** A multi-line report (a verdict line, "race verdict: racy" or
+    "race verdict: race-free", the counters, and the first racy pair
+    with its epoch and held lock-sets), then {!to_json}: the canonical
+    payload shared byte-for-byte by
     [simulate --races], [trace_stats --races] and the daemon's [races]
     op. *)
 

@@ -31,7 +31,6 @@ type record =
   | Label of { name : string; lo : int; hi : int }
       (** a labelled shared region: byte range [\[lo, hi\]] *)
 
-val pp_miss_kind : Format.formatter -> miss_kind -> unit
 val pp : Format.formatter -> record -> unit
 
 val equal : record -> record -> bool

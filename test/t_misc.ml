@@ -1,43 +1,9 @@
-(* Odds and ends: builder combinators, engine selection, cost-table
-   rendering, AST equality, multi-trace planning. *)
+(* Odds and ends: engine selection, cost-table rendering, AST equality,
+   multi-trace planning. *)
 
 open Lang
 
 let machine = { Wwt.Machine.default with Wwt.Machine.nodes = 2 }
-
-let test_builder_combinators () =
-  let open Builder in
-  let prog =
-    program
-      ~decls:[ Ast.Dshared ("A", i 8) ]
-      ~procs:
-        [
-          proc "main"
-            [
-              if_ (pid == i 0)
-                [ for_ "k" (i 0) (i 7) [ store "A" (v "k") (f 1.5) ] ]
-                ();
-              barrier;
-              assign "x" (idx "A" (i 0) + call "min" [ i 3; i 4 ]);
-              annot Ast.Check_in "A" ~lo:(i 0) ~hi:(i 7);
-              print [ v "x" ];
-            ];
-        ]
-  in
-  ignore (Sema.check prog);
-  let o = Wwt.Interp.run ~machine prog in
-  Alcotest.(check (list string)) "built program runs"
-    [ "p0: 4.5"; "p1: 4.5" ]
-    (List.sort compare o.Wwt.Interp.output)
-
-let test_builder_arith_sugar () =
-  let open Builder in
-  let e = (i 10 - i 4) * i 2 / i 3 % i 5 in
-  Alcotest.(check bool) "value" true
-    (Sema.const_eval ~consts:[] e = Value.Vint 4);
-  Alcotest.(check bool) "comparisons" true
-    (Sema.const_eval ~consts:[] (i 3 < i 4) = Value.Vint 1
-    && Sema.const_eval ~consts:[] (i 3 <= i 3) = Value.Vint 1)
 
 let test_run_engine_selection () =
   let prog = Parser.parse "shared A[4]; proc main() { A[pid] = 1.0; }" in
@@ -122,8 +88,6 @@ let test_summary_empty_trace () =
 
 let suite =
   [
-    Alcotest.test_case "builder end to end" `Quick test_builder_combinators;
-    Alcotest.test_case "builder operators" `Quick test_builder_arith_sugar;
     Alcotest.test_case "engine selection" `Quick test_run_engine_selection;
     Alcotest.test_case "cost table rendering" `Quick test_network_pp;
     Alcotest.test_case "equal_modulo_sids" `Quick test_equal_modulo_sids;
