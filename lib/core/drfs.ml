@@ -17,25 +17,40 @@ let pair_races (n1, w1, l1) (n2, w2, l2) =
 
 let analyze_sorted ~block_size (by_addr : Trace.Event.miss array) =
   let n = Array.length by_addr in
-  (* One entry per distinct address, ascending: the address, its
-     accessor and writer bitmasks. *)
-  let addrs = Array.make n 0 and accessors = Array.make n 0
-  and writers = Array.make n 0 in
-  let races = Array.make n 0 in
-  let n_addrs = ref 0 and n_races = ref 0 in
+  let races = ref [] and fs = ref [] in
+  (* Address [a] is falsely shared iff there is an access pair (x on a,
+     y on b) with b <> a in the same block, x <> y, and at least one of
+     the pair is a write: distinct processors contending for the block
+     through independent locations. Read-read block sharing is ordinary
+     shared caching, not false sharing. Sorted addresses make each
+     block's members one run: (addr, accessors, writers), pushed onto
+     [block] in ascending order. *)
+  let block = ref [] and block_id = ref (-1) in
+  let close_block () =
+    List.iter
+      (fun (a, na, wa) ->
+        if
+          List.exists
+            (fun (b, nb, wb) ->
+              b <> a && (distinct_pair wa nb || distinct_pair wb na))
+            !block
+        then fs := a :: !fs)
+      (List.rev !block);
+    block := []
+  in
   let i = ref 0 in
   while !i < n do
     let addr = by_addr.(!i).Trace.Event.addr in
     (* Accessor and writer bitmasks, the same restricted to lock-free
        accesses, and the accesses made under some lock. *)
-    let nodes = ref 0 and wrote = ref 0 in
+    let nodes = ref 0 and writers = ref 0 in
     let free = ref 0 and free_writers = ref 0 and locked = ref [] in
     while !i < n && by_addr.(!i).Trace.Event.addr = addr do
       let m = by_addr.(!i) in
       let bit = 1 lsl m.Trace.Event.node in
       let is_write = m.Trace.Event.kind <> Trace.Event.Read_miss in
       nodes := !nodes lor bit;
-      if is_write then wrote := !wrote lor bit;
+      if is_write then writers := !writers lor bit;
       (match m.Trace.Event.held with
       | [] ->
           free := !free lor bit;
@@ -48,10 +63,10 @@ let analyze_sorted ~block_size (by_addr : Trace.Event.miss array) =
        with any other node's write: both are mask tests. Only pairs of
        locked accesses need the lockset comparison. *)
     let races_on =
-      !wrote <> 0
+      !writers <> 0
       && popcount !nodes >= 2
       && (!free_writers <> 0
-         || distinct_pair !wrote !free
+         || distinct_pair !writers !free
          ||
          let rec any = function
            | [] -> false
@@ -59,50 +74,18 @@ let analyze_sorted ~block_size (by_addr : Trace.Event.miss array) =
          in
          any !locked)
     in
-    if races_on then begin
-      races.(!n_races) <- addr;
-      incr n_races
+    if races_on then races := addr :: !races;
+    let blk = Memsys.Block.of_addr ~block_size addr in
+    if blk <> !block_id then begin
+      close_block ();
+      block_id := blk
     end;
-    addrs.(!n_addrs) <- addr;
-    accessors.(!n_addrs) <- !nodes;
-    writers.(!n_addrs) <- !wrote;
-    incr n_addrs
+    block := (addr, !nodes, !writers) :: !block
   done;
-  (* Address [a] is falsely shared iff there is an access pair (x on a,
-     y on b) with b <> a in the same block, x <> y, and at least one of
-     the pair is a write: distinct processors contending for the block
-     through independent locations. Read-read block sharing is ordinary
-     shared caching, not false sharing. Ascending addresses make each
-     block's members one run of the entries. *)
-  let fs = Array.make !n_addrs 0 and n_fs = ref 0 in
-  let first = ref 0 in
-  while !first < !n_addrs do
-    let blk = Memsys.Block.of_addr ~block_size addrs.(!first) in
-    let stop = ref (!first + 1) in
-    while
-      !stop < !n_addrs
-      && Memsys.Block.of_addr ~block_size addrs.(!stop) = blk
-    do
-      incr stop
-    done;
-    for a = !first to !stop - 1 do
-      let b = ref !first and shared = ref false in
-      while (not !shared) && !b < !stop do
-        shared :=
-          !b <> a
-          && (distinct_pair writers.(a) accessors.(!b)
-             || distinct_pair writers.(!b) accessors.(a));
-        incr b
-      done;
-      if !shared then begin
-        fs.(!n_fs) <- addrs.(a);
-        incr n_fs
-      end
-    done;
-    first := !stop
-  done;
-  let race_set = Iset.of_sorted_array (Array.sub races 0 !n_races)
-  and fs_set = Iset.of_sorted_array (Array.sub fs 0 !n_fs) in
+  close_block ();
+  (* Both lists were pushed in ascending address order. *)
+  let ascending l = Iset.of_sorted_array (Array.of_list (List.rev l)) in
+  let race_set = ascending !races and fs_set = ascending !fs in
   { race_set; fs_set; drfs = Iset.union race_set fs_set }
 
 let race t = t.race_set
