@@ -13,9 +13,13 @@ type item = {
 type t = { items : item list }
 
 let build ~layout (einfo : Epoch_info.t) =
-  (* Accumulate (kind, arr) -> addresses, epochs and pcs as lists, each
-     turned into a set once at the end. *)
-  let acc : (kind * string, int list ref * int list ref * int list ref) Hashtbl.t =
+  (* Accumulate (kind, arr) -> one run of addresses per epoch, and the
+     pc lists. Epochs arrive in order and each epoch's addresses
+     ascending, so a run needs no sort; neighbouring addresses mostly
+     share their pcs, so a pc list is not pushed twice in a row. *)
+  let acc :
+      (kind * string, (int * int list ref) list ref * int list list ref)
+      Hashtbl.t =
     Hashtbl.create 16
   in
   let note kind addr ~epoch ~pcs =
@@ -24,17 +28,20 @@ let build ~layout (einfo : Epoch_info.t) =
       | Some (name, _) -> name
       | None -> "<unlabelled>"
     in
-    let addrs, epochs, pc_list =
+    let runs, pc_lists =
       match Hashtbl.find_opt acc (kind, arr) with
       | Some cell -> cell
       | None ->
-          let cell = (ref [], ref [], ref []) in
+          let cell = (ref [], ref []) in
           Hashtbl.add acc (kind, arr) cell;
           cell
     in
-    addrs := addr :: !addrs;
-    epochs := epoch :: !epochs;
-    pc_list := List.rev_append pcs !pc_list
+    (match !runs with
+    | (e, run) :: _ when e = epoch -> run := addr :: !run
+    | _ -> runs := (epoch, ref [ addr ]) :: !runs);
+    match !pc_lists with
+    | p :: _ when p = pcs -> ()
+    | _ -> pc_lists := pcs :: !pc_lists
   in
   Array.iteri
     (fun epoch d ->
@@ -48,14 +55,18 @@ let build ~layout (einfo : Epoch_info.t) =
     einfo.Epoch_info.drfs;
   let items =
     Hashtbl.fold
-      (fun (kind, arr) (addrs, epochs, pcs) items ->
+      (fun (kind, arr) (runs, pcs) items ->
+        let addrs =
+          List.fold_left
+            (fun set (_, run) -> Iset.union set (Iset.of_list !run))
+            Iset.empty !runs
+        in
         {
           kind;
           arr;
-          ranges =
-            Presentation.ranges_for_array ~layout ~arr (Iset.of_list !addrs);
-          epochs = Iset.elements (Iset.of_list !epochs);
-          pcs = Iset.elements (Iset.of_list !pcs);
+          ranges = Presentation.ranges_for_array ~layout ~arr addrs;
+          epochs = List.rev_map fst !runs;
+          pcs = Iset.elements (Iset.of_list (List.concat !pcs));
         }
         :: items)
       acc []

@@ -16,7 +16,30 @@ let ascending (a : int array) =
   done;
   !ok
 
-let of_list l = Array.of_list (List.sort_uniq Int.compare l)
+(* A list pushed in ascending order (so descending, repeats allowed),
+   which is how the annotator's scans build theirs, needs no sort. *)
+let rec descending = function
+  | x :: (y :: _ as rest) -> x >= y && descending rest
+  | [ _ ] | [] -> true
+
+let of_list l =
+  if descending l then begin
+    let distinct, _ =
+      List.fold_left
+        (fun (n, last) x -> if n > 0 && x = last then (n, last) else (n + 1, x))
+        (0, 0) l
+    in
+    let a = Array.make distinct 0 and k = ref distinct in
+    List.iter
+      (fun x ->
+        if !k = distinct || get a !k <> x then begin
+          decr k;
+          set a !k x
+        end)
+      l;
+    a
+  end
+  else Array.of_list (List.sort_uniq Int.compare l)
 
 let of_sorted_array a =
   if ascending a then a
