@@ -24,15 +24,19 @@ let rec descending = function
 
 let of_list l =
   if descending l then begin
-    let distinct, _ =
-      List.fold_left
-        (fun (n, last) x -> if n > 0 && x = last then (n, last) else (n + 1, x))
-        (0, 0) l
-    in
-    let a = Array.make distinct 0 and k = ref distinct in
+    let distinct = ref 0 and last = ref 0 in
     List.iter
       (fun x ->
-        if !k = distinct || get a !k <> x then begin
+        if !distinct = 0 || x <> !last then begin
+          incr distinct;
+          last := x
+        end)
+      l;
+    let n = !distinct in
+    let a = Array.make n 0 and k = ref n in
+    List.iter
+      (fun x ->
+        if !k = n || get a !k <> x then begin
           decr k;
           set a !k x
         end)
