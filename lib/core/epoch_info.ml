@@ -48,7 +48,9 @@ let build ~nodes ~block_size records =
   let epochs, labels = Trace.Epoch.split ~nodes records in
   let epochs = Array.of_list epochs in
   let sets =
-    Array.map (fun e -> Array.init nodes (fun node -> sets_of_epoch e node)) epochs
+    Array.map
+      (fun e -> Array.init nodes (fun node -> sets_of_epoch e node))
+      epochs
   in
   let drfs =
     Array.map

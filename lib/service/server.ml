@@ -191,7 +191,9 @@ let einfo_words (einfo : Cachier.Epoch_info.t) =
     let n = Iset.cardinal s in
     if n > 0 then words := !words + n + 1
   in
-  let set_unless counted s = if not (List.exists (( == ) s) counted) then set s in
+  let set_unless counted s =
+    if not (List.exists (( == ) s) counted) then set s
+  in
   Array.iteri
     (fun e (epoch : Trace.Epoch.t) ->
       words :=

@@ -240,7 +240,8 @@ let wide_epochs_gen =
                   | _ -> Trace.Event.Write_fault);
                 held = [];
               })
-            (quad (int_bound (nodes - 1)) (int_bound 11) wide_addr (int_bound 2))))
+            (quad (int_bound (nodes - 1)) (int_bound 11) wide_addr
+               (int_bound 2))))
     >|= fun epochs -> (nodes, epochs))
 
 let arb_wide = QCheck.make ~print:print_trace wide_epochs_gen
@@ -289,7 +290,8 @@ let prop_per_node_wide =
       List.for_all
         (fun (e : Trace.Epoch.t) ->
           e.Trace.Epoch.per_node = ref_per_node ~nodes e.Trace.Epoch.misses
-          && e.Trace.Epoch.by_addr = Trace.Epoch.by_address e.Trace.Epoch.misses)
+          && e.Trace.Epoch.by_addr
+             = Trace.Epoch.by_address e.Trace.Epoch.misses)
         epochs)
 
 let suite =

@@ -73,7 +73,7 @@ let prop_matches_stdlib =
       && same (I.range ~lo:(min lo hi) ~hi:(max lo hi) ia)
            (S.filter (fun v -> min lo hi <= v && v <= max lo hi) sa)
       && collect I.iter ia = collect S.iter sa
-      && I.fold (fun v acc -> v :: acc) ia [] = S.fold (fun v acc -> v :: acc) sa []
+      && I.fold List.cons ia [] = S.fold List.cons sa []
       && same (I.filter even ia) (S.filter even sa)
       && I.exists even ia = S.exists even sa)
 
