@@ -55,6 +55,60 @@ let test_golden () =
         (digest_of ~name ~nodes ~options))
     golden
 
+(* More annotate digests, on inputs the suite digests above do not
+   cover, each the smallest found that shows one placement rule:
+   - the race path's preference for read-miss pcs in a check-out
+     (partial_lock.sm and rw_unsync.sm in Programmer mode);
+   - a check-in whose span does not resolve still proceeds (barnes on a
+     4 KB 2-way cache);
+   - applying a placement re-checks the budget earlier subscripts left
+     (ocean on a 4 KB 2-way cache in Programmer mode);
+   - loops enclosing both barriers keep their variables symbolic, the
+     paper's parametric ranges (lu). *)
+
+let prog = { prog_pf with Cachier.Placement.prefetch = false }
+
+let small_cache nodes =
+  { Wwt.Machine.default with Wwt.Machine.nodes; cache_bytes = 4096; assoc = 2 }
+
+let default_machine nodes = { Wwt.Machine.default with Wwt.Machine.nodes }
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let suite_source name nodes = (Benchmarks.Suite.find ~nodes name).Benchmarks.Suite.source
+
+let rule_golden =
+  [
+    ( "partial_lock.sm-2 prog",
+      (fun () -> read_file "corpus_races/partial_lock.sm"),
+      default_machine 2, prog, "900fbff3b8ef3f4cfa60e34599c9810c" );
+    ( "rw_unsync.sm-2 prog",
+      (fun () -> read_file "corpus_races/rw_unsync.sm"),
+      default_machine 2, prog, "eba21cb8c9f80dba7d75b4fad04af6fd" );
+    ( "barnes-4 4k2 perf", (fun () -> suite_source "barnes" 4), small_cache 4,
+      perf, "e706f39126b8d8aaa0a0931d56e74704" );
+    ( "ocean-4 4k2 prog", (fun () -> suite_source "ocean" 4), small_cache 4,
+      prog, "70340cb1a91cb49b4e0f3d15baefa97f" );
+    ( "lu-4 perf", (fun () -> Benchmarks.Lu.source ~nodes:4 ()),
+      default_machine 4, perf, "578c65ca854301ec6416419b41701acf" );
+    ( "lu-4 prog", (fun () -> Benchmarks.Lu.source ~nodes:4 ()),
+      default_machine 4, prog, "005bb9f505f4538d264f0dccff2e2410" );
+  ]
+
+let test_rule_golden () =
+  List.iter
+    (fun (label, source, machine, options, want) ->
+      let r = Cachier.Annotate.annotate_source ~machine ~options (source ()) in
+      Alcotest.(check string) label want
+        (Digest.to_hex
+           (Digest.string
+              (Cachier.Annotate.to_source r ^ Service.Oneshot.annotate_summary r))))
+    rule_golden
+
 (* Golden perf-mode outcomes: the 40 cells of the protocol x annotation
    matrix on the default 8-node machine and each program's eval seed —
    Figure 6's {plain, hand, cachier, cachier+pf} under dir1sw, and
@@ -286,6 +340,8 @@ let test_races_corpus_golden () =
 let suite =
   [
     Alcotest.test_case "suite x {8,16} x {perf, prog+pf} digests" `Slow test_golden;
+    Alcotest.test_case "annotate digests: placement-rule inputs" `Quick
+      test_rule_golden;
     Alcotest.test_case "perf-mode matrix: 40 cells x (time, Stats) digests"
       `Slow test_measure_golden;
     Alcotest.test_case "trace mode: suite x {8,16} x outcome digests" `Slow

@@ -161,6 +161,155 @@ let test_race_notes_name_the_expression () =
       Alcotest.(check bool) "names A" true (contains "A[")
   | [] -> Alcotest.fail "expected a race note"
 
+(* ---- rules that only a small program shows ---- *)
+
+let programmer =
+  { Cachier.Placement.default_options with
+    Cachier.Placement.mode = Cachier.Equations.Programmer }
+
+let machine ?(cache_bytes = Wwt.Machine.default.Wwt.Machine.cache_bytes)
+    ?(assoc = Wwt.Machine.default.Wwt.Machine.assoc) nodes =
+  { Wwt.Machine.default with Wwt.Machine.nodes; cache_bytes; assoc }
+
+(* The sid of the first statement satisfying [pred]. *)
+let sid_of src pred =
+  let found = ref None in
+  Ast.iter_stmts
+    (fun s -> if !found = None && pred s.Ast.node then found := Some s.Ast.sid)
+    (Parser.parse src);
+  Option.get !found
+
+let range_edits plan kind arr =
+  List.filter_map
+    (fun ({ Cachier.Placement.anchor; stmt } : Cachier.Placement.edit) ->
+      match stmt.Ast.node with
+      | Ast.Sannot (k, r) when k = kind && r.Ast.arr = arr -> Some (anchor, r)
+      | _ -> None)
+    plan.Cachier.Placement.edits
+
+let eval_at ~consts ~pid ~nodes e =
+  match
+    Sema.const_eval
+      ~consts:(consts @ [ ("pid", Value.Vint pid); ("nprocs", Value.Vint nodes) ])
+      e
+  with
+  | Value.Vint v -> v
+  | v -> Alcotest.failf "non-int bound %s" (Value.to_string v)
+
+(* Whether a check-in edit on [arr] covers element [elem] on [node]. *)
+let checks_in plan ~consts ~nodes ~node arr elem =
+  List.exists
+    (fun ({ Cachier.Placement.stmt; _ } : Cachier.Placement.edit) ->
+      match stmt.Ast.node with
+      | Ast.Sannot (Ast.Check_in, r) when r.Ast.arr = arr ->
+          eval_at ~consts ~pid:node ~nodes r.Ast.lo <= elem
+          && elem <= eval_at ~consts ~pid:node ~nodes r.Ast.hi
+      | Ast.Sannot_table { akind = Ast.Check_in; aarr; aranges } when aarr = arr ->
+          List.exists (fun (lo, hi) -> lo <= elem && elem <= hi) aranges.(node)
+      | _ -> false)
+    plan.Cachier.Placement.edits
+
+let test_race_site_needs_dominance () =
+  (* Only node 0's read of A[0] races at [x = A[pid]]: a quarter of the
+     statement's misses. Below the 70% dominance bar it gets no
+     per-access check-out; the boundary range covers it. *)
+  let src =
+    "shared A[64]; proc main() { A[0] = 0; x = A[pid]; barrier; }"
+  in
+  let read = sid_of src (function Ast.Sassign (Ast.Lvar "x", _) -> true | _ -> false) in
+  let plan =
+    plan_with ~machine:(machine ~cache_bytes:4096 ~assoc:2 4) ~options:programmer src
+  in
+  let near =
+    List.filter
+      (fun (anchor, _) -> anchor = Cachier.Placement.Before read)
+      (range_edits plan Ast.Check_out_s "A")
+  in
+  Alcotest.(check int) "no per-access check_out_s at the read" 0
+    (List.length near)
+
+let test_coefficient_zero_loop_var_stays () =
+  (* [i] occurs only inside the product [i * pid]: its plain coefficient
+     is 0, so bound_expr leaves it, the range is out of scope at the
+     boundary, and a per-pid table covers the site. *)
+  let src =
+    "shared A[64]; proc main() { for i = 0 to 0 { x = A[i * pid]; } \
+     barrier; }"
+  in
+  let plan = plan_with ~machine:(machine 2) ~options:programmer src in
+  Alcotest.(check int) "no check_out_s range" 0
+    (List.length (range_edits plan Ast.Check_out_s "A"));
+  let tables =
+    edits_matching plan (fun _ node ->
+        match node with
+        | Ast.Sannot_table { akind = Ast.Check_out_s; _ } -> true
+        | _ -> false)
+  in
+  Alcotest.(check int) "one check_out_s table" 1 (List.length tables)
+
+let test_symbolic_range_covers_its_targets () =
+  (* [B[B[0]]] does not evaluate, so its range counts as covering every
+     node's B targets at this site; the inner read's own subscript [0]
+     then adds nothing and is not placed. *)
+  let src =
+    "shared A[64]; shared B[64]; proc main() { A[pid] = B[B[0]]; barrier; }"
+  in
+  let plan = plan_with ~machine:(machine 2) ~options:programmer src in
+  Alcotest.(check int) "one check_out_s on B" 1
+    (List.length (range_edits plan Ast.Check_out_s "B"))
+
+(* Each node fills its own block of A with a loop [order] gives, and the
+   next epoch reads another node's element: the check-in of the filled
+   block hoists to the closing barrier as one range. *)
+let hoisted_check_in order =
+  let src =
+    Printf.sprintf
+      "const N = 64; shared A[N]; proc main() { %s barrier; x = A[(pid + 1) \
+       %% nprocs]; }"
+      order
+  in
+  let plan = plan_with src in
+  let consts = [ ("N", Value.Vint 64) ] in
+  match range_edits plan Ast.Check_in "A" with
+  | [ (Cachier.Placement.Before _, r) ] ->
+      List.iter
+        (fun pid ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "node %d's block" pid)
+            (16 * pid, (16 * pid) + 15)
+            ( eval_at ~consts ~pid ~nodes:4 r.Ast.lo,
+              eval_at ~consts ~pid ~nodes:4 r.Ast.hi ))
+        [ 0; 1; 2; 3 ]
+  | l -> Alcotest.failf "expected one check-in range, got %d" (List.length l)
+
+let test_negative_step_hoists () =
+  hoisted_check_in
+    "for i = N / nprocs - 1 to 0 step -1 { A[pid * (N / nprocs) + i] = i; }"
+
+let test_negative_coefficient_hoists () =
+  hoisted_check_in
+    "for i = 0 to N / nprocs - 1 { A[pid * (N / nprocs) + N / nprocs - 1 - \
+     i] = i; }"
+
+let test_race_check_in_keeps_racy_reads () =
+  (* [A[pid % 2] = A[16]] races on both its write and its read of A[16],
+     which node 0 writes in the same epoch. The per-access check-in
+     follows the write; the readers' copies of A[16] are still checked
+     in at the closing barrier. *)
+  let src =
+    "const N = 64; shared A[N]; proc main() { if (pid == 0) { for k = 0 to \
+     3 { A[16 + k * 4 % 16] = k; } } A[pid % 2] = A[16]; barrier; }"
+  in
+  let plan = plan_with src in
+  let consts = [ ("N", Value.Vint 64) ] in
+  List.iter
+    (fun node ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d checks A[16] in" node)
+        true
+        (checks_in plan ~consts ~nodes:4 ~node "A" 16))
+    [ 1; 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "check-ins never inside loops" `Quick test_ci_never_inside_loops;
@@ -174,4 +323,16 @@ let suite =
     Alcotest.test_case "private-only program" `Quick
       test_private_only_program_plans_nothing;
     Alcotest.test_case "race notes" `Quick test_race_notes_name_the_expression;
+    Alcotest.test_case "race site needs 70% dominance" `Quick
+      test_race_site_needs_dominance;
+    Alcotest.test_case "coefficient-0 loop variable stays" `Quick
+      test_coefficient_zero_loop_var_stays;
+    Alcotest.test_case "symbolic range covers its targets" `Quick
+      test_symbolic_range_covers_its_targets;
+    Alcotest.test_case "negative-step loop hoists" `Quick
+      test_negative_step_hoists;
+    Alcotest.test_case "negative coefficient hoists" `Quick
+      test_negative_coefficient_hoists;
+    Alcotest.test_case "race check-in keeps racy reads" `Quick
+      test_race_check_in_keeps_racy_reads;
   ]
