@@ -23,75 +23,40 @@ type plan = { edits : edit list; notes : (int * string) list }
 (* ---- edit application ---- *)
 
 let apply_edits program edits =
-  let before : (int, Ast.stmt list ref) Hashtbl.t = Hashtbl.create 32 in
-  let after : (int, Ast.stmt list ref) Hashtbl.t = Hashtbl.create 32 in
-  let loop_begin : (int, Ast.stmt list ref) Hashtbl.t = Hashtbl.create 32 in
-  let loop_end : (int, Ast.stmt list ref) Hashtbl.t = Hashtbl.create 32 in
-  let proc_begin : (string, Ast.stmt list ref) Hashtbl.t = Hashtbl.create 8 in
-  let proc_end : (string, Ast.stmt list ref) Hashtbl.t = Hashtbl.create 8 in
-  let push table key stmt =
-    let cell =
-      match Hashtbl.find_opt table key with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.add table key c;
-          c
-    in
-    cell := stmt :: !cell
-  in
+  let table : (anchor, Ast.stmt list ref) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun { anchor; stmt } ->
-      match anchor with
-      | Before sid -> push before sid stmt
-      | After sid -> push after sid stmt
-      | Loop_begin sid -> push loop_begin sid stmt
-      | Loop_end sid -> push loop_end sid stmt
-      | Proc_begin name -> push proc_begin name stmt
-      | Proc_end name -> push proc_end name stmt)
+      match Hashtbl.find_opt table anchor with
+      | Some cell -> cell := stmt :: !cell
+      | None -> Hashtbl.add table anchor (ref [ stmt ]))
     edits;
-  let get table key =
-    match Hashtbl.find_opt table key with Some c -> List.rev !c | None -> []
+  let get anchor =
+    match Hashtbl.find_opt table anchor with Some c -> List.rev !c | None -> []
   in
-  let rec rewrite_stmt (s : Ast.stmt) =
+  (* [map_blocks] hands over each block with its nested blocks already
+     rewritten, so a loop's own insertions go around its new body. *)
+  let place (s : Ast.stmt) =
+    let around body =
+      get (Loop_begin s.Ast.sid) @ body @ get (Loop_end s.Ast.sid)
+    in
     let node =
       match s.Ast.node with
-      | Ast.Sif (e, b1, b2) -> Ast.Sif (e, rewrite_block b1, rewrite_block b2)
-      | Ast.Sfor fl ->
-          let body = rewrite_block fl.Ast.body in
-          let body = get loop_begin s.Ast.sid @ body @ get loop_end s.Ast.sid in
-          Ast.Sfor { fl with Ast.body }
-      | Ast.Swhile (e, b) ->
-          let body = rewrite_block b in
-          let body = get loop_begin s.Ast.sid @ body @ get loop_end s.Ast.sid in
-          Ast.Swhile (e, body)
-      | (Ast.Sassign _ | Ast.Sbarrier | Ast.Scall _ | Ast.Sreturn _
+      | Ast.Sfor fl -> Ast.Sfor { fl with Ast.body = around fl.Ast.body }
+      | Ast.Swhile (e, b) -> Ast.Swhile (e, around b)
+      | (Ast.Sif _ | Ast.Sassign _ | Ast.Sbarrier | Ast.Scall _ | Ast.Sreturn _
         | Ast.Slock _ | Ast.Sunlock _ | Ast.Sannot _ | Ast.Sannot_table _
         | Ast.Sprint _) as n ->
           n
     in
-    { s with Ast.node }
-  and rewrite_block block =
-    List.concat_map
-      (fun (s : Ast.stmt) ->
-        let s' = rewrite_stmt s in
-        get before s.Ast.sid @ [ s' ] @ get after s.Ast.sid)
-      block
+    get (Before s.Ast.sid) @ ({ s with Ast.node } :: get (After s.Ast.sid))
   in
-  {
-    program with
-    Ast.procs =
-      List.map
-        (fun (p : Ast.proc) ->
-          {
-            p with
-            Ast.body =
-              get proc_begin p.Ast.pname
-              @ rewrite_block p.Ast.body
-              @ get proc_end p.Ast.pname;
-          })
-        program.Ast.procs;
-  }
+  let program = Ast.map_blocks (List.concat_map place) program in
+  let proc (p : Ast.proc) =
+    let name = p.Ast.pname in
+    let body = get (Proc_begin name) @ p.Ast.body @ get (Proc_end name) in
+    { p with Ast.body }
+  in
+  { program with Ast.procs = List.map proc program.Ast.procs }
 
 let assign_fresh_sids program =
   let next = ref (Ast.max_sid program + 1) in
@@ -203,19 +168,18 @@ type ctx = {
       (* per labelled array, two membership bitsets, made on first use *)
   mutable edits : edit list;  (* reversed *)
   note_tbl : (int, string list) Hashtbl.t;
-  seen : (string, unit) Hashtbl.t;  (* dedup keys *)
+  seen : (anchor * string, unit) Hashtbl.t;  (* placed edits, printed *)
 }
 
 let budget_bytes ctx =
   int_of_float
     (capacity_fraction *. float_of_int ctx.machine.Wwt.Machine.cache_bytes)
 
-let add_edit ctx ~key anchor stmt =
-  if Hashtbl.mem ctx.seen key then false
-  else begin
+let add_edit ctx anchor stmt =
+  let key = (anchor, Pretty.stmt_to_string stmt) in
+  if not (Hashtbl.mem ctx.seen key) then begin
     Hashtbl.add ctx.seen key ();
-    ctx.edits <- { anchor; stmt } :: ctx.edits;
-    true
+    ctx.edits <- { anchor; stmt } :: ctx.edits
   end
 
 let add_note ctx sid msg =
@@ -223,44 +187,46 @@ let add_note ctx sid msg =
   if not (List.mem msg prev) then
     Hashtbl.replace ctx.note_tbl sid (prev @ [ msg ])
 
-let anchor_key = function
-  | Before sid -> Printf.sprintf "B%d" sid
-  | After sid -> Printf.sprintf "A%d" sid
-  | Loop_begin sid -> Printf.sprintf "LB%d" sid
-  | Loop_end sid -> Printf.sprintf "LE%d" sid
-  | Proc_begin name -> "PB" ^ name
-  | Proc_end name -> "PE" ^ name
-
-let range_annot kind arr lo hi =
-  { Ast.sid = -1; node = Ast.Sannot (kind, { Ast.arr; lo; hi }) }
-
 let add_range_edit ctx anchor kind arr lo hi =
-  let key =
-    Printf.sprintf "%s|%s|%s|%s|%s" (anchor_key anchor)
-      (Ast.annot_kind_name kind) arr
-      (Pretty.expr_to_string lo) (Pretty.expr_to_string hi)
-  in
-  ignore (add_edit ctx ~key anchor (range_annot kind arr lo hi))
+  add_edit ctx anchor
+    { Ast.sid = -1; node = Ast.Sannot (kind, { Ast.arr; lo; hi }) }
 
 let add_table_edit ctx anchor kind arr per_node =
-  match
-    Presentation.table_stmt kind ~arr ~nodes:ctx.nodes
-      ~per_node_ranges:per_node
-  with
-  | None -> ()
-  | Some stmt ->
-      let key =
-        Printf.sprintf "%s|%s|%s|table|%s" (anchor_key anchor)
-          (Ast.annot_kind_name kind) arr
-          (Pretty.stmt_to_string stmt)
-      in
-      ignore (add_edit ctx ~key anchor stmt)
+  Option.iter (add_edit ctx anchor)
+    (Presentation.table_stmt kind ~arr ~nodes:ctx.nodes
+       ~per_node_ranges:per_node)
 
-(* Numeric evaluation of an expression under consts + explicit bindings. *)
+(* Numeric evaluation of an expression under consts + explicit bindings;
+   a division by zero is as unresolvable as a non-constant name. *)
 let eval_const ctx ~bindings e =
   match Sema.const_eval ~consts:(ctx.consts @ bindings) e with
   | v -> Some v
-  | exception Sema.Error _ -> None
+  | exception (Sema.Error _ | Division_by_zero) -> None
+
+let node_bindings ctx node =
+  let nodes = ctx.machine.Wwt.Machine.nodes in
+  [ ("pid", Value.Vint node); ("nprocs", Value.Vint nodes) ]
+
+(* [e]'s values over the nodes, evaluated in node order; [None] from the
+   first node where it is not a resolvable int. *)
+let per_node ctx e =
+  let rec go node acc =
+    if node >= ctx.machine.Wwt.Machine.nodes then Some acc
+    else
+      match eval_const ctx ~bindings:(node_bindings ctx node) e with
+      | Some (Value.Vint v) -> go (node + 1) (v :: acc)
+      | Some (Value.Vfloat _) | None -> None
+  in
+  go 0 []
+
+(* Whether evaluating [e] divides by zero on some node. *)
+let divides_by_zero ctx e =
+  List.exists
+    (fun node ->
+      match Sema.const_eval ~consts:(ctx.consts @ node_bindings ctx node) e with
+      | _ | (exception Sema.Error _) -> false
+      | exception Division_by_zero -> true)
+    (List.init ctx.machine.Wwt.Machine.nodes Fun.id)
 
 let const_step_positive ctx step =
   match eval_const ctx ~bindings:[] step with
@@ -319,85 +285,32 @@ let max_span_elems ctx ~chain lo_expr hi_expr =
   match Presentation.linearize ~const_env:(const_env ctx) diff with
   | None -> None
   | Some aff ->
-      let nodes = ctx.machine.Wwt.Machine.nodes in
-      (* Extremes of [c * e] where [e]'s free variables are only pid,
-         nprocs and constants: evaluate for every node. *)
-      let per_pid_extreme e c =
-        let ok =
-          List.for_all
-            (fun v ->
-              v = "pid" || v = "nprocs" || List.mem_assoc v ctx.consts)
-            (Presentation.free_vars e)
-        in
-        if not ok then None
-        else
-          let rec go node acc =
-            if node >= nodes then acc
-            else
-              let bindings =
-                [ ("pid", Value.Vint node); ("nprocs", Value.Vint nodes) ]
-              in
-              match eval_const ctx ~bindings e with
-              | Some (Value.Vint v) -> (
-                  match go (node + 1) acc with
-                  | exception Exit -> raise Exit
-                  | acc -> (
-                      match acc with
-                      | None -> Some (c * v)
-                      | Some m -> Some (max m (c * v))))
-              | Some (Value.Vfloat _) | None -> raise Exit
-          in
-          try go 0 None with Exit -> None
-      in
-      let resolve_atom (atom : Presentation.atom) c =
-        let v = atom.Presentation.key in
-        if c = 0 then Some 0
-        else
+      (* The largest [c * v] over the values [v] an atom takes: a loop
+         variable's bounds on every node (they may mention [pid]), any
+         other atom's value on every node. [linearize] keeps no zero
+         coefficient. *)
+      let resolve ((atom : Presentation.atom), c) =
+        let values =
           match
             List.find_opt
-              (fun (l : Loops.loop) -> l.Loops.var = Some v)
+              (fun (l : Loops.loop) -> l.Loops.var = Some atom.Presentation.key)
               chain
           with
-          | None -> per_pid_extreme atom.Presentation.aexpr c
+          | None -> per_node ctx atom.Presentation.aexpr
           | Some l -> (
               match loop_var_bounds ctx l with
               | None -> None
-              | Some (min_e, max_e) ->
-                  (* Bounds may mention [pid]; take the worst case over
-                     every node. *)
-                  let nodes = ctx.machine.Wwt.Machine.nodes in
-                  let eval_all e =
-                    let rec per_node node acc =
-                      if node >= nodes then Some acc
-                      else
-                        let bindings =
-                          [
-                            ("pid", Value.Vint node);
-                            ("nprocs", Value.Vint nodes);
-                          ]
-                        in
-                        match eval_const ctx ~bindings e with
-                        | Some (Value.Vint v) -> per_node (node + 1) (v :: acc)
-                        | Some (Value.Vfloat _) | None -> None
-                    in
-                    per_node 0 []
-                  in
-                  (match (eval_all min_e, eval_all max_e) with
-                  | Some los, Some his ->
-                      let candidates =
-                        List.map (fun v -> c * v) (los @ his)
-                      in
-                      Some (List.fold_left max min_int candidates)
+              | Some (min_e, max_e) -> (
+                  match (per_node ctx min_e, per_node ctx max_e) with
+                  | Some los, Some his -> Some (los @ his)
                   | _ -> None))
+        in
+        Option.map (List.fold_left (fun m v -> max m (c * v)) min_int) values
       in
-      let rec sum acc = function
-        | [] -> Some acc
-        | (atom, c) :: rest -> (
-            match resolve_atom atom c with
-            | None -> None
-            | Some contrib -> sum (acc + contrib) rest)
-      in
-      Option.map (fun s -> s + aff.Presentation.const) (sum 0 aff.Presentation.terms)
+      List.fold_left
+        (fun acc term ->
+          Option.bind acc (fun s -> Option.map (( + ) s) (resolve term)))
+        (Some aff.Presentation.const) aff.Presentation.terms
 
 (* ---- per-static-epoch planning ---- *)
 
@@ -477,266 +390,221 @@ let place_near_access ctx ~proj ~arr ~pcs ~note_of =
             subs)
     pcs
 
+(* A candidate level for an affine range: the loops whose variables the
+   range spans, the loop variables live where it is placed, and where a
+   check-out and a check-in go. *)
+type level = {
+  to_bind : Loops.loop list;
+  in_scope : string list;
+  co_anchor : anchor;
+  ci_anchor : anchor;
+}
+
 (* Static (affine) placement for one access site. Returns true when it
    succeeded, false to fall back to dynamic placement. *)
-let place_affine ctx ~proj ~arr ~pc ~start_anchor ~end_anchor ~anchor_sids
-    ~target_per_node ~max_target_blocks ~covered ~budget_left =
-  let kind = kind_of_proj proj in
+let place_affine ctx ~proj ~(entry : Label.entry) ~pc ~start_anchor
+    ~end_anchor ~anchor_sids ~target_per_node ~max_target_blocks ~covered
+    ~budget_left =
+  let arr = entry.Label.name in
   match Hashtbl.find_opt ctx.stmt_tbl pc with
   | None -> false
-  | Some stmt -> (
-      (* Write subscripts first: they match check-out-exclusive and
-         check-in sets exactly; read subscripts only contribute what the
-         write subscripts left uncovered. *)
-      let subs =
-        let w = Presentation.array_write_subscripts stmt ~arr in
-        let all = Presentation.array_subscripts stmt ~arr in
-        w @ List.filter (fun e -> not (List.mem e w)) all
+  | Some stmt ->
+      (* [array_subscripts] lists an assigned subscript first: it matches
+         check-out-exclusive and check-in sets exactly, and the read
+         subscripts only add what it left uncovered. *)
+      let subs = Presentation.array_subscripts stmt ~arr in
+      let chain = Loops.containing ctx.loops pc in
+      (* Loops that also enclose the epoch's barriers (e.g. LU's k loop,
+         whose body holds both barriers) are still running at the epoch
+         boundary: their variables are live there and must stay
+         symbolic, producing the paper's parametric annotations such as
+         M[k*N + k+1 .. k*N + N-1]. *)
+      let encloses_anchor (l : Loops.loop) =
+        anchor_sids <> []
+        && List.for_all (fun sid -> List.mem sid l.Loops.body_sids) anchor_sids
       in
-      if subs = [] then false
-      else
-        let chain = Loops.containing ctx.loops pc in
-        (* Loops that also enclose the epoch's barriers (e.g. LU's k loop,
-           whose body holds both barriers) are still running at the epoch
-           boundary: their variables are live there and must stay
-           symbolic, producing the paper's parametric annotations such as
-           M[k*N + k+1 .. k*N + N-1]. *)
-        let encloses_anchor (l : Loops.loop) =
-          List.for_all
-            (fun sid -> List.mem sid l.Loops.body_sids)
-            anchor_sids
-          && anchor_sids <> []
-        in
-        let anchor_prefix = List.filter encloses_anchor chain in
-        let inner_chain =
-          List.filter (fun l -> not (encloses_anchor l)) chain
-        in
-        (* outermost-first candidate levels: epoch boundary, then after
-           each loop header, then immediately at the access *)
-        let scope_ok ~in_scope e =
-          List.for_all
-            (fun v ->
-              v = "pid" || v = "nprocs"
-              || List.mem_assoc v ctx.consts
-              || List.mem v in_scope)
-            (Presentation.free_vars e)
-        in
-        let level_bounds ~to_bind ~in_scope sub =
-          match
-            ( bound_expr ctx ~want_min:true ~to_bind sub,
-              bound_expr ctx ~want_min:false ~to_bind sub )
-          with
-          | Some lo, Some hi
-            when scope_ok ~in_scope lo && scope_ok ~in_scope hi ->
-              Some (lo, hi)
+      let anchor_prefix, inner_chain = List.partition encloses_anchor chain in
+      let vars_of = List.filter_map (fun (l : Loops.loop) -> l.Loops.var) in
+      let scope_ok lv e =
+        List.for_all
+          (fun v ->
+            v = "pid" || v = "nprocs"
+            || List.mem_assoc v ctx.consts
+            || List.mem v lv.in_scope)
+          (Presentation.free_vars e)
+      in
+      (* The range [sub] covers at a level, and the largest element span
+         (hi - lo) it takes on any node when that resolves. *)
+      let range lv sub =
+        match
+          ( bound_expr ctx ~want_min:true ~to_bind:lv.to_bind sub,
+            bound_expr ctx ~want_min:false ~to_bind:lv.to_bind sub )
+        with
+        | Some lo, Some hi when scope_ok lv lo && scope_ok lv hi ->
+            Some (lo, hi, max_span_elems ctx ~chain lo hi)
+        | _ -> None
+      in
+      let elem_size = ctx.machine.Wwt.Machine.elem_size in
+      let elems_per_block = ctx.machine.Wwt.Machine.block_size / elem_size in
+      (* A contiguous range that covers far more blocks than the node
+         actually touches (a block-partitioned 2-D region flattened to a
+         1-D span) would claim or flush other nodes' data; push such
+         subscripts down to a loop level where the range is exact.
+         Check-outs pin cache capacity until the matching check-in, so
+         every epoch shares one budget: once the placed check-outs would
+         pin more than the configured cache fraction, further ones are
+         dropped rather than allowed to thrash. *)
+      let fits = function
+        | Some span when span >= 0 ->
+            2 * ((span / elems_per_block) + 1) <= (3 * max_target_blocks) + 4
+            && (proj = `Ci || (span + 1) * elem_size <= !budget_left)
+        | Some _ -> false
+        | None ->
+            (* span not resolvable numerically: only a check-in may
+               proceed (it pins no capacity and over-coverage of a
+               symbolic loop-level range is bounded by the loop) *)
+            proj = `Ci
+      in
+      (* outermost-first candidate levels: epoch boundary, then after
+         each loop header; [outer] = loops outside the current level
+         (their vars are in scope) *)
+      let rec levels outer = function
+        | [] -> []
+        | (l : Loops.loop) :: deeper ->
+            let sid = l.Loops.header_sid in
+            {
+              to_bind = deeper;
+              in_scope = vars_of (anchor_prefix @ outer @ [ l ]);
+              co_anchor = Loop_begin sid;
+              ci_anchor = Loop_end sid;
+            }
+            :: levels (outer @ [ l ]) deeper
+      in
+      let boundary =
+        {
+          to_bind = inner_chain;
+          in_scope = vars_of anchor_prefix;
+          co_anchor = start_anchor;
+          ci_anchor = end_anchor;
+        }
+      in
+      (* An expression range executes on every node; if the access sits
+         under a pid-dependent guard, only levels inside that guard are
+         legal (the per-pid table fallback is immune — it is keyed by
+         pid). *)
+      let guards =
+        Option.value ~default:[] (Hashtbl.find_opt ctx.pid_guards pc)
+      in
+      let inside_guards lv =
+        match lv.co_anchor with
+        | Loop_begin lsid ->
+            List.for_all
+              (fun g ->
+                match Hashtbl.find_opt ctx.guard_body g with
+                | Some body -> Iset.mem lsid body
+                | None -> false)
+              guards
+        | Before _ | After _ | Loop_end _ | Proc_begin _ | Proc_end _ ->
+            guards = []
+      in
+      let candidates =
+        if proj = `Ci then
+          (* A check-in belongs at the epoch boundary: placed inside a
+             loop it would flush data the loop still uses; the exact
+             per-pid table is the fallback when the boundary range
+             over-covers. *)
+          [ boundary ]
+        else
+          (* Per-access levels (nothing left to bind) are the near-access
+             path's job and are only justified for races. *)
+          List.filter inside_guards
+            (boundary
+            :: List.filter (fun lv -> lv.to_bind <> []) (levels [] inner_chain))
+      in
+      (* A check-in only ever flushes the executing node's own cache, so
+         it ignores the guards: running one on nodes they exclude is safe
+         and flushes their stale read copies of the guarded data (e.g.
+         every reader of the tree node 0 is about to rebuild). Its bounds
+         are evaluated there too, so they must not divide by zero on any
+         node. *)
+      let evaluable lo hi =
+        proj <> `Ci || guards = []
+        || not (divides_by_zero ctx lo || divides_by_zero ctx hi)
+      in
+      let place sub =
+        List.find_map
+          (fun lv ->
+            match range lv sub with
+            | Some (lo, hi, span) when evaluable lo hi && fits span ->
+                Some (lv, lo, hi, span)
+            | Some _ | None -> None)
+          candidates
+      in
+      (* Every subscript of the statement must find a level, so the whole
+         annotation set is coverable; otherwise fall back to the dynamic
+         path. *)
+      let placements = List.map place subs in
+      if List.exists Option.is_none placements then false
+      else begin
+        (* Concrete per-node element interval of a placed range, when
+           every free variable is pid/nprocs/consts (i.e. an
+           epoch-boundary placement); [None] for loop-level ranges. *)
+        let nodes = ctx.machine.Wwt.Machine.nodes in
+        let interval_of lo hi node =
+          let bindings = node_bindings ctx node in
+          match (eval_const ctx ~bindings lo, eval_const ctx ~bindings hi) with
+          | Some (Value.Vint a), Some (Value.Vint b) -> Some (a, b)
           | _ -> None
         in
-        let block_size = ctx.machine.Wwt.Machine.block_size in
-        let elems_per_block = block_size / ctx.machine.Wwt.Machine.elem_size in
-        (* A contiguous range that covers far more blocks than the node
-           actually touches (a block-partitioned 2-D region flattened to a
-           1-D span) would claim or flush other nodes' data; push such
-           subscripts down to a loop level where the range is exact. *)
-        let not_overcovering span =
-          let span_blocks = (span / elems_per_block) + 1 in
-          2 * span_blocks <= (3 * max_target_blocks) + 4
+        let within (a, b) addr =
+          let idx = (addr - entry.Label.base) / entry.Label.elem_size in
+          idx >= a && idx <= b
         in
-        (* Check-outs pin cache capacity until the matching check-in, so
-           every epoch shares one budget: once the placed check-outs would
-           pin more than the configured cache fraction, further ones are
-           dropped rather than allowed to thrash. *)
-        let plan_level_ok ~to_bind ~in_scope sub =
-          match level_bounds ~to_bind ~in_scope sub with
-          | None -> false
-          | Some (lo, hi) -> (
-              match max_span_elems ctx ~chain lo hi with
-              | Some span when span >= 0 ->
-                  not_overcovering span
-                  && (proj = `Ci
-                     || (span + 1) * ctx.machine.Wwt.Machine.elem_size
-                        <= !budget_left)
-              | Some _ -> false
-              | None ->
-                  (* span not resolvable numerically: only a check-in may
-                     proceed (it pins no capacity and over-coverage of a
-                     symbolic loop-level range is bounded by the loop) *)
-                  proj = `Ci)
+        (* A range whose concrete footprint adds nothing new to the target
+           set on any node is redundant (e.g. the four stencil neighbours
+           of an already-covered centre). Symbolic ranges are kept
+           conservatively. *)
+        let rec adds_coverage lo hi node =
+          node < nodes
+          && ((match interval_of lo hi node with
+              | None -> true
+              | Some ab ->
+                  Iset.exists
+                    (fun addr ->
+                      within ab addr && not (Iset.mem addr covered.(node)))
+                    target_per_node.(node))
+             || adds_coverage lo hi (node + 1))
         in
-        let try_level ~to_bind ~in_scope ~co_anchor ~ci_anchor sub =
-          match
-            ( bound_expr ctx ~want_min:true ~to_bind sub,
-              bound_expr ctx ~want_min:false ~to_bind sub )
-          with
-          | Some lo, Some hi
-            when scope_ok ~in_scope lo && scope_ok ~in_scope hi -> (
-              if plan_level_ok ~to_bind ~in_scope sub then begin
-                let anchor = if proj = `Ci then ci_anchor else co_anchor in
-                add_range_edit ctx anchor kind arr lo hi;
-                (if proj <> `Ci then
-                   match max_span_elems ctx ~chain lo hi with
-                   | Some span ->
-                       budget_left :=
-                         !budget_left
-                         - ((span + 1) * ctx.machine.Wwt.Machine.elem_size)
-                   | None -> ());
-                true
-              end
-              else false)
-          | _ -> false
-        in
-        let vars_of loops_list =
-          List.filter_map (fun (l : Loops.loop) -> l.Loops.var) loops_list
-        in
-        let rec levels prefix = function
-          (* [prefix] = loops outside the current level (their vars are in
-             scope); returns candidate (to_bind, in_scope, anchors) from
-             outermost to innermost. *)
-          | [] -> []
-          | (l : Loops.loop) :: deeper ->
-              ( deeper,
-                vars_of (anchor_prefix @ prefix @ [ l ]),
-                Loop_begin l.Loops.header_sid,
-                Loop_end l.Loops.header_sid )
-              :: levels (prefix @ [ l ]) deeper
-        in
-        let boundary =
-          (inner_chain, vars_of anchor_prefix, start_anchor, end_anchor)
-        in
-        (* An expression range executes on every node; if the access sits
-           under a pid-dependent guard, only levels inside that guard are
-           legal (the per-pid table fallback is immune — it is keyed by
-           pid). *)
-        let guards =
-          Option.value ~default:[] (Hashtbl.find_opt ctx.pid_guards pc)
-        in
-        let level_inside_guards = function
-          | _ when proj = `Ci ->
-              (* a check-in only ever flushes the executing node's own
-                 cache: running one on nodes the guard excludes is safe
-                 and flushes their stale read copies of the guarded data
-                 (e.g. every reader of the tree node 0 is about to
-                 rebuild) *)
-              true
-          | _, _, Loop_begin lsid, _ | _, _, _, Loop_end lsid ->
-              List.for_all
-                (fun g ->
-                  match Hashtbl.find_opt ctx.guard_body g with
-                  | Some body -> Iset.mem lsid body
-                  | None -> false)
-                guards
-          | _ -> guards = []
-        in
-        let candidates =
-          if proj = `Ci then
-            (* A check-in belongs at the epoch boundary: placed inside a
-               loop it would flush data the loop still uses; the exact
-               per-pid table is the fallback when the boundary range
-               over-covers. *)
-            [ boundary ]
-          else
-            (* Per-access levels (nothing left to bind) are the
-               near-access path's job and are only justified for races. *)
-            boundary
-            :: List.filter
-                 (fun (to_bind, _, _, _) -> to_bind <> [])
-                 (levels [] inner_chain)
-        in
-        let candidates = List.filter level_inside_guards candidates in
-        (* Every subscript of the statement must find a level, so the
-           whole annotation set is coverable; otherwise fall back to the
-           dynamic path. *)
-        let placements =
-          List.map
-            (fun sub ->
-              List.find_opt
-                (fun (to_bind, in_scope, _, _) ->
-                  plan_level_ok ~to_bind ~in_scope sub)
-                candidates
-              |> Option.map (fun c -> (sub, c)))
-            subs
-        in
-        if not (List.for_all Option.is_some placements) then false
-        else begin
-          (* Concrete per-node element interval of a placed range, when
-             every free variable is pid/nprocs/consts (i.e. an
-             epoch-boundary placement); [None] for loop-level ranges. *)
-          let nodes = ctx.machine.Wwt.Machine.nodes in
-          let interval_of lo hi node =
-            let bindings =
-              [ ("pid", Value.Vint node); ("nprocs", Value.Vint nodes) ]
-            in
-            match
-              (eval_const ctx ~bindings lo, eval_const ctx ~bindings hi)
-            with
-            | Some (Value.Vint a), Some (Value.Vint b) -> Some (a, b)
-            | _ -> None
-          in
-          let entry = Label.find_array ctx.layout arr in
-          let adds_coverage lo hi =
-            (* A range whose concrete footprint adds nothing new to the
-               target set on any node is redundant (e.g. the four stencil
-               neighbours of an already-covered centre). Symbolic ranges
-               are kept conservatively. *)
-            match entry with
-            | None -> true
-            | Some e ->
-                let rec any node =
-                  node < nodes
-                  &&
-                  match interval_of lo hi node with
-                  | None -> true
-                  | Some (a, b) ->
-                      let fresh =
-                        Iset.exists
-                          (fun addr ->
-                            let idx =
-                              (addr - e.Label.base) / e.Label.elem_size
-                            in
-                            idx >= a && idx <= b
-                            && not (Iset.mem addr covered.(node)))
-                          target_per_node.(node)
-                      in
-                      fresh || any (node + 1)
-                in
-                any 0
-          in
-          let mark_covered lo hi =
-            match entry with
-            | None -> ()
-            | Some e ->
+        List.iter
+          (function
+            | Some (lv, lo, hi, span) when adds_coverage lo hi 0 ->
+                (* Earlier subscripts may have spent the budget. *)
+                if fits span then begin
+                  let anchor =
+                    if proj = `Ci then lv.ci_anchor else lv.co_anchor
+                  in
+                  add_range_edit ctx anchor (kind_of_proj proj) arr lo hi;
+                  if proj <> `Ci then
+                    Option.iter
+                      (fun s ->
+                        budget_left := !budget_left - ((s + 1) * elem_size))
+                      span
+                end;
                 for node = 0 to nodes - 1 do
-                  match interval_of lo hi node with
-                  | None ->
-                      (* Symbolic range: assume it covers the node's whole
-                         target set for this pc. *)
-                      covered.(node) <-
-                        Iset.union covered.(node) target_per_node.(node)
-                  | Some (a, b) ->
-                      covered.(node) <-
-                        Iset.union covered.(node)
-                          (Iset.filter
-                             (fun addr ->
-                               let idx =
-                                 (addr - e.Label.base) / e.Label.elem_size
-                               in
-                               idx >= a && idx <= b)
-                             target_per_node.(node))
+                  covered.(node) <-
+                    Iset.union covered.(node)
+                      (match interval_of lo hi node with
+                      | None ->
+                          (* Symbolic range: assume it covers the node's
+                             whole target set for this pc. *)
+                          target_per_node.(node)
+                      | Some ab ->
+                          Iset.filter (within ab) target_per_node.(node))
                 done
-          in
-          List.iter
-            (function
-              | Some (sub, (to_bind, in_scope, co_a, ci_a)) -> (
-                  match level_bounds ~to_bind ~in_scope sub with
-                  | Some (lo, hi) when adds_coverage lo hi ->
-                      ignore
-                        (try_level ~to_bind ~in_scope ~co_anchor:co_a
-                           ~ci_anchor:ci_a sub);
-                      mark_covered lo hi
-                  | Some _ | None -> ())
-              | None -> ())
-            placements;
-          true
-        end)
+            | Some _ | None -> ())
+          placements;
+        true
+      end
 
 (* The membership bitsets of [entry], made on first use. *)
 let marks_for ctx (entry : Label.entry) =
@@ -884,21 +752,12 @@ let plan_epoch ctx (se : sepoch) =
                       c.seen <- c.seen + 1;
                       if is_racy m.Trace.Event.addr then hit c m
                     end);
-                let pcs = hit_pcs table ~prefer_reads:(proj <> `Ci) in
-                let writes_array pc =
-                  match Hashtbl.find_opt ctx.stmt_tbl pc with
-                  | Some stmt ->
-                      Presentation.array_write_subscripts stmt ~arr <> []
-                  | None -> false
-                in
                 let dominant_pcs =
                   List.filter
                     (fun pc ->
-                      ((proj <> `Ci) || writes_array pc)
-                      &&
                       let c = tally pc in
                       10 * c.hits >= 7 * c.seen)
-                    pcs
+                    (hit_pcs table ~prefer_reads:(proj <> `Ci))
                 in
                 if dominant_pcs = [] then Iset.empty
                 else begin
@@ -979,7 +838,7 @@ let plan_epoch ctx (se : sepoch) =
                 List.filter
                   (fun pc ->
                     not
-                      (place_affine ctx ~proj ~arr ~pc ~start_anchor
+                      (place_affine ctx ~proj ~entry ~pc ~start_anchor
                          ~end_anchor ~anchor_sids
                          ~target_per_node:clean_per_node ~max_target_blocks
                          ~covered ~budget_left))

@@ -73,21 +73,16 @@ let small_cache nodes =
 
 let default_machine nodes = { Wwt.Machine.default with Wwt.Machine.nodes }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let suite_source name nodes = (Benchmarks.Suite.find ~nodes name).Benchmarks.Suite.source
+let suite_source name nodes =
+  (Benchmarks.Suite.find ~nodes name).Benchmarks.Suite.source
 
 let rule_golden =
   [
     ( "partial_lock.sm-2 prog",
-      (fun () -> read_file "corpus_races/partial_lock.sm"),
+      (fun () -> T_obs.read_file "corpus_races/partial_lock.sm"),
       default_machine 2, prog, "900fbff3b8ef3f4cfa60e34599c9810c" );
     ( "rw_unsync.sm-2 prog",
-      (fun () -> read_file "corpus_races/rw_unsync.sm"),
+      (fun () -> T_obs.read_file "corpus_races/rw_unsync.sm"),
       default_machine 2, prog, "eba21cb8c9f80dba7d75b4fad04af6fd" );
     ( "barnes-4 4k2 perf", (fun () -> suite_source "barnes" 4), small_cache 4,
       perf, "e706f39126b8d8aaa0a0931d56e74704" );
@@ -106,7 +101,8 @@ let test_rule_golden () =
       Alcotest.(check string) label want
         (Digest.to_hex
            (Digest.string
-              (Cachier.Annotate.to_source r ^ Service.Oneshot.annotate_summary r))))
+              (Cachier.Annotate.to_source r
+              ^ Service.Oneshot.annotate_summary r))))
     rule_golden
 
 (* Golden perf-mode outcomes: the 40 cells of the protocol x annotation

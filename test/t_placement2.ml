@@ -190,7 +190,8 @@ let range_edits plan kind arr =
 let eval_at ~consts ~pid ~nodes e =
   match
     Sema.const_eval
-      ~consts:(consts @ [ ("pid", Value.Vint pid); ("nprocs", Value.Vint nodes) ])
+      ~consts:
+        (consts @ [ ("pid", Value.Vint pid); ("nprocs", Value.Vint nodes) ])
       e
   with
   | Value.Vint v -> v
@@ -204,7 +205,8 @@ let checks_in plan ~consts ~nodes ~node arr elem =
       | Ast.Sannot (Ast.Check_in, r) when r.Ast.arr = arr ->
           eval_at ~consts ~pid:node ~nodes r.Ast.lo <= elem
           && elem <= eval_at ~consts ~pid:node ~nodes r.Ast.hi
-      | Ast.Sannot_table { akind = Ast.Check_in; aarr; aranges } when aarr = arr ->
+      | Ast.Sannot_table { akind = Ast.Check_in; aarr; aranges }
+        when aarr = arr ->
           List.exists (fun (lo, hi) -> lo <= elem && elem <= hi) aranges.(node)
       | _ -> false)
     plan.Cachier.Placement.edits
@@ -216,9 +218,15 @@ let test_race_site_needs_dominance () =
   let src =
     "shared A[64]; proc main() { A[0] = 0; x = A[pid]; barrier; }"
   in
-  let read = sid_of src (function Ast.Sassign (Ast.Lvar "x", _) -> true | _ -> false) in
+  let read =
+    sid_of src (function
+      | Ast.Sassign (Ast.Lvar "x", _) -> true
+      | _ -> false)
+  in
   let plan =
-    plan_with ~machine:(machine ~cache_bytes:4096 ~assoc:2 4) ~options:programmer src
+    plan_with
+      ~machine:(machine ~cache_bytes:4096 ~assoc:2 4)
+      ~options:programmer src
   in
   let near =
     List.filter
@@ -310,6 +318,33 @@ let test_race_check_in_keeps_racy_reads () =
         (checks_in plan ~consts ~nodes:4 ~node "A" 16))
     [ 1; 2; 3 ]
 
+let test_guarded_division_annotates () =
+  (* examples/programs/guarded.sm divides by pid under [if (pid > 0)].
+     A check-in ignores pid guards, so its range also runs on node 0:
+     a range that would divide by zero there falls back to the per-pid
+     table, and the annotated program prints what the plain one does. *)
+  let plain =
+    Parser.parse (T_obs.read_file (Option.get (T_obs.example "guarded.sm")))
+  in
+  List.iter
+    (fun nodes ->
+      let machine = machine nodes in
+      let printed ~annotations program =
+        (Wwt.Run.measure ~machine ~annotations ~prefetch:false program)
+          .Wwt.Interp.output
+      in
+      let want = printed ~annotations:false plain in
+      List.iter
+        (fun options ->
+          let r = Cachier.Annotate.annotate_program ~machine ~options plain in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d nodes, %s" nodes
+               (if options = programmer then "programmer" else "performance"))
+            want
+            (printed ~annotations:true r.Cachier.Annotate.annotated))
+        [ Cachier.Placement.default_options; programmer ])
+    [ 2; 4; 8 ]
+
 let suite =
   [
     Alcotest.test_case "check-ins never inside loops" `Quick test_ci_never_inside_loops;
@@ -335,4 +370,6 @@ let suite =
       test_negative_coefficient_hoists;
     Alcotest.test_case "race check-in keeps racy reads" `Quick
       test_race_check_in_keeps_racy_reads;
+    Alcotest.test_case "pid-guarded division annotates" `Quick
+      test_guarded_division_annotates;
   ]
