@@ -31,7 +31,20 @@ type annots = { co_x : Iset.t; co_s : Iset.t; ci : Iset.t }
 
 val empty : annots
 
+type set = Co_x | Co_s | Ci
+
+type term = {
+  set : set;  (** the annotation set the term adds to *)
+  label : string;  (** what the term's locations are, in words *)
+  addrs : Iset.t;
+}
+
+val terms : mode -> Epoch_info.t -> epoch:int -> node:int -> term list
+(** The terms of the equations above for one epoch and node, in the
+    order written there: each [∪] operand is one term. *)
+
 val for_epoch : mode -> Epoch_info.t -> epoch:int -> node:int -> annots
+(** The union of {!terms} per annotation set. *)
 
 val all : mode -> Epoch_info.t -> annots array array
 (** [all mode info] is indexed [.(epoch).(node)]. *)

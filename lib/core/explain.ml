@@ -13,40 +13,17 @@ type epoch_explanation = {
 
 type t = { mode : Equations.mode; epochs : epoch_explanation list }
 
-let term_sets mode (info : Epoch_info.t) ~epoch ~node =
-  let cur = Epoch_info.sets_at info ~epoch ~node in
-  let prev = Epoch_info.sets_at info ~epoch:(epoch - 1) ~node in
-  let next = Epoch_info.sets_at info ~epoch:(epoch + 1) ~node in
-  let d = info.Epoch_info.drfs.(epoch) in
-  let s_cur = Epoch_info.s_of cur in
-  match mode with
-  | Equations.Programmer ->
-      let s_next = Epoch_info.s_of next in
-      [
-        ( "co_x: locations newly written this epoch",
-          Drfs.filter_not_drfs d (Iset.diff cur.Epoch_info.sw prev.Epoch_info.sw) );
-        ("co_x: racy or falsely shared writes", Drfs.filter_drfs d cur.Epoch_info.sw);
-        ( "co_s: locations newly read this epoch",
-          Drfs.filter_not_fs d (Iset.diff cur.Epoch_info.sr prev.Epoch_info.sr) );
-        ("co_s: falsely shared reads", Drfs.filter_fs d cur.Epoch_info.sr);
-        ( "ci: locations unused next epoch",
-          Drfs.filter_not_drfs d (Iset.diff s_cur s_next) );
-        ("ci: racy or falsely shared locations", Drfs.filter_drfs d s_cur);
-      ]
-  | Equations.Performance ->
-      let s_next_self = Epoch_info.s_of next in
-      let sw_next_other = Epoch_info.sw_others info ~epoch:(epoch + 1) ~node in
-      [
-        ( "co_x: read-before-write faults",
-          Drfs.filter_not_drfs d (Iset.diff cur.Epoch_info.wf prev.Epoch_info.sw) );
-        ("co_x: racy or falsely shared faults", Drfs.filter_drfs d cur.Epoch_info.wf);
-        ( "ci: written here, done with it",
-          Drfs.filter_not_drfs d (Iset.diff cur.Epoch_info.sw s_next_self) );
-        ( "ci: hand-off to next epoch's writer",
-          Drfs.filter_not_drfs d
-            (Iset.diff (Iset.inter cur.Epoch_info.sr sw_next_other) s_next_self) );
-        ("ci: racy or falsely shared locations", Drfs.filter_drfs d s_cur);
-      ]
+let term_sets mode info ~epoch ~node =
+  List.map
+    (fun (t : Equations.term) ->
+      let set =
+        match t.Equations.set with
+        | Equations.Co_x -> "co_x"
+        | Equations.Co_s -> "co_s"
+        | Equations.Ci -> "ci"
+      in
+      (set ^ ": " ^ t.Equations.label, t.Equations.addrs))
+    (Equations.terms mode info ~epoch ~node)
 
 let per_array_counts ~layout set =
   let table : (string, int) Hashtbl.t = Hashtbl.create 8 in
