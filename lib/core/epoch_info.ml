@@ -12,7 +12,8 @@ type t = {
   epochs : Trace.Epoch.t array;
   sets : node_sets array array;
   drfs : Drfs.t array;
-  sw_others : Iset.t array array;
+  sw_union : Iset.t array;
+  sw_shared : Iset.t array;
   labels : (string * int * int) list;
 }
 
@@ -27,22 +28,13 @@ let sets_of_epoch (e : Trace.Epoch.t) node =
     wf = faults;
   }
 
-(* [others.(n)] = ⋃ SW over every node but [n], from a prefix union
-   (nodes below [n]) and a suffix union (nodes above): 3·nodes merges
-   per epoch. *)
-let sw_others_of (sets : node_sets array) =
-  let n = Array.length sets in
-  let prefix = Array.make (n + 1) Iset.empty in
-  for i = 0 to n - 1 do
-    prefix.(i + 1) <- Iset.union prefix.(i) sets.(i).sw
-  done;
-  let others = Array.make n Iset.empty in
-  let suffix = ref Iset.empty in
-  for i = n - 1 downto 0 do
-    others.(i) <- Iset.union prefix.(i) !suffix;
-    suffix := Iset.union sets.(i).sw !suffix
-  done;
-  others
+(* The union of every node's SW, and the addresses in two or more
+   nodes' SW: one fold over the nodes, two merges per node. *)
+let sw_union_and_shared (sets : node_sets array) =
+  Array.fold_left
+    (fun (all, shared) ns ->
+      (Iset.union all ns.sw, Iset.union shared (Iset.inter all ns.sw)))
+    (Iset.empty, Iset.empty) sets
 
 let build ~nodes ~block_size records =
   let epochs, labels = Trace.Epoch.split ~nodes records in
@@ -57,8 +49,17 @@ let build ~nodes ~block_size records =
       (fun e -> Drfs.analyze_sorted ~block_size e.Trace.Epoch.by_addr)
       epochs
   in
-  let sw_others = Array.map sw_others_of sets in
-  { nodes; block_size; epochs; sets; drfs; sw_others; labels }
+  let sw = Array.map sw_union_and_shared sets in
+  {
+    nodes;
+    block_size;
+    epochs;
+    sets;
+    drfs;
+    sw_union = Array.map fst sw;
+    sw_shared = Array.map snd sw;
+    labels;
+  }
 
 let n_epochs t = Array.length t.epochs
 
@@ -67,8 +68,12 @@ let in_range t epoch = epoch >= 0 && epoch < Array.length t.sets
 let sets_at t ~epoch ~node =
   if in_range t epoch then t.sets.(epoch).(node) else empty_sets
 
+(* Every SW address but those only [node] writes. *)
 let sw_others t ~epoch ~node =
-  if in_range t epoch then t.sw_others.(epoch).(node) else Iset.empty
+  if in_range t epoch then
+    Iset.diff t.sw_union.(epoch)
+      (Iset.diff t.sets.(epoch).(node).sw t.sw_shared.(epoch))
+  else Iset.empty
 
 (* First position in [a] whose address is >= [addr]. *)
 let lower_bound (a : Trace.Event.miss array) addr =

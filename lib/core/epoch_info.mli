@@ -17,7 +17,8 @@
     fall in this array, what did every other node write. The epoch's
     misses in address order ({!Trace.Epoch.t.by_addr}, sorted once when
     the trace is split) answer the first two by binary search, and
-    [build] computes the third once per dynamic epoch, so each pass
+    [build] keeps what answers the third once per dynamic epoch (the
+    SW union and the addresses several nodes write), so each pass
     stays linear in the misses it actually looks at. The rule for
     consumers: never rescan [epochs.(i).misses] per address, per pc,
     per node or per array; go through {!iter_range}, {!pcs_of_addr} and
@@ -41,10 +42,10 @@ type t = {
   sets : node_sets array array;  (** [sets.(epoch).(node)] *)
   drfs : Drfs.t array;
       (** per epoch, computed from the epoch's [by_addr] in one pass *)
-  sw_others : Iset.t array array;
-      (** [sw_others.(epoch).(node)]: the union of every {e other}
-          node's SW set, from prefix and suffix unions over the nodes
-          (3·nodes merges per epoch) *)
+  sw_union : Iset.t array;  (** per epoch, the union of every node's SW *)
+  sw_shared : Iset.t array;
+      (** per epoch, the addresses in two or more nodes' SW; with
+          [sw_union] it gives {!sw_others} for any node by two diffs *)
   labels : (string * int * int) list;  (** labelled shared regions *)
 }
 

@@ -170,19 +170,19 @@ let base_codec size =
    record (a header and 5 fields), its cell in the epoch's trace-order
    list and its slot in the address-ordered array; per set, a header and
    its members, once however many fields share the array (an [SW] that
-   is the node's writes, or the other nodes' [SW] when only one node
+   is the node's writes, or an epoch's SW union when only one node
    writes); per node and per epoch, the records, slots and headers that
    hold them. *)
 let miss_words = 6 + 3 + 1
 
-(* the node's [per_node], [sets] and [sw_others] slots, its [node_misses]
-   and its [node_sets] record *)
-let node_words = 3 + 4 + 4
+(* the node's [per_node] and [sets] slots, its [node_misses] and its
+   [node_sets] record *)
+let node_words = 2 + 4 + 4
 
 (* the epoch's slot and record, its pc box (an epoch shares the other
-   with its neighbour), its array and row headers, and its DRFS slot and
-   record *)
-let epoch_words = 1 + 7 + 2 + 4 + 1 + 4
+   with its neighbour), its array and row headers, its DRFS slot and
+   record, and its [sw_union] and [sw_shared] slots *)
+let epoch_words = 1 + 7 + 2 + 3 + 1 + 4 + 2
 
 let einfo_words (einfo : Cachier.Epoch_info.t) =
   let module Iset = Trace.Epoch.Iset in
@@ -216,13 +216,12 @@ let einfo_words (einfo : Cachier.Epoch_info.t) =
       set (Cachier.Drfs.false_shared d);
       set_unless [ Cachier.Drfs.race d; Cachier.Drfs.false_shared d ]
         (Cachier.Drfs.drfs_set d);
-      ignore
-        (Array.fold_left
-           (fun counted others ->
-             set_unless counted others;
-             others :: counted)
-           (Array.to_list (Array.map (fun ns -> ns.Cachier.Epoch_info.sw) sets))
-           einfo.Cachier.Epoch_info.sw_others.(e)))
+      let sws =
+        Array.to_list (Array.map (fun ns -> ns.Cachier.Epoch_info.sw) sets)
+      in
+      let union = einfo.Cachier.Epoch_info.sw_union.(e) in
+      set_unless sws union;
+      set_unless (union :: sws) einfo.Cachier.Epoch_info.sw_shared.(e))
     einfo.Cachier.Epoch_info.epochs;
   !words
 
