@@ -315,14 +315,14 @@ let max_span_elems ctx ~chain lo_expr hi_expr =
 (* ---- per-static-epoch planning ---- *)
 
 let kind_of_proj = function
-  | `Co_x -> Ast.Check_out_x
-  | `Co_s -> Ast.Check_out_s
-  | `Ci -> Ast.Check_in
+  | Equations.Co_x -> Ast.Check_out_x
+  | Equations.Co_s -> Ast.Check_out_s
+  | Equations.Ci -> Ast.Check_in
 
 let proj_set (a : Equations.annots) = function
-  | `Co_x -> a.Equations.co_x
-  | `Co_s -> a.Equations.co_s
-  | `Ci -> a.Equations.ci
+  | Equations.Co_x -> a.Equations.co_x
+  | Equations.Co_s -> a.Equations.co_s
+  | Equations.Ci -> a.Equations.ci
 
 (* Per-pc tallies over an array's misses: [seen] misses, and [hits] /
    [hit_reads] of them passing the membership test in hand. *)
@@ -374,12 +374,15 @@ let place_near_access ctx ~proj ~arr ~pcs ~note_of =
              write that finishes with it; check-outs precede any of the
              statement's references. *)
           let subs =
-            if proj = `Ci then Presentation.array_write_subscripts stmt ~arr
+            if proj = Equations.Ci then
+              Presentation.array_write_subscripts stmt ~arr
             else Presentation.array_subscripts stmt ~arr
           in
           List.iter
             (fun sub ->
-              let anchor = if proj = `Ci then After pc else Before pc in
+              let anchor =
+                if proj = Equations.Ci then After pc else Before pc
+              in
               add_range_edit ctx anchor kind arr sub sub;
               match note_of with
               | Some describe ->
@@ -457,13 +460,13 @@ let place_affine ctx ~proj ~(entry : Label.entry) ~pc ~start_anchor
       let fits = function
         | Some span when span >= 0 ->
             2 * ((span / elems_per_block) + 1) <= (3 * max_target_blocks) + 4
-            && (proj = `Ci || (span + 1) * elem_size <= !budget_left)
+            && (proj = Equations.Ci || (span + 1) * elem_size <= !budget_left)
         | Some _ -> false
         | None ->
             (* span not resolvable numerically: only a check-in may
                proceed (it pins no capacity and over-coverage of a
                symbolic loop-level range is bounded by the loop) *)
-            proj = `Ci
+            proj = Equations.Ci
       in
       (* outermost-first candidate levels: epoch boundary, then after
          each loop header; [outer] = loops outside the current level
@@ -508,7 +511,7 @@ let place_affine ctx ~proj ~(entry : Label.entry) ~pc ~start_anchor
             guards = []
       in
       let candidates =
-        if proj = `Ci then
+        if proj = Equations.Ci then
           (* A check-in belongs at the epoch boundary: placed inside a
              loop it would flush data the loop still uses; the exact
              per-pid table is the fallback when the boundary range
@@ -528,14 +531,14 @@ let place_affine ctx ~proj ~(entry : Label.entry) ~pc ~start_anchor
          are evaluated there too, so they must not divide by zero on any
          node. *)
       let evaluable lo hi =
-        proj <> `Ci || guards = []
+        proj <> Equations.Ci || guards = []
         || not (divides_by_zero ctx lo || divides_by_zero ctx hi)
       in
       let place sub =
         List.find_map
           (fun lv ->
             match range lv sub with
-            | Some (lo, hi, span) when evaluable lo hi && fits span ->
+            | Some (lo, hi, span) when fits span && evaluable lo hi ->
                 Some (lv, lo, hi, span)
             | Some _ | None -> None)
           candidates
@@ -581,10 +584,10 @@ let place_affine ctx ~proj ~(entry : Label.entry) ~pc ~start_anchor
                 (* Earlier subscripts may have spent the budget. *)
                 if fits span then begin
                   let anchor =
-                    if proj = `Ci then lv.ci_anchor else lv.co_anchor
+                    if proj = Equations.Ci then lv.ci_anchor else lv.co_anchor
                   in
                   add_range_edit ctx anchor (kind_of_proj proj) arr lo hi;
-                  if proj <> `Ci then
+                  if proj <> Equations.Ci then
                     Option.iter
                       (fun s ->
                         budget_left := !budget_left - ((s + 1) * elem_size))
@@ -757,17 +760,19 @@ let plan_epoch ctx (se : sepoch) =
                     (fun pc ->
                       let c = tally pc in
                       10 * c.hits >= 7 * c.seen)
-                    (hit_pcs table ~prefer_reads:(proj <> `Ci))
+                    (hit_pcs table ~prefer_reads:(proj <> Equations.Ci))
                 in
                 if dominant_pcs = [] then Iset.empty
                 else begin
                   place_near_access ctx ~proj ~arr ~pcs:dominant_pcs
-                    ~note_of:(if proj = `Ci then None else Some "Data Race");
+                    ~note_of:
+                      (if proj = Equations.Ci then None
+                       else Some "Data Race");
                   List.iter (fun pc -> (tally pc).dominant <- true) dominant_pcs;
                   let near = ref [] in
                   iter_arr (fun (m : Trace.Event.miss) ->
                       if
-                        ((proj <> `Ci)
+                        ((proj <> Equations.Ci)
                         || m.Trace.Event.kind <> Trace.Event.Read_miss)
                         && is_racy m.Trace.Event.addr
                         && (tally m.Trace.Event.pc).dominant
@@ -790,7 +795,7 @@ let plan_epoch ctx (se : sepoch) =
                 iter_arr (fun (m : Trace.Event.miss) ->
                     if in_clean m.Trace.Event.addr then
                       hit (tally m.Trace.Event.pc) m);
-                hit_pcs table ~prefer_reads:(proj <> `Ci)
+                hit_pcs table ~prefer_reads:(proj <> Equations.Ci)
               in
               (* Section 4.2: when an epoch spans procedures, Programmer
                  CICO places the annotations at the boundaries of the
@@ -859,7 +864,8 @@ let plan_epoch ctx (se : sepoch) =
                           (proj_set ctx.annots.(t).(d).(node) proj)
                       in
                       if Iset.is_empty set then None else Some set)
-                    (if proj = `Ci then anchored_end else anchored_start)
+                    (if proj = Equations.Ci then anchored_end
+                     else anchored_start)
                 in
                 match sets with
                 | [] | [ _ ] -> true
@@ -893,7 +899,7 @@ let plan_epoch ctx (se : sepoch) =
                       (Presentation.ranges_for_array ~layout:ctx.layout ~arr
                          residue_per_node.(node))
                 in
-                if proj = `Ci then
+                if proj = Equations.Ci then
                   (* A check-in table pins no capacity. *)
                   add_table_edit ctx end_anchor Ast.Check_in arr per_node
                 else if max_footprint <= !budget_left then begin
@@ -912,7 +918,7 @@ let plan_epoch ctx (se : sepoch) =
               end
             end
           end)
-        [ `Co_x; `Co_s; `Ci ];
+        [ Equations.Co_x; Equations.Co_s; Equations.Ci ];
       (* Prefetch insertion at the epoch boundary. *)
       if ctx.options.prefetch then begin
         let cap_ranges ranges =
