@@ -691,9 +691,7 @@ let plan_epoch ctx (se : sepoch) =
           in
           let pf_x =
             union_over (fun cur prev ->
-                Iset.diff
-                  (Iset.diff cur.Epoch_info.sw cur.Epoch_info.wf)
-                  prev.Epoch_info.sw)
+                Iset.diff cur.Epoch_info.sw prev.Epoch_info.sw)
           in
           let pf_s =
             union_over (fun cur prev ->

@@ -266,6 +266,34 @@ let test_symbolic_range_covers_its_targets () =
   Alcotest.(check int) "one check_out_s on B" 1
     (List.length (range_edits plan Ast.Check_out_s "B"))
 
+let test_pid_span_sized_on_widest_node () =
+  (* Node p reads A[0 .. 100 p]. On node 3 the span is 301 elements, more
+     than a 4 KB cache's budget of 256, so no range hoists to the epoch
+     boundary; the per-pid table, sized per node, fits. *)
+  let src =
+    "shared A[512]; proc main() { for i = 0 to pid * 100 { x = A[i]; } \
+     barrier; }"
+  in
+  let plan =
+    plan_with
+      ~machine:(machine ~cache_bytes:4096 ~assoc:2 4)
+      ~options:programmer src
+  in
+  Alcotest.(check int) "no check_out_s range" 0
+    (List.length (range_edits plan Ast.Check_out_s "A"))
+
+let test_unsized_loop_span_falls_back () =
+  (* The outer loop's bound is a variable, so the range [A[0 .. k]] at
+     its level has a span no node can size: a check-out may not take
+     it, and the per-pid table covers the site. *)
+  let src =
+    "shared A[64]; proc main() { m = 7; for k = 0 to m { for j = 0 to k { \
+     x = A[j]; } } barrier; }"
+  in
+  let plan = plan_with ~options:programmer src in
+  Alcotest.(check int) "no check_out_s range" 0
+    (List.length (range_edits plan Ast.Check_out_s "A"))
+
 (* Each node fills its own block of A with a loop [order] gives, and the
    next epoch reads another node's element: the check-in of the filled
    block hoists to the closing barrier as one range. *)
@@ -372,4 +400,8 @@ let suite =
       test_race_check_in_keeps_racy_reads;
     Alcotest.test_case "pid-guarded division annotates" `Quick
       test_guarded_division_annotates;
+    Alcotest.test_case "pid-dependent span sized on the widest node" `Quick
+      test_pid_span_sized_on_widest_node;
+    Alcotest.test_case "unsized loop-level span falls back" `Quick
+      test_unsized_loop_span_falls_back;
   ]
