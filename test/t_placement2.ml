@@ -330,14 +330,24 @@ let test_negative_coefficient_hoists () =
 let test_race_check_in_keeps_racy_reads () =
   (* [A[pid % 2] = A[16]] races on both its write and its read of A[16],
      which node 0 writes in the same epoch. The per-access check-in
-     follows the write; the readers' copies of A[16] are still checked
-     in at the closing barrier. *)
+     follows the write and names only the written element; the readers'
+     copies of A[16] are checked in at the closing barrier. *)
   let src =
     "const N = 64; shared A[N]; proc main() { if (pid == 0) { for k = 0 to \
      3 { A[16 + k * 4 % 16] = k; } } A[pid % 2] = A[16]; barrier; }"
   in
   let plan = plan_with src in
   let consts = [ ("N", Value.Vint 64) ] in
+  let racy =
+    sid_of src (function
+      | Ast.Sassign (Ast.Lindex ("A", Ast.Ebinop (Ast.Mod, _, _)), _) -> true
+      | _ -> false)
+  in
+  Alcotest.(check int) "one check-in after the racy statement" 1
+    (List.length
+       (List.filter
+          (fun (anchor, _) -> anchor = Cachier.Placement.After racy)
+          (range_edits plan Ast.Check_in "A")));
   List.iter
     (fun node ->
       Alcotest.(check bool)
