@@ -336,8 +336,6 @@ let test_races_corpus_golden () =
 let suite =
   [
     Alcotest.test_case "suite x {8,16} x {perf, prog+pf} digests" `Slow test_golden;
-    Alcotest.test_case "annotate digests: placement-rule inputs" `Quick
-      test_rule_golden;
     Alcotest.test_case "perf-mode matrix: 40 cells x (time, Stats) digests"
       `Slow test_measure_golden;
     Alcotest.test_case "trace mode: suite x {8,16} x outcome digests" `Slow
@@ -346,4 +344,6 @@ let suite =
       test_races_golden;
     Alcotest.test_case "races payloads: corpus_races at 4 nodes digests"
       `Quick test_races_corpus_golden;
+    Alcotest.test_case "annotate digests: placement-rule inputs" `Quick
+      test_rule_golden;
   ]
