@@ -237,6 +237,36 @@ let ragged_private_loops () =
   check_engines "ragged" ~machine
     (T_obs.read_file (Option.get (T_obs.example "ragged.sm")))
 
+(* examples/programs/operands.sm: every kind of leaf operand, on each
+   side of the operators the compiled engine folds leaves into, next to
+   subtrees that read shared memory. Under each protocol both engines
+   must agree in trace mode, in perf mode, and in perf mode with its
+   prefetch executed, where the read after it pays a stall that shows
+   when each charge lands. At 3 nodes node 0 divides by zero. *)
+let operand_leaves () =
+  let src = T_obs.read_file (Option.get (T_obs.example "operands.sm")) in
+  let prog = Lang.Parser.parse src in
+  List.iter
+    (fun protocol ->
+      let machine = { machine with Wwt.Machine.protocol } in
+      let name = "operands/" ^ Memsys.Protocol_id.to_string protocol in
+      check_engines name ~machine src;
+      check_same (name ^ "/prefetch")
+        (Wwt.Run.measure ~engine:Wwt.Run.Tree_walk ~machine ~annotations:true
+           ~prefetch:true prog)
+        (Wwt.Run.measure ~engine:Wwt.Run.Compiled ~machine ~annotations:true
+           ~prefetch:true prog))
+    Memsys.Protocol_id.all;
+  let machine = { machine with Wwt.Machine.nodes = 3 } in
+  List.iter
+    (fun (ename, engine) ->
+      Alcotest.check_raises ("operands at 3 nodes: " ^ ename)
+        (Wwt.Interp.Runtime_error "division by zero") (fun () ->
+          ignore
+            (Wwt.Run.measure ~engine ~machine ~annotations:false
+               ~prefetch:false prog)))
+    [ ("tree walk", Wwt.Run.Tree_walk); ("compiled", Wwt.Run.Compiled) ]
+
 (* A store, an accumulation, a load and directives, each straight after
    a private loop whose length reverses the nodes' order: every node must
    wait for the others' earlier accesses to the same block before its
@@ -545,6 +575,8 @@ let suite =
     Alcotest.test_case "cross-node conflict program" `Quick
       cross_node_conflict;
     Alcotest.test_case "ragged private loops" `Quick ragged_private_loops;
+    Alcotest.test_case "leaf operands of every folded operator" `Quick
+      operand_leaves;
     Alcotest.test_case "shared access and directive after a private loop"
       `Quick
       shared_access_after_private_loop;
