@@ -1,3 +1,12 @@
+(* The compiled engine: each procedure compiles once to closures that
+   every node runs, and simulated time equals the tree walk's ([Interp])
+   to the cycle. The charge-order rule that keeps it equal: every AST node
+   costs [lop], charged where the tree walk evaluates it; an operand
+   folded into its parent is charged by the parent at that point; and
+   charges are summed only across code that makes no shared access, runs
+   no directive, makes no call and does not yield, because [virtual_now]
+   times each of those. *)
+
 open Lang
 
 let error fmt = Format.kasprintf (fun s -> raise (Interp.Runtime_error s)) fmt
@@ -141,16 +150,22 @@ let unbox_fz = function
   | Value.Vfloat f -> f
   | Value.Vint _ -> fz_zero
 
-(* The slow halves of [Value.add]/[sub]/[mul] on two encoded values, for
-   when either is a NaN: the int 0 only if both are. *)
+(* [Value.add]/[sub]/[mul] on two encoded values: plain float arithmetic
+   unless either is a NaN, and then the int 0 only if both are. *)
 let[@inline] fz_add x y =
-  if is_fz_zero x && is_fz_zero y then fz_zero else num x +. num y
+  if x = x && y = y then x +. y
+  else if is_fz_zero x && is_fz_zero y then fz_zero
+  else num x +. num y
 
 let[@inline] fz_sub x y =
-  if is_fz_zero x && is_fz_zero y then fz_zero else num x -. num y
+  if x = x && y = y then x -. y
+  else if is_fz_zero x && is_fz_zero y then fz_zero
+  else num x -. num y
 
 let[@inline] fz_mul x y =
-  if is_fz_zero x && is_fz_zero y then fz_zero else num x *. num y
+  if x = x && y = y then x *. y
+  else if is_fz_zero x && is_fz_zero y then fz_zero
+  else num x *. num y
 
 (* ---- static types ---- *)
 
@@ -213,6 +228,7 @@ type frame = {
 
 type cenv = {
   genv_layout : Label.t;
+  nodes : int;  (* [nprocs], which the machine fixes before compiling *)
   consts : (string * Value.t) list;
   procs : (string, cproc) Hashtbl.t;
   float_privates : (string, unit) Hashtbl.t;
@@ -435,14 +451,14 @@ let shared_write_rmw r ~pc entry i v =
   record_miss r ~pc ~addr p;
   r.shared.(elem_index r addr) <- v
 
-let check_private_index name size i =
+let[@inline] check_private_index name size i =
   if i < 0 || i >= size then
     error "index %d out of bounds for private array %s[%d]" i name size
 
-let count_private_read r =
+let[@inline] count_private_read r =
   r.stats.Memsys.Stats.private_reads <- r.stats.Memsys.Stats.private_reads + 1
 
-let count_private_write r =
+let[@inline] count_private_write r =
   r.stats.Memsys.Stats.private_writes <-
     r.stats.Memsys.Stats.private_writes + 1
 
@@ -452,9 +468,336 @@ let count_private_write r =
    float to a [cfloat] writing register [d] (registers above [d] are its
    scratch), a condition to a [cbool], anything else to a boxing
    [cexpr]. Every operator is chosen here, at compile time, so a node's
-   closure runs no dispatch of its own. Charging is per AST node, on
-   entry, in evaluation order in every variant, so simulated cycle counts
-   cannot differ. *)
+   closure runs no dispatch of its own.
+
+   Charges follow the tree walk (see the rule at the top): a node on
+   entry, then its operands left to right. A leaf folded into its parent
+   before a subtree is charged before the subtree runs, a leaf after it
+   after; leaves with no subtree between them are charged at once. *)
+
+(* ---- folded operands ----
+
+   A leaf operand of an operator (a literal, a named constant, [pid] or
+   [nprocs], an int, float or float-or-zero slot, or one of these in
+   float arithmetic) has no closure: the operator reads it inline, by a
+   kind code fixed at compile time. Boxed and unproven slots are not
+   leaves; their reads may fail, in [compile_var]. A subtree of the
+   operator's own type is called directly. Any other subtree carries the
+   conversion its parent needs, so that costs no closure either. Each
+   folded operator has one closure per operand shape, and no other
+   dispatch: a match on an operand at run time costs about a closure
+   call. The readers are inlined; a closure that returned a float would
+   box it. *)
+
+(* An int leaf: a literal, a named constant or [nprocs] (kind 0), an int
+   slot (1), or [pid] (2). *)
+let[@inline] ileaf r k x =
+  if k = 0 then x else if k = 1 then r.ints.(x) else r.node
+
+(* A float leaf: a literal, or an int leaf of kind 0 (kind 0); a float
+   slot, or a float-or-zero one kept encoded (1); a float-or-zero slot
+   as a number (2); an int slot (3); [pid] (4). *)
+let[@inline] fleaf r k x f =
+  if k = 0 then f
+  else if k = 1 then r.floats.(x)
+  else if k = 2 then num r.floats.(x)
+  else if k = 3 then float_of_int r.ints.(x)
+  else float_of_int r.node
+
+(* [Value.to_int] of an operand: an int subtree, a leaf, or a subtree
+   it converts. Three constructors, so a match on one is two compares,
+   not an indirect jump. *)
+type iopnd = Iint of cint | Ileaf of int * int | Iconv of iconv
+
+and iconv =
+  | Ifloat of int * cfloat  (* truncates the register it writes *)
+  | Ibox of cexpr
+
+(* [Value.to_float] of an operand, or, in float-or-zero arithmetic, its
+   encoding: a float subtree writing the register its parent gives it, a
+   leaf, or a subtree it converts *)
+type fopnd = Ffloat of cfloat | Fleaf of int * int * float | Fconv of fconv
+and fconv = Fint of cint | Fbox of cexpr
+
+let[@inline] iconv r = function
+  | Ifloat (d, c) -> c r; int_of_float r.floats.(d)
+  | Ibox c -> Value.to_int (c r)
+
+(* any operand, where an operator is not folded per shape *)
+let[@inline] iget r = function
+  | Iint c -> c r
+  | Ileaf (k, x) -> charge r; ileaf r k x
+  | Iconv o -> iconv r o
+
+let[@inline] fget r d = function
+  | Ffloat c -> c r; r.floats.(d)
+  | Fleaf (k, x, f) -> charge r; fleaf r k x f
+  | Fconv (Fint c) -> float_of_int (c r)
+  | Fconv (Fbox c) -> Value.to_float (c r)
+
+let[@inline] charge_n r n = r.pending <- r.pending + (n * r.lop)
+let[@inline] fr r d = r.floats.(d)
+let[@inline] idiv x y = if y = 0 then error "division by zero" else x / y
+let[@inline] imod x y = if y = 0 then error "division by zero" else x mod y
+let[@inline] fdiv x y = if y = 0.0 then error "division by zero" else x /. y
+
+(* [c] is -1, 0 or 1: whether bit [c + 1] of [mask] is set *)
+let[@inline] holds mask c = (mask lsr (c + 1)) land 1 = 1
+let[@inline] icmp mask (x : int) y = holds mask (compare x y)
+let[@inline] fcmp mask (x : float) y = holds mask (Float.compare x y)
+let[@inline] ikeep mask (x : int) y = if icmp mask x y then x else y
+
+(* the kept one of two encoded floats, compared as numbers *)
+let[@inline] fkeep mask (x : float) y =
+  let a = num x and b = num y in
+  if fcmp mask a b then x else y
+
+let compare_mask = function
+  | Ast.Lt -> 0b001
+  | Ast.Le -> 0b011
+  | Ast.Gt -> 0b100
+  | Ast.Ge -> 0b110
+  | Ast.Eq -> 0b010
+  | _ -> 0b101
+
+(* [min] keeps its left operand where it compares <= 0, [max] >= 0 *)
+let min_max_mask f = if f = "min" then 0b011 else 0b110
+
+(* the [ileaf] kind and payload of an int leaf *)
+let int_leaf env (e : Ast.expr) =
+  match e with
+  | Ast.Eint i -> Some (0, i)
+  | Ast.Evar name -> (
+      match slot env name with
+      | Some i -> if slot_type env name = Tint then Some (1, i) else None
+      | None -> (
+          if name = "pid" then Some (2, 0)
+          else if name = "nprocs" then Some (0, env.nodes)
+          else
+            match List.assoc_opt name env.consts with
+            | Some (Value.Vint i) -> Some (0, i)
+            | Some (Value.Vfloat _) | None -> None))
+  | _ -> None
+
+(* the [fleaf] kind and payloads of a leaf in float arithmetic; with
+   [~num:false] a float-or-zero slot keeps its encoding *)
+let float_leaf env ~num:as_num (e : Ast.expr) =
+  match (int_leaf env e, e) with
+  | Some (0, i), _ -> Some (0, 0, float_of_int i)
+  | Some (k, x), _ -> Some (k + 2, x, 0.0)
+  | None, Ast.Efloat f -> Some (0, 0, f)
+  | None, Ast.Evar name -> (
+      match (slot env name, List.assoc_opt name env.consts) with
+      | Some i, _ -> (
+          match slot_type env name with
+          | Tfloat -> Some (1, i, 0.0)
+          | Tfz -> Some ((if as_num then 2 else 1), i, 0.0)
+          | Tnone | Tint | Tbox -> None)
+      | None, Some (Value.Vfloat f) -> Some (0, 0, f)
+      | None, _ -> None)
+  | None, _ -> None
+
+(* ---- folded operators: one closure per operand shape ---- *)
+
+(* int [+ - * / %]; the operands of an int operator are never converted *)
+let int_binop (op : Ast.binop) oa ob : cint =
+  match (op, oa, ob) with
+  | Ast.Add, Ileaf (k, x), Ileaf (k', x') ->
+      fun r -> charge_n r 3; ileaf r k x + ileaf r k' x'
+  | Ast.Add, Ileaf (k, x), Iint cb ->
+      fun r -> charge_n r 2; let y = cb r in ileaf r k x + y
+  | Ast.Add, Iint ca, Ileaf (k, x) ->
+      fun r -> charge r; let y = ca r in charge r; y + ileaf r k x
+  | Ast.Add, Iint ca, Iint cb -> fun r -> charge r; let x = ca r in x + cb r
+  | Ast.Sub, Ileaf (k, x), Ileaf (k', x') ->
+      fun r -> charge_n r 3; ileaf r k x - ileaf r k' x'
+  | Ast.Sub, Ileaf (k, x), Iint cb ->
+      fun r -> charge_n r 2; let y = cb r in ileaf r k x - y
+  | Ast.Sub, Iint ca, Ileaf (k, x) ->
+      fun r -> charge r; let y = ca r in charge r; y - ileaf r k x
+  | Ast.Sub, Iint ca, Iint cb -> fun r -> charge r; let x = ca r in x - cb r
+  | Ast.Mul, Ileaf (k, x), Ileaf (k', x') ->
+      fun r -> charge_n r 3; ileaf r k x * ileaf r k' x'
+  | Ast.Mul, Ileaf (k, x), Iint cb ->
+      fun r -> charge_n r 2; let y = cb r in ileaf r k x * y
+  | Ast.Mul, Iint ca, Ileaf (k, x) ->
+      fun r -> charge r; let y = ca r in charge r; y * ileaf r k x
+  | Ast.Mul, Iint ca, Iint cb -> fun r -> charge r; let x = ca r in x * cb r
+  | Ast.Div, Ileaf (k, x), Ileaf (k', x') ->
+      fun r -> charge_n r 3; idiv (ileaf r k x) (ileaf r k' x')
+  | Ast.Div, Ileaf (k, x), Iint cb ->
+      fun r -> charge_n r 2; let y = cb r in idiv (ileaf r k x) y
+  | Ast.Div, Iint ca, Ileaf (k, x) ->
+      fun r -> charge r; let y = ca r in charge r; idiv y (ileaf r k x)
+  | Ast.Div, Iint ca, Iint cb ->
+      fun r -> charge r; let x = ca r in idiv x (cb r)
+  | Ast.Mod, _, _ -> fun r -> charge r; let x = iget r oa in imod x (iget r ob)
+  | _ -> assert false
+
+(* int [min]/[max], with [m] from [min_max_mask] *)
+let int_min_max m oa ob : cint =
+  fun r -> charge r; let x = iget r oa in ikeep m x (iget r ob)
+
+(* int comparisons, with [m] from [compare_mask] *)
+let int_compare m oa ob : cbool =
+  match (oa, ob) with
+  | Ileaf (k, x), Ileaf (k', x') ->
+      fun r -> charge_n r 3; icmp m (ileaf r k x) (ileaf r k' x')
+  | Ileaf (k, x), Iint cb ->
+      fun r -> charge_n r 2; let y = cb r in icmp m (ileaf r k x) y
+  | Iint ca, Ileaf (k, x) ->
+      fun r -> charge r; let y = ca r in charge r; icmp m y (ileaf r k x)
+  | Iint ca, Iint cb -> fun r -> charge r; let x = ca r in icmp m x (cb r)
+  | _ -> assert false
+
+(* Float [+ - * /] on numbers, or [+ - *] on encodings ([~fz]), into
+   register [d]; a float subtree operand writes [d] or [d + 1]. A float
+   that an inlined function returns through a branch is bound by [let]
+   before it is passed on, or it would be boxed. *)
+let float_binop ~d (op : Ast.binop) ~fz oa ob : cfloat =
+  match (op, fz, oa, ob) with
+  | Ast.Add, false, Fleaf (k, x, f), Fleaf (k', x', f') ->
+      fun r -> charge_n r 3; r.floats.(d) <- fleaf r k x f +. fleaf r k' x' f'
+  | Ast.Add, false, Fleaf (k, x, f), Ffloat cb ->
+      fun r -> charge_n r 2; cb r; r.floats.(d) <- fleaf r k x f +. fr r (d + 1)
+  | Ast.Add, false, Ffloat ca, Fleaf (k, x, f) ->
+      fun r -> charge r; ca r; charge r; r.floats.(d) <- fr r d +. fleaf r k x f
+  | Ast.Add, false, Ffloat ca, Ffloat cb ->
+      fun r -> charge r; ca r; cb r; r.floats.(d) <- fr r d +. fr r (d + 1)
+  | Ast.Add, false, _, _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        r.floats.(d) <- x +. fget r (d + 1) ob
+  | Ast.Sub, false, Fleaf (k, x, f), Fleaf (k', x', f') ->
+      fun r -> charge_n r 3; r.floats.(d) <- fleaf r k x f -. fleaf r k' x' f'
+  | Ast.Sub, false, Fleaf (k, x, f), Ffloat cb ->
+      fun r -> charge_n r 2; cb r; r.floats.(d) <- fleaf r k x f -. fr r (d + 1)
+  | Ast.Sub, false, Ffloat ca, Fleaf (k, x, f) ->
+      fun r -> charge r; ca r; charge r; r.floats.(d) <- fr r d -. fleaf r k x f
+  | Ast.Sub, false, Ffloat ca, Ffloat cb ->
+      fun r -> charge r; ca r; cb r; r.floats.(d) <- fr r d -. fr r (d + 1)
+  | Ast.Sub, false, _, _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        r.floats.(d) <- x -. fget r (d + 1) ob
+  | Ast.Mul, false, Fleaf (k, x, f), Fleaf (k', x', f') ->
+      fun r -> charge_n r 3; r.floats.(d) <- fleaf r k x f *. fleaf r k' x' f'
+  | Ast.Mul, false, Fleaf (k, x, f), Ffloat cb ->
+      fun r -> charge_n r 2; cb r; r.floats.(d) <- fleaf r k x f *. fr r (d + 1)
+  | Ast.Mul, false, Ffloat ca, Fleaf (k, x, f) ->
+      fun r -> charge r; ca r; charge r; r.floats.(d) <- fr r d *. fleaf r k x f
+  | Ast.Mul, false, Ffloat ca, Ffloat cb ->
+      fun r -> charge r; ca r; cb r; r.floats.(d) <- fr r d *. fr r (d + 1)
+  | Ast.Mul, false, _, _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        r.floats.(d) <- x *. fget r (d + 1) ob
+  | Ast.Div, false, Fleaf (k, x, f), Fleaf (k', x', f') ->
+      fun r ->
+        charge_n r 3;
+        let a = fleaf r k x f and b = fleaf r k' x' f' in
+        r.floats.(d) <- fdiv a b
+  | Ast.Div, false, Fleaf (k, x, f), Ffloat cb ->
+      fun r ->
+        charge_n r 2; cb r;
+        let a = fleaf r k x f in
+        r.floats.(d) <- fdiv a (fr r (d + 1))
+  | Ast.Div, false, Ffloat ca, Fleaf (k, x, f) ->
+      fun r ->
+        charge r; ca r; charge r;
+        let b = fleaf r k x f in
+        r.floats.(d) <- fdiv (fr r d) b
+  | Ast.Div, false, Ffloat ca, Ffloat cb ->
+      fun r ->
+        charge r; ca r; cb r;
+        r.floats.(d) <- fdiv (fr r d) (fr r (d + 1))
+  | Ast.Div, false, _, _ ->
+      fun r ->
+        charge r;
+        let a = fget r d oa in
+        let b = fget r (d + 1) ob in
+        r.floats.(d) <- fdiv a b
+  | Ast.Mod, false, _, _ ->
+      fun r ->
+        charge r;
+        let a = fget r d oa in
+        let b = fget r (d + 1) ob in
+        r.floats.(d) <- Float.rem a b
+  (* an encoding's operands are [Tfz]: a slot or a subtree *)
+  | Ast.Add, true, Ffloat ca, Ffloat cb ->
+      fun r ->
+        charge r; ca r; cb r;
+        r.floats.(d) <- fz_add (fr r d) (fr r (d + 1))
+  | Ast.Sub, true, Ffloat ca, Ffloat cb ->
+      fun r ->
+        charge r; ca r; cb r;
+        r.floats.(d) <- fz_sub (fr r d) (fr r (d + 1))
+  | Ast.Mul, true, Ffloat ca, Ffloat cb ->
+      fun r ->
+        charge r; ca r; cb r;
+        r.floats.(d) <- fz_mul (fr r d) (fr r (d + 1))
+  | Ast.Add, true, _, _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        let y = fget r (d + 1) ob in
+        r.floats.(d) <- fz_add x y
+  | Ast.Sub, true, _, _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        let y = fget r (d + 1) ob in
+        r.floats.(d) <- fz_sub x y
+  | Ast.Mul, true, _, _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        let y = fget r (d + 1) ob in
+        r.floats.(d) <- fz_mul x y
+  | _ -> assert false
+
+(* float comparisons, with [m] from [compare_mask] *)
+let float_compare ~d m oa ob : cbool =
+  match (oa, ob) with
+  | Fleaf (k, x, f), Fleaf (k', x', f') ->
+      fun r ->
+        charge_n r 3;
+        holds m (Float.compare (fleaf r k x f) (fleaf r k' x' f'))
+  | Fleaf (k, x, f), Ffloat cb ->
+      fun r ->
+        charge_n r 2; cb r;
+        holds m (Float.compare (fleaf r k x f) (fr r (d + 1)))
+  | Ffloat ca, Fleaf (k, x, f) ->
+      fun r ->
+        charge r; ca r; charge r;
+        holds m (Float.compare (fr r d) (fleaf r k x f))
+  | Ffloat ca, Ffloat cb ->
+      fun r ->
+        charge r; ca r; cb r;
+        holds m (Float.compare (fr r d) (fr r (d + 1)))
+  | _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        holds m (Float.compare x (fget r (d + 1) ob))
+
+(* float [min]/[max] into register [d], with [m] from [min_max_mask]; the
+   result keeps its encoding *)
+let float_min_max ~d m oa ob : cfloat =
+  match (oa, ob) with
+  | Ffloat ca, Ffloat cb ->
+      fun r ->
+        charge r; ca r; cb r;
+        r.floats.(d) <- fkeep m (fr r d) (fr r (d + 1))
+  | _ ->
+      fun r ->
+        charge r;
+        let x = fget r d oa in
+        let y = fget r (d + 1) ob in
+        r.floats.(d) <- fkeep m x y
 
 (* A boxed read of a variable. *)
 let compile_var env ~pc name : cexpr =
@@ -492,6 +835,16 @@ let compile_var env ~pc name : cexpr =
             | Some v -> fun r -> charge r; v
             | None -> fun _ -> error "undefined variable %S" name))
 
+let[@inline] bread r name size id i =
+  check_private_index name size i;
+  count_private_read r;
+  r.privates.(id).(i)
+
+let[@inline] fread r name size id i =
+  check_private_index name size i;
+  count_private_read r;
+  r.fprivates.(id).(i)
+
 let rec compile_expr env ~pc ~d (e : Ast.expr) : cexpr =
   match e with
   | Ast.Eint i ->
@@ -519,22 +872,21 @@ let rec compile_expr env ~pc ~d (e : Ast.expr) : cexpr =
 and compile_boxed env ~pc ~d (e : Ast.expr) : cexpr =
   match e with
   | Ast.Eindex (name, idx) -> (
-      let cidx = compile_index env ~pc ~d idx in
-      match array_ref env name with
-      | Some (Ashared entry) ->
-          fun r ->
-            charge r;
-            let i = cidx r in
-            shared_read r ~pc entry i
-      | Some (Aboxed (id, size)) ->
-          fun r ->
-            charge r;
-            let i = cidx r in
-            check_private_index name size i;
-            count_private_read r;
-            r.privates.(id).(i)
-      | Some (Afloat _) -> assert false (* [Tfz] *)
-      | None -> fun _ -> error "subscript of non-array %S" name)
+      match (array_ref env name, compile_index env ~pc ~d idx) with
+      | Some (Ashared a), Ileaf (k, x) ->
+          fun r -> charge_n r 2; shared_read r ~pc a (ileaf r k x)
+      | Some (Ashared a), Iint ci ->
+          fun r -> charge r; shared_read r ~pc a (ci r)
+      | Some (Ashared a), Iconv o ->
+          fun r -> charge r; shared_read r ~pc a (iconv r o)
+      | Some (Aboxed (id, n)), Ileaf (k, x) ->
+          fun r -> charge_n r 2; bread r name n id (ileaf r k x)
+      | Some (Aboxed (id, n)), Iint ci ->
+          fun r -> charge r; bread r name n id (ci r)
+      | Some (Aboxed (id, n)), Iconv o ->
+          fun r -> charge r; bread r name n id (iconv r o)
+      | Some (Afloat _), _ -> assert false (* [Tfz] *)
+      | None, _ -> fun _ -> error "subscript of non-array %S" name)
   | Ast.Ebinop (op, a, b) -> (
       let ca = compile_expr env ~pc ~d a and cb = compile_expr env ~pc ~d b in
       match op with
@@ -591,18 +943,10 @@ and compile_boxed env ~pc ~d (e : Ast.expr) : cexpr =
 (* precondition: [type_of env e = Tint] *)
 and compile_int env ~pc ~d (e : Ast.expr) : cint =
   match e with
-  | Ast.Eint i -> fun r -> charge r; i
-  | Ast.Evar name -> (
-      match slot env name with
-      | Some i -> fun r -> charge r; r.ints.(i)
-      | None ->
-          if name = "pid" then fun r -> charge r; r.node
-          else if name = "nprocs" then
-            fun r -> charge r; r.machine.Machine.nodes
-          else (
-            match List.assoc_opt name env.consts with
-            | Some (Value.Vint i) -> fun r -> charge r; i
-            | Some (Value.Vfloat _) | None -> assert false))
+  | Ast.Eint _ | Ast.Evar _ -> (
+      match int_leaf env e with
+      | Some (k, x) -> fun r -> charge r; ileaf r k x
+      | None -> assert false)
   | Ast.Ebinop
       ( ( Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And
         | Ast.Or ),
@@ -611,61 +955,21 @@ and compile_int env ~pc ~d (e : Ast.expr) : cint =
   | Ast.Eunop (Ast.Not, _) ->
       let cb = compile_bool env ~pc ~d e in
       fun r -> if cb r then 1 else 0
-  | Ast.Ebinop (Ast.Add, a, b) ->
-      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-      fun r -> charge r; let x = ca r in x + cb r
-  | Ast.Ebinop (Ast.Sub, a, b) ->
-      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-      fun r -> charge r; let x = ca r in x - cb r
-  | Ast.Ebinop (Ast.Mul, a, b) ->
-      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-      fun r -> charge r; let x = ca r in x * cb r
-  | Ast.Ebinop (Ast.Div, a, b) ->
-      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-      fun r ->
-        charge r;
-        let x = ca r in
-        let y = cb r in
-        if y = 0 then error "division by zero" else x / y
-  | Ast.Ebinop (Ast.Mod, a, b) ->
-      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-      fun r ->
-        charge r;
-        let x = ca r in
-        let y = cb r in
-        if y = 0 then error "division by zero" else x mod y
+  | Ast.Ebinop (op, a, b) ->
+      let oa = compile_index env ~pc ~d a and ob = compile_index env ~pc ~d b in
+      int_binop op oa ob
   | Ast.Eunop (Ast.Neg, a) ->
       let ca = compile_int env ~pc ~d a in
       fun r -> charge r; -ca r
-  | Ast.Ecall ("int", [ a ]) -> (
-      (* [compile_index], with the call node's charge in front *)
-      match type_of env a with
-      | Tint ->
-          let ca = compile_int env ~pc ~d a in
-          fun r -> charge r; ca r
-      | Tfloat | Tfz ->
-          let cf = compile_num env ~pc ~d a in
-          fun r -> charge r; cf r; int_of_float r.floats.(d)
-      | Tnone | Tbox ->
-          let ce = compile_expr env ~pc ~d a in
-          fun r -> charge r; Value.to_int (ce r))
+  | Ast.Ecall ("int", [ a ]) ->
+      let oa = compile_index env ~pc ~d a in
+      fun r -> charge r; iget r oa
   | Ast.Ecall ("abs", [ a ]) ->
       let ca = compile_int env ~pc ~d a in
       fun r -> charge r; abs (ca r)
-  | Ast.Ecall ("min", [ a; b ]) ->
-      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-      fun r ->
-        charge r;
-        let x = ca r in
-        let y = cb r in
-        if x <= y then x else y
-  | Ast.Ecall ("max", [ a; b ]) ->
-      let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-      fun r ->
-        charge r;
-        let x = ca r in
-        let y = cb r in
-        if x >= y then x else y
+  | Ast.Ecall ((("min" | "max") as f), [ a; b ]) ->
+      let oa = compile_index env ~pc ~d a and ob = compile_index env ~pc ~d b in
+      int_min_max (min_max_mask f) oa ob
   | Ast.Efloat _ | Ast.Eindex _ | Ast.Ecall _ -> assert false
 
 (* Precondition: [type_of env e] is [Tfloat] or [Tfz]. Writes the value
@@ -674,92 +978,41 @@ and compile_int env ~pc ~d (e : Ast.expr) : cint =
 and compile_float env ~pc ~d ~num:as_num (e : Ast.expr) : cfloat =
   reg env d;
   match e with
-  | Ast.Efloat f -> fun r -> charge r; r.floats.(d) <- f
-  | Ast.Evar name -> (
-      match slot env name with
-      | Some i ->
-          if as_num && slot_type env name = Tfz then
-            fun r -> charge r; r.floats.(d) <- num r.floats.(i)
-          else fun r -> charge r; r.floats.(d) <- r.floats.(i)
-      | None -> (
-          match List.assoc_opt name env.consts with
-          | Some (Value.Vfloat f) -> fun r -> charge r; r.floats.(d) <- f
-          | Some (Value.Vint _) | None -> assert false))
+  | Ast.Efloat _ | Ast.Evar _ -> (
+      match float_leaf env ~num:as_num e with
+      | Some (k, x, f) -> fun r -> charge r; r.floats.(d) <- fleaf r k x f
+      | None -> assert false)
   | Ast.Eindex (name, idx) -> (
-      let cidx = compile_index env ~pc ~d idx in
-      match array_ref env name with
-      | Some (Afloat (id, size)) ->
-          if as_num then fun r ->
+      match (array_ref env name, compile_index env ~pc ~d idx, as_num) with
+      | Some (Afloat (id, n)), Ileaf (k, x), true ->
+          fun r ->
+            charge_n r 2;
+            let v = fread r name n id (ileaf r k x) in
+            r.floats.(d) <- num v
+      | Some (Afloat (id, n)), Iint ci, true ->
+          fun r ->
             charge r;
-            let i = cidx r in
-            check_private_index name size i;
-            count_private_read r;
-            r.floats.(d) <- num r.fprivates.(id).(i)
-          else fun r ->
+            let v = fread r name n id (ci r) in
+            r.floats.(d) <- num v
+      | Some (Afloat (id, n)), Iconv o, true ->
+          fun r ->
             charge r;
-            let i = cidx r in
-            check_private_index name size i;
-            count_private_read r;
-            r.floats.(d) <- r.fprivates.(id).(i)
-      | Some (Ashared _ | Aboxed _) | None -> assert false)
-  | Ast.Ebinop (op, a, b) -> (
+            let v = fread r name n id (iconv r o) in
+            r.floats.(d) <- num v
+      | Some (Afloat (id, n)), Ileaf (k, x), false ->
+          fun r -> charge_n r 2; r.floats.(d) <- fread r name n id (ileaf r k x)
+      | Some (Afloat (id, n)), Iint ci, false ->
+          fun r -> charge r; r.floats.(d) <- fread r name n id (ci r)
+      | Some (Afloat (id, n)), Iconv o, false ->
+          fun r -> charge r; r.floats.(d) <- fread r name n id (iconv r o)
+      | (Some (Ashared _ | Aboxed _) | None), _, _ -> assert false)
+  | Ast.Ebinop (op, a, b) ->
       (* both operands of a [Tfz] node are [Tfz]; as numbers, the node is
          plain float arithmetic *)
-      let tfz = type_of env e = Tfz in
-      let operand ~d x =
-        if tfz then compile_float env ~pc ~d ~num:as_num x
-        else compile_num env ~pc ~d x
-      in
-      let ca = operand ~d a and cb = operand ~d:(d + 1) b in
-      match op with
-      | Ast.Add when tfz && not as_num ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            let x = fl.(d) and y = fl.(d + 1) in
-            fl.(d) <- (if x = x && y = y then x +. y else fz_add x y)
-      | Ast.Sub when tfz && not as_num ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            let x = fl.(d) and y = fl.(d + 1) in
-            fl.(d) <- (if x = x && y = y then x -. y else fz_sub x y)
-      | Ast.Mul when tfz && not as_num ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            let x = fl.(d) and y = fl.(d + 1) in
-            fl.(d) <- (if x = x && y = y then x *. y else fz_mul x y)
-      | Ast.Add ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            fl.(d) <- fl.(d) +. fl.(d + 1)
-      | Ast.Sub ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            fl.(d) <- fl.(d) -. fl.(d + 1)
-      | Ast.Mul ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            fl.(d) <- fl.(d) *. fl.(d + 1)
-      | Ast.Div ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            let y = fl.(d + 1) in
-            if y = 0.0 then error "division by zero";
-            fl.(d) <- fl.(d) /. y
-      | Ast.Mod ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            fl.(d) <- Float.rem fl.(d) fl.(d + 1)
-      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And | Ast.Or
-        ->
-          assert false (* [Tint] *))
+      let num = as_num || type_of env e <> Tfz in
+      let oa = compile_num ~num env ~pc ~d a
+      and ob = compile_num ~num env ~pc ~d:(d + 1) b in
+      float_binop ~d op ~fz:(not num) oa ob
   | Ast.Eunop (Ast.Neg, a) ->
       if type_of env a = Tfz then begin
         (* [-(Vint 0)] is the int 0, whose number is +0, not -0 *)
@@ -783,54 +1036,33 @@ and compile_float env ~pc ~d ~num:as_num (e : Ast.expr) : cfloat =
         let fl = r.floats in
         fl.(d) <- Float.abs fl.(d)
   | Ast.Ecall (("sqrt" | "sin" | "cos" | "floor" | "float") as f, [ a ]) -> (
-      let ca = compile_num env ~pc ~d a in
+      let oa = compile_num env ~pc ~d a in
       match f with
-      | "sqrt" ->
-          fun r -> charge r; ca r; let fl = r.floats in fl.(d) <- sqrt fl.(d)
-      | "sin" ->
-          fun r -> charge r; ca r; let fl = r.floats in fl.(d) <- sin fl.(d)
-      | "cos" ->
-          fun r -> charge r; ca r; let fl = r.floats in fl.(d) <- cos fl.(d)
-      | "floor" ->
-          fun r ->
-            charge r; ca r;
-            let fl = r.floats in
-            fl.(d) <- Float.floor fl.(d)
-      | _ -> fun r -> charge r; ca r)
+      | "sqrt" -> fun r -> charge r; r.floats.(d) <- sqrt (fget r d oa)
+      | "sin" -> fun r -> charge r; r.floats.(d) <- sin (fget r d oa)
+      | "cos" -> fun r -> charge r; r.floats.(d) <- cos (fget r d oa)
+      | "floor" -> fun r -> charge r; r.floats.(d) <- Float.floor (fget r d oa)
+      | _ -> fun r -> charge r; r.floats.(d) <- fget r d oa)
   | Ast.Ecall ("noise", [ a ]) ->
-      let ca = compile_index env ~pc ~d a in
-      fun r -> charge r; r.floats.(d) <- Interp.noise (ca r)
-  | Ast.Ecall ((("min" | "max") as f), [ a; b ]) -> (
-      (* [Value.compare_num] on the numbers; the result keeps its
-         encoding *)
-      let ca = compile_float env ~pc ~d ~num:as_num a
-      and cb = compile_float env ~pc ~d:(d + 1) ~num:as_num b in
-      match f with
-      | "min" ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            let x = fl.(d) and y = fl.(d + 1) in
-            if Float.compare (num x) (num y) > 0 then fl.(d) <- y
-      | _ ->
-          fun r ->
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            let x = fl.(d) and y = fl.(d + 1) in
-            if Float.compare (num x) (num y) < 0 then fl.(d) <- y)
+      let oa = compile_index env ~pc ~d a in
+      fun r -> charge r; r.floats.(d) <- Interp.noise (iget r oa)
+  | Ast.Ecall ((("min" | "max") as f), [ a; b ]) ->
+      let oa = compile_num ~num:as_num env ~pc ~d a
+      and ob = compile_num ~num:as_num env ~pc ~d:(d + 1) b in
+      float_min_max ~d (min_max_mask f) oa ob
   | Ast.Eint _ | Ast.Eunop (Ast.Not, _) | Ast.Ecall _ -> assert false
 
-(* [Value.to_float] of any expression into register [d] *)
-and compile_num env ~pc ~d (e : Ast.expr) : cfloat =
-  reg env d;
-  match type_of env e with
-  | Tint ->
-      let ci = compile_int env ~pc ~d e in
-      fun r -> r.floats.(d) <- float_of_int (ci r)
-  | Tfloat | Tfz -> compile_float env ~pc ~d ~num:true e
-  | Tnone | Tbox ->
-      let ce = compile_expr env ~pc ~d e in
-      fun r -> r.floats.(d) <- Value.to_float (ce r)
+(* [Value.to_float] of any expression as an operand, or, with
+   [~num:false], the encoding of a [Tfloat] or [Tfz] one; a subtree
+   writes register [d] *)
+and compile_num ?(num = true) env ~pc ~d (e : Ast.expr) : fopnd =
+  match float_leaf env ~num e with
+  | Some (k, x, f) -> Fleaf (k, x, f)
+  | None -> (
+      match type_of env e with
+      | Tint -> Fconv (Fint (compile_int env ~pc ~d e))
+      | Tfloat | Tfz -> Ffloat (compile_float env ~pc ~d ~num e)
+      | Tnone | Tbox -> Fconv (Fbox (compile_expr env ~pc ~d e)))
 
 (* the encoding of an expression stored in float storage; a [Tnone] one
    never completes, so its boxed value's encoding never matters *)
@@ -850,31 +1082,15 @@ and compile_bool env ~pc ~d (e : Ast.expr) : cbool =
       (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b)
     -> (
       match (type_of env a, type_of env b) with
-      | Tint, Tint -> (
-          let ca = compile_int env ~pc ~d a and cb = compile_int env ~pc ~d b in
-          match op with
-          | Ast.Lt -> fun r -> charge r; let x = ca r in x < cb r
-          | Ast.Le -> fun r -> charge r; let x = ca r in x <= cb r
-          | Ast.Gt -> fun r -> charge r; let x = ca r in x > cb r
-          | Ast.Ge -> fun r -> charge r; let x = ca r in x >= cb r
-          | Ast.Eq -> fun r -> charge r; let x = ca r in x = cb r
-          | _ -> fun r -> charge r; let x = ca r in x <> cb r)
-      | (Tint | Tfloat | Tfz), (Tint | Tfloat | Tfz) -> (
+      | Tint, Tint ->
+          let oa = compile_index env ~pc ~d a
+          and ob = compile_index env ~pc ~d b in
+          int_compare (compare_mask op) oa ob
+      | (Tint | Tfloat | Tfz), (Tint | Tfloat | Tfz) ->
           (* not both ints: [Value.compare_num] compares the numbers *)
-          let ca = compile_num env ~pc ~d a
-          and cb = compile_num env ~pc ~d:(d + 1) b in
-          let cmp r =
-            charge r; ca r; cb r;
-            let fl = r.floats in
-            Float.compare fl.(d) fl.(d + 1)
-          in
-          match op with
-          | Ast.Lt -> fun r -> cmp r < 0
-          | Ast.Le -> fun r -> cmp r <= 0
-          | Ast.Gt -> fun r -> cmp r > 0
-          | Ast.Ge -> fun r -> cmp r >= 0
-          | Ast.Eq -> fun r -> cmp r = 0
-          | _ -> fun r -> cmp r <> 0)
+          let oa = compile_num env ~pc ~d a
+          and ob = compile_num env ~pc ~d:(d + 1) b in
+          float_compare ~d (compare_mask op) oa ob
       | _ -> (
           let ca = compile_expr env ~pc ~d a and cb = compile_expr env ~pc ~d b in
           match op with
@@ -907,22 +1123,22 @@ and compile_bool env ~pc ~d (e : Ast.expr) : cbool =
           fun r -> ci r <> 0
       | Tfloat | Tfz ->
           (* [Value.to_bool]: -0 is false, NaN true *)
-          let cf = compile_num env ~pc ~d e in
-          fun r -> cf r; r.floats.(d) <> 0.0
+          let o = compile_num env ~pc ~d e in
+          fun r -> fget r d o <> 0.0
       | Tnone | Tbox ->
           let ce = compile_expr env ~pc ~d e in
           fun r -> Value.to_bool (ce r))
 
-(* [Value.to_int] of any expression: subscripts, lock ids, [int] *)
-and compile_index env ~pc ~d (e : Ast.expr) : cint =
-  match type_of env e with
-  | Tint -> compile_int env ~pc ~d e
-  | Tfloat | Tfz ->
-      let cf = compile_num env ~pc ~d e in
-      fun r -> cf r; int_of_float r.floats.(d)
-  | Tnone | Tbox ->
-      let ce = compile_expr env ~pc ~d e in
-      fun r -> Value.to_int (ce r)
+(* [Value.to_int] of any expression as an operand: subscripts, lock ids,
+   [int] *)
+and compile_index env ~pc ~d (e : Ast.expr) : iopnd =
+  match int_leaf env e with
+  | Some (k, x) -> Ileaf (k, x)
+  | None -> (
+      match type_of env e with
+      | Tint -> Iint (compile_int env ~pc ~d e)
+      | Tfloat | Tfz -> Iconv (Ifloat (d, compile_float env ~pc ~d ~num:true e))
+      | Tnone | Tbox -> Iconv (Ibox (compile_expr env ~pc ~d e)))
 
 (* A user procedure call; arguments and the result are boxed. Calls in
    statement position are not charged as an expression node. *)
@@ -1090,41 +1306,41 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
                charges, in the same order, as the generic [shared_write]
                path. Only the protocol entry points differ (rmw-aware, so
                the Commute backend can privatize the accumulation). *)
-            let cidx = compile_index env ~pc ~d idx in
-            let cidx_in = compile_index env ~pc ~d idx in
+            let oi = compile_index env ~pc ~d idx in
+            let oi_in = compile_index env ~pc ~d idx in
             let crest = compile_expr env ~pc ~d rest in
             fun r ->
               charge r;  (* the Ebinop node *)
               charge r;  (* the inner Eindex node *)
-              let i1 = cidx_in r in
+              let i1 = iget r oi_in in
               let va = shared_read_rmw r ~pc entry i1 in
               let vb = crest r in
               let v = Value.add va vb in
-              let i2 = cidx r in
+              let i2 = iget r oi in
               shared_write_rmw r ~pc entry i2 v
         | Some (Ashared entry), _ ->
-            let cidx = compile_index env ~pc ~d idx in
+            let oi = compile_index env ~pc ~d idx in
             let ce = compile_expr env ~pc ~d e in
             fun r ->
               let v = ce r in
-              let i = cidx r in
+              let i = iget r oi in
               shared_write r ~pc entry i v
         | Some (Aboxed (id, size)), _ ->
-            let cidx = compile_index env ~pc ~d idx in
+            let oi = compile_index env ~pc ~d idx in
             let ce = compile_expr env ~pc ~d e in
             fun r ->
               let v = ce r in
-              let i = cidx r in
+              let i = iget r oi in
               check_private_index name size i;
               count_private_write r;
               r.privates.(id).(i) <- v
         | Some (Afloat (id, size)), _ ->
             (* the value waits in register [d] while the index runs *)
             let cf = compile_fz env ~pc ~d e in
-            let cidx = compile_index env ~pc ~d:(d + 1) idx in
+            let oi = compile_index env ~pc ~d:(d + 1) idx in
             fun r ->
               cf r;
-              let i = cidx r in
+              let i = iget r oi in
               check_private_index name size i;
               count_private_write r;
               r.fprivates.(id).(i) <- r.floats.(d)
@@ -1215,31 +1431,31 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
         let ce = compile_expr env ~pc ~d e in
         fun r -> raise (Returning (Some (ce r)))
     | Ast.Slock e ->
-        let ce = compile_index env ~pc ~d e in
+        let oi = compile_index env ~pc ~d e in
         fun r ->
-          let l = ce r in
+          let l = iget r oi in
           catch_up r;
           flush_pending r;
           Sched.lock_acquire l;
           r.base_now <- Sched.now ();
           r.held_locks <- l :: r.held_locks
     | Ast.Sunlock e ->
-        let ce = compile_index env ~pc ~d e in
+        let oi = compile_index env ~pc ~d e in
         fun r ->
-          let l = ce r in
+          let l = iget r oi in
           r.held_locks <- Interp.remove_lock l r.held_locks;
           catch_up r;
           flush_pending r;
           Sched.lock_release l;
           r.base_now <- Sched.now ()
     | Ast.Sannot (kind, { arr; lo; hi }) -> (
-        let clo = compile_index env ~pc ~d lo in
-        let chi = compile_index env ~pc ~d hi in
+        let olo = compile_index env ~pc ~d lo in
+        let ohi = compile_index env ~pc ~d hi in
         match compile_annot env kind arr with
         | Some exec ->
             fun r ->
-              let lo_i = clo r in
-              let hi_i = chi r in
+              let lo_i = iget r olo in
+              let hi_i = iget r ohi in
               exec r [ (lo_i, hi_i) ]
         | None -> fun _ -> error "annotation on unknown shared array %S" arr)
     | Ast.Sannot_table { akind; aarr; aranges } -> (
@@ -1298,6 +1514,7 @@ let compile ~machine program =
   let env =
     {
       genv_layout = layout;
+      nodes = machine.Machine.nodes;
       consts = info.Sema.consts;
       procs = Hashtbl.create 16;
       float_privates;
