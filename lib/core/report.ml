@@ -14,44 +14,79 @@ type t = { items : item list }
 
 let build ~layout (einfo : Epoch_info.t) =
   (* Accumulate (kind, arr) -> one run of addresses per epoch, and the
-     pc lists. Epochs arrive in order and each epoch's addresses
-     ascending, so a run needs no sort; neighbouring addresses mostly
-     share their pcs, so a pc list is not pushed twice in a row. *)
+     pcs. Epochs arrive in order and each epoch's addresses ascending, so
+     an array's addresses in an epoch are one run: its array and cell are
+     found once per run, and one cursor over the epoch's misses by address
+     gives each address's pcs. *)
   let acc :
-      (kind * string, (int * int list ref) list ref * int list list ref)
-      Hashtbl.t =
+      (kind * string, (int * int list ref) list ref * int list ref) Hashtbl.t =
     Hashtbl.create 16
   in
-  let note kind addr ~epoch ~pcs =
-    let arr =
-      match Lang.Label.elem_of_addr layout addr with
-      | Some (name, _) -> name
-      | None -> "<unlabelled>"
+  let entries = Array.of_list (Lang.Label.entries layout) in
+  let limit (e : Lang.Label.entry) = e.base + (e.elems * e.elem_size) in
+  let walk kind epoch addrs =
+    let misses = einfo.Epoch_info.epochs.(epoch).Trace.Epoch.by_addr in
+    let addr_at i =
+      if i < Array.length misses then misses.(i).Trace.Event.addr else max_int
     in
-    let runs, pc_lists =
-      match Hashtbl.find_opt acc (kind, arr) with
-      | Some cell -> cell
-      | None ->
-          let cell = (ref [], ref []) in
-          Hashtbl.add acc (kind, arr) cell;
-          cell
+    let entry = ref 0 and cursor = ref 0 in
+    (* the current run: its array's last address, its addresses, and the
+       pcs of its (kind, arr) *)
+    let hi = ref (-1) and run = ref (ref []) and pcs = ref (ref []) in
+    let start addr =
+      while !entry < Array.length entries && addr >= limit entries.(!entry) do
+        incr entry
+      done;
+      let next =
+        if !entry < Array.length entries then Some entries.(!entry) else None
+      in
+      let arr =
+        match next with
+        | Some e when addr >= e.base ->
+            hi := limit e - 1;
+            e.name
+        | Some e ->
+            hi := e.base - 1;
+            "<unlabelled>"
+        | None ->
+            hi := max_int;
+            "<unlabelled>"
+      in
+      let runs, pc_list =
+        match Hashtbl.find_opt acc (kind, arr) with
+        | Some cell -> cell
+        | None ->
+            let cell = (ref [], ref []) in
+            Hashtbl.add acc (kind, arr) cell;
+            cell
+      in
+      (match !runs with
+      | (e, r) :: _ when e = epoch -> run := r
+      | _ ->
+          run := ref [];
+          runs := (epoch, !run) :: !runs);
+      pcs := pc_list
     in
-    (match !runs with
-    | (e, run) :: _ when e = epoch -> run := addr :: !run
-    | _ -> runs := (epoch, ref [ addr ]) :: !runs);
-    match !pc_lists with
-    | p :: _ when p = pcs -> ()
-    | _ -> pc_lists := pcs :: !pc_lists
+    Iset.iter
+      (fun addr ->
+        if addr > !hi then start addr;
+        !run := addr :: !(!run);
+        while addr_at !cursor < addr do
+          incr cursor
+        done;
+        while addr_at !cursor = addr do
+          let pc = misses.(!cursor).Trace.Event.pc in
+          (match !(!pcs) with
+          | p :: _ when p = pc -> ()
+          | l -> !pcs := pc :: l);
+          incr cursor
+        done)
+      addrs
   in
   Array.iteri
     (fun epoch d ->
-      let pcs_of = Epoch_info.pcs_of_addr einfo ~epoch in
-      Iset.iter
-        (fun addr -> note Data_race addr ~epoch ~pcs:(pcs_of addr))
-        (Drfs.race d);
-      Iset.iter
-        (fun addr -> note False_sharing addr ~epoch ~pcs:(pcs_of addr))
-        (Drfs.false_shared d))
+      walk Data_race epoch (Drfs.race d);
+      walk False_sharing epoch (Drfs.false_shared d))
     einfo.Epoch_info.drfs;
   let items =
     Hashtbl.fold
@@ -66,7 +101,7 @@ let build ~layout (einfo : Epoch_info.t) =
           arr;
           ranges = Presentation.ranges_for_array ~layout ~arr addrs;
           epochs = List.rev_map fst !runs;
-          pcs = Iset.elements (Iset.of_list (List.concat !pcs));
+          pcs = Iset.elements (Iset.of_list !pcs);
         }
         :: items)
       acc []
