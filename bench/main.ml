@@ -402,9 +402,19 @@ let matmul_listings buf =
 (* E4 — Section 5: restructuring                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The smallest N >= 16 that the cost model (N a multiple of P, so the
+   processor grid divides it too) and the restructured kernel (N / PC a
+   multiple of 4) accept: 16 at 2, 4, 8 and 16 nodes, 32 at 32. *)
+let restructuring_n =
+  let pc = snd (Benchmarks.Grid.factor nodes) in
+  let rec from n =
+    if n mod nodes = 0 && n / pc mod 4 = 0 then n else from (n + 1)
+  in
+  from 16
+
 let restructuring buf =
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let n = 16 in
+  let n = restructuring_n in
   let mp = { Cico.Cost_model.mm_n = n; mm_p = nodes } in
   pr "cost model, N=%d, P=%d:\n" n nodes;
   pr "  original C check-outs     N^3     = %8.0f\n"

@@ -248,6 +248,27 @@ let program_errors_are_diagnostics () =
             ])
   | _ -> Alcotest.skip ()
 
+(* A good configuration is not refused: every section runs at the
+   paper's node count. The restructuring section picks its matrix size
+   from the node count, so at 32 nodes it runs N = 32 and exits 0. *)
+let bench_restructuring_at_paper_nodes () =
+  match exe "bench" "main.exe" with
+  | None -> Alcotest.skip ()
+  | Some bench ->
+      let json = temp_path ".json" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove json with Sys_error _ -> ())
+        (fun () ->
+          let code, out, err =
+            run
+              (Printf.sprintf
+                 "env CACHIER_BENCH_FAST=1 CACHIER_BENCH_NODES=32 \
+                  CACHIER_BENCH_ONLY=restructuring CACHIER_BENCH_JSON=%s %s"
+                 (Filename.quote json) (Filename.quote bench))
+          in
+          Alcotest.(check int) ("exit code; stderr: " ^ err) 0 code;
+          check_contains "restructuring at 32 nodes" out "N=32, P=32")
+
 let suite =
   [
     Alcotest.test_case "bench harness refuses malformed config" `Quick
@@ -260,4 +281,6 @@ let suite =
       cachier_refuses_unknown_benchmark;
     Alcotest.test_case "program errors are diagnostics" `Quick
       program_errors_are_diagnostics;
+    Alcotest.test_case "bench restructuring runs at 32 nodes" `Quick
+      bench_restructuring_at_paper_nodes;
   ]
