@@ -482,12 +482,14 @@ let[@inline] count_private_write r =
    float arithmetic) has no closure: the operator reads it inline, by a
    kind code fixed at compile time. Boxed and unproven slots are not
    leaves; their reads may fail, in [compile_var]. A subtree of the
-   operator's own type is called directly. Any other subtree carries the
-   conversion its parent needs, so that costs no closure either. Each
-   folded operator has one closure per operand shape, and no other
-   dispatch: a match on an operand at run time costs about a closure
-   call. The readers are inlined; a closure that returned a float would
-   box it. *)
+   operator's own type is called directly, and a subtree that needs a
+   conversion is converted inline by [iget] or [fget], so a conversion
+   costs no closure either. The hot operators have one closure per
+   operand shape (leaf or own-type subtree on each side), because a
+   match on an operand at run time costs about as much as the closure
+   call it saves; the rest, and shapes with a conversion, read their
+   operands through [iget]/[fget]. The readers are inlined: a closure
+   that returned a float would box it. *)
 
 (* An int leaf: a literal, a named constant or [nprocs] (kind 0), an int
    slot (1), or [pid] (2). *)
