@@ -19,7 +19,7 @@ let build ~layout (einfo : Epoch_info.t) =
      found once per run, and one cursor over the epoch's misses by address
      gives each address's pcs. *)
   let acc :
-      (kind * string, (int * int list ref) list ref * int list ref) Hashtbl.t =
+      (kind * string, (int * int list ref) list ref * Iset.t ref) Hashtbl.t =
     Hashtbl.create 16
   in
   let entries = Array.of_list (Lang.Label.entries layout) in
@@ -32,7 +32,7 @@ let build ~layout (einfo : Epoch_info.t) =
     let entry = ref 0 and cursor = ref 0 in
     (* the current run: its array's last address, its addresses, and the
        pcs of its (kind, arr) *)
-    let hi = ref (-1) and run = ref (ref []) and pcs = ref (ref []) in
+    let hi = ref (-1) and run = ref (ref []) and pcs = ref (ref Iset.empty) in
     let start addr =
       while !entry < Array.length entries && addr >= limit entries.(!entry) do
         incr entry
@@ -56,7 +56,7 @@ let build ~layout (einfo : Epoch_info.t) =
         match Hashtbl.find_opt acc (kind, arr) with
         | Some cell -> cell
         | None ->
-            let cell = (ref [], ref []) in
+            let cell = (ref [], ref Iset.empty) in
             Hashtbl.add acc (kind, arr) cell;
             cell
       in
@@ -76,9 +76,7 @@ let build ~layout (einfo : Epoch_info.t) =
         done;
         while addr_at !cursor = addr do
           let pc = misses.(!cursor).Trace.Event.pc in
-          (match !(!pcs) with
-          | p :: _ when p = pc -> ()
-          | l -> !pcs := pc :: l);
+          if not (Iset.mem pc !(!pcs)) then !pcs := Iset.add pc !(!pcs);
           incr cursor
         done)
       addrs
@@ -101,7 +99,7 @@ let build ~layout (einfo : Epoch_info.t) =
           arr;
           ranges = Presentation.ranges_for_array ~layout ~arr addrs;
           epochs = List.rev_map fst !runs;
-          pcs = Iset.elements (Iset.of_list !pcs);
+          pcs = Iset.elements !pcs;
         }
         :: items)
       acc []
