@@ -546,13 +546,12 @@ let[@inline] fdiv x y = if y = 0.0 then error "division by zero" else x /. y
 (* [c] is -1, 0 or 1: whether bit [c + 1] of [mask] is set *)
 let[@inline] holds mask c = (mask lsr (c + 1)) land 1 = 1
 let[@inline] icmp mask (x : int) y = holds mask (compare x y)
-let[@inline] fcmp mask (x : float) y = holds mask (Float.compare x y)
 let[@inline] ikeep mask (x : int) y = if icmp mask x y then x else y
 
 (* the kept one of two encoded floats, compared as numbers *)
 let[@inline] fkeep mask (x : float) y =
   let a = num x and b = num y in
-  if fcmp mask a b then x else y
+  if holds mask (Float.compare a b) then x else y
 
 let compare_mask = function
   | Ast.Lt -> 0b001
