@@ -267,6 +267,46 @@ let operand_leaves () =
                ~prefetch:false prog)))
     [ ("tree walk", Wwt.Run.Tree_walk); ("compiled", Wwt.Run.Compiled) ]
 
+(* examples/programs/subscripts.sm: affine subscripts of every shape the
+   compiled engine folds into an array access (constant, one term, two
+   terms; pid and nprocs terms; cancelling, negative and wrapping
+   coefficients) on shared, boxed private and float private arrays, as
+   reads, stores and accumulations, beside subscripts that do not fold
+   and shared reads in sibling operands, and directives over computed
+   ranges. Under each protocol both engines must agree in trace mode, in
+   perf mode, and in perf mode with its directives executed, with and
+   without the prefetches; the reads just after a prefetch pay a stall
+   that shows when each charge lands. At 3 nodes a folded subscript is
+   out of range. *)
+let affine_subscripts () =
+  let src = T_obs.read_file (Option.get (T_obs.example "subscripts.sm")) in
+  let prog = Lang.Parser.parse src in
+  List.iter
+    (fun protocol ->
+      let machine = { machine with Wwt.Machine.protocol } in
+      let name = "subscripts/" ^ Memsys.Protocol_id.to_string protocol in
+      check_engines name ~machine src;
+      List.iter
+        (fun prefetch ->
+          check_same
+            (Printf.sprintf "%s/annotated prefetch=%b" name prefetch)
+            (Wwt.Run.measure ~engine:Wwt.Run.Tree_walk ~machine
+               ~annotations:true ~prefetch prog)
+            (Wwt.Run.measure ~engine:Wwt.Run.Compiled ~machine
+               ~annotations:true ~prefetch prog))
+        [ false; true ])
+    Memsys.Protocol_id.all;
+  let machine = { machine with Wwt.Machine.nodes = 3 } in
+  List.iter
+    (fun (ename, engine) ->
+      Alcotest.check_raises ("subscripts at 3 nodes: " ^ ename)
+        (Wwt.Interp.Runtime_error
+           "index -8 out of bounds for shared array R[80]") (fun () ->
+          ignore
+            (Wwt.Run.measure ~engine ~machine ~annotations:false
+               ~prefetch:false prog)))
+    [ ("tree walk", Wwt.Run.Tree_walk); ("compiled", Wwt.Run.Compiled) ]
+
 (* A store, an accumulation, a load and directives, each straight after
    a private loop whose length reverses the nodes' order: every node must
    wait for the others' earlier accesses to the same block before its
@@ -577,6 +617,8 @@ let suite =
     Alcotest.test_case "ragged private loops" `Quick ragged_private_loops;
     Alcotest.test_case "leaf operands of every folded operator" `Quick
       operand_leaves;
+    Alcotest.test_case "affine subscripts and computed directive ranges"
+      `Quick affine_subscripts;
     Alcotest.test_case "shared access and directive after a private loop"
       `Quick
       shared_access_after_private_loop;
