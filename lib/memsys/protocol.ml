@@ -114,7 +114,7 @@ let cache t ~node = t.caches.(node)
 let costs t = t.cost
 (* [Block.of_addr] without the per-call division (block sizes are
    validated powers of two at [create]) *)
-let block_of_addr t addr =
+let[@inline] block_of_addr t addr =
   if addr < 0 then invalid_arg "Block.of_addr: negative address";
   addr lsr t.blk_shift
 
@@ -248,7 +248,7 @@ let check_invariants t =
 let set_debug_checks t on = t.debug_checks <- on
 
 (* Every public transition funnels its result through [guard]. *)
-let guard t v =
+let[@inline] guard t v =
   if t.debug_checks then begin
     match check_invariants t with
     | None -> ()
@@ -287,7 +287,7 @@ let forget_prefetch t ~node ~blk =
   if t.pf_live > 0 && pf_remove t ~node ~blk then t.pf_live <- t.pf_live - 1
 
 (* Account a prefetched block that is touched for the first time. *)
-let note_prefetch_hit t ~node ~blk =
+let[@inline] note_prefetch_hit t ~node ~blk =
   if t.pf_live > 0 && pf_remove t ~node ~blk then begin
     t.pf_live <- t.pf_live - 1;
     t.stat.useful_prefetches <- t.stat.useful_prefetches + 1
@@ -526,7 +526,7 @@ let commute_merge t blk mask =
 
 (* Merge-before-plain-access seam: every non-RMW entry point runs this
    first. One predictable branch for the other backends. *)
-let commute_plain t blk =
+let[@inline] commute_plain t blk =
   match t.backend with
   | Protocol_id.Commute ->
       let mask = cm_find t blk in
@@ -562,18 +562,19 @@ let commute_rmw_write t ~node ~addr ~now:_ =
 
 (* ---- the hot path: packed-int entry points ----
    Cache hits run option-free (index probe, in-place LRU touch) and skip
-   all directory bookkeeping; only the returned int is constructed. *)
+   all directory bookkeeping; only the returned int is constructed. The
+   load and store bodies are inlined into their entry points, and a read
+   hit makes one [Cache] call. *)
 
-let read_p_u t ~node ~addr ~now =
+let[@inline] read_p_u t ~node ~addr ~now =
   let blk = block_of_addr t addr in
   commute_plain t blk;
   t.stat.shared_reads <- t.stat.shared_reads + 1;
-  let c = t.caches.(node) in
-  let i = Cache.probe c blk in
-  if i >= 0 then begin
+  let stall = Cache.read_hit t.caches.(node) blk ~now in
+  if stall >= 0 then begin
     note_prefetch_hit t ~node ~blk;
     t.stat.read_hits <- t.stat.read_hits + 1;
-    pack ~latency:(t.cost.Network.cache_hit + Cache.hit c i ~now) ~kind:no_miss
+    pack ~latency:(t.cost.Network.cache_hit + stall) ~kind:no_miss
   end
   else begin
     t.stat.read_misses <- t.stat.read_misses + 1;
@@ -581,7 +582,7 @@ let read_p_u t ~node ~addr ~now =
     pack ~latency ~kind:read_miss
   end
 
-let write_p_u t ~node ~addr ~now =
+let[@inline] write_p_u t ~node ~addr ~now =
   let blk = block_of_addr t addr in
   commute_plain t blk;
   t.stat.shared_writes <- t.stat.shared_writes + 1;
@@ -802,8 +803,11 @@ let prefetch_lat ~exclusive t ~node ~addr ~now =
   if Obs.enabled () then Obs.Counter.incr obs_directives;
   guard t (prefetch_lat_u ~exclusive t ~node ~addr ~now)
 
-let prefetch_x_lat t = prefetch_lat ~exclusive:true t
-let prefetch_s_lat t = prefetch_lat ~exclusive:false t
+let prefetch_x_lat t ~node ~addr ~now =
+  prefetch_lat ~exclusive:true t ~node ~addr ~now
+
+let prefetch_s_lat t ~node ~addr ~now =
+  prefetch_lat ~exclusive:false t ~node ~addr ~now
 
 let post_store_lat_u t ~node ~addr ~now =
   let blk = block_of_addr t addr in

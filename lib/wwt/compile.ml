@@ -5,7 +5,9 @@
    folded into its parent is charged by the parent at that point; and
    charges are summed only across code that makes no shared access, runs
    no directive, makes no call and does not yield, because [virtual_now]
-   times each of those. *)
+   times each of those. So a folded affine subscript of [n] nodes (see
+   [affine]) charges [n·lop] at once, where the tree walk evaluates the
+   subscript: before an array read, after a store's value. *)
 
 open Lang
 
@@ -61,10 +63,6 @@ let elem_shift_of elem_size =
   end
   else -1
 
-let elem_index r addr =
-  if r.elem_shift >= 0 then addr lsr r.elem_shift
-  else addr / r.machine.Machine.elem_size
-
 (* A float expression writes its result into its register
    [r.floats.(d)] instead of returning it: without flambda, a closure
    that returned a float would box it. *)
@@ -112,22 +110,7 @@ let[@inline] catch_up r =
     r.ahead <- false
   end
 
-let virtual_now r = r.base_now + r.pending
-
-let record_miss r ~pc ~addr packed =
-  let kind = Memsys.Protocol.packed_kind packed in
-  if kind <> Memsys.Protocol.no_miss && r.machine.Machine.collect_trace
-  then begin
-    let kind =
-      if kind = Memsys.Protocol.read_miss then Trace.Event.Read_miss
-      else if kind = Memsys.Protocol.write_miss then Trace.Event.Write_miss
-      else Trace.Event.Write_fault
-    in
-    r.trace_rev :=
-      Trace.Event.Miss { node = r.node; pc; addr; kind; held = r.held_locks }
-      :: !(r.trace_rev)
-  end;
-  r.pending <- r.pending + Memsys.Protocol.packed_latency packed
+let[@inline] virtual_now r = r.base_now + r.pending
 
 (* ---- the float-or-zero encoding ---- *)
 
@@ -228,7 +211,7 @@ type frame = {
 
 type cenv = {
   genv_layout : Label.t;
-  nodes : int;  (* [nprocs], which the machine fixes before compiling *)
+  machine : Machine.t;  (* fixed before compiling: [nprocs], directives *)
   consts : (string * Value.t) list;
   procs : (string, cproc) Hashtbl.t;
   float_privates : (string, unit) Hashtbl.t;
@@ -403,53 +386,42 @@ let type_program env (program : Ast.program) =
   done;
   frames
 
-(* ---- shared-memory accesses ---- *)
+(* ---- shared-memory accesses ----
 
-let shared_addr (entry : Label.entry) i =
+   The whole access is inlined into its closure, because the dev
+   profile's [-opaque] makes every call a real one: the bound check, the
+   protocol call, and its packed outcome decoded in place, kind in the
+   low two bits and latency above them as [Memsys.Protocol] packs it.
+   [access] is the protocol entry point: the plain load or store, or
+   the rmw-aware halves of a recognized commutative accumulation
+   ([A[i] = A[i] + e]), which differ only under the Commute backend. *)
+
+(* a miss's trace record, off the hit path *)
+let record_miss (r : rt) ~pc ~addr kind =
+  if r.machine.Machine.collect_trace then begin
+    let kind =
+      if kind = Memsys.Protocol.read_miss then Trace.Event.Read_miss
+      else if kind = Memsys.Protocol.write_miss then Trace.Event.Write_miss
+      else Trace.Event.Write_fault
+    in
+    r.trace_rev :=
+      Trace.Event.Miss { node = r.node; pc; addr; kind; held = r.held_locks }
+      :: !(r.trace_rev)
+  end
+
+(* the element of [r.shared] that [entry]'s element [i] is, after the
+   access that reaches it *)
+let[@inline] shared_access (r : rt) ~pc (entry : Label.entry) i access =
+  catch_up r;
   if i < 0 || i >= entry.Label.elems then
     error "index %d out of bounds for shared array %s[%d]" i entry.Label.name
       entry.Label.elems;
-  entry.Label.base + (i * entry.Label.elem_size)
-
-let shared_read r ~pc entry i =
-  catch_up r;
-  let addr = shared_addr entry i in
-  let p =
-    Memsys.Protocol.read_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
-  in
-  record_miss r ~pc ~addr p;
-  r.shared.(elem_index r addr)
-
-let shared_write r ~pc entry i v =
-  catch_up r;
-  let addr = shared_addr entry i in
-  let p =
-    Memsys.Protocol.write_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
-  in
-  record_miss r ~pc ~addr p;
-  r.shared.(elem_index r addr) <- v
-
-(* The two halves of a recognized commutative RMW ([A[i] = A[i] + e]).
-   The rmw entry points are bit-identical to read_p/write_p except under
-   the Commute backend, where the access lands in a privatized per-node
-   copy. *)
-let shared_read_rmw r ~pc entry i =
-  catch_up r;
-  let addr = shared_addr entry i in
-  let p =
-    Memsys.Protocol.read_rmw_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
-  in
-  record_miss r ~pc ~addr p;
-  r.shared.(elem_index r addr)
-
-let shared_write_rmw r ~pc entry i v =
-  catch_up r;
-  let addr = shared_addr entry i in
-  let p =
-    Memsys.Protocol.write_rmw_p r.proto ~node:r.node ~addr ~now:(virtual_now r)
-  in
-  record_miss r ~pc ~addr p;
-  r.shared.(elem_index r addr) <- v
+  let addr = entry.Label.base + (i * entry.Label.elem_size) in
+  let p = access r.proto ~node:r.node ~addr ~now:(virtual_now r) in
+  if p land 3 <> Memsys.Protocol.no_miss then record_miss r ~pc ~addr (p land 3);
+  r.pending <- r.pending + (p lsr 2);
+  if r.elem_shift >= 0 then addr lsr r.elem_shift
+  else addr / r.machine.Machine.elem_size
 
 let[@inline] check_private_index name size i =
   if i < 0 || i >= size then
@@ -573,7 +545,7 @@ let int_leaf env (e : Ast.expr) =
       | Some i -> if slot_type env name = Tint then Some (1, i) else None
       | None -> (
           if name = "pid" then Some (2, 0)
-          else if name = "nprocs" then Some (0, env.nodes)
+          else if name = "nprocs" then Some (0, env.machine.Machine.nodes)
           else
             match List.assoc_opt name env.consts with
             | Some (Value.Vint i) -> Some (0, i)
@@ -597,6 +569,74 @@ let float_leaf env ~num:as_num (e : Ast.expr) =
       | None, Some (Value.Vfloat f) -> Some (0, 0, f)
       | None, _ -> None)
   | None, _ -> None
+
+(* ---- affine subscripts ----
+
+   A pure int tree of [+], [-] and [*] (and unary [-]) over int leaves,
+   with a constant side to every product, is [c + a1·x1 + a2·x2 +
+   ap·pid] for at most two int slots [x1] and [x2]; a missing term has
+   coefficient 0 and reads slot 0, which every frame has. OCaml ints
+   wrap, so the form equals the tree's value mod 2⁶³. An array access
+   reads such a subscript inline (a lone leaf too), and any other int
+   operator takes it as one closure. Its [n] AST nodes charge [n·lop] at
+   once, where the tree walk evaluates the tree: the tree makes no shared
+   access, runs no directive, makes no call and does not yield. [/] and
+   [%] never fold, so their zero checks stay where they are; boxed and
+   unproven slots are not int leaves, so their reads keep their errors. *)
+type affine = {
+  c : int;
+  a1 : int;
+  s1 : int;
+  a2 : int;
+  s2 : int;
+  ap : int;
+  n : int;
+}
+
+let[@inline] affine_at r f =
+  f.c + (f.a1 * r.ints.(f.s1)) + (f.a2 * r.ints.(f.s2)) + (f.ap * r.node)
+
+(* [Some (c, terms, n)]: [e] is [c] plus [a·x] over its [terms] (an int
+   slot [x], or -1 for [pid], with coefficient [a]), in [n] nodes *)
+let rec linear env (e : Ast.expr) =
+  let scale k = List.map (fun (x, a) -> (x, k * a)) in
+  let sum f a b =
+    match (linear env a, linear env b) with
+    | Some (c, ts, n), Some (c', ts', n') ->
+        let add ts (x, a') =
+          let a = Option.value ~default:0 (List.assoc_opt x ts) in
+          (x, f a a') :: List.remove_assoc x ts
+        in
+        Some (f c c', List.fold_left add ts ts', n + n' + 1)
+    | _ -> None
+  in
+  match e with
+  | Ast.Ebinop (Ast.Add, a, b) -> sum ( + ) a b
+  | Ast.Ebinop (Ast.Sub, a, b) -> sum ( - ) a b
+  | Ast.Ebinop (Ast.Mul, a, b) -> (
+      match (linear env a, linear env b) with
+      | Some (k, [], n), Some (c, ts, n') | Some (c, ts, n), Some (k, [], n') ->
+          Some (k * c, scale k ts, n + n' + 1)
+      | _ -> None)
+  | Ast.Eunop (Ast.Neg, a) ->
+      Option.map (fun (c, ts, n) -> (-c, scale (-1) ts, n + 1)) (linear env a)
+  | _ -> (
+      match int_leaf env e with
+      | Some (0, v) -> Some (v, [], 1)
+      | Some (1, x) -> Some (0, [ (x, 1) ], 1)
+      | Some (_, _) -> Some (0, [ (-1, 1) ], 1)
+      | None -> None)
+
+let affine env e =
+  match linear env e with
+  | None -> None
+  | Some (c, ts, n) -> (
+      let ap = Option.value ~default:0 (List.assoc_opt (-1) ts) in
+      match List.filter (fun (x, a) -> x >= 0 && a <> 0) ts with
+      | [] -> Some { c; a1 = 0; s1 = 0; a2 = 0; s2 = 0; ap; n }
+      | [ (s1, a1) ] -> Some { c; a1; s1; a2 = 0; s2 = 0; ap; n }
+      | [ (s1, a1); (s2, a2) ] -> Some { c; a1; s1; a2; s2; ap; n }
+      | _ -> None)
 
 (* ---- folded operators: one closure per operand shape ---- *)
 
@@ -846,6 +886,17 @@ let[@inline] fread r name size id i =
   count_private_read r;
   r.fprivates.(id).(i)
 
+let[@inline] bstore r name size id i v =
+  check_private_index name size i;
+  count_private_write r;
+  r.privates.(id).(i) <- v
+
+(* the value is in register [d] *)
+let[@inline] fstore r name size id i d =
+  check_private_index name size i;
+  count_private_write r;
+  r.fprivates.(id).(i) <- r.floats.(d)
+
 let rec compile_expr env ~pc ~d (e : Ast.expr) : cexpr =
   match e with
   | Ast.Eint i ->
@@ -873,19 +924,22 @@ let rec compile_expr env ~pc ~d (e : Ast.expr) : cexpr =
 and compile_boxed env ~pc ~d (e : Ast.expr) : cexpr =
   match e with
   | Ast.Eindex (name, idx) -> (
-      match (array_ref env name, compile_index env ~pc ~d idx) with
-      | Some (Ashared a), Ileaf (k, x) ->
-          fun r -> charge_n r 2; shared_read r ~pc a (ileaf r k x)
-      | Some (Ashared a), Iint ci ->
-          fun r -> charge r; shared_read r ~pc a (ci r)
-      | Some (Ashared a), Iconv o ->
-          fun r -> charge r; shared_read r ~pc a (iconv r o)
-      | Some (Aboxed (id, n)), Ileaf (k, x) ->
-          fun r -> charge_n r 2; bread r name n id (ileaf r k x)
-      | Some (Aboxed (id, n)), Iint ci ->
-          fun r -> charge r; bread r name n id (ci r)
-      | Some (Aboxed (id, n)), Iconv o ->
-          fun r -> charge r; bread r name n id (iconv r o)
+      let read = Memsys.Protocol.read_p in
+      match (array_ref env name, affine env idx) with
+      | Some (Ashared a), Some f ->
+          let n = f.n + 1 in
+          fun r ->
+            charge_n r n;
+            r.shared.(shared_access r ~pc a (affine_at r f) read)
+      | Some (Ashared a), None ->
+          let o = compile_index env ~pc ~d idx in
+          fun r -> charge r; r.shared.(shared_access r ~pc a (iget r o) read)
+      | Some (Aboxed (id, size)), Some f ->
+          let n = f.n + 1 in
+          fun r -> charge_n r n; bread r name size id (affine_at r f)
+      | Some (Aboxed (id, size)), None ->
+          let o = compile_index env ~pc ~d idx in
+          fun r -> charge r; bread r name size id (iget r o)
       | Some (Afloat _), _ -> assert false (* [Tfz] *)
       | None, _ -> fun _ -> error "subscript of non-array %S" name)
   | Ast.Ebinop (op, a, b) -> (
@@ -943,6 +997,9 @@ and compile_boxed env ~pc ~d (e : Ast.expr) : cexpr =
 
 (* precondition: [type_of env e = Tint] *)
 and compile_int env ~pc ~d (e : Ast.expr) : cint =
+  match (e, affine env e) with
+  | (Ast.Ebinop _ | Ast.Eunop _), Some f -> fun r -> charge_n r f.n; affine_at r f
+  | _ -> (
   match e with
   | Ast.Eint _ | Ast.Evar _ -> (
       match int_leaf env e with
@@ -971,7 +1028,7 @@ and compile_int env ~pc ~d (e : Ast.expr) : cint =
   | Ast.Ecall ((("min" | "max") as f), [ a; b ]) ->
       let oa = compile_index env ~pc ~d a and ob = compile_index env ~pc ~d b in
       int_min_max (min_max_mask f) oa ob
-  | Ast.Efloat _ | Ast.Eindex _ | Ast.Ecall _ -> assert false
+  | Ast.Efloat _ | Ast.Eindex _ | Ast.Ecall _ -> assert false)
 
 (* Precondition: [type_of env e] is [Tfloat] or [Tfz]. Writes the value
    into register [d], encoded (see [fz_zero]) or, with [~num:true], as
@@ -984,28 +1041,27 @@ and compile_float env ~pc ~d ~num:as_num (e : Ast.expr) : cfloat =
       | Some (k, x, f) -> fun r -> charge r; r.floats.(d) <- fleaf r k x f
       | None -> assert false)
   | Ast.Eindex (name, idx) -> (
-      match (array_ref env name, compile_index env ~pc ~d idx, as_num) with
-      | Some (Afloat (id, n)), Ileaf (k, x), true ->
+      match (array_ref env name, affine env idx, as_num) with
+      | Some (Afloat (id, size)), Some f, true ->
+          let n = f.n + 1 in
           fun r ->
-            charge_n r 2;
-            let v = fread r name n id (ileaf r k x) in
+            charge_n r n;
+            let v = fread r name size id (affine_at r f) in
             r.floats.(d) <- num v
-      | Some (Afloat (id, n)), Iint ci, true ->
+      | Some (Afloat (id, size)), Some f, false ->
+          let n = f.n + 1 in
+          fun r ->
+            charge_n r n;
+            r.floats.(d) <- fread r name size id (affine_at r f)
+      | Some (Afloat (id, size)), None, true ->
+          let o = compile_index env ~pc ~d idx in
           fun r ->
             charge r;
-            let v = fread r name n id (ci r) in
+            let v = fread r name size id (iget r o) in
             r.floats.(d) <- num v
-      | Some (Afloat (id, n)), Iconv o, true ->
-          fun r ->
-            charge r;
-            let v = fread r name n id (iconv r o) in
-            r.floats.(d) <- num v
-      | Some (Afloat (id, n)), Ileaf (k, x), false ->
-          fun r -> charge_n r 2; r.floats.(d) <- fread r name n id (ileaf r k x)
-      | Some (Afloat (id, n)), Iint ci, false ->
-          fun r -> charge r; r.floats.(d) <- fread r name n id (ci r)
-      | Some (Afloat (id, n)), Iconv o, false ->
-          fun r -> charge r; r.floats.(d) <- fread r name n id (iconv r o)
+      | Some (Afloat (id, size)), None, false ->
+          let o = compile_index env ~pc ~d idx in
+          fun r -> charge r; r.floats.(d) <- fread r name size id (iget r o)
       | (Some (Ashared _ | Aboxed _) | None), _, _ -> assert false)
   | Ast.Ebinop (op, a, b) ->
       (* both operands of a [Tfz] node are [Tfz]; as numbers, the node is
@@ -1183,50 +1239,48 @@ and compile_call env ~pc ~d name args : cexpr =
 
 (* ---- statement compilation ---- *)
 
-let compile_annot env (kind : Ast.annot_kind) arr =
-  let directive =
-    match kind with
-    | Ast.Check_out_x -> Memsys.Protocol.check_out_x_lat
-    | Ast.Check_out_s -> Memsys.Protocol.check_out_s_lat
-    | Ast.Check_in -> Memsys.Protocol.check_in_lat
-    | Ast.Prefetch_x -> Memsys.Protocol.prefetch_x_lat
-    | Ast.Prefetch_s -> Memsys.Protocol.prefetch_s_lat
-    | Ast.Post_store -> Memsys.Protocol.post_store_lat
-  in
-  let is_prefetch = kind = Ast.Prefetch_x || kind = Ast.Prefetch_s in
-  match array_ref env arr with
-  | Some (Ashared entry) ->
-      Some
-        (fun r (ranges : (int * int) list) ->
-          catch_up r;
-          match r.machine.Machine.annotations with
-          | Machine.Ignore_annotations -> ()
-          | Machine.Execute_annotations ->
-              if not (is_prefetch && not r.machine.Machine.prefetch) then
-                let elem_size = entry.Label.elem_size in
-                let block_size = r.machine.Machine.block_size in
-                List.iter
-                  (fun (lo_i, hi_i) ->
-                    let lo_i = max 0 lo_i
-                    and hi_i = min (entry.Label.elems - 1) hi_i in
-                    if lo_i <= hi_i then begin
-                      let lo_addr = entry.Label.base + (lo_i * elem_size) in
-                      let hi_addr =
-                        entry.Label.base + (hi_i * elem_size) + elem_size - 1
-                      in
-                      List.iter
-                        (fun blk ->
-                          let addr = Memsys.Block.base_addr ~block_size blk in
-                          let lat =
-                            directive r.proto ~node:r.node ~addr
-                              ~now:(virtual_now r)
-                          in
-                          r.pending <- r.pending + lat)
-                        (Memsys.Block.blocks_of_range ~block_size ~lo:lo_addr
-                           ~hi:hi_addr)
-                    end)
-                  ranges)
-  | Some (Aboxed _ | Afloat _) | None -> None
+(* ---- directives ----
+
+   A directive runs its kind's protocol entry point once per block of
+   each range, clipped to the array, with all its arguments: nothing is
+   allocated. The machine fixes before compiling whether it runs. *)
+
+let[@inline] directive_range (r : rt) (entry : Label.entry) directive lo hi =
+  let lo = if lo < 0 then 0 else lo
+  and hi = if hi >= entry.Label.elems then entry.Label.elems - 1 else hi in
+  if lo <= hi then begin
+    let es = entry.Label.elem_size and bs = r.machine.Machine.block_size in
+    for blk = (entry.Label.base + (lo * es)) / bs
+        to (entry.Label.base + (hi * es) + es - 1) / bs do
+      let lat =
+        directive r.proto ~node:r.node ~addr:(blk * bs) ~now:(virtual_now r)
+      in
+      r.pending <- r.pending + lat
+    done
+  end
+
+let rec directive_ranges r entry directive = function
+  | [] -> ()
+  | (lo, hi) :: rest ->
+      directive_range r entry directive lo hi;
+      directive_ranges r entry directive rest
+
+(* the array's entry and the protocol's entry point, if the directive
+   runs *)
+let directive env (kind : Ast.annot_kind) arr =
+  let m = env.machine in
+  match Label.find_array env.genv_layout arr with
+  | None -> Error arr
+  | Some _ when m.Machine.annotations = Machine.Ignore_annotations -> Ok None
+  | Some entry -> (
+      match kind with
+      | Ast.Check_out_x -> Ok (Some (entry, Memsys.Protocol.check_out_x_lat))
+      | Ast.Check_out_s -> Ok (Some (entry, Memsys.Protocol.check_out_s_lat))
+      | Ast.Check_in -> Ok (Some (entry, Memsys.Protocol.check_in_lat))
+      | Ast.Post_store -> Ok (Some (entry, Memsys.Protocol.post_store_lat))
+      | (Ast.Prefetch_x | Ast.Prefetch_s) when not m.Machine.prefetch -> Ok None
+      | Ast.Prefetch_x -> Ok (Some (entry, Memsys.Protocol.prefetch_x_lat))
+      | Ast.Prefetch_s -> Ok (Some (entry, Memsys.Protocol.prefetch_s_lat)))
 
 (* a boxed value into a slot of any type; the typing guarantees it fits *)
 let store_boxed env name : rt -> Value.t -> unit =
@@ -1299,53 +1353,82 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
             let ce = compile_expr env ~pc ~d e in
             fun r -> r.vals.(i) <- ce r)
     | Ast.Sassign (Ast.Lindex (name, idx), e) -> (
-        match (array_ref env name, e) with
+        (* a folded subscript after the value, as the tree walk has it *)
+        match (array_ref env name, e, affine env idx) with
         | ( Some (Ashared entry),
-            Ast.Ebinop (Ast.Add, Ast.Eindex (name2, idx2), rest) )
-          when name2 = name && idx2 = idx && Interp.simple_index idx ->
+            Ast.Ebinop (Ast.Add, Ast.Eindex (name2, idx2), rest),
+            fold )
+          when name2 = name && idx2 = idx && Interp.simple_index idx -> (
             (* Read-modify-write accumulation (A[i] = A[i] + e): the same
-               charges, in the same order, as the generic [shared_write]
-               path. Only the protocol entry points differ (rmw-aware, so
-               the Commute backend can privatize the accumulation). *)
-            let oi = compile_index env ~pc ~d idx in
-            let oi_in = compile_index env ~pc ~d idx in
+               charges, in the same order, as the generic store. Only the
+               protocol entry points differ. A folded subscript reads
+               slots only, and [rest] cannot write them, so both halves
+               use one index. *)
             let crest = compile_expr env ~pc ~d rest in
-            fun r ->
-              charge r;  (* the Ebinop node *)
-              charge r;  (* the inner Eindex node *)
-              let i1 = iget r oi_in in
-              let va = shared_read_rmw r ~pc entry i1 in
-              let vb = crest r in
-              let v = Value.add va vb in
-              let i2 = iget r oi in
-              shared_write_rmw r ~pc entry i2 v
-        | Some (Ashared entry), _ ->
-            let oi = compile_index env ~pc ~d idx in
+            let read = Memsys.Protocol.read_rmw_p
+            and write = Memsys.Protocol.write_rmw_p in
+            match fold with
+            | Some f ->
+                let n = f.n in
+                fun r ->
+                  charge_n r (n + 2);  (* the Ebinop, the inner Eindex *)
+                  let i = affine_at r f in
+                  let va = r.shared.(shared_access r ~pc entry i read) in
+                  let v = Value.add va (crest r) in
+                  charge_n r n;
+                  r.shared.(shared_access r ~pc entry i write) <- v
+            | None ->
+                let oi = compile_index env ~pc ~d idx in
+                fun r ->
+                  charge_n r 2;
+                  let i1 = iget r oi in
+                  let va = r.shared.(shared_access r ~pc entry i1 read) in
+                  let v = Value.add va (crest r) in
+                  let i2 = iget r oi in
+                  r.shared.(shared_access r ~pc entry i2 write) <- v)
+        | Some (Ashared entry), _, fold -> (
             let ce = compile_expr env ~pc ~d e in
-            fun r ->
-              let v = ce r in
-              let i = iget r oi in
-              shared_write r ~pc entry i v
-        | Some (Aboxed (id, size)), _ ->
-            let oi = compile_index env ~pc ~d idx in
+            let write = Memsys.Protocol.write_p in
+            match fold with
+            | Some f ->
+                fun r ->
+                  let v = ce r in
+                  charge_n r f.n;
+                  r.shared.(shared_access r ~pc entry (affine_at r f) write) <- v
+            | None ->
+                let oi = compile_index env ~pc ~d idx in
+                fun r ->
+                  let v = ce r in
+                  let i = iget r oi in
+                  r.shared.(shared_access r ~pc entry i write) <- v)
+        | Some (Aboxed (id, size)), _, fold -> (
             let ce = compile_expr env ~pc ~d e in
-            fun r ->
-              let v = ce r in
-              let i = iget r oi in
-              check_private_index name size i;
-              count_private_write r;
-              r.privates.(id).(i) <- v
-        | Some (Afloat (id, size)), _ ->
+            match fold with
+            | Some f ->
+                fun r ->
+                  let v = ce r in
+                  charge_n r f.n;
+                  bstore r name size id (affine_at r f) v
+            | None ->
+                let oi = compile_index env ~pc ~d idx in
+                fun r ->
+                  let v = ce r in
+                  bstore r name size id (iget r oi) v)
+        | Some (Afloat (id, size)), _, fold -> (
             (* the value waits in register [d] while the index runs *)
             let cf = compile_fz env ~pc ~d e in
-            let oi = compile_index env ~pc ~d:(d + 1) idx in
-            fun r ->
-              cf r;
-              let i = iget r oi in
-              check_private_index name size i;
-              count_private_write r;
-              r.fprivates.(id).(i) <- r.floats.(d)
-        | None, _ -> fun _ -> error "assignment to non-array %S" name)
+            match fold with
+            | Some f ->
+                fun r ->
+                  cf r;
+                  charge_n r f.n;
+                  fstore r name size id (affine_at r f) d
+            | None ->
+                let oi = compile_index env ~pc ~d:(d + 1) idx in
+                fun r ->
+                  cf r;
+                  fstore r name size id (iget r oi) d)
+        | None, _, _ -> fun _ -> error "assignment to non-array %S" name)
     | Ast.Sif (cond, b1, b2) ->
         let cc = compile_bool env ~pc ~d cond in
         let cb1 = compile_block env ~ahead b1
@@ -1452,22 +1535,28 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
     | Ast.Sannot (kind, { arr; lo; hi }) -> (
         let olo = compile_index env ~pc ~d lo in
         let ohi = compile_index env ~pc ~d hi in
-        match compile_annot env kind arr with
-        | Some exec ->
+        match directive env kind arr with
+        | Ok (Some (entry, run)) ->
             fun r ->
-              let lo_i = iget r olo in
-              let hi_i = iget r ohi in
-              exec r [ (lo_i, hi_i) ]
-        | None -> fun _ -> error "annotation on unknown shared array %S" arr)
+              let lo = iget r olo in
+              let hi = iget r ohi in
+              catch_up r;
+              directive_range r entry run lo hi
+        | Ok None ->
+            fun r ->
+              ignore (iget r olo);
+              ignore (iget r ohi);
+              catch_up r
+        | Error arr -> fun _ -> error "annotation on unknown shared array %S" arr)
     | Ast.Sannot_table { akind; aarr; aranges } -> (
-        match compile_annot env akind aarr with
-        | Some exec ->
+        match directive env akind aarr with
+        | Ok (Some (entry, run)) ->
             fun r ->
-              let ranges =
-                if r.node < Array.length aranges then aranges.(r.node) else []
-              in
-              exec r ranges
-        | None -> fun _ -> error "annotation on unknown shared array %S" aarr)
+              catch_up r;
+              if r.node < Array.length aranges then
+                directive_ranges r entry run aranges.(r.node)
+        | Ok None -> catch_up
+        | Error arr -> fun _ -> error "annotation on unknown shared array %S" arr)
     | Ast.Sprint args ->
         let cargs = List.map (compile_expr env ~pc ~d) args in
         fun r ->
@@ -1515,7 +1604,7 @@ let compile ~machine program =
   let env =
     {
       genv_layout = layout;
-      nodes = machine.Machine.nodes;
+      machine;
       consts = info.Sema.consts;
       procs = Hashtbl.create 16;
       float_privates;
