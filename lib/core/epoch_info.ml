@@ -92,9 +92,3 @@ let iter_range t ~epoch ~lo ~hi f =
     f a.(!i);
     incr i
   done
-
-let pcs_of_addr t ~epoch addr =
-  let pcs = ref [] in
-  iter_range t ~epoch ~lo:addr ~hi:addr (fun m ->
-      pcs := m.Trace.Event.pc :: !pcs);
-  List.sort_uniq Int.compare !pcs

@@ -21,8 +21,8 @@
     SW union and the addresses several nodes write), so each pass
     stays linear in the misses it actually looks at. The rule for
     consumers: never rescan [epochs.(i).misses] per address, per pc,
-    per node or per array; go through {!iter_range}, {!pcs_of_addr} and
-    {!sw_others}. *)
+    per node or per array; go through {!iter_range} (or one cursor over
+    [by_addr]) and {!sw_others}. *)
 
 module Iset = Trace.Epoch.Iset
 
@@ -70,6 +70,3 @@ val iter_range : t -> epoch:int -> lo:int -> hi:int -> (Trace.Event.miss -> unit
     epoch whose address lies in [\[lo, hi\]], in address order; it costs
     a binary search plus the misses it visits. *)
 
-val pcs_of_addr : t -> epoch:int -> int -> int list
-(** Distinct pcs, ascending, of the epoch's misses on the address (any
-    node, any kind). *)

@@ -25,18 +25,50 @@ let term_sets mode info ~epoch ~node =
       (set ^ ": " ^ t.Equations.label, t.Equations.addrs))
     (Equations.terms mode info ~epoch ~node)
 
+(* A term set ascends, so an array's addresses are one run: one cursor
+   over the label table finds each run's array, and the table takes one
+   update per run. Arrays with equal counts keep the table's fold
+   order. *)
 let per_array_counts ~layout set =
   let table : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let entries = Array.of_list (Lang.Label.entries layout) in
+  let limit (e : Lang.Label.entry) = e.base + (e.elems * e.elem_size) in
+  (* the current run: its array, last address and length; an address
+     below every array is unlabelled *)
+  let entry = ref 0 and name = ref "<unlabelled>" and hi = ref (-1)
+  and run = ref 0 in
+  let close () =
+    if !run > 0 then
+      Hashtbl.replace table !name
+        (!run + Option.value ~default:0 (Hashtbl.find_opt table !name))
+  in
   Iset.iter
     (fun addr ->
-      let name =
-        match Lang.Label.elem_of_addr layout addr with
-        | Some (n, _) -> n
-        | None -> "<unlabelled>"
-      in
-      Hashtbl.replace table name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt table name)))
+      if addr > !hi then begin
+        close ();
+        run := 0;
+        while !entry < Array.length entries && addr >= limit entries.(!entry) do
+          incr entry
+        done;
+        if !entry < Array.length entries then begin
+          let e = entries.(!entry) in
+          if addr >= e.base then begin
+            name := e.name;
+            hi := limit e - 1
+          end
+          else begin
+            name := "<unlabelled>";
+            hi := e.base - 1
+          end
+        end
+        else begin
+          name := "<unlabelled>";
+          hi := max_int
+        end
+      end;
+      incr run)
     set;
+  close ();
   Hashtbl.fold (fun name c l -> (name, c) :: l) table []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 

@@ -40,15 +40,6 @@ let addr_of_elem t name i =
              name i e.elems);
       e.base + (i * e.elem_size)
 
-let elem_of_addr t addr =
-  let found = ref None in
-  Array.iter
-    (fun e ->
-      if addr >= e.base && addr < e.base + (e.elems * e.elem_size) then
-        found := Some (e.name, (addr - e.base) / e.elem_size))
-    t.table;
-  !found
-
 let to_label_records t =
   List.map
     (fun e -> (e.name, e.base, e.base + (e.elems * e.elem_size) - 1))

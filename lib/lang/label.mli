@@ -32,9 +32,5 @@ val elems : t -> string -> int
 val addr_of_elem : t -> string -> int -> int
 (** Byte address of element [i]. @raise Invalid_argument out of bounds. *)
 
-val elem_of_addr : t -> int -> (string * int) option
-(** [elem_of_addr t addr] is the array and element index containing byte
-    [addr], or [None] for addresses outside every region. *)
-
 val to_label_records : t -> (string * int * int) list
 (** [(name, lo, hi)] byte ranges, as written into the trace. *)

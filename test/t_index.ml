@@ -61,12 +61,6 @@ let misses_of info e = info.Cachier.Epoch_info.epochs.(e).Trace.Epoch.misses
 
 (* ---- references: the old scans ---- *)
 
-let ref_pcs_of misses addr =
-  List.filter_map
-    (fun (m : Trace.Event.miss) -> if m.addr = addr then Some m.pc else None)
-    misses
-  |> List.sort_uniq compare
-
 let ref_sw_others info ~epoch ~node =
   let acc = ref Iset.empty in
   Array.iteri
@@ -136,19 +130,6 @@ let ref_drfs ~block_size misses =
   (races, fs)
 
 (* ---- properties ---- *)
-
-let prop_pcs_of_addr =
-  QCheck.Test.make ~count:200 ~name:"indexed pcs per address = filter over misses"
-    arb_trace (fun tr ->
-      with_info tr (fun info e ->
-          let misses = misses_of info e in
-          List.for_all
-            (fun (m : Trace.Event.miss) ->
-              Cachier.Epoch_info.pcs_of_addr info ~epoch:e m.addr
-              = ref_pcs_of misses m.addr
-              && Cachier.Epoch_info.pcs_of_addr info ~epoch:e (m.addr + 1)
-                 = ref_pcs_of misses (m.addr + 1))
-            misses))
 
 let prop_sw_others =
   QCheck.Test.make ~count:200 ~name:"other-nodes SW unions = per-node fold"
@@ -297,7 +278,6 @@ let prop_per_node_wide =
 let suite =
   List.map Qc.qtest
     [
-      prop_pcs_of_addr;
       prop_sw_others;
       prop_drfs;
       prop_slices;

@@ -49,22 +49,6 @@ let test_addr_of_elem () =
     (Invalid_argument "Label.addr_of_elem: B[5] out of bounds (size 5)")
     (fun () -> ignore (Label.addr_of_elem l "B" 5))
 
-let test_elem_of_addr () =
-  let l = layout () in
-  Alcotest.(check bool) "reverse lookup" true
-    (Label.elem_of_addr l 112 = Some ("B", 2));
-  Alcotest.(check bool) "gap address" true (Label.elem_of_addr l 85 = None);
-  Alcotest.(check bool) "beyond" true (Label.elem_of_addr l 100000 = None);
-  (* round-trip over every element *)
-  List.iter
-    (fun (e : Label.entry) ->
-      for i = 0 to e.Label.elems - 1 do
-        let addr = Label.addr_of_elem l e.Label.name i in
-        if Label.elem_of_addr l addr <> Some (e.Label.name, i) then
-          Alcotest.fail "elem_of_addr round trip failed"
-      done)
-    (Label.entries l)
-
 let test_to_label_records () =
   let l = layout () in
   let recs = Label.to_label_records l in
@@ -84,7 +68,6 @@ let suite =
     Alcotest.test_case "regions disjoint" `Quick test_no_overlap;
     Alcotest.test_case "layout addresses" `Quick test_layout_values;
     Alcotest.test_case "addr_of_elem" `Quick test_addr_of_elem;
-    Alcotest.test_case "elem_of_addr" `Quick test_elem_of_addr;
     Alcotest.test_case "label records" `Quick test_to_label_records;
     Alcotest.test_case "find and elems" `Quick test_find_and_elems;
   ]

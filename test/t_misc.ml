@@ -78,8 +78,7 @@ let test_label_empty_program () =
   let info = Sema.check (Parser.parse "proc main() { x = 1; }") in
   let l = Label.layout ~block_size:32 ~elem_size:8 info in
   Alcotest.(check int) "no shared bytes" 0 (Label.total_bytes l);
-  Alcotest.(check bool) "no entries" true (Label.entries l = []);
-  Alcotest.(check bool) "lookup misses" true (Label.elem_of_addr l 0 = None)
+  Alcotest.(check bool) "no entries" true (Label.entries l = [])
 
 let test_summary_empty_trace () =
   let s = Trace.Summary.analyze ~nodes:2 ~labels:[] [] in
