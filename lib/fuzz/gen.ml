@@ -239,9 +239,15 @@ and shared_read cfg sharing ~depth st =
       let payload = vexpr cfg sharing ~depth:(depth - 1) st in
       if Random.State.bool st then Ast.Eindex ("A", own_index payload)
       else Ast.Eindex ("B", any_index payload)
-  | Any_shared ->
+  | Any_shared -> (
       let payload = vexpr cfg sharing ~depth:(depth - 1) st in
-      Ast.Eindex (oneof array_names st, any_index payload)
+      let arr = oneof array_names st in
+      (* a quarter of the reads take an affine subscript of [pid], in
+         bounds while [nprocs <= N], which the compiled engine folds *)
+      match Random.State.int st 8 with
+      | 0 -> Ast.Eindex (arr, Ast.(Ebinop (Sub, Ebinop (Sub, Evar "N", Eint 1), Evar "pid")))
+      | 1 -> Ast.Eindex (arr, Ast.Evar "pid")
+      | _ -> Ast.Eindex (arr, any_index payload))
 
 let gen_annot cfg st =
   let kind =
@@ -400,12 +406,31 @@ let lock_group cfg st =
    ahead of the others in a loop no other node can observe. Subscripts
    come from the counter [k], and every value written stays finite and
    bounded: the float-only scalars and Q through [float_store], P by
-   halving, and the scalar [acc] modulo a literal. *)
+   halving, and the scalar [acc] modulo a literal. A third of the loops
+   index with affine subscripts, in bounds by construction, which the
+   compiled engine folds into the access: [k] over every element
+   ([P[15 - k]]), or [k] and [m] over a 4-wide nest ([Q[4 * k + m]]).
+   The rest wrap a payload in [abs] and [%]. *)
 let private_loop cfg st =
-  let k = Ast.Evar "k" in
+  let k = Ast.Evar "k" and m = Ast.Evar "m" in
+  let last = cfg.private_elems - 1 in
+  let affine = Random.State.int st 3 in
   let at st =
-    priv_index cfg
-      Ast.(Ebinop (Add, Ebinop (Mul, k, Eint (int_range 1 5 st)), Eint (int_range 0 15 st)))
+    let r = Random.State.int st 3 in
+    match affine with
+    | 0 when r = 0 -> k
+    | 0 when r = 1 -> Ast.(Ebinop (Sub, Eint last, k))
+    | 0 -> Ast.(Ebinop (Sub, Ebinop (Mul, Eint 2, k), k))
+    | 1 ->
+        let flat = Ast.(Ebinop (Add, Ebinop (Mul, Eint 4, k), m)) in
+        if r = 0 then flat
+        else if r = 1 then Ast.(Ebinop (Sub, Eint last, flat))
+        else Ast.(Ebinop (Add, Ebinop (Mul, k, Eint 4), Ebinop (Sub, Eint 3, m)))
+    | _ ->
+        priv_index cfg
+          Ast.(
+            Ebinop
+              (Add, Ebinop (Mul, k, Eint (int_range 1 5 st)), Eint (int_range 0 15 st)))
   in
   let value st = vexpr cfg No_shared ~depth:(cfg.max_depth - 1) st in
   let stmt st =
@@ -434,15 +459,14 @@ let private_loop cfg st =
                [ mk (Ast.Sassign (Ast.Lindex ("Q", at st), float_store cfg No_shared ~depth:1 st)) ],
                [] ))
   in
-  mk
-    (Ast.Sfor
-       {
-         Ast.var = "k";
-         from_ = Ast.Eint 0;
-         to_ = Ast.Eint (int_range 15 63 st);
-         step = Ast.Eint 1;
-         body = List.init (int_range 1 3 st) (fun _ -> stmt st);
-       })
+  let loop var hi body =
+    mk (Ast.Sfor { Ast.var; from_ = Ast.Eint 0; to_ = Ast.Eint hi; step = Ast.Eint 1; body })
+  in
+  let body () = List.init (int_range 1 3 st) (fun _ -> stmt st) in
+  match affine with
+  | 0 -> loop "k" last (body ())
+  | 1 -> loop "k" ((last + 1) / 4 - 1) [ loop "m" 3 (body ()) ]
+  | _ -> loop "k" (int_range 15 63 st) (body ())
 
 (* What follows a private loop in its segment: maybe a print of private
    values, then an access another node can see, as the segment's
