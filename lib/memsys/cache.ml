@@ -80,7 +80,7 @@ let set_of t blk = blk land (t.n_sets - 1)
    run of repeated touches to the same block. A while loop rather than a
    local recursive function, which would allocate a closure per miss of
    the memo. *)
-let[@inline] probe t blk =
+let probe t blk =
   let s = set_of t blk in
   let base = s * t.n_assoc in
   let memo = t.mru.(s) in
@@ -127,7 +127,7 @@ let touch t blk =
 
 (* One call per simulated hit: the access path is built with no
    cross-module inlining, so LRU touch and residual stall share it. *)
-let[@inline] hit t i ~now =
+let hit t i ~now =
   touch_idx t i;
   let r = t.ready.(i) - now in
   if r > 0 then r else 0
@@ -135,10 +135,6 @@ let[@inline] hit t i ~now =
 let write_hit t i ~now =
   t.flags.(i) <- f_exclusive lor f_dirty;
   hit t i ~now
-
-let read_hit t blk ~now =
-  let i = probe t blk in
-  if i < 0 then -1 else hit t i ~now
 
 let fill t i ~block ~state ~dirty ~ready_at =
   t.tags.(i) <- block;

@@ -68,10 +68,6 @@ val hit : t -> int -> now:int -> int
 val write_hit : t -> int -> now:int -> int
 (** {!hit} for a store: the way also becomes [Exclusive] and dirty. *)
 
-val read_hit : t -> int -> now:int -> int
-(** [read_hit t blk ~now] is {!hit} of [blk]'s way, or [-1] if [blk] is
-    not resident: a load's probe and touch in one call. *)
-
 val exclusive : t -> int -> bool
 (** The way holds its block [Exclusive]. *)
 

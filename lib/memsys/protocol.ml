@@ -563,18 +563,19 @@ let commute_rmw_write t ~node ~addr ~now:_ =
 (* ---- the hot path: packed-int entry points ----
    Cache hits run option-free (index probe, in-place LRU touch) and skip
    all directory bookkeeping; only the returned int is constructed. The
-   load and store bodies are inlined into their entry points, and a read
-   hit makes one [Cache] call. *)
+   load and store bodies, and the small helpers they call, are inlined
+   into their entry points. *)
 
 let[@inline] read_p_u t ~node ~addr ~now =
   let blk = block_of_addr t addr in
   commute_plain t blk;
   t.stat.shared_reads <- t.stat.shared_reads + 1;
-  let stall = Cache.read_hit t.caches.(node) blk ~now in
-  if stall >= 0 then begin
+  let c = t.caches.(node) in
+  let i = Cache.probe c blk in
+  if i >= 0 then begin
     note_prefetch_hit t ~node ~blk;
     t.stat.read_hits <- t.stat.read_hits + 1;
-    pack ~latency:(t.cost.Network.cache_hit + stall) ~kind:no_miss
+    pack ~latency:(t.cost.Network.cache_hit + Cache.hit c i ~now) ~kind:no_miss
   end
   else begin
     t.stat.read_misses <- t.stat.read_misses + 1;
