@@ -640,18 +640,16 @@ let affine env e =
 
 (* ---- folded operators: one closure per operand shape ---- *)
 
-(* int [+ - * / %]; the operands of an int operator are never converted *)
+(* int [+ - * / %]; the operands of an int operator are never converted,
+   and a sum or difference of two leaves is affine, so it never gets
+   here *)
 let int_binop (op : Ast.binop) oa ob : cint =
   match (op, oa, ob) with
-  | Ast.Add, Ileaf (k, x), Ileaf (k', x') ->
-      fun r -> charge_n r 3; ileaf r k x + ileaf r k' x'
   | Ast.Add, Ileaf (k, x), Iint cb ->
       fun r -> charge_n r 2; let y = cb r in ileaf r k x + y
   | Ast.Add, Iint ca, Ileaf (k, x) ->
       fun r -> charge r; let y = ca r in charge r; y + ileaf r k x
   | Ast.Add, Iint ca, Iint cb -> fun r -> charge r; let x = ca r in x + cb r
-  | Ast.Sub, Ileaf (k, x), Ileaf (k', x') ->
-      fun r -> charge_n r 3; ileaf r k x - ileaf r k' x'
   | Ast.Sub, Ileaf (k, x), Iint cb ->
       fun r -> charge_n r 2; let y = cb r in ileaf r k x - y
   | Ast.Sub, Iint ca, Ileaf (k, x) ->
