@@ -354,6 +354,23 @@ let test_sema_incremental_caches_procs () =
   | _ -> Alcotest.fail "the edited main was not re-checked"
   | exception Sema.Error _ -> ()
 
+(* An edit of a procedure's parameter list leaves a call site elsewhere
+   that no longer matches: the edit raises what the cold path's
+   [Sema.check] raises, message and all. *)
+let test_header_edit_raises_cold_error () =
+  let src = "proc f(a) { x = a; } proc main() { f(1); barrier; }" in
+  let span = { Delta.Splice.start = String.index src 'a'; len = 1 } in
+  let text = "a, b" in
+  let cold =
+    match Sema.check (Parser.parse (Delta.Splice.apply_edit src span text)) with
+    | _ -> Alcotest.fail "the cold check accepted a mismatched call"
+    | exception Sema.Error msg -> msg
+  in
+  match delta src span text with
+  | _ -> Alcotest.fail "the edit accepted a mismatched call"
+  | exception Sema.Error msg ->
+      Alcotest.(check string) "the cold path's error" cold msg
+
 let suite =
   [
     Qc.qtest prop_splice_equals_parse;
@@ -390,4 +407,6 @@ let suite =
       test_chained_edits_stay_warm;
     Alcotest.test_case "engine: untouched procs hit the sema cache" `Quick
       test_sema_incremental_caches_procs;
+    Alcotest.test_case "engine: a header edit raises the cold path's error"
+      `Quick test_header_edit_raises_cold_error;
   ]
