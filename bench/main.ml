@@ -242,7 +242,9 @@ let delta_incremental buf =
     (fun (b : Benchmarks.Suite.t) ->
       let source = b.Benchmarks.Suite.source in
       (* build the base once, as a long-lived service would *)
-      let base = Delta.Engine.base_of ~machine ~options:opts (parse source) in
+      let base =
+        Delta.Engine.base_of ~machine ~options:opts ~source (parse source)
+      in
       match delta_edit_spans source with
       | [] ->
           pr "%-9s %7s  (no provably trace-preserving edit; skipped)\n"
@@ -804,7 +806,8 @@ let bechamel_suite buf =
           (Staged.stage
              (let dsrc = Benchmarks.Matmul.source ~n:8 ~nodes:4 () in
               let base =
-                Delta.Engine.base_of ~machine:m4 ~options:opts (parse dsrc)
+                Delta.Engine.base_of ~machine:m4 ~options:opts ~source:dsrc
+                  (parse dsrc)
               in
               let span, v =
                 match

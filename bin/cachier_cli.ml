@@ -23,7 +23,8 @@ let load_source input nodes =
 let run_delta ~machine ~options ~base_path src =
   let base_src = read_file base_path in
   let base =
-    Delta.Engine.base_of ~machine ~options (Lang.Parser.parse base_src)
+    Delta.Engine.base_of ~machine ~options ~source:base_src
+      (Lang.Parser.parse base_src)
   in
   let span, text =
     match Delta.Splice.diff_span base_src src with
@@ -34,9 +35,9 @@ let run_delta ~machine ~options ~base_path src =
     Delta.Engine.annotate_delta ~machine ~options ~base ~source:base_src span
       text
   in
-  let result = outcome.Delta.Engine.base.Delta.Engine.result in
-  print_string (Cachier.Annotate.to_source result);
-  prerr_string (Service.Oneshot.annotate_summary result);
+  let base = outcome.Delta.Engine.base in
+  print_string (Cachier.Annotate.to_source base.Delta.Engine.result);
+  prerr_string base.Delta.Engine.summary;
   Fmt.epr "delta: %s@."
     (Delta.Engine.reuse_to_string outcome.Delta.Engine.reuse);
   0

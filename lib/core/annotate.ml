@@ -68,3 +68,7 @@ let annotate_source ~machine ~options src =
 let to_source r =
   let note sid = List.assoc_opt sid r.notes in
   Lang.Pretty.program_to_string ~note r.annotated
+
+let summary r =
+  Printf.sprintf "\n%d annotation(s) inserted\n--- report ---\n%s\n" r.n_edits
+    (Report.to_string r.report)

@@ -72,3 +72,8 @@ val annotate_source :
 
 val to_source : result -> string
 (** Pretty-print the annotated program with race/false-sharing comments. *)
+
+val summary : result -> string
+(** The block [cachier_cli] prints on stderr after the annotated
+    program: the edit count and the race / false-sharing report. It
+    depends on [n_edits] and [report] only. *)

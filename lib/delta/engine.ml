@@ -3,6 +3,8 @@ type base = {
   info : Lang.Sema.info;
   plan : Cachier.Placement.plan;
   result : Cachier.Annotate.result;
+  items : Splice.item list;
+  summary : string;
 }
 
 type reuse =
@@ -24,7 +26,7 @@ let reuse_to_string = function
   | Plan_reuse -> "plan-reuse"
   | Resim why -> "resim: " ^ why
 
-let base_of ?poll ~machine ~options ?trace program =
+let base_of ?poll ~machine ~options ?trace ~source program =
   let info = Lang.Sema.check program in
   let records =
     match trace with
@@ -34,25 +36,28 @@ let base_of ?poll ~machine ~options ?trace program =
   let result, plan =
     Cachier.Annotate.annotate_and_plan ~machine ~options program records
   in
-  { program; info; plan; result }
+  {
+    program;
+    info;
+    plan;
+    result;
+    items = Splice.items source;
+    summary = Cachier.Annotate.summary result;
+  }
 
-(* Re-check only the procedures whose digest differs from the base's
-   procedure of the same place; a full [Sema.check] when declarations or
-   procedure headers changed, so errors surface exactly as on the cold
-   path. *)
-let sema_incremental b (eprog : Lang.Ast.program) =
+(* The sema info of a spliced program. An incremental splice leaves the
+   declarations alone, so with the procedure's header unchanged only its
+   body is checked, against the base's info. Anything else runs the cold
+   path's [Sema.check], so errors surface exactly as there. *)
+let sema_edit b (eprog : Lang.Ast.program) how =
   let header (p : Lang.Ast.proc) = (p.pname, p.params) in
-  let procs = b.program.Lang.Ast.procs in
-  if
-    b.program.Lang.Ast.decls = eprog.Lang.Ast.decls
-    && List.map header procs = List.map header eprog.Lang.Ast.procs
-  then
-    List.iter2
-      (fun p ep ->
-        if Lang.Ast_util.proc_digest p <> Lang.Ast_util.proc_digest ep then
-          Lang.Sema.check_proc b.info ep)
-      procs eprog.Lang.Ast.procs
-  else ignore (Lang.Sema.check eprog : Lang.Sema.info)
+  match how with
+  | `Incremental (k, _)
+    when header (List.nth eprog.procs k)
+         = header (List.nth b.program.Lang.Ast.procs k) ->
+      Lang.Sema.check_proc b.info (List.nth eprog.procs k);
+      b.info
+  | `Incremental _ | `Full -> Lang.Sema.check eprog
 
 let annotate_delta ?poll ~machine ~options ~base:b ~source span text =
   let edited = Splice.apply_edit source span text in
@@ -60,10 +65,10 @@ let annotate_delta ?poll ~machine ~options ~base:b ~source span text =
   if String.equal edited source then
     { base = b; reuse = Noop; artifact; edited_source = edited }
   else begin
-    let eprog, _how =
-      Splice.splice ~base:source ~base_ast:b.program span text
+    let eprog, how =
+      Splice.splice ~items:b.items ~base:source ~base_ast:b.program span text
     in
-    sema_incremental b eprog;
+    let info = sema_edit b eprog how in
     match Taint.compare_and_prove ~base:b.program ~edited:eprog with
     | Taint.Preserved _ ->
         let annotated =
@@ -72,17 +77,23 @@ let annotate_delta ?poll ~machine ~options ~base:b ~source span text =
                (Lang.Ast.strip_annotations eprog)
                b.plan.Cachier.Placement.edits)
         in
-        (* a chained base: the parent's plan and epoch info, two new ASTs *)
+        let items =
+          match how with
+          | `Incremental (_, items) -> items
+          | `Full -> Splice.items edited
+        in
+        (* a chained base: the parent's plan, epoch info, report and
+           summary; two new ASTs and the edited table *)
         let result = { b.result with Cachier.Annotate.annotated } in
         {
-          base = { b with program = eprog; result };
+          base = { b with program = eprog; info; result; items };
           reuse = Plan_reuse;
           artifact;
           edited_source = edited;
         }
     | Taint.Broken why ->
         {
-          base = base_of ?poll ~machine ~options eprog;
+          base = base_of ?poll ~machine ~options ~source:edited eprog;
           reuse = Resim why;
           artifact;
           edited_source = edited;

@@ -1,19 +1,22 @@
 (** The incremental re-annotation engine.
 
     A {!base} is what an edit against a source needs: the source's
-    parse, its sema info, the placement plan and the annotate result.
-    [base_of] builds one through {!Cachier.Annotate.annotate_and_plan}.
+    parse, its sema info, the placement plan, the annotate result, the
+    source's top-level item table and the rendered summary. [base_of]
+    builds one through {!Cachier.Annotate.annotate_and_plan}.
     [annotate_delta] then serves a span edit against a base and returns
     the edited source's base, so the next edit can start from it:
 
     - digest-identical edit → the base itself ([Noop]);
     - edit provably trace-preserving ({!Taint}) → splice the edited
-      procedure into the base's AST ({!Splice}), re-check only the
-      procedures whose digest differs from the base's, and re-apply the
-      base's placement plan to the edited AST ([Plan_reuse]) —
-      microseconds instead of a full simulation, byte-identical output
-      by construction. The edited base is {e chained}: it shares the
-      plan and epoch info of its parent and adds only two ASTs;
+      procedure into the base's AST ({!Splice}, from the base's item
+      table), check only that procedure against the base's sema info
+      (the whole program when its header changed or the splice was a
+      full parse), and re-apply the base's placement plan to the edited
+      AST ([Plan_reuse]) — microseconds instead of a full simulation,
+      byte-identical output by construction. The edited base is
+      {e chained}: it shares the plan, epoch info, report and summary of
+      its parent and adds only two ASTs and the edited item table;
     - anything else → full re-annotation of the edited source ([Resim]),
       whose base is computed from scratch.
 
@@ -28,6 +31,8 @@ type base = {
   info : Lang.Sema.info;  (** sema of the source *)
   plan : Cachier.Placement.plan;
   result : Cachier.Annotate.result;
+  items : Splice.item list;  (** [Splice.items] of the source *)
+  summary : string;  (** [Cachier.Annotate.summary result] *)
 }
 
 type reuse =
@@ -51,13 +56,15 @@ val base_of :
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
   ?trace:Trace.Event.record list ->
+  source:string ->
   Lang.Ast.program ->
   base
-(** The full pipeline for a parsed source: sema, the trace-mode run
-    (skipped when [trace], the program's trace on [machine], is given)
-    and {!Cachier.Annotate.annotate_and_plan}. Raises like the cold path
-    on invalid programs. [poll] is the trace run's cancellation hook
-    ({!Wwt.Sched.run}). *)
+(** [base_of ~source program], where [program] is the parse of [source]:
+    the full pipeline, sema, the trace-mode run (skipped when [trace],
+    the program's trace on [machine], is given) and
+    {!Cachier.Annotate.annotate_and_plan}, then the source's item table
+    and the summary. Raises like the cold path on invalid programs.
+    [poll] is the trace run's cancellation hook ({!Wwt.Sched.run}). *)
 
 val annotate_delta :
   ?poll:(unit -> unit) ->

@@ -88,34 +88,22 @@ let int_literals src =
       | _ -> None)
     (Lang.Lexer.tokenize_loc src)
 
-let splice ~base ~base_ast span text =
+let splice ~items ~base ~base_ast span text =
   let edited = apply_edit base span text in
   let full () = (Lang.Parser.parse edited, `Full) in
-  let target =
-    (* The incremental path needs the edit fully inside one procedure item:
-       everything before the item is then byte-identical in the edited
-       source, so the item's slice can be re-parsed in isolation. *)
-    try
-      let s = span.start and e = span.start + span.len in
-      let contained it =
-        if span.len = 0 then it.istart < s && s < it.istop
-        else it.istart <= s && e <= it.istop
-      in
-      match List.filter contained (items base) with
-      | [ ({ ikind = Proc; _ } as it) ] ->
-          let k = ref 0 and found = ref None in
-          List.iter
-            (fun it' ->
-              if it'.ikind = Proc then begin
-                if it'.istart = it.istart then found := Some !k;
-                incr k
-              end)
-            (items base);
-          Option.map (fun k -> (it, k)) !found
-      | _ -> None
-    with _ -> None
+  (* The incremental path needs the edit strictly inside one procedure
+     item, off its first and last byte: everything before the item is
+     then byte-identical in the edited source, so the item's slice can be
+     re-parsed in isolation, and the item keeps its first and last token,
+     so the edited table is the base's shifted past the edit. *)
+  let s = span.start and e = span.start + span.len in
+  let rec target k = function
+    | [] -> None
+    | it :: _ when it.istart < s && e < it.istop ->
+        if it.ikind = Proc then Some (it, k) else None
+    | it :: rest -> target (if it.ikind = Proc then k + 1 else k) rest
   in
-  match target with
+  match target 0 items with
   | None -> full ()
   | Some (it, k) -> (
       let delta = String.length text - span.len in
@@ -136,5 +124,11 @@ let splice ~base ~base_ast span text =
               (fun i p0 -> if i = k then pr else p0)
               base_ast.Lang.Ast.procs
           in
+          let shift it' =
+            if it'.istop <= s then it'
+            else if it' == it then
+              { it with iname = pr.Lang.Ast.pname; istop = it.istop + delta }
+            else { it' with istart = it'.istart + delta; istop = it'.istop + delta }
+          in
           ( Lang.Ast.renumber { base_ast with Lang.Ast.procs },
-            `Incremental pr.Lang.Ast.pname ))
+            `Incremental (k, List.map shift items) ))

@@ -2,10 +2,11 @@
 
     An edit is a byte-span replacement against a base source text. The
     splicer maps the span onto the base program's top-level items using
-    the lexer's token offsets ({!Lang.Lexer.tokenize_loc}): an edit that
-    falls strictly inside a single procedure re-parses only that
-    procedure's slice and substitutes it into the cached AST; anything
-    wider (a declaration, a span crossing an item boundary, an edit that
+    the lexer's token offsets ({!Lang.Lexer.tokenize_loc}), tabled once
+    per base ({!items}): an edit that falls strictly inside a single
+    procedure re-parses only that procedure's slice and substitutes it
+    into the cached AST; anything wider (a declaration, a span crossing
+    an item boundary or touching its first or last byte, an edit that
     changes the item structure) falls back to a full re-parse. Either way
     the result is byte-for-byte the program a full parse of the edited
     source would produce — sids included — which the qcheck property
@@ -41,14 +42,17 @@ val int_literals : string -> (span * int) list
     generator and the benchmark harness. *)
 
 val splice :
+  items:item list ->
   base:string ->
   base_ast:Lang.Ast.program ->
   span ->
   string ->
-  Lang.Ast.program * [ `Incremental of string | `Full ]
-(** [splice ~base ~base_ast span text] parses the edited source,
-    incrementally when the edit stays inside one procedure ([`Incremental
-    name] re-parses only that procedure's slice and renumbers), and with a
-    full {!Lang.Parser.parse} otherwise. [base_ast] must be the parse of
-    [base]. Raises whatever a full parse of the edited source would raise
-    when the edited text is invalid. *)
+  Lang.Ast.program * [ `Incremental of int * item list | `Full ]
+(** [splice ~items ~base ~base_ast span text] parses the edited source,
+    incrementally when the edit stays strictly inside one procedure
+    ([`Incremental (k, items')] re-parses only the slice of [procs]'s
+    [k]-th procedure and renumbers; [items'] is the edited source's
+    table), and with a full {!Lang.Parser.parse} otherwise. [items] must
+    be [items base] and [base_ast] the parse of [base]; the base is not
+    tokenized again. Raises whatever a full parse of the edited source
+    would raise when the edited text is invalid. *)

@@ -583,8 +583,9 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
       in
       (* -- oracle 7: incremental re-annotation. A deterministic
          single-token edit of the pretty-printed source is served once by
-         the delta engine and once from scratch; the annotated source
-         must be byte-identical and the report and epoch info equal. The
+         the delta engine and once from scratch; the annotated source and
+         the base's summary must be byte-identical and the report and
+         epoch info equal. The
          candidate index is hashed from the source, so a campaign replays
          exactly; the edit's value is irrelevant to the engine's
          reuse-vs-resim decision, which depends only on the span's
@@ -628,14 +629,14 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                   attempt (fun () ->
                       let base =
                         Delta.Engine.base_of ~machine ~options:perf_options
-                          (Lang.Parser.parse source)
+                          ~source (Lang.Parser.parse source)
                       in
                       (Delta.Engine.annotate_delta ~machine
                          ~options:perf_options ~base ~source span text)
-                        .Delta.Engine.base.Delta.Engine.result)
+                        .Delta.Engine.base)
                 in
                 match (cold, incr_) with
-                | Ok c, Ok d ->
+                | Ok c, Ok { Delta.Engine.result = d; summary; _ } ->
                     if
                       not
                         (String.equal
@@ -652,6 +653,9 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                         d.Cachier.Annotate.einfo
                       <> 0
                     then Fail "delta epoch info differs from from-scratch"
+                    else if
+                      not (String.equal (Cachier.Annotate.summary c) summary)
+                    then Fail "delta summary differs from from-scratch"
                     else Pass
                 | Error a, Error b ->
                     if String.equal (exn_class a) (exn_class b) then Pass

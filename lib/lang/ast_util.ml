@@ -59,28 +59,6 @@ let set_const program name v =
         program.Ast.decls;
   }
 
-(* Content digests, ignoring statement ids: two subtrees that pretty-print
-   identically get the same digest. The delta engine compares procedure
-   digests to re-check only the procedures an edit changed. *)
-let rec strip_sids_stmt (s : Ast.stmt) =
-  let node =
-    match s.Ast.node with
-    | Ast.Sif (e, b1, b2) ->
-        Ast.Sif (e, List.map strip_sids_stmt b1, List.map strip_sids_stmt b2)
-    | Ast.Sfor fl -> Ast.Sfor { fl with body = List.map strip_sids_stmt fl.body }
-    | Ast.Swhile (e, b) -> Ast.Swhile (e, List.map strip_sids_stmt b)
-    | ( Ast.Sassign _ | Ast.Sbarrier | Ast.Scall _ | Ast.Sreturn _
-      | Ast.Slock _ | Ast.Sunlock _ | Ast.Sannot _ | Ast.Sannot_table _
-      | Ast.Sprint _ ) as n ->
-        n
-  in
-  { Ast.sid = 0; node }
-
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
-
-let proc_digest (p : Ast.proc) =
-  digest_of (p.Ast.pname, p.Ast.params, List.map strip_sids_stmt p.Ast.body)
-
 let barrier_sids program =
   List.rev
     (Ast.fold_stmts

@@ -21,12 +21,6 @@ val append_to_proc : Ast.program -> proc:string -> Ast.stmt list -> Ast.program
 val barrier_sids : Ast.program -> int list
 (** Statement ids of every [barrier], in textual order. *)
 
-val proc_digest : Ast.proc -> string
-(** Content hash of a procedure (name, params, body), ignoring statement
-    ids: two procedures that pretty-print identically share a digest. The
-    delta engine re-checks only the procedures whose digest an edit
-    changed. *)
-
 val set_const : Ast.program -> string -> int -> Ast.program
 (** [set_const p name v] replaces the value of constant declaration
     [name] (used to re-run an annotated program on a different input data

@@ -6,10 +6,7 @@ let simulate_report (outcome : Wwt.Interp.outcome) =
   pr "%s\n" (Fmt.str "%a" Memsys.Stats.pp outcome.Wwt.Interp.stats);
   Buffer.contents buf
 
-let annotate_summary (result : Cachier.Annotate.result) =
-  Fmt.str "@.%d annotation(s) inserted@." result.Cachier.Annotate.n_edits
-  ^ Fmt.str "--- report ---@.%s@."
-      (Cachier.Report.to_string result.Cachier.Annotate.report)
+let annotate_summary = Cachier.Annotate.summary
 
 let trace_stats_report ~nodes records =
   let summary = Trace.Summary.analyze ~nodes ~labels:[] records in

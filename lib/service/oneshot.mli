@@ -10,9 +10,9 @@ val simulate_report : Wwt.Interp.outcome -> string
     [execution time: N cycles] line, then the memory-system statistics. *)
 
 val annotate_summary : Cachier.Annotate.result -> string
-(** The stderr block [cachier_cli] prints after the annotated program:
-    the edit count and the race / false-sharing report. (The stdout
-    payload is {!Cachier.Annotate.to_source} itself.) *)
+(** {!Cachier.Annotate.summary}: the stderr block [cachier_cli] prints
+    after the annotated program. (The stdout payload is
+    {!Cachier.Annotate.to_source} itself.) *)
 
 val trace_stats_report : nodes:int -> Trace.Event.record list -> string
 (** Everything [trace_stats] prints on stdout: the summary and the

@@ -153,10 +153,11 @@ let annotate_codec =
   }
 
 (* Delta bases live in memory only. A computed base is charged what
-   its epoch info holds, which is nearly all of its resident size; its
-   parse is a separate artifact. A chained base (a plan-reuse edit's)
-   shares its parent's plan and epoch info, so only its two new ASTs are
-   charged. *)
+   its epoch info, item table and summary hold, which is nearly all of
+   its resident size; its parse is a separate artifact. A chained base (a
+   plan-reuse edit's) shares its parent's plan, epoch info, summary and
+   item names, so only its two new ASTs and its table's cells and
+   records are charged. *)
 let base_codec size =
   {
     of_art = (function Base b -> Some b | _ -> None);
@@ -225,13 +226,28 @@ let einfo_words (einfo : Cachier.Epoch_info.t) =
     einfo.Cachier.Epoch_info.epochs;
   !words
 
+(* a string's header and its padded bytes *)
+let string_words s = 2 + (String.length s / (Sys.word_size / 8))
+
+(* an item's list cell and record *)
+let item_words = 3 + 5
+
 let computed_base_bytes (b : Delta.Engine.base) =
+  let items = b.Delta.Engine.items in
   (Sys.word_size / 8)
-  * einfo_words b.Delta.Engine.result.Cachier.Annotate.einfo
+  * (einfo_words b.Delta.Engine.result.Cachier.Annotate.einfo
+    + List.fold_left
+        (fun w (it : Delta.Splice.item) -> w + item_words + string_words it.iname)
+        0 items
+    + string_words b.Delta.Engine.summary)
+
+let chained_base_bytes ~source (b : Delta.Engine.base) =
+  (2 * ast_bytes source)
+  + ((Sys.word_size / 8) * item_words * List.length b.Delta.Engine.items)
 
 let computed_base = base_codec computed_base_bytes
 
-let chained_base source = base_codec (fun _ -> 2 * ast_bytes source)
+let chained_base source = base_codec (chained_base_bytes ~source)
 
 let write_through t codec ~key v =
   Cache.put t.cache ~key ~size:(codec.size v) (codec.to_art v);
@@ -384,6 +400,7 @@ let base_stage t ~machine ~mode ~prefetch ~poll ~id source =
          Delta.Engine.base_of ~machine:(Protocol.to_machine machine)
            ~options:(placement_options ~mode ~prefetch)
            ~trace:(trace_records t ~machine ~seed:None ~source ~poll)
+           ~source
            (parsed_program t ~source ~seed:None)))
 
 (* Stage: incremental re-annotation of a known base. The result is keyed
@@ -424,7 +441,11 @@ let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
             ~source span text
         in
         let edited_base = outcome.Delta.Engine.base in
-        let result = annotated edited_base.Delta.Engine.result in
+        (* a chained base's summary is its parent's, rendered once *)
+        let result =
+          ( Cachier.Annotate.to_source edited_base.Delta.Engine.result,
+            edited_base.Delta.Engine.summary )
+        in
         write_through t annotate_codec ~key:(key "annotate") result;
         let remember codec =
           write_through t text_codec ~key:("src|" ^ artifact) edited;

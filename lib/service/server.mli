@@ -28,9 +28,10 @@
     ["base"], a memory-only artifact built from the cached parse and
     trace), and caches the edited source and its base the same way, so
     an edit of the edit starts warm. A computed base is charged what its
-    epoch info holds ({!computed_base_bytes}); a chained base, which
-    shares its parent's plan and epoch info, is charged only for its two
-    new ASTs.
+    epoch info, item table and summary hold ({!computed_base_bytes}); a
+    chained base, which shares its parent's plan, epoch info and summary,
+    is charged only for its two new ASTs and its item table
+    ({!chained_base_bytes}).
 
     {b One request path.} {!handle} and {!handle_async} are thin callers
     of one dispatch. It stamps the request once, on arrival, with the
@@ -152,5 +153,10 @@ val stage_key :
 val computed_base_bytes : Delta.Engine.base -> int
 (** What the hot tier charges for a computed delta base: every miss
     record of its epoch info, with its list cell and its slot in the
-    address-ordered array, plus every set array the epoch info holds.
-    A chained base is charged only its two new ASTs. *)
+    address-ordered array, plus every set array the epoch info holds,
+    its item table and its summary. *)
+
+val chained_base_bytes : source:string -> Delta.Engine.base -> int
+(** What the hot tier charges for a chained delta base, whose edited
+    source is [source]: its two new ASTs and its item table's cells and
+    records. *)

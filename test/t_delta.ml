@@ -16,7 +16,11 @@ let bench_sources () =
 let parse_or_err src = try Ok (Parser.parse src) with e -> Error (Printexc.to_string e)
 
 let splice_or_err base base_ast span text =
-  try Ok (fst (Delta.Splice.splice ~base ~base_ast span text))
+  try
+    Ok
+      (fst
+         (Delta.Splice.splice ~items:(Delta.Splice.items base) ~base ~base_ast
+            span text))
   with e -> Error (Printexc.to_string e)
 
 (* splice(src, span, text) = parse(apply_edit(src, span, text)), sids
@@ -74,7 +78,10 @@ let prop_int_edits_incremental =
       let span, _ = List.nth lits k in
       let text = string_of_int v in
       let base_ast = Parser.parse src in
-      let prog, how = Delta.Splice.splice ~base:src ~base_ast span text in
+      let prog, how =
+        Delta.Splice.splice ~items:(Delta.Splice.items src) ~base:src ~base_ast
+          span text
+      in
       let full = Parser.parse (Delta.Splice.apply_edit src span text) in
       (match how with
       | `Incremental _ -> ()
@@ -89,7 +96,10 @@ let test_edit_at_position_zero () =
   let base_ast = Parser.parse src in
   let span = { Delta.Splice.start = 0; len = 0 } in
   let text = "/* lead */ " in
-  let prog, how = Delta.Splice.splice ~base:src ~base_ast span text in
+  let prog, how =
+    Delta.Splice.splice ~items:(Delta.Splice.items src) ~base:src ~base_ast
+      span text
+  in
   Alcotest.(check bool) "full path" true (how = `Full);
   Alcotest.(check bool) "agrees with parse" true
     (prog = Parser.parse (Delta.Splice.apply_edit src span text))
@@ -108,7 +118,7 @@ let test_edit_spanning_proc_boundary () =
       let text = "} " in
       let base_ast = Parser.parse src in
       let _, how =
-        try Delta.Splice.splice ~base:src ~base_ast span text
+        try Delta.Splice.splice ~items ~base:src ~base_ast span text
         with _ -> (base_ast, `Full)
       in
       Alcotest.(check bool) "full path" true (how = `Full)
@@ -123,7 +133,7 @@ let test_insertion_inside_proc_incremental () =
   let span = { Delta.Splice.start = brace + 1; len = 0 } in
   let text = " zz9 = 1; " in
   let base_ast = Parser.parse src in
-  let prog, how = Delta.Splice.splice ~base:src ~base_ast span text in
+  let prog, how = Delta.Splice.splice ~items ~base:src ~base_ast span text in
   (match how with
   | `Incremental _ -> ()
   | `Full -> Alcotest.fail "expected the incremental path");
@@ -209,7 +219,8 @@ let first_safe_edit src =
   in
   pick (Delta.Splice.int_literals src)
 
-let base_of src = Delta.Engine.base_of ~machine ~options:opts (Parser.parse src)
+let base_of src =
+  Delta.Engine.base_of ~machine ~options:opts ~source:src (Parser.parse src)
 
 let delta ?base src span text =
   let base = match base with Some b -> b | None -> base_of src in

@@ -521,12 +521,11 @@ let test_computed_base_charge_is_resident_size () =
           let machine =
             Protocol.to_machine { small_machine with Protocol.nodes }
           in
-          let program =
-            Lang.Parser.parse (Benchmarks.Suite.find ~nodes prog).source
-          in
+          let source = (Benchmarks.Suite.find ~nodes prog).source in
           let base =
             Delta.Engine.base_of ~machine
-              ~options:Cachier.Placement.default_options program
+              ~options:Cachier.Placement.default_options ~source
+              (Lang.Parser.parse source)
           in
           let bytes v = (Sys.word_size / 8) * Obj.reachable_words (Obj.repr v) in
           let resident = bytes base - bytes base.Delta.Engine.program in
@@ -537,6 +536,62 @@ let test_computed_base_charge_is_resident_size () =
               prog nodes charged resident ratio)
         [ 8; 16 ])
     Benchmarks.Suite.names
+
+(* The hot tier charges a chained delta base (a plan-reuse edit's) about
+   what it holds resident beyond its parent: its two ASTs, whole (the
+   parent may be evicted first), and what its item table does not share
+   with the parent's; on matmul and ocean at 8 nodes. *)
+let test_chained_base_charge_is_resident_size () =
+  List.iter
+    (fun prog ->
+      let machine =
+        Protocol.to_machine { small_machine with Protocol.nodes = 8 }
+      in
+      let options = Cachier.Placement.default_options in
+      let source = (Benchmarks.Suite.find ~nodes:8 prog).source in
+      let program = Lang.Parser.parse source in
+      let edit =
+        List.find_map
+          (fun (span, v) ->
+            let text = string_of_int (v + 1) in
+            match
+              Delta.Taint.compare_and_prove ~base:program
+                ~edited:
+                  (Lang.Parser.parse (Delta.Splice.apply_edit source span text))
+            with
+            | Delta.Taint.Preserved _ -> Some (span, text)
+            | Delta.Taint.Broken _ | (exception _) -> None)
+          (Delta.Splice.int_literals source)
+      in
+      match edit with
+      | None -> Alcotest.failf "%s-8: no provable edit" prog
+      | Some (span, text) ->
+          let parent = Delta.Engine.base_of ~machine ~options ~source program in
+          let o =
+            Delta.Engine.annotate_delta ~machine ~options ~base:parent ~source
+              span text
+          in
+          Alcotest.(check string) (prog ^ "-8: reuse") "plan-reuse"
+            (Delta.Engine.reuse_to_string o.Delta.Engine.reuse);
+          let base = o.Delta.Engine.base in
+          let words v = Obj.reachable_words (Obj.repr v) in
+          let resident =
+            (Sys.word_size / 8)
+            * (words
+                 ( base.Delta.Engine.program,
+                   base.Delta.Engine.result.Cachier.Annotate.annotated )
+              + words (base.Delta.Engine.items, parent)
+              - words parent)
+          in
+          let charged =
+            Server.chained_base_bytes ~source:o.Delta.Engine.edited_source base
+          in
+          let ratio = float_of_int charged /. float_of_int resident in
+          if ratio < 0.8 || ratio > 1.2 then
+            Alcotest.failf "%s-8: chained base charged %d B, resident %d B \
+                            (ratio %.2f)"
+              prog charged resident ratio)
+    [ "matmul"; "ocean" ]
 
 let test_parse_and_race_and_trace_stats () =
   with_server (fun server ->
@@ -1352,6 +1407,8 @@ let suite =
       test_trace_charge_is_resident_size;
     Alcotest.test_case "a computed delta base is charged its resident size"
       `Quick test_computed_base_charge_is_resident_size;
+    Alcotest.test_case "a chained delta base is charged its resident size"
+      `Quick test_chained_base_charge_is_resident_size;
     Alcotest.test_case "parse / race_report / trace_stats" `Quick
       test_parse_and_race_and_trace_stats;
     Alcotest.test_case "malformed inline trace" `Quick
