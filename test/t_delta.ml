@@ -382,6 +382,122 @@ let test_header_edit_raises_cold_error () =
   | exception Sema.Error msg ->
       Alcotest.(check string) "the cold path's error" cold msg
 
+(* The Figure 6 sources and examples/programs, each whose cold annotate
+   runs at 4 nodes. *)
+let chain_sources =
+  lazy
+    (let examples =
+       match T_obs.example "jacobi.sm" with
+       | None -> []
+       | Some path ->
+           let dir = Filename.dirname path in
+           Sys.readdir dir |> Array.to_list |> List.sort compare
+           |> List.filter (fun f -> Filename.check_suffix f ".sm")
+           |> List.map (fun f -> (f, T_obs.read_file (Filename.concat dir f)))
+     in
+     List.filter
+       (fun (_, src) ->
+         match Cachier.Annotate.annotate_source ~machine ~options:opts src with
+         | _ -> true
+         | exception _ -> false)
+       (bench_sources () @ examples))
+
+(* One step's edit of [src]: a new value for an int literal inside a
+   procedure that the taint prover accepts (kinds 0 to 2; any value
+   keeps the trace, so the edited program terminates), a comment (kind 3,
+   or when no literal is provable) or a statement (kind 4) inserted after
+   a [;] or [{] inside a procedure, or a comment appended after the last
+   item (kind 5, a full splice). *)
+let chain_edit src (kind, pick, v) =
+  let provable =
+    List.filter
+      (fun (span, v) ->
+        match
+          Delta.Taint.compare_and_prove ~base:(Parser.parse src)
+            ~edited:
+              (Parser.parse
+                 (Delta.Splice.apply_edit src span (string_of_int (v + 1))))
+        with
+        | Delta.Taint.Preserved _ -> true
+        | Delta.Taint.Broken _ | (exception _) -> false)
+      (Delta.Splice.int_literals src)
+  in
+  let nth l = List.nth l (pick mod List.length l) in
+  if kind <= 2 && provable <> [] then (fst (nth provable), string_of_int v)
+  else if kind = 5 then
+    ({ Delta.Splice.start = String.length src; len = 0 }, "\n/* z */\n")
+  else
+    let points =
+      List.concat_map
+        (fun (it : Delta.Splice.item) ->
+          if it.ikind <> Delta.Splice.Proc then []
+          else
+            List.filter
+              (fun i -> src.[i] = ';' || src.[i] = '{')
+              (List.init (it.istop - it.istart - 1) (fun i -> it.istart + i)))
+        (Delta.Splice.items src)
+    in
+    let text = if kind = 4 then " zz9 = 1;" else " /* z */" in
+    ({ Delta.Splice.start = nth points + 1; len = 0 }, text)
+
+(* Chains of 2 to 4 in-procedure edits, each served against the previous
+   edit's base: every base carries the item table of its own source, and
+   every outcome's source, report and summary are a cold annotate's. An
+   edit the cold path refuses must be refused too, and ends the chain. *)
+let prop_chained_edits_match_cold =
+  let gen =
+    QCheck.make
+      ~print:(fun (k, steps) ->
+        Printf.sprintf "%s: %s"
+          (fst (List.nth (Lazy.force chain_sources) k))
+          (String.concat "; "
+             (List.map
+                (fun (kind, pick, v) ->
+                  Printf.sprintf "kind %d, pick %d, value %d" kind pick v)
+                steps)))
+      QCheck.Gen.(
+        let* k = int_bound (List.length (Lazy.force chain_sources) - 1) in
+        let* steps =
+          list_size (int_range 2 4)
+            (triple (int_bound 5) (int_bound 999) (int_range 0 9))
+        in
+        return (k, steps))
+  in
+  QCheck.Test.make ~count:50 ~name:"chained edits match a cold annotate" gen
+    (fun (k, steps) ->
+      let src = snd (List.nth (Lazy.force chain_sources) k) in
+      let rec run base src = function
+        | [] -> true
+        | step :: rest -> (
+            let span, text = chain_edit src step in
+            let edited = Delta.Splice.apply_edit src span text in
+            match
+              Cachier.Annotate.annotate_source ~machine ~options:opts edited
+            with
+            | exception _ -> (
+                match delta ~base src span text with
+                | _ -> QCheck.Test.fail_report "the cold path refused the edit"
+                | exception _ -> true)
+            | cold ->
+                let o = delta ~base src span text in
+                let b = o.Delta.Engine.base in
+                if b.Delta.Engine.items <> Delta.Splice.items edited then
+                  QCheck.Test.fail_report "carried table differs";
+                if
+                  Cachier.Annotate.to_source cold
+                  <> Cachier.Annotate.to_source b.Delta.Engine.result
+                then QCheck.Test.fail_report "source differs";
+                if
+                  compare cold.Cachier.Annotate.report
+                    b.Delta.Engine.result.Cachier.Annotate.report
+                  <> 0
+                then QCheck.Test.fail_report "report differs";
+                if Cachier.Annotate.summary cold <> b.Delta.Engine.summary then
+                  QCheck.Test.fail_report "summary differs";
+                run b edited rest)
+      in
+      run (base_of src) src steps)
+
 let suite =
   [
     Qc.qtest prop_splice_equals_parse;
@@ -420,4 +536,5 @@ let suite =
       test_sema_incremental_caches_procs;
     Alcotest.test_case "engine: a header edit raises the cold path's error"
       `Quick test_header_edit_raises_cold_error;
+    Qc.qtest prop_chained_edits_match_cold;
   ]
