@@ -343,11 +343,10 @@ let test_chained_edits_stay_warm () =
   in
   check_outcome_matches_cold "chained" o2 cold
 
-(* The base's procedure digests stand for its sema verdicts: only a
-   procedure whose digest differs from the base's is re-checked. A base
-   whose sema info has lost the shared array that only [main] uses shows
-   it: an edit of [f] passes, an edit of [main] is re-checked and
-   fails. *)
+(* An incremental edit checks only the spliced procedure, against the
+   base's sema info; the others keep the base's verdicts. A base whose
+   sema info has lost the shared array that only [main] uses shows it:
+   an edit of [f] passes, an edit of [main] is checked and fails. *)
 let test_sema_incremental_caches_procs () =
   let src =
     "shared A[8]; proc f() { x = 1; } proc main() { f(); A[pid] = 2; barrier; }"
