@@ -17,7 +17,14 @@ Delta, in both modes: an examples/programs file is annotated as inline
 text, which makes it a delta base whose artifact id is the MD5 hex of
 the text. The edit CI's Delta smoke makes (appending a comment) then
 goes twice as annotate_delta: the first must report plan-reuse, the
-second must be a cache hit with an identical payload.
+second must be a cache hit with an identical payload. Appending after
+the last item takes the splicer's full-parse path, so two more edits
+take the paths an editor's edits take: the first int literal inside
+the program's procedure that the server answers plan-reuse gets a
+one-digit-longer value (an incremental splice), and the same literal
+is edited again against that edit's artifact, a chained base. Both
+must be plan-reuse, and each payload and report must be byte-identical
+to cachier_cli --nodes 4 run cold on the edited text.
 
 Errors, in both modes: with --queue-capacity 0 every work request is
 refused. A malformed line must get bad_request with id 0, a simulate
@@ -26,11 +33,13 @@ request and one error of each kind. Over the socket the requests go
 lock-step, so stats cannot be answered before the earlier bookings.
 
 Usage: cachierd_smoke.py [SERVER_BINARY...] [--stdio-only | --socket-only]
+The cold reference is the cachier_cli.exe next to SERVER_BINARY.
 """
 
 import hashlib
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -67,6 +76,7 @@ DELTA_PROGRAM = os.path.join(
 )
 DELTA_EDIT = "\n// delta-smoke edit\n"
 DELTA_ID = 9
+CHAIN_ID = 100
 
 
 def delta_requests():
@@ -86,6 +96,94 @@ def delta_requests():
         dict(edit, id=DELTA_ID + 1),
         dict(edit, id=DELTA_ID + 2),
     ]
+
+
+# The mini-language's comments, numbers, identifiers and other
+# characters, as its lexer splits them.
+TOKEN = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\d+(?:\.(?!\.)\d*)?(?:[eE][-+]?\d+)?"
+    r"|[A-Za-z_][A-Za-z0-9_]*|.",
+    re.S,
+)
+
+
+def proc_int_literals(text):
+    """(offset, literal) of each int literal inside a procedure body."""
+    found, depth, in_proc = [], 0, False
+    for m in TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "proc" and depth == 0:
+            in_proc = True
+        elif tok == "{":
+            depth += 1
+        elif tok == "}":
+            depth -= 1
+            in_proc = in_proc and depth > 0
+        elif in_proc and depth > 0 and tok.isdigit():
+            found.append((m.start(), tok))
+    return found
+
+
+def cold_annotate(cli, text):
+    """cachier_cli's stdout and stderr for a cold 4-node annotate."""
+    with tempfile.NamedTemporaryFile("w", suffix=".sm", delete=False) as f:
+        f.write(text)
+    try:
+        proc = subprocess.run(
+            [cli, "--nodes", "4", "-f", f.name],
+            capture_output=True, text=True, timeout=300,
+        )
+    finally:
+        os.unlink(f.name)
+    if proc.returncode != 0:
+        fail(f"cachier_cli exited {proc.returncode}: {proc.stderr}")
+    return proc.stdout, proc.stderr
+
+
+def check_delta_chain(call, cli, mode, next_id):
+    """The plan-reuse literal edit and the edit of that edit, against the
+    base check_delta left annotated; [call] sends one request and returns
+    its response."""
+    with open(DELTA_PROGRAM, "rb") as f:
+        text = f.read().decode()
+
+    def edit(base, start, old, new):
+        nonlocal next_id
+        next_id += 1
+        resp = call({
+            "id": next_id, "op": "annotate_delta",
+            "base": hashlib.md5(base.encode()).hexdigest(),
+            "start": start, "len": len(old), "text": new, "nodes": 4,
+        })
+        if "error" in resp:
+            fail(f"{mode}: delta id {next_id}: {resp['error']}: "
+                 f"{resp.get('message')}")
+        return resp, base[:start] + new + base[start + len(old):]
+
+    for start, lit in proc_int_literals(text):
+        first_text = str(int(lit) * 10 + 7)
+        first, edited = edit(text, start, lit, first_text)
+        if first.get("reuse") == "plan-reuse":
+            break
+    else:
+        fail(f"{mode}: no int literal of {os.path.basename(DELTA_PROGRAM)} "
+             "is answered plan-reuse")
+    second, chained = edit(edited, start, first_text, str(int(lit) + 1))
+    for name, resp, src in (("literal edit", first, edited),
+                            ("edit of the edit", second, chained)):
+        if resp.get("reuse") != "plan-reuse":
+            fail(f"{mode}: {name}: reuse {resp.get('reuse')!r}, "
+                 "expected 'plan-reuse'")
+        if resp.get("artifact") != hashlib.md5(src.encode()).hexdigest():
+            fail(f"{mode}: {name}: artifact is not the MD5 hex of the "
+                 "edited text")
+        payload, report = cold_annotate(cli, src)
+        if resp["payload"] != payload:
+            fail(f"{mode}: {name}: payload differs from cachier_cli")
+        if resp["report"] != report:
+            fail(f"{mode}: {name}: report differs from cachier_cli")
+    print(f"ok [{mode}]: literal edit at byte {start} and its chained edit "
+          "plan-reuse, payloads and reports = cachier_cli")
 
 
 def fail(msg):
@@ -147,33 +245,56 @@ def check_delta(by_id, requests, mode):
           "identical")
 
 
-def smoke_stdio(server):
-    # One worker: all requests arrive in one burst, and a single worker
-    # drains them FIFO, so the repeated request deterministically finds
-    # the artifact its predecessor cached.
+def smoke_stdio(server, cli):
+    # One worker: all requests but the shutdown arrive in one burst, and
+    # a single worker drains them FIFO, so the repeated request
+    # deterministically finds the artifact its predecessor cached. The
+    # literal edits then go lock-step, and the shutdown last.
     delta = delta_requests()
     requests = REQUESTS[:4] + LARGE + delta + REQUESTS[4:]
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         server + ["--workers", "1"],
-        input="".join(json.dumps(r) + "\n" for r in requests),
-        capture_output=True,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=300,
     )
-    if proc.returncode != 0:
-        fail(f"stdio: server exited {proc.returncode}: {proc.stderr}")
-
     by_id = {}
-    for line in proc.stdout.splitlines():
-        if line.strip():
+
+    def call(req):
+        proc.stdin.write(json.dumps(req) + "\n")
+        proc.stdin.flush()
+        line = proc.stdout.readline()
+        if not line:
+            fail(f"stdio: server closed stdout: {proc.stderr.read()}")
+        resp = json.loads(line)
+        by_id[resp["id"]] = resp
+        return resp
+
+    try:
+        proc.stdin.write("".join(json.dumps(r) + "\n" for r in requests[:-1]))
+        proc.stdin.flush()
+        for _ in requests[:-1]:
+            line = proc.stdout.readline()
+            if not line:
+                fail(f"stdio: server closed stdout: {proc.stderr.read()}")
             resp = json.loads(line)
             by_id[resp["id"]] = resp
+        check_delta(by_id, delta, "stdio")
+        check_delta_chain(call, cli, "stdio", CHAIN_ID)
+        call(requests[-1])
+        _, err = proc.communicate(timeout=300)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    if proc.returncode != 0:
+        fail(f"stdio: server exited {proc.returncode}: {err}")
     check_responses(by_id, requests, "stdio", PAIRS + LARGE_PAIRS)
-    check_delta(by_id, delta, "stdio")
     print("ok [stdio]: graceful shutdown (exit 0)")
 
 
-def smoke_socket(server):
+def smoke_socket(server, cli):
     path = os.path.join(
         tempfile.gettempdir(), f"cachierd_smoke_{os.getpid()}.sock"
     )
@@ -233,8 +354,15 @@ def smoke_socket(server):
             for i, req in enumerate(delta):
                 send_chunked([req])
                 read_until(6 + i)
+            check_delta(by_id, delta, "socket")
+
+            def call(req):
+                send_chunked([req])
+                read_until(len(by_id) + 1)
+                return by_id[req["id"]]
+
+            check_delta_chain(call, cli, "socket", CHAIN_ID)
         check_responses(by_id, REQUESTS[:-1], "socket", PAIRS)
-        check_delta(by_id, delta, "socket")
 
         # graceful SIGTERM: drain, remove the socket file, exit 0
         proc.send_signal(signal.SIGTERM)
@@ -346,12 +474,16 @@ def main():
     socket_only = "--socket-only" in args
     server = [a for a in args if a not in ("--stdio-only", "--socket-only")]
     server = server or ["_build/default/bin/cachierd.exe"]
+    # the cold reference for the literal edits: the CLI built beside it
+    cli = os.path.join(os.path.dirname(server[0]), "cachier_cli.exe")
+    if not os.path.exists(cli):
+        fail(f"{cli} not found: build bin/cachier_cli.exe too")
 
     if not socket_only:
-        smoke_stdio(server)
+        smoke_stdio(server, cli)
         smoke_errors_stdio(server)
     if not stdio_only:
-        smoke_socket(server)
+        smoke_socket(server, cli)
         smoke_errors_socket(server)
 
 
