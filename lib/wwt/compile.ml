@@ -596,47 +596,55 @@ type affine = {
 let[@inline] affine_at r f =
   f.c + (f.a1 * r.ints.(f.s1)) + (f.a2 * r.ints.(f.s2)) + (f.ap * r.node)
 
-(* [Some (c, terms, n)]: [e] is [c] plus [a·x] over its [terms] (an int
-   slot [x], or -1 for [pid], with coefficient [a]), in [n] nodes *)
-let rec linear env (e : Ast.expr) =
+(* An int tree's normal form, built bottom up once per tree: [Lin (c,
+   terms, n)] is [c] plus [a·x] over its [terms] (an int slot [x], or -1
+   for [pid], with coefficient [a]), in [n] nodes. A [+], [-], [*] or
+   unary [-] that is not linear keeps its operands' forms in [Split], so
+   compiling the operands does not normalise them again; [Other] is any
+   other tree, or a form not worked out yet. *)
+type norm = Lin of int * (int * int) list * int | Split of norm * norm | Other
+
+let rec normalise env (e : Ast.expr) =
   let scale k = List.map (fun (x, a) -> (x, k * a)) in
   let sum f a b =
-    match (linear env a, linear env b) with
-    | Some (c, ts, n), Some (c', ts', n') ->
+    match (normalise env a, normalise env b) with
+    | Lin (c, ts, n), Lin (c', ts', n') ->
         let add ts (x, a') =
-          let a = Option.value ~default:0 (List.assoc_opt x ts) in
-          (x, f a a') :: List.remove_assoc x ts
+          match List.assoc x ts with
+          | a -> (x, f a a') :: List.remove_assoc x ts
+          | exception Not_found -> (x, f 0 a') :: ts
         in
-        Some (f c c', List.fold_left add ts ts', n + n' + 1)
-    | _ -> None
+        Lin (f c c', List.fold_left add ts ts', n + n' + 1)
+    | na, nb -> Split (na, nb)
   in
   match e with
   | Ast.Ebinop (Ast.Add, a, b) -> sum ( + ) a b
   | Ast.Ebinop (Ast.Sub, a, b) -> sum ( - ) a b
   | Ast.Ebinop (Ast.Mul, a, b) -> (
-      match (linear env a, linear env b) with
-      | Some (k, [], n), Some (c, ts, n') | Some (c, ts, n), Some (k, [], n') ->
-          Some (k * c, scale k ts, n + n' + 1)
-      | _ -> None)
-  | Ast.Eunop (Ast.Neg, a) ->
-      Option.map (fun (c, ts, n) -> (-c, scale (-1) ts, n + 1)) (linear env a)
+      match (normalise env a, normalise env b) with
+      | Lin (k, [], n), Lin (c, ts, n') | Lin (c, ts, n), Lin (k, [], n') ->
+          Lin (k * c, scale k ts, n + n' + 1)
+      | na, nb -> Split (na, nb))
+  | Ast.Eunop (Ast.Neg, a) -> (
+      match normalise env a with
+      | Lin (c, ts, n) -> Lin (-c, scale (-1) ts, n + 1)
+      | na -> Split (na, Other))
   | _ -> (
       match int_leaf env e with
-      | Some (0, v) -> Some (v, [], 1)
-      | Some (1, x) -> Some (0, [ (x, 1) ], 1)
-      | Some (_, _) -> Some (0, [ (-1, 1) ], 1)
-      | None -> None)
+      | Some (0, v) -> Lin (v, [], 1)
+      | Some (1, x) -> Lin (0, [ (x, 1) ], 1)
+      | Some (_, _) -> Lin (0, [ (-1, 1) ], 1)
+      | None -> Other)
 
-let affine env e =
-  match linear env e with
-  | None -> None
-  | Some (c, ts, n) -> (
+let affine = function
+  | Lin (c, ts, n) -> (
       let ap = Option.value ~default:0 (List.assoc_opt (-1) ts) in
       match List.filter (fun (x, a) -> x >= 0 && a <> 0) ts with
       | [] -> Some { c; a1 = 0; s1 = 0; a2 = 0; s2 = 0; ap; n }
       | [ (s1, a1) ] -> Some { c; a1; s1; a2 = 0; s2 = 0; ap; n }
       | [ (s1, a1); (s2, a2) ] -> Some { c; a1; s1; a2; s2; ap; n }
       | _ -> None)
+  | Split _ | Other -> None
 
 (* ---- folded operators: one closure per operand shape ---- *)
 
@@ -923,20 +931,21 @@ and compile_boxed env ~pc ~d (e : Ast.expr) : cexpr =
   match e with
   | Ast.Eindex (name, idx) -> (
       let read = Memsys.Protocol.read_p in
-      match (array_ref env name, affine env idx) with
+      let norm = normalise env idx in
+      match (array_ref env name, affine norm) with
       | Some (Ashared a), Some f ->
           let n = f.n + 1 in
           fun r ->
             charge_n r n;
             r.shared.(shared_access r ~pc a (affine_at r f) read)
       | Some (Ashared a), None ->
-          let o = compile_index env ~pc ~d idx in
+          let o = compile_index ~norm env ~pc ~d idx in
           fun r -> charge r; r.shared.(shared_access r ~pc a (iget r o) read)
       | Some (Aboxed (id, size)), Some f ->
           let n = f.n + 1 in
           fun r -> charge_n r n; bread r name size id (affine_at r f)
       | Some (Aboxed (id, size)), None ->
-          let o = compile_index env ~pc ~d idx in
+          let o = compile_index ~norm env ~pc ~d idx in
           fun r -> charge r; bread r name size id (iget r o)
       | Some (Afloat _), _ -> assert false (* [Tfz] *)
       | None, _ -> fun _ -> error "subscript of non-array %S" name)
@@ -994,10 +1003,17 @@ and compile_boxed env ~pc ~d (e : Ast.expr) : cexpr =
       assert false (* [compile_expr] *)
 
 (* precondition: [type_of env e = Tint] *)
-and compile_int env ~pc ~d (e : Ast.expr) : cint =
-  match (e, affine env e) with
+and compile_int ?norm env ~pc ~d (e : Ast.expr) : cint =
+  let norm =
+    match (norm, e) with
+    | Some ((Lin _ | Split _) as norm), _ -> norm
+    | _, (Ast.Ebinop _ | Ast.Eunop _) -> normalise env e
+    | _ -> Other
+  in
+  match (e, affine norm) with
   | (Ast.Ebinop _ | Ast.Eunop _), Some f -> fun r -> charge_n r f.n; affine_at r f
   | _ -> (
+  let na, nb = match norm with Split (na, nb) -> (na, nb) | _ -> (Other, Other) in
   match e with
   | Ast.Eint _ | Ast.Evar _ -> (
       match int_leaf env e with
@@ -1012,10 +1028,11 @@ and compile_int env ~pc ~d (e : Ast.expr) : cint =
       let cb = compile_bool env ~pc ~d e in
       fun r -> if cb r then 1 else 0
   | Ast.Ebinop (op, a, b) ->
-      let oa = compile_index env ~pc ~d a and ob = compile_index env ~pc ~d b in
+      let oa = compile_index ~norm:na env ~pc ~d a
+      and ob = compile_index ~norm:nb env ~pc ~d b in
       int_binop op oa ob
   | Ast.Eunop (Ast.Neg, a) ->
-      let ca = compile_int env ~pc ~d a in
+      let ca = compile_int ~norm:na env ~pc ~d a in
       fun r -> charge r; -ca r
   | Ast.Ecall ("int", [ a ]) ->
       let oa = compile_index env ~pc ~d a in
@@ -1039,7 +1056,8 @@ and compile_float env ~pc ~d ~num:as_num (e : Ast.expr) : cfloat =
       | Some (k, x, f) -> fun r -> charge r; r.floats.(d) <- fleaf r k x f
       | None -> assert false)
   | Ast.Eindex (name, idx) -> (
-      match (array_ref env name, affine env idx, as_num) with
+      let norm = normalise env idx in
+      match (array_ref env name, affine norm, as_num) with
       | Some (Afloat (id, size)), Some f, true ->
           let n = f.n + 1 in
           fun r ->
@@ -1052,13 +1070,13 @@ and compile_float env ~pc ~d ~num:as_num (e : Ast.expr) : cfloat =
             charge_n r n;
             r.floats.(d) <- fread r name size id (affine_at r f)
       | Some (Afloat (id, size)), None, true ->
-          let o = compile_index env ~pc ~d idx in
+          let o = compile_index ~norm env ~pc ~d idx in
           fun r ->
             charge r;
             let v = fread r name size id (iget r o) in
             r.floats.(d) <- num v
       | Some (Afloat (id, size)), None, false ->
-          let o = compile_index env ~pc ~d idx in
+          let o = compile_index ~norm env ~pc ~d idx in
           fun r -> charge r; r.floats.(d) <- fread r name size id (iget r o)
       | (Some (Ashared _ | Aboxed _) | None), _, _ -> assert false)
   | Ast.Ebinop (op, a, b) ->
@@ -1186,12 +1204,12 @@ and compile_bool env ~pc ~d (e : Ast.expr) : cbool =
 
 (* [Value.to_int] of any expression as an operand: subscripts, lock ids,
    [int] *)
-and compile_index env ~pc ~d (e : Ast.expr) : iopnd =
+and compile_index ?norm env ~pc ~d (e : Ast.expr) : iopnd =
   match int_leaf env e with
   | Some (k, x) -> Ileaf (k, x)
   | None -> (
       match type_of env e with
-      | Tint -> Iint (compile_int env ~pc ~d e)
+      | Tint -> Iint (compile_int ?norm env ~pc ~d e)
       | Tfloat | Tfz -> Iconv (Ifloat (d, compile_float env ~pc ~d ~num:true e))
       | Tnone | Tbox -> Iconv (Ibox (compile_expr env ~pc ~d e)))
 
@@ -1352,7 +1370,8 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
             fun r -> r.vals.(i) <- ce r)
     | Ast.Sassign (Ast.Lindex (name, idx), e) -> (
         (* a folded subscript after the value, as the tree walk has it *)
-        match (array_ref env name, e, affine env idx) with
+        let norm = normalise env idx in
+        match (array_ref env name, e, affine norm) with
         | ( Some (Ashared entry),
             Ast.Ebinop (Ast.Add, Ast.Eindex (name2, idx2), rest),
             fold )
@@ -1376,7 +1395,7 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
                   charge_n r n;
                   r.shared.(shared_access r ~pc entry i write) <- v
             | None ->
-                let oi = compile_index env ~pc ~d idx in
+                let oi = compile_index ~norm env ~pc ~d idx in
                 fun r ->
                   charge_n r 2;
                   let i1 = iget r oi in
@@ -1394,7 +1413,7 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
                   charge_n r f.n;
                   r.shared.(shared_access r ~pc entry (affine_at r f) write) <- v
             | None ->
-                let oi = compile_index env ~pc ~d idx in
+                let oi = compile_index ~norm env ~pc ~d idx in
                 fun r ->
                   let v = ce r in
                   let i = iget r oi in
@@ -1408,7 +1427,7 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
                   charge_n r f.n;
                   bstore r name size id (affine_at r f) v
             | None ->
-                let oi = compile_index env ~pc ~d idx in
+                let oi = compile_index ~norm env ~pc ~d idx in
                 fun r ->
                   let v = ce r in
                   bstore r name size id (iget r oi) v)
@@ -1422,7 +1441,7 @@ let rec compile_stmt env ~ahead (s : Ast.stmt) : cstmt =
                   charge_n r f.n;
                   fstore r name size id (affine_at r f) d
             | None ->
-                let oi = compile_index env ~pc ~d:(d + 1) idx in
+                let oi = compile_index ~norm env ~pc ~d:(d + 1) idx in
                 fun r ->
                   cf r;
                   fstore r name size id (iget r oi) d)
