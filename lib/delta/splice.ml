@@ -128,7 +128,8 @@ let splice ~items ~base ~base_ast span text =
             if it'.istop <= s then it'
             else if it' == it then
               { it with iname = pr.Lang.Ast.pname; istop = it.istop + delta }
-            else { it' with istart = it'.istart + delta; istop = it'.istop + delta }
+            else
+              { it' with istart = it'.istart + delta; istop = it'.istop + delta }
           in
           ( Lang.Ast.renumber { base_ast with Lang.Ast.procs },
             `Incremental (k, List.map shift items) ))

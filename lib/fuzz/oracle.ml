@@ -585,11 +585,11 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
          single-token edit of the pretty-printed source is served once by
          the delta engine and once from scratch; the annotated source and
          the base's summary must be byte-identical and the report and
-         epoch info equal. The
-         candidate index is hashed from the source, so a campaign replays
-         exactly; the edit's value is irrelevant to the engine's
-         reuse-vs-resim decision, which depends only on the span's
-         position — both branches are exercised across a campaign. -- *)
+         epoch info equal. The candidate index is hashed from the source,
+         so a campaign replays exactly; the edit's value is irrelevant to
+         the engine's reuse-vs-resim decision, which depends only on the
+         span's position — both branches are exercised across a
+         campaign. -- *)
       let delta =
         Obs.span "fuzz.oracle.delta" @@ fun () ->
         match co_tr with

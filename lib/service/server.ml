@@ -233,12 +233,12 @@ let string_words s = 2 + (String.length s / (Sys.word_size / 8))
 let item_words = 3 + 5
 
 let computed_base_bytes (b : Delta.Engine.base) =
-  let items = b.Delta.Engine.items in
   (Sys.word_size / 8)
   * (einfo_words b.Delta.Engine.result.Cachier.Annotate.einfo
     + List.fold_left
-        (fun w (it : Delta.Splice.item) -> w + item_words + string_words it.iname)
-        0 items
+        (fun w (it : Delta.Splice.item) ->
+          w + item_words + string_words it.iname)
+        0 b.Delta.Engine.items
     + string_words b.Delta.Engine.summary)
 
 let chained_base_bytes ~source (b : Delta.Engine.base) =
