@@ -32,11 +32,7 @@ let rec expr_prec buf min_prec e =
   | Ast.Ecall (name, args) ->
       add name;
       add "(";
-      List.iteri
-        (fun k a ->
-          if k > 0 then add ", ";
-          expr_prec buf 0 a)
-        args;
+      exprs_to buf args;
       add ")"
   | Ast.Eunop (op, a) ->
       add (match op with Ast.Neg -> "-" | Ast.Not -> "!");
@@ -52,17 +48,22 @@ let rec expr_prec buf min_prec e =
       expr_prec buf (if assoc = Right then prec else prec + 1) r;
       if need_parens then add ")"
 
+and exprs_to buf args =
+  List.iteri
+    (fun k a ->
+      if k > 0 then Buffer.add_string buf ", ";
+      expr_prec buf 0 a)
+    args
+
 let expr_to_string e =
   let buf = Buffer.create 64 in
   expr_prec buf 0 e;
   Buffer.contents buf
 
-let range_to_string { Ast.arr; lo; hi } =
-  if lo = hi then Printf.sprintf "%s[%s]" arr (expr_to_string lo)
-  else Printf.sprintf "%s[%s .. %s]" arr (expr_to_string lo) (expr_to_string hi)
+(* Statements print into one buffer, a line at a time, each line ending
+   in a newline. *)
 
-let table_to_string { Ast.akind; aarr; aranges } =
-  let buf = Buffer.create 64 in
+let table_to buf { Ast.akind; aarr; aranges } =
   Buffer.add_string buf (Ast.annot_kind_name akind);
   Buffer.add_string buf (" " ^ aarr ^ "[");
   Array.iteri
@@ -80,98 +81,66 @@ let table_to_string { Ast.akind; aarr; aranges } =
   (* A table with no ranges at all still needs one row to re-parse. *)
   if Array.for_all (fun r -> r = []) aranges then
     Buffer.add_string buf "@0: 0..-1 ";
-  Buffer.add_string buf "];";
-  Buffer.contents buf
+  Buffer.add_string buf "];"
 
-let rec stmt_lines ~note ~indent (s : Ast.stmt) =
-  let pad = String.make (indent * 2) ' ' in
-  let line txt = pad ^ txt in
-  let comment =
-    match note s.Ast.sid with
-    | Some msg -> [ line (Printf.sprintf "/*** %s ***/" msg) ]
-    | None -> []
-  in
-  comment
-  @
+let rec stmt_to buf ~note ~indent (s : Ast.stmt) =
+  let add = Buffer.add_string buf and expr = expr_prec buf 0 in
+  let pad () = for _ = 1 to indent do add "  " done in
+  let block b = List.iter (stmt_to buf ~note ~indent:(indent + 1)) b in
+  (match note s.Ast.sid with
+  | Some msg -> pad (); add "/*** "; add msg; add " ***/\n"
+  | None -> ());
+  pad ();
   match s.Ast.node with
-  | Ast.Sassign (Ast.Lvar name, e) ->
-      [ line (Printf.sprintf "%s = %s;" name (expr_to_string e)) ]
+  | Ast.Sassign (Ast.Lvar name, e) -> add name; add " = "; expr e; add ";\n"
   | Ast.Sassign (Ast.Lindex (name, idx), e) ->
-      [
-        line
-          (Printf.sprintf "%s[%s] = %s;" name (expr_to_string idx)
-             (expr_to_string e));
-      ]
+      add name; add "["; expr idx; add "] = "; expr e; add ";\n"
   | Ast.Sif (cond, b1, b2) ->
-      let head = line (Printf.sprintf "if (%s) {" (expr_to_string cond)) in
-      let mid = block_lines ~note ~indent:(indent + 1) b1 in
-      if b2 = [] then (head :: mid) @ [ line "}" ]
-      else
-        (head :: mid)
-        @ [ line "} else {" ]
-        @ block_lines ~note ~indent:(indent + 1) b2
-        @ [ line "}" ]
+      add "if ("; expr cond; add ") {\n"; block b1;
+      if b2 <> [] then begin pad (); add "} else {\n"; block b2 end;
+      pad (); add "}\n"
   | Ast.Sfor { var; from_; to_; step; body } ->
-      let step_txt =
-        match step with
-        | Ast.Eint 1 -> ""
-        | e -> " step " ^ expr_to_string e
-      in
-      let head =
-        line
-          (Printf.sprintf "for %s = %s to %s%s {" var (expr_to_string from_)
-             (expr_to_string to_) step_txt)
-      in
-      (head :: block_lines ~note ~indent:(indent + 1) body) @ [ line "}" ]
+      add "for "; add var; add " = "; expr from_; add " to "; expr to_;
+      (match step with Ast.Eint 1 -> () | e -> add " step "; expr e);
+      add " {\n"; block body; pad (); add "}\n"
   | Ast.Swhile (cond, body) ->
-      let head = line (Printf.sprintf "while (%s) {" (expr_to_string cond)) in
-      (head :: block_lines ~note ~indent:(indent + 1) body) @ [ line "}" ]
-  | Ast.Sbarrier -> [ line "barrier;" ]
-  | Ast.Scall (name, args) ->
-      [
-        line
-          (Printf.sprintf "%s(%s);" name
-             (String.concat ", " (List.map expr_to_string args)));
-      ]
-  | Ast.Sreturn None -> [ line "return;" ]
-  | Ast.Sreturn (Some e) -> [ line (Printf.sprintf "return %s;" (expr_to_string e)) ]
-  | Ast.Slock e -> [ line (Printf.sprintf "lock(%s);" (expr_to_string e)) ]
-  | Ast.Sunlock e -> [ line (Printf.sprintf "unlock(%s);" (expr_to_string e)) ]
-  | Ast.Sannot (kind, r) ->
-      [ line (Printf.sprintf "%s %s;" (Ast.annot_kind_name kind) (range_to_string r)) ]
-  | Ast.Sannot_table tbl -> [ line (table_to_string tbl) ]
-  | Ast.Sprint args ->
-      [
-        line
-          (Printf.sprintf "print(%s);"
-             (String.concat ", " (List.map expr_to_string args)));
-      ]
-
-and block_lines ~note ~indent block =
-  List.concat_map (stmt_lines ~note ~indent) block
-
-let decl_to_string = function
-  | Ast.Dconst (name, e) -> Printf.sprintf "const %s = %s;" name (expr_to_string e)
-  | Ast.Dshared (name, e) -> Printf.sprintf "shared %s[%s];" name (expr_to_string e)
-  | Ast.Dprivate (name, e) ->
-      Printf.sprintf "private %s[%s];" name (expr_to_string e)
+      add "while ("; expr cond; add ") {\n"; block body; pad (); add "}\n"
+  | Ast.Sbarrier -> add "barrier;\n"
+  | Ast.Scall (name, args) -> add name; add "("; exprs_to buf args; add ");\n"
+  | Ast.Sreturn None -> add "return;\n"
+  | Ast.Sreturn (Some e) -> add "return "; expr e; add ";\n"
+  | Ast.Slock e -> add "lock("; expr e; add ");\n"
+  | Ast.Sunlock e -> add "unlock("; expr e; add ");\n"
+  | Ast.Sannot (kind, { Ast.arr; lo; hi }) ->
+      add (Ast.annot_kind_name kind); add " "; add arr; add "["; expr lo;
+      if lo <> hi then begin add " .. "; expr hi end;
+      add "];\n"
+  | Ast.Sannot_table tbl -> table_to buf tbl; add "\n"
+  | Ast.Sprint args -> add "print("; exprs_to buf args; add ");\n"
 
 let program_to_string ?(note = fun _ -> None) (p : Ast.program) =
-  let buf = Buffer.create 1024 in
-  List.iter (fun d -> Buffer.add_string buf (decl_to_string d ^ "\n")) p.Ast.decls;
+  let buf = Buffer.create 4096 in
+  let add = Buffer.add_string buf and expr = expr_prec buf 0 in
+  List.iter
+    (function
+      | Ast.Dconst (name, e) -> add "const "; add name; add " = "; expr e; add ";\n"
+      | Ast.Dshared (name, e) -> add "shared "; add name; add "["; expr e; add "];\n"
+      | Ast.Dprivate (name, e) ->
+          add "private "; add name; add "["; expr e; add "];\n")
+    p.Ast.decls;
   if p.Ast.decls <> [] then Buffer.add_char buf '\n';
   List.iteri
     (fun k (proc : Ast.proc) ->
       if k > 0 then Buffer.add_char buf '\n';
-      Buffer.add_string buf
-        (Printf.sprintf "proc %s(%s) {\n" proc.pname
-           (String.concat ", " proc.params));
-      List.iter
-        (fun l -> Buffer.add_string buf (l ^ "\n"))
-        (block_lines ~note ~indent:1 proc.body);
-      Buffer.add_string buf "}\n")
+      add "proc "; add proc.pname; add "(";
+      add (String.concat ", " proc.params);
+      add ") {\n";
+      List.iter (stmt_to buf ~note ~indent:1) proc.body;
+      add "}\n")
     p.Ast.procs;
   Buffer.contents buf
 
 let stmt_to_string s =
-  String.concat "\n" (stmt_lines ~note:(fun _ -> None) ~indent:0 s)
+  let buf = Buffer.create 64 in
+  stmt_to buf ~note:(fun _ -> None) ~indent:0 s;
+  Buffer.sub buf 0 (Buffer.length buf - 1)
