@@ -119,21 +119,31 @@ module Loop = struct
       try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
       with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
+  (* Run what was posted since the last drain, if anything: swap the
+     queue out under the lock, run the closures outside it. The pipe is
+     left to [clear_wake]: a post that set [wake_signaled] writes its
+     byte after unlocking, so the byte may land after this drain, and
+     [select] then reports it. *)
   let drain_posted t =
-    (* swap the queue out under the lock, run the closures outside it *)
     Mutex.lock t.post_mu;
-    let jobs = Queue.copy t.posted in
-    Queue.clear t.posted;
-    t.wake_signaled <- false;
-    Mutex.unlock t.post_mu;
-    (try
-       while true do
-         ignore (Unix.read t.wake_r t.scratch 0 64)
-       done
-     with
+    if t.wake_signaled then begin
+      let jobs = Queue.create () in
+      Queue.transfer t.posted jobs;
+      t.wake_signaled <- false;
+      Mutex.unlock t.post_mu;
+      Queue.iter (fun f -> f ()) jobs
+    end
+    else Mutex.unlock t.post_mu
+
+  (* Empty the wake pipe once [select] reports it readable. A post writes
+     a byte only when it sets [wake_signaled], which only a drain clears,
+     so one read empties the pipe; a byte left over would make the next
+     [select] return at once, not lose a wake-up. *)
+  let clear_wake t =
+    try ignore (Unix.read t.wake_r t.scratch 0 64)
+    with
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        ());
-    Queue.iter (fun f -> f ()) jobs
+      ()
 
   let add_listener t fd ~on_accept = t.listeners <- (fd, on_accept) :: t.listeners
   let stop_accepting t = t.listeners <- []
@@ -298,7 +308,10 @@ module Loop = struct
               ws;
             List.iter
               (fun fd ->
-                if fd = t.wake_r then drain_posted t
+                if fd = t.wake_r then begin
+                  clear_wake t;
+                  drain_posted t
+                end
                 else
                   match Hashtbl.find_opt t.conns fd with
                   | Some c -> handle_readable t c
