@@ -256,12 +256,10 @@ let delta_incremental buf =
           for k = 1 to reps do
             (* a fresh value per rep: never the digest-hit Noop path *)
             let text = string_of_int (v + k) in
-            let edited = Delta.Splice.apply_edit source span text in
+            let e = Delta.Engine.edit ~source span text in
+            let edited = e.Delta.Engine.edited in
             let t0 = Unix.gettimeofday () in
-            let o =
-              Delta.Engine.annotate_delta ~machine ~options:opts ~base ~source
-                span text
-            in
+            let o = Delta.Engine.annotate_delta ~machine ~options:opts ~base e in
             warm := !warm +. (Unix.gettimeofday () -. t0);
             let t1 = Unix.gettimeofday () in
             let prog = parse edited in
@@ -833,8 +831,9 @@ let bechamel_suite buf =
                 incr i;
                 ignore
                   (Delta.Engine.annotate_delta ~machine:m4 ~options:opts
-                     ~base ~source:dsrc span
-                     (string_of_int (v + !i)))));
+                     ~base
+                     (Delta.Engine.edit ~source:dsrc span
+                        (string_of_int (v + !i))))));
         (* The disabled-observability hot path: 64 manual span open/close
            pairs plus the [enabled] branch — should cost a few ns/run and
            allocate nothing, guarding the zero-overhead promise. *)

@@ -32,8 +32,8 @@ let run_delta ~machine ~options ~base_path src =
     | None -> ({ Delta.Splice.start = 0; len = 0 }, "")
   in
   let outcome =
-    Delta.Engine.annotate_delta ~machine ~options ~base ~source:base_src span
-      text
+    Delta.Engine.annotate_delta ~machine ~options ~base
+      (Delta.Engine.edit ~source:base_src span text)
   in
   let base = outcome.Delta.Engine.base in
   print_string (Cachier.Annotate.to_source base.Delta.Engine.result);

@@ -109,8 +109,8 @@ let capacity =
 let listeners =
   Arg.(value & opt Service.Cli.positive_int serve_defaults.listeners
        & info [ "listeners" ] ~docv:"N"
-           ~doc:"Event-loop listener shards sharing the socket (socket mode \
-                 only).")
+           ~doc:"Event-loop listener shards sharing the socket, one on the \
+                 main domain (socket mode only).")
 
 let idle_timeout_ms =
   Arg.(value

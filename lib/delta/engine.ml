@@ -12,14 +12,21 @@ type reuse =
   | Plan_reuse
   | Resim of string
 
-type outcome = {
-  base : base;
-  reuse : reuse;
-  artifact : string;
-  edited_source : string;
-}
+type outcome = { base : base; reuse : reuse }
 
 let source_digest source = Digest.to_hex (Digest.string source)
+
+type edit = {
+  source : string;
+  span : Splice.span;
+  text : string;
+  edited : string;
+  artifact : string;
+}
+
+let edit ~source span text =
+  let edited = Splice.apply_edit source span text in
+  { source; span; text; edited; artifact = source_digest edited }
 
 let reuse_to_string = function
   | Noop -> "noop"
@@ -59,14 +66,12 @@ let sema_edit b (eprog : Lang.Ast.program) how =
       b.info
   | `Incremental _ | `Full -> Lang.Sema.check eprog
 
-let annotate_delta ?poll ~machine ~options ~base:b ~source span text =
-  let edited = Splice.apply_edit source span text in
-  let artifact = source_digest edited in
-  if String.equal edited source then
-    { base = b; reuse = Noop; artifact; edited_source = edited }
+let annotate_delta ?poll ~machine ~options ~base:b e =
+  if String.equal e.edited e.source then { base = b; reuse = Noop }
   else begin
     let eprog, how =
-      Splice.splice ~items:b.items ~base:source ~base_ast:b.program span text
+      Splice.splice ~items:b.items ~base_ast:b.program ~edited:e.edited e.span
+        e.text
     in
     let info = sema_edit b eprog how in
     match Taint.compare_and_prove ~base:b.program ~edited:eprog with
@@ -80,23 +85,16 @@ let annotate_delta ?poll ~machine ~options ~base:b ~source span text =
         let items =
           match how with
           | `Incremental (_, items) -> items
-          | `Full -> Splice.items edited
+          | `Full -> Splice.items e.edited
         in
         (* a chained base: the parent's plan, epoch info, report and
            summary; two new ASTs and the edited table *)
         let result = { b.result with Cachier.Annotate.annotated } in
-        {
-          base = { b with program = eprog; info; result; items };
-          reuse = Plan_reuse;
-          artifact;
-          edited_source = edited;
-        }
+        { base = { b with program = eprog; info; result; items }; reuse = Plan_reuse }
     | Taint.Broken why ->
         {
-          base = base_of ?poll ~machine ~options ~source:edited eprog;
+          base = base_of ?poll ~machine ~options ~source:e.edited eprog;
           reuse = Resim why;
-          artifact;
-          edited_source = edited;
         }
   end
 

@@ -44,12 +44,22 @@ type outcome = {
   base : base;
       (** the edited source's base; its [result] is the annotation *)
   reuse : reuse;
-  artifact : string;  (** hex digest of the edited source *)
-  edited_source : string;
 }
 
 val source_digest : string -> string
 (** Hex digest of a source text — the service's artifact id. *)
+
+type edit = private {
+  source : string;  (** the base source *)
+  span : Splice.span;
+  text : string;  (** the replacement text *)
+  edited : string;  (** [Splice.apply_edit source span text] *)
+  artifact : string;  (** [source_digest edited] *)
+}
+(** A span edit, applied and digested once. *)
+
+val edit : source:string -> Splice.span -> string -> edit
+(** @raise Invalid_argument if the span is out of [source]'s bounds. *)
 
 val base_of :
   ?poll:(unit -> unit) ->
@@ -71,15 +81,13 @@ val annotate_delta :
   machine:Wwt.Machine.t ->
   options:Cachier.Placement.options ->
   base:base ->
-  source:string ->
-  Splice.span ->
-  string ->
+  edit ->
   outcome
-(** [annotate_delta ~base ~source span text] annotates [apply_edit
-    source span text], where [base] is [source]'s base on the same
-    [machine] and [options]. Raises like the cold path when the edited
-    program is invalid. A [Resim] passes [poll] to its trace run, so a
-    deadline can cancel it. *)
+(** [annotate_delta ~base e] annotates [e.edited], where [base] is
+    [e.source]'s base on the same [machine] and [options]; the edit is
+    not applied or digested again. Raises like the cold path when the
+    edited program is invalid. A [Resim] passes [poll] to its trace run,
+    so a deadline can cancel it. *)
 
 val prove_simulate :
   base:Lang.Ast.program -> edited:Lang.Ast.program -> (unit, string) result

@@ -88,8 +88,7 @@ let int_literals src =
       | _ -> None)
     (Lang.Lexer.tokenize_loc src)
 
-let splice ~items ~base ~base_ast span text =
-  let edited = apply_edit base span text in
+let splice ~items ~base_ast ~edited span text =
   let full () = (Lang.Parser.parse edited, `Full) in
   (* The incremental path needs the edit strictly inside one procedure
      item, off its first and last byte: everything before the item is

@@ -43,16 +43,17 @@ val int_literals : string -> (span * int) list
 
 val splice :
   items:item list ->
-  base:string ->
   base_ast:Lang.Ast.program ->
+  edited:string ->
   span ->
   string ->
   Lang.Ast.program * [ `Incremental of int * item list | `Full ]
-(** [splice ~items ~base ~base_ast span text] parses the edited source,
-    incrementally when the edit stays strictly inside one procedure
-    ([`Incremental (k, items')] re-parses only the slice of [procs]'s
-    [k]-th procedure and renumbers; [items'] is the edited source's
-    table), and with a full {!Lang.Parser.parse} otherwise. [items] must
-    be [items base] and [base_ast] the parse of [base]; the base is not
-    tokenized again. Raises whatever a full parse of the edited source
-    would raise when the edited text is invalid. *)
+(** [splice ~items ~base_ast ~edited span text] parses [edited], which
+    must be [apply_edit base span text], incrementally when the edit
+    stays strictly inside one procedure ([`Incremental (k, items')]
+    re-parses only the slice of [procs]'s [k]-th procedure and
+    renumbers; [items'] is the edited source's table), and with a full
+    {!Lang.Parser.parse} otherwise. [items] must be [items base] and
+    [base_ast] the parse of [base]; the base is not tokenized again, and
+    the edit is not applied again. Raises whatever a full parse of the
+    edited source would raise when the edited text is invalid. *)

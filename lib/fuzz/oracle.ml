@@ -632,7 +632,8 @@ let run_all ?(budget_s = 5.0) ?(expect_race_free = false) ~machine
                           ~source (Lang.Parser.parse source)
                       in
                       (Delta.Engine.annotate_delta ~machine
-                         ~options:perf_options ~base ~source span text)
+                         ~options:perf_options ~base
+                         (Delta.Engine.edit ~source span text))
                         .Delta.Engine.base)
                 in
                 match (cold, incr_) with

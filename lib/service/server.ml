@@ -26,6 +26,10 @@ type artifact =
   | Text of string
   | Base of Delta.Engine.base
 
+(* A request's source text and its digest, which names it in every stage
+   key and is an annotated source's artifact id. *)
+type src = { text : string; digest : string }
+
 type t = {
   config : config;
   cache : artifact Cache.t;  (* hot tier: in-memory, byte-budgeted LRU *)
@@ -33,6 +37,11 @@ type t = {
   flight : (string * bool * (string * Json.t) list) Flight.t;
   metrics : Metrics.t;
   pool : Wwt.Jobs.Pool.t;
+  benches : (string, int * src) Hashtbl.t;
+      (* per benchmark name, its last rendering and that node count *)
+  benches_mu : Mutex.t;
+  probe : string list ref option;
+      (* [Some hits] in a probe's view of the server (see [tiered]) *)
 }
 
 let create config =
@@ -45,6 +54,9 @@ let create config =
     pool =
       Wwt.Jobs.Pool.create ~workers:(max 1 config.workers)
         ~capacity:config.queue_capacity ();
+    benches = Hashtbl.create 8;
+    benches_mu = Mutex.create ();
+    probe = None;
   }
 
 let shutdown t = Wwt.Jobs.Pool.shutdown t.pool
@@ -63,10 +75,10 @@ let machine_seed_text (m : Protocol.machine_config) seed =
 let stage_key ~stage ~machine ~seed ~source_digest =
   String.concat "|" [ stage; source_digest; machine_seed_text machine seed ]
 
-let digest_hex s = Digest.to_hex (Digest.string s)
+let src_of text = { text; digest = Delta.Engine.source_digest text }
 
-let key_of ~stage ~machine ~seed text =
-  stage_key ~stage ~machine ~seed ~source_digest:(digest_hex text)
+let key_of ~stage ~machine ~seed src =
+  stage_key ~stage ~machine ~seed ~source_digest:src.digest
 
 let flag c on = if on then c else '-'
 
@@ -94,11 +106,11 @@ type 'a codec = {
 let ast_bytes source = 64 + (8 * String.length source)
 
 (* parsed programs live in memory only *)
-let ast_codec source =
+let ast_codec src =
   {
     of_art = (function Ast p -> Some p | _ -> None);
     to_art = (fun p -> Ast p);
-    size = (fun _ -> ast_bytes source);
+    size = (fun _ -> ast_bytes src.text);
     load = (fun _ ~key:_ -> None);
     save = (fun _ ~key:_ _ -> ());
   }
@@ -253,16 +265,24 @@ let write_through t codec ~key v =
   Cache.put t.cache ~key ~size:(codec.size v) (codec.to_art v);
   Option.iter (fun s -> codec.save s ~key v) t.store
 
+exception Cold
+
 (* The one lookup every stage goes through: the hot tier, then the disk
    store, then compute. A disk hit is promoted into the hot tier; a
    computed value is written through to both. Returns the value and
-   whether a tier served it. *)
+   whether a tier served it. In a probe's view of the server the lookup
+   stops at the hot tier: a miss raises [Cold], and a hit is noted, to
+   be booked only once every lookup of the request has hit. *)
 let tiered t codec ~stage ~key compute =
-  match Option.bind (Cache.get t.cache key) codec.of_art with
-  | Some v ->
+  match (Option.bind (Cache.get t.cache key) codec.of_art, t.probe) with
+  | Some v, None ->
       Metrics.record_hit t.metrics ~stage;
       (v, true)
-  | None -> (
+  | Some v, Some hits ->
+      hits := stage :: !hits;
+      (v, true)
+  | None, Some _ -> raise Cold
+  | None, None -> (
       match Option.bind t.store (fun s -> codec.load s ~key) with
       | Some v ->
           Metrics.record_hit t.metrics ~stage;
@@ -279,15 +299,28 @@ let tiered t codec ~stage ~key compute =
 
 let reject kind message = raise (Protocol.Reject (kind, message))
 
-let resolve_source ~nodes = function
-  | Protocol.Text s -> s
+(* A benchmark's text is rendered and digested once per name and node
+   count: the memo keeps each name's last rendering, so it holds at most
+   one entry per benchmark. *)
+let resolve_source t ~nodes = function
+  | Protocol.Text s -> src_of s
   | Protocol.Bench name -> (
-      match Benchmarks.Suite.find ~nodes name with
-      | b -> b.Benchmarks.Suite.source
-      | exception Not_found ->
-          reject Protocol.Unknown_benchmark
-            (Printf.sprintf "unknown benchmark %S (expected one of %s)" name
-               (String.concat ", " Benchmarks.Suite.names)))
+      match
+        Mutex.protect t.benches_mu (fun () -> Hashtbl.find_opt t.benches name)
+      with
+      | Some (n, src) when n = nodes -> src
+      | _ -> (
+          match Benchmarks.Suite.find ~nodes name with
+          | b ->
+              let src = src_of b.Benchmarks.Suite.source in
+              Mutex.protect t.benches_mu (fun () ->
+                  Hashtbl.replace t.benches name (nodes, src));
+              src
+          | exception Not_found ->
+              reject Protocol.Unknown_benchmark
+                (Printf.sprintf "unknown benchmark %S (expected one of %s)"
+                   name
+                   (String.concat ", " Benchmarks.Suite.names))))
 
 let make_poll ~received = function
   | None -> None
@@ -309,13 +342,11 @@ let check_deadline ~received = function
 
 (* Stage: parse (+ sema + optional reseed). Machine-independent, so the
    key carries only source digest and seed. *)
-let parsed_program t ~source ~seed =
-  let key =
-    key_of ~stage:"parse" ~machine:Protocol.default_machine ~seed source
-  in
+let parsed_program t ~src ~seed =
+  let key = key_of ~stage:"parse" ~machine:Protocol.default_machine ~seed src in
   fst
-    (tiered t (ast_codec source) ~stage:"parse" ~key (fun () ->
-         let p = Lang.Parser.parse source in
+    (tiered t (ast_codec src) ~stage:"parse" ~key (fun () ->
+         let p = Lang.Parser.parse src.text in
          ignore (Lang.Sema.check p);
          match seed with
          | Some s -> Lang.Ast_util.set_const p "SEED" s
@@ -324,29 +355,29 @@ let parsed_program t ~source ~seed =
 (* Stage: trace-mode simulation, shared by simulate --trace, annotate,
    delta bases, races and trace_stats: the records and the simulation
    report. *)
-let trace_stage t ~machine ~seed ~source ~poll =
+let trace_stage t ~machine ~seed ~src ~poll =
   tiered t trace_codec ~stage:"trace"
-    ~key:(key_of ~stage:"trace" ~machine ~seed source)
+    ~key:(key_of ~stage:"trace" ~machine ~seed src)
     (fun () ->
-      let program = parsed_program t ~source ~seed in
+      let program = parsed_program t ~src ~seed in
       let outcome =
         Wwt.Run.collect_trace ?poll ~machine:(Protocol.to_machine machine)
           program
       in
       (outcome.Wwt.Interp.trace, Oneshot.simulate_report outcome))
 
-let trace_records t ~machine ~seed ~source ~poll =
-  fst (fst (trace_stage t ~machine ~seed ~source ~poll))
+let trace_records t ~machine ~seed ~src ~poll =
+  fst (fst (trace_stage t ~machine ~seed ~src ~poll))
 
 (* Stage: performance-mode simulation. *)
-let measure_stage t ~machine ~seed ~source ~annotations ~prefetch ~poll =
+let measure_stage t ~machine ~seed ~src ~annotations ~prefetch ~poll =
   let stage =
     Printf.sprintf "measure:%c%c" (flag 'a' annotations) (flag 'p' prefetch)
   in
   tiered t text_codec ~stage:"measure"
-    ~key:(key_of ~stage ~machine ~seed source)
+    ~key:(key_of ~stage ~machine ~seed src)
     (fun () ->
-      let program = parsed_program t ~source ~seed in
+      let program = parsed_program t ~src ~seed in
       Oneshot.simulate_report
         (Wwt.Run.measure ?poll ~machine:(Protocol.to_machine machine)
            ~annotations ~prefetch program))
@@ -365,14 +396,13 @@ let annotated result =
 
 (* Stage: annotation. A hit skips parsing and simulation entirely; a miss
    reuses the cached trace when one exists. *)
-let annotate_stage t ~machine ~seed ~source ~mode ~prefetch ~poll =
+let annotate_stage t ~machine ~seed ~src ~mode ~prefetch ~poll =
   tiered t annotate_codec ~stage:"annotate"
     ~key:
-      (key_of ~stage:(mode_stage "annotate" ~mode ~prefetch) ~machine ~seed
-         source)
+      (key_of ~stage:(mode_stage "annotate" ~mode ~prefetch) ~machine ~seed src)
     (fun () ->
-      let program = parsed_program t ~source ~seed in
-      let records = trace_records t ~machine ~seed ~source ~poll in
+      let program = parsed_program t ~src ~seed in
+      let records = trace_records t ~machine ~seed ~src ~poll in
       annotated
         (Cachier.Annotate.annotate_with_trace
            ~machine:(Protocol.to_machine machine)
@@ -392,16 +422,16 @@ let delta_key name ~machine ~mode ~prefetch id =
 
 (* Stage: the delta base of a source, built from the cached parse and
    trace. *)
-let base_stage t ~machine ~mode ~prefetch ~poll ~id source =
+let base_stage t ~machine ~mode ~prefetch ~poll src =
   fst
     (tiered t computed_base ~stage:"base"
-       ~key:(delta_key "base" ~machine ~mode ~prefetch id)
+       ~key:(delta_key "base" ~machine ~mode ~prefetch src.digest)
        (fun () ->
          Delta.Engine.base_of ~machine:(Protocol.to_machine machine)
            ~options:(placement_options ~mode ~prefetch)
-           ~trace:(trace_records t ~machine ~seed:None ~source ~poll)
-           ~source
-           (parsed_program t ~source ~seed:None)))
+           ~trace:(trace_records t ~machine ~seed:None ~src ~poll)
+           ~source:src.text
+           (parsed_program t ~src ~seed:None)))
 
 (* Stage: incremental re-annotation of a known base. The result is keyed
    by the EDITED source's digest — a repeated edit is a pure hit — and
@@ -409,7 +439,8 @@ let base_stage t ~machine ~mode ~prefetch ~poll ~id source =
    [annotate] of the edited text hits without simulating. The edited
    source and its base are cached too, so an edit of the edit starts
    warm. Seed substitution is rejected: the delta prover reasons about
-   the source text as written. *)
+   the source text as written. The edit is applied and digested once,
+   here; the engine is handed the result. *)
 let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
   if seed <> None then
     reject Protocol.Bad_request
@@ -423,11 +454,12 @@ let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
               returned artifact id)"
              base))
   in
-  let edited =
-    try Delta.Splice.apply_edit source span text
+  let edit =
+    try Delta.Engine.edit ~source span text
     with Invalid_argument msg -> reject Protocol.Bad_request msg
   in
-  let artifact = Delta.Engine.source_digest edited in
+  let artifact = edit.Delta.Engine.artifact
+  and edited = edit.Delta.Engine.edited in
   let key name = delta_key name ~machine ~mode ~prefetch artifact in
   let reuse = ref "cached" in
   let result, cached =
@@ -437,8 +469,10 @@ let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
             ~machine:(Protocol.to_machine machine)
             ~options:(placement_options ~mode ~prefetch)
             ~base:
-              (base_stage t ~machine ~mode ~prefetch ~poll ~id:base source)
-            ~source span text
+              (* a base's id is its source's digest *)
+              (base_stage t ~machine ~mode ~prefetch ~poll
+                 { text = source; digest = base })
+            edit
         in
         let edited_base = outcome.Delta.Engine.base in
         (* a chained base's summary is its parent's, rendered once *)
@@ -463,24 +497,24 @@ let delta_stage t ~machine ~seed ~base ~span ~text ~mode ~prefetch ~poll =
 (* Stage: the sound streaming race detector over the collected trace.
    Reuses the cached trace artifact; the rendered report is itself a
    priced artifact in both tiers, so a warm hit never re-simulates. *)
-let races_stage t ~machine ~seed ~source ~poll =
+let races_stage t ~machine ~seed ~src ~poll =
   tiered t text_codec ~stage:"races"
-    ~key:(key_of ~stage:"races" ~machine ~seed source)
+    ~key:(key_of ~stage:"races" ~machine ~seed src)
     (fun () ->
       Oneshot.races_report ~nodes:machine.Protocol.nodes
-        (trace_records t ~machine ~seed ~source ~poll))
+        (trace_records t ~machine ~seed ~src ~poll))
 
 let trace_stats_stage t ~machine ~seed ~input ~poll =
   let key, records =
     match input with
-    | `Trace_text text ->
-        ( key_of ~stage:"trace_stats:inline" ~machine ~seed:None text,
+    | `Trace_text trace ->
+        ( key_of ~stage:"trace_stats:inline" ~machine ~seed:None trace,
           fun () ->
-            try Trace.Trace_file.of_string text
+            try Trace.Trace_file.of_string trace.text
             with Failure msg -> reject Protocol.Parse_error msg )
-    | `Source source ->
-        ( key_of ~stage:"trace_stats" ~machine ~seed source,
-          fun () -> trace_records t ~machine ~seed ~source ~poll )
+    | `Source src ->
+        ( key_of ~stage:"trace_stats" ~machine ~seed src,
+          fun () -> trace_records t ~machine ~seed ~src ~poll )
   in
   tiered t text_codec ~stage:"trace_stats" ~key (fun () ->
       Oneshot.trace_stats_report ~nodes:machine.Protocol.nodes (records ()))
@@ -488,36 +522,63 @@ let trace_stats_stage t ~machine ~seed ~input ~poll =
 (* ------------------------------------------------------------------ *)
 (* the dispatcher                                                      *)
 
-let execute t (req : Protocol.request) ~poll =
-  let nodes = req.machine.Protocol.nodes in
+(* A work request whose source the thread that read it resolved and
+   digested, once: [execute] and the flight key take [src] from here.
+   [received] (wall clock) anchors the request's deadline. *)
+type work = { req : Protocol.request; src : src option; received : float }
+
+let prepare ?received t (req : Protocol.request) =
+  let received =
+    match received with Some r -> r | None -> Unix.gettimeofday ()
+  in
+  let resolve s = Some (resolve_source t ~nodes:req.machine.nodes s) in
+  let src =
+    match req.op with
+    | Protocol.Parse { source }
+    | Protocol.Simulate { source; _ }
+    | Protocol.Annotate { source; _ }
+    | Protocol.Races { source }
+    | Protocol.Trace_stats { source = Some source; trace_text = None } ->
+        resolve source
+    | Protocol.Trace_stats { trace_text = Some trace; _ } -> Some (src_of trace)
+    | Protocol.Trace_stats { source = None; trace_text = None }
+    | Protocol.Annotate_delta _ | Protocol.Stats | Protocol.Ping
+    | Protocol.Shutdown ->
+        None
+  in
+  { req; src; received }
+
+let execute t { req; src; _ } ~poll =
   let machine = req.machine and seed = req.seed in
+  (* [prepare] resolves every op's source; only a trace_stats request
+     built without either input has none *)
+  let src () =
+    match src with
+    | Some s -> s
+    | None -> reject Protocol.Bad_request "missing trace input"
+  in
   match req.op with
-  | Protocol.Parse { source } ->
-      let source = resolve_source ~nodes source in
-      (Oneshot.parse_report (parsed_program t ~source ~seed), false, [])
-  | Protocol.Simulate { source; annotations; prefetch; trace } ->
-      let source = resolve_source ~nodes source in
+  | Protocol.Parse _ ->
+      (Oneshot.parse_report (parsed_program t ~src:(src ()) ~seed), false, [])
+  | Protocol.Simulate { annotations; prefetch; trace; _ } ->
+      let src = src () in
       let payload, cached =
         if trace then
-          let (_, payload), cached =
-            trace_stage t ~machine ~seed ~source ~poll
-          in
+          let (_, payload), cached = trace_stage t ~machine ~seed ~src ~poll in
           (payload, cached)
-        else
-          measure_stage t ~machine ~seed ~source ~annotations ~prefetch ~poll
+        else measure_stage t ~machine ~seed ~src ~annotations ~prefetch ~poll
       in
       (payload, cached, [])
-  | Protocol.Annotate { source; mode; prefetch } ->
-      let source = resolve_source ~nodes source in
-      let artifact = Delta.Engine.source_digest source in
-      ignore (base_source t artifact (fun () -> source));
+  | Protocol.Annotate { mode; prefetch; _ } ->
+      let src = src () in
+      ignore (base_source t src.digest (fun () -> src.text));
       let (payload, summary), cached =
-        annotate_stage t ~machine ~seed ~source ~mode ~prefetch ~poll
+        annotate_stage t ~machine ~seed ~src ~mode ~prefetch ~poll
       in
       ( payload,
         cached,
         [
-          ("report", Json.String summary); ("artifact", Json.String artifact);
+          ("report", Json.String summary); ("artifact", Json.String src.digest);
         ] )
   | Protocol.Annotate_delta { base; start; len; text; mode; prefetch } ->
       let (payload, summary), reuse, artifact, cached =
@@ -531,16 +592,14 @@ let execute t (req : Protocol.request) ~poll =
           ("artifact", Json.String artifact);
           ("reuse", Json.String reuse);
         ] )
-  | Protocol.Races { source } ->
-      let source = resolve_source ~nodes source in
-      let payload, cached = races_stage t ~machine ~seed ~source ~poll in
+  | Protocol.Races _ ->
+      let payload, cached = races_stage t ~machine ~seed ~src:(src ()) ~poll in
       (payload, cached, [])
-  | Protocol.Trace_stats { source; trace_text } ->
+  | Protocol.Trace_stats { trace_text; _ } ->
       let input =
-        match (trace_text, source) with
-        | Some text, _ -> `Trace_text text
-        | None, Some s -> `Source (resolve_source ~nodes s)
-        | None, None -> reject Protocol.Bad_request "missing trace input"
+        match trace_text with
+        | Some _ -> `Trace_text (src ())
+        | None -> `Source (src ())
       in
       let payload, cached =
         trace_stats_stage t ~machine ~seed ~input ~poll
@@ -558,40 +617,43 @@ let execute t (req : Protocol.request) ~poll =
   | Protocol.Ping -> ("pong", false, [])
   | Protocol.Shutdown -> ("shutting down", false, [])
 
+(* The deadline, checked once more before the work starts, then the
+   work. *)
+let run t w =
+  let deadline_ms = w.req.Protocol.deadline_ms in
+  try
+    check_deadline ~received:w.received deadline_ms;
+    Ok (execute t w ~poll:(make_poll ~received:w.received deadline_ms))
+  with e -> Error e
+
 (* ------------------------------------------------------------------ *)
 (* the one request path                                                *)
 
 (* Everything that determines a work request's result, and nothing that
    does not (id, deadline): identical concurrent requests share one
    execution. Cheap ops are never coalesced. *)
-let flight_key (req : Protocol.request) =
-  let src = function
-    | Protocol.Text s -> "t:" ^ digest_hex s
-    | Protocol.Bench b -> "b:" ^ b
-  in
+let flight_key (w : work) =
+  let req = w.req in
+  let digest = match w.src with Some s -> s.digest | None -> "-" in
   let key op rest =
     Some
-      (String.concat "|" [ op; machine_seed_text req.machine req.seed; rest ])
+      (String.concat "|"
+         [ op; machine_seed_text req.machine req.seed; digest; rest ])
   in
   match req.op with
-  | Protocol.Parse { source } -> key "parse" (src source)
-  | Protocol.Simulate { source; annotations; prefetch; trace } ->
-      key "simulate"
-        (Printf.sprintf "%s:%B:%B:%B" (src source) annotations prefetch trace)
-  | Protocol.Annotate { source; mode; prefetch } ->
-      key "annotate"
-        (Printf.sprintf "%s:%s:%B" (src source) (mode_tag mode) prefetch)
+  | Protocol.Parse _ -> key "parse" ""
+  | Protocol.Simulate { annotations; prefetch; trace; _ } ->
+      key "simulate" (Printf.sprintf "%B:%B:%B" annotations prefetch trace)
+  | Protocol.Annotate { mode; prefetch; _ } ->
+      key "annotate" (Printf.sprintf "%s:%B" (mode_tag mode) prefetch)
   | Protocol.Annotate_delta { base; start; len; text; mode; prefetch } ->
       key "annotate_delta"
-        (Printf.sprintf "%s:%d:%d:%s:%s:%B" base start len (digest_hex text)
+        (Printf.sprintf "%s:%d:%d:%s:%s:%B" base start len
+           (Delta.Engine.source_digest text)
            (mode_tag mode) prefetch)
-  | Protocol.Races { source } -> key "races" (src source)
-  | Protocol.Trace_stats { source; trace_text } ->
-      key "trace_stats"
-        (match (trace_text, source) with
-        | Some text, _ -> "x:" ^ digest_hex text
-        | None, Some s -> src s
-        | None, None -> "-")
+  | Protocol.Races _ -> key "races" ""
+  | Protocol.Trace_stats { trace_text; _ } ->
+      key "trace_stats" (if trace_text = None then "source" else "inline")
   | Protocol.Stats | Protocol.Ping | Protocol.Shutdown -> None
 
 (* A follower that inherited the leader's deadline cancellation retries
@@ -635,27 +697,23 @@ let finish_response t (req : Protocol.request) ~t0 ~coalesced result =
         ~kind:(Protocol.error_kind_to_string error);
       Protocol.Error_response { id = req.id; error; message }
 
-(* Every request goes through here once. Work ops join the flight table;
-   [lead job] runs a flight leader's [job] and answers false when it
-   cannot (the pool refused it). A follower that inherited its leader's
-   cancellation joins again, at most twice. [deliver] gets exactly one
-   response. *)
-let dispatch ?received t (req : Protocol.request) ~lead ~deliver =
+(* Answer a request that never reaches a flight: its source did not
+   resolve, or the pool refused it. *)
+let refuse t req e =
+  finish_response t req ~t0:(Obs.now_ns ()) ~coalesced:false (Error e)
+
+(* Every work request the hot tier cannot answer goes through here once.
+   Work ops join the flight table; [lead job] runs a flight leader's
+   [job] and answers false when it cannot (the pool refused it). A
+   follower that inherited its leader's cancellation joins again, at
+   most twice. [deliver] gets exactly one response. *)
+let dispatch t (w : work) ~lead ~deliver =
   let t0 = Obs.now_ns () in
-  let received =
-    match received with Some r -> r | None -> Unix.gettimeofday ()
-  in
-  let run () =
-    try
-      check_deadline ~received req.deadline_ms;
-      Ok (execute t req ~poll:(make_poll ~received req.deadline_ms))
-    with e -> Error e
-  in
   let finish ~coalesced result =
-    deliver (finish_response t req ~t0 ~coalesced result)
+    deliver (finish_response t w.req ~t0 ~coalesced result)
   in
-  match flight_key req with
-  | None -> finish ~coalesced:false (run ())
+  match flight_key w with
+  | None -> finish ~coalesced:false (run t w)
   | Some key ->
       let rec attempt tries =
         let on_result ~coalesced = function
@@ -666,7 +724,7 @@ let dispatch ?received t (req : Protocol.request) ~lead ~deliver =
         match Flight.join t.flight key ~deliver:on_result with
         | `Joined -> ()
         | `Leader complete ->
-            if not (lead (fun () -> complete (run ()))) then
+            if not (lead (fun () -> complete (run t w))) then
               complete (Error (overloaded t))
       in
       attempt 0
@@ -674,7 +732,7 @@ let dispatch ?received t (req : Protocol.request) ~lead ~deliver =
 (* Leader jobs, a retry's included, run on the calling thread: the
    thread that completes a flight hands a retrying follower's job back
    to that follower's own caller. *)
-let handle ?received t req =
+let run_here t w =
   let mu = Mutex.create () and wake = Condition.create () in
   let inbox = Queue.create () in
   let post f =
@@ -683,7 +741,7 @@ let handle ?received t req =
         Condition.signal wake)
   in
   let answer = ref None in
-  dispatch ?received t req
+  dispatch t w
     ~lead:(fun job ->
       post job;
       true)
@@ -704,9 +762,44 @@ let handle ?received t req =
   in
   wait ()
 
-let handle_async ?received t req ~deliver =
-  dispatch ?received t req ~deliver ~lead:(fun job ->
+let run_on_pool t w ~deliver =
+  dispatch t w ~deliver ~lead:(fun job ->
       Option.is_some (Wwt.Jobs.Pool.submit t.pool job))
+
+let handle ?received t req =
+  match prepare ?received t req with
+  | w -> run_here t w
+  | exception e -> refuse t req e
+
+let handle_async ?received t req ~deliver =
+  match prepare ?received t req with
+  | w -> run_on_pool t w ~deliver
+  | exception e -> deliver (refuse t req e)
+
+(* Answer [w] on the calling thread when that computes nothing: [stats]
+   and [ping] always, and a request whose every artifact the hot tier
+   holds. A parse hit would still print its AST, and an edit splices
+   and digests before its lookup, so neither is tried. The probe runs
+   [run] in a view of the server whose lookups stop at the hot tier, so
+   the answer books what the pool path books for the same hit: the
+   deadline check first, then the stage hits, the request, its latency
+   and its span. [None]: the hot tier lacks an artifact, and nothing
+   was booked. *)
+let answer_inline t w ~t0 =
+  let answer result =
+    Some (finish_response t w.req ~t0 ~coalesced:false result)
+  in
+  match w.req.op with
+  | Protocol.Stats | Protocol.Ping -> answer (run t w)
+  | Protocol.Simulate _ | Protocol.Annotate _ | Protocol.Races _
+  | Protocol.Trace_stats _ -> (
+      let hits = ref [] in
+      match run { t with probe = Some hits } w with
+      | Error Cold -> None
+      | result ->
+          List.iter (fun stage -> Metrics.record_hit t.metrics ~stage) !hits;
+          answer result)
+  | Protocol.Parse _ | Protocol.Annotate_delta _ | Protocol.Shutdown -> None
 
 (* ------------------------------------------------------------------ *)
 (* the front ends                                                      *)
@@ -716,11 +809,7 @@ let response_line resp =
   Protocol.write_response buf resp;
   Buffer.contents buf
 
-(* The line handling both front ends share: a malformed line is answered
-   with [bad_request] and id 0, [ping] and [stats] are answered inline,
-   and a shutdown or a work request is returned for the front end to
-   place. *)
-let handle_line t line ~reply =
+let handle_line ?received t line ~reply =
   if String.trim line = "" then `Answered
   else
     match Protocol.read_request ~defaults:t.config.machine_defaults line with
@@ -731,10 +820,18 @@ let handle_line t line ~reply =
              { id = 0; error = Protocol.Bad_request; message });
         `Answered
     | Ok ({ op = Protocol.Shutdown; _ } as req) -> `Shutdown req
-    | Ok ({ op = Protocol.Stats | Protocol.Ping; _ } as req) ->
-        reply (handle t req);
-        `Answered
-    | Ok req -> `Work req
+    | Ok req -> (
+        let t0 = Obs.now_ns () in
+        match prepare ?received t req with
+        | exception e ->
+            reply (refuse t req e);
+            `Answered
+        | w -> (
+            match answer_inline t w ~t0 with
+            | Some resp ->
+                reply resp;
+                `Answered
+            | None -> `Work w))
 
 (* ---- blocking NDJSON loop (stdio) ---- *)
 
@@ -762,19 +859,14 @@ let serve t ic oc =
             drain ();
             send (handle t req);
             `Shutdown
-        | `Work req ->
+        | `Work w ->
             (* the request joins a flight only when its job runs, so one
                queued behind an identical request finds its artifact *)
-            let received = Unix.gettimeofday () in
             (match
-               Wwt.Jobs.Pool.submit t.pool (fun () ->
-                   send (handle ~received t req))
+               Wwt.Jobs.Pool.submit t.pool (fun () -> send (run_here t w))
              with
             | Some h -> pending := h :: !pending
-            | None ->
-                send
-                  (finish_response t req ~t0:(Obs.now_ns ()) ~coalesced:false
-                     (Error (overloaded t))));
+            | None -> send (refuse t w.req (overloaded t)));
             loop ())
   in
   let outcome = loop () in
@@ -816,9 +908,9 @@ let serve_shards t ~path ?(options = default_serve_options) ?stop () =
                  drain grace *)
               reply (handle t req);
               Atomic.set stop true
-          | `Work req ->
+          | `Work w ->
               Aio.Loop.hold conn;
-              handle_async t req ~deliver:(fun resp ->
+              run_on_pool t w ~deliver:(fun resp ->
                   Aio.Loop.post loop (fun () ->
                       reply resp;
                       Aio.Loop.release conn))
@@ -830,8 +922,13 @@ let serve_shards t ~path ?(options = default_serve_options) ?stop () =
           ~stop:(fun () -> Atomic.get stop)
           ()
       in
-      match max 1 options.listeners with
-      | 1 -> shard () (* run on the calling domain *)
-      | n ->
-          let shards = List.init n (fun _ -> Domain.spawn shard) in
-          List.iter Domain.join shards)
+      (* one shard runs on the calling domain; should it fail, the others
+         are stopped before the failure propagates *)
+      let others =
+        List.init (max 1 options.listeners - 1) (fun _ -> Domain.spawn shard)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          List.iter Domain.join others)
+        shard)

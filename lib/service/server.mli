@@ -4,11 +4,15 @@
     content-addressed {!Cache} over an optional on-disk {!Store}), one
     {!Flight} table, one {!Metrics} instance, and one {!Wwt.Jobs.Pool}
     of worker domains. Requests ({!Protocol.request}) arrive as
-    newline-delimited JSON over stdio or a Unix-domain socket; work
-    requests execute on the pool, so several simulations proceed
-    concurrently while the front end keeps accepting. When the pool's
-    bounded queue is full, the server answers an [overloaded] error
-    immediately instead of buffering.
+    newline-delimited JSON over stdio or a Unix-domain socket. The
+    thread that reads a request answers it when that computes nothing:
+    [ping], [stats], and a [simulate], [annotate], [races] or
+    [trace_stats] request whose every artifact the hot tier holds. Every
+    other request (a miss, a disk-tier hit, a [parse], an
+    [annotate_delta]) executes on the pool, so several simulations
+    proceed concurrently while the front end keeps accepting. When the
+    pool's bounded queue is full, the server answers an [overloaded]
+    error immediately instead of buffering.
 
     Stage artifacts are keyed by stable hashes of
     [(source text, machine config, seed, stage)]: a [parse] hit returns
@@ -33,30 +37,36 @@
     is charged only for its two new ASTs and its item table
     ({!chained_base_bytes}).
 
-    {b One request path.} {!handle} and {!handle_async} are thin callers
-    of one dispatch. It stamps the request once, on arrival, with the
-    monotonic {!Obs.now_ns}, which times both [elapsed_us] and the span
-    (wall-clock time anchors deadlines only); joins the flight table, so identical concurrent work
-    requests share one execution (followers receive the leader's result,
-    marked [cached]); retries, at most twice, a follower that inherited
-    its leader's deadline cancellation; and books the response — request
-    count, latency, error kind, coalesced count and one [service.<op>]
-    span — in {!Metrics} and the {!Obs} pipeline. The callers differ
-    only in where a flight leader runs: {!handle} runs it on the calling
-    thread, {!handle_async} submits it to the pool, and a pool refusal is
-    the one [overloaded] error.
+    {b One request path.} Every entry point first resolves the request's
+    source once (a benchmark's text comes from a memo holding each
+    name's last rendering) and digests it once; the stage keys, the
+    flight key and the [artifact] id all use that digest. {!handle} and
+    {!handle_async} are then thin callers of one dispatch. It stamps the
+    request once, on arrival, with the monotonic {!Obs.now_ns}, which
+    times both [elapsed_us] and the span (wall-clock time anchors
+    deadlines only); joins the flight table, so identical concurrent
+    work requests share one execution (followers receive the leader's
+    result, marked [cached]); retries, at most twice, a follower that
+    inherited its leader's deadline cancellation; and books the response
+    — request count, latency, error kind, coalesced count and one
+    [service.<op>] span — in {!Metrics} and the {!Obs} pipeline. The
+    callers differ only in where a flight leader runs: {!handle} runs it
+    on the calling thread, {!handle_async} submits it to the pool, and a
+    pool refusal is the one [overloaded] error.
 
-    {b Front ends.} Both front ends share one line handler: a malformed
-    line is answered with [bad_request] and id 0, [ping] and [stats] are
-    answered inline, and [shutdown] is recognised; each front end keeps
-    only its transport and its shutdown order. The socket front end
-    ({!serve_shards}) dispatches work with {!handle_async}, so a request
-    coalesces on arrival. The stdio front end ({!serve}) submits each
-    work request to the pool as a {!handle} job, which joins the flight
-    table only when a worker runs it: a request queued behind an
-    identical one then finds the artifact its predecessor cached rather
-    than riding along with it, so a burst with one worker answers every
-    repeat from the cache. *)
+    {b Front ends.} Both front ends share one line handler,
+    {!handle_line}: a malformed line is answered with [bad_request] and
+    id 0, [shutdown] is recognised, and a request it can answer without
+    computing is answered on the reading thread, booked exactly as the
+    pool would book it; each front end keeps only its transport, where
+    it places the rest, and its shutdown order. The socket front end
+    ({!serve_shards}) dispatches the rest as {!handle_async} does, so a
+    request coalesces on arrival. The stdio front end ({!serve}) submits
+    each to the pool as a {!handle} job, which joins the flight table
+    only when a worker runs it: a request queued behind an identical one
+    then finds the artifact its predecessor cached rather than riding
+    along with it, so a burst with one worker answers every repeat from
+    the cache. *)
 
 type config = {
   machine_defaults : Protocol.machine_config;
@@ -95,20 +105,49 @@ val handle_async :
     ([ping], [stats], [shutdown]) are answered before returning; work
     operations join the flight table, and only a flight leader occupies
     a pool slot. [deliver] is called exactly once — on the calling
-    thread for inline answers and pool-refused ([overloaded]) requests,
-    or on a worker domain otherwise — so callers that own an
-    {!Aio.Loop} must re-enter it via {!Aio.Loop.post}. The reported
-    [elapsed_us] runs from this call, also for a follower that retried. *)
+    thread for cheap operations, a source that does not resolve
+    ([unknown_benchmark]) and pool-refused ([overloaded]) requests, or
+    on a worker domain otherwise — so callers that own an {!Aio.Loop}
+    must re-enter it via {!Aio.Loop.post}. The reported [elapsed_us]
+    runs from this call, also for a follower that retried. It never
+    answers from the hot tier on the calling thread; {!handle_line}
+    does. *)
+
+type work
+(** A request {!handle_line} leaves to its front end: its source is
+    resolved and digested, and it carries its arrival stamp. *)
+
+val handle_line :
+  ?received:float ->
+  t ->
+  string ->
+  reply:(Protocol.response -> unit) ->
+  [ `Answered | `Shutdown of Protocol.request | `Work of work ]
+(** The line handler both front ends share. [`Answered]: [reply] got the
+    one response, on the calling thread — a malformed line
+    ([bad_request], id 0), a source that does not resolve, [ping],
+    [stats], or a [simulate], [annotate], [races] or [trace_stats]
+    request whose every artifact the hot tier holds. Such a hit books
+    what the pool path books for it: the stage hits, the request, its
+    latency and its [service.<op>] span, and a passed [deadline_ms]
+    makes it [deadline_exceeded] with no stage hit. [`Work]: the request
+    needs the pool (a miss, a disk-tier hit, [parse], [annotate_delta]);
+    nothing was booked and no stage missed. [`Shutdown]: the front end
+    answers it in its own order. [received] anchors deadlines as for
+    {!handle}; it defaults to now. *)
 
 val serve : t -> in_channel -> out_channel -> [ `Shutdown | `Eof ]
-(** Blocking NDJSON loop over channels: read requests, fan them out on
-    the pool as {!handle} jobs, write one response line per request
+(** Blocking NDJSON loop over channels: read requests, answer what
+    {!handle_line} can on the reading thread, fan the rest out on the
+    pool as {!handle} jobs, write one response line per request
     (order follows completion; correlate by [id]). Returns on end of
     input or on a [shutdown] request — after every in-flight request has
     been answered. *)
 
 type serve_options = {
-  listeners : int;  (** listener-shard domains sharing the socket *)
+  listeners : int;
+      (** event-loop shards sharing the socket: one runs on the calling
+          domain, each other on a domain of its own *)
   idle_timeout_s : float;  (** drop connections idle this long *)
   drain_grace_s : float;  (** shutdown drain bound *)
 }
@@ -125,8 +164,10 @@ val serve_shards :
   unit
 (** The production front end: bind a Unix-domain socket at [path]
     (replacing any stale file) and serve it with [options.listeners]
-    event-loop shards — each an {!Aio.Loop} on its own domain, all
-    accepting from the shared socket. Connections carry pipelined NDJSON
+    event-loop shards — each an {!Aio.Loop}, one on the calling domain
+    and each other on a domain of its own, all accepting from the shared
+    socket. A shard answers what {!handle_line} can answer on its own
+    domain and hands the rest to the pool. Connections carry pipelined NDJSON
     requests split at arbitrary byte boundaries; responses go back on
     the connection that sent the request, in completion order.
 

@@ -26,6 +26,13 @@ is edited again against that edit's artifact, a chained base. Both
 must be plan-reuse, and each payload and report must be byte-identical
 to cachier_cli --nodes 4 run cold on the edited text.
 
+Hits, in both modes: an annotate, a simulate and a races request are
+each sent, then repeated lock-step. The repeat must be cached,
+identical to the first answer in every field but id, elapsed_us and
+cached, and booked by stats as exactly one hit of its stage (annotate,
+measure, races) and no miss: the server answers such a hit on the
+thread that reads it, so this runs that path on the real binary.
+
 Errors, in both modes: with --queue-capacity 0 every work request is
 refused. A malformed line must get bad_request with id 0, a simulate
 request overloaded, and a following stats request must count one
@@ -77,6 +84,15 @@ DELTA_PROGRAM = os.path.join(
 DELTA_EDIT = "\n// delta-smoke edit\n"
 DELTA_ID = 9
 CHAIN_ID = 100
+HIT_ID = 200
+
+# A hot-tier hit of each kind the server answers on the reading thread,
+# with the stage stats books it under.
+HITS = [
+    ({"op": "annotate", "bench": "matmul", "nodes": 4}, "annotate"),
+    ({"op": "simulate", "bench": "matmul", "nodes": 4}, "measure"),
+    ({"op": "races", "bench": "matmul", "nodes": 4}, "races"),
+]
 
 
 def delta_requests():
@@ -186,6 +202,47 @@ def check_delta_chain(call, cli, mode, next_id):
           "plan-reuse, payloads and reports = cachier_cli")
 
 
+def check_hits(call, mode, next_id):
+    """Each request of HITS and then its repeat, lock-step, with stats
+    read around the repeat; [call] sends one request and returns its
+    response."""
+
+    def send(req):
+        nonlocal next_id
+        next_id += 1
+        resp = call(dict(req, id=next_id))
+        if "error" in resp:
+            fail(f"{mode}: id {next_id}: {resp['error']}: "
+                 f"{resp.get('message')}")
+        return resp
+
+    def stats():
+        return send({"op": "stats"})["stats"]
+
+    def answer(resp):
+        return {k: v for k, v in resp.items()
+                if k not in ("id", "elapsed_us", "cached")}
+
+    for req, stage in HITS:
+        first = send(req)
+        before = stats()
+        repeat = send(req)
+        after = stats()
+        if not repeat["cached"]:
+            fail(f"{mode}: repeated {req['op']} missed the cache")
+        if answer(repeat) != answer(first):
+            fail(f"{mode}: repeated {req['op']} differs from the first answer")
+        hits = after["hits"].get(stage, 0) - before["hits"].get(stage, 0)
+        if hits != 1:
+            fail(f"{mode}: repeated {req['op']} booked {hits} {stage} hits, "
+                 "expected 1")
+        if after["misses"] != before["misses"]:
+            fail(f"{mode}: repeated {req['op']} booked a miss: "
+                 f"{before['misses']} -> {after['misses']}")
+    print(f"ok [{mode}]: repeated annotate, simulate and races cached, "
+          "identical, one stage hit each")
+
+
 def fail(msg):
     print(f"FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -282,6 +339,7 @@ def smoke_stdio(server, cli):
             by_id[resp["id"]] = resp
         check_delta(by_id, delta, "stdio")
         check_delta_chain(call, cli, "stdio", CHAIN_ID)
+        check_hits(call, "stdio", HIT_ID)
         call(requests[-1])
         _, err = proc.communicate(timeout=300)
     finally:
@@ -362,6 +420,7 @@ def smoke_socket(server, cli):
                 return by_id[req["id"]]
 
             check_delta_chain(call, cli, "socket", CHAIN_ID)
+            check_hits(call, "socket", HIT_ID)
         check_responses(by_id, REQUESTS[:-1], "socket", PAIRS)
 
         # graceful SIGTERM: drain, remove the socket file, exit 0

@@ -19,8 +19,8 @@ let splice_or_err base base_ast span text =
   try
     Ok
       (fst
-         (Delta.Splice.splice ~items:(Delta.Splice.items base) ~base ~base_ast
-            span text))
+         (Delta.Splice.splice ~items:(Delta.Splice.items base) ~base_ast
+            ~edited:(Delta.Splice.apply_edit base span text) span text))
   with e -> Error (Printexc.to_string e)
 
 (* splice(src, span, text) = parse(apply_edit(src, span, text)), sids
@@ -78,11 +78,12 @@ let prop_int_edits_incremental =
       let span, _ = List.nth lits k in
       let text = string_of_int v in
       let base_ast = Parser.parse src in
+      let edited = Delta.Splice.apply_edit src span text in
       let prog, how =
-        Delta.Splice.splice ~items:(Delta.Splice.items src) ~base:src ~base_ast
+        Delta.Splice.splice ~items:(Delta.Splice.items src) ~base_ast ~edited
           span text
       in
-      let full = Parser.parse (Delta.Splice.apply_edit src span text) in
+      let full = Parser.parse edited in
       (match how with
       | `Incremental _ -> ()
       | `Full -> QCheck.Test.fail_report "expected the incremental path");
@@ -96,13 +97,13 @@ let test_edit_at_position_zero () =
   let base_ast = Parser.parse src in
   let span = { Delta.Splice.start = 0; len = 0 } in
   let text = "/* lead */ " in
+  let edited = Delta.Splice.apply_edit src span text in
   let prog, how =
-    Delta.Splice.splice ~items:(Delta.Splice.items src) ~base:src ~base_ast
-      span text
+    Delta.Splice.splice ~items:(Delta.Splice.items src) ~base_ast ~edited span
+      text
   in
   Alcotest.(check bool) "full path" true (how = `Full);
-  Alcotest.(check bool) "agrees with parse" true
-    (prog = Parser.parse (Delta.Splice.apply_edit src span text))
+  Alcotest.(check bool) "agrees with parse" true (prog = Parser.parse edited)
 
 let test_edit_spanning_proc_boundary () =
   let src = Benchmarks.Jacobi.source ~n:16 ~t:2 ~nodes:4 () in
@@ -118,7 +119,9 @@ let test_edit_spanning_proc_boundary () =
       let text = "} " in
       let base_ast = Parser.parse src in
       let _, how =
-        try Delta.Splice.splice ~items ~base:src ~base_ast span text
+        try
+          Delta.Splice.splice ~items ~base_ast
+            ~edited:(Delta.Splice.apply_edit src span text) span text
         with _ -> (base_ast, `Full)
       in
       Alcotest.(check bool) "full path" true (how = `Full)
@@ -133,12 +136,12 @@ let test_insertion_inside_proc_incremental () =
   let span = { Delta.Splice.start = brace + 1; len = 0 } in
   let text = " zz9 = 1; " in
   let base_ast = Parser.parse src in
-  let prog, how = Delta.Splice.splice ~items ~base:src ~base_ast span text in
+  let edited = Delta.Splice.apply_edit src span text in
+  let prog, how = Delta.Splice.splice ~items ~base_ast ~edited span text in
   (match how with
   | `Incremental _ -> ()
   | `Full -> Alcotest.fail "expected the incremental path");
-  Alcotest.(check bool) "agrees with parse" true
-    (prog = Parser.parse (Delta.Splice.apply_edit src span text))
+  Alcotest.(check bool) "agrees with parse" true (prog = Parser.parse edited)
 
 (* --- taint ------------------------------------------------------------- *)
 
@@ -224,7 +227,8 @@ let base_of src =
 
 let delta ?base src span text =
   let base = match base with Some b -> b | None -> base_of src in
-  Delta.Engine.annotate_delta ~machine ~options:opts ~base ~source:src span text
+  Delta.Engine.annotate_delta ~machine ~options:opts ~base
+    (Delta.Engine.edit ~source:src span text)
 
 let result_of (o : Delta.Engine.outcome) =
   o.Delta.Engine.base.Delta.Engine.result
@@ -232,16 +236,18 @@ let result_of (o : Delta.Engine.outcome) =
 let test_noop_edit_pure_hit () =
   let src = Benchmarks.Matmul.source ~n:8 ~nodes:4 () in
   let base = base_of src in
-  let o = delta ~base src { Delta.Splice.start = 0; len = 0 } "" in
+  let span = { Delta.Splice.start = 0; len = 0 } in
+  let o = delta ~base src span "" in
   Alcotest.(check bool) "noop" true (o.Delta.Engine.reuse = Delta.Engine.Noop);
   Alcotest.(check bool) "the base itself" true (o.Delta.Engine.base == base);
   Alcotest.(check string) "same artifact" (Delta.Engine.source_digest src)
-    o.Delta.Engine.artifact
+    (Delta.Engine.edit ~source:src span "").Delta.Engine.artifact
 
 let test_shared_decl_edit_resimulates () =
   let src = "shared A[8]; proc main() { A[pid] = pid; barrier; }" in
   let start = String.index src '8' in
   let span = { Delta.Splice.start; len = 1 } in
+  let edited = Delta.Splice.apply_edit src span "16" in
   let o = delta src span "16" in
   (match o.Delta.Engine.reuse with
   | Delta.Engine.Resim _ -> ()
@@ -249,10 +255,7 @@ let test_shared_decl_edit_resimulates () =
       Alcotest.fail
         ("a shared-declaration edit must resimulate, got "
         ^ Delta.Engine.reuse_to_string r));
-  let cold =
-    Cachier.Annotate.annotate_source ~machine ~options:opts
-      o.Delta.Engine.edited_source
-  in
+  let cold = Cachier.Annotate.annotate_source ~machine ~options:opts edited in
   Alcotest.(check string) "byte-identical source"
     (Cachier.Annotate.to_source cold)
     (Cachier.Annotate.to_source (result_of o))
@@ -301,7 +304,8 @@ let test_plan_reuse_on_simple_edit () =
   match proven with
   | None -> () (* nothing provable in this program: fine, covered elsewhere *)
   | Some (span, v) ->
-      let o = delta src span (string_of_int (v + 1)) in
+      let text = string_of_int (v + 1) in
+      let o = delta src span text in
       (match o.Delta.Engine.reuse with
       | Delta.Engine.Plan_reuse -> ()
       | r ->
@@ -309,7 +313,7 @@ let test_plan_reuse_on_simple_edit () =
             ("expected plan reuse, got " ^ Delta.Engine.reuse_to_string r));
       let cold =
         Cachier.Annotate.annotate_source ~machine ~options:opts
-          o.Delta.Engine.edited_source
+          (Delta.Splice.apply_edit src span text)
       in
       check_outcome_matches_cold "matmul" o cold
 
@@ -317,16 +321,14 @@ let test_chained_edits_stay_warm () =
   let src = "proc main() { x = 3; barrier; y = 5; barrier; }" in
   let start = String.index src '3' in
   let b0 = base_of src in
-  let o1 = delta ~base:b0 src { Delta.Splice.start; len = 1 } "7" in
+  let span = { Delta.Splice.start; len = 1 } in
+  let o1 = delta ~base:b0 src span "7" in
   Alcotest.(check bool) "first edit proven" true
     (o1.Delta.Engine.reuse = Delta.Engine.Plan_reuse);
   (* the second edit uses the first edit's output and base *)
-  let src2 = o1.Delta.Engine.edited_source in
-  let start2 = String.index src2 '5' in
-  let o2 =
-    delta ~base:o1.Delta.Engine.base src2
-      { Delta.Splice.start = start2; len = 1 } "9"
-  in
+  let src2 = Delta.Splice.apply_edit src span "7" in
+  let span2 = { Delta.Splice.start = String.index src2 '5'; len = 1 } in
+  let o2 = delta ~base:o1.Delta.Engine.base src2 span2 "9" in
   Alcotest.(check bool) "second edit proven" true
     (o2.Delta.Engine.reuse = Delta.Engine.Plan_reuse);
   (* and neither edit re-simulated: every base in the chain shares the
@@ -339,7 +341,7 @@ let test_chained_edits_stay_warm () =
     == b0.Delta.Engine.result.Cachier.Annotate.einfo);
   let cold =
     Cachier.Annotate.annotate_source ~machine ~options:opts
-      o2.Delta.Engine.edited_source
+      (Delta.Splice.apply_edit src2 span2 "9")
   in
   check_outcome_matches_cold "chained" o2 cold
 

@@ -78,6 +78,36 @@ let test_json_escapes () =
   | _ -> Alcotest.fail "malformed input accepted"
   | exception Json.Parse_error _ -> ()
 
+(* The per-byte escaper [Json] printed with before it copied each run of
+   plain bytes at once, kept as the reference. *)
+let escaped_per_byte s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let prop_escape_runs_match_per_byte =
+  QCheck.Test.make ~count:1000
+    ~name:"json: escaping by runs = escaping byte by byte"
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(string_size ~gen:char (int_bound 300)))
+    (fun s -> Json.to_string (Json.String s) = escaped_per_byte s)
+
 let test_request_roundtrip () =
   let reqs =
     [
@@ -567,10 +597,8 @@ let test_chained_base_charge_is_resident_size () =
       | None -> Alcotest.failf "%s-8: no provable edit" prog
       | Some (span, text) ->
           let parent = Delta.Engine.base_of ~machine ~options ~source program in
-          let o =
-            Delta.Engine.annotate_delta ~machine ~options ~base:parent ~source
-              span text
-          in
+          let e = Delta.Engine.edit ~source span text in
+          let o = Delta.Engine.annotate_delta ~machine ~options ~base:parent e in
           Alcotest.(check string) (prog ^ "-8: reuse") "plan-reuse"
             (Delta.Engine.reuse_to_string o.Delta.Engine.reuse);
           let base = o.Delta.Engine.base in
@@ -584,7 +612,7 @@ let test_chained_base_charge_is_resident_size () =
               - words parent)
           in
           let charged =
-            Server.chained_base_bytes ~source:o.Delta.Engine.edited_source base
+            Server.chained_base_bytes ~source:e.Delta.Engine.edited base
           in
           let ratio = float_of_int charged /. float_of_int resident in
           if ratio < 0.8 || ratio > 1.2 then
@@ -788,14 +816,13 @@ let test_deadline_cancels_delta_resim () =
 
 (* ---- the NDJSON loop: overload and shutdown ---- *)
 
-let serve_lines ~config lines =
+let serve_on server lines =
   (* run [serve] over pipes, feed it [lines], return the response lines *)
   let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
   let ic = Unix.in_channel_of_descr req_r
   and oc = Unix.out_channel_of_descr resp_w in
   let writer = Unix.out_channel_of_descr req_w
   and reader = Unix.in_channel_of_descr resp_r in
-  let server = Server.create config in
   let outcome = ref `Eof in
   let server_domain =
     Domain.spawn (fun () ->
@@ -811,10 +838,11 @@ let serve_lines ~config lines =
      done
    with End_of_file -> ());
   Domain.join server_domain;
-  Server.shutdown server;
   close_in_noerr ic;
   close_in_noerr reader;
   (!outcome, List.rev_map Json.of_string !responses)
+
+let serve_lines ~config lines = with_server ~config (fun s -> serve_on s lines)
 
 let response_by_id id responses =
   match
@@ -865,6 +893,211 @@ let test_serve_shutdown_and_bad_line () =
   Alcotest.(check bool) "in-flight request answered before shutdown" true
     (Json.(to_string_opt (member "payload" sim)) <> None);
   ignore (response_by_id 42 responses)
+
+(* ---- hot-tier hits answered on the reading thread ---- *)
+
+let line_of req = Json.to_string (Protocol.request_to_json req)
+
+(* The response [Server.handle_line] answered on the calling thread, or
+   [None] when it left the request to the pool. *)
+let inline ?received server req =
+  let got = ref None in
+  match
+    Server.handle_line ?received server (line_of req) ~reply:(fun r ->
+        got := Some r)
+  with
+  | `Answered -> !got
+  | `Work _ -> None
+  | `Shutdown _ -> Alcotest.fail "not a shutdown"
+
+(* The pool path: [handle_async], whose flight leader runs on a worker. *)
+let via_pool server req =
+  let mu = Mutex.create () and cond = Condition.create () in
+  let got = ref None in
+  Server.handle_async server req ~deliver:(fun r ->
+      Mutex.protect mu (fun () ->
+          got := Some r;
+          Condition.signal cond));
+  Mutex.protect mu (fun () ->
+      while Option.is_none !got do
+        Condition.wait cond mu
+      done;
+      Option.get !got)
+
+(* Everything [stats] books but the latencies, whose count per op
+   stays. *)
+let bookings server =
+  match
+    Metrics.to_json (Server.metrics server) ~evictions:0 ~cache_bytes:0
+      ~cache_entries:0 ()
+  with
+  | Json.Obj fields ->
+      let counts =
+        match List.assoc "latency" fields with
+        | Json.Obj ops ->
+            List.map (fun (op, h) -> (op, Json.member "count" h)) ops
+        | _ -> []
+      in
+      Json.to_string
+        (Json.Obj
+           (List.remove_assoc "latency" fields
+           @ [ ("latency_counts", Json.Obj counts) ]))
+  | _ -> Alcotest.fail "stats is not an object"
+
+let hit_ops =
+  let source = Protocol.Bench "matmul" in
+  [
+    ( "annotate",
+      Protocol.Annotate { source; mode = Performance; prefetch = false } );
+    ( "simulate",
+      Protocol.Simulate
+        { source; annotations = false; prefetch = false; trace = false } );
+    ( "simulate --trace",
+      Protocol.Simulate
+        { source; annotations = false; prefetch = false; trace = true } );
+    ("races", Protocol.Races { source });
+    ( "trace_stats",
+      Protocol.Trace_stats { source = Some source; trace_text = None } );
+  ]
+
+(* Two servers warmed alike: one answers the repeat on the reading
+   thread, the other on a worker. The responses and every booking must
+   agree; a cold request is not answered inline and books nothing. *)
+let test_inline_hit_books_as_the_pool () =
+  List.iter
+    (fun (name, op) ->
+      with_server (fun here ->
+          with_server (fun pool ->
+              let req = request op in
+              List.iter (fun s -> ignore (ok_payload (Server.handle s req)))
+                [ here; pool ];
+              let cold =
+                request ~seed:9 op
+              in
+              let before = bookings here in
+              Alcotest.(check bool) (name ^ ": a miss is left to the pool")
+                true
+                (inline here cold = None);
+              Alcotest.(check string) (name ^ ": a miss books nothing") before
+                (bookings here);
+              let hit =
+                match inline here req with
+                | Some r -> r
+                | None -> Alcotest.failf "%s: hit not answered inline" name
+              in
+              let pooled = via_pool pool req in
+              Alcotest.(check string) (name ^ ": payload") (ok_payload pooled)
+                (ok_payload hit);
+              Alcotest.(check bool) (name ^ ": cached") true
+                (ok_cached hit && ok_cached pooled);
+              let extras = function
+                | Protocol.Ok_response { extra; _ } ->
+                    Json.to_string (Json.Obj extra)
+                | Protocol.Error_response _ -> ""
+              in
+              Alcotest.(check string) (name ^ ": extra fields") (extras pooled)
+                (extras hit);
+              Alcotest.(check string) (name ^ ": bookings") (bookings pool)
+                (bookings here))))
+    hit_ops
+
+(* With no room in the queue, a warmed hit is still answered, by the
+   reading thread, while a cold request is refused without booking a
+   stage miss. *)
+let test_serve_answers_hits_without_queue_room () =
+  let config = { memory_config with queue_capacity = 0 } in
+  with_server ~config (fun server ->
+      let simulate prog =
+        Protocol.Simulate
+          { source = Bench prog; annotations = false; prefetch = false;
+            trace = false }
+      in
+      let warm = ok_payload (Server.handle server (request (simulate "matmul"))) in
+      let misses () =
+        Json.to_string
+          (Json.member "misses"
+             (Metrics.to_json (Server.metrics server) ~evictions:0
+                ~cache_bytes:0 ~cache_entries:0 ()))
+      in
+      let misses_before = misses () in
+      let _, responses =
+        serve_on server
+          [
+            line_of (request ~id:1 (simulate "matmul"));
+            line_of (request ~id:2 (simulate "ocean"));
+          ]
+      in
+      let hit = response_by_id 1 responses in
+      Alcotest.(check (option string)) "hit answered" (Some warm)
+        Json.(to_string_opt (member "payload" hit));
+      Alcotest.(check (option bool)) "hit cached" (Some true)
+        Json.(to_bool_opt (member "cached" hit));
+      Alcotest.(check (option string)) "cold request overloaded"
+        (Some "overloaded")
+        Json.(to_string_opt (member "error" (response_by_id 2 responses)));
+      Alcotest.(check string) "no stage miss booked" misses_before (misses ());
+      Alcotest.(check int) "one measure hit" 1
+        (Metrics.hits (Server.metrics server) ~stage:"measure"))
+
+(* A hit answered inline honours its deadline as the pool does: checked
+   before anything else, so it books no stage hit. *)
+let test_inline_hit_honours_deadline () =
+  with_server (fun server ->
+      let op =
+        Protocol.Races { source = Bench "matmul" }
+      in
+      let payload = ok_payload (Server.handle server (request op)) in
+      let stale = Unix.gettimeofday () -. 1.0 in
+      (match inline ~received:stale server (request ~deadline_ms:5 op) with
+      | Some r ->
+          Alcotest.(check string) "deadline exceeded" "deadline_exceeded"
+            (error_kind r)
+      | None -> Alcotest.fail "a hit past its deadline left to the pool");
+      let m = Server.metrics server in
+      Alcotest.(check int) "no stage hit booked" 0 (Metrics.hits m ~stage:"races");
+      match inline server (request ~deadline_ms:60_000 op) with
+      | Some r ->
+          Alcotest.(check string) "within its deadline" payload (ok_payload r);
+          Alcotest.(check int) "one races hit" 1 (Metrics.hits m ~stage:"races")
+      | None -> Alcotest.fail "a hit within its deadline left to the pool")
+
+(* The budget holds one annotation and its source: annotating another
+   seed evicts the first annotation, whose repeat a worker then
+   recomputes, byte for byte. *)
+let test_evicted_hit_is_served_by_a_worker () =
+  let op =
+    Protocol.Annotate
+      { source = Bench "matmul"; mode = Performance; prefetch = false }
+  in
+  let first = with_server (fun s -> Server.handle s (request op)) in
+  let payload = ok_payload first in
+  let report =
+    match extra "report" first with
+    | Some (Json.String r) -> r
+    | _ -> Alcotest.fail "annotate response without a report"
+  in
+  let source =
+    (Benchmarks.Suite.find ~nodes:small_machine.Protocol.nodes "matmul")
+      .Benchmarks.Suite.source
+  in
+  let budget_bytes =
+    String.length source + String.length payload + String.length report
+  in
+  with_server ~config:{ memory_config with budget_bytes } (fun server ->
+      ignore (ok_payload (Server.handle server (request op)));
+      ignore (ok_payload (Server.handle server (request ~seed:7 op)));
+      Alcotest.(check bool) "evicted: left to the pool" true
+        (inline server (request op) = None);
+      let m = Server.metrics server in
+      let misses = Metrics.misses m ~stage:"annotate" in
+      let _, responses = serve_on server [ line_of (request ~id:3 op) ] in
+      let r = response_by_id 3 responses in
+      Alcotest.(check (option string)) "same bytes" (Some payload)
+        Json.(to_string_opt (member "payload" r));
+      Alcotest.(check (option bool)) "recomputed" (Some false)
+        Json.(to_bool_opt (member "cached" r));
+      Alcotest.(check int) "the worker booked the miss" (misses + 1)
+        (Metrics.misses m ~stage:"annotate"))
 
 (* ---- persistence across restarts ---- *)
 
@@ -1387,6 +1620,7 @@ let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json escapes and errors" `Quick test_json_escapes;
+    Qc.qtest prop_escape_runs_match_per_byte;
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "request defaults and validation" `Quick
       test_request_defaults_and_validation;
@@ -1426,6 +1660,14 @@ let suite =
       test_serve_overload_structured_error;
     Alcotest.test_case "serve: shutdown drains, bad lines answered" `Quick
       test_serve_shutdown_and_bad_line;
+    Alcotest.test_case "inline hits answer and book as the pool does" `Quick
+      test_inline_hit_books_as_the_pool;
+    Alcotest.test_case "serve: hits answered with no queue room" `Quick
+      test_serve_answers_hits_without_queue_room;
+    Alcotest.test_case "an inline hit honours its deadline" `Quick
+      test_inline_hit_honours_deadline;
+    Alcotest.test_case "an evicted hit is served by a worker" `Quick
+      test_evicted_hit_is_served_by_a_worker;
     Alcotest.test_case "trace persistence across restart" `Quick
       test_trace_persistence_across_restart;
     Alcotest.test_case "two-tier: all stages survive a restart" `Quick
