@@ -90,7 +90,10 @@ let annotate_delta ?poll ~machine ~options ~base:b e =
         (* a chained base: the parent's plan, epoch info, report and
            summary; two new ASTs and the edited table *)
         let result = { b.result with Cachier.Annotate.annotated } in
-        { base = { b with program = eprog; info; result; items }; reuse = Plan_reuse }
+        {
+          base = { b with program = eprog; info; result; items };
+          reuse = Plan_reuse;
+        }
     | Taint.Broken why ->
         {
           base = base_of ?poll ~machine ~options ~source:e.edited eprog;

@@ -702,8 +702,9 @@ let finish_response t (req : Protocol.request) ~t0 ~coalesced result =
 let refuse t req e =
   finish_response t req ~t0:(Obs.now_ns ()) ~coalesced:false (Error e)
 
-(* Every work request the hot tier cannot answer goes through here once.
-   Work ops join the flight table; [lead job] runs a flight leader's
+(* Every request [handle_line] leaves to its front end, and every
+   [handle] or [handle_async] call, goes through here once. Work ops join
+   the flight table; [lead job] runs a flight leader's
    [job] and answers false when it cannot (the pool refused it). A
    follower that inherited its leader's cancellation joins again, at
    most twice. [deliver] gets exactly one response. *)

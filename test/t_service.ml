@@ -78,8 +78,7 @@ let test_json_escapes () =
   | _ -> Alcotest.fail "malformed input accepted"
   | exception Json.Parse_error _ -> ()
 
-(* The per-byte escaper [Json] printed with before it copied each run of
-   plain bytes at once, kept as the reference. *)
+(* The reference for [Json]'s escaping by runs: one byte at a time. *)
 let escaped_per_byte s =
   let buf = Buffer.create (String.length s + 2) in
   Buffer.add_char buf '"';
@@ -598,7 +597,9 @@ let test_chained_base_charge_is_resident_size () =
       | Some (span, text) ->
           let parent = Delta.Engine.base_of ~machine ~options ~source program in
           let e = Delta.Engine.edit ~source span text in
-          let o = Delta.Engine.annotate_delta ~machine ~options ~base:parent e in
+          let o =
+            Delta.Engine.annotate_delta ~machine ~options ~base:parent e
+          in
           Alcotest.(check string) (prog ^ "-8: reuse") "plan-reuse"
             (Delta.Engine.reuse_to_string o.Delta.Engine.reuse);
           let base = o.Delta.Engine.base in
@@ -971,9 +972,7 @@ let test_inline_hit_books_as_the_pool () =
               let req = request op in
               List.iter (fun s -> ignore (ok_payload (Server.handle s req)))
                 [ here; pool ];
-              let cold =
-                request ~seed:9 op
-              in
+              let cold = request ~seed:9 op in
               let before = bookings here in
               Alcotest.(check bool) (name ^ ": a miss is left to the pool")
                 true
@@ -1012,7 +1011,9 @@ let test_serve_answers_hits_without_queue_room () =
           { source = Bench prog; annotations = false; prefetch = false;
             trace = false }
       in
-      let warm = ok_payload (Server.handle server (request (simulate "matmul"))) in
+      let warm =
+        ok_payload (Server.handle server (request (simulate "matmul")))
+      in
       let misses () =
         Json.to_string
           (Json.member "misses"
@@ -1043,9 +1044,7 @@ let test_serve_answers_hits_without_queue_room () =
    before anything else, so it books no stage hit. *)
 let test_inline_hit_honours_deadline () =
   with_server (fun server ->
-      let op =
-        Protocol.Races { source = Bench "matmul" }
-      in
+      let op = Protocol.Races { source = Bench "matmul" } in
       let payload = ok_payload (Server.handle server (request op)) in
       let stale = Unix.gettimeofday () -. 1.0 in
       (match inline ~received:stale server (request ~deadline_ms:5 op) with
@@ -1054,7 +1053,8 @@ let test_inline_hit_honours_deadline () =
             (error_kind r)
       | None -> Alcotest.fail "a hit past its deadline left to the pool");
       let m = Server.metrics server in
-      Alcotest.(check int) "no stage hit booked" 0 (Metrics.hits m ~stage:"races");
+      Alcotest.(check int) "no stage hit booked" 0
+        (Metrics.hits m ~stage:"races");
       match inline server (request ~deadline_ms:60_000 op) with
       | Some r ->
           Alcotest.(check string) "within its deadline" payload (ok_payload r);
