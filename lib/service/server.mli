@@ -129,10 +129,11 @@ val handle_line :
     [stats], or a [simulate], [annotate], [races] or [trace_stats]
     request whose every artifact the hot tier holds. Such a hit books
     what the pool path books for it: the stage hits, the request, its
-    latency and its [service.<op>] span, and a passed [deadline_ms]
-    makes it [deadline_exceeded] with no stage hit. [`Work]: the request
-    needs the pool (a miss, a disk-tier hit, [parse], [annotate_delta]);
-    nothing was booked and no stage missed. [`Shutdown]: the front end
+    latency and its [service.<op>] span. Such a request whose
+    [deadline_ms] has passed is answered [deadline_exceeded] here, hit
+    or miss, with no stage hit, as a flight leader would be. [`Work]:
+    the request needs the pool (a miss, a disk-tier hit, [parse],
+    [annotate_delta]); nothing was booked and no stage missed. [`Shutdown]: the front end
     answers it in its own order. [received] anchors deadlines as for
     {!handle}; it defaults to now. *)
 

@@ -1040,8 +1040,9 @@ let test_serve_answers_hits_without_queue_room () =
       Alcotest.(check int) "one measure hit" 1
         (Metrics.hits (Server.metrics server) ~stage:"measure"))
 
-(* A hit answered inline honours its deadline as the pool does: checked
-   before anything else, so it books no stage hit. *)
+(* A request the reading thread may answer honours its deadline as a
+   flight leader does: checked before any lookup, so it books no stage
+   hit or miss, whether the hot tier holds its artifact or not. *)
 let test_inline_hit_honours_deadline () =
   with_server (fun server ->
       let op = Protocol.Races { source = Bench "matmul" } in
@@ -1055,6 +1056,16 @@ let test_inline_hit_honours_deadline () =
       let m = Server.metrics server in
       Alcotest.(check int) "no stage hit booked" 0
         (Metrics.hits m ~stage:"races");
+      let misses = Metrics.misses m ~stage:"races" in
+      (match
+         inline ~received:stale server (request ~seed:9 ~deadline_ms:5 op)
+       with
+      | Some r ->
+          Alcotest.(check string) "a miss past its deadline too"
+            "deadline_exceeded" (error_kind r);
+          Alcotest.(check int) "no stage miss booked" misses
+            (Metrics.misses m ~stage:"races")
+      | None -> Alcotest.fail "a miss past its deadline left to the pool");
       match inline server (request ~deadline_ms:60_000 op) with
       | Some r ->
           Alcotest.(check string) "within its deadline" payload (ok_payload r);
@@ -1664,7 +1675,7 @@ let suite =
       test_inline_hit_books_as_the_pool;
     Alcotest.test_case "serve: hits answered with no queue room" `Quick
       test_serve_answers_hits_without_queue_room;
-    Alcotest.test_case "an inline hit honours its deadline" `Quick
+    Alcotest.test_case "the reading thread honours deadlines" `Quick
       test_inline_hit_honours_deadline;
     Alcotest.test_case "an evicted hit is served by a worker" `Quick
       test_evicted_hit_is_served_by_a_worker;
